@@ -92,6 +92,22 @@ def _weights(text: str) -> "list[Fraction]":
     return [_rational(part) for part in text.split(",") if part != ""]
 
 
+def _join_weights(argv: "list[str]") -> "list[str]":
+    """Rewrite `--weights VALUE` as `--weights=VALUE`: argparse would read a
+    list that starts with a negative weight, such as -1,1/2, as an option."""
+    out = []
+    i = 0
+    while i < len(argv):
+        if argv[i] == "--weights" and i + 1 < len(argv) \
+                and not argv[i + 1].startswith("--"):
+            out.append(f"--weights={argv[i + 1]}")
+            i += 2
+        else:
+            out.append(argv[i])
+            i += 1
+    return out
+
+
 VERIFY_CLAIMS = ("theorem1", "levy_ottaviani", "levy", "corollary4",
                  "corollary5", "corollary6", "latala_sharp", "latala",
                  "latala_alt", "lemma2", "corollary3")
@@ -416,7 +432,8 @@ def build_parser() -> argparse.ArgumentParser:
 def main(argv=None) -> int:
     parser = build_parser()
     try:
-        args = parser.parse_args(argv)
+        args = parser.parse_args(
+            _join_weights(sys.argv[1:] if argv is None else argv))
     except SystemExit as exc:
         return int(exc.code or 0)
     try:

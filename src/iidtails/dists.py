@@ -1,6 +1,10 @@
 """Exact finite discrete distributions on rational points.
 
-Everything here is computed in exact rational arithmetic (fractions.Fraction).
+Everything here is exact: laws, tails and curves are fractions.Fraction
+values.  Sums of independent copies (convolve, iid_sum, weighted_iid_sum) run
+on one integer-lattice kernel: coordinates are scaled by a common denominator
+and an n-D point is packed into one int, masses are int numerators over a
+common denominator, and Fractions are built once per atom of the result.
 The euclidean norm is handled through squared values (the "gauge") so that
 every order comparison against a rational threshold stays rational; abs1d and
 sup norms compare radii directly.
@@ -12,6 +16,7 @@ from bisect import bisect_left, bisect_right
 from dataclasses import dataclass
 from enum import Enum
 from fractions import Fraction
+from math import lcm
 from typing import Iterable, Mapping, Union
 
 PointLike = Union[tuple, list, int, Fraction, str]
@@ -167,23 +172,90 @@ def zero_point(dim: int) -> "tuple[Fraction, ...]":
     return (ZERO,) * dim
 
 
-def convolve(a: DiscreteDist, b: DiscreteDist,
-             cap: int = DEFAULT_SUPPORT_CAP) -> DiscreteDist:
-    """Law of U + V for independent U ~ a, V ~ b, with exact merging."""
-    if a.dim != b.dim:
-        raise ValueError(f"dimension mismatch: {a.dim} vs {b.dim}")
-    out: "dict[tuple[Fraction, ...], Fraction]" = {}
-    for x, p in a.atoms.items():
-        for y, q in b.atoms.items():
-            z = tuple(xi + yi for xi, yi in zip(x, y))
-            prev = out.get(z)
+# -- integer-lattice convolution kernel ------------------------------------
+#
+# A law is held as (atoms, den): atoms maps a packed lattice point to an int
+# mass numerator, and den is the common mass denominator.  Coordinates are
+# scaled by one integer `scale` shared by every operand, and an n-D point
+# (v_1, ..., v_n) is packed as v_1 + v_2*base + ... + v_n*base**(n-1) with
+# balanced digits.  base exceeds twice the largest |coordinate| any
+# intermediate sum can reach, so adding two packed points adds every
+# coordinate without carries and the packing stays one-to-one.
+
+
+def _encode(laws: "list[DiscreteDist]", copies: int):
+    """Put laws on one integer lattice able to hold sums of `copies` of their
+    points.  Returns (scale, base, encoded laws)."""
+    scale = lcm(*{c.denominator for law in laws for pt in law.atoms
+                  for c in pt})
+    ints = [[([c.numerator * (scale // c.denominator) for c in pt], p)
+             for pt, p in law.atoms.items()] for law in laws]
+    reach = max((abs(v) for law in ints for coords, _ in law for v in coords),
+                default=0)
+    base = 2 * copies * reach + 3
+    encoded = []
+    for law in ints:
+        den = lcm(*{p.denominator for _, p in law})
+        atoms = {}
+        for coords, p in law:
+            z = 0
+            for v in reversed(coords):
+                z = z * base + v
+            atoms[z] = p.numerator * (den // p.denominator)
+        encoded.append((atoms, den))
+    return scale, base, encoded
+
+
+def _convolve_lattice(a, b, cap: int):
+    """The convolution loop: law of U + V on the shared lattice."""
+    a_atoms, a_den = a
+    b_atoms, b_den = b
+    b_items = list(b_atoms.items())
+    out: "dict[int, int]" = {}
+    get = out.get
+    for x, p in a_atoms.items():
+        for y, q in b_items:
+            z = x + y
+            prev = get(z)
             if prev is None:
                 if len(out) >= cap:
                     raise SupportCapExceeded(len(out) + 1, cap)
                 out[z] = p * q
             else:
                 out[z] = prev + p * q
-    return DiscreteDist(out, dim=a.dim)
+    return out, a_den * b_den
+
+
+def _decode(law, scale: int, base: int, dim: int) -> DiscreteDist:
+    """Trusted constructor: the DiscreteDist of a lattice law, built without
+    re-validation.  Atoms keep the lattice law's insertion order."""
+    atoms, den = law
+    if sum(atoms.values()) != den:
+        raise ArithmeticError("lattice masses do not sum to their denominator")
+    half = base // 2
+    out: "dict[tuple[Fraction, ...], Fraction]" = {}
+    for z, num in atoms.items():
+        coords = []
+        for _ in range(dim):
+            v = z % base
+            if v > half:
+                v -= base
+            coords.append(Fraction(v, scale))
+            z = (z - v) // base
+        out[tuple(coords)] = Fraction(num, den)
+    dist = object.__new__(DiscreteDist)
+    object.__setattr__(dist, "dim", dim)
+    object.__setattr__(dist, "atoms", out)
+    return dist
+
+
+def convolve(a: DiscreteDist, b: DiscreteDist,
+             cap: int = DEFAULT_SUPPORT_CAP) -> DiscreteDist:
+    """Law of U + V for independent U ~ a, V ~ b, with exact merging."""
+    if a.dim != b.dim:
+        raise ValueError(f"dimension mismatch: {a.dim} vs {b.dim}")
+    scale, base, (la, lb) = _encode([a, b], 2)
+    return _decode(_convolve_lattice(la, lb, cap), scale, base, a.dim)
 
 
 def affine(a: DiscreteDist, scale, shift: PointLike = 0) -> DiscreteDist:
@@ -206,16 +278,17 @@ def iid_sum(x: DiscreteDist, k: int, cap: int = DEFAULT_SUPPORT_CAP) -> Discrete
     """
     if k < 1:
         raise ValueError(f"k must be >= 1, got {k}")
+    scale, base, (power,) = _encode([x], k)
     result = None
-    base = x
     n = k
     while True:
         if n & 1:
-            result = base if result is None else convolve(result, base, cap)
+            result = power if result is None else \
+                _convolve_lattice(result, power, cap)
         n >>= 1
         if n == 0:
-            return result
-        base = convolve(base, base, cap)
+            return _decode(result, scale, base, x.dim)
+        power = _convolve_lattice(power, power, cap)
 
 
 def weighted_iid_sum(x: DiscreteDist, alphas: Iterable,
@@ -226,11 +299,12 @@ def weighted_iid_sum(x: DiscreteDist, alphas: Iterable,
         raise ValueError("alphas must be nonempty")
     if all(a == 1 for a in coeffs):
         return iid_sum(x, len(coeffs), cap)
-    result = None
-    for a in coeffs:
-        term = affine(x, a, 0)
-        result = term if result is None else convolve(result, term, cap)
-    return result
+    scale, base, terms = _encode([affine(x, a, 0) for a in coeffs],
+                                 len(coeffs))
+    result = terms[0]
+    for term in terms[1:]:
+        result = _convolve_lattice(result, term, cap)
+    return _decode(result, scale, base, x.dim)
 
 
 def tail(a: DiscreteDist, norm: Norm, t, mode: str = STRICT) -> Fraction:

@@ -11,18 +11,6 @@ HOLDS = "holds"
 VIOLATED = "violated"
 VACUOUS = "vacuous"
 
-CLAIM_IDS = (
-    "theorem1",
-    "levy_ottaviani",
-    "corollary4",
-    "corollary5",
-    "corollary6",
-    "latala_sharp",
-    "latala_alt",
-    "lemma2",
-    "corollary3",
-)
-
 
 @dataclass(frozen=True)
 class InequalityReport:

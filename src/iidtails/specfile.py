@@ -5,8 +5,10 @@ A distribution file looks like
     {"dim": 1, "atoms": [{"x": ["-1"], "p": "1/2"}, {"x": ["1"], "p": "1/2"}]}
 
 with every rational rendered as a "numerator/denominator" string (or a bare
-integer string).  The parser rejects nonpositive probabilities, duplicate
-points, and probabilities that do not sum to exactly 1.
+integer string).  When dim is 1, ``x`` may also be a bare rational or int
+instead of a one-element list.  The parser rejects nonpositive
+probabilities, duplicate points, and probabilities that do not sum to
+exactly 1.
 """
 
 from __future__ import annotations
@@ -52,11 +54,15 @@ def dist_from_jsonable(doc) -> DiscreteDist:
         if not isinstance(entry, dict) or "x" not in entry or "p" not in entry:
             raise SpecFileError(f"{where}: expected an object with keys 'x' and 'p'")
         coords = entry["x"]
-        if not isinstance(coords, list) or len(coords) != dim:
+        if dim == 1 and not isinstance(coords, list):
+            pt = (parse_rational(coords, f"{where}.x"),)
+        elif not isinstance(coords, list) or len(coords) != dim:
             raise SpecFileError(f"{where}.x: expected a list of {dim} coordinates")
-        pt = tuple(
-            parse_rational(c, f"{where}.x[{j}]") for j, c in enumerate(coords)
-        )
+        else:
+            pt = tuple(
+                parse_rational(c, f"{where}.x[{j}]")
+                for j, c in enumerate(coords)
+            )
         prob = parse_rational(entry["p"], f"{where}.p")
         if prob <= 0:
             raise SpecFileError(f"{where}.p: probability {prob} is not positive")

@@ -4,13 +4,22 @@ Everything here enumerates all |support|^k outcome tuples directly, so it is
 exponential and only usable for small cases; the point is that it shares no
 code path with the production implementations.  ``no_admissible_M_bound``
 is an analytic bound rather than an enumeration, and likewise shares no code
-with the scan it checks.
+with the scan it checks.  ``fraction_convolve`` and its two schedules are the
+pairwise Fraction convolution the integer-lattice kernel replaced, kept as
+its differential reference: same schedules, same atom order, same cap point.
 """
 
 from fractions import Fraction
 from itertools import product
 
-from iidtails.dists import DiscreteDist, Norm, as_point
+from iidtails.dists import (
+    DEFAULT_SUPPORT_CAP,
+    DiscreteDist,
+    Norm,
+    SupportCapExceeded,
+    affine,
+    as_point,
+)
 
 ZERO = Fraction(0)
 
@@ -43,6 +52,55 @@ def brute_weighted_sum(x: DiscreteDist, alphas) -> DiscreteDist:
             prob *= p
         acc[total] = acc.get(total, ZERO) + prob
     return DiscreteDist(acc)
+
+
+def fraction_convolve(a: DiscreteDist, b: DiscreteDist,
+                      cap: int = DEFAULT_SUPPORT_CAP) -> DiscreteDist:
+    """Law of U + V, one Fraction product and sum per atom pair."""
+    if a.dim != b.dim:
+        raise ValueError(f"dimension mismatch: {a.dim} vs {b.dim}")
+    out = {}
+    for x, p in a.atoms.items():
+        for y, q in b.atoms.items():
+            z = tuple(xi + yi for xi, yi in zip(x, y))
+            prev = out.get(z)
+            if prev is None:
+                if len(out) >= cap:
+                    raise SupportCapExceeded(len(out) + 1, cap)
+                out[z] = p * q
+            else:
+                out[z] = prev + p * q
+    return DiscreteDist(out, dim=a.dim)
+
+
+def fraction_iid_sum(x: DiscreteDist, k: int,
+                     cap: int = DEFAULT_SUPPORT_CAP) -> DiscreteDist:
+    """S_k by the binary-power schedule of ``iidtails.dists.iid_sum``."""
+    result = None
+    base = x
+    n = k
+    while True:
+        if n & 1:
+            result = base if result is None else \
+                fraction_convolve(result, base, cap)
+        n >>= 1
+        if n == 0:
+            return result
+        base = fraction_convolve(base, base, cap)
+
+
+def fraction_weighted_iid_sum(x: DiscreteDist, alphas,
+                              cap: int = DEFAULT_SUPPORT_CAP) -> DiscreteDist:
+    """sum_i alpha_i X_i by the left fold of ``weighted_iid_sum``."""
+    coeffs = [Fraction(a) for a in alphas]
+    if all(a == 1 for a in coeffs):
+        return fraction_iid_sum(x, len(coeffs), cap)
+    result = None
+    for a in coeffs:
+        term = affine(x, a, 0)
+        result = term if result is None else \
+            fraction_convolve(result, term, cap)
+    return result
 
 
 def brute_tail(dist: DiscreteDist, norm: Norm, t, mode: str = "strict"):

@@ -98,15 +98,23 @@ def test_criterion_04_levy_ottaviani_and_first_exceedance():
         criticals = sorted(law)
         probe_ts = criticals + [criticals[-1] + 1]
         for q in probe_ts:
+            g = norm.to_gauge(q)      # path_max_tail takes q as a radius
             for mode in ("strict", "weak"):
+                tail_q = path_max_tail(dist, k, norm, q, mode)
                 total = sum(first_exceedance_probs(dist, k, norm, q, mode))
-                if total != path_max_tail(dist, k, norm, q, mode):
+                # independent of the absorbing DP: mass of the running
+                # max's own law beyond the threshold
+                beyond = sum((p for m, p in law.items()
+                              if (m > g if mode == "strict" else m >= g)),
+                             F(0))
+                if total != tail_q or tail_q != beyond:
                     identity_ok = False
             identity_checked += 1
     ok = rep.violated == 0 and identity_ok and identity_checked >= 100
     _line(4, ok, f"constant-3 maximal bound: {rep.total_checks} checks, "
                  f"{rep.violated} violations; first-exceedance identity "
-                 f"exact at {identity_checked} thresholds")
+                 f"and running-max law agree exactly at {identity_checked} "
+                 f"thresholds")
 
 
 def test_criterion_05_corollaries_4_5_6():

@@ -59,6 +59,13 @@ class TestTheorem1:
             r = check_theorem1(delta(0), 1, 3, c1, c2)
             assert r.status == HOLDS
 
+    def test_zero_lhs_holds_with_note_not_vacuous(self):
+        # sweep checkers report an identically zero lhs as holds with a
+        # note; only lemma2 and corollary3 return vacuous
+        r = check_theorem1(delta(0), 1, 2)
+        assert r.status == HOLDS
+        assert "lhs identically zero" in r.note
+
     def test_pinned_rare(self):
         r = check_theorem1(RARE, 1, 2)
         assert r.status == HOLDS

@@ -106,6 +106,16 @@ class TestVerify:
                            "--weights", "1,1/2", coin_file)
         assert code == 0
 
+    @pytest.mark.parametrize("form", [("--weights", "-1,1/2"),
+                                      ("--weights=-1,1/2",)])
+    def test_corollary5_leading_negative_weight(self, capsys, coin_file,
+                                                form):
+        code, out, err = run(capsys, "verify", "--claim", "corollary5",
+                             *form, coin_file)
+        assert code == 0, err
+        rep = last_json(out)["reports"][0]["report"]
+        assert rep["params"]["alphas"] == ["-1", "1/2"]
+
     def test_lemma2_single_file_self_pair(self, capsys, rare_file):
         code, out, _ = run(capsys, "verify", "--claim", "lemma2",
                            "--t", "1/2", rare_file)

@@ -6,6 +6,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from iidtails.dists import (
+    DEFAULT_SUPPORT_CAP,
     DiscreteDist,
     Norm,
     SupportCapExceeded,
@@ -32,6 +33,9 @@ from oracles import (
     brute_weighted_sum,
     coin,
     dist1d,
+    fraction_convolve,
+    fraction_iid_sum,
+    fraction_weighted_iid_sum,
 )
 
 ABS = Norm.ABS1D
@@ -113,6 +117,11 @@ class TestConvolve:
     def test_dim_mismatch(self):
         with pytest.raises(ValueError):
             convolve(delta(0), delta((0, 0)))
+
+    def test_zero_dimensional_law(self):
+        point = DiscreteDist({(): 1})
+        assert convolve(point, point) == point
+        assert iid_sum(point, 3) == point
 
     def test_cap_enforced(self):
         a = dist1d([(i, F(1, 10)) for i in range(10)])
@@ -417,3 +426,59 @@ def test_path_max_dominates_endpoint(x, k, tn):
     t = F(tn, 4)
     # the running maximum exceeds whenever the endpoint does
     assert path_max_tail(x, k, ABS, t) >= tail(iid_sum(x, k), ABS, t)
+
+
+# ------------------------------------------ lattice kernel vs Fraction oracle
+
+lattice_coords = st.builds(F, st.integers(-9, 9),
+                           st.sampled_from([1, 2, 3, 4, 6, 7]))
+
+
+@st.composite
+def lattice_dists(draw, dim):
+    n = draw(st.integers(1, 4))
+    pts = draw(st.lists(st.tuples(*[lattice_coords] * dim), min_size=n,
+                        max_size=n, unique=True))
+    weights = draw(st.lists(st.integers(1, 9), min_size=n, max_size=n))
+    tot = sum(weights)
+    return DiscreteDist({pt: F(w, tot) for pt, w in zip(pts, weights)})
+
+
+def _outcome(fn, *args):
+    """The result's atoms in order, or the cap exception's (size, cap)."""
+    try:
+        return list(fn(*args).atoms.items())
+    except SupportCapExceeded as exc:
+        return ("cap", exc.size, exc.cap)
+
+
+caps = st.one_of(st.just(DEFAULT_SUPPORT_CAP), st.integers(1, 40))
+alpha_lists = st.one_of(
+    st.lists(st.builds(F, st.integers(-6, 6), st.just(6)),
+             min_size=1, max_size=4),
+    st.integers(1, 4).map(lambda n: [F(1)] * n))
+
+
+@given(st.data(), st.integers(1, 3), caps)
+@settings(max_examples=150, deadline=None)
+def test_lattice_convolve_matches_fraction_oracle(data, dim, cap):
+    a = data.draw(lattice_dists(dim))
+    b = data.draw(lattice_dists(dim))
+    assert _outcome(convolve, a, b, cap) == \
+        _outcome(fraction_convolve, a, b, cap)
+
+
+@given(st.data(), st.integers(1, 3), st.integers(1, 6), caps)
+@settings(max_examples=150, deadline=None)
+def test_lattice_iid_sum_matches_fraction_oracle(data, dim, k, cap):
+    x = data.draw(lattice_dists(dim))
+    assert _outcome(iid_sum, x, k, cap) == \
+        _outcome(fraction_iid_sum, x, k, cap)
+
+
+@given(st.data(), st.integers(1, 3), alpha_lists, caps)
+@settings(max_examples=150, deadline=None)
+def test_lattice_weighted_sum_matches_fraction_oracle(data, dim, alphas, cap):
+    x = data.draw(lattice_dists(dim))
+    assert _outcome(weighted_iid_sum, x, alphas, cap) == \
+        _outcome(fraction_weighted_iid_sum, x, alphas, cap)

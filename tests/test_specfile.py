@@ -70,6 +70,22 @@ class TestParse:
         with pytest.raises(SpecFileError, match=r"atoms\[0\].x"):
             dist_from_jsonable(doc)
 
+    def test_bare_scalar_atoms_in_one_dimension(self):
+        doc = {"dim": 1, "atoms": [{"x": "-1", "p": "1/2"},
+                                   {"x": 1, "p": "1/2"}]}
+        assert dist_from_jsonable(doc) == coin()
+
+    def test_bare_scalar_atom_needs_dim_one(self):
+        doc = {"dim": 2, "atoms": [{"x": "1", "p": "1"}]}
+        with pytest.raises(SpecFileError,
+                           match=r"atoms\[0\].x: expected a list of 2"):
+            dist_from_jsonable(doc)
+
+    def test_bare_float_atom_rejected_with_location(self):
+        doc = {"dim": 1, "atoms": [{"x": 0.5, "p": "1"}]}
+        with pytest.raises(SpecFileError, match=r"atoms\[0\].x: expected"):
+            dist_from_jsonable(doc)
+
     def test_nonpositive_probability_position(self):
         doc = {"dim": 1, "atoms": [{"x": ["0"], "p": "1"},
                                    {"x": ["1"], "p": "0"}]}
