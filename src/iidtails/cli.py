@@ -18,14 +18,14 @@ from datetime import datetime, timezone
 from fractions import Fraction
 from pathlib import Path
 
-from . import checks, concentration, corpus as corpus_mod
+from . import checks, corpus as corpus_mod
 from ._version import __version__
 from .counterexample import verify_counterexample
 from .dists import DEFAULT_SUPPORT_CAP, MODES, STRICT, Norm
-from .montecarlo import SamplerSpec, estimate_tail, mc_check
+from .montecarlo import MC_CLAIMS, SamplerSpec, estimate_tail, mc_check
 from .reports import HOLDS, VACUOUS, jsonify
 from .search import SearchSpace, SoundnessViolation, search
-from .specfile import SpecFileError, dist_to_jsonable, load_dist
+from .specfile import SpecFileError, dist_to_jsonable, load_dist, parse_dist
 
 EXIT_OK = 0
 EXIT_VIOLATION = 1
@@ -52,16 +52,23 @@ class RunManifest:
         })
 
 
-def _digest(path) -> str:
-    return hashlib.sha256(Path(path).read_bytes()).hexdigest()
+def _load(path, digests: dict):
+    """Read a law file once, parse it, and record the sha256 of exactly the
+    bytes parsed (a pipe cannot be read twice)."""
+    data = Path(path).read_bytes()
+    digests[str(path)] = hashlib.sha256(data).hexdigest()
+    try:
+        return parse_dist(data.decode("utf-8"))
+    except SpecFileError as exc:
+        raise SpecFileError(f"{path}: {exc}") from None
 
 
-def _manifest(args, files, outcome: str) -> RunManifest:
+def _manifest(args, digests: dict, outcome: str) -> RunManifest:
     params = {k: v for k, v in vars(args).items() if k != "func"}
     return RunManifest(
         subcommand=args.subcommand, params=jsonify(params),
         seed=getattr(args, "seed", None), version=__version__,
-        input_digests={str(f): _digest(f) for f in files},
+        input_digests=digests,
         wall_clock=datetime.now(timezone.utc).isoformat(),
         outcome=outcome)
 
@@ -108,79 +115,61 @@ def _join_weights(argv: "list[str]") -> "list[str]":
     return out
 
 
-VERIFY_CLAIMS = ("theorem1", "levy_ottaviani", "levy", "corollary4",
-                 "corollary5", "corollary6", "latala_sharp", "latala",
-                 "latala_alt", "lemma2", "corollary3")
+# the verify flag of each parameter a claim can take
+_FLAGS = {"j": "--j", "k": "--k", "t": "--t", "alphas": "--weights"}
 
 
-def _verify_one(dist, args) -> "list":
-    """All reports the requested claim produces for one distribution."""
-    claim = corpus_mod.CLAIM_ALIASES.get(args.claim, args.claim)
-    norm = args.norm or (Norm.ABS1D if dist.dim == 1 else Norm.EUCLIDEAN)
-    kw = dict(norm=norm, lhs_mode=args.lhs_mode, rhs_mode=args.rhs_mode,
-              cap=args.cap)
-    cs = {}
-    if args.c1 is not None:
-        cs["c1"] = args.c1
-    if args.c2 is not None:
-        cs["c2"] = args.c2
-    j = args.j
-    k = args.k
-    if claim == "theorem1":
-        return [checks.check_theorem1(dist, j or 1, k or 2, **cs, **kw)]
-    if claim == "levy_ottaviani":
-        return [checks.check_levy_ottaviani(dist, k or 4, **cs, **kw)]
-    if claim == "corollary4":
-        return [checks.check_corollary4(dist, k or 4, **cs, **kw)]
-    if claim == "corollary5":
-        if not args.weights:
-            raise ValueError("corollary5 needs --weights")
-        return [checks.check_corollary5(dist, args.weights, **cs, **kw)]
-    if claim == "corollary6":
-        return [checks.check_corollary6(dist, j or 2, k or 1, **cs, **kw)]
-    if claim == "latala_sharp":
-        if cs:
-            raise ValueError("latala_sharp has fixed constants (2, 3/2)")
-        return [checks.check_latala_sharp(dist, **kw)]
-    if claim == "latala_alt":
-        if cs:
-            raise ValueError("latala_alt carries its own constant pairs")
-        out = []
-        for c1, c2 in corpus_mod.LATALA_THEOREM1:
-            rep = checks.check_theorem1(dist, j or 1, k or 2, c1, c2, **kw)
-            out.append(rep.with_claim_id("latala_alt"))
-        for c1, c2 in corpus_mod.LATALA_COROLLARY4:
-            rep = checks.check_corollary4(dist, k or 2, c1, c2, **kw)
-            out.append(rep.with_claim_id("latala_alt"))
-        return out
-    if claim == "corollary3":
-        if args.t is None:
-            raise ValueError("corollary3 needs --t")
-        return [concentration.check_corollary3(dist, k or 3, args.t,
-                                               cap=args.cap)]
-    raise ValueError(f"claim {claim!r} is not handled here")
+def _claim_args(spec, args) -> dict:
+    """The claim's parameters from the verify flags, defaults filled in.  A
+    flag the claim does not take is an error; corollary5 takes --k only as
+    the number of weights."""
+    given = dict(spec.defaults)
+    for name, flag in _FLAGS.items():
+        value = getattr(args, flag[2:])
+        if value is None:
+            continue
+        if name not in spec.takes and (name, spec.lhs) != ("k",
+                                                           checks.WEIGHTED):
+            raise ValueError(f"--claim {spec.claim_id} does not take {flag}")
+        given[name] = value
+    missing = [_FLAGS[name] for name in spec.takes if name not in given]
+    if missing:
+        raise ValueError(f"{spec.claim_id} needs {missing[0]}")
+    if spec.lhs == checks.WEIGHTED and \
+            given.setdefault("k", len(given["alphas"])) != len(given["alphas"]):
+        raise ValueError(f"--claim {spec.claim_id} takes --k {given['k']} "
+                         f"but {len(given['alphas'])} --weights")
+    for flag in ("--c1", "--c2"):
+        if getattr(args, flag[2:]) is not None and \
+                (spec.fixed or spec.constants is None):
+            what = "has fixed constants" if spec.fixed else "takes no constants"
+            raise ValueError(f"--claim {spec.claim_id} {what}, so no {flag}")
+    return given
 
 
 def cmd_verify(args) -> int:
-    if corpus_mod.CLAIM_ALIASES.get(args.claim, args.claim) == "lemma2":
-        if args.t is None:
-            raise ValueError("lemma2 needs --t")
+    spec = checks.CLAIMS[checks.ALIASES.get(args.claim, args.claim)]
+    given = _claim_args(spec, args)
+    digests = {}
+    if spec.claim_id == "lemma2":
         if len(args.files) not in (1, 2):
             raise ValueError("lemma2 takes one file (Y = X) or two")
-        X = load_dist(args.files[0])
-        Y = load_dist(args.files[-1])
-        reports = [{"file": " + ".join(str(f) for f in args.files),
-                    "report": concentration.check_lemma2(
-                        X, Y, args.t, cap=args.cap).to_jsonable()}]
+        laws = [_load(f, digests) for f in args.files]
+        given["y"] = laws[-1]
+        jobs = [(" + ".join(str(f) for f in args.files), laws[0])]
     else:
-        reports = []
-        for f in args.files:
-            dist = load_dist(f)
-            for rep in _verify_one(dist, args):
-                reports.append({"file": str(f), "report": rep.to_jsonable()})
+        jobs = [(str(f), _load(f, digests)) for f in args.files]
+    reports = []
+    for label, dist in jobs:
+        norm = args.norm or (Norm.ABS1D if dist.dim == 1 else Norm.EUCLIDEAN)
+        curves = checks.Curves(dist, norm, args.cap)
+        for rep in checks.claim_reports(spec, curves, given, args.c1,
+                                        args.c2, args.lhs_mode,
+                                        args.rhs_mode):
+            reports.append({"file": label, "report": rep.to_jsonable()})
     ok = all(r["report"]["status"] in (HOLDS, VACUOUS) for r in reports)
     outcome = "all hold" if ok else "violation found"
-    _emit({"manifest": _manifest(args, args.files, outcome).to_jsonable(),
+    _emit({"manifest": _manifest(args, digests, outcome).to_jsonable(),
            "reports": reports}, args.out)
     return EXIT_OK if ok else EXIT_VIOLATION
 
@@ -196,7 +185,7 @@ def cmd_corpus(args) -> int:
     report = corpus_mod.run_corpus(config, claims, cap=args.cap)
     outcome = ("violation found" if report.has_violations
                else f"all hold ({report.total_checks} checks)")
-    manifest = _manifest(args, [], outcome)
+    manifest = _manifest(args, {}, outcome)
     doc = {"manifest": manifest.to_jsonable(),
            "corpus": report.to_jsonable()}
     outdir = Path(args.out_dir)
@@ -229,7 +218,7 @@ def cmd_search(args) -> int:
         prob_denominator=args.prob_denominator)
     result = search(space, budget=args.budget, restarts=args.restarts,
                     seed=args.seed, cap=args.cap)
-    manifest = _manifest(args, [], f"achieved_ratio={result.achieved_ratio}")
+    manifest = _manifest(args, {}, f"achieved_ratio={result.achieved_ratio}")
     _emit({"manifest": manifest.to_jsonable(),
            "result": result.to_jsonable()}, args.out)
     return EXIT_OK
@@ -243,19 +232,18 @@ def cmd_counterexample(args) -> int:
     outcome = "counterexample verified" if verified else (
         "no admissible M under cap" if not report.found
         else "bounds failed to verify")
-    manifest = _manifest(args, [], outcome)
+    manifest = _manifest(args, {}, outcome)
     _emit({"manifest": manifest.to_jsonable(),
            "counterexample": report.to_jsonable()}, args.out)
     return EXIT_OK if verified else EXIT_VIOLATION
 
 
-def _sampler_from_args(args) -> "tuple[SamplerSpec, list]":
-    files = []
+def _sampler_from_args(args) -> "tuple[SamplerSpec, dict]":
+    digests = {}
     if args.family == "discrete":
         if not args.dist:
             raise ValueError("discrete family needs --dist FILE")
-        dist = load_dist(args.dist)
-        files.append(args.dist)
+        dist = _load(args.dist, digests)
         spec = SamplerSpec("discrete",
                            {"atoms": dist_to_jsonable(dist)["atoms"]},
                            dim=dist.dim)
@@ -272,18 +260,18 @@ def _sampler_from_args(args) -> "tuple[SamplerSpec, list]":
     else:
         spec = SamplerSpec("shifted_pareto",
                            {"alpha": args.alpha, "shift": args.shift})
-    return spec, files
+    return spec, digests
 
 
 def cmd_mc(args) -> int:
-    spec, files = _sampler_from_args(args)
+    spec, digests = _sampler_from_args(args)
     t_grid = args.t or [Fraction(1)]
     if args.claim:
         verdict = mc_check(
             args.claim, spec, args.j, args.k, t_grid, c1=args.c1, c2=args.c2,
             weights=args.weights, norm=args.norm, n_samples=args.n,
             seed=args.seed, delta=args.delta)
-        manifest = _manifest(args, files, verdict.status)
+        manifest = _manifest(args, digests, verdict.status)
         _emit({"manifest": manifest.to_jsonable(),
                "check": verdict.to_jsonable()}, args.out)
         return EXIT_VIOLATION if verdict.status == "violated" else EXIT_OK
@@ -293,7 +281,7 @@ def cmd_mc(args) -> int:
                             weights=args.weights, n_samples=args.n,
                             seed=args.seed + i, delta=args.delta)
         estimates.append({"t": jsonify(t), "estimate": est.to_jsonable()})
-    manifest = _manifest(args, files, f"{len(estimates)} estimates")
+    manifest = _manifest(args, digests, f"{len(estimates)} estimates")
     _emit({"manifest": manifest.to_jsonable(), "estimates": estimates},
           args.out)
     return EXIT_OK
@@ -326,7 +314,8 @@ def build_parser() -> argparse.ArgumentParser:
     subs = parser.add_subparsers(dest="subcommand", required=True)
 
     p = subs.add_parser("verify", help="run one checker on distribution files")
-    p.add_argument("--claim", required=True, choices=VERIFY_CLAIMS)
+    p.add_argument("--claim", required=True,
+                   choices=tuple(checks.CLAIMS) + tuple(checks.ALIASES))
     p.add_argument("--c1", type=_rational, default=None)
     p.add_argument("--c2", type=_rational, default=None)
     p.add_argument("--j", type=int, default=None)
@@ -392,9 +381,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=cmd_counterexample)
 
     p = subs.add_parser("mc", help="Monte Carlo estimate or claim check")
-    p.add_argument("--claim", default=None,
-                   choices=("theorem1", "corollary4", "corollary5",
-                            "corollary6", "latala_sharp"))
+    p.add_argument("--claim", default=None, choices=MC_CLAIMS)
     p.add_argument("--family", required=True,
                    choices=("discrete", "gaussian", "two_point",
                             "shifted_pareto"))

@@ -14,8 +14,17 @@ from fractions import Fraction
 
 import numpy as np
 
-from .checks import _report, sweep_curves, upper_envelope
-from .concentration import check_corollary3, check_lemma2
+from .checks import (
+    ALIASES,
+    CLAIMS,
+    FIRST_TWO,
+    J_LE_K,
+    K_ONLY,
+    WEIGHTED,
+    Curves,
+    shape_reports,
+    variants,
+)
 from .dists import (
     DEFAULT_SUPPORT_CAP,
     DiscreteDist,
@@ -24,33 +33,18 @@ from .dists import (
     SupportCapExceeded,
     WEAK,
     convolve,
-    path_max_curve,
-    tail_curve,
-    weighted_iid_sum,
 )
-from .reports import HOLDS, InequalityReport, VACUOUS, VIOLATED, approx, jsonify
+from .reports import HOLDS, InequalityReport, VIOLATED, approx, jsonify
 from .specfile import dist_to_jsonable
 
-CLAIM_ALIASES = {
-    "levy": "levy_ottaviani",
-    "latala": "latala_sharp",
-}
-
-DEFAULT_CLAIMS = (
-    "theorem1",
-    "latala_sharp",
-    "latala_alt",
-    "levy_ottaviani",
-    "corollary4",
-    "corollary5",
-    "corollary6",
-    "lemma2",
-    "corollary3",
-)
+DEFAULT_CLAIMS = tuple(CLAIMS)
 
 # alternative constant sets reported under claim_id latala_alt
-LATALA_THEOREM1 = ((Fraction(4), Fraction(5)), (Fraction(2), Fraction(7)))
-LATALA_COROLLARY4 = ((Fraction(4), Fraction(6)), (Fraction(2), Fraction(8)))
+LATALA_THEOREM1, LATALA_COROLLARY4 = (
+    pairs for _, pairs in CLAIMS["latala_alt"].shapes)
+
+# every corpus check runs in both modes, the same on either side
+MODE_PAIRS = ((STRICT, STRICT), (WEAK, WEAK))
 
 
 @dataclass(frozen=True)
@@ -119,18 +113,15 @@ def generate_corpus(config: CorpusConfig) -> "list[tuple[DiscreteDist, Norm]]":
     return out
 
 
-class _InstanceCtx:
-    """Cached partial sums and tail curves for one corpus instance."""
+class _InstanceCtx(Curves):
+    """Curves of one corpus instance; S_i is walked one convolution at a
+    time from S_{i-1} and kept."""
 
     def __init__(self, dist: DiscreteDist, norm: Norm, max_k: int,
                  cap: int = DEFAULT_SUPPORT_CAP):
-        self.dist = dist
-        self.norm = norm
+        super().__init__(dist, norm, cap)
         self.max_k = max_k
-        self.cap = cap
         self._sums = {}
-        self._curves = {}
-        self._path_curves = {}
 
     def sum_law(self, i: int) -> DiscreteDist:
         if i not in self._sums:
@@ -139,161 +130,36 @@ class _InstanceCtx:
             self._sums[i] = prev
         return self._sums[i]
 
-    def curve(self, i: int):
-        if i not in self._curves:
-            self._curves[i] = tail_curve(self.sum_law(i), self.norm)
-        return self._curves[i]
-
-    def path_curve(self, k: int):
-        if k not in self._path_curves:
-            self._path_curves[k] = path_max_curve(self.dist, k, self.norm,
-                                                  self.cap)
-        return self._path_curves[k]
-
     def span(self) -> Fraction:
         vals = [x[0] for x in self.dist.support]
         return max(vals) - min(vals)
 
 
-# per-claim default constants; run_corpus can override them to probe
-# deliberately false values (checker sensitivity controls)
-DEFAULT_CONSTANTS = {
-    "theorem1": (Fraction(3), Fraction(10)),
-    "latala_sharp": (Fraction(2), Fraction(3, 2)),
-    "levy_ottaviani": (Fraction(3), Fraction(3)),
-    "corollary4": (Fraction(9), Fraction(30)),
-    "corollary5": (Fraction(10), Fraction(90)),
-    "corollary6": (Fraction(6), Fraction(20)),
-}
-
-
-def _constants(claim: str, overrides) -> "tuple[Fraction, Fraction]":
-    c1, c2 = DEFAULT_CONSTANTS[claim]
-    if overrides and claim in overrides:
-        ov = overrides[claim]
-        c1 = Fraction(ov.get("c1", c1))
-        c2 = Fraction(ov.get("c2", c2))
-        if c1 <= 0 or c2 <= 0:
-            raise ValueError(f"constants for {claim!r} must be positive")
-    return c1, c2
-
-
-def _checks_for_instance(ctx: _InstanceCtx, claims, rng,
-                         config: CorpusConfig, overrides=None):
-    """Yield InequalityReport objects for all requested claims."""
+def _grid(shape, ctx: _InstanceCtx, rng, config: "CorpusConfig") -> list:
+    """Where one claim shape is checked on one instance: every admissible
+    (j, k) up to max_k, larger index outermost; drawn weight vectors for
+    corollary5; a threshold grid for the 1-D concentration claims."""
     K = ctx.max_k
-    norm = ctx.norm
-    modes = (STRICT, WEAK)
-
-    for claim in claims:
-        if claim == "theorem1":
-            c1, c2 = _constants(claim, overrides)
-            for k in range(1, K + 1):
-                for j in range(1, k + 1):
-                    for mode in modes:
-                        out = sweep_curves(ctx.curve(j), ctx.curve(k),
-                                           c1, c2, mode, mode)
-                        yield _report("theorem1",
-                                      {"j": j, "k": k, "c1": c1,
-                                       "c2": c2, "norm": norm,
-                                       "modes": (mode, mode)}, out, norm)
-        elif claim == "latala_alt":
-            for c1, c2 in LATALA_THEOREM1:
-                for k in range(1, K + 1):
-                    for j in range(1, k + 1):
-                        for mode in modes:
-                            out = sweep_curves(ctx.curve(j), ctx.curve(k),
-                                               c1, c2, mode, mode)
-                            yield _report("latala_alt",
-                                          {"shape": "theorem1", "j": j,
-                                           "k": k, "c1": c1, "c2": c2,
-                                           "norm": norm,
-                                           "modes": (mode, mode)},
-                                          out, norm,
-                                          note="external claim [L]")
-            for c1, c2 in LATALA_COROLLARY4:
-                for k in range(1, K + 1):
-                    for mode in modes:
-                        out = sweep_curves(ctx.path_curve(k), ctx.curve(k),
-                                           c1, c2, mode, mode)
-                        yield _report("latala_alt",
-                                      {"shape": "corollary4", "k": k,
-                                       "c1": c1, "c2": c2, "norm": norm,
-                                       "modes": (mode, mode)}, out, norm,
-                                      note="external claim [L]")
-        elif claim == "latala_sharp":
-            c1, c2 = _constants(claim, overrides)
-            for mode in modes:
-                out = sweep_curves(ctx.curve(1), ctx.curve(2), c1, c2,
-                                   mode, mode)
-                yield _report("latala_sharp",
-                              {"j": 1, "k": 2, "c1": c1,
-                               "c2": c2, "norm": norm,
-                               "modes": (mode, mode)}, out, norm,
-                              note="external claim [L]")
-        elif claim == "levy_ottaviani":
-            c1, c2 = _constants(claim, overrides)
-            for k in range(1, K + 1):
-                env = upper_envelope([ctx.curve(i) for i in range(1, k + 1)])
-                for mode in modes:
-                    out = sweep_curves(ctx.path_curve(k), env, c1, c2,
-                                       mode, mode)
-                    yield _report("levy_ottaviani",
-                                  {"k": k, "c1": c1,
-                                   "c2": c2, "norm": norm,
-                                   "modes": (mode, mode)}, out, norm)
-        elif claim == "corollary4":
-            c1, c2 = _constants(claim, overrides)
-            for k in range(1, K + 1):
-                for mode in modes:
-                    out = sweep_curves(ctx.path_curve(k), ctx.curve(k),
-                                       c1, c2, mode, mode)
-                    yield _report("corollary4",
-                                  {"k": k, "c1": c1,
-                                   "c2": c2, "norm": norm,
-                                   "modes": (mode, mode)}, out, norm)
-        elif claim == "corollary5":
-            c1, c2 = _constants(claim, overrides)
-            for _ in range(config.weight_vectors):
-                k = int(rng.integers(2, K + 1))
-                nums = rng.integers(-config.denominator,
-                                    config.denominator + 1, size=k)
-                alphas = [Fraction(int(v), config.denominator) for v in nums]
-                lhs = tail_curve(weighted_iid_sum(ctx.dist, alphas, ctx.cap),
-                                 norm)
-                for mode in modes:
-                    out = sweep_curves(lhs, ctx.curve(k), c1, c2, mode, mode)
-                    yield _report("corollary5",
-                                  {"k": k, "alphas": alphas,
-                                   "c1": c1, "c2": c2,
-                                   "norm": norm, "modes": (mode, mode)},
-                                  out, norm)
-        elif claim == "corollary6":
-            c1, c2 = _constants(claim, overrides)
-            for j in range(1, K + 1):
-                for k in range(1, j + 1):
-                    ratio = Fraction(j, k)
-                    for mode in modes:
-                        out = sweep_curves(ctx.curve(j), ctx.curve(k),
-                                           c1 * ratio, c2 * ratio,
-                                           mode, mode)
-                        yield _report("corollary6",
-                                      {"j": j, "k": k, "c1": c1,
-                                       "c2": c2, "norm": norm,
-                                       "modes": (mode, mode)}, out, norm)
-        elif claim == "lemma2":
-            if ctx.dist.dim != 1:
-                continue
-            for t in _t_grid(ctx):
-                yield check_lemma2(ctx.dist, ctx.dist, t, ctx.cap)
-        elif claim == "corollary3":
-            if ctx.dist.dim != 1:
-                continue
-            k = min(3, K)
-            for t in _t_grid(ctx, k):
-                yield check_corollary3(ctx.dist, k, t, ctx.cap)
-        else:
-            raise ValueError(f"unknown claim {claim!r}")
+    if shape.evaluate is not None:
+        k = min(3, K) if "k" in shape.takes else 1
+        ts = _t_grid(ctx, k) if ctx.dist.dim == 1 else []
+        return [{"k": k, "t": t} for t in ts]
+    if shape.lhs == WEIGHTED:
+        out = []
+        for _ in range(config.weight_vectors):
+            k = int(rng.integers(2, K + 1))
+            nums = rng.integers(-config.denominator,
+                                config.denominator + 1, size=k)
+            out.append({"alphas": [Fraction(int(v), config.denominator)
+                                   for v in nums]})
+        return out
+    if shape.order == FIRST_TWO:
+        return [{"j": 1, "k": 2}]
+    if shape.order == K_ONLY:
+        return [{"k": k} for k in range(1, K + 1)]
+    pairs = [(a, b) for b in range(1, K + 1) for a in range(1, b + 1)]
+    return [{"j": a, "k": b} if shape.order == J_LE_K else {"j": b, "k": a}
+            for a, b in pairs]
 
 
 def _t_grid(ctx: _InstanceCtx, k: int = 1) -> "list[Fraction]":
@@ -308,8 +174,8 @@ def _t_grid(ctx: _InstanceCtx, k: int = 1) -> "list[Fraction]":
 def normalize_claims(names) -> "list[str]":
     out = []
     for raw in names:
-        name = CLAIM_ALIASES.get(raw, raw)
-        if name not in DEFAULT_CLAIMS:
+        name = ALIASES.get(raw, raw)
+        if name not in CLAIMS:
             raise ValueError(f"unknown claim {raw!r}")
         if name not in out:
             out.append(name)
@@ -364,12 +230,14 @@ def run_corpus(config: CorpusConfig, claims=None,
     {"theorem1": {"c1": 1, "c2": 1}} to probe deliberately false values.
     """
     claims = normalize_claims(claims if claims is not None else DEFAULT_CLAIMS)
-    if overrides:
-        for name in overrides:
-            if CLAIM_ALIASES.get(name, name) not in DEFAULT_CONSTANTS:
-                raise ValueError(f"no overridable constants for {name!r}")
-        overrides = {CLAIM_ALIASES.get(name, name): ov
-                     for name, ov in overrides.items()}
+    constants = {}
+    for name, ov in (overrides or {}).items():
+        name = ALIASES.get(name, name)
+        if name not in CLAIMS or CLAIMS[name].constants is None:
+            raise ValueError(f"no overridable constants for {name!r}")
+        constants[name] = (ov.get("c1"), ov.get("c2"))
+    plan = [(CLAIMS[name], variants(CLAIMS[name], *constants.get(name, ())))
+            for name in claims]
     report = CorpusReport(config=config, claims=claims)
     instances = generate_corpus(config)
     for index, (dist, norm) in enumerate(instances):
@@ -377,9 +245,12 @@ def run_corpus(config: CorpusConfig, claims=None,
             np.random.Philox(key=_instance_key(config.seed, index)))
         ctx = _InstanceCtx(dist, norm, config.max_k, cap)
         try:
-            for rep in _checks_for_instance(ctx, claims, rng, config,
-                                            overrides):
-                _absorb(report, index, dist, rep)
+            for spec, shapes in plan:
+                for shape, c1, c2 in shapes:
+                    for idx in _grid(shape, ctx, rng, config):
+                        for rep in shape_reports(spec, shape, ctx, idx, c1,
+                                                 c2, MODE_PAIRS):
+                            _absorb(report, index, dist, rep)
         except SupportCapExceeded as exc:
             report.skipped.append({"instance": index, "reason": str(exc)})
     return report

@@ -15,6 +15,7 @@ from fractions import Fraction
 import numpy as np
 from scipy.stats import beta as _beta
 
+from .checks import CLAIMS, MAX, WEIGHTED, require_indices
 from .dists import Norm
 from .reports import jsonify
 
@@ -105,6 +106,11 @@ def _gauge(points: np.ndarray, norm: Norm) -> np.ndarray:
     return np.max(np.abs(points), axis=-1)   # abs1d and sup coincide here
 
 
+def _running_max(draws: np.ndarray, norm: Norm) -> np.ndarray:
+    """max_{i<=k} ||X_1 + ... + X_i|| for each row of (m, k, dim) draws."""
+    return np.max(_gauge(np.cumsum(draws, axis=1), norm), axis=1)
+
+
 @dataclass(frozen=True)
 class TailEstimate:
     estimate: float
@@ -149,6 +155,25 @@ def estimate_tail(spec: SamplerSpec, k: int, t, norm: Norm = None,
     """
     if k < 1:
         raise ValueError("k must be >= 1")
+    if weights is None:
+        w = np.ones(k)
+    else:
+        w = np.array([float(Fraction(x)) if not isinstance(x, float) else x
+                      for x in weights])
+        if w.shape != (k,):
+            raise ValueError(f"need exactly {k} weights")
+    return _estimate(
+        spec, k, t, norm,
+        lambda draws, nm: _gauge(np.tensordot(draws, w, axes=([1], [0])), nm),
+        n_samples, seed, delta)
+
+
+def _estimate(spec: SamplerSpec, k: int, t, norm, statistic, n_samples: int,
+              seed: int, delta: float) -> TailEstimate:
+    """Estimate Pr(statistic(X_1..X_k) > t) with a Clopper-Pearson interval.
+
+    statistic maps (m, k, dim) draws and the norm to m values.
+    """
     if n_samples < 1:
         raise ValueError("n_samples must be >= 1")
     if not 0 < delta < 1:
@@ -158,13 +183,6 @@ def estimate_tail(spec: SamplerSpec, k: int, t, norm: Norm = None,
     tf = float(Fraction(t)) if not isinstance(t, float) else t
     if tf < 0:
         raise ValueError("t must be >= 0")
-    if weights is None:
-        w = np.ones(k)
-    else:
-        w = np.array([float(Fraction(x)) if not isinstance(x, float) else x
-                      for x in weights])
-        if w.shape != (k,):
-            raise ValueError(f"need exactly {k} weights")
     count = 0
     done = 0
     stream = 0
@@ -172,8 +190,7 @@ def estimate_tail(spec: SamplerSpec, k: int, t, norm: Norm = None,
         m = min(_BATCH, n_samples - done)
         rng = np.random.Generator(np.random.Philox(key=[seed, stream]))
         draws = _draw(spec, rng, (m, k))           # (m, k, dim)
-        sums = np.tensordot(draws, w, axes=([1], [0]))   # (m, dim)
-        count += int(np.count_nonzero(_gauge(sums, norm) > tf))
+        count += int(np.count_nonzero(statistic(draws, norm) > tf))
         done += m
         stream += 1
     lo, hi = clopper_pearson(count, n_samples, delta)
@@ -181,8 +198,7 @@ def estimate_tail(spec: SamplerSpec, k: int, t, norm: Norm = None,
                         n_samples=n_samples, count=count, seed=seed)
 
 
-MC_CLAIMS = ("theorem1", "corollary4", "corollary5", "corollary6",
-             "latala_sharp")
+MC_CLAIMS = tuple(name for name, claim in CLAIMS.items() if claim.mc)
 
 _HOLDS = "holds"
 _VIOLATED = "violated"
@@ -216,32 +232,26 @@ def mc_check(claim: str, spec: SamplerSpec, j: int, k: int, t_grid,
     if claim not in MC_CLAIMS:
         raise ValueError(f"unsupported claim {claim!r}; "
                          f"choose from {MC_CLAIMS}")
+    statement = CLAIMS[claim]
     if n_samples < 0:
         raise ValueError("n_samples must be >= 0")
     if not 0 < delta < 1:
         raise ValueError("delta must lie in (0, 1)")
-    defaults = {"theorem1": (3, 10), "corollary4": (9, 30),
-                "corollary5": (10, 90), "corollary6": (6, 20),
-                "latala_sharp": (2, Fraction(3, 2))}
-    d1, d2 = defaults[claim]
-    c1 = Fraction(d1) if c1 is None else Fraction(c1)
-    c2 = Fraction(d2) if c2 is None else Fraction(c2)
+    d1, d2 = statement.constants
+    c1 = d1 if c1 is None else Fraction(c1)
+    c2 = d2 if c2 is None else Fraction(c2)
     if c1 <= 0 or c2 <= 0:
         raise ValueError("constants must be positive")
-    if claim == "corollary6":
-        if not 1 <= k <= j:
-            raise ValueError("corollary6 orders the indices as 1 <= k <= j")
-        factor, rhs_scale = c1 * Fraction(j, k), c2 * Fraction(j, k)
-    else:
-        if not 1 <= j <= k:
-            raise ValueError("need 1 <= j <= k")
-        factor, rhs_scale = c1, c2
-    if claim == "corollary5":
+    if statement.lhs == WEIGHTED:
         if weights is None or len(weights) != k:
-            raise ValueError("corollary5 needs a weight vector of length k")
+            raise ValueError(f"{claim} needs a weight vector of length k")
         if any(abs(Fraction(str(x)) if isinstance(x, float)
                    else Fraction(x)) > 1 for x in weights):
-            raise ValueError("corollary5 weights must satisfy |w_i| <= 1")
+            raise ValueError(f"{claim} weights must satisfy |w_i| <= 1")
+    else:
+        require_indices(statement.order, j, k)
+    factor = statement.factor(c1, j, k)
+    rhs_scale = statement.scale(c2, j, k)
     if not t_grid:
         raise ValueError("t grid must be nonempty")
     rows = []
@@ -255,11 +265,16 @@ def mc_check(claim: str, spec: SamplerSpec, j: int, k: int, t_grid,
                          "verdict": _INCONCLUSIVE})
             all_hold = False
             continue
-        # corollary5's left side is the weighted k-sum; elsewhere it is S_j
-        lhs_k, lhs_w = (k, weights) if claim == "corollary5" else (j, None)
-        lhs = estimate_tail(spec, lhs_k, tf, norm=norm, weights=lhs_w,
-                            n_samples=n_samples, seed=seed * 1_000_003 + 2 * i,
-                            delta=delta / 2)
+        lhs_seed = seed * 1_000_003 + 2 * i
+        if statement.lhs == MAX:
+            lhs = _estimate(spec, k, tf, norm, _running_max, n_samples,
+                            lhs_seed, delta / 2)
+        else:
+            lhs_k, lhs_w = (k, weights) if statement.lhs == WEIGHTED \
+                else (j, None)
+            lhs = estimate_tail(spec, lhs_k, tf, norm=norm, weights=lhs_w,
+                                n_samples=n_samples, seed=lhs_seed,
+                                delta=delta / 2)
         rhs = estimate_tail(spec, k, tf / float(rhs_scale), norm=norm,
                             n_samples=n_samples,
                             seed=seed * 1_000_003 + 2 * i + 1,

@@ -3,7 +3,7 @@
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from enum import Enum
 from fractions import Fraction
 
@@ -23,9 +23,6 @@ class InequalityReport:
     status: str
     witness: "dict | None" = None
     note: "str | None" = None
-
-    def with_claim_id(self, claim_id: str) -> "InequalityReport":
-        return replace(self, claim_id=claim_id)
 
     def to_jsonable(self) -> dict:
         return jsonify(

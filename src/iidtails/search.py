@@ -22,29 +22,20 @@ from fractions import Fraction
 import numpy as np
 from scipy.optimize import minimize
 
-from .checks import threshold_candidates
-from .dists import (
-    DEFAULT_SUPPORT_CAP,
-    DiscreteDist,
-    Norm,
-    STRICT,
-    iid_sum,
-    rat,
-    tail_curve,
-)
+from .checks import CLAIMS, ONE, Curves, least_c1, require_indices
+from .dists import DEFAULT_SUPPORT_CAP, DiscreteDist, Norm, rat
 from .reports import jsonify
 
 INF = math.inf
 _BIG = 1e18  # stand-in for the infinity sentinel inside the optimizer
 
-# (scale threshold, claimed bound): any exact ratio above the bound at
-# c2 >= threshold contradicts a proven or published statement and means a
-# bug in this code, not a discovery
-SOUNDNESS_GUARDS = (
-    (Fraction(5), Fraction(4)),
-    (Fraction(7), Fraction(2)),
-    (Fraction(10), Fraction(3)),
-)
+# (scale threshold, claimed bound): the theorem1-shape constant pairs of
+# theorem1 and latala_alt.  Any exact ratio above the bound at c2 >=
+# threshold contradicts a proven or published statement and means a bug in
+# this code, not a discovery
+SOUNDNESS_GUARDS = tuple(sorted(
+    (c2, c1) for c1, c2 in (CLAIMS["theorem1"].constants,
+                            *dict(CLAIMS["latala_alt"].shapes)["theorem1"])))
 
 
 class SoundnessViolation(RuntimeError):
@@ -67,29 +58,21 @@ def ratio_objective_witness(X: DiscreteDist, j: int, k: int, c2,
                             norm: Norm = Norm.ABS1D,
                             cap: int = DEFAULT_SUPPORT_CAP):
     """(ratio, witness threshold in gauge space) for ratio_objective."""
+    return _least_c1("theorem1", X, j, k, c2, norm, cap)
+
+
+def _least_c1(claim: str, X: DiscreteDist, j: int, k: int, c2,
+              norm: Norm = Norm.ABS1D, cap: int = DEFAULT_SUPPORT_CAP):
+    """(least c1 for which the claim holds on X at j, k, c2, witness
+    threshold in gauge space); see checks.least_c1."""
+    spec = CLAIMS[claim]
     c2 = rat(c2)
-    if not 1 <= j <= k:
-        raise ValueError(f"need 1 <= j <= k, got j={j}, k={k}")
+    require_indices(spec.order, j, k)
     if c2 <= 0:
         raise ValueError(f"c2 must be positive, got {c2}")
-    lhs = tail_curve(iid_sum(X, j, cap), norm)
-    rhs = tail_curve(iid_sum(X, k, cap), norm)
-    scale_g = c2 ** norm.scale_exponent
-    jumps = set(lhs.criticals)
-    jumps.update(r * scale_g for r in rhs.criticals)
-    best = Fraction(0)
-    best_q = None
-    for q in threshold_candidates(jumps):
-        num = lhs.at_gauge(q, STRICT)
-        if num == 0:
-            continue
-        den = rhs.at_gauge(q / scale_g, STRICT)
-        if den == 0:
-            return INF, q
-        r = num / den
-        if r > best:
-            best, best_q = r, q
-    return best, best_q
+    idx = {"j": j, "k": k}
+    lhs, rhs = Curves(X, norm, cap).sides(spec, idx)
+    return least_c1(lhs, rhs, spec.factor(ONE, j, k), spec.scale(c2, j, k))
 
 
 @dataclass(frozen=True)
@@ -276,29 +259,6 @@ def _guard(ratio, c2: Fraction) -> None:
 
 # --- canned necessity families ------------------------------------------
 
-def _cor6_ratio(X: DiscreteDist, j: int, k: int, c2,
-                cap: int = DEFAULT_SUPPORT_CAP):
-    """Least valid c1 in Pr(||S_j||>t) <= c1*(j/k)*Pr(||S_k||>kt/(c2 j))."""
-    c2 = rat(c2)
-    lhs = tail_curve(iid_sum(X, j, cap), Norm.ABS1D)
-    rhs = tail_curve(iid_sum(X, k, cap), Norm.ABS1D)
-    scale = c2 * Fraction(j, k)
-    factor = Fraction(j, k)
-    jumps = set(lhs.criticals)
-    jumps.update(r * scale for r in rhs.criticals)
-    best = Fraction(0)
-    for q in threshold_candidates(jumps):
-        num = lhs.at_gauge(q, STRICT)
-        if num == 0:
-            continue
-        den = factor * rhs.at_gauge(q / scale, STRICT)
-        if den == 0:
-            return INF
-        r = num / den
-        best = max(best, r)
-    return best
-
-
 def probe_necessity(family: str, **params) -> dict:
     """Sweep one of the canned families and report induced bounds.
 
@@ -339,8 +299,7 @@ def probe_necessity(family: str, **params) -> dict:
     if family == "constant":
         j = params.get("j", 4)
         k = params.get("k", 2)
-        if not 1 <= k <= j:
-            raise ValueError(f"need 1 <= k <= j, got j={j}, k={k}")
+        require_indices(CLAIMS["corollary6"].order, j, k)
         grid = [rat(c) for c in params.get(
             "c2_values",
             (Fraction(1, 4), Fraction(1, 2), Fraction(3, 4), Fraction(1),
@@ -349,7 +308,7 @@ def probe_necessity(family: str, **params) -> dict:
         rows = []
         threshold = None
         for c2 in sorted(grid):
-            r = _cor6_ratio(X, j, k, c2)
+            r, _ = _least_c1("corollary6", X, j, k, c2)
             rows.append({"c2": c2, "ratio": r})
             if r != INF and threshold is None:
                 threshold = c2

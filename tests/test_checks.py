@@ -1,11 +1,14 @@
 import random
+import re
 from fractions import Fraction as F
+from pathlib import Path
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from iidtails.checks import (
+    CLAIMS,
     check_corollary4,
     check_corollary5,
     check_corollary6,
@@ -211,6 +214,28 @@ class TestCorollary6:
     def test_rejects_k_above_j(self):
         with pytest.raises(ValueError):
             check_corollary6(coin(), 2, 3)
+
+
+class TestClaimTable:
+    def test_readme_table_states_the_registry(self):
+        readme = Path(__file__).resolve().parent.parent / "README.md"
+        rows = {}
+        for line in readme.read_text(encoding="utf-8").splitlines():
+            m = re.match(r"\| `(\w+)` +\| (.*) \| ([^|]*) \|$", line)
+            if m:
+                rows[m.group(1)] = (m.group(2), m.group(3).strip())
+        assert set(rows) == set(CLAIMS)
+        for name, spec in CLAIMS.items():
+            statement, defaults = rows[name]
+            if spec.constants is not None:
+                c1, c2 = spec.constants
+                assert defaults.startswith(f"({c1}, {c2})"), name
+            assert ("fixed" in defaults) == \
+                (spec.fixed or spec.constants is None), name
+            for shape, pairs in spec.shapes:
+                assert shape in statement
+                for c1, c2 in pairs:
+                    assert f"({c1}, {c2})" in statement, name
 
 
 class TestUpperEnvelope:

@@ -1,13 +1,21 @@
+import hashlib
 import json
+import os
+import subprocess
+import sys
+import threading
 from fractions import Fraction as F
+from pathlib import Path
 
 import pytest
 
 from iidtails.cli import main
 from iidtails.dists import DiscreteDist
 from iidtails.search import SoundnessViolation
-from iidtails.specfile import save_dist
+from iidtails.specfile import dump_dist, save_dist
 from oracles import coin, dist1d
+
+SRC = Path(__file__).resolve().parent.parent / "src"
 
 
 @pytest.fixture
@@ -146,6 +154,65 @@ class TestVerify:
         assert code == 0
         doc = json.loads(target.read_text())
         assert doc["manifest"]["subcommand"] == "verify"
+
+
+    @pytest.mark.parametrize("claim, flags, named", [
+        ("latala_sharp", ("--j", "5", "--k", "9"), "--j"),
+        ("latala_sharp", ("--k", "9"), "--k"),
+        ("theorem1", ("--weights", "1,1"), "--weights"),
+        ("theorem1", ("--t", "3"), "--t"),
+        ("levy_ottaviani", ("--j", "2"), "--j"),
+        ("corollary4", ("--t", "1"), "--t"),
+        ("corollary5", ("--weights", "1,1/2", "--j", "1"), "--j"),
+        ("corollary5", ("--weights", "1,1/2", "--k", "3"), "--k"),
+        ("corollary6", ("--weights", "1"), "--weights"),
+        ("latala_alt", ("--t", "1"), "--t"),
+        ("latala_alt", ("--c2", "3"), "--c2"),
+        ("lemma2", ("--t", "1/2", "--k", "2"), "--k"),
+        ("lemma2", ("--t", "1/2", "--c1", "2"), "--c1"),
+        ("corollary3", ("--t", "1/2", "--j", "1"), "--j"),
+        ("corollary3", ("--t", "1/2", "--c2", "2"), "--c2"),
+    ])
+    def test_rejects_flags_the_claim_does_not_take(self, capsys, coin_file,
+                                                   claim, flags, named):
+        code, out, err = run(capsys, "verify", "--claim", claim, *flags,
+                             coin_file)
+        assert code == 2 and not out
+        assert named in err and claim in err
+
+    def test_corollary5_k_restates_the_weight_count(self, capsys, coin_file):
+        code, out, err = run(capsys, "verify", "--claim", "corollary5",
+                             "--k", "3", "--weights", "-1,1/2,1/4", coin_file)
+        assert code == 0, err
+        assert last_json(out)["reports"][0]["report"]["params"]["k"] == 3
+
+
+class TestManifestDigests:
+    @pytest.mark.parametrize("flags", [("--claim", "theorem1"),
+                                       ("--claim", "lemma2", "--t", "1/2")])
+    def test_digest_is_of_the_bytes_read_from_a_fifo(self, tmp_path, flags):
+        # a FIFO can be read once: re-reading it to hash it would block
+        text = dump_dist(coin())
+        fifo = tmp_path / "coin.fifo"
+        os.mkfifo(fifo)
+
+        def feed():
+            with open(fifo, "w", encoding="utf-8") as fh:
+                fh.write(text)
+
+        writer = threading.Thread(target=feed, daemon=True)
+        writer.start()
+        env = dict(os.environ)
+        env["PYTHONPATH"] = os.pathsep.join(
+            filter(None, [str(SRC), env.get("PYTHONPATH")]))
+        proc = subprocess.run(
+            [sys.executable, "-m", "iidtails.cli", "verify", *flags,
+             str(fifo)], env=env, capture_output=True, text=True, timeout=60)
+        writer.join(timeout=10)
+        assert not writer.is_alive()
+        assert proc.returncode == 0, proc.stderr
+        digests = json.loads(proc.stdout)["manifest"]["input_digests"]
+        assert digests == {str(fifo): hashlib.sha256(text.encode()).hexdigest()}
 
 
 class TestReproducibility:

@@ -125,6 +125,15 @@ class TestRunCorpus:
             run_corpus(cfg, ["theorem1"],
                        overrides={"theorem1": {"c1": 0}})
 
+    def test_override_constants_are_exact(self):
+        cfg = CorpusConfig(seed=1, count=1, max_k=2)
+        with pytest.raises(TypeError, match="float"):
+            run_corpus(cfg, ["theorem1"], overrides={"theorem1": {"c1": 0.1}})
+        rep = run_corpus(cfg, ["theorem1"],
+                         overrides={"theorem1": {"c1": "1/10"}})
+        params = {json.loads(row["params"])["c1"] for row in rep.rows}
+        assert params == {"1/10"}
+
     def test_latala_alt_runs_all_constant_pairs(self):
         cfg = CorpusConfig(seed=9, count=3, max_k=2)
         rep = run_corpus(cfg, ["latala_alt"])

@@ -4,7 +4,8 @@ The digests pin every verdict, margin, witness, parameter echo and note the
 CLI and the corpus runner emit on fixed inputs, so a refactor of the claim
 dispatch must reproduce them byte for byte.  Manifests (wall clock, echoed
 paths) are excluded.  To see what changed after a deliberate change, run
-`python tests/test_golden.py`, which prints the current digests.
+`PYTHONPATH=src python tests/test_golden.py`, which prints the current
+digests and marks those that differ.
 """
 
 import hashlib
@@ -77,7 +78,7 @@ GOLDEN = {
     "verify:latala":
         "f8cbe16db1317e048268e7b57a8955ebb8b869b379ebfca67a58eb5e97518cfb",
     "verify:latala_alt":
-        "95382f4054a3b71665d3c45988386b729aeb2441e293a39dc2fba14e644e7caf",
+        "5e784d95827c9883b8cd67661c8688e6ab042e4f1d89c4d3b47b478bd172aaf5",
     "verify:lemma2":
         "3c2638893306cd88e6340019a83c97c07632bda941b3cf6a3ef1168e7eefc433",
     "verify:corollary3":

@@ -2,6 +2,7 @@ from fractions import Fraction as F
 
 import pytest
 
+from iidtails.checks import check_corollary4
 from iidtails.dists import Norm, iid_sum, tail
 from iidtails.montecarlo import (
     MC_CLAIMS,
@@ -207,6 +208,21 @@ class TestMcCheck:
                      n_samples=5000, seed=6)
         assert v.params["c1"] == 2 and v.params["c2"] == F(3, 2)
         assert v.status != "violated"
+
+    def test_corollary4_lhs_is_the_running_max(self):
+        # max(|S_1|, |S_2|) >= 1 on every coin path, while P(|S_2| > 1/2)
+        # is 1/2: at c1 = c2 = 1 the claim fails, exactly and by sampling
+        assert check_corollary4(coin(), 2, 1, 1).status == "violated"
+        v = mc_check("corollary4", coin_spec(), j=2, k=2, t_grid=[0.5],
+                     c1=1, c2=1, n_samples=5000, seed=0)
+        assert v.rows[0]["lhs"]["estimate"] == 1.0
+        assert v.status == "violated"
+
+    def test_latala_sharp_fixes_the_indices(self):
+        for j, k in ((1, 3), (2, 2), (2, 1)):
+            with pytest.raises(ValueError):
+                mc_check("latala_sharp", coin_spec(), j=j, k=k,
+                         t_grid=[0.5])
 
     def test_proven_claims_never_violated_across_seeds(self):
         for seed in range(8):
