@@ -27,6 +27,12 @@ from oracles import dist1d
 CORPUS_ARGS = ("corpus", "--seed", "7", "--count", "20", "--max-k", "4",
                "--dims", "1,2", "--norms", "abs1d,sup,euclidean")
 
+# running-max claims under a small support cap: seven instances are skipped
+# part way through, so the digests pin which rows come before each skip
+CAPPED_ARGS = ("corpus", "--seed", "7", "--count", "20", "--max-k", "6",
+               "--dims", "1,2", "--norms", "abs1d,sup,euclidean",
+               "--claims", "levy_ottaviani,corollary4", "--cap", "150")
+
 LAW_1D = dist1d([(-1, F(1, 4)), (F(1, 2), F(1, 4)), (2, F(1, 2))])
 LAW_2D = DiscreteDist({(F(0), F(1)): F(1, 3), (F(1), F(-1)): F(1, 6),
                        (F(-2), F(0)): F(1, 2)})
@@ -55,6 +61,10 @@ GOLDEN = {
         "682f65127f7b1f70a01490294df9bbae137446a48582a2c20bdd5c4c31088628",
     "corpus.json":
         "6920a74fc7b972f40ab28dc1a746a54c2eb70ecf1596c06c14ad164e2ec83209",
+    "capped.csv":
+        "0529bd618249489ab447ea19937eceeca74a0c1a133b7ae9f5dc138f8532aa60",
+    "capped.json":
+        "d303b8cad1c5273b0d67ebf0e8e090214f1a3e0df10657583403fdc82510548d",
     "overrides":
         "1b69cd5ae4e84766c03f790529988013fe389700aa33954383334bbb230d6014",
     "verify:theorem1":
@@ -102,12 +112,13 @@ def _quiet_main(argv):
     return code, buf.getvalue()
 
 
-def corpus_digests(workdir: Path) -> dict:
-    code, _ = _quiet_main(CORPUS_ARGS + ("--out-dir", str(workdir)))
+def corpus_digests(workdir: Path, args=CORPUS_ARGS,
+                   prefix: str = "corpus") -> dict:
+    code, _ = _quiet_main(args + ("--out-dir", str(workdir)))
     assert code == 0
     doc = json.loads((workdir / "corpus.json").read_text())
-    return {"corpus.csv": _sha((workdir / "corpus.csv").read_bytes()),
-            "corpus.json": _sha(_canonical(doc["corpus"]))}
+    return {f"{prefix}.csv": _sha((workdir / "corpus.csv").read_bytes()),
+            f"{prefix}.json": _sha(_canonical(doc["corpus"]))}
 
 
 def overrides_digest() -> str:
@@ -137,6 +148,7 @@ def verify_digest(files: dict, flags, dims: str) -> str:
 
 def all_digests(workdir: Path) -> dict:
     out = corpus_digests(workdir)
+    out.update(corpus_digests(workdir, CAPPED_ARGS, "capped"))
     out["overrides"] = overrides_digest()
     files = law_files(workdir)
     for name, flags, dims in VERIFY_CASES:
@@ -147,6 +159,13 @@ def all_digests(workdir: Path) -> dict:
 def test_corpus_bytes(tmp_path):
     got = corpus_digests(tmp_path)
     assert got == {k: GOLDEN[k] for k in got}
+
+
+def test_capped_corpus_bytes(tmp_path):
+    got = corpus_digests(tmp_path, CAPPED_ARGS, "capped")
+    assert got == {k: GOLDEN[k] for k in got}
+    doc = json.loads((tmp_path / "corpus.json").read_text())["corpus"]
+    assert (doc["total_checks"], len(doc["skipped"])) == (372, 7)
 
 
 def test_corpus_override_violations():
