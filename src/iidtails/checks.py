@@ -30,8 +30,9 @@ from .dists import (
     STRICT,
     TailCurve,
     _check_mode,
+    _gauge_curve,
+    _running_max_laws,
     iid_sum,
-    path_max_curve,
     rat,
     tail_curve,
     weighted_iid_sum,
@@ -85,7 +86,6 @@ class SweepOutcome:
     lhs: Fraction              # lhs tail there
     rhs: Fraction              # factor * rhs tail there
     margin: Fraction           # rhs - lhs there (negative iff violated)
-    witness_q: "Fraction | None"
     max_lhs: Fraction          # largest lhs seen (0 means the check was idle)
 
 
@@ -107,7 +107,6 @@ def sweep_curves(lhs_curve: TailCurve, rhs_curve: TailCurve, factor: Fraction,
     # to 0 <= 0, which would mask the real worst case.
     worst = None  # (margin, q, lhs, rhs)
     idle = None   # fallback when lhs is identically zero
-    witness_q = None
     max_lhs = ZERO
     for q in qs:
         lv = lhs_curve.at_gauge(q, lhs_mode)
@@ -121,11 +120,9 @@ def sweep_curves(lhs_curve: TailCurve, rhs_curve: TailCurve, factor: Fraction,
             continue
         if worst is None or margin < worst[0]:
             worst = (margin, q, lv, rv)
-            if margin < 0 and witness_q is None:
-                witness_q = q
     margin, q, lv, rv = worst if worst is not None else idle
     status = VIOLATED if margin < 0 else HOLDS
-    return SweepOutcome(status, q, lv, rv, margin, witness_q, max_lhs)
+    return SweepOutcome(status, q, lv, rv, margin, max_lhs)
 
 
 def least_c1(lhs_curve: TailCurve, rhs_curve: TailCurve, factor: Fraction,
@@ -325,7 +322,9 @@ def _indices(shape: ClaimSpec, given: dict) -> dict:
 
 class Curves:
     """Tail curves of one law under one norm, each built once.  S_i comes
-    from iid_sum; the corpus walks the S_i instead (corpus._InstanceCtx)."""
+    from iid_sum; the corpus walks the S_i instead (corpus._InstanceCtx).
+    The running max's curves come from one running-max pass, taken only as
+    far as the largest horizon asked for."""
 
     def __init__(self, dist: DiscreteDist, norm: Norm,
                  cap: int = DEFAULT_SUPPORT_CAP):
@@ -333,7 +332,8 @@ class Curves:
         self.norm = norm
         self.cap = cap
         self._curves = {}
-        self._path_curves = {}
+        self._max_laws = _running_max_laws(dist, norm, cap)
+        self._max_curves = []
 
     def sum_law(self, i: int) -> DiscreteDist:
         return iid_sum(self.dist, i, self.cap)
@@ -349,10 +349,10 @@ class Curves:
         if shape.lhs == SUM:
             lhs = self.curve(idx["j"])
         elif shape.lhs == MAX:
-            if k not in self._path_curves:
-                self._path_curves[k] = path_max_curve(self.dist, k,
-                                                      self.norm, self.cap)
-            lhs = self._path_curves[k]
+            while len(self._max_curves) < k:
+                self._max_curves.append(_gauge_curve(self.norm,
+                                                     next(self._max_laws)))
+            lhs = self._max_curves[k - 1]
         else:
             lhs = tail_curve(weighted_iid_sum(self.dist, idx["alphas"],
                                               self.cap), self.norm)

@@ -144,12 +144,17 @@ def _claim_args(spec, args) -> dict:
                 (spec.fixed or spec.constants is None):
             what = "has fixed constants" if spec.fixed else "takes no constants"
             raise ValueError(f"--claim {spec.claim_id} {what}, so no {flag}")
+    for flag in ("--norm", "--lhs-mode", "--rhs-mode"):
+        if spec.evaluate is not None and \
+                getattr(args, flag[2:].replace("-", "_")) is not None:
+            raise ValueError(f"--claim {spec.claim_id} does not take {flag}")
     return given
 
 
 def cmd_verify(args) -> int:
     spec = checks.CLAIMS[checks.ALIASES.get(args.claim, args.claim)]
     given = _claim_args(spec, args)
+    args.lhs_mode = args.lhs_mode or STRICT
     digests = {}
     if spec.claim_id == "lemma2":
         if len(args.files) not in (1, 2):
@@ -325,7 +330,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--weights", type=_weights, default=None,
                    help="comma-separated rationals for corollary5")
     p.add_argument("--norm", type=_norm, default=None)
-    p.add_argument("--lhs-mode", choices=MODES, default=STRICT)
+    p.add_argument("--lhs-mode", choices=MODES, default=None,
+                   help="default strict")
     p.add_argument("--rhs-mode", choices=MODES, default=None)
     p.add_argument("--cap", type=int, default=DEFAULT_SUPPORT_CAP)
     p.add_argument("--out", default=None, help="also write the JSON here")

@@ -5,6 +5,8 @@ values.  Sums of independent copies (convolve, iid_sum, weighted_iid_sum) run
 on one integer-lattice kernel: coordinates are scaled by a common denominator
 and an n-D point is packed into one int, masses are int numerators over a
 common denominator, and Fractions are built once per atom of the result.
+The running maximum max_{j<=k} ||S_j|| comes from one resumable DP on the
+same kind of lattice, which serves every horizon and threshold.
 The euclidean norm is handled through squared values (the "gauge") so that
 every order comparison against a rational threshold stays rational; abs1d and
 sup norms compare radii directly.
@@ -16,7 +18,9 @@ from bisect import bisect_left, bisect_right
 from dataclasses import dataclass
 from enum import Enum
 from fractions import Fraction
+from itertools import islice
 from math import lcm
+from operator import add
 from typing import Iterable, Mapping, Union
 
 PointLike = Union[tuple, list, int, Fraction, str]
@@ -309,25 +313,7 @@ def weighted_iid_sum(x: DiscreteDist, alphas: Iterable,
 
 def tail(a: DiscreteDist, norm: Norm, t, mode: str = STRICT) -> Fraction:
     """Exact Pr(||U|| > t) (strict) or Pr(||U|| >= t) (weak)."""
-    _check_mode(mode)
-    tq = norm.to_gauge(_nonneg(t))
-    total = ZERO
-    if mode == STRICT:
-        for pt, p in a.atoms.items():
-            if norm.gauge(pt) > tq:
-                total += p
-    else:
-        for pt, p in a.atoms.items():
-            if norm.gauge(pt) >= tq:
-                total += p
-    return total
-
-
-def _nonneg(t) -> Fraction:
-    tt = rat(t)
-    if tt < 0:
-        raise ValueError(f"threshold must be >= 0, got {tt}")
-    return tt
+    return tail_curve(a, norm).at_radius(t, mode)
 
 
 @dataclass(frozen=True)
@@ -366,15 +352,14 @@ class TailCurve:
         return ONE if i == 0 else self.values[i - 1]
 
     def at_radius(self, t, mode: str = STRICT) -> Fraction:
-        return self.at_gauge(self.norm.to_gauge(_nonneg(t)), mode)
+        t = rat(t)
+        if t < 0:
+            raise ValueError(f"threshold must be >= 0, got {t}")
+        return self.at_gauge(self.norm.to_gauge(t), mode)
 
 
-def tail_curve(a: DiscreteDist, norm: Norm) -> TailCurve:
-    """Exact survival step function of ||U|| in gauge space."""
-    mass: "dict[Fraction, Fraction]" = {}
-    for pt, p in a.atoms.items():
-        g = norm.gauge(pt)
-        mass[g] = mass.get(g, ZERO) + p
+def _gauge_curve(norm: Norm, mass: "dict[Fraction, Fraction]") -> TailCurve:
+    """The TailCurve of a law given as a map gauge value -> mass."""
     crits = sorted(mass)
     values = []
     acc = ZERO  # mass strictly above the current critical
@@ -385,48 +370,77 @@ def tail_curve(a: DiscreteDist, norm: Norm) -> TailCurve:
     return TailCurve(norm, tuple(crits), tuple(values))
 
 
-def _path_dp(x: DiscreteDist, k: int, norm: Norm, t, mode: str,
-             cap: int) -> "tuple[list[Fraction], Fraction]":
-    """Shared DP: returns (per-step absorbed masses, surviving mass).
+def tail_curve(a: DiscreteDist, norm: Norm) -> TailCurve:
+    """Exact survival step function of ||U|| in gauge space."""
+    mass: "dict[Fraction, Fraction]" = {}
+    for pt, p in a.atoms.items():
+        g = norm.gauge(pt)
+        mass[g] = mass.get(g, ZERO) + p
+    return _gauge_curve(norm, mass)
 
-    Maintains the sub-probability law of S_j restricted to paths whose
-    prefixes all stayed inside the threshold, absorbing exceeding mass at
-    each step.
+
+# -- the running maximum ----------------------------------------------------
+# One (S_k, max_{j<=k} gauge(S_j)) DP serves every running-max query: each
+# horizon's law, its tail at any threshold, and first exceedance as the
+# differences between consecutive horizons.
+
+def _running_max_laws(x: DiscreteDist, norm: Norm, cap: int):
+    """The running-maximum DP.  Yields, after each step k = 1, 2, ..., the
+    law of max_{j<=k} gauge(S_j) as a map gauge value -> mass, and takes
+    step k + 1 only when the next law is asked for.
+
+    A state is (S_k, running max gauge) on the integer lattice of x:
+    coordinates times the lcm `scale` of their denominators, masses as int
+    numerators over den**k.  The gauge of a lattice point is scale**e times
+    that of the point it stands for, so it orders states the same way.  cap
+    bounds the states of each step after the first.
     """
-    if k < 1:
-        raise ValueError(f"k must be >= 1, got {k}")
-    _check_mode(mode)
-    tq = norm.to_gauge(_nonneg(t))
-    strict = mode == STRICT
-    alive: "dict[tuple[Fraction, ...], Fraction]" = {zero_point(x.dim): ONE}
-    absorbed: "list[Fraction]" = []
-    for _ in range(k):
-        nxt: "dict[tuple[Fraction, ...], Fraction]" = {}
-        out_mass = ZERO
-        for s, ps in alive.items():
-            for y, py in x.atoms.items():
-                z = tuple(si + yi for si, yi in zip(s, y))
-                p = ps * py
-                g = norm.gauge(z)
-                if (g > tq) if strict else (g >= tq):
-                    out_mass += p
-                elif z in nxt:
-                    nxt[z] += p
-                else:
+    scale = lcm(*{c.denominator for pt in x.atoms for c in pt})
+    den = lcm(*{p.denominator for p in x.atoms.values()})
+    steps = [(tuple(c.numerator * (scale // c.denominator) for c in pt),
+              p.numerator * (den // p.denominator))
+             for pt, p in x.atoms.items()]
+    gauge = norm.gauge
+    unit = scale ** norm.scale_exponent
+    states = {(y, gauge(y)): p for y, p in steps}
+    total = den
+    while True:
+        law = {}
+        for (_, m), p in states.items():
+            law[m] = law.get(m, 0) + p
+        yield {Fraction(m, unit): Fraction(p, total) for m, p in law.items()}
+        nxt = {}
+        get = nxt.get
+        for (s, m), p in states.items():
+            for y, q in steps:
+                z = tuple(map(add, s, y))
+                g = gauge(z)
+                key = (z, m if m >= g else g)
+                prev = get(key)
+                if prev is None:
                     if len(nxt) >= cap:
                         raise SupportCapExceeded(len(nxt) + 1, cap)
-                    nxt[z] = p
-        absorbed.append(out_mass)
-        alive = nxt
-    retained = sum(alive.values(), ZERO)
-    return absorbed, retained
+                    nxt[key] = p * q
+                else:
+                    nxt[key] = prev + p * q
+        states = nxt
+        total *= den
+
+
+def _max_laws(x: DiscreteDist, k: int, norm: Norm, cap: int):
+    """The running max's laws at horizons 1..k, from one pass."""
+    if k < 1:
+        raise ValueError(f"k must be >= 1, got {k}")
+    return islice(_running_max_laws(x, norm, cap), k)
 
 
 def path_max_tail(x: DiscreteDist, k: int, norm: Norm, t,
                   mode: str = STRICT, cap: int = DEFAULT_SUPPORT_CAP) -> Fraction:
-    """Exact Pr(sup_{1<=j<=k} ||S_j|| > t) (or >= t in weak mode)."""
-    _, retained = _path_dp(x, k, norm, t, mode, cap)
-    return ONE - retained
+    """Exact Pr(sup_{1<=j<=k} ||S_j|| > t) (or >= t in weak mode).
+
+    cap bounds the (sum, running max) states of each DP step.
+    """
+    return path_max_curve(x, k, norm, cap).at_radius(t, mode)
 
 
 def first_exceedance_probs(x: DiscreteDist, k: int, norm: Norm, t,
@@ -434,57 +448,23 @@ def first_exceedance_probs(x: DiscreteDist, k: int, norm: Norm, t,
                            cap: int = DEFAULT_SUPPORT_CAP) -> "list[Fraction]":
     """Pr(A_j) for A_j = {||S_i|| inside for all i < j, ||S_j|| outside}.
 
-    The A_j partition the path-max exceedance event, so their sum equals
+    Pr(A_j) = Pr(max_{i<=j} ||S_i|| > t) - Pr(max_{i<j} ||S_i|| > t), read
+    off consecutive horizons of one running-max pass, so the Pr(A_j) sum to
     path_max_tail exactly.
     """
-    absorbed, _ = _path_dp(x, k, norm, t, mode, cap)
-    return absorbed
+    tails = [_gauge_curve(norm, law).at_radius(t, mode)
+             for law in _max_laws(x, k, norm, cap)]
+    return [b - a for a, b in zip([ZERO] + tails, tails)]
 
 
 def path_max_gauge_dist(x: DiscreteDist, k: int, norm: Norm,
                         cap: int = DEFAULT_SUPPORT_CAP) -> "dict[Fraction, Fraction]":
-    """Exact law of max_{1<=j<=k} gauge(S_j) as a map gauge value -> mass.
-
-    Independent of path_max_tail's absorbing DP; used to build the running
-    maximum's full tail curve (and to cross-check the DP).
-    """
-    if k < 1:
-        raise ValueError(f"k must be >= 1, got {k}")
-    # state: (current sum, running max gauge) -> mass
-    states: "dict[tuple[tuple[Fraction, ...], Fraction], Fraction]" = {}
-    for y, py in x.atoms.items():
-        g = norm.gauge(y)
-        key = (y, g)
-        states[key] = states.get(key, ZERO) + py
-    for _ in range(k - 1):
-        nxt: "dict[tuple[tuple[Fraction, ...], Fraction], Fraction]" = {}
-        for (s, m), ps in states.items():
-            for y, py in x.atoms.items():
-                z = tuple(si + yi for si, yi in zip(s, y))
-                g = norm.gauge(z)
-                key = (z, m if m >= g else g)
-                if key in nxt:
-                    nxt[key] += ps * py
-                else:
-                    if len(nxt) >= cap:
-                        raise SupportCapExceeded(len(nxt) + 1, cap)
-                    nxt[key] = ps * py
-        states = nxt
-    out: "dict[Fraction, Fraction]" = {}
-    for (_, m), p in states.items():
-        out[m] = out.get(m, ZERO) + p
-    return out
+    """Exact law of max_{1<=j<=k} gauge(S_j) as a map gauge value -> mass."""
+    *_, law = _max_laws(x, k, norm, cap)
+    return law
 
 
 def path_max_curve(x: DiscreteDist, k: int, norm: Norm,
                    cap: int = DEFAULT_SUPPORT_CAP) -> TailCurve:
     """Tail curve (in gauge space) of the running maximum max_j ||S_j||."""
-    mass = path_max_gauge_dist(x, k, norm, cap)
-    crits = sorted(mass)
-    values = []
-    acc = ZERO
-    for g in reversed(crits):
-        values.append(acc)
-        acc += mass[g]
-    values.reverse()
-    return TailCurve(norm, tuple(crits), tuple(values))
+    return _gauge_curve(norm, path_max_gauge_dist(x, k, norm, cap))

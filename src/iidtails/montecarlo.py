@@ -237,6 +237,9 @@ def mc_check(claim: str, spec: SamplerSpec, j: int, k: int, t_grid,
         raise ValueError("n_samples must be >= 0")
     if not 0 < delta < 1:
         raise ValueError("delta must lie in (0, 1)")
+    if statement.fixed and (c1, c2) != (None, None):
+        flag = "c1" if c1 is not None else "c2"
+        raise ValueError(f"{claim} has fixed constants, so no {flag}")
     d1, d2 = statement.constants
     c1 = d1 if c1 is None else Fraction(c1)
     c2 = d2 if c2 is None else Fraction(c2)

@@ -7,6 +7,10 @@ is an analytic bound rather than an enumeration, and likewise shares no code
 with the scan it checks.  ``fraction_convolve`` and its two schedules are the
 pairwise Fraction convolution the integer-lattice kernel replaced, kept as
 its differential reference: same schedules, same atom order, same cap point.
+``absorbing_path_dp`` is the single-threshold running-max DP that
+``iidtails.dists`` replaced with its (sum, running max) pass; its states are
+only the sums still inside the threshold, so it checks that pass from a
+different state space.
 """
 
 from fractions import Fraction
@@ -151,6 +155,36 @@ def brute_first_exceedance(x: DiscreteDist, k: int, norm: Norm, t,
                 out[step] += prob
                 break
     return out
+
+
+def absorbing_path_dp(x: DiscreteDist, k: int, norm: Norm, q,
+                      mode: str = "strict"):
+    """(per-step absorbed masses, surviving mass) at gauge threshold q.
+
+    Keeps the sub-probability law of S_j on the paths whose prefixes all
+    stayed inside the threshold and absorbs the mass that leaves at each
+    step, so the absorbed masses are the first-exceedance probabilities and
+    1 - survivors is the running max's tail at q.
+    """
+    if mode not in ("strict", "weak"):
+        raise ValueError(f"unknown mode {mode!r}")
+    q = Fraction(q)
+    alive = {(ZERO,) * x.dim: Fraction(1)}
+    absorbed = []
+    for _ in range(k):
+        nxt = {}
+        out = ZERO
+        for s, ps in alive.items():
+            for y, py in x.atoms.items():
+                z = tuple(si + yi for si, yi in zip(s, y))
+                g = norm.gauge(z)
+                if g > q or (mode == "weak" and g == q):
+                    out += ps * py
+                else:
+                    nxt[z] = nxt.get(z, ZERO) + ps * py
+        absorbed.append(out)
+        alive = nxt
+    return absorbed, sum(alive.values(), ZERO)
 
 
 def brute_window_mass(x: DiscreteDist, center, t) -> Fraction:

@@ -33,6 +33,7 @@ from iidtails.dists import (
 from iidtails.montecarlo import SamplerSpec, estimate_tail, mc_check
 from iidtails.search import SearchSpace, search
 from oracles import (
+    absorbing_path_dp,
     brute_iid_sum,
     brute_path_max_tail,
     brute_weighted_sum,
@@ -101,13 +102,18 @@ def test_criterion_04_levy_ottaviani_and_first_exceedance():
             g = norm.to_gauge(q)      # path_max_tail takes q as a radius
             for mode in ("strict", "weak"):
                 tail_q = path_max_tail(dist, k, norm, q, mode)
-                total = sum(first_exceedance_probs(dist, k, norm, q, mode))
-                # independent of the absorbing DP: mass of the running
-                # max's own law beyond the threshold
+                probs = first_exceedance_probs(dist, k, norm, q, mode)
+                total = sum(probs)
+                # mass of the running max's own law beyond the threshold
                 beyond = sum((p for m, p in law.items()
                               if (m > g if mode == "strict" else m >= g)),
                              F(0))
                 if total != tail_q or tail_q != beyond:
+                    identity_ok = False
+                # independent of the (sum, running max) pass: the absorbing
+                # DP over the sums still inside the threshold
+                absorbed, alive = absorbing_path_dp(dist, k, norm, g, mode)
+                if probs != absorbed or tail_q != 1 - alive:
                     identity_ok = False
             identity_checked += 1
     ok = rep.violated == 0 and identity_ok and identity_checked >= 100

@@ -180,6 +180,25 @@ class TestVerify:
         assert code == 2 and not out
         assert named in err and claim in err
 
+    @pytest.mark.parametrize("claim, flags", [
+        ("lemma2", ("--t", "1/2")), ("corollary3", ("--t", "1/2"))])
+    @pytest.mark.parametrize("flag, value", [
+        ("--norm", "sup"), ("--lhs-mode", "weak"), ("--rhs-mode", "strict")])
+    def test_concentration_claims_reject_norm_and_modes(
+            self, capsys, coin_file, claim, flags, flag, value):
+        code, out, err = run(capsys, "verify", "--claim", claim, *flags,
+                             flag, value, coin_file)
+        assert code == 2 and not out
+        assert flag in err and claim in err
+
+    def test_manifest_echoes_the_default_lhs_mode(self, capsys, coin_file):
+        for claim, flags in (("theorem1", ()), ("lemma2", ("--t", "1/2"))):
+            code, out, _ = run(capsys, "verify", "--claim", claim, *flags,
+                               coin_file)
+            assert code == 0
+            assert last_json(out)["manifest"]["params"]["lhs_mode"] == \
+                "strict"
+
     def test_corollary5_k_restates_the_weight_count(self, capsys, coin_file):
         code, out, err = run(capsys, "verify", "--claim", "corollary5",
                              "--k", "3", "--weights", "-1,1/2,1/4", coin_file)
@@ -339,6 +358,14 @@ class TestMcCmd:
                            "--n", "40000", "--seed", "1")
         assert code == 1
         assert last_json(out)["check"]["status"] == "violated"
+
+    def test_fixed_constants_exit_two(self, capsys):
+        code, out, err = run(capsys, "mc", "--claim", "latala_sharp",
+                             "--family", "two_point", "--a", "-1", "--b", "1",
+                             "--p", "1/2", "--t", "1/2", "--c1", "1",
+                             "--c2", "1", "--n", "2000")
+        assert code == 2 and not out
+        assert "latala_sharp" in err and "fixed constants" in err
 
     def test_discrete_needs_dist_file(self, capsys):
         code, _, err = run(capsys, "mc", "--family", "discrete", "--t", "1")

@@ -173,3 +173,23 @@ class TestCsv:
         status_col = rows[0].index("status")
         assert {r[status_col] for r in rows[1:]} <= \
             {"holds", "violated", "vacuous"}
+
+
+def test_running_max_pass_takes_one_step_per_horizon(monkeypatch):
+    """levy_ottaviani and corollary4 at k = 1..K share one running-max pass
+    per instance: K DP steps in all, not one restart per horizon."""
+    from iidtails import checks
+    steps = []
+    one_pass = checks._running_max_laws
+
+    def counted(*args):
+        for law in one_pass(*args):
+            steps.append(law)
+            yield law
+
+    monkeypatch.setattr(checks, "_running_max_laws", counted)
+    K = 5
+    rep = run_corpus(CorpusConfig(seed=3, count=1, max_k=K),
+                     ["levy_ottaviani", "corollary4"])
+    assert rep.total_checks == 2 * 2 * K and not rep.skipped
+    assert len(steps) == K

@@ -11,6 +11,8 @@ from iidtails.dists import (
     Norm,
     SupportCapExceeded,
     TailCurve,
+    _gauge_curve,
+    _running_max_laws,
     affine,
     as_point,
     convolve,
@@ -26,6 +28,7 @@ from iidtails.dists import (
     weighted_iid_sum,
 )
 from oracles import (
+    absorbing_path_dp,
     brute_first_exceedance,
     brute_iid_sum,
     brute_path_max_tail,
@@ -361,6 +364,41 @@ class TestPathMax:
         for t in (F(0), F(1, 2), F(1), F(2), F(3), F(6), F(7)):
             assert curve.at_radius(t) == path_max_tail(x, 3, ABS, t)
 
+    def test_matches_absorbing_oracle(self):
+        rng = random.Random(17)
+        for _ in range(30):
+            dim = rng.randint(1, 2)
+            norm = rng.choice([ABS, SUP, EUC] if dim == 1 else [SUP, EUC])
+            pts = sorted({tuple(F(rng.randint(-6, 6), 2) for _ in range(dim))
+                          for _ in range(rng.randint(1, 3))})
+            weights = [rng.randint(1, 4) for _ in pts]
+            x = DiscreteDist({p: F(w, sum(weights))
+                              for p, w in zip(pts, weights)})
+            k = rng.randint(1, 4)
+            t = F(rng.randint(0, 12), 2)
+            for mode in ("strict", "weak"):
+                absorbed, alive = absorbing_path_dp(x, k, norm,
+                                                    norm.to_gauge(t), mode)
+                assert path_max_tail(x, k, norm, t, mode) == 1 - alive
+                assert first_exceedance_probs(x, k, norm, t, mode) == \
+                    absorbed
+
+    def test_cap_bounds_sum_and_max_states(self):
+        # after two coin steps the states (sum, running max) are
+        # (-2, 2), (0, 1) and (2, 2); the first step is never capped
+        assert path_max_tail(coin(), 2, ABS, 1, cap=3) == F(1, 2)
+        assert path_max_tail(coin(), 1, ABS, 0, cap=1) == 1
+        with pytest.raises(SupportCapExceeded) as exc:
+            path_max_tail(coin(), 2, ABS, 1, cap=2)
+        assert (exc.value.size, exc.value.cap) == (3, 2)
+
+    def test_k_must_be_positive(self):
+        for fn in (path_max_tail, first_exceedance_probs):
+            with pytest.raises(ValueError):
+                fn(coin(), 0, ABS, 1)
+        with pytest.raises(ValueError):
+            path_max_gauge_dist(coin(), 0, ABS)
+
 
 # ------------------------------------------------------------ property tests
 
@@ -435,8 +473,8 @@ lattice_coords = st.builds(F, st.integers(-9, 9),
 
 
 @st.composite
-def lattice_dists(draw, dim):
-    n = draw(st.integers(1, 4))
+def lattice_dists(draw, dim, max_atoms=4):
+    n = draw(st.integers(1, max_atoms))
     pts = draw(st.lists(st.tuples(*[lattice_coords] * dim), min_size=n,
                         max_size=n, unique=True))
     weights = draw(st.lists(st.integers(1, 9), min_size=n, max_size=n))
@@ -482,3 +520,18 @@ def test_lattice_weighted_sum_matches_fraction_oracle(data, dim, alphas, cap):
     x = data.draw(lattice_dists(dim))
     assert _outcome(weighted_iid_sum, x, alphas, cap) == \
         _outcome(fraction_weighted_iid_sum, x, alphas, cap)
+
+
+@given(st.data(), st.integers(1, 2), st.sampled_from([ABS, SUP, EUC]))
+@settings(max_examples=40, deadline=None)
+def test_resumable_running_max_matches_absorbing_oracle(data, dim, norm):
+    if norm is ABS and dim != 1:
+        norm = SUP
+    x = data.draw(lattice_dists(dim, max_atoms=3))
+    laws = _running_max_laws(x, norm, DEFAULT_SUPPORT_CAP)   # one pass
+    for k in range(1, 6):
+        curve = _gauge_curve(norm, next(laws))
+        for q in curve.criticals + (curve.criticals[-1] + 1,):
+            for mode in ("strict", "weak"):
+                _, alive = absorbing_path_dp(x, k, norm, q, mode)
+                assert curve.at_gauge(q, mode) == 1 - alive

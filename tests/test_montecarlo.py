@@ -224,6 +224,13 @@ class TestMcCheck:
                 mc_check("latala_sharp", coin_spec(), j=j, k=k,
                          t_grid=[0.5])
 
+    def test_latala_sharp_refuses_constants(self):
+        # the statement fixes (2, 3/2); other constants are another claim
+        for c1, c2 in ((1, 1), (1, None), (None, F(3, 2))):
+            with pytest.raises(ValueError, match="fixed constants"):
+                mc_check("latala_sharp", coin_spec(), j=1, k=2,
+                         t_grid=[0.5], c1=c1, c2=c2, n_samples=2000)
+
     def test_proven_claims_never_violated_across_seeds(self):
         for seed in range(8):
             v = mc_check("theorem1", coin_spec(), j=1, k=2,
