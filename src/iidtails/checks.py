@@ -30,12 +30,11 @@ from .dists import (
     STRICT,
     TailCurve,
     _check_mode,
+    _Walk,
     _gauge_curve,
     _running_max_laws,
-    iid_sum,
+    _weighted_walk,
     rat,
-    tail_curve,
-    weighted_iid_sum,
 )
 from .reports import HOLDS, InequalityReport, VIOLATED
 
@@ -321,26 +320,24 @@ def _indices(shape: ClaimSpec, given: dict) -> dict:
 
 
 class Curves:
-    """Tail curves of one law under one norm, each built once.  S_i comes
-    from iid_sum; the corpus walks the S_i instead (corpus._InstanceCtx).
-    The running max's curves come from one running-max pass, taken only as
-    far as the largest horizon asked for."""
+    """Tail curves of one law under one norm, each built once.  Each S_i
+    curve comes straight from the lattice law of one walk of S_1..S_horizon
+    (asking past it raises ValueError), the running max's from one pass
+    taken only as far as the largest horizon asked for."""
 
-    def __init__(self, dist: DiscreteDist, norm: Norm,
+    def __init__(self, dist: DiscreteDist, norm: Norm, horizon: int,
                  cap: int = DEFAULT_SUPPORT_CAP):
         self.dist = dist
         self.norm = norm
         self.cap = cap
+        self.walk = _Walk([dist], horizon, cap)
         self._curves = {}
         self._max_laws = _running_max_laws(dist, norm, cap)
         self._max_curves = []
 
-    def sum_law(self, i: int) -> DiscreteDist:
-        return iid_sum(self.dist, i, self.cap)
-
     def curve(self, i: int) -> TailCurve:
         if i not in self._curves:
-            self._curves[i] = tail_curve(self.sum_law(i), self.norm)
+            self._curves[i] = self.walk.curve(i, self.norm)
         return self._curves[i]
 
     def sides(self, shape: ClaimSpec, idx: dict):
@@ -351,11 +348,11 @@ class Curves:
         elif shape.lhs == MAX:
             while len(self._max_curves) < k:
                 self._max_curves.append(_gauge_curve(self.norm,
-                                                     next(self._max_laws)))
+                                                     *next(self._max_laws)))
             lhs = self._max_curves[k - 1]
         else:
-            lhs = tail_curve(weighted_iid_sum(self.dist, idx["alphas"],
-                                              self.cap), self.norm)
+            walk = _weighted_walk(self.dist, idx["alphas"], self.cap)
+            lhs = walk.curve(walk.n, self.norm)
         if shape.rhs == SUM:
             return lhs, self.curve(k)
         return lhs, upper_envelope([self.curve(i) for i in range(1, k + 1)])
@@ -390,10 +387,17 @@ def claim_reports(spec: ClaimSpec, curves: Curves, given: dict, c1=None,
             for rep in shape_reports(spec, shape, curves, given, a, b, modes)]
 
 
+def _horizon(given: dict) -> int:
+    """The largest i of an S_i a check at these parameters can read."""
+    return max(1, given.get("j") or 1, given.get("k") or 1,
+               len(given.get("alphas") or ()))
+
+
 def _check(claim: str, X: DiscreteDist, given: dict, c1, c2, norm: Norm,
            lhs_mode: str, rhs_mode, cap: int) -> InequalityReport:
-    return claim_reports(CLAIMS[claim], Curves(X, norm, cap), given, c1, c2,
-                         lhs_mode, rhs_mode)[0]
+    curves = Curves(X, norm, _horizon(given), cap)
+    return claim_reports(CLAIMS[claim], curves, given, c1, c2, lhs_mode,
+                         rhs_mode)[0]
 
 
 def check_theorem1(X: DiscreteDist, j: int, k: int, c1=None, c2=None,
@@ -439,7 +443,7 @@ def check_corollary5(X: DiscreteDist, alphas, c1=None, c2=None,
                      rhs_mode: "str | None" = None,
                      cap: int = DEFAULT_SUPPORT_CAP) -> InequalityReport:
     """Pr(||sum_i alpha_i X_i|| > t) <= c1 * Pr(||S_k|| > t/c2), |alpha_i| <= 1."""
-    return _check("corollary5", X, {"alphas": alphas}, c1, c2, norm,
+    return _check("corollary5", X, {"alphas": list(alphas)}, c1, c2, norm,
                   lhs_mode, rhs_mode, cap)
 
 

@@ -167,7 +167,7 @@ def cmd_verify(args) -> int:
     reports = []
     for label, dist in jobs:
         norm = args.norm or (Norm.ABS1D if dist.dim == 1 else Norm.EUCLIDEAN)
-        curves = checks.Curves(dist, norm, args.cap)
+        curves = checks.Curves(dist, norm, checks._horizon(given), args.cap)
         for rep in checks.claim_reports(spec, curves, given, args.c1,
                                         args.c2, args.lhs_mode,
                                         args.rhs_mode):
@@ -434,13 +434,7 @@ def main(argv=None) -> int:
     except SoundnessViolation as exc:
         print(f"soundness guard tripped: {exc}", file=sys.stderr)
         return EXIT_GUARD
-    except SpecFileError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_USAGE
-    except (ValueError, OSError, json.JSONDecodeError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_USAGE
-    except RuntimeError as exc:
+    except (ValueError, OSError, RuntimeError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE
 

@@ -16,14 +16,10 @@ from .dists import (
     DEFAULT_SUPPORT_CAP,
     DiscreteDist,
     Norm,
-    STRICT,
     WEAK,
+    _Walk,
     convolve,
-    delta,
-    iid_sum,
     rat,
-    tail,
-    zero_point,
 )
 from .reports import HOLDS, InequalityReport, VACUOUS, VIOLATED
 
@@ -195,14 +191,8 @@ def check_corollary3(X: DiscreteDist, k: int, t,
     for j = k forces s_j = s_k, making the refined bound 0 <= 0.
     """
     tt = rat(t)
-    if k < 1:
-        raise ValueError(f"k must be >= 1, got {k}")
-    sums = {}
-    s = None
-    for i in range(1, k + 1):
-        s = X if s is None else convolve(s, X, cap)
-        sums[i] = s
-    csets = {i: concentration_set(sums[i], tt) for i in sums}
+    walk = _Walk([X], k, cap)
+    csets = {i: concentration_set(walk.dist(i), tt) for i in range(1, k + 1)}
     params = {"k": k, "t": tt}
     empty = [i for i in csets if csets[i].is_empty]
     if empty:
@@ -274,15 +264,15 @@ def classify_case(X: DiscreteDist, j: int, k: int, t,
     tt = rat(t)
     if not 1 <= j <= k:
         raise ValueError(f"need 1 <= j <= k, got j={j}, k={k}")
-    diff = delta(zero_point(X.dim)) if j == k else iid_sum(X, k - j, cap)
-    p_gap = tail(diff, norm, tt * Fraction(9, 10), STRICT)
-    sk = iid_sum(X, k, cap)
+    walk = _Walk([X], k, cap)
+    p_gap = ZERO if j == k else walk.curve(k - j, norm).at_radius(
+        tt * Fraction(9, 10))   # S_0 = 0 never exceeds 9t/10
+    sk = walk.curve(k, norm)
     approximate = X.dim > 1
 
     if p_gap <= Fraction(1, 3):
-        sj = iid_sum(X, j, cap)
-        lhs = tail(sj, norm, tt, STRICT)
-        rhs = Fraction(3, 2) * tail(sk, norm, tt / 10, STRICT)
+        lhs = walk.curve(j, norm).at_radius(tt)
+        rhs = Fraction(3, 2) * sk.at_radius(tt / 10)
         return CaseVerdict(
             case_id="case1",
             witnesses={"p_gap": p_gap},
@@ -291,13 +281,11 @@ def classify_case(X: DiscreteDist, j: int, k: int, t,
             approximate=False,
         )
 
-    s = None
     for i in range(1, k + 1):
-        s = X if s is None else convolve(s, X, cap)
-        found, _, exact = has_concentration_point(s, tt / 10, norm)
+        found, _, exact = has_concentration_point(walk.dist(i), tt / 10, norm)
         approximate = approximate or not exact
         if not found:
-            lhs = tail(sk, norm, tt / 10, STRICT)
+            lhs = sk.at_radius(tt / 10)
             return CaseVerdict(
                 case_id="case2",
                 witnesses={"index": i, "p_gap": p_gap},
@@ -307,7 +295,7 @@ def classify_case(X: DiscreteDist, j: int, k: int, t,
                 approximate=approximate,
             )
 
-    lhs = tail(sk, norm, tt / 10, WEAK)
+    lhs = sk.at_radius(tt / 10, WEAK)
     return CaseVerdict(
         case_id="case3",
         witnesses={"p_gap": p_gap},

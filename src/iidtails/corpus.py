@@ -32,7 +32,6 @@ from .dists import (
     STRICT,
     SupportCapExceeded,
     WEAK,
-    convolve,
 )
 from .reports import HOLDS, InequalityReport, VIOLATED, approx, jsonify
 from .specfile import dist_to_jsonable
@@ -62,6 +61,8 @@ class CorpusConfig:
     def __post_init__(self):
         if self.count < 0 or self.max_atoms < 1 or self.max_k < 1:
             raise ValueError("count, max_atoms, max_k must be positive")
+        if self.weight_vectors < 0:
+            raise ValueError("weight_vectors must be >= 0")
         if self.num_range < 1 or self.denominator < 1:
             raise ValueError("value lattice must be nondegenerate")
         if not self.dims or not self.norms:
@@ -113,41 +114,19 @@ def generate_corpus(config: CorpusConfig) -> "list[tuple[DiscreteDist, Norm]]":
     return out
 
 
-class _InstanceCtx(Curves):
-    """Curves of one corpus instance; S_i is walked one convolution at a
-    time from S_{i-1} and kept."""
-
-    def __init__(self, dist: DiscreteDist, norm: Norm, max_k: int,
-                 cap: int = DEFAULT_SUPPORT_CAP):
-        super().__init__(dist, norm, cap)
-        self.max_k = max_k
-        self._sums = {}
-
-    def sum_law(self, i: int) -> DiscreteDist:
-        if i not in self._sums:
-            prev = self.dist if i == 1 else convolve(self.sum_law(i - 1),
-                                                     self.dist, self.cap)
-            self._sums[i] = prev
-        return self._sums[i]
-
-    def span(self) -> Fraction:
-        vals = [x[0] for x in self.dist.support]
-        return max(vals) - min(vals)
-
-
-def _grid(shape, ctx: _InstanceCtx, rng, config: "CorpusConfig") -> list:
+def _grid(shape, dist: DiscreteDist, rng, config: "CorpusConfig") -> list:
     """Where one claim shape is checked on one instance: every admissible
     (j, k) up to max_k, larger index outermost; drawn weight vectors for
     corollary5; a threshold grid for the 1-D concentration claims."""
-    K = ctx.max_k
+    K = config.max_k
     if shape.evaluate is not None:
         k = min(3, K) if "k" in shape.takes else 1
-        ts = _t_grid(ctx, k) if ctx.dist.dim == 1 else []
+        ts = _t_grid(dist, k) if dist.dim == 1 else []
         return [{"k": k, "t": t} for t in ts]
     if shape.lhs == WEIGHTED:
         out = []
         for _ in range(config.weight_vectors):
-            k = int(rng.integers(2, K + 1))
+            k = int(rng.integers(min(2, K), K + 1))
             nums = rng.integers(-config.denominator,
                                 config.denominator + 1, size=k)
             out.append({"alphas": [Fraction(int(v), config.denominator)
@@ -162,8 +141,9 @@ def _grid(shape, ctx: _InstanceCtx, rng, config: "CorpusConfig") -> list:
             for a, b in pairs]
 
 
-def _t_grid(ctx: _InstanceCtx, k: int = 1) -> "list[Fraction]":
-    span = ctx.span()
+def _t_grid(dist: DiscreteDist, k: int = 1) -> "list[Fraction]":
+    vals = [x[0] for x in dist.support]
+    span = max(vals) - min(vals)
     if span == 0:
         return [Fraction(1)]
     # small t for empty-set variety, span-scale t, and one large enough
@@ -243,12 +223,13 @@ def run_corpus(config: CorpusConfig, claims=None,
     for index, (dist, norm) in enumerate(instances):
         rng = np.random.Generator(
             np.random.Philox(key=_instance_key(config.seed, index)))
-        ctx = _InstanceCtx(dist, norm, config.max_k, cap)
+        # latala_sharp is checked at (j, k) = (1, 2) whatever max_k is
+        curves = Curves(dist, norm, max(config.max_k, 2), cap)
         try:
             for spec, shapes in plan:
                 for shape, c1, c2 in shapes:
-                    for idx in _grid(shape, ctx, rng, config):
-                        for rep in shape_reports(spec, shape, ctx, idx, c1,
+                    for idx in _grid(shape, dist, rng, config):
+                        for rep in shape_reports(spec, shape, curves, idx, c1,
                                                  c2, MODE_PAIRS):
                             _absorb(report, index, dist, rep)
         except SupportCapExceeded as exc:

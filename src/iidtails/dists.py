@@ -1,10 +1,12 @@
 """Exact finite discrete distributions on rational points.
 
 Everything here is exact: laws, tails and curves are fractions.Fraction
-values.  Sums of independent copies (convolve, iid_sum, weighted_iid_sum) run
-on one integer-lattice kernel: coordinates are scaled by a common denominator
-and an n-D point is packed into one int, masses are int numerators over a
-common denominator, and Fractions are built once per atom of the result.
+values.  Every sum of independent terms (convolve, iid_sum, weighted_iid_sum,
+and the S_i behind every check) is one left fold S <- S (+) term on an
+integer lattice: coordinates are scaled by a common denominator and an n-D
+point is packed into one int, masses are int numerators over a common
+denominator.  The fold is advanced only as far as asked, and a law or tail
+curve is built straight from the lattice law it reaches.
 The running maximum max_{j<=k} ||S_j|| comes from one resumable DP on the
 same kind of lattice, which serves every horizon and threshold.
 The euclidean norm is handled through squared values (the "gauge") so that
@@ -86,7 +88,7 @@ class Norm(Enum):
             return abs(point[0])
         if self is Norm.SUP:
             return max(abs(c) for c in point)
-        return sum((c * c for c in point), ZERO)
+        return sum(c * c for c in point)
 
     def to_gauge(self, t: Fraction) -> Fraction:
         """Map a radius t >= 0 into gauge space (t or t**2)."""
@@ -230,27 +232,72 @@ def _convolve_lattice(a, b, cap: int):
     return out, a_den * b_den
 
 
-def _decode(law, scale: int, base: int, dim: int) -> DiscreteDist:
-    """Trusted constructor: the DiscreteDist of a lattice law, built without
-    re-validation.  Atoms keep the lattice law's insertion order."""
-    atoms, den = law
-    if sum(atoms.values()) != den:
-        raise ArithmeticError("lattice masses do not sum to their denominator")
+def _unpack(z: int, base: int, dim: int) -> "list[int]":
+    """The lattice coordinates of a packed point."""
     half = base // 2
-    out: "dict[tuple[Fraction, ...], Fraction]" = {}
-    for z, num in atoms.items():
-        coords = []
-        for _ in range(dim):
-            v = z % base
-            if v > half:
-                v -= base
-            coords.append(Fraction(v, scale))
-            z = (z - v) // base
-        out[tuple(coords)] = Fraction(num, den)
-    dist = object.__new__(DiscreteDist)
-    object.__setattr__(dist, "dim", dim)
-    object.__setattr__(dist, "atoms", out)
-    return dist
+    coords = []
+    for _ in range(dim):
+        v = z % base
+        if v > half:
+            v -= base
+        coords.append(v)
+        z = (z - v) // base
+    return coords
+
+
+class _Walk:
+    """The partial sums S_i = T_1 + ... + T_i of n independent terms, by the
+    left fold S_i = S_{i-1} (+) T_i: the one way a sum is built.  The terms
+    are `laws`, or n copies of a single law.  The lattice is packed for all
+    n terms, so asking past S_n raises ValueError; each S_i is built when
+    first asked for and kept."""
+
+    def __init__(self, laws: "list[DiscreteDist]", n: int, cap: int):
+        if n < 1:
+            raise ValueError(f"k must be >= 1, got {n}")
+        self.dim = laws[0].dim
+        self.n = n
+        self.cap = cap
+        self.scale, self.base, terms = _encode(laws, n)
+        self._terms = terms if len(terms) == n else terms * n
+        self._sums = self._terms[:1]
+
+    def law(self, i: int):
+        """The lattice law (atoms, den) of S_i."""
+        if not 1 <= i <= self.n:
+            raise ValueError(f"S_{i} is not among S_1..S_{self.n}, the sums "
+                             "this walk is packed for")
+        sums = self._sums
+        while len(sums) < i:
+            sums.append(_convolve_lattice(sums[-1], self._terms[len(sums)],
+                                          self.cap))
+        return sums[i - 1]
+
+    def dist(self, i: int) -> DiscreteDist:
+        """Trusted constructor: the DiscreteDist of S_i, built without
+        re-validation.  Atoms keep the lattice law's insertion order."""
+        atoms, den = self.law(i)
+        if sum(atoms.values()) != den:
+            raise ArithmeticError("lattice masses do not sum to their "
+                                  "denominator")
+        dist = object.__new__(DiscreteDist)
+        object.__setattr__(dist, "dim", self.dim)
+        object.__setattr__(dist, "atoms", {
+            tuple(Fraction(v, self.scale)
+                  for v in _unpack(z, self.base, self.dim)):
+            Fraction(num, den) for z, num in atoms.items()})
+        return dist
+
+    def curve(self, i: int, norm: "Norm") -> "TailCurve":
+        """The tail curve of S_i, straight from its lattice law."""
+        atoms, den = self.law(i)
+        gauge, base, dim = norm.gauge, self.base, self.dim
+        mass: "dict[int, int]" = {}
+        for z, num in atoms.items():
+            g = gauge(_unpack(z, base, dim))
+            mass[g] = mass.get(g, 0) + num
+        return _gauge_curve(norm, mass, self.scale ** norm.scale_exponent,
+                            den)
 
 
 def convolve(a: DiscreteDist, b: DiscreteDist,
@@ -258,8 +305,7 @@ def convolve(a: DiscreteDist, b: DiscreteDist,
     """Law of U + V for independent U ~ a, V ~ b, with exact merging."""
     if a.dim != b.dim:
         raise ValueError(f"dimension mismatch: {a.dim} vs {b.dim}")
-    scale, base, (la, lb) = _encode([a, b], 2)
-    return _decode(_convolve_lattice(la, lb, cap), scale, base, a.dim)
+    return _Walk([a, b], 2, cap).dist(2)
 
 
 def affine(a: DiscreteDist, scale, shift: PointLike = 0) -> DiscreteDist:
@@ -275,40 +321,24 @@ def affine(a: DiscreteDist, scale, shift: PointLike = 0) -> DiscreteDist:
 
 
 def iid_sum(x: DiscreteDist, k: int, cap: int = DEFAULT_SUPPORT_CAP) -> DiscreteDist:
-    """Exact law of S_k = X_1 + ... + X_k for i.i.d. X_i ~ x.
+    """Exact law of S_k = X_1 + ... + X_k for i.i.d. X_i ~ x: the k-th law
+    of the left fold S_i = S_{i-1} (+) X over k copies of x."""
+    return _Walk([x], k, cap).dist(k)
 
-    Uses a binary-power convolution schedule; the result is schedule
-    independent because convolution is associative and commutative.
-    """
-    if k < 1:
-        raise ValueError(f"k must be >= 1, got {k}")
-    scale, base, (power,) = _encode([x], k)
-    result = None
-    n = k
-    while True:
-        if n & 1:
-            result = power if result is None else \
-                _convolve_lattice(result, power, cap)
-        n >>= 1
-        if n == 0:
-            return _decode(result, scale, base, x.dim)
-        power = _convolve_lattice(power, power, cap)
+
+def _weighted_walk(x: DiscreteDist, alphas: Iterable, cap: int) -> _Walk:
+    """The fold over the terms alpha_1 X_1, alpha_2 X_2, ..."""
+    terms = [affine(x, a) for a in alphas]
+    if not terms:
+        raise ValueError("alphas must be nonempty")
+    return _Walk(terms, len(terms), cap)
 
 
 def weighted_iid_sum(x: DiscreteDist, alphas: Iterable,
                      cap: int = DEFAULT_SUPPORT_CAP) -> DiscreteDist:
     """Exact law of sum_i alpha_i X_i for i.i.d. X_i ~ x."""
-    coeffs = [rat(a) for a in alphas]
-    if not coeffs:
-        raise ValueError("alphas must be nonempty")
-    if all(a == 1 for a in coeffs):
-        return iid_sum(x, len(coeffs), cap)
-    scale, base, terms = _encode([affine(x, a, 0) for a in coeffs],
-                                 len(coeffs))
-    result = terms[0]
-    for term in terms[1:]:
-        result = _convolve_lattice(result, term, cap)
-    return _decode(result, scale, base, x.dim)
+    walk = _weighted_walk(x, alphas, cap)
+    return walk.dist(walk.n)
 
 
 def tail(a: DiscreteDist, norm: Norm, t, mode: str = STRICT) -> Fraction:
@@ -358,25 +388,24 @@ class TailCurve:
         return self.at_gauge(self.norm.to_gauge(t), mode)
 
 
-def _gauge_curve(norm: Norm, mass: "dict[Fraction, Fraction]") -> TailCurve:
-    """The TailCurve of a law given as a map gauge value -> mass."""
+def _gauge_curve(norm: Norm, mass: "dict[int, int]", unit: int,
+                 den: int) -> TailCurve:
+    """The TailCurve of a law given as a map int gauge value -> int mass
+    numerator, gauge values over `unit` and masses over `den`."""
     crits = sorted(mass)
     values = []
-    acc = ZERO  # mass strictly above the current critical
+    acc = 0  # mass strictly above the current critical
     for g in reversed(crits):
-        values.append(acc)
+        values.append(Fraction(acc, den))
         acc += mass[g]
     values.reverse()
-    return TailCurve(norm, tuple(crits), tuple(values))
+    return TailCurve(norm, tuple(Fraction(g, unit) for g in crits),
+                     tuple(values))
 
 
 def tail_curve(a: DiscreteDist, norm: Norm) -> TailCurve:
     """Exact survival step function of ||U|| in gauge space."""
-    mass: "dict[Fraction, Fraction]" = {}
-    for pt, p in a.atoms.items():
-        g = norm.gauge(pt)
-        mass[g] = mass.get(g, ZERO) + p
-    return _gauge_curve(norm, mass)
+    return _Walk([a], 1, DEFAULT_SUPPORT_CAP).curve(1, norm)
 
 
 # -- the running maximum ----------------------------------------------------
@@ -386,8 +415,9 @@ def tail_curve(a: DiscreteDist, norm: Norm) -> TailCurve:
 
 def _running_max_laws(x: DiscreteDist, norm: Norm, cap: int):
     """The running-maximum DP.  Yields, after each step k = 1, 2, ..., the
-    law of max_{j<=k} gauge(S_j) as a map gauge value -> mass, and takes
-    step k + 1 only when the next law is asked for.
+    law of max_{j<=k} gauge(S_j) as (int gauge value -> int mass numerator,
+    gauge unit, mass denominator), and takes step k + 1 only when the next
+    law is asked for.
 
     A state is (S_k, running max gauge) on the integer lattice of x:
     coordinates times the lcm `scale` of their denominators, masses as int
@@ -408,7 +438,7 @@ def _running_max_laws(x: DiscreteDist, norm: Norm, cap: int):
         law = {}
         for (_, m), p in states.items():
             law[m] = law.get(m, 0) + p
-        yield {Fraction(m, unit): Fraction(p, total) for m, p in law.items()}
+        yield law, unit, total
         nxt = {}
         get = nxt.get
         for (s, m), p in states.items():
@@ -452,7 +482,7 @@ def first_exceedance_probs(x: DiscreteDist, k: int, norm: Norm, t,
     off consecutive horizons of one running-max pass, so the Pr(A_j) sum to
     path_max_tail exactly.
     """
-    tails = [_gauge_curve(norm, law).at_radius(t, mode)
+    tails = [_gauge_curve(norm, *law).at_radius(t, mode)
              for law in _max_laws(x, k, norm, cap)]
     return [b - a for a, b in zip([ZERO] + tails, tails)]
 
@@ -460,11 +490,12 @@ def first_exceedance_probs(x: DiscreteDist, k: int, norm: Norm, t,
 def path_max_gauge_dist(x: DiscreteDist, k: int, norm: Norm,
                         cap: int = DEFAULT_SUPPORT_CAP) -> "dict[Fraction, Fraction]":
     """Exact law of max_{1<=j<=k} gauge(S_j) as a map gauge value -> mass."""
-    *_, law = _max_laws(x, k, norm, cap)
-    return law
+    *_, (law, unit, total) = _max_laws(x, k, norm, cap)
+    return {Fraction(m, unit): Fraction(p, total) for m, p in law.items()}
 
 
 def path_max_curve(x: DiscreteDist, k: int, norm: Norm,
                    cap: int = DEFAULT_SUPPORT_CAP) -> TailCurve:
     """Tail curve (in gauge space) of the running maximum max_j ||S_j||."""
-    return _gauge_curve(norm, path_max_gauge_dist(x, k, norm, cap))
+    *_, law = _max_laws(x, k, norm, cap)
+    return _gauge_curve(norm, *law)

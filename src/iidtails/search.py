@@ -71,7 +71,7 @@ def _least_c1(claim: str, X: DiscreteDist, j: int, k: int, c2,
     if c2 <= 0:
         raise ValueError(f"c2 must be positive, got {c2}")
     idx = {"j": j, "k": k}
-    lhs, rhs = Curves(X, norm, cap).sides(spec, idx)
+    lhs, rhs = Curves(X, norm, max(j, k), cap).sides(spec, idx)
     return least_c1(lhs, rhs, spec.factor(ONE, j, k), spec.scale(c2, j, k))
 
 

@@ -4,9 +4,9 @@ Everything here enumerates all |support|^k outcome tuples directly, so it is
 exponential and only usable for small cases; the point is that it shares no
 code path with the production implementations.  ``no_admissible_M_bound``
 is an analytic bound rather than an enumeration, and likewise shares no code
-with the scan it checks.  ``fraction_convolve`` and its two schedules are the
+with the scan it checks.  ``fraction_convolve`` and its left folds are the
 pairwise Fraction convolution the integer-lattice kernel replaced, kept as
-its differential reference: same schedules, same atom order, same cap point.
+its differential reference: same fold, same atom order, same cap point.
 ``absorbing_path_dp`` is the single-threshold running-max DP that
 ``iidtails.dists`` replaced with its (sum, running max) pass; its states are
 only the sums still inside the threshold, so it checks that pass from a
@@ -77,34 +77,24 @@ def fraction_convolve(a: DiscreteDist, b: DiscreteDist,
     return DiscreteDist(out, dim=a.dim)
 
 
+def _fraction_fold(terms, cap: int) -> DiscreteDist:
+    """The left fold S <- S + term over independent terms."""
+    result = terms[0]
+    for term in terms[1:]:
+        result = fraction_convolve(result, term, cap)
+    return result
+
+
 def fraction_iid_sum(x: DiscreteDist, k: int,
                      cap: int = DEFAULT_SUPPORT_CAP) -> DiscreteDist:
-    """S_k by the binary-power schedule of ``iidtails.dists.iid_sum``."""
-    result = None
-    base = x
-    n = k
-    while True:
-        if n & 1:
-            result = base if result is None else \
-                fraction_convolve(result, base, cap)
-        n >>= 1
-        if n == 0:
-            return result
-        base = fraction_convolve(base, base, cap)
+    """S_k as the left fold S_i = S_{i-1} + X over k copies of x."""
+    return _fraction_fold([x] * k, cap)
 
 
 def fraction_weighted_iid_sum(x: DiscreteDist, alphas,
                               cap: int = DEFAULT_SUPPORT_CAP) -> DiscreteDist:
-    """sum_i alpha_i X_i by the left fold of ``weighted_iid_sum``."""
-    coeffs = [Fraction(a) for a in alphas]
-    if all(a == 1 for a in coeffs):
-        return fraction_iid_sum(x, len(coeffs), cap)
-    result = None
-    for a in coeffs:
-        term = affine(x, a, 0)
-        result = term if result is None else \
-            fraction_convolve(result, term, cap)
-    return result
+    """sum_i alpha_i X_i as the left fold over the terms alpha_i X_i."""
+    return _fraction_fold([affine(x, Fraction(a), 0) for a in alphas], cap)
 
 
 def brute_tail(dist: DiscreteDist, norm: Norm, t, mode: str = "strict"):

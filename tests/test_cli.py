@@ -68,6 +68,12 @@ class TestVerify:
         assert code == 2
         assert "error" in err
 
+    def test_support_cap_exit_two(self, capsys, coin_file):
+        code, _, err = run(capsys, "verify", "--claim", "theorem1", "--cap",
+                           "2", str(coin_file))
+        assert code == 2
+        assert err.strip() == "error: support size 3 exceeds cap 2"
+
     def test_unparseable_file_exit_two(self, capsys, tmp_path):
         bad = tmp_path / "bad.json"
         bad.write_text('{"dim": 1, "atoms": [')
@@ -285,6 +291,21 @@ class TestCorpus:
         code, _, _ = run(capsys, "corpus", "--count", "1",
                          "--denominator", "0", "--out-dir", str(tmp_path))
         assert code == 2
+
+    def test_max_k_one_with_default_claims(self, capsys, tmp_path):
+        code, _, err = run(capsys, "corpus", "--count", "3", "--max-k", "1",
+                           "--out-dir", str(tmp_path))
+        assert code == 0, err
+        doc = json.loads((tmp_path / "corpus.json").read_text())
+        assert doc["corpus"]["per_claim"]["corollary5"]["checks"] > 0
+        assert doc["corpus"]["per_claim"]["latala_sharp"]["checks"] > 0
+
+    def test_negative_weight_vectors_exit_two(self, capsys, tmp_path):
+        code, _, err = run(capsys, "corpus", "--count", "1",
+                           "--weight-vectors", "-2", "--out-dir",
+                           str(tmp_path))
+        assert code == 2
+        assert "weight_vectors must be >= 0" in err
 
     def test_json_only_toggle(self, capsys, tmp_path):
         code, _, _ = run(capsys, "corpus", "--count", "2", "--json",

@@ -29,6 +29,11 @@ class TestCorpusConfig:
         with pytest.raises(ValueError):
             CorpusConfig(seed=1, count=5, dims=(0,))
 
+    def test_rejects_negative_weight_vectors(self):
+        with pytest.raises(ValueError, match="weight_vectors"):
+            CorpusConfig(seed=1, count=5, weight_vectors=-2)
+        assert CorpusConfig(seed=1, count=5, weight_vectors=0)
+
     def test_jsonable(self):
         d = CorpusConfig(seed=3, count=2).to_jsonable()
         assert d["seed"] == 3 and d["norms"] == ["abs1d"]
@@ -193,3 +198,14 @@ def test_running_max_pass_takes_one_step_per_horizon(monkeypatch):
                      ["levy_ottaviani", "corollary4"])
     assert rep.total_checks == 2 * 2 * K and not rep.skipped
     assert len(steps) == K
+
+
+def test_max_k_one_draws_single_weights():
+    """At max_k = 1 corollary5 draws one weight per vector (k in [1, 1])
+    instead of failing in the generator; latala_sharp still runs at (1, 2)."""
+    rep = run_corpus(CorpusConfig(seed=4, count=3, max_k=1),
+                     ["corollary5", "latala_sharp"])
+    assert {json.loads(r["params"])["k"] for r in rep.rows
+            if r["claim"] == "corollary5"} == {1}
+    assert rep.per_claim["latala_sharp"]["checks"] == 3 * 2
+    assert rep.per_claim["corollary5"]["checks"] == 3 * 2 * 2

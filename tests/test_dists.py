@@ -182,7 +182,7 @@ class TestIidSum:
             assert iid_sum(x, k) == brute_iid_sum(x, k)
 
     def test_schedule_independence(self):
-        # binary powering must agree with plain left-fold convolution
+        # iid_sum's fold must agree with repeated public convolve calls
         x = dist1d([(-1, F(1, 4)), (0, F(1, 4)), (2, F(1, 2))])
         for k in range(1, 7):
             fold = x
@@ -530,8 +530,25 @@ def test_resumable_running_max_matches_absorbing_oracle(data, dim, norm):
     x = data.draw(lattice_dists(dim, max_atoms=3))
     laws = _running_max_laws(x, norm, DEFAULT_SUPPORT_CAP)   # one pass
     for k in range(1, 6):
-        curve = _gauge_curve(norm, next(laws))
+        curve = _gauge_curve(norm, *next(laws))
         for q in curve.criticals + (curve.criticals[-1] + 1,):
             for mode in ("strict", "weak"):
                 _, alive = absorbing_path_dp(x, k, norm, q, mode)
                 assert curve.at_gauge(q, mode) == 1 - alive
+
+
+@given(st.data(), st.integers(1, 3), st.sampled_from([ABS, SUP, EUC]),
+       st.integers(1, 5))
+@settings(max_examples=60, deadline=None)
+def test_walked_curves_match_brute_force(data, dim, norm, horizon):
+    """Each S_i curve of one walk, built straight from the lattice law,
+    equals the curve of the brute-force law of S_i; S_{H+1} is refused."""
+    from iidtails.checks import Curves
+    if norm is ABS and dim != 1:
+        norm = SUP
+    x = data.draw(lattice_dists(dim, max_atoms=3))
+    curves = Curves(x, norm, horizon, DEFAULT_SUPPORT_CAP)
+    for i in range(1, horizon + 1):
+        assert curves.curve(i) == tail_curve(brute_iid_sum(x, i), norm)
+    with pytest.raises(ValueError):
+        curves.curve(horizon + 1)
