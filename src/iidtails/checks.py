@@ -322,8 +322,9 @@ def _indices(shape: ClaimSpec, given: dict) -> dict:
 class Curves:
     """Tail curves of one law under one norm, each built once.  Each S_i
     curve comes straight from the lattice law of one walk of S_1..S_horizon
-    (asking past it raises ValueError), the running max's from one pass
-    taken only as far as the largest horizon asked for."""
+    (asking past it raises ValueError), kept only until its curve is built;
+    the running max's from one pass taken only as far as the largest
+    horizon asked for."""
 
     def __init__(self, dist: DiscreteDist, norm: Norm, horizon: int,
                  cap: int = DEFAULT_SUPPORT_CAP):
@@ -331,13 +332,21 @@ class Curves:
         self.norm = norm
         self.cap = cap
         self.walk = _Walk([dist], horizon, cap)
+        self._sums = self.walk.sums()
+        self._laws = []               # S_i reached, None once curved
         self._curves = {}
         self._max_laws = _running_max_laws(dist, norm, cap)
         self._max_curves = []
 
     def curve(self, i: int) -> TailCurve:
         if i not in self._curves:
-            self._curves[i] = self.walk.curve(i, self.norm)
+            if not 1 <= i <= self.walk.n:
+                raise ValueError(f"S_{i} is not among S_1..S_{self.walk.n}, "
+                                 "the sums these curves are packed for")
+            while len(self._laws) < i:
+                self._laws.append(next(self._sums))
+            self._curves[i] = self.walk.curve(self.norm, self._laws[i - 1])
+            self._laws[i - 1] = None
         return self._curves[i]
 
     def sides(self, shape: ClaimSpec, idx: dict):
@@ -351,8 +360,8 @@ class Curves:
                                                      *next(self._max_laws)))
             lhs = self._max_curves[k - 1]
         else:
-            walk = _weighted_walk(self.dist, idx["alphas"], self.cap)
-            lhs = walk.curve(walk.n, self.norm)
+            lhs = _weighted_walk(self.dist, idx["alphas"],
+                                 self.cap).curve(self.norm)
         if shape.rhs == SUM:
             return lhs, self.curve(k)
         return lhs, upper_envelope([self.curve(i) for i in range(1, k + 1)])

@@ -192,7 +192,8 @@ def check_corollary3(X: DiscreteDist, k: int, t,
     """
     tt = rat(t)
     walk = _Walk([X], k, cap)
-    csets = {i: concentration_set(walk.dist(i), tt) for i in range(1, k + 1)}
+    csets = {i: concentration_set(walk.dist(law), tt)
+             for i, law in enumerate(walk.sums(), 1)}
     params = {"k": k, "t": tt}
     empty = [i for i in csets if csets[i].is_empty]
     if empty:
@@ -265,13 +266,14 @@ def classify_case(X: DiscreteDist, j: int, k: int, t,
     if not 1 <= j <= k:
         raise ValueError(f"need 1 <= j <= k, got j={j}, k={k}")
     walk = _Walk([X], k, cap)
-    p_gap = ZERO if j == k else walk.curve(k - j, norm).at_radius(
+    laws = list(walk.sums())    # S_1..S_k, each read up to twice below
+    p_gap = ZERO if j == k else walk.curve(norm, laws[k - j - 1]).at_radius(
         tt * Fraction(9, 10))   # S_0 = 0 never exceeds 9t/10
-    sk = walk.curve(k, norm)
+    sk = walk.curve(norm, laws[k - 1])
     approximate = X.dim > 1
 
     if p_gap <= Fraction(1, 3):
-        lhs = walk.curve(j, norm).at_radius(tt)
+        lhs = walk.curve(norm, laws[j - 1]).at_radius(tt)
         rhs = Fraction(3, 2) * sk.at_radius(tt / 10)
         return CaseVerdict(
             case_id="case1",
@@ -281,8 +283,9 @@ def classify_case(X: DiscreteDist, j: int, k: int, t,
             approximate=False,
         )
 
-    for i in range(1, k + 1):
-        found, _, exact = has_concentration_point(walk.dist(i), tt / 10, norm)
+    for i, law in enumerate(laws, 1):
+        found, _, exact = has_concentration_point(walk.dist(law), tt / 10,
+                                                  norm)
         approximate = approximate or not exact
         if not found:
             lhs = sk.at_radius(tt / 10)

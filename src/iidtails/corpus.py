@@ -22,6 +22,7 @@ from .checks import (
     K_ONLY,
     WEIGHTED,
     Curves,
+    _horizon,
     shape_reports,
     variants,
 )
@@ -223,15 +224,16 @@ def run_corpus(config: CorpusConfig, claims=None,
     for index, (dist, norm) in enumerate(instances):
         rng = np.random.Generator(
             np.random.Philox(key=_instance_key(config.seed, index)))
-        # latala_sharp is checked at (j, k) = (1, 2) whatever max_k is
-        curves = Curves(dist, norm, max(config.max_k, 2), cap)
+        planned = [(spec, shape, c1, c2, idx) for spec, shapes in plan
+                   for shape, c1, c2 in shapes
+                   for idx in _grid(shape, dist, rng, config)]
+        curves = Curves(dist, norm, max((_horizon(idx) for *_, idx in planned),
+                                        default=1), cap)
         try:
-            for spec, shapes in plan:
-                for shape, c1, c2 in shapes:
-                    for idx in _grid(shape, dist, rng, config):
-                        for rep in shape_reports(spec, shape, curves, idx, c1,
-                                                 c2, MODE_PAIRS):
-                            _absorb(report, index, dist, rep)
+            for spec, shape, c1, c2, idx in planned:
+                for rep in shape_reports(spec, shape, curves, idx, c1, c2,
+                                         MODE_PAIRS):
+                    _absorb(report, index, dist, rep)
         except SupportCapExceeded as exc:
             report.skipped.append({"instance": index, "reason": str(exc)})
     return report

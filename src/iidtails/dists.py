@@ -248,9 +248,9 @@ def _unpack(z: int, base: int, dim: int) -> "list[int]":
 class _Walk:
     """The partial sums S_i = T_1 + ... + T_i of n independent terms, by the
     left fold S_i = S_{i-1} (+) T_i: the one way a sum is built.  The terms
-    are `laws`, or n copies of a single law.  The lattice is packed for all
-    n terms, so asking past S_n raises ValueError; each S_i is built when
-    first asked for and kept."""
+    are `laws`, or n copies of one law, on a lattice packed for n terms.
+    The fold holds only the running sum; a caller that reads an S_i again
+    keeps its lattice law (atoms, den)."""
 
     def __init__(self, laws: "list[DiscreteDist]", n: int, cap: int):
         if n < 1:
@@ -258,25 +258,26 @@ class _Walk:
         self.dim = laws[0].dim
         self.n = n
         self.cap = cap
-        self.scale, self.base, terms = _encode(laws, n)
-        self._terms = terms if len(terms) == n else terms * n
-        self._sums = self._terms[:1]
+        self.scale, self.base, self._terms = _encode(laws, n)
 
-    def law(self, i: int):
-        """The lattice law (atoms, den) of S_i."""
-        if not 1 <= i <= self.n:
-            raise ValueError(f"S_{i} is not among S_1..S_{self.n}, the sums "
-                             "this walk is packed for")
-        sums = self._sums
-        while len(sums) < i:
-            sums.append(_convolve_lattice(sums[-1], self._terms[len(sums)],
-                                          self.cap))
-        return sums[i - 1]
+    def sums(self):
+        """Yield the lattice laws of S_1, ..., S_n, each when asked for."""
+        terms = self._terms
+        law = terms[0]
+        yield law
+        for i in range(1, self.n):
+            law = _convolve_lattice(law, terms[i % len(terms)], self.cap)
+            yield law
 
-    def dist(self, i: int) -> DiscreteDist:
-        """Trusted constructor: the DiscreteDist of S_i, built without
-        re-validation.  Atoms keep the lattice law's insertion order."""
-        atoms, den = self.law(i)
+    def last(self):
+        for law in self.sums():
+            pass
+        return law
+
+    def dist(self, law=None) -> DiscreteDist:
+        """Trusted constructor: the DiscreteDist of a lattice law (S_n by
+        default), built without re-validation, in the law's atom order."""
+        atoms, den = law or self.last()
         if sum(atoms.values()) != den:
             raise ArithmeticError("lattice masses do not sum to their "
                                   "denominator")
@@ -288,9 +289,9 @@ class _Walk:
             Fraction(num, den) for z, num in atoms.items()})
         return dist
 
-    def curve(self, i: int, norm: "Norm") -> "TailCurve":
-        """The tail curve of S_i, straight from its lattice law."""
-        atoms, den = self.law(i)
+    def curve(self, norm: "Norm", law=None) -> "TailCurve":
+        """The tail curve of a lattice law (S_n by default)."""
+        atoms, den = law or self.last()
         gauge, base, dim = norm.gauge, self.base, self.dim
         mass: "dict[int, int]" = {}
         for z, num in atoms.items():
@@ -305,7 +306,7 @@ def convolve(a: DiscreteDist, b: DiscreteDist,
     """Law of U + V for independent U ~ a, V ~ b, with exact merging."""
     if a.dim != b.dim:
         raise ValueError(f"dimension mismatch: {a.dim} vs {b.dim}")
-    return _Walk([a, b], 2, cap).dist(2)
+    return _Walk([a, b], 2, cap).dist()
 
 
 def affine(a: DiscreteDist, scale, shift: PointLike = 0) -> DiscreteDist:
@@ -323,7 +324,7 @@ def affine(a: DiscreteDist, scale, shift: PointLike = 0) -> DiscreteDist:
 def iid_sum(x: DiscreteDist, k: int, cap: int = DEFAULT_SUPPORT_CAP) -> DiscreteDist:
     """Exact law of S_k = X_1 + ... + X_k for i.i.d. X_i ~ x: the k-th law
     of the left fold S_i = S_{i-1} (+) X over k copies of x."""
-    return _Walk([x], k, cap).dist(k)
+    return _Walk([x], k, cap).dist()
 
 
 def _weighted_walk(x: DiscreteDist, alphas: Iterable, cap: int) -> _Walk:
@@ -337,8 +338,7 @@ def _weighted_walk(x: DiscreteDist, alphas: Iterable, cap: int) -> _Walk:
 def weighted_iid_sum(x: DiscreteDist, alphas: Iterable,
                      cap: int = DEFAULT_SUPPORT_CAP) -> DiscreteDist:
     """Exact law of sum_i alpha_i X_i for i.i.d. X_i ~ x."""
-    walk = _weighted_walk(x, alphas, cap)
-    return walk.dist(walk.n)
+    return _weighted_walk(x, alphas, cap).dist()
 
 
 def tail(a: DiscreteDist, norm: Norm, t, mode: str = STRICT) -> Fraction:
@@ -405,7 +405,7 @@ def _gauge_curve(norm: Norm, mass: "dict[int, int]", unit: int,
 
 def tail_curve(a: DiscreteDist, norm: Norm) -> TailCurve:
     """Exact survival step function of ||U|| in gauge space."""
-    return _Walk([a], 1, DEFAULT_SUPPORT_CAP).curve(1, norm)
+    return _Walk([a], 1, DEFAULT_SUPPORT_CAP).curve(norm)
 
 
 # -- the running maximum ----------------------------------------------------

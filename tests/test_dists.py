@@ -552,3 +552,55 @@ def test_walked_curves_match_brute_force(data, dim, norm, horizon):
         assert curves.curve(i) == tail_curve(brute_iid_sum(x, i), norm)
     with pytest.raises(ValueError):
         curves.curve(horizon + 1)
+
+
+def _watch_lattice_sums(monkeypatch):
+    """Make every lattice sum weakly referable.  Returns a counter of those
+    still alive and the list of its readings just after each sum is built."""
+    import weakref
+    from iidtails import dists
+
+    class Atoms(dict):
+        pass
+
+    refs, after_step = [], []
+    convolve_lattice = dists._convolve_lattice
+
+    def alive():
+        return sum(ref() is not None for ref in refs)
+
+    def watched(a, b, cap):
+        atoms, den = convolve_lattice(a, b, cap)
+        atoms = Atoms(atoms)
+        refs.append(weakref.ref(atoms))
+        after_step.append(alive())
+        return atoms, den
+
+    monkeypatch.setattr(dists, "_convolve_lattice", watched)
+    return alive, after_step
+
+
+@pytest.mark.parametrize("build", [
+    lambda x: iid_sum(x, 12),
+    lambda x: weighted_iid_sum(x, [F(1, 2), -1, 1, F(1, 3), 1, -1, 1, 1]),
+], ids=["iid_sum", "weighted_iid_sum"])
+def test_lone_sum_holds_only_the_running_sum(monkeypatch, build):
+    """A lone sum lets each S_{i-1} go once S_i is built: at no step are
+    more than two partial sums alive, and none is left afterwards."""
+    alive, after_step = _watch_lattice_sums(monkeypatch)
+    build(dist1d([(-1, F(1, 3)), (0, F(1, 3)), (2, F(1, 3))]))
+    assert len(after_step) > 5 and max(after_step) <= 2
+    assert alive() == 0
+
+
+def test_curves_drop_each_law_once_its_curve_is_built(monkeypatch):
+    """Curves keeps an S_i's lattice law only until S_i's curve is built;
+    only the running sum is left."""
+    from iidtails.checks import Curves
+    alive, _ = _watch_lattice_sums(monkeypatch)
+    curves = Curves(coin(), ABS, 6, DEFAULT_SUPPORT_CAP)
+    curves.curve(4)     # S_2, S_3 kept for their curves, S_4 by the walk
+    assert alive() == 3
+    for i in range(1, 7):
+        assert curves.curve(i) == tail_curve(brute_iid_sum(coin(), i), ABS)
+    assert alive() == 1             # S_6, held by the walk
