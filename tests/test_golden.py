@@ -1,4 +1,5 @@
-"""Golden bytes: sha256 of corpus artifacts and verify reports.
+"""Golden bytes: sha256 of corpus artifacts, verify and counterexample
+reports.
 
 The digests pin every verdict, margin, witness, parameter echo and note the
 CLI and the corpus runner emit on fixed inputs, so a refactor of the claim
@@ -36,6 +37,16 @@ CAPPED_ARGS = ("corpus", "--seed", "7", "--count", "20", "--max-k", "6",
 LAW_1D = dist1d([(-1, F(1, 4)), (F(1, 2), F(1, 4)), (2, F(1, 2))])
 LAW_2D = DiscreteDist({(F(0), F(1)): F(1, 3), (F(1), F(-1)): F(1, 6),
                        (F(-2), F(0)): F(1, 2)})
+
+# `counterexample` runs: a scan with no hit under its cap (N = 10), scans that
+# find M (N = 3, N = 2), an explicit M and a cap just above N^3
+COUNTEREXAMPLE_CASES = (
+    ("N10_cap15000", ("--N", "10", "--cap", "15000")),
+    ("N3", ("--N", "3")),
+    ("N2", ("--N", "2")),
+    ("N2_M5", ("--N", "2", "--M", "5")),
+    ("N4_cap64", ("--N", "4", "--cap", "64")),
+)
 
 # (case name, verify flags, laws it runs on); every --claim value appears
 VERIFY_CASES = (
@@ -93,6 +104,16 @@ GOLDEN = {
         "3c2638893306cd88e6340019a83c97c07632bda941b3cf6a3ef1168e7eefc433",
     "verify:corollary3":
         "6e6545334ff161a1504abbe0ede928f0c00a9e0167fb263af53f2dd153966a37",
+    "counterexample:N10_cap15000":
+        "83309ccfd8212c0bb9fba2f9fd9d62ab6262ac8a55dfcec7457c0a164a5b1de0",
+    "counterexample:N3":
+        "b4f70a19b2fe5f404ef77bef4ee03f237b240a8309e47faae5464759430ca956",
+    "counterexample:N2":
+        "1b69d32d37835fa7d760946e7d201b709d5fd485eed9f0211a8c9e121dcb91a8",
+    "counterexample:N2_M5":
+        "b7e5105e9558da61b60793c964878bcd2787968a615df35305cb378db82945c7",
+    "counterexample:N4_cap64":
+        "4bba3827ff236f8a72d4746ec1212c376e376accef2fa09ea2a64b9e6b9a3b62",
 }
 
 
@@ -146,6 +167,16 @@ def verify_digest(files: dict, flags, dims: str) -> str:
     return _sha(_canonical(reports))
 
 
+def counterexample_digest(flags) -> str:
+    """Digest of exit code, outcome and report of `counterexample FLAGS`
+    (the rest of the manifest echoes the run, not the result)."""
+    code, stdout = _quiet_main(("counterexample",) + flags)
+    doc = json.loads(stdout)
+    return _sha(_canonical({"exit": code,
+                            "outcome": doc["manifest"]["outcome"],
+                            "counterexample": doc["counterexample"]}))
+
+
 def all_digests(workdir: Path) -> dict:
     out = corpus_digests(workdir)
     out.update(corpus_digests(workdir, CAPPED_ARGS, "capped"))
@@ -153,6 +184,8 @@ def all_digests(workdir: Path) -> dict:
     files = law_files(workdir)
     for name, flags, dims in VERIFY_CASES:
         out[f"verify:{name}"] = verify_digest(files, flags, dims)
+    for name, flags in COUNTEREXAMPLE_CASES:
+        out[f"counterexample:{name}"] = counterexample_digest(flags)
     return out
 
 
@@ -177,6 +210,12 @@ def test_corpus_override_violations():
 def test_verify_reports(tmp_path, name, flags, dims):
     assert verify_digest(law_files(tmp_path), flags, dims) == \
         GOLDEN[f"verify:{name}"]
+
+
+@pytest.mark.parametrize("name, flags", COUNTEREXAMPLE_CASES,
+                         ids=[case[0] for case in COUNTEREXAMPLE_CASES])
+def test_counterexample_reports(name, flags):
+    assert counterexample_digest(flags) == GOLDEN[f"counterexample:{name}"]
 
 
 if __name__ == "__main__":
