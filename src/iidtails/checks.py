@@ -93,11 +93,13 @@ def sweep_curves(lhs_curve: TailCurve, rhs_curve: TailCurve, factor: Fraction,
                  rhs_mode: "str | None" = None) -> SweepOutcome:
     """Exact sweep of lhs(t) <= factor * rhs(t/scale) over all t > 0.
 
-    scale is in radius space; in gauge space (euclidean) it acts squared.
+    factor and scale are rationals (floats raise TypeError).  scale is in
+    radius space; in gauge space (euclidean) it acts squared.
     """
     rhs_mode = lhs_mode if rhs_mode is None else rhs_mode
     _check_mode(lhs_mode)
     _check_mode(rhs_mode)
+    factor, scale = rat(factor), rat(scale)
     qs, scale_g = _candidates(lhs_curve, rhs_curve, scale,
                               lhs_mode != rhs_mode)
 
@@ -234,8 +236,7 @@ class ClaimSpec:
     check reads (j, k, alphas, t); defaults: values for those not given;
     order: the rule j and k obey.  fixed constants belong to the statement.
     shapes: other claims' shapes checked at this claim's own constant
-    pairs.  evaluate: a checker that replaces the sweep.  mc: mc_check
-    supports the claim.
+    pairs.  evaluate: a checker that replaces the sweep.
     """
 
     claim_id: str
@@ -251,15 +252,13 @@ class ClaimSpec:
     note: "str | None" = None
     shapes: tuple = ()
     evaluate: "Callable | None" = None
-    mc: bool = False
 
 
 CLAIMS = {spec.claim_id: spec for spec in (
     ClaimSpec("theorem1", SUM, SUM, (Fraction(3), Fraction(10)),
-              ("j", "k"), J_LE_K, {"j": 1, "k": 2}, mc=True),
+              ("j", "k"), J_LE_K, {"j": 1, "k": 2}),
     ClaimSpec("latala_sharp", SUM, SUM, (Fraction(2), Fraction(3, 2)),
-              (), FIRST_TWO, {"j": 1, "k": 2}, fixed=True, note=EXTERNAL,
-              mc=True),
+              (), FIRST_TWO, {"j": 1, "k": 2}, fixed=True, note=EXTERNAL),
     ClaimSpec("latala_alt", takes=("j", "k"), defaults={"j": 1, "k": 2},
               fixed=True, note=EXTERNAL, shapes=(
                   ("theorem1", ((Fraction(4), Fraction(5)),
@@ -269,12 +268,12 @@ CLAIMS = {spec.claim_id: spec for spec in (
     ClaimSpec("levy_ottaviani", MAX, ENVELOPE, (Fraction(3), Fraction(3)),
               ("k",), K_ONLY, {"k": 4}),
     ClaimSpec("corollary4", MAX, SUM, (Fraction(9), Fraction(30)),
-              ("k",), K_ONLY, {"k": 4}, mc=True),
+              ("k",), K_ONLY, {"k": 4}),
     ClaimSpec("corollary5", WEIGHTED, SUM, (Fraction(10), Fraction(90)),
-              ("alphas",), mc=True),
+              ("alphas",)),
     ClaimSpec("corollary6", SUM, SUM, (Fraction(6), Fraction(20)),
               ("j", "k"), K_LE_J, {"j": 2, "k": 1},
-              factor=_times_j_over_k, scale=_times_j_over_k, mc=True),
+              factor=_times_j_over_k, scale=_times_j_over_k),
     ClaimSpec("lemma2", takes=("t",), evaluate=lambda X, given, cap:
               check_lemma2(X, given.get("y", X), given["t"], cap)),
     ClaimSpec("corollary3", takes=("k", "t"), defaults={"k": 3},

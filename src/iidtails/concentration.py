@@ -52,9 +52,6 @@ class ConcentrationSet:
         xx = rat(x)
         return any(lo <= xx <= hi for lo, hi in self.intervals)
 
-    def endpoints(self) -> "list[Fraction]":
-        return [e for iv in self.intervals for e in iv]
-
     @property
     def min(self) -> Fraction:
         return self.intervals[0][0]

@@ -214,7 +214,8 @@ def run_corpus(config: CorpusConfig, claims=None,
     constants = {}
     for name, ov in (overrides or {}).items():
         name = ALIASES.get(name, name)
-        if name not in CLAIMS or CLAIMS[name].constants is None:
+        if (name not in CLAIMS or CLAIMS[name].constants is None
+                or CLAIMS[name].fixed):
             raise ValueError(f"no overridable constants for {name!r}")
         constants[name] = (ov.get("c1"), ov.get("c2"))
     plan = [(CLAIMS[name], variants(CLAIMS[name], *constants.get(name, ())))

@@ -6,6 +6,14 @@ S_M = M^(-2/3) sum_{i<=M} (Y_i + M^(-1/3)) = 1 + (N*B - M) * M^(-2/3)
 live in the field Q(M^(1/3)); every event probability below is an exact
 rational because all order comparisons are decided by integer arithmetic.
 
+One binomial law serves every tail: _pmf_numerators walks
+C(M,b)*(N-1)^(M-b), b = 0..M, by exact ratio steps (a remainder raises
+ArithmeticError, also under ``python -O``), and one loop sums it over the
+b whose u = N*b - M lies in a tail's event; each tail states only that
+event.  find_M's scan walks the same ratios from the binomial mode.
+Thresholds, constants and sign-rule coefficients go through dists.rat, so
+a float is refused as everywhere else.
+
 Sign rule used throughout: for rational a, b, c and M not a perfect cube,
 
     sign(a + b*M^(1/3) + c*M^(2/3)) = sign(A^3 + B^3*M + C^3*M^2 - 3*A*B*C*M)
@@ -20,12 +28,18 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from math import comb, gcd
+from math import comb, lcm
 
+from .dists import rat
 from .reports import jsonify
 
-ZERO = Fraction(0)
-_INEXACT = "binomial ratio update left a remainder"
+
+def _ratio(num: int, den: int) -> int:
+    """num / den for a binomial ratio step, which must divide exactly."""
+    q, rem = divmod(num, den)
+    if rem:
+        raise ArithmeticError("binomial ratio step left a remainder")
+    return q
 
 
 def icbrt(n: int) -> int:
@@ -49,15 +63,11 @@ def icbrt(n: int) -> int:
 
 def cbrt_combo_sign(a, b, c, M: int) -> int:
     """Sign of a + b*M^(1/3) + c*M^(2/3) for rational a, b, c and M >= 1."""
-    a, b, c = Fraction(a), Fraction(b), Fraction(c)
+    a, b, c = rat(a), rat(b), rat(c)
     if M < 1:
         raise ValueError("M must be >= 1")
-    den = a.denominator
-    den = den * b.denominator // gcd(den, b.denominator)
-    den = den * c.denominator // gcd(den, c.denominator)
-    A = int(a * den)
-    B = int(b * den)
-    C = int(c * den)
+    den = lcm(a.denominator, b.denominator, c.denominator)
+    A, B, C = (x.numerator * (den // x.denominator) for x in (a, b, c))
     r = icbrt(M)
     if r * r * r == M:
         val = A + B * r + C * r * r
@@ -75,26 +85,48 @@ def _abs_combo_gt(a, b, c, ta, tb, tc, M: int) -> bool:
             or cbrt_combo_sign(a + ta, b + tb, c + tc, M) < 0)
 
 
+def _pmf_numerators(N: int, M: int):
+    """C(M,b)*(N-1)^(M-b) for b = 0..M in turn (denominator N^M)."""
+    term = (N - 1) ** M          # b = 0
+    yield term
+    for b in range(M):
+        term = _ratio(term * (M - b), (b + 1) * (N - 1))
+        yield term
+
+
+def _tail(N: int, M: int, weight, per: int = 1) -> Fraction:
+    """Sum over b of Pr(B = b) * weight(N*b - M) / per, B ~ Binomial(M, 1/N).
+
+    weight(u) counts, as an int or bool, the outcomes out of per that put
+    the event's sum in the tail when sum_{i<=M} Y_i = u.
+    """
+    if N < 2 or M < 1:
+        raise ValueError("need N >= 2 and M >= 1")
+    total = 0
+    for b, num in enumerate(_pmf_numerators(N, M)):
+        w = weight(N * b - M)
+        if w:
+            total += w * num
+    return Fraction(total, N ** M * per)
+
+
+def _threshold(t) -> Fraction:
+    t = rat(t)
+    if t < 0:
+        raise ValueError("threshold must be >= 0")
+    return t
+
+
 def centered_sum_tail(N: int, M: int, threshold) -> Fraction:
     """Exact Pr(|sum_{i<=M} Y_i| > M^(2/3) * threshold).
 
     Uses |N*b - M| > M^(2/3)*theta  <=>  |N*b - M|^3 * q^3 > M^2 * p^3 for
     theta = p/q, so the cube comparison never leaves the integers.
     """
-    theta = Fraction(threshold)
-    if N < 2 or M < 1:
-        raise ValueError("need N >= 2 and M >= 1")
-    if theta < 0:
-        raise ValueError("threshold must be >= 0")
-    p3 = theta.numerator ** 3
+    theta = _threshold(threshold)
     q3 = theta.denominator ** 3
-    bound = M * M * p3
-    num = 0
-    for b in range(M + 1):
-        u = abs(N * b - M)
-        if u ** 3 * q3 > bound:
-            num += comb(M, b) * (N - 1) ** (M - b)
-    return Fraction(num, N ** M)
+    bound = M * M * theta.numerator ** 3
+    return _tail(N, M, lambda u: abs(u) ** 3 * q3 > bound)
 
 
 def find_M(N: int, M_cap: int):
@@ -120,16 +152,12 @@ def find_M(N: int, M_cap: int):
     for M in range(M0, M_cap + 1):
         if M > M0:
             # advance modal term M-1 -> M at the old mode b = m
-            T, rem = divmod(T * (N - 1) * M, M - m)
-            if rem:
-                raise ArithmeticError(_INEXACT)
+            T = _ratio(T * (N - 1) * M, M - m)
             new_m = (M + 1) // N
             if new_m != m:
                 # shift mode b = m -> m+1: multiply C ratio, drop one
                 # factor of N-1
-                T, rem = divmod(T * (M - m), (m + 1) * (N - 1))
-                if rem:
-                    raise ArithmeticError(_INEXACT)
+                T = _ratio(T * (M - m), (m + 1) * (N - 1))
                 m = new_m
             thr *= N
         u_max = icbrt(M * M // N ** 3)      # largest |N*b - M| inside
@@ -154,9 +182,7 @@ def _window_sum_reaches(N: int, M: int, lo: int, hi: int, m: int,
     term = T
     b = m
     while b < hi:                            # walk right
-        term, rem = divmod(term * (M - b), (b + 1) * (N - 1))
-        if rem:
-            raise ArithmeticError(_INEXACT)
+        term = _ratio(term * (M - b), (b + 1) * (N - 1))
         b += 1
         if b >= lo:
             total += term
@@ -165,9 +191,7 @@ def _window_sum_reaches(N: int, M: int, lo: int, hi: int, m: int,
     term = T
     b = m
     while b > lo:                            # walk left
-        term, rem = divmod(term * b * (N - 1), M - b + 1)
-        if rem:
-            raise ArithmeticError(_INEXACT)
+        term = _ratio(term * b * (N - 1), M - b + 1)
         b -= 1
         if b <= hi:
             total += term
@@ -179,17 +203,25 @@ def _window_sum_reaches(N: int, M: int, lo: int, hi: int, m: int,
 @dataclass(frozen=True)
 class CounterexampleReport:
     N: int
-    M: "int | None"
-    found: bool
-    cap: "int | None"
-    admissible_tail: "Fraction | None"       # Pr(|sum Y| > M^(2/3)/N)
-    p_centered: "Fraction | None"            # Pr(|S_M| > 1/2)
-    bound_centered: Fraction                 # 1 - 1/N
-    centered_holds: "bool | None"
-    p_extended: "Fraction | None"            # Pr(|S_M + X_{M+1}| > 3/N)
-    bound_extended: Fraction                 # 2/N
-    extended_holds: "bool | None"
-    refutation: "dict | None"
+    M: "int | None" = None
+    found: bool = False
+    cap: "int | None" = None
+    admissible_tail: "Fraction | None" = None  # Pr(|sum Y| > M^(2/3)/N)
+    p_centered: "Fraction | None" = None       # Pr(|S_M| > 1/2)
+    centered_holds: "bool | None" = None
+    p_extended: "Fraction | None" = None       # Pr(|S_M + X_{M+1}| > 3/N)
+    extended_holds: "bool | None" = None
+    refutation: "dict | None" = None
+
+    @property
+    def bound_centered(self) -> Fraction:
+        """1 - 1/N, the least p_centered the construction needs."""
+        return 1 - Fraction(1, self.N)
+
+    @property
+    def bound_extended(self) -> Fraction:
+        """2/N, the largest p_extended the construction allows."""
+        return Fraction(2, self.N)
 
     def to_jsonable(self) -> dict:
         law = {"Y": {str(self.N - 1): Fraction(1, self.N),
@@ -210,48 +242,20 @@ class CounterexampleReport:
         })
 
 
-def _pmf_numerators(N: int, M: int) -> "list[int]":
-    """C(M,b)*(N-1)^(M-b) for b = 0..M (denominator N^M)."""
-    out = []
-    term = (N - 1) ** M          # b = 0
-    out.append(term)
-    for b in range(M):
-        term, rem = divmod(term * (M - b), (b + 1) * (N - 1))
-        if rem:
-            raise ArithmeticError(_INEXACT)
-        out.append(term)
-    return out
-
-
 def normalized_sum_tail(N: int, M: int, t) -> Fraction:
     """Exact Pr(|S_M| > t) with S_M = 1 + (N*B - M)*M^(-2/3)."""
-    t = Fraction(t)
-    if t < 0:
-        raise ValueError("t must be >= 0")
-    nums = _pmf_numerators(N, M)
-    total = 0
-    for b in range(M + 1):
-        u = N * b - M
-        # M^(2/3) * S_M = u + M^(2/3); threshold scales the same way
-        if _abs_combo_gt(u, 0, 1, 0, 0, t, M):
-            total += nums[b]
-    return Fraction(total, N ** M)
+    t = _threshold(t)
+    # M^(2/3) * S_M = u + M^(2/3); threshold scales the same way
+    return _tail(N, M, lambda u: _abs_combo_gt(u, 0, 1, 0, 0, t, M))
 
 
 def extended_sum_tail(N: int, M: int, t) -> Fraction:
     """Exact Pr(|S_M + X_{M+1}| > t) with X_{M+1} = Y_{M+1} + M^(-1/3)."""
-    t = Fraction(t)
-    if t < 0:
-        raise ValueError("t must be >= 0")
-    nums = _pmf_numerators(N, M)
-    total = 0
-    for b in range(M + 1):
-        u = N * b - M
-        # M^(2/3)*(S_M + X_{M+1}) = u + M^(1/3) + (1 + y)*M^(2/3)
-        for y, weight in ((N - 1, 1), (-1, N - 1)):
-            if _abs_combo_gt(u, 1, 1 + y, 0, 0, t, M):
-                total += nums[b] * weight
-    return Fraction(total, N ** (M + 1))
+    t = _threshold(t)
+    # M^(2/3)*(S_M + X_{M+1}) = u + M^(1/3) + (1 + y)*M^(2/3): y = N-1 in
+    # one draw out of N, y = -1 in the other N-1
+    return _tail(N, M, lambda u: _abs_combo_gt(u, 1, N, 0, 0, t, M)
+                 + (N - 1) * _abs_combo_gt(u, 1, 0, 0, 0, t, M), per=N)
 
 
 def refutes_constant(N: int, M: int, c, t) -> "tuple[bool, Fraction, Fraction]":
@@ -260,11 +264,11 @@ def refutes_constant(N: int, M: int, c, t) -> "tuple[bool, Fraction, Fraction]":
     Failure at c propagates to every c' <= c because c * Pr(> t/c) is
     nondecreasing in c.
     """
-    c = Fraction(c)
+    c, t = rat(c), rat(t)
     if c <= 0:
         raise ValueError("c must be positive")
     lhs = normalized_sum_tail(N, M, t)
-    rhs = extended_sum_tail(N, M, Fraction(t) / c)
+    rhs = extended_sum_tail(N, M, t / c)
     return lhs > c * rhs, lhs, rhs
 
 
@@ -283,30 +287,22 @@ def verify_counterexample(N: int, M: "int | None" = None,
         used_cap = cap if cap is not None else max(N ** 3, 100_000)
         M = find_M(N, used_cap)
         if M is None:
-            return CounterexampleReport(
-                N=N, M=None, found=False, cap=used_cap,
-                admissible_tail=None, p_centered=None,
-                bound_centered=1 - Fraction(1, N), centered_holds=None,
-                p_extended=None, bound_extended=Fraction(2, N),
-                extended_holds=None, refutation=None)
-    admissible = centered_sum_tail(N, M, Fraction(1, N))
-    p_cent = normalized_sum_tail(N, M, Fraction(1, 2))
+            return CounterexampleReport(N=N, cap=used_cap)
+    c_star, t = Fraction(N, 3), Fraction(1, 2)
+    # the refutation's lhs is Pr(|S_M| > 1/2), the centered tail itself
+    fails, p_cent, rhs = refutes_constant(N, M, c_star, t)
     p_ext = extended_sum_tail(N, M, Fraction(3, N))
-    c_star = Fraction(N, 3)
-    fails, lhs, rhs = refutes_constant(N, M, c_star, Fraction(1, 2))
     return CounterexampleReport(
         N=N, M=M, found=True, cap=used_cap,
-        admissible_tail=admissible,
+        admissible_tail=centered_sum_tail(N, M, Fraction(1, N)),
         p_centered=p_cent,
-        bound_centered=1 - Fraction(1, N),
         centered_holds=p_cent >= 1 - Fraction(1, N),
         p_extended=p_ext,
-        bound_extended=Fraction(2, N),
         extended_holds=p_ext <= Fraction(2, N),
         refutation={
             "c": c_star,
-            "t": Fraction(1, 2),
-            "lhs": lhs,
+            "t": t,
+            "lhs": p_cent,
             "rhs_prob": rhs,
             "rhs_total": c_star * rhs,
             "fails": fails,

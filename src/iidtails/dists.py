@@ -174,10 +174,6 @@ def delta(x: PointLike, dim: "int | None" = None) -> DiscreteDist:
     return DiscreteDist({as_point(x, dim): ONE})
 
 
-def zero_point(dim: int) -> "tuple[Fraction, ...]":
-    return (ZERO,) * dim
-
-
 # -- integer-lattice convolution kernel ------------------------------------
 #
 # A law is held as (atoms, den): atoms maps a packed lattice point to an int

@@ -50,6 +50,15 @@ class TestThresholdCandidates:
         assert got == sorted(got)
 
 
+class TestSweepCurves:
+    def test_constants_are_exact(self):
+        lhs, rhs = tail_curve(coin(), ABS), tail_curve(iid_sum(coin(), 2), ABS)
+        out = sweep_curves(lhs, rhs, "1/10", 3)
+        assert out == sweep_curves(lhs, rhs, F(1, 10), F(3))
+        assert (type(out.rhs), type(out.margin)) == (F, F)
+        assert (out.status, out.margin) == (VIOLATED, F(-19, 20))
+
+
 class TestTheorem1:
     def test_pinned_coin(self):
         r = check_theorem1(coin(), 1, 2)

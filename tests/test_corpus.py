@@ -129,6 +129,9 @@ class TestRunCorpus:
         with pytest.raises(ValueError):
             run_corpus(cfg, ["theorem1"],
                        overrides={"theorem1": {"c1": 0}})
+        with pytest.raises(ValueError, match="latala_sharp"):
+            run_corpus(cfg, ["latala_sharp"],
+                       overrides={"latala_sharp": {"c1": 1, "c2": 1}})
 
     def test_override_constants_are_exact(self):
         cfg = CorpusConfig(seed=1, count=1, max_k=2)

@@ -160,6 +160,12 @@ class TestNormalizedAndExtended:
         with pytest.raises(ValueError):
             extended_sum_tail(2, 8, F(-1, 2))
 
+    def test_rejects_bad_N(self):
+        with pytest.raises(ValueError):
+            normalized_sum_tail(1, 5, "1/2")
+        with pytest.raises(ValueError):
+            extended_sum_tail(1, 5, "1/2")
+
     def test_monotone_in_t(self):
         grid = [F(n, 6) for n in range(0, 14)]
         for fn in (normalized_sum_tail, extended_sum_tail):
@@ -167,8 +173,9 @@ class TestNormalizedAndExtended:
             assert all(a >= b for a, b in zip(vals, vals[1:]))
 
     def test_brute_force_small_case(self):
-        # M = 4 (not a cube): enumerate u = N*b - M and compare against
-        # float evaluation at safe distance from ties
+        # M = 4 (not a cube): enumerate the draws Y_1..Y_M (and Y_{M+1}
+        # for the extended sum) and compare against float evaluation at
+        # safe distance from ties
         import itertools
         N, M = 3, 4
         cbrt = M ** (1 / 3)
@@ -179,6 +186,14 @@ class TestNormalizedAndExtended:
                 u = sum(ys)
                 if abs(1 + u / M ** (2 / 3)) > float(t) + 1e-12:
                     total += F(1, N ** M)
+            assert exact == total
+            exact = extended_sum_tail(N, M, t)
+            total = F(0)
+            for ys in itertools.product((N - 1, -1, -1), repeat=M + 1):
+                u = sum(ys[:M])
+                s = 1 + u / M ** (2 / 3) + ys[M] + 1 / cbrt
+                if abs(s) > float(t) + 1e-12:
+                    total += F(1, N ** (M + 1))
             assert exact == total
 
 

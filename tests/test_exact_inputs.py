@@ -1,0 +1,87 @@
+"""Floats are rejected everywhere: every exact public entry point raises
+TypeError when a float stands where a rational is expected (`0.1` is not
+`1/10`).  The Monte Carlo module is the one place floats belong and is not
+listed here."""
+
+from fractions import Fraction as F
+
+import pytest
+
+from iidtails import (
+    DiscreteDist,
+    Norm,
+    affine,
+    cbrt_combo_sign,
+    centered_sum_tail,
+    check_corollary3,
+    check_corollary4,
+    check_corollary5,
+    check_corollary6,
+    check_lemma2,
+    check_levy_ottaviani,
+    check_theorem1,
+    classify_case,
+    concentration_set,
+    delta,
+    extended_sum_tail,
+    first_exceedance_probs,
+    has_concentration_point,
+    normalized_sum_tail,
+    path_max_tail,
+    ratio_objective,
+    ratio_objective_witness,
+    refutes_constant,
+    sweep_curves,
+    tail,
+    tail_curve,
+    weighted_iid_sum,
+    window_mass,
+)
+from oracles import coin
+
+X = coin()
+CURVE = tail_curve(X, Norm.ABS1D)
+
+FLOAT_CALLS = {
+    "DiscreteDist.atom": lambda: DiscreteDist({0.5: F(1)}),
+    "DiscreteDist.mass": lambda: DiscreteDist({0: 1.0}),
+    "delta": lambda: delta(0.5),
+    "affine.scale": lambda: affine(X, 0.5),
+    "affine.shift": lambda: affine(X, 1, 0.5),
+    "tail": lambda: tail(X, Norm.ABS1D, 0.5),
+    "path_max_tail": lambda: path_max_tail(X, 2, Norm.ABS1D, 0.5),
+    "first_exceedance_probs":
+        lambda: first_exceedance_probs(X, 2, Norm.ABS1D, 0.5),
+    "weighted_iid_sum": lambda: weighted_iid_sum(X, [0.5]),
+    "check_theorem1.c1": lambda: check_theorem1(X, 1, 2, c1=0.5),
+    "check_theorem1.c2": lambda: check_theorem1(X, 1, 2, c2=0.5),
+    "check_levy_ottaviani": lambda: check_levy_ottaviani(X, 2, c1=0.5),
+    "check_corollary4": lambda: check_corollary4(X, 2, c2=0.5),
+    "check_corollary5": lambda: check_corollary5(X, [0.5]),
+    "check_corollary6": lambda: check_corollary6(X, 2, 1, c1=0.5),
+    "sweep_curves.factor": lambda: sweep_curves(CURVE, CURVE, 0.5, 1),
+    "sweep_curves.scale": lambda: sweep_curves(CURVE, CURVE, 1, 0.5),
+    "check_lemma2": lambda: check_lemma2(X, X, 0.5),
+    "check_corollary3": lambda: check_corollary3(X, 3, 0.5),
+    "classify_case": lambda: classify_case(X, 1, 2, 0.5),
+    "concentration_set": lambda: concentration_set(X, 0.5),
+    "has_concentration_point": lambda: has_concentration_point(X, 0.5),
+    "window_mass.x": lambda: window_mass(X, 0.5, 1),
+    "window_mass.t": lambda: window_mass(X, 0, 0.5),
+    "ratio_objective": lambda: ratio_objective(X, 1, 2, 0.5),
+    "ratio_objective_witness": lambda: ratio_objective_witness(X, 1, 2, 0.5),
+    "cbrt_combo_sign.a": lambda: cbrt_combo_sign(0.5, 0, 0, 2),
+    "cbrt_combo_sign.b": lambda: cbrt_combo_sign(0, 0.5, 0, 2),
+    "cbrt_combo_sign.c": lambda: cbrt_combo_sign(0, 0, 0.5, 2),
+    "centered_sum_tail": lambda: centered_sum_tail(2, 8, 0.5),
+    "normalized_sum_tail": lambda: normalized_sum_tail(2, 8, 0.5),
+    "extended_sum_tail": lambda: extended_sum_tail(2, 8, 0.5),
+    "refutes_constant.c": lambda: refutes_constant(2, 8, 0.5, F(1, 2)),
+    "refutes_constant.t": lambda: refutes_constant(2, 8, 1, 0.5),
+}
+
+
+@pytest.mark.parametrize("call", FLOAT_CALLS.values(), ids=FLOAT_CALLS)
+def test_float_is_refused(call):
+    with pytest.raises(TypeError, match="float"):
+        call()
