@@ -7,8 +7,8 @@ Every sweep claim here decides a statement of the form
 for all t > 0 (with > replaced by >= in weak mode on either side), with L
 and R taken from S_j, the running maximum max_{i<=k} S_i, the weighted sum
 sum_i alpha_i X_i and the envelope max_{i<=k} Pr(||S_i|| > .).  Both sides
-are step functions, so evaluating them at a finite set of critical
-thresholds is exhaustive; no sampling or rounding is involved anywhere.
+are step functions, so reading both at a finite set of thresholds in one
+integer walk (_walk) is exhaustive; nothing is sampled or rounded anywhere.
 
 CLAIMS is the one table of claims.  The corpus, the CLI, mc_check and the
 extremal search read it, and the check_* functions are thin wrappers over
@@ -22,7 +22,7 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import Callable
 
-from .concentration import check_corollary3, check_lemma2
+from .concentration import _corollary3, check_lemma2
 from .dists import (
     DEFAULT_SUPPORT_CAP,
     DiscreteDist,
@@ -38,42 +38,61 @@ from .dists import (
 )
 from .reports import HOLDS, InequalityReport, VIOLATED
 
-ZERO = Fraction(0)
 ONE = Fraction(1)
 
 
+def _thresholds(jumps: "list[int]", one: int, mixed: bool) -> "list[int]":
+    """The candidate rule, a threshold in every constancy region of two step
+    functions with these distinct positive jumps (ascending even ints; 1 is
+    `one`): half the first, each jump, twice the last and, when modes mix,
+    the midpoints, where left and right continuous steps pair anew."""
+    if not jumps:
+        return [one]
+    out = [jumps[0] // 2]
+    for a, b in zip(jumps, jumps[1:]):
+        out += (a, (a + b) // 2) if mixed else (a,)
+    return out + [jumps[-1], 2 * jumps[-1]]
+
+
 def threshold_candidates(jumps, mixed_modes: bool = False) -> "list[Fraction]":
-    """Finite set of thresholds covering every constancy region.
-
-    jumps: all gauge values (from both sides, already in a common space)
-    where either step function can change.  Returns each positive jump, a
-    point below the first, a point beyond the last, and, when the two sides
-    use different modes, the midpoints of consecutive jumps (a left
-    continuous and a right continuous step function realize a new value pair
-    strictly between jumps).
-    """
-    pos = sorted({q for q in jumps if q > 0})
-    if not pos:
-        return [ONE]
-    cands = [pos[0] / 2]
-    cands.extend(pos)
-    cands.append(pos[-1] * 2)
-    if mixed_modes:
-        cands.extend((a + b) / 2 for a, b in zip(pos, pos[1:]))
-        cands.sort()
-    return cands
+    """The candidate rule at rational jumps (gauge values of both sides)."""
+    jumps = [rat(q) for q in jumps]
+    unit = 2 * math.lcm(*(q.denominator for q in jumps))
+    xs = sorted({q.numerator * unit // q.denominator for q in jumps if q > 0})
+    return [Fraction(x, unit) for x in _thresholds(xs, unit, mixed_modes)]
 
 
-def _candidates(lhs_curve: TailCurve, rhs_curve: TailCurve, scale: Fraction,
-                mixed_modes: bool) -> "tuple[list[Fraction], Fraction]":
-    """(gauge-space candidate thresholds, scale in gauge space) for
-    comparing lhs(t) with rhs(t / scale)."""
-    if lhs_curve.norm is not rhs_curve.norm:
+def _walk(sides, grid: bool = True):
+    """The one comparison of step curves: sweep_curves, least_c1 and
+    upper_envelope read each (curve, scale, mode) side at t / scale in its
+    mode, at ascending gauge thresholds x / unit, one pointer per curve and
+    only ints.  With grid the candidate rule picks the x, on a unit doubled
+    to keep them integral; without it every critical is one.  Returns
+    (unit, dens, reads of (x, a tail numerator over dens[i] per side))."""
+    if any(c.norm is not sides[0][0].norm for c, _, _ in sides):
         raise ValueError("curves use different norms")
-    scale_g = scale ** lhs_curve.norm.scale_exponent
-    jumps = set(lhs_curve.criticals)
-    jumps.update(r * scale_g for r in rhs_curve.criticals)
-    return threshold_candidates(jumps, mixed_modes), scale_g
+    sides = [(c, s ** c.norm.scale_exponent, _check_mode(m))
+             for c, s, m in sides]
+    unit = (1 + grid) * math.lcm(*{q.denominator * s.denominator
+                                   for c, s, _ in sides for q in c.criticals})
+    cs = [[q.numerator * s.numerator * unit // q.denominator // s.denominator
+           for q in c.criticals] for c, s, _ in sides]
+    dens = [math.lcm(*(v.denominator for v in c.values)) for c, _, _ in sides]
+    xs = sorted(set().union(*cs))
+    if grid:
+        xs = _thresholds([x for x in xs if x > 0], unit,
+                         len({mode for _, _, mode in sides}) > 1)
+
+    def column(crits, side, den):
+        # a weak tail Pr(g >= q) passes the criticals c < q, c <= q - 1
+        i, weak = 0, side[2] != STRICT
+        vals = [den] + [v.numerator * den // v.denominator
+                        for v in side[0].values]
+        for x in xs:
+            while i < len(crits) and crits[i] <= x - weak:
+                i += 1
+            yield vals[i]
+    return unit, dens, zip(xs, *map(column, cs, sides, dens))
 
 
 @dataclass(frozen=True)
@@ -97,33 +116,19 @@ def sweep_curves(lhs_curve: TailCurve, rhs_curve: TailCurve, factor: Fraction,
     radius space; in gauge space (euclidean) it acts squared.
     """
     rhs_mode = lhs_mode if rhs_mode is None else rhs_mode
-    _check_mode(lhs_mode)
-    _check_mode(rhs_mode)
-    factor, scale = rat(factor), rat(scale)
-    qs, scale_g = _candidates(lhs_curve, rhs_curve, scale,
-                              lhs_mode != rhs_mode)
-
-    # Track the worst margin only where lhs > 0: a candidate with lhs = 0
-    # can never violate, and past both supports every comparison degenerates
-    # to 0 <= 0, which would mask the real worst case.
-    worst = None  # (margin, q, lhs, rhs)
-    idle = None   # fallback when lhs is identically zero
-    max_lhs = ZERO
-    for q in qs:
-        lv = lhs_curve.at_gauge(q, lhs_mode)
-        rv = factor * rhs_curve.at_gauge(q / scale_g, rhs_mode)
-        margin = rv - lv
-        if lv > max_lhs:
-            max_lhs = lv
-        if lv == 0:
-            if idle is None:
-                idle = (margin, q, lv, rv)
-            continue
-        if worst is None or margin < worst[0]:
-            worst = (margin, q, lv, rv)
-    margin, q, lv, rv = worst if worst is not None else idle
-    status = VIOLATED if margin < 0 else HOLDS
-    return SweepOutcome(status, q, lv, rv, margin, max_lhs)
+    factor = rat(factor)
+    unit, (dl, dr), reads = _walk([(lhs_curve, ONE, lhs_mode),
+                                   (rhs_curve, rat(scale), rhs_mode)])
+    # margin = factor * rhs - lhs is kr * nr - kl * nl over fd * dl * dr
+    kr, kl = factor.numerator * dl, factor.denominator * dr
+    reads = [(kr * nr - kl * nl, x, nl, nr) for x, nl, nr in reads]
+    # Only lhs > 0 can violate, and past both supports 0 <= 0 would mask the
+    # worst case; ties go to the least x.  lhs is nonincreasing: the first
+    # read holds its largest value, the outcome when lhs is identically 0.
+    margin, x, nl, nr = min((r for r in reads if r[2]), default=reads[0])
+    lv, rv = Fraction(nl, dl), factor * Fraction(nr, dr)
+    return SweepOutcome(VIOLATED if margin < 0 else HOLDS, Fraction(x, unit),
+                        lv, rv, rv - lv, Fraction(reads[0][2], dl))
 
 
 def least_c1(lhs_curve: TailCurve, rhs_curve: TailCurve, factor: Fraction,
@@ -135,20 +140,18 @@ def least_c1(lhs_curve: TailCurve, rhs_curve: TailCurve, factor: Fraction,
     identically zero, or math.inf at the first threshold where lhs > 0 and
     rhs = 0.
     """
-    qs, scale_g = _candidates(lhs_curve, rhs_curve, scale, False)
-    best = ZERO
-    best_q = None
-    for q in qs:
-        num = lhs_curve.at_gauge(q, STRICT)
-        if num == 0:
-            continue
-        den = rhs_curve.at_gauge(q / scale_g, STRICT)
-        if den == 0:
-            return math.inf, q
-        r = num / den
-        if r > best:
-            best, best_q = r, q
-    return best / factor, best_q
+    unit, (dl, dr), reads = _walk([(lhs_curve, ONE, STRICT),
+                                   (rhs_curve, rat(scale), STRICT)])
+    bl, br, bx = 0, 1, None  # lhs, rhs numerators at the largest ratio
+    for x, nl, nr in reads:
+        if not nl:
+            break  # lhs is nonincreasing: zero from here on
+        if not nr:
+            return math.inf, Fraction(x, unit)
+        if nl * br > bl * nr:
+            bl, br, bx = nl, nr, x
+    return (Fraction(bl * dr, br * dl) / factor,
+            None if bx is None else Fraction(bx, unit))
 
 
 def _report(claim_id: str, params: dict, outcome: SweepOutcome,
@@ -187,14 +190,11 @@ def upper_envelope(curves: "list[TailCurve]") -> TailCurve:
     """
     if not curves:
         raise ValueError("need at least one curve")
-    norm = curves[0].norm
-    if any(c.norm is not norm for c in curves):
-        raise ValueError("curves use different norms")
-    crits = sorted({q for c in curves for q in c.criticals})
-    values = tuple(
-        max(c.at_gauge(q, STRICT) for c in curves) for q in crits
-    )
-    return TailCurve(norm, tuple(crits), values)
+    unit, dens, reads = _walk([(c, ONE, STRICT) for c in curves], grid=False)
+    den = math.lcm(*dens)  # each critical and the largest tail there
+    return TailCurve(curves[0].norm, *zip(*((Fraction(x, unit), Fraction(
+        max(n * den // d for n, d in zip(nums, dens)), den))
+        for x, *nums in reads)))
 
 
 # --- the claim table -------------------------------------------------------
@@ -236,7 +236,7 @@ class ClaimSpec:
     check reads (j, k, alphas, t); defaults: values for those not given;
     order: the rule j and k obey.  fixed constants belong to the statement.
     shapes: other claims' shapes checked at this claim's own constant
-    pairs.  evaluate: a checker that replaces the sweep.
+    pairs.  evaluate(curves, given): a checker that replaces the sweep.
     """
 
     claim_id: str
@@ -274,11 +274,11 @@ CLAIMS = {spec.claim_id: spec for spec in (
     ClaimSpec("corollary6", SUM, SUM, (Fraction(6), Fraction(20)),
               ("j", "k"), K_LE_J, {"j": 2, "k": 1},
               factor=_times_j_over_k, scale=_times_j_over_k),
-    ClaimSpec("lemma2", takes=("t",), evaluate=lambda X, given, cap:
-              check_lemma2(X, given.get("y", X), given["t"], cap)),
+    ClaimSpec("lemma2", takes=("t",), evaluate=lambda c, given:
+              check_lemma2(c.dist, given.get("y", c.dist), given["t"], c.cap)),
     ClaimSpec("corollary3", takes=("k", "t"), defaults={"k": 3},
-              evaluate=lambda X, given, cap:
-              check_corollary3(X, given["k"], given["t"], cap)),
+              evaluate=lambda c, given:
+              _corollary3(c._partial_sums(given["k"]), given["t"])),
 )}
 
 ALIASES = {"levy": "levy_ottaviani", "latala": "latala_sharp"}
@@ -334,19 +334,34 @@ class Curves:
         self._sums = self.walk.sums()
         self._laws = []               # S_i reached, None once curved
         self._curves = {}
+        self._dists = []              # S_1.. as DiscreteDists, when asked
         self._max_laws = _running_max_laws(dist, norm, cap)
         self._max_curves = []
 
     def curve(self, i: int) -> TailCurve:
         if i not in self._curves:
-            if not 1 <= i <= self.walk.n:
-                raise ValueError(f"S_{i} is not among S_1..S_{self.walk.n}, "
-                                 "the sums these curves are packed for")
-            while len(self._laws) < i:
-                self._laws.append(next(self._sums))
-            self._curves[i] = self.walk.curve(self.norm, self._laws[i - 1])
+            self._curves[i] = self.walk.curve(self.norm, self._law(i))
             self._laws[i - 1] = None
         return self._curves[i]
+
+    def _law(self, i: int):
+        if not 1 <= i <= self.walk.n:
+            raise ValueError(f"S_{i} is not among S_1..S_{self.walk.n}, "
+                             "the sums these curves are packed for")
+        while len(self._laws) < i:
+            self._laws.append(next(self._sums))
+        return self._laws[i - 1]
+
+    def _partial_sums(self, k: int) -> "list[DiscreteDist]":
+        """The laws of S_1..S_k, built once: from this walk, or from one of
+        their own once a curve has dropped a lattice law they need."""
+        if len(self._dists) < k:
+            walk, laws = self.walk, [self._law(i) for i in range(1, k + 1)]
+            if not all(laws):
+                walk = _Walk([self.dist], k, self.cap)
+                laws = walk.sums()
+            self._dists = [walk.dist(law) for law in laws]
+        return self._dists[:k]
 
     def sides(self, shape: ClaimSpec, idx: dict):
         """(lhs, rhs) curves of a sweep claim at validated indices."""
@@ -371,7 +386,7 @@ def shape_reports(spec: ClaimSpec, shape: ClaimSpec, curves: Curves,
     """Reports of spec checked in shape's form at one index choice and one
     constant pair, one per (lhs mode, rhs mode) pair."""
     if shape.evaluate is not None:
-        yield shape.evaluate(curves.dist, given, curves.cap)
+        yield shape.evaluate(curves, given)
         return
     idx = _indices(shape, given)
     lhs, rhs = curves.sides(shape, idx)

@@ -189,8 +189,13 @@ def check_corollary3(X: DiscreteDist, k: int, t,
     """
     tt = rat(t)
     walk = _Walk([X], k, cap)
-    csets = {i: concentration_set(walk.dist(law), tt)
-             for i, law in enumerate(walk.sums(), 1)}
+    return _corollary3([walk.dist(law) for law in walk.sums()], tt)
+
+
+def _corollary3(sums: "list[DiscreteDist]", t) -> InequalityReport:
+    """check_corollary3 on the laws of S_1..S_k, already built."""
+    tt, k = rat(t), len(sums)
+    csets = {i: concentration_set(s, tt) for i, s in enumerate(sums, 1)}
     params = {"k": k, "t": tt}
     empty = [i for i in csets if csets[i].is_empty]
     if empty:

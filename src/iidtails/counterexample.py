@@ -21,7 +21,8 @@ Sign rule used throughout: for rational a, b, c and M not a perfect cube,
 after clearing denominators to integers (A, B, C).  The right side is the
 field norm of the left, and the two complex conjugate factors have positive
 product, so the signs agree; for perfect cubes M^(1/3) is an integer and the
-expression is evaluated directly.
+expression is evaluated directly.  A tail takes M's cube root and clears its
+threshold's denominator once, so the rule runs on ints for every term.
 """
 
 from __future__ import annotations
@@ -61,28 +62,35 @@ def icbrt(n: int) -> int:
     return x
 
 
+def _sign_rule(M: int):
+    """The sign rule for one M >= 1, with M's cube root taken once:
+    sign(A + B*M^(1/3) + C*M^(2/3)) for ints A, B, C."""
+    if M < 1:
+        raise ValueError("M must be >= 1")
+    r = icbrt(M)
+    if r * r * r == M:
+        return lambda A, B, C: _sign(A + B * r + C * r * r)
+    # the field norm, 0 only when A = B = C = 0
+    return lambda A, B, C: _sign(A ** 3 + B ** 3 * M + C ** 3 * M * M
+                                 - 3 * A * B * C * M)
+
+
+def _sign(v: int) -> int:
+    return (v > 0) - (v < 0)
+
+
 def cbrt_combo_sign(a, b, c, M: int) -> int:
     """Sign of a + b*M^(1/3) + c*M^(2/3) for rational a, b, c and M >= 1."""
     a, b, c = rat(a), rat(b), rat(c)
-    if M < 1:
-        raise ValueError("M must be >= 1")
     den = lcm(a.denominator, b.denominator, c.denominator)
-    A, B, C = (x.numerator * (den // x.denominator) for x in (a, b, c))
-    r = icbrt(M)
-    if r * r * r == M:
-        val = A + B * r + C * r * r
-        return (val > 0) - (val < 0)
-    if A == 0 and B == 0 and C == 0:
-        return 0
-    norm = A ** 3 + B ** 3 * M + C ** 3 * M * M - 3 * A * B * C * M
-    return (norm > 0) - (norm < 0)
+    return _sign_rule(M)(*(x.numerator * (den // x.denominator)
+                           for x in (a, b, c)))
 
 
-def _abs_combo_gt(a, b, c, ta, tb, tc, M: int) -> bool:
-    """|a + b*M^(1/3) + c*M^(2/3)| > ta + tb*M^(1/3) + tc*M^(2/3),
-    assuming the right side is nonnegative."""
-    return (cbrt_combo_sign(a - ta, b - tb, c - tc, M) > 0
-            or cbrt_combo_sign(a + ta, b + tb, c + tc, M) < 0)
+def _abs_gt(sign, a: int, b: int, c: int, p: int) -> bool:
+    """|a + b*M^(1/3) + c*M^(2/3)| > p*M^(2/3) for p >= 0, where sign is
+    the sign rule of M."""
+    return sign(a, b, c - p) > 0 or sign(a, b, c + p) < 0
 
 
 def _pmf_numerators(N: int, M: int):
@@ -244,18 +252,20 @@ class CounterexampleReport:
 
 def normalized_sum_tail(N: int, M: int, t) -> Fraction:
     """Exact Pr(|S_M| > t) with S_M = 1 + (N*B - M)*M^(-2/3)."""
-    t = _threshold(t)
-    # M^(2/3) * S_M = u + M^(2/3); threshold scales the same way
-    return _tail(N, M, lambda u: _abs_combo_gt(u, 0, 1, 0, 0, t, M))
+    t, sign = _threshold(t), _sign_rule(M)
+    p, q = t.numerator, t.denominator
+    # q*M^(2/3)*S_M = q*u + q*M^(2/3); the threshold scales the same way
+    return _tail(N, M, lambda u: _abs_gt(sign, q * u, 0, q, p))
 
 
 def extended_sum_tail(N: int, M: int, t) -> Fraction:
     """Exact Pr(|S_M + X_{M+1}| > t) with X_{M+1} = Y_{M+1} + M^(-1/3)."""
-    t = _threshold(t)
-    # M^(2/3)*(S_M + X_{M+1}) = u + M^(1/3) + (1 + y)*M^(2/3): y = N-1 in
-    # one draw out of N, y = -1 in the other N-1
-    return _tail(N, M, lambda u: _abs_combo_gt(u, 1, N, 0, 0, t, M)
-                 + (N - 1) * _abs_combo_gt(u, 1, 0, 0, 0, t, M), per=N)
+    t, sign = _threshold(t), _sign_rule(M)
+    p, q = t.numerator, t.denominator
+    # q*M^(2/3)*(S_M + X_{M+1}) = q*u + q*M^(1/3) + q*(1 + y)*M^(2/3):
+    # y = N-1 in one draw out of N, y = -1 in the other N-1
+    return _tail(N, M, lambda u: _abs_gt(sign, q * u, q, q * N, p)
+                 + (N - 1) * _abs_gt(sign, q * u, q, 0, p), per=N)
 
 
 def refutes_constant(N: int, M: int, c, t) -> "tuple[bool, Fraction, Fraction]":

@@ -13,7 +13,6 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 import numpy as np
-from scipy.stats import beta as _beta
 
 from .checks import CLAIMS, MAX, SUM, WEIGHTED, require_indices
 from .dists import Norm
@@ -128,6 +127,8 @@ class TailEstimate:
 
 def clopper_pearson(count: int, n: int, delta: float) -> "tuple[float, float]":
     """Exact binomial confidence interval at level 1 - delta."""
+    from scipy.stats import beta as _beta  # scipy loads only for an interval
+
     if not 0 <= count <= n:
         raise ValueError("need 0 <= count <= n")
     if n == 0:

@@ -20,7 +20,6 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 import numpy as np
-from scipy.optimize import minimize
 
 from .checks import (CLAIMS, ONE, Curves, _horizon, least_c1,
                      require_indices)
@@ -188,6 +187,8 @@ def search(space: SearchSpace, budget: int = 10_000, restarts: int = 8,
     SoundnessViolation if the final exact ratio contradicts a known bound
     for the requested c2 (that would be a bug, not a result).
     """
+    from scipy.optimize import minimize  # scipy loads only for a search
+
     if budget < 1:
         raise ValueError("budget must be positive")
     restarts = max(1, restarts)

@@ -10,20 +10,28 @@ its differential reference: same fold, same atom order, same cap point.
 ``absorbing_path_dp`` is the single-threshold running-max DP that
 ``iidtails.dists`` replaced with its (sum, running max) pass; its states are
 only the sums still inside the threshold, so it checks that pass from a
-different state space.
+different state space.  ``fraction_sweep_curves``, ``fraction_least_c1``
+and ``fraction_upper_envelope`` are the Fraction sweep the integer walk of
+``iidtails.checks`` replaced: a sorted set of candidate thresholds, each
+curve bisected there through ``TailCurve.at_gauge``.
 """
 
+import math
 from fractions import Fraction
 from itertools import product
 
+from iidtails.checks import SweepOutcome
 from iidtails.dists import (
     DEFAULT_SUPPORT_CAP,
+    STRICT,
     DiscreteDist,
     Norm,
     SupportCapExceeded,
+    TailCurve,
     affine,
     as_point,
 )
+from iidtails.reports import HOLDS, VIOLATED
 
 ZERO = Fraction(0)
 
@@ -241,3 +249,79 @@ def no_admissible_M_bound(N: int, M_lo: int, M_hi: int):
         if lhs * worst_den > worst_num * rhs:
             worst_num, worst_den = lhs, rhs
     return uncertified, Fraction(worst_num, worst_den)
+
+
+def fraction_threshold_candidates(jumps, mixed_modes=False):
+    pos = sorted({q for q in jumps if q > 0})
+    if not pos:
+        return [Fraction(1)]
+    cands = [pos[0] / 2]
+    cands.extend(pos)
+    cands.append(pos[-1] * 2)
+    if mixed_modes:
+        cands.extend((a + b) / 2 for a, b in zip(pos, pos[1:]))
+        cands.sort()
+    return cands
+
+
+def _fraction_candidates(lhs_curve, rhs_curve, scale, mixed_modes):
+    if lhs_curve.norm is not rhs_curve.norm:
+        raise ValueError("curves use different norms")
+    scale_g = scale ** lhs_curve.norm.scale_exponent
+    jumps = set(lhs_curve.criticals)
+    jumps.update(r * scale_g for r in rhs_curve.criticals)
+    return fraction_threshold_candidates(jumps, mixed_modes), scale_g
+
+
+def fraction_sweep_curves(lhs_curve, rhs_curve, factor, scale,
+                          lhs_mode=STRICT, rhs_mode=None) -> SweepOutcome:
+    rhs_mode = lhs_mode if rhs_mode is None else rhs_mode
+    factor, scale = Fraction(factor), Fraction(scale)
+    qs, scale_g = _fraction_candidates(lhs_curve, rhs_curve, scale,
+                                       lhs_mode != rhs_mode)
+    worst = None  # (margin, q, lhs, rhs) where lhs > 0
+    idle = None   # fallback when lhs is identically zero
+    max_lhs = ZERO
+    for q in qs:
+        lv = lhs_curve.at_gauge(q, lhs_mode)
+        rv = factor * rhs_curve.at_gauge(q / scale_g, rhs_mode)
+        margin = rv - lv
+        if lv > max_lhs:
+            max_lhs = lv
+        if lv == 0:
+            if idle is None:
+                idle = (margin, q, lv, rv)
+            continue
+        if worst is None or margin < worst[0]:
+            worst = (margin, q, lv, rv)
+    margin, q, lv, rv = worst if worst is not None else idle
+    status = VIOLATED if margin < 0 else HOLDS
+    return SweepOutcome(status, q, lv, rv, margin, max_lhs)
+
+
+def fraction_least_c1(lhs_curve, rhs_curve, factor, scale):
+    qs, scale_g = _fraction_candidates(lhs_curve, rhs_curve, scale, False)
+    best = ZERO
+    best_q = None
+    for q in qs:
+        num = lhs_curve.at_gauge(q, STRICT)
+        if num == 0:
+            continue
+        den = rhs_curve.at_gauge(q / scale_g, STRICT)
+        if den == 0:
+            return math.inf, q
+        r = num / den
+        if r > best:
+            best, best_q = r, q
+    return best / factor, best_q
+
+
+def fraction_upper_envelope(curves) -> TailCurve:
+    norm = curves[0].norm
+    if any(c.norm is not norm for c in curves):
+        raise ValueError("curves use different norms")
+    crits = sorted({q for c in curves for q in c.criticals})
+    values = tuple(
+        max(c.at_gauge(q, STRICT) for c in curves) for q in crits
+    )
+    return TailCurve(norm, tuple(crits), values)

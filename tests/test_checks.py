@@ -1,3 +1,4 @@
+import math
 import random
 import re
 from fractions import Fraction as F
@@ -15,6 +16,7 @@ from iidtails.checks import (
     check_latala_sharp,
     check_levy_ottaviani,
     check_theorem1,
+    least_c1,
     sweep_curves,
     threshold_candidates,
     upper_envelope,
@@ -30,7 +32,14 @@ from iidtails.dists import (
     weighted_iid_sum,
 )
 from iidtails.reports import HOLDS, VIOLATED
-from oracles import coin, dist1d
+from oracles import (
+    coin,
+    dist1d,
+    fraction_least_c1,
+    fraction_sweep_curves,
+    fraction_threshold_candidates,
+    fraction_upper_envelope,
+)
 
 ABS = Norm.ABS1D
 RARE = dist1d([(0, F(99, 100)), (1, F(1, 100))])
@@ -345,3 +354,92 @@ def test_corollary4_never_violated_with_defaults(x, k):
 @settings(max_examples=40, deadline=None)
 def test_corollary5_never_violated_with_defaults(x, alphas):
     assert check_corollary5(x, alphas).status == HOLDS
+
+
+# --- the integer walk against the Fraction sweep it replaced ---------------
+
+NORMS_BY_DIM = {1: [Norm.ABS1D, Norm.SUP, Norm.EUCLIDEAN],
+                2: [Norm.SUP, Norm.EUCLIDEAN]}
+positive_rationals = st.builds(F, st.integers(1, 12), st.integers(1, 5))
+modes = st.sampled_from(["strict", "weak"])
+
+
+@st.composite
+def laws(draw, dim):
+    n = draw(st.integers(1, 3))
+    coord = st.builds(F, st.integers(-6, 6), st.integers(1, 3))
+    pts = draw(st.lists(st.tuples(*[coord] * dim), min_size=n, max_size=n,
+                        unique=True))
+    weights = draw(st.lists(st.integers(1, 4), min_size=n, max_size=n))
+    return DiscreteDist({pt: F(w, sum(weights))
+                         for pt, w in zip(pts, weights)})
+
+
+@st.composite
+def curve_lists(draw, size):
+    """Tail curves of S_i of up to two laws under one norm, dims 1-2."""
+    dim = draw(st.sampled_from([1, 2]))
+    norm = draw(st.sampled_from(NORMS_BY_DIM[dim]))
+    xs = [draw(laws(dim)), draw(laws(dim))]
+    return [tail_curve(iid_sum(xs[draw(st.integers(0, 1))],
+                               draw(st.integers(1, 3))), norm)
+            for _ in range(draw(size))]
+
+
+@given(curve_lists(st.just(2)), positive_rationals, positive_rationals,
+       modes, modes)
+@settings(max_examples=300, deadline=None)
+def test_walk_matches_fraction_sweep(curves, factor, scale, lhs_mode,
+                                     rhs_mode):
+    """Strict, weak and mixed modes, rational factor and scale (below 1
+    and with non-unit denominators too): the whole SweepOutcome and the
+    least c1 are those of the Fraction sweep."""
+    lhs, rhs = curves
+    assert sweep_curves(lhs, rhs, factor, scale, lhs_mode, rhs_mode) == \
+        fraction_sweep_curves(lhs, rhs, factor, scale, lhs_mode, rhs_mode)
+    assert least_c1(lhs, rhs, factor, scale) == \
+        fraction_least_c1(lhs, rhs, factor, scale)
+
+
+@given(curve_lists(st.integers(1, 4)))
+@settings(max_examples=150, deadline=None)
+def test_envelope_matches_fraction_envelope(curves):
+    assert upper_envelope(curves) == fraction_upper_envelope(curves)
+
+
+@given(st.lists(st.builds(F, st.integers(0, 40), st.integers(1, 6)),
+                max_size=6), st.booleans())
+@settings(max_examples=150, deadline=None)
+def test_threshold_candidates_match_fraction_rule(jumps, mixed):
+    assert threshold_candidates(jumps, mixed) == \
+        fraction_threshold_candidates(jumps, mixed)
+
+
+class TestWalkCases:
+    """The corner cases the differential test must not leave to chance."""
+
+    def test_lhs_identically_zero(self):
+        zero, rhs = tail_curve(delta(0), ABS), tail_curve(coin(), ABS)
+        assert least_c1(zero, rhs, F(1), F(1)) == (0, None) == \
+            fraction_least_c1(zero, rhs, F(1), F(1))
+        out = sweep_curves(zero, rhs, 1, 1, "weak", "strict")
+        assert out == fraction_sweep_curves(zero, rhs, 1, 1, "weak", "strict")
+        assert (out.status, out.max_lhs) == (HOLDS, 0)
+
+    def test_rhs_vanishes_first(self):
+        lhs, rhs = tail_curve(coin(-2, 2), ABS), tail_curve(coin(), ABS)
+        got = least_c1(lhs, rhs, F(1), F(1, 2))
+        assert got == fraction_least_c1(lhs, rhs, F(1), F(1, 2))
+        assert got == (math.inf, F(1, 2))
+
+    @pytest.mark.parametrize("scale", [F(3, 2), F(2, 3), F(5, 7)])
+    def test_euclidean_non_unit_scale(self, scale):
+        x = DiscreteDist({(F(1), F(-1, 2)): F(1, 3), (F(0), F(2)): F(2, 3)})
+        lhs = tail_curve(x, Norm.EUCLIDEAN)
+        rhs = tail_curve(iid_sum(x, 2), Norm.EUCLIDEAN)
+        for modes_ in (("strict", "strict"), ("weak", "strict"),
+                       ("strict", "weak")):
+            assert sweep_curves(lhs, rhs, F(3, 2), scale, *modes_) == \
+                fraction_sweep_curves(lhs, rhs, F(3, 2), scale, *modes_)
+        assert least_c1(lhs, rhs, F(1), scale) == \
+            fraction_least_c1(lhs, rhs, F(1), scale)

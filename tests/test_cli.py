@@ -438,3 +438,19 @@ class TestTopLevel:
 
     def test_unknown_subcommand_exit_two(self, capsys):
         assert main(["frobnicate"]) == 2
+
+
+def test_import_loads_no_scipy():
+    """verify and corpus never touch scipy, so importing the package and
+    its CLI must not load it; the search and Monte Carlo intervals import
+    it when they run."""
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(
+        filter(None, [str(SRC), env.get("PYTHONPATH")]))
+    code = ("import sys, iidtails, iidtails.cli; "
+            "print(sorted(m for m in sys.modules if m.split('.')[0] == "
+            "'scipy'))")
+    proc = subprocess.run([sys.executable, "-c", code], env=env,
+                          capture_output=True, text=True, timeout=120)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.strip() == "[]"

@@ -7,6 +7,9 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from iidtails.counterexample import (
+    _abs_gt,
+    _sign_rule,
+    _tail,
     cbrt_combo_sign,
     centered_sum_tail,
     extended_sum_tail,
@@ -138,6 +141,49 @@ class TestFindM:
             M = find_M(N, 5000)
             if M is not None:
                 assert centered_sum_tail(N, M, F(1, N)) <= F(1, N)
+
+
+class TestSignRulePerTail:
+    """The tails take M's cube root and t's denominator once and run the
+    sign rule on ints; it must agree with cbrt_combo_sign term by term."""
+
+    CUBES = (1, 8, 27, 64, 125, 4096)
+    NON_CUBES = (2, 7, 9, 26, 100, 4437)
+
+    @pytest.mark.parametrize("M", CUBES + NON_CUBES)
+    def test_int_rule_matches_cbrt_combo_sign(self, M):
+        rng = random.Random(M)
+        sign = _sign_rule(M)
+        for _ in range(300):
+            A, B, C = (rng.randint(-40, 40) for _ in range(3))
+            assert sign(A, B, C) == cbrt_combo_sign(A, B, C, M)
+            t = F(rng.randint(0, 30), rng.randint(1, 7))
+            c = rng.randint(-3, 3)
+            p, q = t.numerator, t.denominator
+            assert _abs_gt(sign, q * A, q * B, q * c, p) == (
+                cbrt_combo_sign(A, B, c - t, M) > 0
+                or cbrt_combo_sign(A, B, c + t, M) < 0)
+
+    @pytest.mark.parametrize("N, M", [(2, 8), (3, 27), (2, 9), (3, 26),
+                                      (4, 64), (5, 100)])
+    def test_tails_match_cbrt_combo_sign(self, N, M):
+        def gt(a, b, c, t):
+            return (cbrt_combo_sign(a, b, c - t, M) > 0
+                    or cbrt_combo_sign(a, b, c + t, M) < 0)
+
+        for t in (F(0), F(1, 2), F(3, N), F(7, 5), F(2)):
+            assert normalized_sum_tail(N, M, t) == \
+                _tail(N, M, lambda u: gt(u, 0, 1, t))
+            assert extended_sum_tail(N, M, t) == _tail(
+                N, M, lambda u: gt(u, 1, N, t) + (N - 1) * gt(u, 1, 0, t),
+                per=N)
+
+    def test_rejects_bad_M(self):
+        for M in (0, -8):
+            with pytest.raises(ValueError):
+                normalized_sum_tail(2, M, F(1, 2))
+            with pytest.raises(ValueError):
+                extended_sum_tail(2, M, F(1, 2))
 
 
 class TestNormalizedAndExtended:

@@ -114,6 +114,10 @@ GOLDEN = {
         "b7e5105e9558da61b60793c964878bcd2787968a615df35305cb378db82945c7",
     "counterexample:N4_cap64":
         "4bba3827ff236f8a72d4746ec1212c376e376accef2fa09ea2a64b9e6b9a3b62",
+    "sums:corollary3":
+        "7a13b21c6614c5304ca0321269a36499ba9c2daa54bd738791c03d1c4f199ce4",
+    "sums:theorem1,corollary3":
+        "f0070ac524064f768c9ad1d7c50e4b4e88a286fa557caf3401c05dcc18175eb5",
 }
 
 
@@ -140,6 +144,27 @@ def corpus_digests(workdir: Path, args=CORPUS_ARGS,
     doc = json.loads((workdir / "corpus.json").read_text())
     return {f"{prefix}.csv": _sha((workdir / "corpus.csv").read_bytes()),
             f"{prefix}.json": _sha(_canonical(doc["corpus"]))}
+
+
+def sums_corpus(claims: str) -> "tuple[str, int]":
+    """(digest of the report and rows, walks of S_1, S_2, ... built) of a
+    corpus of 30 one-dimensional instances at max_k 6 on the claims."""
+    from iidtails import dists
+    walks = []
+    build = dists._Walk.__init__
+
+    def counted(self, *args):
+        walks.append(self)
+        build(self, *args)
+
+    dists._Walk.__init__ = counted
+    try:
+        rep = run_corpus(CorpusConfig(seed=20260814, count=30, max_k=6),
+                         claims.split(","))
+    finally:
+        dists._Walk.__init__ = build
+    return (_sha(_canonical({"report": rep.to_jsonable(),
+                             "rows": rep.rows})), len(walks))
 
 
 def overrides_digest() -> str:
@@ -186,6 +211,8 @@ def all_digests(workdir: Path) -> dict:
         out[f"verify:{name}"] = verify_digest(files, flags, dims)
     for name, flags in COUNTEREXAMPLE_CASES:
         out[f"counterexample:{name}"] = counterexample_digest(flags)
+    for claims in ("corollary3", "theorem1,corollary3"):
+        out[f"sums:{claims}"] = sums_corpus(claims)[0]
     return out
 
 
@@ -216,6 +243,18 @@ def test_verify_reports(tmp_path, name, flags, dims):
                          ids=[case[0] for case in COUNTEREXAMPLE_CASES])
 def test_counterexample_reports(name, flags):
     assert counterexample_digest(flags) == GOLDEN[f"counterexample:{name}"]
+
+
+@pytest.mark.parametrize("claims, walks", [
+    ("corollary3", 30), ("theorem1,corollary3", 60)])
+def test_corollary3_reads_the_instance_sums(claims, walks):
+    """corollary3 reads S_1..S_k from the instance's walk: one walk per
+    instance, not one per threshold.  When theorem1's curves have already
+    dropped those lattice laws, one more walk per instance rebuilds them
+    once for all of its thresholds."""
+    digest, built = sums_corpus(claims)
+    assert digest == GOLDEN[f"sums:{claims}"]
+    assert built <= walks
 
 
 if __name__ == "__main__":
