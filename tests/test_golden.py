@@ -118,6 +118,8 @@ GOLDEN = {
         "7a13b21c6614c5304ca0321269a36499ba9c2daa54bd738791c03d1c4f199ce4",
     "sums:theorem1,corollary3":
         "f0070ac524064f768c9ad1d7c50e4b4e88a286fa557caf3401c05dcc18175eb5",
+    "sums:theorem1,lemma2,corollary3":
+        "0a2f96ef9f885920b5df7b490082bb90acadfae536ac5c04b5bb1852dc0c4c32",
 }
 
 
@@ -211,7 +213,8 @@ def all_digests(workdir: Path) -> dict:
         out[f"verify:{name}"] = verify_digest(files, flags, dims)
     for name, flags in COUNTEREXAMPLE_CASES:
         out[f"counterexample:{name}"] = counterexample_digest(flags)
-    for claims in ("corollary3", "theorem1,corollary3"):
+    for claims in ("corollary3", "theorem1,corollary3",
+                   "theorem1,lemma2,corollary3"):
         out[f"sums:{claims}"] = sums_corpus(claims)[0]
     return out
 
