@@ -22,7 +22,7 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import Callable
 
-from .concentration import _corollary3, check_lemma2
+from .concentration import _corollary3, _lemma2, check_lemma2
 from .dists import (
     DEFAULT_SUPPORT_CAP,
     DiscreteDist,
@@ -73,26 +73,25 @@ def _walk(sides, grid: bool = True):
         raise ValueError("curves use different norms")
     sides = [(c, s ** c.norm.scale_exponent, _check_mode(m))
              for c, s, m in sides]
-    unit = (1 + grid) * math.lcm(*{q.denominator * s.denominator
-                                   for c, s, _ in sides for q in c.criticals})
-    cs = [[q.numerator * s.numerator * unit // q.denominator // s.denominator
-           for q in c.criticals] for c, s, _ in sides]
-    dens = [math.lcm(*(v.denominator for v in c.values)) for c, _, _ in sides]
+    # a critical g / c.unit read at t / s is g * s over one common unit
+    unit = (1 + grid) * math.lcm(*{c.unit * s.denominator
+                                   for c, s, _ in sides})
+    cs = [[g * (s.numerator * unit // (c.unit * s.denominator))
+           for g in c.crits] for c, s, _ in sides]
     xs = sorted(set().union(*cs))
     if grid:
         xs = _thresholds([x for x in xs if x > 0], unit,
                          len({mode for _, _, mode in sides}) > 1)
 
-    def column(crits, side, den):
+    def column(crits, side):
         # a weak tail Pr(g >= q) passes the criticals c < q, c <= q - 1
         i, weak = 0, side[2] != STRICT
-        vals = [den] + [v.numerator * den // v.denominator
-                        for v in side[0].values]
+        vals = (side[0].den, *side[0].nums)
         for x in xs:
             while i < len(crits) and crits[i] <= x - weak:
                 i += 1
             yield vals[i]
-    return unit, dens, zip(xs, *map(column, cs, sides, dens))
+    return unit, [c.den for c, _, _ in sides], zip(xs, *map(column, cs, sides))
 
 
 @dataclass(frozen=True)
@@ -156,30 +155,16 @@ def least_c1(lhs_curve: TailCurve, rhs_curve: TailCurve, factor: Fraction,
 
 def _report(claim_id: str, params: dict, outcome: SweepOutcome,
             norm: Norm, note: "str | None" = None) -> InequalityReport:
-    witness = None
-    if outcome.status == VIOLATED:
-        witness = {
-            "t": outcome.worst_q,
-            "lhs": outcome.lhs,
-            "rhs": outcome.rhs,
-        }
+    notes = [note] if note is not None else []
     if outcome.max_lhs == 0:
-        idle_note = "lhs identically zero"
-        note = idle_note if note is None else f"{note}; {idle_note}"
+        notes.append("lhs identically zero")
     if norm.scale_exponent == 2:
-        space_note = "thresholds are squared radii (euclidean gauge)"
-        note = space_note if note is None else f"{note}; {space_note}"
-    return InequalityReport(
-        claim_id=claim_id,
-        params=params,
-        worst_t=outcome.worst_q,
-        lhs=outcome.lhs,
-        rhs=outcome.rhs,
-        margin=outcome.margin,
-        status=outcome.status,
-        witness=witness,
-        note=note,
-    )
+        notes.append("thresholds are squared radii (euclidean gauge)")
+    witness = {"t": outcome.worst_q, "lhs": outcome.lhs, "rhs": outcome.rhs} \
+        if outcome.status == VIOLATED else None
+    return InequalityReport(claim_id, params, outcome.worst_q, outcome.lhs,
+                            outcome.rhs, outcome.margin, outcome.status,
+                            witness, "; ".join(notes) if notes else None)
 
 
 def upper_envelope(curves: "list[TailCurve]") -> TailCurve:
@@ -191,10 +176,11 @@ def upper_envelope(curves: "list[TailCurve]") -> TailCurve:
     if not curves:
         raise ValueError("need at least one curve")
     unit, dens, reads = _walk([(c, ONE, STRICT) for c in curves], grid=False)
-    den = math.lcm(*dens)  # each critical and the largest tail there
-    return TailCurve(curves[0].norm, *zip(*((Fraction(x, unit), Fraction(
-        max(n * den // d for n, d in zip(nums, dens)), den))
-        for x, *nums in reads)))
+    den = math.lcm(*dens)
+    ups = [den // d for d in dens]  # each critical and the largest tail there
+    crits, nums = zip(*((x, max(n * u for n, u in zip(ns, ups)))
+                        for x, *ns in reads))
+    return TailCurve._of(curves[0].norm, unit, crits, den, nums)
 
 
 # --- the claim table -------------------------------------------------------
@@ -275,10 +261,12 @@ CLAIMS = {spec.claim_id: spec for spec in (
               ("j", "k"), K_LE_J, {"j": 2, "k": 1},
               factor=_times_j_over_k, scale=_times_j_over_k),
     ClaimSpec("lemma2", takes=("t",), evaluate=lambda c, given:
-              check_lemma2(c.dist, given.get("y", c.dist), given["t"], c.cap)),
-    ClaimSpec("corollary3", takes=("k", "t"), defaults={"k": 3},
-              evaluate=lambda c, given:
-              _corollary3(c._partial_sums(given["k"]), given["t"])),
+              check_lemma2(c.dist, given["y"], given["t"], c.cap)
+              if "y" in given else
+              _lemma2(c.walk, c._law(1), c._law(1), c._law(2), given["t"])),
+    ClaimSpec("corollary3", takes=("k", "t"), order=K_ONLY,
+              defaults={"k": 3}, evaluate=lambda c, given: _corollary3(
+                  c.walk, map(c._law, range(1, given["k"] + 1)), given["t"])),
 )}
 
 ALIASES = {"levy": "levy_ottaviani", "latala": "latala_sharp"}
@@ -319,49 +307,42 @@ def _indices(shape: ClaimSpec, given: dict) -> dict:
 
 
 class Curves:
-    """Tail curves of one law under one norm, each built once.  Each S_i
-    curve comes straight from the lattice law of one walk of S_1..S_horizon
-    (asking past it raises ValueError), kept only until its curve is built;
-    the running max's from one pass taken only as far as the largest
-    horizon asked for."""
+    """Tail curves of one law under one norm, each built once.  One walk
+    of S_1, S_2, ... goes as far as the largest of `reads`, the indices of
+    the S_i its checks read (_reads): the lattice laws of those S_i are
+    kept for the lifetime of the Curves, and every other law is dropped as
+    soon as the walk has passed it.  Asking for an S_i outside reads raises
+    ValueError.  The running max's curves come from one pass taken only as
+    far as the largest horizon asked for."""
 
-    def __init__(self, dist: DiscreteDist, norm: Norm, horizon: int,
+    def __init__(self, dist: DiscreteDist, norm: Norm, reads,
                  cap: int = DEFAULT_SUPPORT_CAP):
         self.dist = dist
         self.norm = norm
         self.cap = cap
-        self.walk = _Walk([dist], horizon, cap)
-        self._sums = self.walk.sums()
-        self._laws = []               # S_i reached, None once curved
+        self.reads = frozenset(reads)
+        self.walk = _Walk([dist], max(self.reads | {1}), cap)
+        self._sums = enumerate(self.walk.sums(), 1)
+        self._laws = {}               # lattice law of each S_i in reads
         self._curves = {}
-        self._dists = []              # S_1.. as DiscreteDists, when asked
         self._max_laws = _running_max_laws(dist, norm, cap)
         self._max_curves = []
+
+    def _law(self, i: int):
+        """The lattice law (atoms, den) of S_i on the walk's lattice."""
+        if i not in self.reads:
+            raise ValueError(f"S_{i} is not among {sorted(self.reads)}, "
+                             "the sums these curves read")
+        while i not in self._laws:
+            n, law = next(self._sums)
+            if n in self.reads:
+                self._laws[n] = law
+        return self._laws[i]
 
     def curve(self, i: int) -> TailCurve:
         if i not in self._curves:
             self._curves[i] = self.walk.curve(self.norm, self._law(i))
-            self._laws[i - 1] = None
         return self._curves[i]
-
-    def _law(self, i: int):
-        if not 1 <= i <= self.walk.n:
-            raise ValueError(f"S_{i} is not among S_1..S_{self.walk.n}, "
-                             "the sums these curves are packed for")
-        while len(self._laws) < i:
-            self._laws.append(next(self._sums))
-        return self._laws[i - 1]
-
-    def _partial_sums(self, k: int) -> "list[DiscreteDist]":
-        """The laws of S_1..S_k, built once: from this walk, or from one of
-        their own once a curve has dropped a lattice law they need."""
-        if len(self._dists) < k:
-            walk, laws = self.walk, [self._law(i) for i in range(1, k + 1)]
-            if not all(laws):
-                walk = _Walk([self.dist], k, self.cap)
-                laws = walk.sums()
-            self._dists = [walk.dist(law) for law in laws]
-        return self._dists[:k]
 
     def sides(self, shape: ClaimSpec, idx: dict):
         """(lhs, rhs) curves of a sweep claim at validated indices."""
@@ -386,6 +367,8 @@ def shape_reports(spec: ClaimSpec, shape: ClaimSpec, curves: Curves,
     """Reports of spec checked in shape's form at one index choice and one
     constant pair, one per (lhs mode, rhs mode) pair."""
     if shape.evaluate is not None:
+        if shape.order is not None:
+            require_indices(shape.order, given.get("j"), given["k"])
         yield shape.evaluate(curves, given)
         return
     idx = _indices(shape, given)
@@ -410,15 +393,25 @@ def claim_reports(spec: ClaimSpec, curves: Curves, given: dict, c1=None,
             for rep in shape_reports(spec, shape, curves, given, a, b, modes)]
 
 
-def _horizon(given: dict) -> int:
-    """The largest i of an S_i a check at these parameters can read."""
-    return max(1, given.get("j") or 1, given.get("k") or 1,
-               len(given.get("alphas") or ()))
+def _reads(shape: ClaimSpec, given: dict) -> "set[int]":
+    """The i of every S_i a check of this claim or shape reads at these
+    parameters: S_j and S_k for its SUM sides, S_1..S_k for an envelope and
+    for corollary3, S_1 and S_2 for lemma2 with Y = X."""
+    if shape.shapes:
+        return set().union(*(_reads(CLAIMS[name], given)
+                             for name, _ in shape.shapes))
+    if shape.claim_id == "lemma2":
+        return {1} if "y" in given else {1, 2}
+    k = len(given["alphas"]) if shape.lhs == WEIGHTED else given.get("k")
+    if shape.rhs == ENVELOPE or shape.claim_id == "corollary3":
+        return set(range(1, k + 1))
+    return {i for side, i in ((shape.lhs, given.get("j")), (shape.rhs, k))
+            if side == SUM}
 
 
 def _check(claim: str, X: DiscreteDist, given: dict, c1, c2, norm: Norm,
            lhs_mode: str, rhs_mode, cap: int) -> InequalityReport:
-    curves = Curves(X, norm, _horizon(given), cap)
+    curves = Curves(X, norm, _reads(CLAIMS[claim], given), cap)
     return claim_reports(CLAIMS[claim], curves, given, c1, c2, lhs_mode,
                          rhs_mode)[0]
 

@@ -160,14 +160,16 @@ def cmd_verify(args) -> int:
         if len(args.files) not in (1, 2):
             raise ValueError("lemma2 takes one file (Y = X) or two")
         laws = [_load(f, digests) for f in args.files]
-        given["y"] = laws[-1]
+        if len(laws) == 2:
+            given["y"] = laws[1]
         jobs = [(" + ".join(str(f) for f in args.files), laws[0])]
     else:
         jobs = [(str(f), _load(f, digests)) for f in args.files]
     reports = []
     for label, dist in jobs:
         norm = args.norm or (Norm.ABS1D if dist.dim == 1 else Norm.EUCLIDEAN)
-        curves = checks.Curves(dist, norm, checks._horizon(given), args.cap)
+        curves = checks.Curves(dist, norm, checks._reads(spec, given),
+                               args.cap)
         for rep in checks.claim_reports(spec, curves, given, args.c1,
                                         args.c2, args.lhs_mode,
                                         args.rhs_mode):

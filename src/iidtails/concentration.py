@@ -2,8 +2,10 @@
 
 A t-concentration point of X is an x with Pr(|X - x| <= t) > 2/3 (strictly).
 In dimension 1 the full set of such points is computed exactly as a finite
-union of closed intervals; in higher dimensions only atom-centered candidates
-are tested and results are flagged approximate.
+union of closed intervals, on ints, straight from a lattice law of the sum
+walk (dists._Walk): the checks read S_i there without decoding it into a
+DiscreteDist.  In higher dimensions only atom-centered candidates are tested
+and results are flagged approximate.
 """
 
 from __future__ import annotations
@@ -18,7 +20,6 @@ from .dists import (
     Norm,
     WEAK,
     _Walk,
-    convolve,
     rat,
 )
 from .reports import HOLDS, InequalityReport, VACUOUS, VIOLATED
@@ -64,54 +65,53 @@ class ConcentrationSet:
 def window_mass(X: DiscreteDist, x, t) -> Fraction:
     """Exact Pr(|X - x| <= t) for a 1-dimensional law."""
     xx, tt = rat(x), rat(t)
-    return sum(
-        (p for a, p in X.scalar_items() if abs(a - xx) <= tt),
-        ZERO,
-    )
+    return sum((p for a, p in X.scalar_items() if abs(a - xx) <= tt), ZERO)
 
 
 def concentration_set(X: DiscreteDist, t) -> ConcentrationSet:
-    """Exact set {x : Pr(|X - x| <= t) > 2/3} for a 1-dimensional law.
+    """Exact set {x : Pr(|X - x| <= t) > 2/3} for a 1-dimensional law: the
+    rule of _lattice_set on the one-term walk of X."""
+    walk = _Walk([X], 1, DEFAULT_SUPPORT_CAP)
+    return _lattice_set(walk, walk.last(), t)
+
+
+def _lattice_set(walk: _Walk, law, t) -> ConcentrationSet:
+    """The concentration set of a 1-D lattice law (atoms, den) of `walk`.
 
     The window mass x -> Pr(X in [x-t, x+t]) is an upper semicontinuous
-    step function whose only breakpoints are a - t and a + t over atoms a;
-    sweeping those breakpoints gives the mass at each breakpoint and on each
-    open gap, and the qualifying region merges into closed intervals.
+    step function whose only breakpoints are a - t and a + t over atoms a.
+    With a = v / scale and t = p / q these are v*q -+ p*scale over the unit
+    scale*q, and a window of mass m / den qualifies when 3*m > 2*den, so
+    one sweep of the breakpoints on ints gives the mass at each breakpoint
+    and on each open gap, and the closed intervals they make up.
     """
     tt = rat(t)
     if tt < 0:
         raise ValueError(f"t must be >= 0, got {tt}")
-    if X.dim != 1:
+    if walk.dim != 1:
         raise ValueError("concentration_set requires dimension 1")
-    starts: "dict[Fraction, Fraction]" = {}
-    ends: "dict[Fraction, Fraction]" = {}
-    for a, p in X.scalar_items():
-        starts[a - tt] = starts.get(a - tt, ZERO) + p
-        ends[a + tt] = ends.get(a + tt, ZERO) + p
-    points = sorted(set(starts) | set(ends))
-
-    # pieces: (point p, mass at p) and (open gap after p, mass there)
-    qualifying: "list[tuple[Fraction, Fraction]]" = []  # closed pieces to merge
-    started = ZERO
-    ended = ZERO
-    for i, p in enumerate(points):
-        started += starts.get(p, ZERO)
-        at_p = started - ended          # windows with start <= p <= end
-        ended += ends.get(p, ZERO)
-        open_after = started - ended    # windows spanning the gap after p
-        if at_p > TWO_THIRDS:
-            qualifying.append((p, p))
-        if i + 1 < len(points) and open_after > TWO_THIRDS:
-            # mass is upper semicontinuous, so both gap endpoints qualify
-            # too and the merge below closes the interval
-            qualifying.append((p, points[i + 1]))
-    merged: "list[list[Fraction]]" = []
-    for lo, hi in qualifying:
-        if merged and lo <= merged[-1][1]:
-            merged[-1][1] = max(merged[-1][1], hi)
-        else:
-            merged.append([lo, hi])
-    return ConcentrationSet(tuple((lo, hi) for lo, hi in merged))
+    atoms, den = law
+    q, reach = tt.denominator, tt.numerator * walk.scale
+    starts: "dict[int, int]" = {}
+    ends: "dict[int, int]" = {}
+    for v, m in atoms.items():
+        starts[v * q - reach] = starts.get(v * q - reach, 0) + m
+        ends[v * q + reach] = ends.get(v * q + reach, 0) + m
+    unit = walk.scale * q
+    intervals, lo = [], None    # lo: start of the interval being swept
+    started = ended = 0
+    for p in sorted(starts.keys() | ends.keys()):
+        started += starts.get(p, 0)
+        if lo is None and 3 * (started - ended) > 2 * den:
+            lo = p              # windows with start <= p <= end qualify
+        ended += ends.get(p, 0)
+        # mass is upper semicontinuous: a qualifying gap after p has
+        # qualifying endpoints, so the interval closes at the first p
+        # whose gap does not qualify
+        if lo is not None and 3 * (started - ended) <= 2 * den:
+            intervals.append((Fraction(lo, unit), Fraction(p, unit)))
+            lo = None
+    return ConcentrationSet(tuple(intervals))
 
 
 def has_concentration_point(X: DiscreteDist, t, norm: Norm = Norm.ABS1D):
@@ -124,9 +124,7 @@ def has_concentration_point(X: DiscreteDist, t, norm: Norm = Norm.ABS1D):
     tt = rat(t)
     if X.dim == 1:
         cs = concentration_set(X, tt)
-        if cs.is_empty:
-            return False, None, True
-        return True, cs.min, True
+        return (False, None, True) if cs.is_empty else (True, cs.min, True)
     tq = norm.to_gauge(tt)
     for center in X.support:
         mass = ZERO
@@ -147,33 +145,25 @@ def check_lemma2(X: DiscreteDist, Y: DiscreteDist, t,
     The maximum of the linear form over a product of interval unions is
     attained at interval endpoints, so the check is a finite maximization.
     """
+    if X.dim != Y.dim:
+        raise ValueError(f"dimension mismatch: {X.dim} vs {Y.dim}")
+    walk = _Walk([X, Y], 2, cap)
+    x, xy = walk.sums()
+    return _lemma2(walk, x, walk.terms[1], xy, t)
+
+
+def _lemma2(walk: _Walk, x, y, xy, t) -> InequalityReport:
+    """check_lemma2 on the lattice laws of X, Y and X + Y of one walk."""
     tt = rat(t)
-    cx = concentration_set(X, tt)
-    cy = concentration_set(Y, tt)
-    cz = concentration_set(convolve(X, Y, cap), tt)
-    params = {"t": tt}
-    if cx.is_empty or cy.is_empty or cz.is_empty:
-        empty = [name for name, c in (("X", cx), ("Y", cy), ("X+Y", cz))
-                 if c.is_empty]
-        return InequalityReport(
-            claim_id="lemma2", params=params, worst_t=tt,
-            lhs=None, rhs=None, margin=None, status=VACUOUS,
-            note=f"empty concentration set for {', '.join(empty)}",
-        )
-    hi = cx.max + cy.max - cz.min
-    lo = cx.min + cy.min - cz.max
-    attained = max(hi, -lo)
-    bound = 3 * tt
-    margin = bound - attained
-    status = HOLDS if margin >= 0 else VIOLATED
-    witness = None
-    if status == VIOLATED:
-        witness = {"attained": attained, "bound": bound}
-    return InequalityReport(
-        claim_id="lemma2", params=params, worst_t=tt,
-        lhs=attained, rhs=bound, margin=margin, status=status,
-        witness=witness,
-    )
+    sets = {name: _lattice_set(walk, law, tt)
+            for name, law in (("X", x), ("Y", y), ("X+Y", xy))}
+    empty = ", ".join(name for name, c in sets.items() if c.is_empty)
+    if empty:
+        return _report("lemma2", {"t": tt}, empty)
+    cx, cy, cz = sets.values()
+    attained = max(cx.max + cy.max - cz.min, cz.max - cx.min - cy.min)
+    return _report("lemma2", {"t": tt}, "", (attained, 3 * tt, {
+        "attained": attained, "bound": 3 * tt}))
 
 
 def check_corollary3(X: DiscreteDist, k: int, t,
@@ -187,56 +177,53 @@ def check_corollary3(X: DiscreteDist, k: int, t,
     independent endpoint pairs (any pair extends to a full selection) and
     for j = k forces s_j = s_k, making the refined bound 0 <= 0.
     """
-    tt = rat(t)
     walk = _Walk([X], k, cap)
-    return _corollary3([walk.dist(law) for law in walk.sums()], tt)
+    return _corollary3(walk, walk.sums(), t)
 
 
-def _corollary3(sums: "list[DiscreteDist]", t) -> InequalityReport:
-    """check_corollary3 on the laws of S_1..S_k, already built."""
-    tt, k = rat(t), len(sums)
-    csets = {i: concentration_set(s, tt) for i, s in enumerate(sums, 1)}
+def _corollary3(walk: _Walk, laws, t) -> InequalityReport:
+    """check_corollary3 on the lattice laws of S_1..S_k of one walk."""
+    tt = rat(t)
+    csets = {i: _lattice_set(walk, law, tt) for i, law in enumerate(laws, 1)}
+    k = len(csets)
     params = {"k": k, "t": tt}
     empty = [i for i in csets if csets[i].is_empty]
     if empty:
-        return InequalityReport(
-            claim_id="corollary3", params=params, worst_t=tt,
-            lhs=None, rhs=None, margin=None, status=VACUOUS,
-            note=f"empty concentration set for S_i, i in {empty}",
-        )
+        return _report("corollary3", params, f"S_i, i in {empty}")
     rows = []
     worst = None  # (margin, row)
     for j in range(1, k + 1):
         cj, ck = csets[j], csets[k]
-        hi = k * cj.max - j * ck.min
-        lo = k * cj.min - j * ck.max
-        attained = max(hi, -lo)
-        plain_bound = 3 * (k + j) * tt
-        h = gcd(j, k)
-        refined_bound = 3 * (j + k - 2 * h) * tt
-        refined_attained = attained if j < k else ZERO
-        row = {
-            "j": j,
-            "attained": attained,
-            "plain_bound": plain_bound,
-            "refined_attained": refined_attained,
-            "refined_bound": refined_bound,
-        }
+        attained = max(k * cj.max - j * ck.min, j * ck.max - k * cj.min)
+        row = {"j": j, "attained": attained, "plain_bound": 3 * (k + j) * tt,
+               "refined_attained": attained if j < k else ZERO,
+               "refined_bound": 3 * (j + k - 2 * gcd(j, k)) * tt}
         rows.append(row)
-        for got, bound in ((attained, plain_bound),
-                           (refined_attained, refined_bound)):
-            margin = bound - got
-            if worst is None or margin < worst[0]:
-                worst = (margin, {"j": j, "attained": got, "bound": bound})
-    margin, worst_row = worst
-    status = HOLDS if margin >= 0 else VIOLATED
-    return InequalityReport(
-        claim_id="corollary3", params=params, worst_t=tt,
-        lhs=worst_row["attained"], rhs=worst_row["bound"], margin=margin,
-        status=status,
-        witness={"rows": rows, "worst": worst_row} if status == VIOLATED else None,
-        note="refined bound under shared selection; trivial at j = k",
-    )
+        for got, bound in ((attained, row["plain_bound"]),
+                           (row["refined_attained"], row["refined_bound"])):
+            if worst is None or bound - got < worst[0]:
+                worst = (bound - got,
+                         {"j": j, "attained": got, "bound": bound})
+    row = worst[1]
+    return _report("corollary3", params, "", (
+        row["attained"], row["bound"], {"rows": rows, "worst": row}),
+        "refined bound under shared selection; trivial at j = k")
+
+
+def _report(claim_id: str, params: dict, empty: str, worst=None,
+            note: "str | None" = None) -> InequalityReport:
+    """A concentration check's report at params["t"]: vacuous when the
+    sets named in `empty` are empty, else decided by worst = (attained,
+    bound, witness), the witness kept only when the bound is violated."""
+    t = params["t"]
+    if empty:
+        return InequalityReport(claim_id, params, t, None, None, None, VACUOUS,
+                                note=f"empty concentration set for {empty}")
+    attained, bound, witness = worst
+    margin = bound - attained
+    return InequalityReport(claim_id, params, t, attained, bound, margin,
+                            HOLDS if margin >= 0 else VIOLATED,
+                            witness if margin < 0 else None, note)
 
 
 @dataclass(frozen=True)
@@ -277,35 +264,21 @@ def classify_case(X: DiscreteDist, j: int, k: int, t,
     if p_gap <= Fraction(1, 3):
         lhs = walk.curve(norm, laws[j - 1]).at_radius(tt)
         rhs = Fraction(3, 2) * sk.at_radius(tt / 10)
-        return CaseVerdict(
-            case_id="case1",
-            witnesses={"p_gap": p_gap},
-            bound_desc="Pr(||S_j||>t) <= (3/2) Pr(||S_k||>t/10)",
-            bound_lhs=lhs, bound_rhs=rhs, bound_holds=lhs <= rhs,
-            approximate=False,
-        )
+        return CaseVerdict("case1", {"p_gap": p_gap},
+                           "Pr(||S_j||>t) <= (3/2) Pr(||S_k||>t/10)",
+                           lhs, rhs, lhs <= rhs, False)
 
     for i, law in enumerate(laws, 1):
-        found, _, exact = has_concentration_point(walk.dist(law), tt / 10,
-                                                  norm)
-        approximate = approximate or not exact
+        if X.dim > 1:
+            found = has_concentration_point(walk.dist(law), tt / 10, norm)[0]
+        else:
+            found = not _lattice_set(walk, law, tt / 10).is_empty
         if not found:
             lhs = sk.at_radius(tt / 10)
-            return CaseVerdict(
-                case_id="case2",
-                witnesses={"index": i, "p_gap": p_gap},
-                bound_desc="Pr(||S_k||>t/10) >= 1/3",
-                bound_lhs=lhs, bound_rhs=Fraction(1, 3),
-                bound_holds=lhs >= Fraction(1, 3),
-                approximate=approximate,
-            )
+            return CaseVerdict("case2", {"index": i, "p_gap": p_gap},
+                               "Pr(||S_k||>t/10) >= 1/3", lhs, Fraction(1, 3),
+                               lhs >= Fraction(1, 3), approximate)
 
     lhs = sk.at_radius(tt / 10, WEAK)
-    return CaseVerdict(
-        case_id="case3",
-        witnesses={"p_gap": p_gap},
-        bound_desc="Pr(||S_k||>=t/10) >= 2/3",
-        bound_lhs=lhs, bound_rhs=TWO_THIRDS,
-        bound_holds=lhs >= TWO_THIRDS,
-        approximate=approximate,
-    )
+    return CaseVerdict("case3", {"p_gap": p_gap}, "Pr(||S_k||>=t/10) >= 2/3",
+                       lhs, TWO_THIRDS, lhs >= TWO_THIRDS, approximate)

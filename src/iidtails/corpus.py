@@ -22,7 +22,7 @@ from .checks import (
     K_ONLY,
     WEIGHTED,
     Curves,
-    _horizon,
+    _reads,
     shape_reports,
     variants,
 )
@@ -228,8 +228,8 @@ def run_corpus(config: CorpusConfig, claims=None,
         planned = [(spec, shape, c1, c2, idx) for spec, shapes in plan
                    for shape, c1, c2 in shapes
                    for idx in _grid(shape, dist, rng, config)]
-        curves = Curves(dist, norm, max((_horizon(idx) for *_, idx in planned),
-                                        default=1), cap)
+        curves = Curves(dist, norm, set().union(
+            *(_reads(shape, idx) for _, shape, *_, idx in planned)), cap)
         try:
             for spec, shape, c1, c2, idx in planned:
                 for rep in shape_reports(spec, shape, curves, idx, c1, c2,

@@ -1,12 +1,14 @@
 """Exact finite discrete distributions on rational points.
 
-Everything here is exact: laws, tails and curves are fractions.Fraction
-values.  Every sum of independent terms (convolve, iid_sum, weighted_iid_sum,
-and the S_i behind every check) is one left fold S <- S (+) term on an
-integer lattice: coordinates are scaled by a common denominator and an n-D
-point is packed into one int, masses are int numerators over a common
-denominator.  The fold is advanced only as far as asked, and a law or tail
-curve is built straight from the lattice law it reaches.
+Everything here is exact: laws and tails are fractions.Fraction values, and
+a tail curve holds int criticals and int tail numerators, each over one
+common denominator.  Every sum of independent terms (convolve, iid_sum,
+weighted_iid_sum, and the S_i behind every check) is one left fold
+S <- S (+) term on an integer lattice: coordinates are scaled by a common
+denominator and an n-D point is packed into one int, masses are int
+numerators over a common denominator.  The fold is advanced only as far as
+asked, and a law or tail curve is built straight from the lattice law it
+reaches.
 The running maximum max_{j<=k} ||S_j|| comes from one resumable DP on the
 same kind of lattice, which serves every horizon and threshold.
 The euclidean norm is handled through squared values (the "gauge") so that
@@ -17,11 +19,11 @@ sup norms compare radii directly.
 from __future__ import annotations
 
 from bisect import bisect_left, bisect_right
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 from enum import Enum
 from fractions import Fraction
-from itertools import islice
-from math import lcm
+from itertools import accumulate, islice
+from math import ceil, floor, gcd, lcm
 from operator import add
 from typing import Iterable, Mapping, Union
 
@@ -254,11 +256,11 @@ class _Walk:
         self.dim = laws[0].dim
         self.n = n
         self.cap = cap
-        self.scale, self.base, self._terms = _encode(laws, n)
+        self.scale, self.base, self.terms = _encode(laws, n)
 
     def sums(self):
         """Yield the lattice laws of S_1, ..., S_n, each when asked for."""
-        terms = self._terms
+        terms = self.terms
         law = terms[0]
         yield law
         for i in range(1, self.n):
@@ -342,7 +344,7 @@ def tail(a: DiscreteDist, norm: Norm, t, mode: str = STRICT) -> Fraction:
     return tail_curve(a, norm).at_radius(t, mode)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, init=False)
 class TailCurve:
     """The survival function t -> Pr(||U|| > t) as a finite step function.
 
@@ -350,32 +352,68 @@ class TailCurve:
     (squared radii under the euclidean norm); values[i] = Pr(gauge > criticals[i]),
     so values is nonincreasing and ends at 0.  Below the first critical the
     survival probability is 1.
+
+    A curve is held in ints: criticals[i] = crits[i] / unit and values[i] =
+    nums[i] / den, each over its least common denominator, so two curves
+    equal as functions have equal fields whatever lattice each came from.
+    criticals and values are read-only Fraction views of those ints.
     """
 
     norm: Norm
-    criticals: "tuple[Fraction, ...]"
-    values: "tuple[Fraction, ...]"
+    unit: int
+    crits: "tuple[int, ...]"
+    den: int
+    nums: "tuple[int, ...]"
 
-    def __post_init__(self):
-        if len(self.criticals) != len(self.values):
+    def __init__(self, norm: Norm, criticals, values):
+        qs, vs = [rat(q) for q in criticals], [rat(v) for v in values]
+        if len(qs) != len(vs):
             raise ValueError("criticals and values must have equal length")
-        if not self.criticals:
+        if not qs:
             raise ValueError("a tail curve needs at least one critical")
-        if any(b <= a for a, b in zip(self.criticals, self.criticals[1:])):
+        unit, den = (lcm(*(f.denominator for f in fs)) for fs in (qs, vs))
+        crits = tuple(int(q * unit) for q in qs)
+        nums = tuple(int(v * den) for v in vs)
+        if any(b <= a for a, b in zip(crits, crits[1:])):
             raise ValueError("criticals must be strictly increasing")
-        if any(b > a for a, b in zip(self.values, self.values[1:])):
+        if any(b > a for a, b in zip(nums, nums[1:])):
             raise ValueError("values must be nonincreasing")
-        if self.values[-1] != 0:
+        if nums[-1] != 0:
             raise ValueError("survival beyond the largest critical must be 0")
+        self._set(norm, unit, crits, den, nums)
 
-    def at_gauge(self, q: Fraction, mode: str = STRICT) -> Fraction:
+    @classmethod
+    def _of(cls, norm: Norm, unit: int, crits, den: int, nums) -> "TailCurve":
+        """Trusted constructor from int criticals over unit and int tail
+        numerators over den, in curve order; both units are reduced to the
+        least ones."""
+        g, h = gcd(unit, *crits), gcd(den, *nums)
+        return object.__new__(cls)._set(norm, unit // g,
+                                        tuple(c // g for c in crits), den // h,
+                                        tuple(n // h for n in nums))
+
+    def _set(self, *values) -> "TailCurve":
+        for f, value in zip(fields(self), values):
+            object.__setattr__(self, f.name, value)
+        return self
+
+    @property
+    def criticals(self) -> "tuple[Fraction, ...]":
+        return tuple(Fraction(c, self.unit) for c in self.crits)
+
+    @property
+    def values(self) -> "tuple[Fraction, ...]":
+        return tuple(Fraction(n, self.den) for n in self.nums)
+
+    def at_gauge(self, q, mode: str = STRICT) -> Fraction:
         """Evaluate at a threshold already in gauge space."""
         _check_mode(mode)
+        x = rat(q) * self.unit
         if mode == STRICT:
-            i = bisect_right(self.criticals, q)
+            i = bisect_right(self.crits, floor(x))
         else:
-            i = bisect_left(self.criticals, q)
-        return ONE if i == 0 else self.values[i - 1]
+            i = bisect_left(self.crits, ceil(x))
+        return ONE if i == 0 else Fraction(self.nums[i - 1], self.den)
 
     def at_radius(self, t, mode: str = STRICT) -> Fraction:
         t = rat(t)
@@ -388,15 +426,9 @@ def _gauge_curve(norm: Norm, mass: "dict[int, int]", unit: int,
                  den: int) -> TailCurve:
     """The TailCurve of a law given as a map int gauge value -> int mass
     numerator, gauge values over `unit` and masses over `den`."""
-    crits = sorted(mass)
-    values = []
-    acc = 0  # mass strictly above the current critical
-    for g in reversed(crits):
-        values.append(Fraction(acc, den))
-        acc += mass[g]
-    values.reverse()
-    return TailCurve(norm, tuple(Fraction(g, unit) for g in crits),
-                     tuple(values))
+    crits = sorted(mass)  # and the mass strictly above each, top down
+    above = accumulate((mass[g] for g in reversed(crits[1:])), initial=0)
+    return TailCurve._of(norm, unit, crits, den, list(above)[::-1])
 
 
 def tail_curve(a: DiscreteDist, norm: Norm) -> TailCurve:

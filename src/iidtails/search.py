@@ -21,7 +21,7 @@ from fractions import Fraction
 
 import numpy as np
 
-from .checks import (CLAIMS, ONE, Curves, _horizon, least_c1,
+from .checks import (CLAIMS, ONE, Curves, _reads, least_c1,
                      require_indices)
 from .dists import DEFAULT_SUPPORT_CAP, DiscreteDist, Norm, rat
 from .reports import jsonify
@@ -71,7 +71,7 @@ def _least_c1(claim: str, X: DiscreteDist, j: int, k: int, c2,
     if c2 <= 0:
         raise ValueError(f"c2 must be positive, got {c2}")
     idx = {"j": j, "k": k}
-    lhs, rhs = Curves(X, norm, _horizon(idx), cap).sides(spec, idx)
+    lhs, rhs = Curves(X, norm, _reads(spec, idx), cap).sides(spec, idx)
     return least_c1(lhs, rhs, spec.factor(ONE, j, k), spec.scale(c2, j, k))
 
 

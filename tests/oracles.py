@@ -14,6 +14,8 @@ different state space.  ``fraction_sweep_curves``, ``fraction_least_c1``
 and ``fraction_upper_envelope`` are the Fraction sweep the integer walk of
 ``iidtails.checks`` replaced: a sorted set of candidate thresholds, each
 curve bisected there through ``TailCurve.at_gauge``.
+``fraction_concentration_set`` is the Fraction sweep of window masses that
+the integer rule of ``iidtails.concentration`` replaced.
 """
 
 import math
@@ -21,6 +23,7 @@ from fractions import Fraction
 from itertools import product
 
 from iidtails.checks import SweepOutcome
+from iidtails.concentration import ConcentrationSet
 from iidtails.dists import (
     DEFAULT_SUPPORT_CAP,
     STRICT,
@@ -34,6 +37,7 @@ from iidtails.dists import (
 from iidtails.reports import HOLDS, VIOLATED
 
 ZERO = Fraction(0)
+TWO_THIRDS = Fraction(2, 3)
 
 
 def _items(dist):
@@ -325,3 +329,33 @@ def fraction_upper_envelope(curves) -> TailCurve:
         max(c.at_gauge(q, STRICT) for c in curves) for q in crits
     )
     return TailCurve(norm, tuple(crits), values)
+
+
+def fraction_concentration_set(x: DiscreteDist, t) -> ConcentrationSet:
+    """The Fraction sweep of {c : Pr(|X - c| <= t) > 2/3} for a 1-D law
+    that the integer rule of iidtails.concentration replaced: Fraction
+    masses summed over Fraction breakpoints a -+ t."""
+    t = Fraction(t)
+    starts: "dict[Fraction, Fraction]" = {}
+    ends: "dict[Fraction, Fraction]" = {}
+    for a, p in x.scalar_items():
+        starts[a - t] = starts.get(a - t, ZERO) + p
+        ends[a + t] = ends.get(a + t, ZERO) + p
+    points = sorted(set(starts) | set(ends))
+    qualifying = []  # closed pieces: each point and each open gap after it
+    started = ended = ZERO
+    for i, p in enumerate(points):
+        started += starts.get(p, ZERO)
+        at_p = started - ended
+        ended += ends.get(p, ZERO)
+        if at_p > TWO_THIRDS:
+            qualifying.append((p, p))
+        if i + 1 < len(points) and started - ended > TWO_THIRDS:
+            qualifying.append((p, points[i + 1]))
+    merged = []
+    for lo, hi in qualifying:
+        if merged and lo <= merged[-1][1]:
+            merged[-1][1] = max(merged[-1][1], hi)
+        else:
+            merged.append([lo, hi])
+    return ConcentrationSet(tuple((lo, hi) for lo, hi in merged))

@@ -147,6 +147,31 @@ class TestVerify:
                            rare_file)
         assert code == 2
 
+    @pytest.mark.parametrize("k", ["0", "-2"])
+    def test_corollary3_needs_a_positive_k(self, capsys, rare_file, k):
+        code, out, err = run(capsys, "verify", "--claim", "corollary3",
+                             "--k", k, "--t", "1", rare_file)
+        assert code == 2 and not out
+        assert err.strip() == f"error: need k >= 1, got j=None, k={k}"
+
+    def test_lemma2_reads_the_instance_sums_or_a_second_law(
+            self, capsys, coin_file, rare_file):
+        """One file pairs X with itself from the instance's walk; two files
+        check X against Y; both agree with check_lemma2."""
+        from iidtails import check_lemma2
+        from iidtails.reports import jsonify
+        x, y = coin(), dist1d([(0, F(99, 100)), (1, F(1, 100))])
+        t = F(1, 2)
+        for files, want, empty in (
+                ((coin_file,), check_lemma2(x, x, t), "X, Y, X+Y"),
+                ((coin_file, rare_file), check_lemma2(x, y, t), "X, X+Y")):
+            code, out, _ = run(capsys, "verify", "--claim", "lemma2",
+                               "--t", str(t), *files)
+            assert code == 0
+            rep = last_json(out)["reports"][0]["report"]
+            assert rep == jsonify(want.to_jsonable())
+            assert rep["note"].endswith(empty)
+
     def test_multiple_files(self, capsys, coin_file, rare_file):
         code, out, _ = run(capsys, "verify", "--claim", "theorem1",
                            coin_file, rare_file)

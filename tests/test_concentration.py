@@ -17,7 +17,7 @@ from iidtails.concentration import (
 )
 from iidtails.dists import DiscreteDist, Norm, delta, iid_sum, tail
 from iidtails.reports import HOLDS, VACUOUS
-from oracles import coin, dist1d
+from oracles import coin, dist1d, fraction_concentration_set
 
 
 def rand_dist(rng, max_atoms=4, span=8, den=4):
@@ -287,3 +287,29 @@ def test_concentration_monotone_property(x, t1, dt):
 def test_lemma2_self_pair_property(x, t):
     r = check_lemma2(x, x, t)
     assert r.status in (HOLDS, VACUOUS)
+
+
+@st.composite
+def concentration_cases(draw):
+    """A 1-D law with non-unit denominators and a t that is 0, a gap
+    between two window breakpoints (where windows start to touch), or a
+    random rational."""
+    n = draw(st.integers(1, 5))
+    den = draw(st.integers(1, 6))
+    vals = draw(st.lists(st.builds(F, st.integers(-12, 12), st.just(den)),
+                         min_size=n, max_size=n, unique=True))
+    weights = draw(st.lists(st.integers(1, 9), min_size=n, max_size=n))
+    x = DiscreteDist({(v,): F(w, sum(weights)) for v, w in zip(vals, weights)})
+    gaps = sorted({abs(a - b) / 2 for a in vals for b in vals} |
+                  {abs(a - b) for a in vals for b in vals})
+    t = draw(st.one_of(st.just(F(0)), st.sampled_from(gaps),
+                       st.builds(F, st.integers(0, 40), st.integers(1, 12))))
+    return x, t
+
+
+@given(concentration_cases())
+@settings(max_examples=200, deadline=None)
+def test_integer_concentration_set_matches_fraction_sweep(case):
+    x, t = case
+    assert concentration_set(x, t).intervals == \
+        fraction_concentration_set(x, t).intervals

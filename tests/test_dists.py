@@ -300,6 +300,21 @@ class TestTailCurve:
         with pytest.raises(ValueError):
             TailCurve(ABS, (F(0), F(1)), (F(1, 2), F(1, 4)))  # no zero end
 
+    def test_equal_curves_compare_equal_across_lattices(self):
+        """A curve is held in ints over its least units, so curves built on
+        different lattices, or from Fractions, are equal when they are equal
+        as functions, and hash alike."""
+        a = _gauge_curve(ABS, {0: 2, 4: 2}, 2, 4)
+        b = _gauge_curve(ABS, {0: 1, 2: 1}, 1, 2)
+        assert a == b and hash(a) == hash(b)
+        assert a != _gauge_curve(ABS, {0: 1, 3: 1}, 1, 2)
+        assert a != _gauge_curve(SUP, {0: 1, 2: 1}, 1, 2)
+        for c in (a, tail_curve(TRI, ABS), tail_curve(iid_sum(TRI, 3), ABS),
+                  tail_curve(dist1d([(F(-1, 3), F(1, 6)), (F(5, 4), F(5, 6))]),
+                             ABS)):
+            assert TailCurve(c.norm, c.criticals, c.values) == c
+        assert (a.unit, a.crits, a.den, a.nums) == (1, (0, 2), 2, (1, 0))
+
     def test_euclidean_curve_stores_squared_radii(self):
         d = DiscreteDist({(F(3), F(4)): F(1, 2), (F(0), F(0)): F(1, 2)})
         c = tail_curve(d, EUC)
@@ -547,7 +562,7 @@ def test_walked_curves_match_brute_force(data, dim, norm, horizon):
     if norm is ABS and dim != 1:
         norm = SUP
     x = data.draw(lattice_dists(dim, max_atoms=3))
-    curves = Curves(x, norm, horizon, DEFAULT_SUPPORT_CAP)
+    curves = Curves(x, norm, range(1, horizon + 1), DEFAULT_SUPPORT_CAP)
     for i in range(1, horizon + 1):
         assert curves.curve(i) == tail_curve(brute_iid_sum(x, i), norm)
     with pytest.raises(ValueError):
@@ -593,14 +608,39 @@ def test_lone_sum_holds_only_the_running_sum(monkeypatch, build):
     assert alive() == 0
 
 
-def test_curves_drop_each_law_once_its_curve_is_built(monkeypatch):
-    """Curves keeps an S_i's lattice law only until S_i's curve is built;
-    only the running sum is left."""
+def test_a_check_holds_little_more_than_a_lone_sum():
+    """check_theorem1(X, 1, k) keeps S_1 and S_k and drops every sum the
+    walk passes between them, so its peak traced memory stays within 4x
+    that of iid_sum(X, k)."""
+    import tracemalloc
+    from iidtails.checks import check_theorem1
+    x = dist1d([(-1, F(1, 4)), (0, F(1, 2)), (1, F(1, 4))])
+    peaks = []
+    for run in (lambda: iid_sum(x, 200), lambda: check_theorem1(x, 1, 200)):
+        tracemalloc.start()
+        try:
+            run()
+            peaks.append(tracemalloc.get_traced_memory()[1])
+        finally:
+            tracemalloc.stop()
+    assert peaks[1] <= 4 * peaks[0]
+
+
+def test_curves_keep_only_the_sums_their_checks_read(monkeypatch):
+    """Curves keeps the lattice laws of the S_i in its reads for its
+    lifetime and drops every other law once the walk has passed it."""
     from iidtails.checks import Curves
-    alive, _ = _watch_lattice_sums(monkeypatch)
-    curves = Curves(coin(), ABS, 6, DEFAULT_SUPPORT_CAP)
-    curves.curve(4)     # S_2, S_3 kept for their curves, S_4 by the walk
-    assert alive() == 3
+    alive, after_step = _watch_lattice_sums(monkeypatch)
+    curves = Curves(coin(), ABS, {1, 6}, DEFAULT_SUPPORT_CAP)
+    assert curves.curve(6) == tail_curve(brute_iid_sum(coin(), 6), ABS)
+    # S_6 is the one lattice sum alive; S_1 is the walk's own first term
+    assert len(after_step) == 5 and max(after_step) <= 2 and alive() == 1
+    assert curves._law(1) is curves.walk.terms[0]
+    assert curves.curve(1) == tail_curve(coin(), ABS)
+    with pytest.raises(ValueError):
+        curves._law(3)
+
+    every = Curves(coin(), ABS, range(1, 7), DEFAULT_SUPPORT_CAP)
     for i in range(1, 7):
-        assert curves.curve(i) == tail_curve(brute_iid_sum(coin(), i), ABS)
-    assert alive() == 1             # S_6, held by the walk
+        assert every.curve(i) == tail_curve(brute_iid_sum(coin(), i), ABS)
+    assert alive() == 1 + 5         # S_6 above, S_2..S_6 here

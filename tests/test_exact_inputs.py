@@ -10,6 +10,7 @@ import pytest
 from iidtails import (
     DiscreteDist,
     Norm,
+    TailCurve,
     affine,
     cbrt_combo_sign,
     centered_sum_tail,
@@ -49,6 +50,10 @@ FLOAT_CALLS = {
     "affine.scale": lambda: affine(X, 0.5),
     "affine.shift": lambda: affine(X, 1, 0.5),
     "tail": lambda: tail(X, Norm.ABS1D, 0.5),
+    "TailCurve.criticals":
+        lambda: TailCurve(Norm.ABS1D, (0.5, 1.0), (F(1, 4), 0)),
+    "TailCurve.values":
+        lambda: TailCurve(Norm.ABS1D, (F(1, 2), 1), (0.25, 0)),
     "path_max_tail": lambda: path_max_tail(X, 2, Norm.ABS1D, 0.5),
     "first_exceedance_probs":
         lambda: first_exceedance_probs(X, 2, Norm.ABS1D, 0.5),

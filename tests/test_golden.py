@@ -249,12 +249,12 @@ def test_counterexample_reports(name, flags):
 
 
 @pytest.mark.parametrize("claims, walks", [
-    ("corollary3", 30), ("theorem1,corollary3", 60)])
+    ("corollary3", 30), ("theorem1,corollary3", 30),
+    ("theorem1,lemma2,corollary3", 30)])
 def test_corollary3_reads_the_instance_sums(claims, walks):
-    """corollary3 reads S_1..S_k from the instance's walk: one walk per
-    instance, not one per threshold.  When theorem1's curves have already
-    dropped those lattice laws, one more walk per instance rebuilds them
-    once for all of its thresholds."""
+    """corollary3 reads S_1..S_k, and lemma2 with Y = X reads S_1 and S_2,
+    from the instance's walk: one walk per instance, whatever other claims
+    read from it, not one per threshold."""
     digest, built = sums_corpus(claims)
     assert digest == GOLDEN[f"sums:{claims}"]
     assert built <= walks
