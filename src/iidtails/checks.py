@@ -32,7 +32,6 @@ from .dists import (
     _check_mode,
     _Walk,
     _gauge_curve,
-    _running_max_laws,
     _weighted_walk,
     rat,
 )
@@ -312,8 +311,9 @@ class Curves:
     the S_i its checks read (_reads): the lattice laws of those S_i are
     kept for the lifetime of the Curves, and every other law is dropped as
     soon as the walk has passed it.  Asking for an S_i outside reads raises
-    ValueError.  The running max's curves come from one pass taken only as
-    far as the largest horizon asked for."""
+    ValueError.  The running max's curves come from one pass of the same
+    walk (_Walk.maxima), taken only as far as the largest horizon asked
+    for; a horizon past the walk raises ValueError."""
 
     def __init__(self, dist: DiscreteDist, norm: Norm, reads,
                  cap: int = DEFAULT_SUPPORT_CAP):
@@ -325,7 +325,7 @@ class Curves:
         self._sums = enumerate(self.walk.sums(), 1)
         self._laws = {}               # lattice law of each S_i in reads
         self._curves = {}
-        self._max_laws = _running_max_laws(dist, norm, cap)
+        self._maxima = self.walk.maxima(norm)
         self._max_curves = []
 
     def _law(self, i: int):
@@ -350,9 +350,12 @@ class Curves:
         if shape.lhs == SUM:
             lhs = self.curve(idx["j"])
         elif shape.lhs == MAX:
+            if k > self.walk.n:
+                raise ValueError(f"the running max to k={k} is past S_"
+                                 f"{self.walk.n}, the last sum walked")
             while len(self._max_curves) < k:
                 self._max_curves.append(_gauge_curve(self.norm,
-                                                     *next(self._max_laws)))
+                                                     *next(self._maxima)))
             lhs = self._max_curves[k - 1]
         else:
             lhs = _weighted_walk(self.dist, idx["alphas"],

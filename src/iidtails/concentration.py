@@ -68,6 +68,14 @@ def window_mass(X: DiscreteDist, x, t) -> Fraction:
     return sum((p for a, p in X.scalar_items() if abs(a - xx) <= tt), ZERO)
 
 
+def _radius(t) -> Fraction:
+    """The window radius t as a Fraction; a negative t is refused."""
+    tt = rat(t)
+    if tt < 0:
+        raise ValueError(f"t must be >= 0, got {tt}")
+    return tt
+
+
 def concentration_set(X: DiscreteDist, t) -> ConcentrationSet:
     """Exact set {x : Pr(|X - x| <= t) > 2/3} for a 1-dimensional law: the
     rule of _lattice_set on the one-term walk of X."""
@@ -85,9 +93,7 @@ def _lattice_set(walk: _Walk, law, t) -> ConcentrationSet:
     one sweep of the breakpoints on ints gives the mass at each breakpoint
     and on each open gap, and the closed intervals they make up.
     """
-    tt = rat(t)
-    if tt < 0:
-        raise ValueError(f"t must be >= 0, got {tt}")
+    tt = _radius(t)
     if walk.dim != 1:
         raise ValueError("concentration_set requires dimension 1")
     atoms, den = law
@@ -121,7 +127,7 @@ def has_concentration_point(X: DiscreteDist, t, norm: Norm = Norm.ABS1D):
     dimensions only support atoms are tried as centers, which is sound when
     it finds a witness but cannot certify absence; exact=False then.
     """
-    tt = rat(t)
+    tt = _radius(t)
     if X.dim == 1:
         cs = concentration_set(X, tt)
         return (False, None, True) if cs.is_empty else (True, cs.min, True)
@@ -251,24 +257,25 @@ def classify_case(X: DiscreteDist, j: int, k: int, t,
            concluding bound Pr(||S_k|| > t/10) >= 1/3.
     case3: otherwise; concluding bound Pr(||S_k|| >= t/10) >= 2/3 (weak).
     """
-    tt = rat(t)
+    tt = _radius(t)
     if not 1 <= j <= k:
         raise ValueError(f"need 1 <= j <= k, got j={j}, k={k}")
     walk = _Walk([X], k, cap)
-    laws = list(walk.sums())    # S_1..S_k, each read up to twice below
-    p_gap = ZERO if j == k else walk.curve(norm, laws[k - j - 1]).at_radius(
+    laws = {i: law for i, law in enumerate(walk.sums(), 1)
+            if i in (k - j, j, k)}      # only the sums read below
+    p_gap = ZERO if j == k else walk.curve(norm, laws[k - j]).at_radius(
         tt * Fraction(9, 10))   # S_0 = 0 never exceeds 9t/10
-    sk = walk.curve(norm, laws[k - 1])
+    sk = walk.curve(norm, laws[k])
     approximate = X.dim > 1
 
     if p_gap <= Fraction(1, 3):
-        lhs = walk.curve(norm, laws[j - 1]).at_radius(tt)
+        lhs = walk.curve(norm, laws[j]).at_radius(tt)
         rhs = Fraction(3, 2) * sk.at_radius(tt / 10)
         return CaseVerdict("case1", {"p_gap": p_gap},
                            "Pr(||S_j||>t) <= (3/2) Pr(||S_k||>t/10)",
                            lhs, rhs, lhs <= rhs, False)
 
-    for i, law in enumerate(laws, 1):
+    for i, law in enumerate(walk.sums(), 1):    # the fold once more, in order
         if X.dim > 1:
             found = has_concentration_point(walk.dist(law), tt / 10, norm)[0]
         else:

@@ -9,8 +9,9 @@ denominator and an n-D point is packed into one int, masses are int
 numerators over a common denominator.  The fold is advanced only as far as
 asked, and a law or tail curve is built straight from the lattice law it
 reaches.
-The running maximum max_{j<=k} ||S_j|| comes from one resumable DP on the
-same kind of lattice, which serves every horizon and threshold.
+The running maximum max_{j<=k} ||S_j|| is one more pass of the same walk
+(_Walk.maxima): S_k's lattice law bucketed by running max, advanced through
+the same convolution loop, which serves every horizon and threshold.
 The euclidean norm is handled through squared values (the "gauge") so that
 every order comparison against a rational threshold stays rational; abs1d and
 sup norms compare radii directly.
@@ -22,9 +23,8 @@ from bisect import bisect_left, bisect_right
 from dataclasses import dataclass, fields
 from enum import Enum
 from fractions import Fraction
-from itertools import accumulate, islice
+from itertools import accumulate
 from math import ceil, floor, gcd, lcm
-from operator import add
 from typing import Iterable, Mapping, Union
 
 PointLike = Union[tuple, list, int, Fraction, str]
@@ -287,16 +287,58 @@ class _Walk:
             Fraction(num, den) for z, num in atoms.items()})
         return dist
 
+    def _gauge(self, norm: "Norm"):
+        """The gauge of a packed point, an int: scale**e times the gauge of
+        the point it stands for, so it orders points the same way."""
+        gauge, base, dim = norm.gauge, self.base, self.dim
+        return lambda z: gauge(_unpack(z, base, dim))
+
     def curve(self, norm: "Norm", law=None) -> "TailCurve":
         """The tail curve of a lattice law (S_n by default)."""
         atoms, den = law or self.last()
-        gauge, base, dim = norm.gauge, self.base, self.dim
+        gauge = self._gauge(norm)
         mass: "dict[int, int]" = {}
         for z, num in atoms.items():
-            g = gauge(_unpack(z, base, dim))
+            g = gauge(z)
             mass[g] = mass.get(g, 0) + num
         return _gauge_curve(norm, mass, self.scale ** norm.scale_exponent,
                             den)
+
+    def maxima(self, norm: "Norm"):
+        """The running maximum of the walk: yields, after each step k = 1,
+        ..., n, the law of max_{i<=k} gauge(S_i) as (int gauge value -> int
+        mass numerator, gauge unit, mass denominator), and takes step k + 1
+        only when the next law is asked for.
+
+        The DP holds S_k's lattice law split by running max, int gauge m ->
+        {packed sum -> int mass}.  A step advances every bucket through the
+        convolution loop and moves each new sum z to bucket max(m, gauge(z)),
+        the gauge of each z computed once.  cap bounds the (sum, running max)
+        states of each step after the first.
+        """
+        gauge, cap = self._gauge(norm), self.cap
+        unit = self.scale ** norm.scale_exponent
+        atoms, den = self.terms[0]
+        buckets: "dict[int, dict[int, int]]" = {}
+        for z, p in atoms.items():
+            buckets.setdefault(gauge(z), {})[z] = p
+        yield {m: sum(b.values()) for m, b in buckets.items()}, unit, den
+        for i in range(1, self.n):
+            term = self.terms[i % len(self.terms)]
+            nxt, gauges, states = {}, {}, 0
+            for m, bucket in buckets.items():
+                law, step_den = _convolve_lattice((bucket, den), term, cap)
+                for z, p in law.items():
+                    g = gauges.get(z)
+                    if g is None:
+                        g = gauges[z] = gauge(z)
+                    into = nxt.setdefault(m if m >= g else g, {})
+                    states += z not in into
+                    into[z] = into.get(z, 0) + p
+                if states > cap:
+                    raise SupportCapExceeded(cap + 1, cap)
+            buckets, den = nxt, step_den
+            yield {m: sum(b.values()) for m, b in buckets.items()}, unit, den
 
 
 def convolve(a: DiscreteDist, b: DiscreteDist,
@@ -436,62 +478,6 @@ def tail_curve(a: DiscreteDist, norm: Norm) -> TailCurve:
     return _Walk([a], 1, DEFAULT_SUPPORT_CAP).curve(norm)
 
 
-# -- the running maximum ----------------------------------------------------
-# One (S_k, max_{j<=k} gauge(S_j)) DP serves every running-max query: each
-# horizon's law, its tail at any threshold, and first exceedance as the
-# differences between consecutive horizons.
-
-def _running_max_laws(x: DiscreteDist, norm: Norm, cap: int):
-    """The running-maximum DP.  Yields, after each step k = 1, 2, ..., the
-    law of max_{j<=k} gauge(S_j) as (int gauge value -> int mass numerator,
-    gauge unit, mass denominator), and takes step k + 1 only when the next
-    law is asked for.
-
-    A state is (S_k, running max gauge) on the integer lattice of x:
-    coordinates times the lcm `scale` of their denominators, masses as int
-    numerators over den**k.  The gauge of a lattice point is scale**e times
-    that of the point it stands for, so it orders states the same way.  cap
-    bounds the states of each step after the first.
-    """
-    scale = lcm(*{c.denominator for pt in x.atoms for c in pt})
-    den = lcm(*{p.denominator for p in x.atoms.values()})
-    steps = [(tuple(c.numerator * (scale // c.denominator) for c in pt),
-              p.numerator * (den // p.denominator))
-             for pt, p in x.atoms.items()]
-    gauge = norm.gauge
-    unit = scale ** norm.scale_exponent
-    states = {(y, gauge(y)): p for y, p in steps}
-    total = den
-    while True:
-        law = {}
-        for (_, m), p in states.items():
-            law[m] = law.get(m, 0) + p
-        yield law, unit, total
-        nxt = {}
-        get = nxt.get
-        for (s, m), p in states.items():
-            for y, q in steps:
-                z = tuple(map(add, s, y))
-                g = gauge(z)
-                key = (z, m if m >= g else g)
-                prev = get(key)
-                if prev is None:
-                    if len(nxt) >= cap:
-                        raise SupportCapExceeded(len(nxt) + 1, cap)
-                    nxt[key] = p * q
-                else:
-                    nxt[key] = prev + p * q
-        states = nxt
-        total *= den
-
-
-def _max_laws(x: DiscreteDist, k: int, norm: Norm, cap: int):
-    """The running max's laws at horizons 1..k, from one pass."""
-    if k < 1:
-        raise ValueError(f"k must be >= 1, got {k}")
-    return islice(_running_max_laws(x, norm, cap), k)
-
-
 def path_max_tail(x: DiscreteDist, k: int, norm: Norm, t,
                   mode: str = STRICT, cap: int = DEFAULT_SUPPORT_CAP) -> Fraction:
     """Exact Pr(sup_{1<=j<=k} ||S_j|| > t) (or >= t in weak mode).
@@ -511,19 +497,19 @@ def first_exceedance_probs(x: DiscreteDist, k: int, norm: Norm, t,
     path_max_tail exactly.
     """
     tails = [_gauge_curve(norm, *law).at_radius(t, mode)
-             for law in _max_laws(x, k, norm, cap)]
+             for law in _Walk([x], k, cap).maxima(norm)]
     return [b - a for a, b in zip([ZERO] + tails, tails)]
 
 
 def path_max_gauge_dist(x: DiscreteDist, k: int, norm: Norm,
                         cap: int = DEFAULT_SUPPORT_CAP) -> "dict[Fraction, Fraction]":
     """Exact law of max_{1<=j<=k} gauge(S_j) as a map gauge value -> mass."""
-    *_, (law, unit, total) = _max_laws(x, k, norm, cap)
+    *_, (law, unit, total) = _Walk([x], k, cap).maxima(norm)
     return {Fraction(m, unit): Fraction(p, total) for m, p in law.items()}
 
 
 def path_max_curve(x: DiscreteDist, k: int, norm: Norm,
                    cap: int = DEFAULT_SUPPORT_CAP) -> TailCurve:
     """Tail curve (in gauge space) of the running maximum max_j ||S_j||."""
-    *_, law = _max_laws(x, k, norm, cap)
+    *_, law = _Walk([x], k, cap).maxima(norm)
     return _gauge_curve(norm, *law)

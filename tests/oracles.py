@@ -10,7 +10,11 @@ its differential reference: same fold, same atom order, same cap point.
 ``absorbing_path_dp`` is the single-threshold running-max DP that
 ``iidtails.dists`` replaced with its (sum, running max) pass; its states are
 only the sums still inside the threshold, so it checks that pass from a
-different state space.  ``fraction_sweep_curves``, ``fraction_least_c1``
+different state space.  ``tuple_running_max_laws`` is the (sum, running
+max) DP that ``_Walk.maxima`` replaced: its own lattice encoding, tuple
+states and its own pair loop, kept as the differential reference for the
+laws at every step and for the step and size at which the cap is hit.
+``fraction_sweep_curves``, ``fraction_least_c1``
 and ``fraction_upper_envelope`` are the Fraction sweep the integer walk of
 ``iidtails.checks`` replaced: a sorted set of candidate thresholds, each
 curve bisected there through ``TailCurve.at_gauge``.
@@ -21,6 +25,8 @@ the integer rule of ``iidtails.concentration`` replaced.
 import math
 from fractions import Fraction
 from itertools import product
+from math import lcm
+from operator import add
 
 from iidtails.checks import SweepOutcome
 from iidtails.concentration import ConcentrationSet
@@ -187,6 +193,50 @@ def absorbing_path_dp(x: DiscreteDist, k: int, norm: Norm, q,
         absorbed.append(out)
         alive = nxt
     return absorbed, sum(alive.values(), ZERO)
+
+
+def tuple_running_max_laws(x: DiscreteDist, norm: Norm, cap: int):
+    """The running-maximum DP.  Yields, after each step k = 1, 2, ..., the
+    law of max_{j<=k} gauge(S_j) as (int gauge value -> int mass numerator,
+    gauge unit, mass denominator), and takes step k + 1 only when the next
+    law is asked for.
+
+    A state is (S_k, running max gauge) on the integer lattice of x:
+    coordinates times the lcm `scale` of their denominators, masses as int
+    numerators over den**k.  The gauge of a lattice point is scale**e times
+    that of the point it stands for, so it orders states the same way.  cap
+    bounds the states of each step after the first.
+    """
+    scale = lcm(*{c.denominator for pt in x.atoms for c in pt})
+    den = lcm(*{p.denominator for p in x.atoms.values()})
+    steps = [(tuple(c.numerator * (scale // c.denominator) for c in pt),
+              p.numerator * (den // p.denominator))
+             for pt, p in x.atoms.items()]
+    gauge = norm.gauge
+    unit = scale ** norm.scale_exponent
+    states = {(y, gauge(y)): p for y, p in steps}
+    total = den
+    while True:
+        law = {}
+        for (_, m), p in states.items():
+            law[m] = law.get(m, 0) + p
+        yield law, unit, total
+        nxt = {}
+        get = nxt.get
+        for (s, m), p in states.items():
+            for y, q in steps:
+                z = tuple(map(add, s, y))
+                g = gauge(z)
+                key = (z, m if m >= g else g)
+                prev = get(key)
+                if prev is None:
+                    if len(nxt) >= cap:
+                        raise SupportCapExceeded(len(nxt) + 1, cap)
+                    nxt[key] = p * q
+                else:
+                    nxt[key] = prev + p * q
+        states = nxt
+        total *= den
 
 
 def brute_window_mass(x: DiscreteDist, center, t) -> Fraction:

@@ -121,6 +121,14 @@ class TestHasConcentrationPoint:
         found, w, exact = has_concentration_point(x, 1, Norm.EUCLIDEAN)
         assert not found and not exact
 
+    def test_rejects_negative_t_in_every_dimension(self):
+        # a negative radius has no window, so no point can witness one
+        z = DiscreteDist({(F(0), F(0)): F(9, 10), (F(1), F(1)): F(1, 10)})
+        for x, norm in ((coin(), Norm.ABS1D), (z, Norm.EUCLIDEAN),
+                        (z, Norm.SUP)):
+            with pytest.raises(ValueError, match=r"t must be >= 0, got -1$"):
+                has_concentration_point(x, -1, norm)
+
 
 class TestLemma2:
     def test_pinned_delta1_tight(self):
@@ -236,6 +244,28 @@ class TestClassifyCase:
     def test_rejects_bad_indices(self):
         with pytest.raises(ValueError):
             classify_case(coin(), 3, 2, 1)
+
+    def test_rejects_negative_t_as_passed(self):
+        x = dist1d([(-1, F(1, 4)), (0, F(1, 2)), (1, F(1, 4))])
+        for j, k in ((1, 2), (2, 2)):
+            with pytest.raises(ValueError, match=r"t must be >= 0, got -10$"):
+                classify_case(x, j, k, -10)
+
+    def test_holds_little_more_than_a_lone_sum(self):
+        """classify_case keeps only S_{k-j}, S_j and S_k, so its peak
+        traced memory stays within 4x that of iid_sum(X, k)."""
+        import tracemalloc
+        x = dist1d([(-1, F(1, 4)), (0, F(1, 2)), (1, F(1, 4))])
+        peaks = []
+        for run in (lambda: iid_sum(x, 200),
+                    lambda: classify_case(x, 1, 200, 1000)):
+            tracemalloc.start()
+            try:
+                run()
+                peaks.append(tracemalloc.get_traced_memory()[1])
+            finally:
+                tracemalloc.stop()
+        assert peaks[1] <= 4 * peaks[0]
 
     def test_bounds_verify_and_imply_theorem1(self):
         rng = random.Random(23)

@@ -186,16 +186,16 @@ class TestCsv:
 def test_running_max_pass_takes_one_step_per_horizon(monkeypatch):
     """levy_ottaviani and corollary4 at k = 1..K share one running-max pass
     per instance: K DP steps in all, not one restart per horizon."""
-    from iidtails import checks
+    from iidtails import dists
     steps = []
-    one_pass = checks._running_max_laws
+    one_pass = dists._Walk.maxima
 
     def counted(*args):
         for law in one_pass(*args):
             steps.append(law)
             yield law
 
-    monkeypatch.setattr(checks, "_running_max_laws", counted)
+    monkeypatch.setattr(dists._Walk, "maxima", counted)
     K = 5
     rep = run_corpus(CorpusConfig(seed=3, count=1, max_k=K),
                      ["levy_ottaviani", "corollary4"])

@@ -11,8 +11,8 @@ from iidtails.dists import (
     Norm,
     SupportCapExceeded,
     TailCurve,
+    _Walk,
     _gauge_curve,
-    _running_max_laws,
     affine,
     as_point,
     convolve,
@@ -39,6 +39,7 @@ from oracles import (
     fraction_convolve,
     fraction_iid_sum,
     fraction_weighted_iid_sum,
+    tuple_running_max_laws,
 )
 
 ABS = Norm.ABS1D
@@ -543,13 +544,55 @@ def test_resumable_running_max_matches_absorbing_oracle(data, dim, norm):
     if norm is ABS and dim != 1:
         norm = SUP
     x = data.draw(lattice_dists(dim, max_atoms=3))
-    laws = _running_max_laws(x, norm, DEFAULT_SUPPORT_CAP)   # one pass
+    laws = _Walk([x], 5, DEFAULT_SUPPORT_CAP).maxima(norm)   # one pass
     for k in range(1, 6):
         curve = _gauge_curve(norm, *next(laws))
         for q in curve.criticals + (curve.criticals[-1] + 1,):
             for mode in ("strict", "weak"):
                 _, alive = absorbing_path_dp(x, k, norm, q, mode)
                 assert curve.at_gauge(q, mode) == 1 - alive
+
+
+def _max_steps(laws, k):
+    """The first k running-max laws of a pass, each as (law items sorted,
+    unit, den), ending with ("cap", size, cap) if the cap is hit."""
+    out = []
+    try:
+        for law, unit, den in laws:
+            out.append((sorted(law.items()), unit, den))
+            if len(out) == k:
+                break
+    except SupportCapExceeded as exc:
+        out.append(("cap", exc.size, exc.cap))
+    return out
+
+
+@given(st.data(), st.integers(1, 3), st.sampled_from([ABS, SUP, EUC]),
+       st.integers(1, 5), st.integers(1, 40))
+@settings(max_examples=150, deadline=None)
+def test_walk_maxima_match_tuple_state_oracle(data, dim, norm, k, cap):
+    """The running max bucketed on the sum walk gives the tuple-state DP's
+    law at every step, or hits the cap at the same step with the same
+    size."""
+    if norm is ABS and dim != 1:
+        norm = SUP
+    x = data.draw(lattice_dists(dim, max_atoms=4))
+    assert _max_steps(_Walk([x], k, cap).maxima(norm), k) == \
+        _max_steps(tuple_running_max_laws(x, norm, cap), k)
+
+
+def test_curves_read_the_running_max_from_their_own_walk():
+    """A Curves walk past the horizon gives path_max_curve's curves, and a
+    horizon past its walk is refused."""
+    from iidtails.checks import CLAIMS, Curves
+    x = dist1d([(-3, F(1, 7)), (0, F(2, 7)), (F(1, 3), F(3, 7)), (5, F(1, 7))])
+    for norm in (ABS, SUP, EUC):
+        curves = Curves(x, norm, range(1, 7))
+        for k in range(1, 4):
+            lhs, _ = curves.sides(CLAIMS["corollary4"], {"k": k})
+            assert lhs == path_max_curve(x, k, norm)
+    with pytest.raises(ValueError):
+        Curves(coin(), ABS, {1}).sides(CLAIMS["corollary4"], {"k": 3})
 
 
 @given(st.data(), st.integers(1, 3), st.sampled_from([ABS, SUP, EUC]),
