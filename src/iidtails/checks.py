@@ -28,10 +28,12 @@ from .dists import (
     DiscreteDist,
     Norm,
     STRICT,
+    SupportCapExceeded,
     TailCurve,
     _check_mode,
     _Walk,
     _gauge_curve,
+    _merged,
     _weighted_walk,
     rat,
 )
@@ -306,14 +308,13 @@ def _indices(shape: ClaimSpec, given: dict) -> dict:
 
 
 class Curves:
-    """Tail curves of one law under one norm, each built once.  One walk
-    of S_1, S_2, ... goes as far as the largest of `reads`, the indices of
-    the S_i its checks read (_reads): the lattice laws of those S_i are
-    kept for the lifetime of the Curves, and every other law is dropped as
-    soon as the walk has passed it.  Asking for an S_i outside reads raises
-    ValueError.  The running max's curves come from one pass of the same
-    walk (_Walk.maxima), taken only as far as the largest horizon asked
-    for; a horizon past the walk raises ValueError."""
+    """Tail curves of one law under one norm, each built once, from one
+    pass (_Walk.steps) as far as the largest S_i in `reads` (_reads), split
+    by running max iff reads hold MAX.  The lattice laws of the S_i in reads
+    are merged from the buckets and kept, every other law is dropped once
+    passed, and the running max's curve is built at every step.  A read
+    outside reads raises ValueError; a running max from the step where the
+    pass collapsed at the cap on raises SupportCapExceeded."""
 
     def __init__(self, dist: DiscreteDist, norm: Norm, reads,
                  cap: int = DEFAULT_SUPPORT_CAP):
@@ -321,22 +322,29 @@ class Curves:
         self.norm = norm
         self.cap = cap
         self.reads = frozenset(reads)
-        self.walk = _Walk([dist], max(self.reads | {1}), cap)
-        self._sums = enumerate(self.walk.sums(), 1)
+        self.walk = _Walk([dist], max(self.reads - {MAX} | {1}), cap)
+        self._steps = self.walk.steps(norm if MAX in self.reads else None)
         self._laws = {}               # lattice law of each S_i in reads
+        self._max_curves = []         # running max curve or None, per step
         self._curves = {}
-        self._maxima = self.walk.maxima(norm)
-        self._max_curves = []
+
+    def _step(self, i: int) -> "TailCurve | None":
+        """Take the pass to step i; the running max's curve there."""
+        for n in range(len(self._max_curves) + 1, i + 1):
+            buckets = next(self._steps)
+            if n in self.reads:
+                self._laws[n] = _merged(buckets)
+            curve = None if None in buckets else _gauge_curve(
+                self.norm, *self.walk.running_max(self.norm, buckets))
+            self._max_curves.append(curve)
+        return self._max_curves[i - 1]
 
     def _law(self, i: int):
         """The lattice law (atoms, den) of S_i on the walk's lattice."""
         if i not in self.reads:
-            raise ValueError(f"S_{i} is not among {sorted(self.reads)}, "
-                             "the sums these curves read")
-        while i not in self._laws:
-            n, law = next(self._sums)
-            if n in self.reads:
-                self._laws[n] = law
+            raise ValueError(f"S_{i} is not among the sums these curves "
+                             f"read, {sorted(self.reads - {MAX})}")
+        self._step(i)
         return self._laws[i]
 
     def curve(self, i: int) -> TailCurve:
@@ -350,13 +358,11 @@ class Curves:
         if shape.lhs == SUM:
             lhs = self.curve(idx["j"])
         elif shape.lhs == MAX:
-            if k > self.walk.n:
-                raise ValueError(f"the running max to k={k} is past S_"
-                                 f"{self.walk.n}, the last sum walked")
-            while len(self._max_curves) < k:
-                self._max_curves.append(_gauge_curve(self.norm,
-                                                     *next(self._maxima)))
-            lhs = self._max_curves[k - 1]
+            if MAX not in self.reads or k > self.walk.n:
+                raise ValueError(f"the running max to k={k} is not read")
+            lhs = self._step(k)
+            if lhs is None:
+                raise SupportCapExceeded(self.cap + 1, self.cap)
         else:
             lhs = _weighted_walk(self.dist, idx["alphas"],
                                  self.cap).curve(self.norm)
@@ -396,20 +402,22 @@ def claim_reports(spec: ClaimSpec, curves: Curves, given: dict, c1=None,
             for rep in shape_reports(spec, shape, curves, given, a, b, modes)]
 
 
-def _reads(shape: ClaimSpec, given: dict) -> "set[int]":
+def _reads(shape: ClaimSpec, given: dict) -> set:
     """The i of every S_i a check of this claim or shape reads at these
-    parameters: S_j and S_k for its SUM sides, S_1..S_k for an envelope and
-    for corollary3, S_1 and S_2 for lemma2 with Y = X."""
+    parameters, and MAX when it reads a running max: S_j and S_k for its
+    SUM sides, S_1..S_k for an envelope and for corollary3, S_1 and S_2 for
+    lemma2 with Y = X."""
     if shape.shapes:
         return set().union(*(_reads(CLAIMS[name], given)
                              for name, _ in shape.shapes))
     if shape.claim_id == "lemma2":
         return {1} if "y" in given else {1, 2}
     k = len(given["alphas"]) if shape.lhs == WEIGHTED else given.get("k")
+    reads = {MAX} if shape.lhs == MAX else set()
     if shape.rhs == ENVELOPE or shape.claim_id == "corollary3":
-        return set(range(1, k + 1))
-    return {i for side, i in ((shape.lhs, given.get("j")), (shape.rhs, k))
-            if side == SUM}
+        return reads | set(range(1, k + 1))
+    return reads | {i for side, i in ((shape.lhs, given.get("j")),
+                                      (shape.rhs, k)) if side == SUM}
 
 
 def _check(claim: str, X: DiscreteDist, given: dict, c1, c2, norm: Norm,

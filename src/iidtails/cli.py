@@ -95,6 +95,18 @@ def _norm(text: str) -> Norm:
             f"unknown norm {text!r}; choose abs1d, sup, or euclidean")
 
 
+def _cap(text: str) -> int:
+    """A support cap: a positive int."""
+    try:
+        cap = int(text)
+    except ValueError:
+        cap = 0
+    if cap < 1:
+        raise argparse.ArgumentTypeError(
+            f"must be a positive integer, got {text!r}")
+    return cap
+
+
 def _weights(text: str) -> "list[Fraction]":
     return [_rational(part) for part in text.split(",") if part != ""]
 
@@ -335,7 +347,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--lhs-mode", choices=MODES, default=None,
                    help="default strict")
     p.add_argument("--rhs-mode", choices=MODES, default=None)
-    p.add_argument("--cap", type=int, default=DEFAULT_SUPPORT_CAP)
+    p.add_argument("--cap", type=_cap, default=DEFAULT_SUPPORT_CAP)
     p.add_argument("--out", default=None, help="also write the JSON here")
     p.add_argument("files", nargs="+", metavar="FILE")
     p.set_defaults(func=cmd_verify)
@@ -354,7 +366,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--norms", type=lambda s: [_norm(x) for x in s.split(",")],
                    default=[Norm.ABS1D])
     p.add_argument("--weight-vectors", type=int, default=2)
-    p.add_argument("--cap", type=int, default=DEFAULT_SUPPORT_CAP)
+    p.add_argument("--cap", type=_cap, default=DEFAULT_SUPPORT_CAP)
     p.add_argument("--out-dir", default=".")
     p.add_argument("--json", action="store_true",
                    help="write corpus.json (default: both artifacts)")
@@ -375,7 +387,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--lattice-denominator", type=int, default=16)
     p.add_argument("--prob-denominator", type=int, default=64)
     p.add_argument("--norm", type=_norm, default=Norm.ABS1D)
-    p.add_argument("--cap", type=int, default=DEFAULT_SUPPORT_CAP)
+    p.add_argument("--cap", type=_cap, default=DEFAULT_SUPPORT_CAP)
     p.add_argument("--out", default=None)
     p.set_defaults(func=cmd_search)
 

@@ -6,12 +6,9 @@ common denominator.  Every sum of independent terms (convolve, iid_sum,
 weighted_iid_sum, and the S_i behind every check) is one left fold
 S <- S (+) term on an integer lattice: coordinates are scaled by a common
 denominator and an n-D point is packed into one int, masses are int
-numerators over a common denominator.  The fold is advanced only as far as
-asked, and a law or tail curve is built straight from the lattice law it
-reaches.
-The running maximum max_{j<=k} ||S_j|| is one more pass of the same walk
-(_Walk.maxima): S_k's lattice law bucketed by running max, advanced through
-the same convolution loop, which serves every horizon and threshold.
+numerators over a common denominator.  One pass of the fold (_Walk.steps),
+split by running max max_{j<=i} ||S_j|| when that is read, serves every
+sum, running max and tail curve, and goes only as far as asked.
 The euclidean norm is handled through squared values (the "gauge") so that
 every order comparison against a rational threshold stays rational; abs1d and
 sup norms compare radii directly.
@@ -24,7 +21,7 @@ from dataclasses import dataclass, fields
 from enum import Enum
 from fractions import Fraction
 from itertools import accumulate
-from math import ceil, floor, gcd, lcm
+from math import ceil, floor, gcd, inf, lcm
 from typing import Iterable, Mapping, Union
 
 PointLike = Union[tuple, list, int, Fraction, str]
@@ -49,11 +46,10 @@ class SupportCapExceeded(RuntimeError):
 
 
 def rat(value) -> Fraction:
-    """Coerce to Fraction, rejecting floats (they are not exact inputs)."""
-    if isinstance(value, float):
-        raise TypeError(
-            f"refusing float {value!r}: pass Fraction, int, or 'p/q' string"
-        )
+    """Coerce to Fraction, rejecting floats and bools (not exact inputs)."""
+    if isinstance(value, (float, bool)):
+        raise TypeError(f"refusing {type(value).__name__} {value!r}: pass "
+                        "Fraction, int, or 'p/q' string")
     return Fraction(value)
 
 
@@ -243,12 +239,43 @@ def _unpack(z: int, base: int, dim: int) -> "list[int]":
     return coords
 
 
+def _split(buckets, term, gauge, cap):
+    """A step of the split pass: each bucket law advanced by term (if any)
+    through the convolution loop, each sum z moved to bucket max(m,
+    gauge(z)).  SupportCapExceeded once the states (z, m) pass cap."""
+    out, gauges, states = {}, {}, 0
+    for m, law in buckets.items():
+        atoms, den = _convolve_lattice(law, term, cap) if term else law
+        for z, p in atoms.items():
+            g = gauges.get(z)
+            if g is None:
+                g = gauges[z] = gauge(z)
+            into = out.setdefault(m if m >= g else g, {})
+            states += z not in into
+            into[z] = into.get(z, 0) + p
+        if states > cap:
+            raise SupportCapExceeded(cap + 1, cap)
+    return {m: (atoms, den) for m, atoms in out.items()}
+
+
+def _merged(buckets):
+    """S_i's lattice law: one step's bucket laws summed point by point."""
+    laws = list(buckets.values())
+    if len(laws) == 1:
+        return laws[0]
+    atoms = {}
+    for part, den in laws:
+        for z, p in part.items():
+            atoms[z] = atoms.get(z, 0) + p
+    return atoms, den
+
+
 class _Walk:
     """The partial sums S_i = T_1 + ... + T_i of n independent terms, by the
     left fold S_i = S_{i-1} (+) T_i: the one way a sum is built.  The terms
     are `laws`, or n copies of one law, on a lattice packed for n terms.
-    The fold holds only the running sum; a caller that reads an S_i again
-    keeps its lattice law (atoms, den)."""
+    steps() is the one pass of the fold, and it holds only the current
+    step; a caller that reads an S_i again keeps its lattice law."""
 
     def __init__(self, laws: "list[DiscreteDist]", n: int, cap: int):
         if n < 1:
@@ -258,19 +285,54 @@ class _Walk:
         self.cap = cap
         self.scale, self.base, self.terms = _encode(laws, n)
 
-    def sums(self):
-        """Yield the lattice laws of S_1, ..., S_n, each when asked for."""
-        terms = self.terms
-        law = terms[0]
-        yield law
+    def steps(self, norm: "Norm | None" = None):
+        """Yield S_i's lattice law after each step i = 1, ..., n, split by
+        running max: int gauge m -> the law of S_i on max_{j<=i} gauge(S_j)
+        = m.  A step takes every bucket through the convolution loop and,
+        with a norm, moves each new sum z to bucket max(m, gauge(z)); cap
+        bounds the states (z, m) of each step after the first.  Without a
+        norm there is one bucket, None, and a step is one convolution, whose
+        cap bounds S_i.  A step whose states pass cap collapses the pass to
+        that one bucket: S_i is kept, and from there the running max is
+        lost (running_max raises)."""
+        cap, gauge = self.cap, norm and self._gauge(norm)
+        # S_1: each atom to the bucket of its own gauge, as -1 < every gauge
+        buckets = _split({-1: self.terms[0]}, None, gauge, inf) if gauge \
+            else {None: self.terms[0]}
+        yield buckets
         for i in range(1, self.n):
-            law = _convolve_lattice(law, terms[i % len(terms)], self.cap)
-            yield law
+            term = self.terms[i % len(self.terms)]
+            if gauge:
+                try:
+                    buckets = _split(buckets, term, gauge, cap)
+                except SupportCapExceeded:
+                    gauge, buckets = None, {None: _merged(buckets)}
+            if not gauge:
+                buckets = {None: _convolve_lattice(buckets[None], term, cap)}
+            yield buckets
+
+    def sums(self):
+        """The lattice laws of S_1, ..., S_n, lazily: the one-bucket pass."""
+        return (buckets[None] for buckets in self.steps())
 
     def last(self):
         for law in self.sums():
             pass
         return law
+
+    def running_max(self, norm: "Norm", buckets):
+        """The law of max_{j<=i} gauge(S_j) at a step of steps(norm) as (int
+        gauge -> int mass, gauge unit, mass denominator); SupportCapExceeded
+        once the pass has collapsed."""
+        if None in buckets:
+            raise SupportCapExceeded(self.cap + 1, self.cap)
+        (_, den), *_ = buckets.values()
+        return ({m: sum(atoms.values()) for m, (atoms, _) in buckets.items()},
+                self.scale ** norm.scale_exponent, den)
+
+    def maxima(self, norm: "Norm"):
+        """The running max's law after each step, lazily (running_max)."""
+        return (self.running_max(norm, b) for b in self.steps(norm))
 
     def dist(self, law=None) -> DiscreteDist:
         """Trusted constructor: the DiscreteDist of a lattice law (S_n by
@@ -303,42 +365,6 @@ class _Walk:
             mass[g] = mass.get(g, 0) + num
         return _gauge_curve(norm, mass, self.scale ** norm.scale_exponent,
                             den)
-
-    def maxima(self, norm: "Norm"):
-        """The running maximum of the walk: yields, after each step k = 1,
-        ..., n, the law of max_{i<=k} gauge(S_i) as (int gauge value -> int
-        mass numerator, gauge unit, mass denominator), and takes step k + 1
-        only when the next law is asked for.
-
-        The DP holds S_k's lattice law split by running max, int gauge m ->
-        {packed sum -> int mass}.  A step advances every bucket through the
-        convolution loop and moves each new sum z to bucket max(m, gauge(z)),
-        the gauge of each z computed once.  cap bounds the (sum, running max)
-        states of each step after the first.
-        """
-        gauge, cap = self._gauge(norm), self.cap
-        unit = self.scale ** norm.scale_exponent
-        atoms, den = self.terms[0]
-        buckets: "dict[int, dict[int, int]]" = {}
-        for z, p in atoms.items():
-            buckets.setdefault(gauge(z), {})[z] = p
-        yield {m: sum(b.values()) for m, b in buckets.items()}, unit, den
-        for i in range(1, self.n):
-            term = self.terms[i % len(self.terms)]
-            nxt, gauges, states = {}, {}, 0
-            for m, bucket in buckets.items():
-                law, step_den = _convolve_lattice((bucket, den), term, cap)
-                for z, p in law.items():
-                    g = gauges.get(z)
-                    if g is None:
-                        g = gauges[z] = gauge(z)
-                    into = nxt.setdefault(m if m >= g else g, {})
-                    states += z not in into
-                    into[z] = into.get(z, 0) + p
-                if states > cap:
-                    raise SupportCapExceeded(cap + 1, cap)
-            buckets, den = nxt, step_den
-            yield {m: sum(b.values()) for m, b in buckets.items()}, unit, den
 
 
 def convolve(a: DiscreteDist, b: DiscreteDist,
@@ -482,7 +508,7 @@ def path_max_tail(x: DiscreteDist, k: int, norm: Norm, t,
                   mode: str = STRICT, cap: int = DEFAULT_SUPPORT_CAP) -> Fraction:
     """Exact Pr(sup_{1<=j<=k} ||S_j|| > t) (or >= t in weak mode).
 
-    cap bounds the (sum, running max) states of each DP step.
+    cap bounds the (sum, running max) states of each step of the pass.
     """
     return path_max_curve(x, k, norm, cap).at_radius(t, mode)
 

@@ -24,7 +24,9 @@ class SpecFileError(ValueError):
 
 
 def parse_rational(s, where: str = "value") -> Fraction:
-    if isinstance(s, int):
+    """A rational from a 'p/q' string or an int; JSON true and false are
+    refused, although Python counts them as ints."""
+    if isinstance(s, int) and not isinstance(s, bool):
         return Fraction(s)
     if isinstance(s, str):
         try:
@@ -44,7 +46,7 @@ def dist_from_jsonable(doc) -> DiscreteDist:
         atoms = doc["atoms"]
     except KeyError as exc:
         raise SpecFileError(f"top level: missing key {exc}") from None
-    if not isinstance(dim, int) or dim < 1:
+    if not isinstance(dim, int) or isinstance(dim, bool) or dim < 1:
         raise SpecFileError(f"dim: expected a positive integer, got {dim!r}")
     if not isinstance(atoms, list) or not atoms:
         raise SpecFileError("atoms: expected a nonempty list")

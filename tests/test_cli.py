@@ -458,6 +458,24 @@ class TestTopLevel:
     def test_version_flag(self, capsys):
         assert main(["--version"]) == 0
 
+    @pytest.mark.parametrize("cap", ["0", "-3", "abc"])
+    @pytest.mark.parametrize("argv", [
+        ("verify", "--claim", "theorem1", "COIN"),
+        ("corpus", "--count", "1"),
+        ("search", "--j", "1", "--k", "2", "--c2", "1", "--budget", "10"),
+    ], ids=["verify", "corpus", "search"])
+    def test_cap_below_one_exit_two(self, capsys, coin_file, tmp_path, argv,
+                                    cap):
+        """--cap bounds a support size, so a cap below 1 is refused before
+        anything runs, with a message that names the flag."""
+        argv = [coin_file if a == "COIN" else a for a in argv]
+        code, out, err = run(capsys, *argv, f"--cap={cap}",
+                             *(["--out-dir", str(tmp_path)]
+                               if argv[0] == "corpus" else []))
+        assert code == 2 and not out
+        assert f"argument --cap: must be a positive integer, got {cap!r}" \
+            in err
+
     def test_no_subcommand_exit_two(self, capsys):
         assert main([]) == 2
 

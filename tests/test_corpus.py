@@ -184,23 +184,35 @@ class TestCsv:
 
 
 def test_running_max_pass_takes_one_step_per_horizon(monkeypatch):
-    """levy_ottaviani and corollary4 at k = 1..K share one running-max pass
-    per instance: K DP steps in all, not one restart per horizon."""
+    """levy_ottaviani and corollary4 at k = 1..K read every S_i and every
+    running max of an instance from one pass: K steps in all, not one
+    restart per horizon, and no atom pair beyond those of the bucketed pass
+    alone, so no plain fold of S_1..S_K runs beside it."""
     from iidtails import dists
-    steps = []
-    one_pass = dists._Walk.maxima
+    steps, pairs = [0], [0]
+    one_pass, convolve = dists._Walk.steps, dists._convolve_lattice
 
-    def counted(*args):
-        for law in one_pass(*args):
-            steps.append(law)
-            yield law
+    def counted_steps(*args):
+        for buckets in one_pass(*args):
+            steps[0] += 1
+            yield buckets
 
-    monkeypatch.setattr(dists._Walk, "maxima", counted)
+    def counted_pairs(a, b, cap):
+        pairs[0] += len(a[0]) * len(b[0])
+        return convolve(a, b, cap)
+
+    monkeypatch.setattr(dists._Walk, "steps", counted_steps)
+    monkeypatch.setattr(dists, "_convolve_lattice", counted_pairs)
     K = 5
-    rep = run_corpus(CorpusConfig(seed=3, count=1, max_k=K),
-                     ["levy_ottaviani", "corollary4"])
-    assert rep.total_checks == 2 * 2 * K and not rep.skipped
-    assert len(steps) == K
+    config = CorpusConfig(seed=3, count=4, max_k=K)
+    rep = run_corpus(config, ["levy_ottaviani", "corollary4"])
+    assert rep.total_checks == 4 * 2 * 2 * K and not rep.skipped
+    assert steps[0] == 4 * K
+    in_corpus, pairs[0] = pairs[0], 0
+    for dist, norm in generate_corpus(config):
+        for _ in dists._Walk([dist], K, dists.DEFAULT_SUPPORT_CAP).maxima(norm):
+            pass
+    assert in_corpus == pairs[0] > 0
 
 
 def test_max_k_one_draws_single_weights():

@@ -13,6 +13,7 @@ from iidtails.dists import (
     TailCurve,
     _Walk,
     _gauge_curve,
+    _merged,
     affine,
     as_point,
     convolve,
@@ -567,32 +568,60 @@ def _max_steps(laws, k):
     return out
 
 
+def _pass_steps(walk, norm=None):
+    """Each step of one pass: S_i merged from its buckets, as (atoms sorted,
+    den), and with a norm the running max read there, as _max_steps renders
+    it; a pass that hits the cap ends both lists with ("cap", size, cap)."""
+    sums, maxima = [], []
+    try:
+        for buckets in walk.steps(norm):
+            atoms, den = _merged(buckets)
+            sums.append((sorted(atoms.items()), den))
+            if norm:
+                maxima += _max_steps((walk.running_max(norm, b)
+                                      for b in [buckets]), 1)
+    except SupportCapExceeded as exc:
+        sums.append(("cap", exc.size, exc.cap))
+        maxima.append(sums[-1])
+    return sums, maxima
+
+
 @given(st.data(), st.integers(1, 3), st.sampled_from([ABS, SUP, EUC]),
        st.integers(1, 5), st.integers(1, 40))
 @settings(max_examples=150, deadline=None)
 def test_walk_maxima_match_tuple_state_oracle(data, dim, norm, k, cap):
     """The running max bucketed on the sum walk gives the tuple-state DP's
     law at every step, or hits the cap at the same step with the same
-    size."""
+    size.  At every step the S_i merged from the buckets is the one-bucket
+    fold's S_i, also once the states have passed the cap and the pass has
+    collapsed to one bucket; from that step on every running-max read
+    raises, as the tuple-state DP does."""
     if norm is ABS and dim != 1:
         norm = SUP
     x = data.draw(lattice_dists(dim, max_atoms=4))
-    assert _max_steps(_Walk([x], k, cap).maxima(norm), k) == \
-        _max_steps(tuple_running_max_laws(x, norm, cap), k)
+    walk = _Walk([x], k, cap)
+    oracle = _max_steps(tuple_running_max_laws(x, norm, cap), k)
+    assert _max_steps(walk.maxima(norm), k) == oracle
+    sums, maxima = _pass_steps(walk, norm)
+    assert sums == _pass_steps(walk)[0]
+    lost = next((i for i, m in enumerate(maxima) if m[0] == "cap"),
+                len(maxima))
+    assert maxima[:lost + 1] == oracle
+    assert all(m == ("cap", cap + 1, cap) for m in maxima[lost:])
 
 
 def test_curves_read_the_running_max_from_their_own_walk():
     """A Curves walk past the horizon gives path_max_curve's curves, and a
     horizon past its walk is refused."""
-    from iidtails.checks import CLAIMS, Curves
+    from iidtails.checks import CLAIMS, MAX, Curves
     x = dist1d([(-3, F(1, 7)), (0, F(2, 7)), (F(1, 3), F(3, 7)), (5, F(1, 7))])
     for norm in (ABS, SUP, EUC):
-        curves = Curves(x, norm, range(1, 7))
+        curves = Curves(x, norm, {*range(1, 7), MAX})
         for k in range(1, 4):
             lhs, _ = curves.sides(CLAIMS["corollary4"], {"k": k})
             assert lhs == path_max_curve(x, k, norm)
     with pytest.raises(ValueError):
-        Curves(coin(), ABS, {1}).sides(CLAIMS["corollary4"], {"k": 3})
+        Curves(coin(), ABS, {1, MAX}).sides(CLAIMS["corollary4"], {"k": 3})
 
 
 @given(st.data(), st.integers(1, 3), st.sampled_from([ABS, SUP, EUC]),

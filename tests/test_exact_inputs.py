@@ -1,8 +1,11 @@
 """Floats are rejected everywhere: every exact public entry point raises
 TypeError when a float stands where a rational is expected (`0.1` is not
 `1/10`).  The Monte Carlo module is the one place floats belong and is not
-listed here."""
+listed here.  Booleans are refused the same way, although Python counts
+them as ints: `True` is not the rational 1, in a call or in a law file."""
 
+import json
+import re
 from fractions import Fraction as F
 
 import pytest
@@ -38,6 +41,9 @@ from iidtails import (
     weighted_iid_sum,
     window_mass,
 )
+from iidtails.cli import main
+from iidtails.dists import rat
+from iidtails.specfile import SpecFileError, parse_dist
 from oracles import coin
 
 X = coin()
@@ -90,3 +96,42 @@ FLOAT_CALLS = {
 def test_float_is_refused(call):
     with pytest.raises(TypeError, match="float"):
         call()
+
+
+BOOL_CALLS = {
+    "rat": lambda: rat(True),
+    "DiscreteDist.mass": lambda: DiscreteDist({0: True}),
+    "check_theorem1.constants":
+        lambda: check_theorem1(X, 1, 2, c1=True, c2=True),
+    "tail": lambda: tail(X, Norm.ABS1D, False),
+}
+
+
+@pytest.mark.parametrize("call", BOOL_CALLS.values(), ids=BOOL_CALLS)
+def test_bool_is_refused(call):
+    with pytest.raises(TypeError, match="bool"):
+        call()
+
+
+LAW = {"dim": 1, "atoms": [{"x": "-1", "p": "1/2"}, {"x": "1", "p": "1/2"}]}
+
+
+@pytest.mark.parametrize("path, where", [
+    (("atoms", 0, "x"), "atoms[0].x"),
+    (("atoms", 1, "p"), "atoms[1].p"),
+    (("dim",), "dim"),
+], ids=["x", "p", "dim"])
+def test_bool_in_a_law_file_is_refused(tmp_path, capsys, path, where):
+    """A JSON true in a law file is a located error, exit 2, not the 1 that
+    Python's bool would pass for."""
+    doc = json.loads(json.dumps(LAW))
+    node = doc
+    for key in path[:-1]:
+        node = node[key]
+    node[path[-1]] = True
+    with pytest.raises(SpecFileError, match=re.escape(where)):
+        parse_dist(json.dumps(doc))
+    law = tmp_path / "law.json"
+    law.write_text(json.dumps(doc))
+    assert main(["verify", "--claim", "theorem1", str(law)]) == 2
+    assert f"{law}: {where}: " in capsys.readouterr().err

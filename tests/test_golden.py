@@ -34,6 +34,12 @@ CAPPED_ARGS = ("corpus", "--seed", "7", "--count", "20", "--max-k", "6",
                "--dims", "1,2", "--norms", "abs1d,sup,euclidean",
                "--claims", "levy_ottaviani,corollary4", "--cap", "150")
 
+# the same corpus with theorem1 beside corollary4: the running max and S_k
+# share one pass, so these digests pin that a state cap hit by the running
+# max leaves every theorem1 row before the sum cap in place
+CAPPED_MIXED_ARGS = CAPPED_ARGS[:-4] + ("--claims", "theorem1,corollary4",
+                                        "--cap", "150")
+
 LAW_1D = dist1d([(-1, F(1, 4)), (F(1, 2), F(1, 4)), (2, F(1, 2))])
 LAW_2D = DiscreteDist({(F(0), F(1)): F(1, 3), (F(1), F(-1)): F(1, 6),
                        (F(-2), F(0)): F(1, 2)})
@@ -76,6 +82,10 @@ GOLDEN = {
         "0529bd618249489ab447ea19937eceeca74a0c1a133b7ae9f5dc138f8532aa60",
     "capped.json":
         "d303b8cad1c5273b0d67ebf0e8e090214f1a3e0df10657583403fdc82510548d",
+    "capped_mixed.csv":
+        "faddf359d99dda4fd38a4902e3e04a6a02fa489a055e23d255665cb4903166f2",
+    "capped_mixed.json":
+        "9bbf3162f3e27fec6d2ca5ca63805e613f3fa72a1895c8dd5af3e50598ee5393",
     "overrides":
         "1b69cd5ae4e84766c03f790529988013fe389700aa33954383334bbb230d6014",
     "verify:theorem1":
@@ -207,6 +217,7 @@ def counterexample_digest(flags) -> str:
 def all_digests(workdir: Path) -> dict:
     out = corpus_digests(workdir)
     out.update(corpus_digests(workdir, CAPPED_ARGS, "capped"))
+    out.update(corpus_digests(workdir, CAPPED_MIXED_ARGS, "capped_mixed"))
     out["overrides"] = overrides_digest()
     files = law_files(workdir)
     for name, flags, dims in VERIFY_CASES:
@@ -229,6 +240,13 @@ def test_capped_corpus_bytes(tmp_path):
     assert got == {k: GOLDEN[k] for k in got}
     doc = json.loads((tmp_path / "corpus.json").read_text())["corpus"]
     assert (doc["total_checks"], len(doc["skipped"])) == (372, 7)
+
+
+def test_capped_mixed_corpus_bytes(tmp_path):
+    got = corpus_digests(tmp_path, CAPPED_MIXED_ARGS, "capped_mixed")
+    assert got == {k: GOLDEN[k] for k in got}
+    doc = json.loads((tmp_path / "corpus.json").read_text())["corpus"]
+    assert (doc["total_checks"], len(doc["skipped"])) == (1018, 7)
 
 
 def test_corpus_override_violations():
