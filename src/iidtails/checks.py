@@ -10,6 +10,14 @@ sum_i alpha_i X_i and the envelope max_{i<=k} Pr(||S_i|| > .).  Both sides
 are step functions, so reading both at a finite set of thresholds in one
 integer walk (_walk) is exhaustive; nothing is sampled or rounded anywhere.
 
+Weak equals shifted strict.  When neither side mixes modes, every critical
+on the walk's unit is even, so `crits <= x - 1` (the weak read at x) and
+`crits <= x'` (the strict read at the threshold x' before x) pass the same
+points, and the first read is the same in both modes.  So the (weak, weak)
+outcome has the (strict, strict) status, lhs, rhs, margin and max_lhs; its
+worst_q is the threshold after the strict worst, or the first threshold
+when the strict worst is there.  _sweeps answers MODE_PAIRS from one walk.
+
 CLAIMS is the one table of claims.  The corpus, the CLI, mc_check and the
 extremal search read it, and the check_* functions are thin wrappers over
 claim_reports.
@@ -18,7 +26,7 @@ claim_reports.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from fractions import Fraction
 from typing import Callable
 
@@ -30,6 +38,7 @@ from .dists import (
     STRICT,
     SupportCapExceeded,
     TailCurve,
+    WEAK,
     _check_mode,
     _Walk,
     _gauge_curve,
@@ -107,6 +116,44 @@ class SweepOutcome:
     max_lhs: Fraction          # largest lhs seen (0 means the check was idle)
 
 
+# both unmixed mode pairs, answered by one strict walk (module docstring);
+# every corpus check runs at these
+MODE_PAIRS = ((STRICT, STRICT), (WEAK, WEAK))
+
+
+def _sweeps(lhs_curve: TailCurve, rhs_curve: TailCurve, factor, scale,
+            modes) -> "list[SweepOutcome]":
+    """One SweepOutcome of lhs(t) <= factor * rhs(t/scale) per (lhs mode,
+    rhs mode) pair in modes.  MODE_PAIRS takes one strict walk and reads
+    the weak outcome off it; any other tuple takes one walk per pair."""
+    factor, scale = rat(factor), rat(scale)
+    shared = tuple(modes) == MODE_PAIRS
+    outs = []
+    for lhs_mode, rhs_mode in modes[:1] if shared else modes:
+        unit, (dl, dr), reads = _walk([(lhs_curve, ONE, lhs_mode),
+                                       (rhs_curve, scale, rhs_mode)])
+        xs, nls, nrs = zip(*reads)
+        # margin = factor * rhs - lhs is kr * nr - kl * nl over fd * dl * dr
+        kr, kl = factor.numerator * dl, factor.denominator * dr
+        # Only lhs > 0 can violate, and past both supports 0 <= 0 would mask
+        # the worst case; ties go to the least x.  lhs is nonincreasing: the
+        # first read holds its largest value, the outcome when lhs is
+        # identically 0.
+        margin, p = min(((kr * nr - kl * nl, i) for i, (nl, nr)
+                         in enumerate(zip(nls, nrs)) if nl), default=(0, 0))
+        lv, rv = Fraction(nls[p], dl), factor * Fraction(nrs[p], dr)
+        outs.append(SweepOutcome(VIOLATED if margin < 0 else HOLDS,
+                                 Fraction(xs[p], unit), lv, rv, rv - lv,
+                                 Fraction(nls[0], dl)))
+    if shared:
+        # the weak read at xs[i + 1] is the strict read at xs[i], and the
+        # first read is the same in both; a worst p > 0 has lhs > 0, so it
+        # is not the last read, past every critical
+        outs.append(replace(outs[0], worst_q=Fraction(
+            xs[0 if p == 0 else p + 1], unit)))
+    return outs
+
+
 def sweep_curves(lhs_curve: TailCurve, rhs_curve: TailCurve, factor: Fraction,
                  scale: Fraction, lhs_mode: str = STRICT,
                  rhs_mode: "str | None" = None) -> SweepOutcome:
@@ -116,19 +163,8 @@ def sweep_curves(lhs_curve: TailCurve, rhs_curve: TailCurve, factor: Fraction,
     radius space; in gauge space (euclidean) it acts squared.
     """
     rhs_mode = lhs_mode if rhs_mode is None else rhs_mode
-    factor = rat(factor)
-    unit, (dl, dr), reads = _walk([(lhs_curve, ONE, lhs_mode),
-                                   (rhs_curve, rat(scale), rhs_mode)])
-    # margin = factor * rhs - lhs is kr * nr - kl * nl over fd * dl * dr
-    kr, kl = factor.numerator * dl, factor.denominator * dr
-    reads = [(kr * nr - kl * nl, x, nl, nr) for x, nl, nr in reads]
-    # Only lhs > 0 can violate, and past both supports 0 <= 0 would mask the
-    # worst case; ties go to the least x.  lhs is nonincreasing: the first
-    # read holds its largest value, the outcome when lhs is identically 0.
-    margin, x, nl, nr = min((r for r in reads if r[2]), default=reads[0])
-    lv, rv = Fraction(nl, dl), factor * Fraction(nr, dr)
-    return SweepOutcome(VIOLATED if margin < 0 else HOLDS, Fraction(x, unit),
-                        lv, rv, rv - lv, Fraction(reads[0][2], dl))
+    return _sweeps(lhs_curve, rhs_curve, factor, scale,
+                   ((lhs_mode, rhs_mode),))[0]
 
 
 def least_c1(lhs_curve: TailCurve, rhs_curve: TailCurve, factor: Fraction,
@@ -327,11 +363,21 @@ class Curves:
         self._laws = {}               # lattice law of each S_i in reads
         self._max_curves = []         # running max curve or None, per step
         self._curves = {}
+        self._cap_error = None        # (size, cap) where the pass stopped
 
     def _step(self, i: int) -> "TailCurve | None":
-        """Take the pass to step i; the running max's curve there."""
+        """Take the pass to step i; the running max's curve there.  Past the
+        step where the pass stopped at the cap, every read raises its
+        SupportCapExceeded again."""
         for n in range(len(self._max_curves) + 1, i + 1):
-            buckets = next(self._steps)
+            if self._cap_error is not None:
+                raise SupportCapExceeded(*self._cap_error)
+            try:
+                buckets = next(self._steps)
+            except SupportCapExceeded as exc:
+                # the sizes, not exc, whose traceback would hold self
+                self._cap_error = exc.size, exc.cap
+                raise
             if n in self.reads:
                 self._laws[n] = _merged(buckets)
             curve = None if None in buckets else _gauge_curve(
@@ -386,10 +432,10 @@ def shape_reports(spec: ClaimSpec, shape: ClaimSpec, curves: Curves,
     factor, scale = shape.factor(c1, j, k), shape.scale(c2, j, k)
     base = {} if shape is spec else {"shape": shape.claim_id}
     base.update(idx, c1=c1, c2=c2, norm=curves.norm)
-    for lhs_mode, rhs_mode in modes:
-        out = sweep_curves(lhs, rhs, factor, scale, lhs_mode, rhs_mode)
-        yield _report(spec.claim_id, {**base, "modes": (lhs_mode, rhs_mode)},
-                      out, curves.norm, spec.note)
+    for mode_pair, out in zip(modes, _sweeps(lhs, rhs, factor, scale,
+                                             modes)):
+        yield _report(spec.claim_id, {**base, "modes": mode_pair}, out,
+                      curves.norm, spec.note)
 
 
 def claim_reports(spec: ClaimSpec, curves: Curves, given: dict, c1=None,

@@ -10,6 +10,7 @@ the report alone.  Exit codes: 0 all holds/vacuous, 1 genuine violation,
 from __future__ import annotations
 
 import argparse
+import functools
 import hashlib
 import json
 import sys
@@ -324,7 +325,10 @@ def cmd_show(args) -> int:
     return EXIT_OK
 
 
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
+    """The one parser of this process; parse_args leaves it unchanged and
+    no handler mutates a default it returns (the --dims/--norms lists)."""
     parser = argparse.ArgumentParser(
         prog="iidtails",
         description="Exact verification of tail-comparison inequalities "

@@ -20,6 +20,7 @@ from .checks import (
     FIRST_TWO,
     J_LE_K,
     K_ONLY,
+    MODE_PAIRS,
     WEIGHTED,
     Curves,
     _reads,
@@ -30,9 +31,7 @@ from .dists import (
     DEFAULT_SUPPORT_CAP,
     DiscreteDist,
     Norm,
-    STRICT,
     SupportCapExceeded,
-    WEAK,
 )
 from .reports import HOLDS, InequalityReport, VIOLATED, approx, jsonify
 from .specfile import dist_to_jsonable
@@ -42,9 +41,6 @@ DEFAULT_CLAIMS = tuple(CLAIMS)
 # alternative constant sets reported under claim_id latala_alt
 LATALA_THEOREM1, LATALA_COROLLARY4 = (
     pairs for _, pairs in CLAIMS["latala_alt"].shapes)
-
-# every corpus check runs in both modes, the same on either side
-MODE_PAIRS = ((STRICT, STRICT), (WEAK, WEAK))
 
 
 @dataclass(frozen=True)
@@ -221,6 +217,7 @@ def run_corpus(config: CorpusConfig, claims=None,
     plan = [(CLAIMS[name], variants(CLAIMS[name], *constants.get(name, ())))
             for name in claims]
     report = CorpusReport(config=config, claims=claims)
+    rendered = {}  # the params string of each distinct params, this run only
     instances = generate_corpus(config)
     for index, (dist, norm) in enumerate(instances):
         rng = np.random.Generator(
@@ -234,14 +231,14 @@ def run_corpus(config: CorpusConfig, claims=None,
             for spec, shape, c1, c2, idx in planned:
                 for rep in shape_reports(spec, shape, curves, idx, c1, c2,
                                          MODE_PAIRS):
-                    _absorb(report, index, dist, rep)
+                    _absorb(report, index, dist, rep, rendered)
         except SupportCapExceeded as exc:
             report.skipped.append({"instance": index, "reason": str(exc)})
     return report
 
 
 def _absorb(report: CorpusReport, index: int, dist: DiscreteDist,
-            rep: InequalityReport) -> None:
+            rep: InequalityReport, rendered: dict) -> None:
     report.total_checks += 1
     stats = report.per_claim.setdefault(
         rep.claim_id, {"checks": 0, "holds": 0, "violated": 0, "vacuous": 0})
@@ -262,7 +259,7 @@ def _absorb(report: CorpusReport, index: int, dist: DiscreteDist,
         report.vacuous += 1
         stats["vacuous"] += 1
     if rep.margin is not None:
-        if report.worst is None or rep.margin < Fraction(report.worst["margin"]):
+        if report.worst is None or rep.margin < report.worst["margin"]:
             report.worst = {
                 "instance": index,
                 "claim": rep.claim_id,
@@ -271,10 +268,14 @@ def _absorb(report: CorpusReport, index: int, dist: DiscreteDist,
                 "lhs": rep.lhs,
                 "rhs": rep.rhs,
             }
+    key = tuple((name, tuple(v) if name == "alphas" else v)
+                for name, v in rep.params.items())
+    if key not in rendered:
+        rendered[key] = json.dumps(jsonify(rep.params), sort_keys=True)
     report.rows.append({
         "instance": index,
         "claim": rep.claim_id,
-        "params": json.dumps(jsonify(rep.params), sort_keys=True),
+        "params": rendered[key],
         "worst_t": None if rep.worst_t is None else str(rep.worst_t),
         "lhs": None if rep.lhs is None else str(rep.lhs),
         "rhs": None if rep.rhs is None else str(rep.rhs),

@@ -10,6 +10,9 @@ from hypothesis import strategies as st
 
 from iidtails.checks import (
     CLAIMS,
+    MODE_PAIRS,
+    Curves,
+    _sweeps,
     check_corollary4,
     check_corollary5,
     check_corollary6,
@@ -24,6 +27,7 @@ from iidtails.checks import (
 from iidtails.dists import (
     DiscreteDist,
     Norm,
+    SupportCapExceeded,
     delta,
     iid_sum,
     path_max_tail,
@@ -443,3 +447,89 @@ class TestWalkCases:
                 fraction_sweep_curves(lhs, rhs, F(3, 2), scale, *modes_)
         assert least_c1(lhs, rhs, F(1), scale) == \
             fraction_least_c1(lhs, rhs, F(1), scale)
+
+
+# --- one strict walk for both unmixed mode pairs ---------------------------
+
+def unmixed_oracle(lhs, rhs, factor, scale):
+    return [fraction_sweep_curves(lhs, rhs, factor, scale, m, m)
+            for m in ("strict", "weak")]
+
+
+@given(curve_lists(st.just(2)), positive_rationals, positive_rationals)
+@settings(max_examples=300, deadline=None)
+def test_shared_walk_matches_fraction_sweep(curves, factor, scale):
+    """The weak outcome read off the strict walk is the Fraction sweep's
+    weak outcome, worst_q included."""
+    lhs, rhs = curves
+    assert _sweeps(lhs, rhs, factor, scale, MODE_PAIRS) == \
+        unmixed_oracle(lhs, rhs, factor, scale)
+
+
+class TestSharedWalkCases:
+    """Corner cases of reading the weak outcome off the strict walk."""
+
+    def test_lhs_identically_zero(self):
+        zero, rhs = tail_curve(delta(0), ABS), tail_curve(coin(), ABS)
+        outs = _sweeps(zero, rhs, F(1), F(1), MODE_PAIRS)
+        assert outs == unmixed_oracle(zero, rhs, F(1), F(1))
+        assert [(o.status, o.max_lhs, o.worst_q) for o in outs] == \
+            [(HOLDS, 0, F(1, 2))] * 2
+
+    @pytest.mark.parametrize("side", ["lhs", "rhs", "both"])
+    def test_zero_critical(self, side):
+        at_zero = tail_curve(dist1d([(0, F(1, 2)), (3, F(1, 2))]), ABS)
+        off_zero = tail_curve(dist1d([(1, F(1, 3)), (2, F(2, 3))]), ABS)
+        lhs = at_zero if side in ("lhs", "both") else off_zero
+        rhs = at_zero if side in ("rhs", "both") else off_zero
+        for factor, scale in ((F(1), F(1)), (F(1, 3), F(2)), (F(2), F(1, 2))):
+            assert _sweeps(lhs, rhs, factor, scale, MODE_PAIRS) == \
+                unmixed_oracle(lhs, rhs, factor, scale)
+
+    def test_single_threshold_grid(self):
+        """No positive critical on either side: one read, at t = 1."""
+        zero = tail_curve(delta(0), ABS)
+        outs = _sweeps(zero, zero, F(3), F(2), MODE_PAIRS)
+        assert outs == unmixed_oracle(zero, zero, F(3), F(2))
+        assert [o.worst_q for o in outs] == [F(1)] * 2
+
+    def test_strict_worst_at_first_threshold(self):
+        """|X| = 1: the least minimal margin is at t = 1/2 in both modes,
+        although the weak read at t = 1 ties it."""
+        lhs = rhs = tail_curve(coin(), ABS)
+        outs = _sweeps(lhs, rhs, F(1, 2), F(1), MODE_PAIRS)
+        assert outs == unmixed_oracle(lhs, rhs, F(1, 2), F(1))
+        assert [(o.status, o.worst_q, o.margin) for o in outs] == \
+            [(VIOLATED, F(1, 2), F(-1, 2))] * 2
+
+    def test_strict_worst_further_on(self):
+        """A later strict worst moves one threshold on in weak mode."""
+        lhs = tail_curve(dist1d([(1, F(1, 2)), (2, F(1, 2))]), ABS)
+        rhs = tail_curve(dist1d([(F(1, 2), F(1, 2)), (3, F(1, 2))]), ABS)
+        strict, weak = _sweeps(lhs, rhs, F(1), F(1), MODE_PAIRS)
+        assert [strict, weak] == unmixed_oracle(lhs, rhs, F(1), F(1))
+        assert (strict.worst_q, weak.worst_q) == (F(1, 2), F(1))
+        assert strict.margin == weak.margin == F(-1, 2)
+
+    @pytest.mark.parametrize("modes", [
+        (("weak", "weak"), ("strict", "strict")),
+        (("strict", "weak"), ("weak", "strict")),
+        (("strict", "strict"),),
+    ])
+    def test_other_mode_tuples_walk_each_pair(self, modes):
+        lhs = tail_curve(dist1d([(0, F(1, 4)), (1, F(3, 4))]), ABS)
+        rhs = tail_curve(iid_sum(coin(0, 1), 2), ABS)
+        assert _sweeps(lhs, rhs, F(1), F(3, 2), modes) == \
+            [fraction_sweep_curves(lhs, rhs, F(1), F(3, 2), *m)
+             for m in modes]
+
+
+def test_read_past_the_cap_raises_the_cap_error_again():
+    """A pass stopped at the cap raises SupportCapExceeded on every later
+    read past it, not StopIteration; reads before it still answer."""
+    x = dist1d([(0, F(1, 3)), (1, F(1, 3)), (3, F(1, 3))])
+    curves = Curves(x, ABS, {1, 4}, 5)
+    for _ in range(3):
+        with pytest.raises(SupportCapExceeded, match="exceeds cap 5"):
+            curves.curve(4)
+    assert curves.curve(1) == tail_curve(x, ABS)

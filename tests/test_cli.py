@@ -9,8 +9,8 @@ from pathlib import Path
 
 import pytest
 
-from iidtails.cli import main
-from iidtails.dists import DiscreteDist
+from iidtails.cli import build_parser, main
+from iidtails.dists import DiscreteDist, Norm
 from iidtails.search import SoundnessViolation
 from iidtails.specfile import dump_dist, save_dist
 from oracles import coin, dist1d
@@ -481,6 +481,16 @@ class TestTopLevel:
 
     def test_unknown_subcommand_exit_two(self, capsys):
         assert main(["frobnicate"]) == 2
+
+    def test_one_parser_per_process(self, capsys, tmp_path):
+        """main reuses one parser; a corpus run leaves the --dims and
+        --norms defaults it shares with later calls as they were."""
+        parser = build_parser()
+        assert run(capsys, "corpus", "--count", "2", "--max-k", "2",
+                   "--out-dir", str(tmp_path))[0] == 0
+        assert build_parser() is parser
+        args = parser.parse_args(["corpus"])
+        assert (args.dims, args.norms) == ([1], [Norm.ABS1D])
 
 
 def test_import_loads_no_scipy():

@@ -215,6 +215,32 @@ def test_running_max_pass_takes_one_step_per_horizon(monkeypatch):
     assert in_corpus == pairs[0] > 0
 
 
+def test_params_render_cache_is_per_call(monkeypatch):
+    """Rows render each distinct params once per run_corpus call: two calls
+    give equal rows, each call starts from an empty cache of its own, and
+    rows with equal params share one rendered string."""
+    from iidtails import corpus
+    caches = []
+    absorb = corpus._absorb
+
+    def watched(report, index, dist, rep, rendered):
+        if not any(rendered is c for c in caches):
+            assert not rendered
+            caches.append(rendered)
+        return absorb(report, index, dist, rep, rendered)
+
+    monkeypatch.setattr(corpus, "_absorb", watched)
+    config = CorpusConfig(seed=5, count=4, max_k=3)
+    first, second = run_corpus(config), run_corpus(config)
+    assert len(caches) == 2
+    assert first.rows == second.rows
+    by_text = {}
+    for row in first.rows:
+        assert by_text.setdefault(row["params"], row["params"]) \
+            is row["params"]
+    assert len(by_text) == len(caches[0]) < len(first.rows)
+
+
 def test_max_k_one_draws_single_weights():
     """At max_k = 1 corollary5 draws one weight per vector (k in [1, 1])
     instead of failing in the generator; latala_sharp still runs at (1, 2)."""
