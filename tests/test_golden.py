@@ -20,7 +20,7 @@ from pathlib import Path
 import pytest
 
 from iidtails.cli import main
-from iidtails.corpus import CorpusConfig, run_corpus
+from iidtails.corpus import CorpusConfig, run_corpus, write_csv
 from iidtails.dists import DiscreteDist
 from iidtails.specfile import save_dist
 from oracles import dist1d
@@ -88,6 +88,8 @@ GOLDEN = {
         "9bbf3162f3e27fec6d2ca5ca63805e613f3fa72a1895c8dd5af3e50598ee5393",
     "overrides":
         "1b69cd5ae4e84766c03f790529988013fe389700aa33954383334bbb230d6014",
+    "overrides.csv":
+        "34c208c249670fc2be3856e7219635b79c9519cbe83fda7418c4b0ff59ce9564",
     "verify:theorem1":
         "388a428a32efe968170de1011004825fd71fa944f35d74a0fa2778575361702b",
     "verify:theorem1_false":
@@ -179,11 +181,15 @@ def sums_corpus(claims: str) -> "tuple[str, int]":
                              "rows": rep.rows})), len(walks))
 
 
-def overrides_digest() -> str:
+def overrides_digests(workdir: Path) -> dict:
+    """Digests of the report and of the CSV of theorem1 at c1 = c2 = 1: the
+    one golden corpus whose rows hold negative margins."""
     rep = run_corpus(CorpusConfig(seed=7, count=10, max_k=3), ["theorem1"],
                      overrides={"theorem1": {"c1": 1, "c2": 1}})
     assert rep.violated > 0
-    return _sha(_canonical(rep.to_jsonable()))
+    write_csv(rep, workdir / "overrides.csv")
+    return {"overrides": _sha(_canonical(rep.to_jsonable())),
+            "overrides.csv": _sha((workdir / "overrides.csv").read_bytes())}
 
 
 def law_files(workdir: Path) -> dict:
@@ -218,7 +224,7 @@ def all_digests(workdir: Path) -> dict:
     out = corpus_digests(workdir)
     out.update(corpus_digests(workdir, CAPPED_ARGS, "capped"))
     out.update(corpus_digests(workdir, CAPPED_MIXED_ARGS, "capped_mixed"))
-    out["overrides"] = overrides_digest()
+    out.update(overrides_digests(workdir))
     files = law_files(workdir)
     for name, flags, dims in VERIFY_CASES:
         out[f"verify:{name}"] = verify_digest(files, flags, dims)
@@ -249,8 +255,9 @@ def test_capped_mixed_corpus_bytes(tmp_path):
     assert (doc["total_checks"], len(doc["skipped"])) == (1018, 7)
 
 
-def test_corpus_override_violations():
-    assert overrides_digest() == GOLDEN["overrides"]
+def test_corpus_override_violations(tmp_path):
+    got = overrides_digests(tmp_path)
+    assert got == {k: GOLDEN[k] for k in got}
 
 
 @pytest.mark.parametrize("name, flags, dims", VERIFY_CASES,
