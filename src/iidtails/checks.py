@@ -18,6 +18,12 @@ outcome has the (strict, strict) status, lhs, rhs, margin and max_lhs; its
 worst_q is the threshold after the strict worst, or the first threshold
 when the strict worst is there.  _sweeps answers MODE_PAIRS from one walk.
 
+Outcomes are ints.  _sweeps returns each worst case as (numerator,
+denominator) pairs (_Outcome); Fractions are built only for what leaves as
+one: sweep_curves' SweepOutcome and a report's InequalityReport (_report).
+_verdict states the status and note rules once, for verify reports and the
+corpus rows rendered straight from the ints alike.
+
 CLAIMS is the one table of claims.  The corpus, the CLI, mc_check and the
 extremal search read it, and the check_* functions are thin wrappers over
 claim_reports.
@@ -26,7 +32,8 @@ claim_reports.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field, replace
+from bisect import bisect_right
+from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import Callable
 
@@ -47,8 +54,6 @@ from .dists import (
     rat,
 )
 from .reports import HOLDS, InequalityReport, VIOLATED
-
-ONE = Fraction(1)
 
 
 def _thresholds(jumps: "list[int]", one: int, mixed: bool) -> "list[int]":
@@ -75,33 +80,32 @@ def threshold_candidates(jumps, mixed_modes: bool = False) -> "list[Fraction]":
 def _walk(sides, grid: bool = True):
     """The one comparison of step curves: sweep_curves, least_c1 and
     upper_envelope read each (curve, scale, mode) side at t / scale in its
-    mode, at ascending gauge thresholds x / unit, one pointer per curve and
-    only ints.  With grid the candidate rule picks the x, on a unit doubled
-    to keep them integral; without it every critical is one.  Returns
-    (unit, dens, reads of (x, a tail numerator over dens[i] per side))."""
-    if any(c.norm is not sides[0][0].norm for c, _, _ in sides):
+    mode, at ascending gauge thresholds x / unit, by bisection and only
+    ints.  With grid the candidate rule picks the x, on a unit doubled to
+    keep them integral; without it every critical is one.  Returns (unit,
+    dens, the x, per side the tail numerator over dens[i] at each x)."""
+    norm = sides[0][0].norm
+    if any(c.norm is not norm for c, _, _ in sides):
         raise ValueError("curves use different norms")
-    sides = [(c, s ** c.norm.scale_exponent, _check_mode(m))
+    e = norm.scale_exponent
+    sides = [(c, s.numerator ** e, s.denominator ** e, _check_mode(m))
              for c, s, m in sides]
     # a critical g / c.unit read at t / s is g * s over one common unit
-    unit = (1 + grid) * math.lcm(*{c.unit * s.denominator
-                                   for c, s, _ in sides})
-    cs = [[g * (s.numerator * unit // (c.unit * s.denominator))
-           for g in c.crits] for c, s, _ in sides]
+    unit = (1 + grid) * math.lcm(*{c.unit * sd for c, _, sd, _ in sides})
+    cs = []
+    for c, sn, sd, _ in sides:
+        m = sn * unit // (c.unit * sd)
+        cs.append([g * m for g in c.crits])
     xs = sorted(set().union(*cs))
     if grid:
         xs = _thresholds([x for x in xs if x > 0], unit,
-                         len({mode for _, _, mode in sides}) > 1)
-
-    def column(crits, side):
+                         len({mode for *_, mode in sides}) > 1)
+    columns = []
+    for crits, (c, _, _, mode) in zip(cs, sides):
         # a weak tail Pr(g >= q) passes the criticals c < q, c <= q - 1
-        i, weak = 0, side[2] != STRICT
-        vals = (side[0].den, *side[0].nums)
-        for x in xs:
-            while i < len(crits) and crits[i] <= x - weak:
-                i += 1
-            yield vals[i]
-    return unit, [c.den for c, _, _ in sides], zip(xs, *map(column, cs, sides))
+        weak, vals = mode != STRICT, (c.den, *c.nums)
+        columns.append([vals[bisect_right(crits, x - weak)] for x in xs])
+    return unit, [c.den for c, *_ in sides], xs, columns
 
 
 @dataclass(frozen=True)
@@ -116,41 +120,72 @@ class SweepOutcome:
     max_lhs: Fraction          # largest lhs seen (0 means the check was idle)
 
 
+class _Outcome:
+    """A sweep's worst case in ints: `ints` holds the worst threshold, lhs,
+    factor * rhs and the margin rhs - lhs there, and the largest lhs, each
+    a (numerator, denominator) pair with a positive denominator, not
+    reduced.  sweep() is the SweepOutcome it stands for; an _Outcome
+    compares equal to it and reads its other fields from it."""
+
+    __slots__ = ("ints",)
+
+    def __init__(self, ints):
+        self.ints = ints
+
+    @property
+    def status(self) -> str:
+        return VIOLATED if self.ints[3][0] < 0 else HOLDS
+
+    def sweep(self) -> SweepOutcome:
+        return SweepOutcome(self.status,
+                            *(Fraction(n, d) for n, d in self.ints))
+
+    def __eq__(self, other):
+        if isinstance(other, _Outcome):
+            other = other.sweep()
+        return self.sweep() == other
+
+    def __getattr__(self, name):
+        return getattr(self.sweep(), name)
+
+
 # both unmixed mode pairs, answered by one strict walk (module docstring);
 # every corpus check runs at these
 MODE_PAIRS = ((STRICT, STRICT), (WEAK, WEAK))
 
 
 def _sweeps(lhs_curve: TailCurve, rhs_curve: TailCurve, factor, scale,
-            modes) -> "list[SweepOutcome]":
-    """One SweepOutcome of lhs(t) <= factor * rhs(t/scale) per (lhs mode,
-    rhs mode) pair in modes.  MODE_PAIRS takes one strict walk and reads
-    the weak outcome off it; any other tuple takes one walk per pair."""
-    factor, scale = rat(factor), rat(scale)
+            modes) -> "list[_Outcome]":
+    """One outcome of lhs(t) <= factor * rhs(t/scale) per (lhs mode, rhs
+    mode) pair in modes, for rational factor and scale.  MODE_PAIRS takes
+    one strict walk and reads the weak outcome off it; any other tuple
+    takes one walk per pair."""
     shared = tuple(modes) == MODE_PAIRS
+    fn, fd = factor.numerator, factor.denominator
     outs = []
     for lhs_mode, rhs_mode in modes[:1] if shared else modes:
-        unit, (dl, dr), reads = _walk([(lhs_curve, ONE, lhs_mode),
-                                       (rhs_curve, scale, rhs_mode)])
-        xs, nls, nrs = zip(*reads)
+        unit, (dl, dr), xs, (nls, nrs) = _walk([(lhs_curve, 1, lhs_mode),
+                                                (rhs_curve, scale, rhs_mode)])
         # margin = factor * rhs - lhs is kr * nr - kl * nl over fd * dl * dr
-        kr, kl = factor.numerator * dl, factor.denominator * dr
+        kr, kl = fn * dl, fd * dr
         # Only lhs > 0 can violate, and past both supports 0 <= 0 would mask
-        # the worst case; ties go to the least x.  lhs is nonincreasing: the
-        # first read holds its largest value, the outcome when lhs is
-        # identically 0.
-        margin, p = min(((kr * nr - kl * nl, i) for i, (nl, nr)
-                         in enumerate(zip(nls, nrs)) if nl), default=(0, 0))
-        lv, rv = Fraction(nls[p], dl), factor * Fraction(nrs[p], dr)
-        outs.append(SweepOutcome(VIOLATED if margin < 0 else HOLDS,
-                                 Fraction(xs[p], unit), lv, rv, rv - lv,
-                                 Fraction(nls[0], dl)))
+        # the worst case; ties go to the least x.  lhs is nonincreasing and
+        # 0 at the last read, past every critical: the reads before its
+        # first 0 are those with lhs > 0, and the first read holds its
+        # largest value, the outcome when lhs is identically 0.
+        margins = [kr * nr - kl * nl for nl, nr in zip(nls[:nls.index(0)],
+                                                         nrs)]
+        p = margins.index(min(margins)) if margins else 0
+        nl, nr = nls[p], nrs[p]
+        outs.append(_Outcome(((xs[p], unit), (nl, dl), (fn * nr, kl),
+                              (kr * nr - kl * nl, fd * dl * dr),
+                              (nls[0], dl))))
     if shared:
         # the weak read at xs[i + 1] is the strict read at xs[i], and the
         # first read is the same in both; a worst p > 0 has lhs > 0, so it
         # is not the last read, past every critical
-        outs.append(replace(outs[0], worst_q=Fraction(
-            xs[0 if p == 0 else p + 1], unit)))
+        outs.append(_Outcome(((xs[0 if p == 0 else p + 1], unit),)
+                             + outs[0].ints[1:]))
     return outs
 
 
@@ -163,8 +198,8 @@ def sweep_curves(lhs_curve: TailCurve, rhs_curve: TailCurve, factor: Fraction,
     radius space; in gauge space (euclidean) it acts squared.
     """
     rhs_mode = lhs_mode if rhs_mode is None else rhs_mode
-    return _sweeps(lhs_curve, rhs_curve, factor, scale,
-                   ((lhs_mode, rhs_mode),))[0]
+    return _sweeps(lhs_curve, rhs_curve, rat(factor), rat(scale),
+                   ((lhs_mode, rhs_mode),))[0].sweep()
 
 
 def least_c1(lhs_curve: TailCurve, rhs_curve: TailCurve, factor: Fraction,
@@ -176,10 +211,10 @@ def least_c1(lhs_curve: TailCurve, rhs_curve: TailCurve, factor: Fraction,
     identically zero, or math.inf at the first threshold where lhs > 0 and
     rhs = 0.
     """
-    unit, (dl, dr), reads = _walk([(lhs_curve, ONE, STRICT),
-                                   (rhs_curve, rat(scale), STRICT)])
+    unit, (dl, dr), xs, (nls, nrs) = _walk([(lhs_curve, 1, STRICT),
+                                            (rhs_curve, rat(scale), STRICT)])
     bl, br, bx = 0, 1, None  # lhs, rhs numerators at the largest ratio
-    for x, nl, nr in reads:
+    for x, nl, nr in zip(xs, nls, nrs):
         if not nl:
             break  # lhs is nonincreasing: zero from here on
         if not nr:
@@ -190,18 +225,27 @@ def least_c1(lhs_curve: TailCurve, rhs_curve: TailCurve, factor: Fraction,
             None if bx is None else Fraction(bx, unit))
 
 
-def _report(claim_id: str, params: dict, outcome: SweepOutcome,
-            norm: Norm, note: "str | None" = None) -> InequalityReport:
-    notes = [note] if note is not None else []
-    if outcome.max_lhs == 0:
+def _verdict(outcome: _Outcome, norm: Norm,
+             note: "str | None" = None) -> "tuple[str, str | None]":
+    """The status and the note of a sweep claim's report, for verify and
+    the corpus alike: violated iff the margin is negative; the claim's own
+    note, then "lhs identically zero" and, under the euclidean gauge,
+    that thresholds are squared radii."""
+    notes = [] if note is None else [note]
+    if not outcome.ints[4][0]:
         notes.append("lhs identically zero")
     if norm.scale_exponent == 2:
         notes.append("thresholds are squared radii (euclidean gauge)")
-    witness = {"t": outcome.worst_q, "lhs": outcome.lhs, "rhs": outcome.rhs} \
-        if outcome.status == VIOLATED else None
-    return InequalityReport(claim_id, params, outcome.worst_q, outcome.lhs,
-                            outcome.rhs, outcome.margin, outcome.status,
-                            witness, "; ".join(notes) if notes else None)
+    return outcome.status, "; ".join(notes) or None
+
+
+def _report(claim_id: str, params: dict, outcome: _Outcome, norm: Norm,
+            note: "str | None" = None) -> InequalityReport:
+    status, note = _verdict(outcome, norm, note)
+    t, lhs, rhs, margin, _ = (Fraction(n, d) for n, d in outcome.ints)
+    witness = {"t": t, "lhs": lhs, "rhs": rhs} if status == VIOLATED else None
+    return InequalityReport(claim_id, params, t, lhs, rhs, margin, status,
+                            witness, note)
 
 
 def upper_envelope(curves: "list[TailCurve]") -> TailCurve:
@@ -212,12 +256,12 @@ def upper_envelope(curves: "list[TailCurve]") -> TailCurve:
     """
     if not curves:
         raise ValueError("need at least one curve")
-    unit, dens, reads = _walk([(c, ONE, STRICT) for c in curves], grid=False)
+    unit, dens, xs, columns = _walk([(c, 1, STRICT) for c in curves],
+                                    grid=False)
     den = math.lcm(*dens)
-    ups = [den // d for d in dens]  # each critical and the largest tail there
-    crits, nums = zip(*((x, max(n * u for n, u in zip(ns, ups)))
-                        for x, *ns in reads))
-    return TailCurve._of(curves[0].norm, unit, crits, den, nums)
+    ups = [den // d for d in dens]  # the largest tail at each critical
+    nums = [max(n * u for n, u in zip(ns, ups)) for ns in zip(*columns)]
+    return TailCurve._of(curves[0].norm, unit, xs, den, nums)
 
 
 # --- the claim table -------------------------------------------------------
@@ -363,6 +407,7 @@ class Curves:
         self._laws = {}               # lattice law of each S_i in reads
         self._max_curves = []         # running max curve or None, per step
         self._curves = {}
+        self._envelopes = []          # max_{i<=k} Pr(||S_i|| > .), per k
         self._cap_error = None        # (size, cap) where the pass stopped
 
     def _step(self, i: int) -> "TailCurve | None":
@@ -398,6 +443,15 @@ class Curves:
             self._curves[i] = self.walk.curve(self.norm, self._law(i))
         return self._curves[i]
 
+    def envelope(self, k: int) -> TailCurve:
+        """max_{i<=k} Pr(||S_i|| > .), the envelope to k - 1 raised by S_k's
+        curve."""
+        while len(self._envelopes) < k:
+            curve = self.curve(len(self._envelopes) + 1)
+            self._envelopes.append(upper_envelope(
+                [self._envelopes[-1], curve]) if self._envelopes else curve)
+        return self._envelopes[k - 1]
+
     def sides(self, shape: ClaimSpec, idx: dict):
         """(lhs, rhs) curves of a sweep claim at validated indices."""
         k = idx["k"]
@@ -412,9 +466,27 @@ class Curves:
         else:
             lhs = _weighted_walk(self.dist, idx["alphas"],
                                  self.cap).curve(self.norm)
-        if shape.rhs == SUM:
-            return lhs, self.curve(k)
-        return lhs, upper_envelope([self.curve(i) for i in range(1, k + 1)])
+        return lhs, self.curve(k) if shape.rhs == SUM else self.envelope(k)
+
+
+def shape_params(spec: ClaimSpec, shape: ClaimSpec, idx: dict, c1, c2,
+                 norm: Norm) -> dict:
+    """The params a report of spec checked in shape's form echoes, less
+    its mode pair."""
+    params = {} if shape is spec else {"shape": shape.claim_id}
+    params.update(idx, c1=c1, c2=c2, norm=norm)
+    return params
+
+
+def shape_outcomes(shape: ClaimSpec, curves: Curves, idx: dict, c1, c2,
+                   modes) -> "list[_Outcome]":
+    """The int outcomes of a sweep shape at validated indices and one
+    constant pair, one per (lhs mode, rhs mode) pair; factor and scale are
+    taken once for them all."""
+    lhs, rhs = curves.sides(shape, idx)
+    j, k = idx.get("j"), idx["k"]
+    return _sweeps(lhs, rhs, shape.factor(c1, j, k), shape.scale(c2, j, k),
+                   modes)
 
 
 def shape_reports(spec: ClaimSpec, shape: ClaimSpec, curves: Curves,
@@ -427,14 +499,10 @@ def shape_reports(spec: ClaimSpec, shape: ClaimSpec, curves: Curves,
         yield shape.evaluate(curves, given)
         return
     idx = _indices(shape, given)
-    lhs, rhs = curves.sides(shape, idx)
-    j, k = idx.get("j"), idx["k"]
-    factor, scale = shape.factor(c1, j, k), shape.scale(c2, j, k)
-    base = {} if shape is spec else {"shape": shape.claim_id}
-    base.update(idx, c1=c1, c2=c2, norm=curves.norm)
-    for mode_pair, out in zip(modes, _sweeps(lhs, rhs, factor, scale,
-                                             modes)):
-        yield _report(spec.claim_id, {**base, "modes": mode_pair}, out,
+    params = shape_params(spec, shape, idx, c1, c2, curves.norm)
+    for mode_pair, out in zip(modes, shape_outcomes(shape, curves, idx, c1,
+                                                    c2, modes)):
+        yield _report(spec.claim_id, {**params, "modes": mode_pair}, out,
                       curves.norm, spec.note)
 
 

@@ -109,7 +109,14 @@ def _cap(text: str) -> int:
 
 
 def _weights(text: str) -> "list[Fraction]":
-    return [_rational(part) for part in text.split(",") if part != ""]
+    """Comma-separated rationals; an empty entry, a trailing comma's too,
+    is refused with its 1-based position."""
+    parts = text.split(",")
+    for i, part in enumerate(parts, 1):
+        if part == "":
+            raise argparse.ArgumentTypeError(
+                f"empty entry at position {i} of {text!r}")
+    return [_rational(part) for part in parts]
 
 
 def _join_weights(argv: "list[str]") -> "list[str]":

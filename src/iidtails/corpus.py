@@ -3,6 +3,14 @@
 Corpora are deterministic given the seed (Philox counter-based generator).
 Every check on every instance is exact; the aggregate separates holds,
 vacuous outcomes, and violations, and keeps full witnesses for the latter.
+
+A sweep check's row is rendered from its int outcome (checks._Outcome):
+each exact field by one int helper (_exact), the float column as n / d,
+and the smallest margin kept by cross-multiplying.  Its status and note are
+checks._verdict's, the rule verify's reports follow, and an
+InequalityReport is built only for a stored violation.  Params text is
+rendered once per run and params key: plan entry, norm, index values in
+ints and mode pair.
 """
 
 from __future__ import annotations
@@ -11,6 +19,8 @@ import csv
 import json
 from dataclasses import dataclass, field
 from fractions import Fraction
+from functools import partial
+from math import gcd
 
 import numpy as np
 
@@ -23,7 +33,12 @@ from .checks import (
     MODE_PAIRS,
     WEIGHTED,
     Curves,
+    _indices,
     _reads,
+    _report,
+    _verdict,
+    shape_outcomes,
+    shape_params,
     shape_reports,
     variants,
 )
@@ -33,7 +48,7 @@ from .dists import (
     Norm,
     SupportCapExceeded,
 )
-from .reports import HOLDS, InequalityReport, VIOLATED, approx, jsonify
+from .reports import HOLDS, VIOLATED, jsonify
 from .specfile import dist_to_jsonable
 
 DEFAULT_CLAIMS = tuple(CLAIMS)
@@ -214,75 +229,120 @@ def run_corpus(config: CorpusConfig, claims=None,
                 or CLAIMS[name].fixed):
             raise ValueError(f"no overridable constants for {name!r}")
         constants[name] = (ov.get("c1"), ov.get("c2"))
-    plan = [(CLAIMS[name], variants(CLAIMS[name], *constants.get(name, ())))
-            for name in claims]
+    plan = [(CLAIMS[name], shape, c1, c2) for name in claims
+            for shape, c1, c2 in variants(CLAIMS[name],
+                                          *constants.get(name, ()))]
     report = CorpusReport(config=config, claims=claims)
-    rendered = {}  # the params string of each distinct params, this run only
+    rendered = {}  # params text per params key (_checks), this run only
     instances = generate_corpus(config)
     for index, (dist, norm) in enumerate(instances):
         rng = np.random.Generator(
             np.random.Philox(key=_instance_key(config.seed, index)))
-        planned = [(spec, shape, c1, c2, idx) for spec, shapes in plan
-                   for shape, c1, c2 in shapes
+        planned = [(pos, idx) for pos, (_, shape, _, _) in enumerate(plan)
                    for idx in _grid(shape, dist, rng, config)]
         curves = Curves(dist, norm, set().union(
-            *(_reads(shape, idx) for _, shape, *_, idx in planned)), cap)
+            *(_reads(plan[pos][1], idx) for pos, idx in planned)), cap)
         try:
-            for spec, shape, c1, c2, idx in planned:
-                for rep in shape_reports(spec, shape, curves, idx, c1, c2,
-                                         MODE_PAIRS):
-                    _absorb(report, index, dist, rep, rendered)
+            for pos, idx in planned:
+                for check in _checks(pos, *plan[pos], curves, idx):
+                    _absorb(report, index, dist, check, rendered)
         except SupportCapExceeded as exc:
             report.skipped.append({"instance": index, "reason": str(exc)})
     return report
 
 
-def _absorb(report: CorpusReport, index: int, dist: DiscreteDist,
-            rep: InequalityReport, rendered: dict) -> None:
+def _checks(pos: int, spec, shape, c1, c2, curves: Curves, given: dict):
+    """The checks of plan entry pos at one index choice, as (claim, params
+    key, params, status, note, values, report): values are the worst
+    threshold, lhs, rhs and margin as (numerator, denominator) pairs or
+    None, and report() builds the InequalityReport, wanted only for a
+    stored violation.  The plan entry, the index values in ints and, for a
+    sweep, the norm and the mode pair fix the params; they are the key."""
+    if shape.evaluate is not None:
+        rep, = shape_reports(spec, shape, curves, given, c1, c2, MODE_PAIRS)
+        values = tuple(None if v is None else (v.numerator, v.denominator)
+                       for v in (rep.worst_t, rep.lhs, rep.rhs, rep.margin))
+        yield (rep.claim_id, (pos, *_ints(given.values())), rep.params,
+               rep.status, rep.note, values, lambda: rep)
+        return
+    idx = _indices(shape, given)
+    norm = curves.norm
+    params = shape_params(spec, shape, idx, c1, c2, norm)
+    key = (pos, norm.value, *_ints(idx.values()))
+    for modes, out in zip(MODE_PAIRS, shape_outcomes(shape, curves, idx, c1,
+                                                     c2, MODE_PAIRS)):
+        status, note = _verdict(out, norm, spec.note)
+        echo = {**params, "modes": modes}
+        yield (spec.claim_id, key + modes, echo, status, note, out.ints[:4],
+               partial(_report, spec.claim_id, echo, out, norm, spec.note))
+
+
+def _ints(values) -> tuple:
+    """Index values (ints, rationals, lists of rationals) as the numerator
+    and denominator of each rational in turn."""
+    out = []
+    for v in values:
+        for q in v if isinstance(v, list) else (v,):
+            out += (q.numerator, q.denominator)
+    return tuple(out)
+
+
+def _exact(pair) -> "str | None":
+    """The text of the rational n / d (d > 0), as str of its Fraction."""
+    if pair is None:
+        return None
+    n, d = pair
+    g = gcd(n, d)
+    return str(n // g) if g == d else f"{n // g}/{d // g}"
+
+
+def _absorb(report: CorpusReport, index: int, dist: DiscreteDist, check,
+            rendered: dict) -> None:
+    """Count one check (_checks) and add its row."""
+    claim, key, params, status, note, values, full = check
     report.total_checks += 1
     stats = report.per_claim.setdefault(
-        rep.claim_id, {"checks": 0, "holds": 0, "violated": 0, "vacuous": 0})
+        claim, {"checks": 0, "holds": 0, "violated": 0, "vacuous": 0})
     stats["checks"] += 1
-    if rep.status == HOLDS:
+    if status == HOLDS:
         report.holds += 1
         stats["holds"] += 1
-    elif rep.status == VIOLATED:
+    elif status == VIOLATED:
         report.violated += 1
         stats["violated"] += 1
         if len(report.violations) < 100:
             report.violations.append({
                 "instance": index,
                 "dist": dist_to_jsonable(dist),
-                "report": rep.to_jsonable(),
+                "report": full().to_jsonable(),
             })
     else:
         report.vacuous += 1
         stats["vacuous"] += 1
-    if rep.margin is not None:
-        if report.worst is None or rep.margin < report.worst["margin"]:
-            report.worst = {
-                "instance": index,
-                "claim": rep.claim_id,
-                "margin": rep.margin,
-                "worst_t": rep.worst_t,
-                "lhs": rep.lhs,
-                "rhs": rep.rhs,
-            }
-    key = tuple((name, tuple(v) if name == "alphas" else v)
-                for name, v in rep.params.items())
-    if key not in rendered:
-        rendered[key] = json.dumps(jsonify(rep.params), sort_keys=True)
+    t, lhs, rhs, margin = values
+    if margin is not None:
+        worst = report.worst and report.worst["margin"]
+        if worst is None or \
+                margin[0] * worst.denominator < worst.numerator * margin[1]:
+            report.worst = {"instance": index, "claim": claim,
+                            "margin": Fraction(*margin),
+                            "worst_t": Fraction(*t), "lhs": Fraction(*lhs),
+                            "rhs": Fraction(*rhs)}
+    text = rendered.get(key)
+    if text is None:
+        text = rendered[key] = json.dumps(jsonify(params), sort_keys=True)
     report.rows.append({
         "instance": index,
-        "claim": rep.claim_id,
-        "params": rendered[key],
-        "worst_t": None if rep.worst_t is None else str(rep.worst_t),
-        "lhs": None if rep.lhs is None else str(rep.lhs),
-        "rhs": None if rep.rhs is None else str(rep.rhs),
-        "margin": None if rep.margin is None else str(rep.margin),
-        "margin_float_approx": approx(rep.margin),
-        "status": rep.status,
-        "note": rep.note,
+        "claim": claim,
+        "params": text,
+        "worst_t": _exact(t),
+        "lhs": _exact(lhs),
+        "rhs": _exact(rhs),
+        "margin": _exact(margin),
+        "margin_float_approx": None if margin is None
+        else margin[0] / margin[1],
+        "status": status,
+        "note": note,
     })
 
 

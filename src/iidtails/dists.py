@@ -196,14 +196,17 @@ def _encode(laws: "list[DiscreteDist]", copies: int):
     encoded = []
     for law in ints:
         den = lcm(*{p.denominator for _, p in law})
-        atoms = {}
-        for coords, p in law:
-            z = 0
-            for v in reversed(coords):
-                z = z * base + v
-            atoms[z] = p.numerator * (den // p.denominator)
-        encoded.append((atoms, den))
+        encoded.append(({_pack(coords, base): p.numerator
+                         * (den // p.denominator) for coords, p in law}, den))
     return scale, base, encoded
+
+
+def _pack(coords: "list[int]", base: int) -> int:
+    """The packed point of lattice coordinates."""
+    z = 0
+    for v in reversed(coords):
+        z = z * base + v
+    return z
 
 
 def _convolve_lattice(a, b, cap: int):
@@ -394,11 +397,25 @@ def iid_sum(x: DiscreteDist, k: int, cap: int = DEFAULT_SUPPORT_CAP) -> Discrete
 
 
 def _weighted_walk(x: DiscreteDist, alphas: Iterable, cap: int) -> _Walk:
-    """The fold over the terms alpha_1 X_1, alpha_2 X_2, ..."""
-    terms = [affine(x, a) for a in alphas]
-    if not terms:
+    """The fold over the terms alpha_1 X_1, alpha_2 X_2, ...: X's lattice
+    law, refined by the alphas' denominators, with every point times the
+    int alpha_i takes on that lattice.  Packing is linear while no digit
+    overflows, so a term is the packed points times that int, on a base
+    widened by the largest of them; a zero weight merges X into 0."""
+    alphas = [rat(a) for a in alphas]
+    if not alphas:
         raise ValueError("alphas must be nonempty")
-    return _Walk(terms, len(terms), cap)
+    walk = _Walk([x], len(alphas), cap)
+    (atoms, den), = walk.terms
+    lift = lcm(*(a.denominator for a in alphas))
+    mults = [a.numerator * (lift // a.denominator) for a in alphas]
+    base = (walk.base - 3) * max(map(abs, mults)) + 3
+    atoms = {_pack(_unpack(z, walk.base, walk.dim), base): p
+             for z, p in atoms.items()}
+    walk.scale, walk.base = walk.scale * lift, base
+    walk.terms = [({m * z: p for z, p in atoms.items()} if m else {0: den},
+                   den) for m in mults]
+    return walk
 
 
 def weighted_iid_sum(x: DiscreteDist, alphas: Iterable,

@@ -21,9 +21,8 @@ from fractions import Fraction
 
 import numpy as np
 
-from .checks import (CLAIMS, ONE, Curves, _reads, least_c1,
-                     require_indices)
-from .dists import DEFAULT_SUPPORT_CAP, DiscreteDist, Norm, rat
+from .checks import CLAIMS, Curves, _reads, least_c1, require_indices
+from .dists import DEFAULT_SUPPORT_CAP, ONE, DiscreteDist, Norm, rat
 from .reports import jsonify
 
 INF = math.inf

@@ -5,14 +5,16 @@ from fractions import Fraction as F
 from pathlib import Path
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from iidtails.checks import (
     CLAIMS,
     MODE_PAIRS,
     Curves,
+    _report,
     _sweeps,
+    _verdict,
     check_corollary4,
     check_corollary5,
     check_corollary6,
@@ -35,6 +37,7 @@ from iidtails.dists import (
     tail_curve,
     weighted_iid_sum,
 )
+from iidtails.corpus import CorpusConfig, CorpusReport, _absorb, _checks, _exact
 from iidtails.reports import HOLDS, VIOLATED
 from oracles import (
     coin,
@@ -522,6 +525,87 @@ class TestSharedWalkCases:
         assert _sweeps(lhs, rhs, F(1), F(3, 2), modes) == \
             [fraction_sweep_curves(lhs, rhs, F(1), F(3, 2), *m)
              for m in modes]
+
+
+# --- corpus rows rendered from the int outcomes ------------------------------
+
+EUCLID = tail_curve(DiscreteDist({(F(1), F(-1, 2)): F(1, 3),
+                                  (F(0), F(2)): F(2, 3)}), Norm.EUCLIDEAN)
+
+
+def want_report(claim, params, want, norm):
+    """The report of a Fraction sweep outcome, field by field as the
+    report schema states it."""
+    notes = [CLAIMS[claim].note] if CLAIMS[claim].note else []
+    if want.max_lhs == 0:
+        notes.append("lhs identically zero")
+    if norm is Norm.EUCLIDEAN:
+        notes.append("thresholds are squared radii (euclidean gauge)")
+    fields = {"t": want.worst_q, "lhs": want.lhs, "rhs": want.rhs}
+    return {"claim_id": claim, "params": params,
+            "worst_t": str(want.worst_q), "lhs": str(want.lhs),
+            "rhs": str(want.rhs), "margin": str(want.margin),
+            "status": want.status,
+            "witness": {k: str(v) for k, v in fields.items()}
+            if want.status == VIOLATED else None,
+            "note": "; ".join(notes) or None}
+
+
+@given(curve_lists(st.just(2)), positive_rationals, positive_rationals,
+       st.sampled_from(["theorem1", "latala_sharp"]))
+@example([tail_curve(delta(0), ABS), tail_curve(coin(), ABS)], F(1), F(1),
+         "theorem1")
+@example([tail_curve(coin(), ABS)] * 2, F(1, 2), F(1), "latala_sharp")
+@example([EUCLID, EUCLID], F(1, 3), F(3, 2), "theorem1")
+@settings(max_examples=200, deadline=None)
+def test_rows_render_the_fraction_sweep(curves, factor, scale, claim):
+    """Every field of a corpus row, rendered from the int outcome, is str
+    or float of the Fraction sweep's value, at both MODE_PAIRS; the note
+    and the report of a mixed-mode pair match it too.  The examples pin a
+    negative margin, an lhs identically 0 and a euclidean note."""
+    lhs, rhs = curves
+    norm = lhs.norm
+    spec = CLAIMS[claim]
+    stub = type("Sides", (), {"norm": norm,
+                              "sides": lambda self, shape, idx: (lhs, rhs)})
+    report = CorpusReport(CorpusConfig(seed=0, count=1), [claim])
+    for check in _checks(0, spec, spec, factor, scale, stub(),
+                         {"j": 1, "k": 2}):
+        _absorb(report, 0, delta(0), check, {})
+    for row, modes in zip(report.rows, MODE_PAIRS):
+        want = fraction_sweep_curves(lhs, rhs, factor, scale, *modes)
+        expected = want_report(claim, None, want, norm)
+        assert {k: row[k] for k in ("worst_t", "lhs", "rhs", "margin",
+                                    "status", "note")} == \
+            {k: expected[k] for k in ("worst_t", "lhs", "rhs", "margin",
+                                      "status", "note")}
+        assert row["margin_float_approx"] == float(want.margin)
+    assert len(report.rows) == 2
+    mixed = (("weak", "strict"), ("strict", "weak"))
+    for modes, out in zip(mixed, _sweeps(lhs, rhs, factor, scale, mixed)):
+        want = fraction_sweep_curves(lhs, rhs, factor, scale, *modes)
+        assert [_exact(v) for v in out.ints[:4]] == \
+            [str(v) for v in (want.worst_q, want.lhs, want.rhs, want.margin)]
+        assert _verdict(out, norm, spec.note) == \
+            (want.status, want_report(claim, {}, want, norm)["note"])
+        params = {"j": 1, "k": 2, "modes": modes}
+        assert _report(claim, params, out, norm, spec.note).to_jsonable() \
+            == want_report(claim, {"j": 1, "k": 2, "modes": list(modes)},
+                           want, norm)
+
+
+def test_incremental_envelope_is_the_envelope():
+    """Curves.envelope(k), the envelope to k - 1 raised by S_k's curve, is
+    the envelope of S_1..S_k at every k, read from the top down too."""
+    laws_ = [coin(), dist1d([(0, F(1, 3)), (F(1, 2), F(1, 6)), (3, F(1, 2))]),
+             DiscreteDist({(F(1), F(-1, 2)): F(1, 3), (F(0), F(2)): F(2, 3)})]
+    for x in laws_:
+        for norm in NORMS_BY_DIM[x.dim]:
+            curves = Curves(x, norm, set(range(1, 7)))
+            assert curves.envelope(6) is curves.envelope(6)
+            for k in range(1, 7):
+                assert curves.envelope(k) == upper_envelope(
+                    [curves.curve(i) for i in range(1, k + 1)])
 
 
 def test_read_past_the_cap_raises_the_cap_error_again():

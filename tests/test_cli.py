@@ -120,6 +120,16 @@ class TestVerify:
                            "--weights", "1,1/2", coin_file)
         assert code == 0
 
+    @pytest.mark.parametrize("weights, position", [
+        ("1,,1/2", 2), ("1,1/2,", 3), (",1", 1), ("", 1)])
+    def test_empty_weight_entry_exit_two(self, capsys, coin_file, weights,
+                                         position):
+        code, out, err = run(capsys, "verify", "--claim", "corollary5",
+                             f"--weights={weights}", coin_file)
+        assert code == 2 and out == ""
+        assert "--weights" in err
+        assert f"empty entry at position {position}" in err
+
     @pytest.mark.parametrize("form", [("--weights", "-1,1/2"),
                                       ("--weights=-1,1/2",)])
     def test_corollary5_leading_negative_weight(self, capsys, coin_file,
