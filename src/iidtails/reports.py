@@ -59,12 +59,3 @@ def jsonify(value):
     if isinstance(value, (list, tuple)):
         return [jsonify(v) for v in value]
     return value
-
-
-def approx(value) -> "float | None":
-    """Float rendering for convenience columns; clearly approximate."""
-    if value is None:
-        return None
-    if isinstance(value, float):
-        return value
-    return float(value)
