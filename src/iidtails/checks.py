@@ -146,6 +146,8 @@ class _Outcome:
         return self.sweep() == other
 
     def __getattr__(self, name):
+        if name not in SweepOutcome.__dataclass_fields__:
+            raise AttributeError(name)
         return getattr(self.sweep(), name)
 
 
