@@ -575,10 +575,8 @@ def test_rows_render_the_fraction_sweep(curves, factor, scale, claim):
     for row, modes in zip(report.rows, MODE_PAIRS):
         want = fraction_sweep_curves(lhs, rhs, factor, scale, *modes)
         expected = want_report(claim, None, want, norm)
-        assert {k: row[k] for k in ("worst_t", "lhs", "rhs", "margin",
-                                    "status", "note")} == \
-            {k: expected[k] for k in ("worst_t", "lhs", "rhs", "margin",
-                                      "status", "note")}
+        fields = ("worst_t", "lhs", "rhs", "margin", "status", "note")
+        assert {k: row[k] for k in fields} == {k: expected[k] for k in fields}
         assert row["margin_float_approx"] == float(want.margin)
     assert len(report.rows) == 2
     mixed = (("weak", "strict"), ("strict", "weak"))
