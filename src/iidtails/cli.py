@@ -252,6 +252,9 @@ def cmd_search(args) -> int:
 
 
 def cmd_counterexample(args) -> int:
+    if args.M is not None and args.cap is not None:
+        raise ValueError("counterexample takes --cap only without --M: "
+                         "the cap bounds the scan for M")
     report = verify_counterexample(args.N, M=args.M, cap=args.cap)
     verified = bool(report.found and report.centered_holds
                     and report.extended_holds

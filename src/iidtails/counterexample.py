@@ -9,8 +9,11 @@ rational because all order comparisons are decided by integer arithmetic.
 One binomial law serves every tail: _pmf_numerators walks
 C(M,b)*(N-1)^(M-b), b = 0..M, by exact ratio steps (a remainder raises
 ArithmeticError, also under ``python -O``), and one loop sums it over the
-b whose u = N*b - M lies in a tail's event; each tail states only that
-event.  find_M's scan walks the same ratios from the binomial mode.
+b whose u = N*b - M lies in each tail's event; a tail states only its
+event, and a report reads all its tails from one walk.  find_M walks the
+same ratios outward from the binomial mode, ceil-rounded on small ints in
+2^64 units to reject an M by an upper bound, and exactly where no bound
+rejects it.
 Thresholds, constants and sign-rule coefficients go through dists.rat, so
 a float is refused as everywhere else.
 
@@ -41,6 +44,14 @@ def _ratio(num: int, den: int) -> int:
     if rem:
         raise ArithmeticError("binomial ratio step left a remainder")
     return q
+
+
+_ONE = 1 << 64      # the unit of find_M's rounded bounds
+
+
+def _ceil_ratio(num: int, den: int) -> int:
+    """ceil(num / den): a ratio step of find_M's upper bounds."""
+    return -(-num // den)
 
 
 def icbrt(n: int) -> int:
@@ -102,20 +113,32 @@ def _pmf_numerators(N: int, M: int):
         yield term
 
 
-def _tail(N: int, M: int, weight, per: int = 1) -> Fraction:
-    """Sum over b of Pr(B = b) * weight(N*b - M) / per, B ~ Binomial(M, 1/N).
+def _tails(N: int, M: int, *events) -> "list[Fraction]":
+    """For each event (weight, per): the sum over b of
+    Pr(B = b) * weight(N*b - M) / per, B ~ Binomial(M, 1/N), all from one
+    walk of the pmf numerators.
 
     weight(u) counts, as an int or bool, the outcomes out of per that put
     the event's sum in the tail when sum_{i<=M} Y_i = u.
     """
     if N < 2 or M < 1:
         raise ValueError("need N >= 2 and M >= 1")
-    total = 0
+    weights = [weight for weight, _ in events]
+    totals = [0] * len(events)
     for b, num in enumerate(_pmf_numerators(N, M)):
-        w = weight(N * b - M)
-        if w:
-            total += w * num
-    return Fraction(total, N ** M * per)
+        u = N * b - M
+        for i, weight in enumerate(weights):
+            w = weight(u)
+            if w:
+                totals[i] += w * num
+    den = N ** M
+    return [Fraction(total, den * per)
+            for total, (_, per) in zip(totals, events)]
+
+
+def _tail(N: int, M: int, weight, per: int = 1) -> Fraction:
+    """_tails for the one event (weight, per)."""
+    return _tails(N, M, (weight, per))[0]
 
 
 def _threshold(t) -> Fraction:
@@ -125,8 +148,8 @@ def _threshold(t) -> Fraction:
     return t
 
 
-def centered_sum_tail(N: int, M: int, threshold) -> Fraction:
-    """Exact Pr(|sum_{i<=M} Y_i| > M^(2/3) * threshold).
+def _centered(M: int, threshold):
+    """The event |sum_{i<=M} Y_i| > M^(2/3) * threshold, as (weight, per).
 
     Uses |N*b - M| > M^(2/3)*theta  <=>  |N*b - M|^3 * q^3 > M^2 * p^3 for
     theta = p/q, so the cube comparison never leaves the integers.
@@ -134,78 +157,96 @@ def centered_sum_tail(N: int, M: int, threshold) -> Fraction:
     theta = _threshold(threshold)
     q3 = theta.denominator ** 3
     bound = M * M * theta.numerator ** 3
-    return _tail(N, M, lambda u: abs(u) ** 3 * q3 > bound)
+    return (lambda u: abs(u) ** 3 * q3 > bound), 1
+
+
+def centered_sum_tail(N: int, M: int, threshold) -> Fraction:
+    """Exact Pr(|sum_{i<=M} Y_i| > M^(2/3) * threshold)."""
+    return _tail(N, M, *_centered(M, threshold))
 
 
 def find_M(N: int, M_cap: int):
     """Smallest M in [N^3, M_cap] with centered_sum_tail(N, M, 1/N) <= 1/N,
     or None when no such M exists under the cap.
 
-    The tail condition is equivalent to W >= (N-1)*N^(M-1) where W is the
-    binomial window mass sum_{|N*b-M| <= M^(2/3)/N} C(M,b)*(N-1)^(M-b).
-    The scan keeps the distribution's modal term T incrementally; since
-    every window term is <= T, window_count * T < threshold rejects M
-    outright, and only inconclusive cases pay for the exact window sum.
-    Every ratio update must divide exactly and raises ArithmeticError
-    otherwise, so None is an exact answer, also under ``python -O``.
+    The tail condition is equivalent to W >= thr = (N-1)*N^(M-1), where W
+    is the binomial window mass sum_{|N*b-M| <= M^(2/3)/N} C(M,b)*(N-1)^(M-b).
+    Each M is first tried against two one-sided integer bounds in 2^64
+    units, each kept by ceil-rounded ratio steps on small ints:
+
+    - R >= 2^64*T/thr for the modal term T, advanced from M-1 to M (and
+      from mode m to m+1) by one ratio step each; every window term is
+      <= T, so window_count * R < 2^64 rejects M;
+    - S >= 2^64*W/T, the window walked outward from the mode; R*S < 2^128
+      rejects M.
+
+    Every bound rounds up, so rounding can only send an M on to the exact
+    decision, never change the answer.  An M neither bound rejects is
+    decided by the exact window sum from T = C(M,m)*(N-1)^(M-m), whose
+    ratio steps must divide exactly and raise ArithmeticError otherwise;
+    so None is an exact answer, also under ``python -O``.
     """
     if N < 2:
         raise ValueError("need N >= 2")
-    if M_cap < N ** 3:
-        raise ValueError(f"cap {M_cap} is below N^3 = {N ** 3}")
-    M0 = N ** 3
-    m = (M0 + 1) // N                       # binomial mode floor((M+1)/N)
-    T = comb(M0, m) * (N - 1) ** (M0 - m)   # modal term at M0
-    thr = (N - 1) * N ** (M0 - 1)
-    for M in range(M0, M_cap + 1):
-        if M > M0:
-            # advance modal term M-1 -> M at the old mode b = m
-            T = _ratio(T * (N - 1) * M, M - m)
-            new_m = (M + 1) // N
-            if new_m != m:
-                # shift mode b = m -> m+1: multiply C ratio, drop one
-                # factor of N-1
-                T = _ratio(T * (M - m), (m + 1) * (N - 1))
-                m = new_m
-            thr *= N
-        u_max = icbrt(M * M // N ** 3)      # largest |N*b - M| inside
-        lo = -(-(M - u_max) // N)           # ceil
-        hi = (M + u_max) // N
+    N3 = N ** 3
+    if M_cap < N3:
+        raise ValueError(f"cap {M_cap} is below N^3 = {N3}")
+    m = (N3 + 1) // N                       # binomial mode floor((M+1)/N)
+    R = _ceil_ratio(comb(N3, m) * (N - 1) ** (N3 - m) * _ONE,
+                    (N - 1) * N ** (N3 - 1))
+    u = N                                   # largest u with u^3*N^3 <= M^2
+    for M in range(N3, M_cap + 1):
+        if M > N3:
+            # the modal term from M-1 to M at the old mode, over thr*N
+            R = _ceil_ratio(R * (N - 1) * M, (M - m) * N)
+            if (M + 1) // N != m:
+                # the mode moves m -> m+1
+                R = _ceil_ratio(R * (M - m), (m + 1) * (N - 1))
+                m += 1
+            while (u + 1) ** 3 * N3 <= M * M:
+                u += 1
+        lo = -(-(M - u) // N)               # ceil
+        hi = (M + u) // N
         if hi < lo:
             continue                        # empty window, tail is 1
-        if (hi - lo + 1) * T < thr:
-            continue                        # window mass provably < 1 - 1/N
-        if _window_sum_reaches(N, M, lo, hi, m, T, thr):
+        if (hi - lo + 1) * R < _ONE:
+            continue                        # window mass provably < thr
+        if not _window_reaches(N, M, lo, hi, m, _ONE,
+                               _ceil_ratio(_ONE * _ONE, R), _ceil_ratio):
+            continue                        # R*S < 2^128
+        if _window_reaches(N, M, lo, hi, m, comb(M, m) * (N - 1) ** (M - m),
+                           (N - 1) * N ** (M - 1), _ratio):
             return M
     return None
 
 
-def _window_sum_reaches(N: int, M: int, lo: int, hi: int, m: int,
-                        T: int, thr: int) -> bool:
-    """Exact test sum_{b=lo..hi} C(M,b)*(N-1)^(M-b) >= thr, walking outward
-    from the modal term with exact integer ratio updates."""
-    total = T if lo <= m <= hi else 0
-    if total >= thr:
+def _window_reaches(N: int, M: int, lo: int, hi: int, m: int, first: int,
+                    target: int, step) -> bool:
+    """Does sum_{b=lo..hi} term_b reach target?  term_m = first, and the
+    walk goes outward from b = m by the binomial pmf ratios, each taken by
+    step(num, den): _ratio for the exact sum, _ceil_ratio for a bound."""
+    total = first if lo <= m <= hi else 0
+    if total >= target:
         return True
-    term = T
+    term = first
     b = m
     while b < hi:                            # walk right
-        term = _ratio(term * (M - b), (b + 1) * (N - 1))
+        term = step(term * (M - b), (b + 1) * (N - 1))
         b += 1
         if b >= lo:
             total += term
-            if total >= thr:
+            if total >= target:
                 return True
-    term = T
+    term = first
     b = m
     while b > lo:                            # walk left
-        term = _ratio(term * b * (N - 1), M - b + 1)
+        term = step(term * b * (N - 1), M - b + 1)
         b -= 1
         if b <= hi:
             total += term
-            if total >= thr:
+            if total >= target:
                 return True
-    return total >= thr
+    return False
 
 
 @dataclass(frozen=True)
@@ -250,22 +291,33 @@ class CounterexampleReport:
         })
 
 
-def normalized_sum_tail(N: int, M: int, t) -> Fraction:
-    """Exact Pr(|S_M| > t) with S_M = 1 + (N*B - M)*M^(-2/3)."""
+def _normalized(M: int, t):
+    """The event |S_M| > t with S_M = 1 + u*M^(-2/3), as (weight, per)."""
     t, sign = _threshold(t), _sign_rule(M)
     p, q = t.numerator, t.denominator
     # q*M^(2/3)*S_M = q*u + q*M^(2/3); the threshold scales the same way
-    return _tail(N, M, lambda u: _abs_gt(sign, q * u, 0, q, p))
+    return (lambda u: _abs_gt(sign, q * u, 0, q, p)), 1
 
 
-def extended_sum_tail(N: int, M: int, t) -> Fraction:
-    """Exact Pr(|S_M + X_{M+1}| > t) with X_{M+1} = Y_{M+1} + M^(-1/3)."""
+def _extended(N: int, M: int, t):
+    """The event |S_M + X_{M+1}| > t, X_{M+1} = Y_{M+1} + M^(-1/3), as
+    (weight, per)."""
     t, sign = _threshold(t), _sign_rule(M)
     p, q = t.numerator, t.denominator
     # q*M^(2/3)*(S_M + X_{M+1}) = q*u + q*M^(1/3) + q*(1 + y)*M^(2/3):
     # y = N-1 in one draw out of N, y = -1 in the other N-1
-    return _tail(N, M, lambda u: _abs_gt(sign, q * u, q, q * N, p)
-                 + (N - 1) * _abs_gt(sign, q * u, q, 0, p), per=N)
+    return (lambda u: _abs_gt(sign, q * u, q, q * N, p)
+            + (N - 1) * _abs_gt(sign, q * u, q, 0, p)), N
+
+
+def normalized_sum_tail(N: int, M: int, t) -> Fraction:
+    """Exact Pr(|S_M| > t) with S_M = 1 + (N*B - M)*M^(-2/3)."""
+    return _tail(N, M, *_normalized(M, t))
+
+
+def extended_sum_tail(N: int, M: int, t) -> Fraction:
+    """Exact Pr(|S_M + X_{M+1}| > t) with X_{M+1} = Y_{M+1} + M^(-1/3)."""
+    return _tail(N, M, *_extended(N, M, t))
 
 
 def refutes_constant(N: int, M: int, c, t) -> "tuple[bool, Fraction, Fraction]":
@@ -277,8 +329,7 @@ def refutes_constant(N: int, M: int, c, t) -> "tuple[bool, Fraction, Fraction]":
     c, t = rat(c), rat(t)
     if c <= 0:
         raise ValueError("c must be positive")
-    lhs = normalized_sum_tail(N, M, t)
-    rhs = extended_sum_tail(N, M, t / c)
+    lhs, rhs = _tails(N, M, _normalized(M, t), _extended(N, M, t / c))
     return lhs > c * rhs, lhs, rhs
 
 
@@ -292,6 +343,9 @@ def verify_counterexample(N: int, M: "int | None" = None,
     """
     if N < 2:
         raise ValueError("need N >= 2")
+    if M is not None and cap is not None:
+        raise ValueError("cap bounds the scan for M, so it cannot be "
+                         "given together with M")
     used_cap = None
     if M is None:
         used_cap = cap if cap is not None else max(N ** 3, 100_000)
@@ -299,12 +353,14 @@ def verify_counterexample(N: int, M: "int | None" = None,
         if M is None:
             return CounterexampleReport(N=N, cap=used_cap)
     c_star, t = Fraction(N, 3), Fraction(1, 2)
-    # the refutation's lhs is Pr(|S_M| > 1/2), the centered tail itself
-    fails, p_cent, rhs = refutes_constant(N, M, c_star, t)
-    p_ext = extended_sum_tail(N, M, Fraction(3, N))
+    # one walk for all four tails; the refutation's lhs is
+    # Pr(|S_M| > 1/2), the centered tail itself
+    admissible, p_cent, rhs, p_ext = _tails(
+        N, M, _centered(M, Fraction(1, N)), _normalized(M, t),
+        _extended(N, M, t / c_star), _extended(N, M, Fraction(3, N)))
     return CounterexampleReport(
         N=N, M=M, found=True, cap=used_cap,
-        admissible_tail=centered_sum_tail(N, M, Fraction(1, N)),
+        admissible_tail=admissible,
         p_centered=p_cent,
         centered_holds=p_cent >= 1 - Fraction(1, N),
         p_extended=p_ext,
@@ -315,7 +371,7 @@ def verify_counterexample(N: int, M: "int | None" = None,
             "lhs": p_cent,
             "rhs_prob": rhs,
             "rhs_total": c_star * rhs,
-            "fails": fails,
+            "fails": p_cent > c_star * rhs,
             "covers": "all c <= N/3 by monotonicity of c * Pr(> t/c) in c",
             # the two headline bounds alone already force failure for
             # c <= min(N/6, (N-1)/2); the direct evaluation above extends

@@ -4,7 +4,9 @@ Everything here enumerates all |support|^k outcome tuples directly, so it is
 exponential and only usable for small cases; the point is that it shares no
 code path with the production implementations.  ``no_admissible_M_bound``
 is an analytic bound rather than an enumeration, and likewise shares no code
-with the scan it checks.  ``fraction_convolve`` and its left folds are the
+with the scan it checks.  ``exact_find_M`` is the exact incremental scan
+that ``find_M``'s rounded integer bounds replaced, kept as their
+differential reference.  ``fraction_convolve`` and its left folds are the
 pairwise Fraction convolution the integer-lattice kernel replaced, kept as
 its differential reference: same fold, same atom order, same cap point.
 ``absorbing_path_dp`` is the single-threshold running-max DP that
@@ -31,6 +33,7 @@ from operator import add
 
 from iidtails.checks import SweepOutcome
 from iidtails.concentration import ConcentrationSet
+from iidtails.counterexample import icbrt
 from iidtails.dists import (
     DEFAULT_SUPPORT_CAP,
     STRICT,
@@ -304,6 +307,59 @@ def no_admissible_M_bound(N: int, M_lo: int, M_hi: int):
         if lhs * worst_den > worst_num * rhs:
             worst_num, worst_den = lhs, rhs
     return uncertified, Fraction(worst_num, worst_den)
+
+
+def _exact_div(num: int, den: int) -> int:
+    q, rem = divmod(num, den)
+    if rem:
+        raise ArithmeticError("binomial ratio step left a remainder")
+    return q
+
+
+def exact_find_M(N: int, M_cap: int):
+    """``find_M`` as an exact scan: the modal term T and the threshold
+    thr = (N-1)*N^(M-1) kept as exact ints from M to M+1, the window
+    radius by ``icbrt`` at every M, window_count * T < thr as the only
+    rejection, and otherwise the exact window sum walked outward from the
+    mode.  No rounding anywhere, so it is the reference for the rounded
+    bounds of ``find_M``.
+    """
+    if N < 2:
+        raise ValueError("need N >= 2")
+    if M_cap < N ** 3:
+        raise ValueError(f"cap {M_cap} is below N^3 = {N ** 3}")
+    M0 = N ** 3
+    m = (M0 + 1) // N                       # binomial mode floor((M+1)/N)
+    T = math.comb(M0, m) * (N - 1) ** (M0 - m)
+    thr = (N - 1) * N ** (M0 - 1)
+    for M in range(M0, M_cap + 1):
+        if M > M0:
+            T = _exact_div(T * (N - 1) * M, M - m)
+            if (M + 1) // N != m:
+                T = _exact_div(T * (M - m), (m + 1) * (N - 1))
+                m += 1
+            thr *= N
+        u_max = icbrt(M * M // N ** 3)      # largest |N*b - M| inside
+        lo = -(-(M - u_max) // N)
+        hi = (M + u_max) // N
+        if hi < lo or (hi - lo + 1) * T < thr:
+            continue
+        total = T if lo <= m <= hi else 0
+        term, b = T, m
+        while b < hi:                        # walk right
+            term = _exact_div(term * (M - b), (b + 1) * (N - 1))
+            b += 1
+            if b >= lo:
+                total += term
+        term, b = T, m
+        while b > lo:                        # walk left
+            term = _exact_div(term * b * (N - 1), M - b + 1)
+            b -= 1
+            if b <= hi:
+                total += term
+        if total >= thr:
+            return M
+    return None
 
 
 def fraction_threshold_candidates(jumps, mixed_modes=False):

@@ -397,6 +397,13 @@ class TestCounterexampleCmd:
         code, _, _ = run(capsys, "counterexample", "--N", "1")
         assert code == 2
 
+    def test_cap_with_M_exit_two(self, capsys):
+        code, out, err = run(capsys, "counterexample", "--N", "2",
+                             "--M", "5", "--cap", "3")
+        assert code == 2
+        assert "--cap" in err and "--M" in err
+        assert out == ""
+
 
 class TestMcCmd:
     def test_gaussian_threshold_zero(self, capsys):

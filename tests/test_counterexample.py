@@ -1,15 +1,28 @@
+import os
 import random
+import subprocess
+import sys
 from fractions import Fraction as F
+from math import comb
+from pathlib import Path
 
 import mpmath
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from iidtails import counterexample
 from iidtails.counterexample import (
+    _ONE,
     _abs_gt,
+    _ceil_ratio,
+    _extended,
+    _normalized,
+    _ratio,
     _sign_rule,
     _tail,
+    _tails,
+    _window_reaches,
     cbrt_combo_sign,
     centered_sum_tail,
     extended_sum_tail,
@@ -19,6 +32,9 @@ from iidtails.counterexample import (
     refutes_constant,
     verify_counterexample,
 )
+from oracles import exact_find_M
+
+SRC = Path(__file__).resolve().parents[1] / "src"
 
 
 class TestIcbrt:
@@ -141,6 +157,148 @@ class TestFindM:
             M = find_M(N, 5000)
             if M is not None:
                 assert centered_sum_tail(N, M, F(1, N)) <= F(1, N)
+
+
+class TestFindMBounds:
+    """find_M rejects an M by ceil-rounded integer bounds and decides the
+    rest by the exact window sum; it must agree with the exact scan."""
+
+    # caps from N^3 up, around each known answer and past it
+    CAPS = {
+        2: list(range(8, 40)) + [100, 1000],
+        3: [27, 28, 29, 100, 1000, 2000, 4436, 4437, 4438, 6000],
+        4: [64, 65, 66, 200, 1000, 3000],
+        5: [125, 126, 127, 500, 1500, 3000],
+        6: [216, 217, 218, 700, 2000],
+        7: [343, 344, 345, 1000, 2500],
+        10: [1000, 1001, 1002, 2000, 3000],
+    }
+
+    @pytest.mark.parametrize("N", sorted(CAPS))
+    def test_matches_exact_scan(self, N):
+        for cap in self.CAPS[N]:
+            assert find_M(N, cap) == exact_find_M(N, cap), (N, cap)
+
+    @pytest.mark.parametrize("N, M", [(2, 1), (2, 9), (2, 40), (3, 27),
+                                      (3, 50), (4, 64), (5, 31), (7, 60)])
+    def test_ceil_walk_bounds_every_exact_term(self, N, M):
+        # the whole pmf, walked from several starting points b0 with the
+        # exact step and the ceil step (start 2^64): every rounded term
+        # is at least 2^64 times the exact term over the exact start
+        for b0 in {0, M // N, (M + 1) // N, M // 2, M}:
+            exact, up = [], []
+
+            def record(step, out):
+                def spy(num, den):
+                    out.append(step(num, den))
+                    return out[-1]
+                return spy
+
+            T = comb(M, b0) * (N - 1) ** (M - b0)
+            big = 1 << (M * N + 200)            # never reached
+            assert not _window_reaches(N, M, 0, M, b0, T, big,
+                                       record(_ratio, exact))
+            assert not _window_reaches(N, M, 0, M, b0, _ONE, big,
+                                       record(_ceil_ratio, up))
+            assert exact == [comb(M, b) * (N - 1) ** (M - b)
+                             for b in list(range(b0 + 1, M + 1))
+                             + list(range(b0 - 1, -1, -1))]
+            assert len(up) == len(exact) == M
+            assert all(r * T >= _ONE * e for r, e in zip(up, exact))
+
+    def test_bound_walks_get_exact_window_and_upper_modal_bound(
+            self, monkeypatch):
+        # every window walk of the bound starts at the mode, spans the
+        # exact window, and its target ceil(2^128 / R) is at most
+        # ceil(2^64 * thr / T), that is R >= 2^64 * T / thr
+        seen = []
+        walk = counterexample._window_reaches
+
+        def spy(*args):
+            if args[-1] is _ceil_ratio:
+                seen.append(args[1:7])
+            return walk(*args)
+
+        monkeypatch.setattr(counterexample, "_window_reaches", spy)
+        N = 3
+        assert find_M(N, 3400) is None     # 3375 = 27 * 5^3 is on the edge
+        assert len(seen) > 100
+        for M, lo, hi, m, first, target in seen:
+            u = icbrt(M * M // N ** 3)
+            assert (lo, hi, m) == (-(-(M - u) // N), (M + u) // N,
+                                   (M + 1) // N)
+            assert first == _ONE
+            T = comb(M, m) * (N - 1) ** (M - m)
+            thr = (N - 1) * N ** (M - 1)
+            assert target <= _ceil_ratio(_ONE * thr, T)
+
+    @given(st.integers(0, 10 ** 30), st.integers(1, 10 ** 12))
+    @settings(max_examples=200)
+    def test_ceil_ratio_rounds_up(self, num, den):
+        q = _ceil_ratio(num, den)
+        assert (q - 1) * den < num <= q * den
+
+    @pytest.mark.parametrize("N, cap, answer, decisions", [
+        (2, 100, 8, 1), (3, 10_000, 4437, 1), (10, 15_000, None, 0)])
+    def test_exact_decisions(self, monkeypatch, N, cap, answer, decisions):
+        # the exact window sum runs only where both bounds fail to reject
+        calls = []
+        walk = counterexample._window_reaches
+
+        def spy(*args):
+            if args[-1] is _ratio:
+                calls.append(args[1])
+            return walk(*args)
+
+        monkeypatch.setattr(counterexample, "_window_reaches", spy)
+        assert find_M(N, cap) == answer
+        assert len(calls) == decisions
+        assert calls == ([] if answer is None else [answer])
+
+    def test_answers_under_python_O(self):
+        # no assert guards any step, so -O must give the same answers
+        env = dict(os.environ)
+        env["PYTHONPATH"] = os.pathsep.join(
+            filter(None, [str(SRC), env.get("PYTHONPATH")]))
+        code = ("from iidtails.counterexample import find_M; "
+                "print(__debug__, find_M(2, 100), find_M(3, 10_000), "
+                "find_M(10, 15_000))")
+        proc = subprocess.run([sys.executable, "-O", "-c", code], env=env,
+                              capture_output=True, text=True, timeout=120)
+        assert proc.returncode == 0, proc.stderr
+        assert proc.stdout.split() == ["False", "8", "4437", "None"]
+
+
+class TestOneWalkPerReport:
+    def test_tails_equal_one_event_views(self):
+        for N, M in ((2, 8), (3, 27), (3, 100), (5, 64)):
+            c, t = F(N, 3), F(1, 2)
+            events = [(lambda u: abs(u) ** 3 * N ** 3 > M * M, 1),
+                      _normalized(M, t), _extended(N, M, t / c),
+                      _extended(N, M, F(3, N))]
+            assert _tails(N, M, *events) == [
+                centered_sum_tail(N, M, F(1, N)),
+                normalized_sum_tail(N, M, t),
+                extended_sum_tail(N, M, t / c),
+                extended_sum_tail(N, M, F(3, N))]
+            fails, lhs, rhs = refutes_constant(N, M, c, t)
+            assert (lhs, rhs) == (normalized_sum_tail(N, M, t),
+                                  extended_sum_tail(N, M, t / c))
+            assert fails == (lhs > c * rhs)
+
+    def test_report_walks_the_pmf_once(self, monkeypatch):
+        walks = []
+        pmf = counterexample._pmf_numerators
+
+        def spy(N, M):
+            walks.append((N, M))
+            return pmf(N, M)
+
+        monkeypatch.setattr(counterexample, "_pmf_numerators", spy)
+        rep = verify_counterexample(3, M=4437)
+        assert walks == [(3, 4437)]
+        assert rep.centered_holds and rep.extended_holds
+        assert rep.refutation["fails"]
 
 
 class TestSignRulePerTail:
@@ -310,3 +468,8 @@ class TestVerifyCounterexample:
     def test_rejects_N_below_2(self):
         with pytest.raises(ValueError):
             verify_counterexample(1)
+
+    def test_rejects_M_with_cap(self):
+        # the cap bounds the scan for M; with M given it would be ignored
+        with pytest.raises(ValueError, match="cap"):
+            verify_counterexample(2, M=5, cap=3)
