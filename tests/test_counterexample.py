@@ -16,6 +16,7 @@ from iidtails.counterexample import (
     _ONE,
     _abs_gt,
     _ceil_ratio,
+    _centered,
     _extended,
     _normalized,
     _ratio,
@@ -185,15 +186,14 @@ class TestFindMBounds:
         # the whole pmf, walked from several starting points b0 with the
         # exact step and the ceil step (start 2^64): every rounded term
         # is at least 2^64 times the exact term over the exact start
+        def record(step, out):
+            def spy(num, den):
+                out.append(step(num, den))
+                return out[-1]
+            return spy
+
         for b0 in {0, M // N, (M + 1) // N, M // 2, M}:
             exact, up = [], []
-
-            def record(step, out):
-                def spy(num, den):
-                    out.append(step(num, den))
-                    return out[-1]
-                return spy
-
             T = comb(M, b0) * (N - 1) ** (M - b0)
             big = 1 << (M * N + 200)            # never reached
             assert not _window_reaches(N, M, 0, M, b0, T, big,
@@ -238,10 +238,11 @@ class TestFindMBounds:
         q = _ceil_ratio(num, den)
         assert (q - 1) * den < num <= q * den
 
-    @pytest.mark.parametrize("N, cap, answer, decisions", [
-        (2, 100, 8, 1), (3, 10_000, 4437, 1), (10, 15_000, None, 0)])
-    def test_exact_decisions(self, monkeypatch, N, cap, answer, decisions):
-        # the exact window sum runs only where both bounds fail to reject
+    @pytest.mark.parametrize("N, cap, answer, decided", [
+        (2, 100, 8, [8]), (3, 10_000, 4437, [4437]), (10, 15_000, None, [])])
+    def test_exact_decisions(self, monkeypatch, N, cap, answer, decided):
+        # the exact window sum runs only where both bounds fail to reject:
+        # once each at N = 2 and N = 3, at the M returned, never at N = 10
         calls = []
         walk = counterexample._window_reaches
 
@@ -252,8 +253,7 @@ class TestFindMBounds:
 
         monkeypatch.setattr(counterexample, "_window_reaches", spy)
         assert find_M(N, cap) == answer
-        assert len(calls) == decisions
-        assert calls == ([] if answer is None else [answer])
+        assert calls == decided
 
     def test_answers_under_python_O(self):
         # no assert guards any step, so -O must give the same answers
@@ -273,7 +273,7 @@ class TestOneWalkPerReport:
     def test_tails_equal_one_event_views(self):
         for N, M in ((2, 8), (3, 27), (3, 100), (5, 64)):
             c, t = F(N, 3), F(1, 2)
-            events = [(lambda u: abs(u) ** 3 * N ** 3 > M * M, 1),
+            events = [_centered(M, F(1, N)),
                       _normalized(M, t), _extended(N, M, t / c),
                       _extended(N, M, F(3, N))]
             assert _tails(N, M, *events) == [
