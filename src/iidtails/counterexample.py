@@ -6,16 +6,17 @@ S_M = M^(-2/3) sum_{i<=M} (Y_i + M^(-1/3)) = 1 + (N*B - M) * M^(-2/3)
 live in the field Q(M^(1/3)); every event probability below is an exact
 rational because all order comparisons are decided by integer arithmetic.
 
-One binomial law serves every tail: _pmf_numerators walks
-C(M,b)*(N-1)^(M-b), b = 0..M, by exact ratio steps (a remainder raises
-ArithmeticError, also under ``python -O``), and one loop sums it over the
-b whose u = N*b - M lies in each tail's event; a tail states only its
-event, and a report reads all its tails from one walk.  find_M walks the
-same ratios outward from the binomial mode, ceil-rounded on small ints in
-2^64 units to reject an M by an upper bound, and exactly where no bound
-rejects it.
+One binomial law serves every tail: _window sums C(M,b)*(N-1)^(M-b) over
+a window of b, from math.comb at its first b and exact ratio steps from
+there (a remainder raises ArithmeticError, also under ``python -O``).
+Every tail event is the complement of at most two windows of
+u = N*b - M, so a tail sums only those windows; their edges come from an
+integer cube root (centered) or a bisection on the sign rule, which rises
+with u.  find_M gates each M by a ceil-rounded bound on small ints in
+2^64 units, then carries one exact window from M to M+1 by Pascal's rule.
 Thresholds, constants and sign-rule coefficients go through dists.rat, so
-a float is refused as everywhere else.
+a float is refused as everywhere else; N, M and the cap must be ints, and
+a bool or a float there raises TypeError naming the argument.
 
 Sign rule used throughout: for rational a, b, c and M not a perfect cube,
 
@@ -25,11 +26,13 @@ after clearing denominators to integers (A, B, C).  The right side is the
 field norm of the left, and the two complex conjugate factors have positive
 product, so the signs agree; for perfect cubes M^(1/3) is an integer and the
 expression is evaluated directly.  A tail takes M's cube root and clears its
-threshold's denominator once, so the rule runs on ints for every term.
+threshold's denominator once, so the rule runs on ints at every bisection
+step.
 """
 
 from __future__ import annotations
 
+from bisect import bisect_left
 from dataclasses import dataclass
 from fractions import Fraction
 from math import comb, lcm
@@ -46,12 +49,26 @@ def _ratio(num: int, den: int) -> int:
     return q
 
 
-_ONE = 1 << 64      # the unit of find_M's rounded bounds
+_ONE = 1 << 64      # the unit of find_M's rounded bound
 
 
 def _ceil_ratio(num: int, den: int) -> int:
-    """ceil(num / den): a ratio step of find_M's upper bounds."""
+    """ceil(num / den): a ratio step of find_M's upper bound."""
     return -(-num // den)
+
+
+def _int(name: str, value) -> int:
+    """value, refused with a TypeError naming it unless it is an int."""
+    if isinstance(value, bool) or not isinstance(value, int):
+        raise TypeError(f"{name} must be an int, not "
+                        f"{type(value).__name__} {value!r}")
+    return value
+
+
+def _law(N, M) -> None:
+    """Refuse a non-int N or M, then N < 2 or M < 1."""
+    if _int("N", N) < 2 or _int("M", M) < 1:
+        raise ValueError("need N >= 2 and M >= 1")
 
 
 def icbrt(n: int) -> int:
@@ -76,7 +93,7 @@ def icbrt(n: int) -> int:
 def _sign_rule(M: int):
     """The sign rule for one M >= 1, with M's cube root taken once:
     sign(A + B*M^(1/3) + C*M^(2/3)) for ints A, B, C."""
-    if M < 1:
+    if _int("M", M) < 1:
         raise ValueError("M must be >= 1")
     r = icbrt(M)
     if r * r * r == M:
@@ -98,47 +115,37 @@ def cbrt_combo_sign(a, b, c, M: int) -> int:
                            for x in (a, b, c)))
 
 
-def _abs_gt(sign, a: int, b: int, c: int, p: int) -> bool:
-    """|a + b*M^(1/3) + c*M^(2/3)| > p*M^(2/3) for p >= 0, where sign is
-    the sign rule of M."""
-    return sign(a, b, c - p) > 0 or sign(a, b, c + p) < 0
+def _term(N: int, M: int, b: int) -> int:
+    """C(M,b)*(N-1)^(M-b), the pmf numerator of B ~ Binomial(M, 1/N) at b
+    (denominator N^M)."""
+    return comb(M, b) * (N - 1) ** (M - b)
 
 
-def _pmf_numerators(N: int, M: int):
-    """C(M,b)*(N-1)^(M-b) for b = 0..M in turn (denominator N^M)."""
-    term = (N - 1) ** M          # b = 0
-    yield term
-    for b in range(M):
+def _window(N: int, M: int, lo: int, hi: int) -> int:
+    """sum_{b=lo..hi} C(M,b)*(N-1)^(M-b) over the b in [0, M]: math.comb
+    at the first b, exact ratio steps from there; 0 when no b is inside."""
+    lo, hi = max(lo, 0), min(hi, M)
+    if hi < lo:
+        return 0
+    term = total = _term(N, M, lo)
+    for b in range(lo, hi):
         term = _ratio(term * (M - b), (b + 1) * (N - 1))
-        yield term
+        total += term
+    return total
 
 
 def _tails(N: int, M: int, *events) -> "list[Fraction]":
-    """For each event (weight, per): the sum over b of
-    Pr(B = b) * weight(N*b - M) / per, B ~ Binomial(M, 1/N), all from one
-    walk of the pmf numerators.
+    """For each event (per, windows): the exact tail
+    (per*N^M - sum of w*_window(lo, hi) over its windows) / (per*N^M).
 
-    weight(u) counts, as an int or bool, the outcomes out of per that put
-    the event's sum in the tail when sum_{i<=M} Y_i = u.
+    The windows (w, lo, hi) are the b whose u = N*b - M keeps the event's
+    sum inside, w outcomes out of per each.
     """
-    if N < 2 or M < 1:
-        raise ValueError("need N >= 2 and M >= 1")
-    weights = [weight for weight, _ in events]
-    totals = [0] * len(events)
-    for b, num in enumerate(_pmf_numerators(N, M)):
-        u = N * b - M
-        for i, weight in enumerate(weights):
-            w = weight(u)
-            if w:
-                totals[i] += w * num
-    den = N ** M
-    return [Fraction(total, den * per)
-            for total, (_, per) in zip(totals, events)]
-
-
-def _tail(N: int, M: int, weight, per: int = 1) -> Fraction:
-    """_tails for the one event (weight, per)."""
-    return _tails(N, M, (weight, per))[0]
+    total = N ** M
+    return [Fraction(per * total - sum(w * _window(N, M, lo, hi)
+                                       for w, lo, hi in windows),
+                     per * total)
+            for per, windows in events]
 
 
 def _threshold(t) -> Fraction:
@@ -148,21 +155,46 @@ def _threshold(t) -> Fraction:
     return t
 
 
-def _centered(M: int, threshold):
-    """The event |sum_{i<=M} Y_i| > M^(2/3) * threshold, as (weight, per).
+def _centered(N: int, M: int, threshold):
+    """The event |sum_{i<=M} Y_i| > M^(2/3) * threshold, as (per, windows).
 
-    Uses |N*b - M| > M^(2/3)*theta  <=>  |N*b - M|^3 * q^3 > M^2 * p^3 for
-    theta = p/q, so the cube comparison never leaves the integers.
+    Uses |u| > M^(2/3)*theta  <=>  |u|^3 * q^3 > M^2 * p^3 for theta = p/q,
+    so the inside is |u| <= icbrt(M^2*p^3 // q^3), all in integers.
     """
     theta = _threshold(threshold)
-    q3 = theta.denominator ** 3
-    bound = M * M * theta.numerator ** 3
-    return (lambda u: abs(u) ** 3 * q3 > bound), 1
+    U = icbrt(M * M * theta.numerator ** 3 // theta.denominator ** 3)
+    return 1, [(1, -(-(M - U) // N), (M + U) // N)]
 
 
 def centered_sum_tail(N: int, M: int, threshold) -> Fraction:
     """Exact Pr(|sum_{i<=M} Y_i| > M^(2/3) * threshold)."""
-    return _tail(N, M, *_centered(M, threshold))
+    _law(N, M)
+    return _tails(N, M, _centered(N, M, threshold))[0]
+
+
+def _scan(N: int, M_cap: int):
+    """Yield (M, lo, hi, R) for M = N^3..M_cap: find_M's window lo..hi,
+    the b with |N*b - M| <= M^(2/3)/N, and R >= 2^64*T/thr for the modal
+    term T = C(M,m)*(N-1)^(M-m), m = floor((M+1)/N), and
+    thr = (N-1)*N^(M-1), kept by ceil-rounded ratio steps on small ints.
+    """
+    N3 = N ** 3
+    m = (N3 + 1) // N                       # binomial mode floor((M+1)/N)
+    R = _ceil_ratio(_term(N, N3, m) * _ONE, (N - 1) * N ** (N3 - 1))
+    u = N                                   # largest u with u^3*N^3 <= M^2
+    grow = (u + 1) ** 3 * N3                # the M^2 at which u grows
+    for M in range(N3, M_cap + 1):
+        if M > N3:
+            # the modal term from M-1 to M at the old mode, over thr*N
+            R = _ceil_ratio(R * (N - 1) * M, (M - m) * N)
+            if (M + 1) // N != m:
+                # the mode moves m -> m+1 where M - m = (m+1)*(N-1), so
+                # the two modal terms tie and R bounds both
+                m += 1
+            while M * M >= grow:
+                u += 1
+                grow = (u + 1) ** 3 * N3
+        yield M, -(-(M - u) // N), (M + u) // N, R
 
 
 def find_M(N: int, M_cap: int):
@@ -171,82 +203,51 @@ def find_M(N: int, M_cap: int):
 
     The tail condition is equivalent to W >= thr = (N-1)*N^(M-1), where W
     is the binomial window mass sum_{|N*b-M| <= M^(2/3)/N} C(M,b)*(N-1)^(M-b).
-    Each M is first tried against two one-sided integer bounds in 2^64
-    units, each kept by ceil-rounded ratio steps on small ints:
+    Every window term is at most the modal term T, so window_count * R
+    < 2^64 rejects M for R >= 2^64*T/thr (_scan); R rounds up, so it never
+    rejects an M it should not.  From the first M that R lets through, W is
+    exact: _window at that M, then Pascal's rule from M-1 to M,
 
-    - R >= 2^64*T/thr for the modal term T, advanced from M-1 to M (and
-      from mode m to m+1) by one ratio step each; every window term is
-      <= T, so window_count * R < 2^64 rejects M;
-    - S >= 2^64*W/T, the window walked outward from the mode; R*S < 2^128
-      rejects M.
+        sum_{b=lo..hi} t_M(b) = N*sum_{b=lo..hi} t_{M-1}(b)
+                                + t_{M-1}(lo-1) - t_{M-1}(hi),
 
-    Every bound rounds up, so rounding can only send an M on to the exact
-    decision, never change the answer.  An M neither bound rejects is
-    decided by the exact window sum from T = C(M,m)*(N-1)^(M-m), whose
-    ratio steps must divide exactly and raise ArithmeticError otherwise;
-    so None is an exact answer, also under ``python -O``.
+    and one edge term per b the window gains or loses, all by ratio steps
+    that must divide exactly and raise ArithmeticError otherwise; so every
+    answer, None included, is exact, also under ``python -O``.
     """
-    if N < 2:
+    if _int("N", N) < 2:
         raise ValueError("need N >= 2")
-    N3 = N ** 3
-    if M_cap < N3:
-        raise ValueError(f"cap {M_cap} is below N^3 = {N3}")
-    m = (N3 + 1) // N                       # binomial mode floor((M+1)/N)
-    R = _ceil_ratio(comb(N3, m) * (N - 1) ** (N3 - m) * _ONE,
-                    (N - 1) * N ** (N3 - 1))
-    u = N                                   # largest u with u^3*N^3 <= M^2
-    for M in range(N3, M_cap + 1):
-        if M > N3:
-            # the modal term from M-1 to M at the old mode, over thr*N
-            R = _ceil_ratio(R * (N - 1) * M, (M - m) * N)
-            if (M + 1) // N != m:
-                # the mode moves m -> m+1
-                R = _ceil_ratio(R * (M - m), (m + 1) * (N - 1))
-                m += 1
-            while (u + 1) ** 3 * N3 <= M * M:
-                u += 1
-        lo = -(-(M - u) // N)               # ceil
-        hi = (M + u) // N
-        if hi < lo:
-            continue                        # empty window, tail is 1
-        if (hi - lo + 1) * R < _ONE:
-            continue                        # window mass provably < thr
-        if not _window_reaches(N, M, lo, hi, m, _ONE,
-                               _ceil_ratio(_ONE * _ONE, R), _ceil_ratio):
-            continue                        # R*S < 2^128
-        if _window_reaches(N, M, lo, hi, m, comb(M, m) * (N - 1) ** (M - m),
-                           (N - 1) * N ** (M - 1), _ratio):
+    if _int("M_cap", M_cap) < N ** 3:
+        raise ValueError(f"cap {M_cap} is below N^3 = {N ** 3}")
+    W = None
+    for M, lo, hi, R in _scan(N, M_cap):
+        if W is None:
+            if (hi - lo + 1) * R < _ONE:
+                continue                    # window mass provably < thr
+            # the exact window from here on, with its edge terms
+            # L = t_M(b0 - 1) and H = t_M(b1)
+            b0, b1 = lo, hi
+            W = _window(N, M, lo, hi)
+            L, H = _term(N, M, lo - 1), _term(N, M, hi)
+            thr = (N - 1) * N ** (M - 1)
+        else:
+            # Pascal's rule over b0..b1, then the edge terms at M
+            W = N * W + L - H
+            L = _ratio(L * M * (N - 1), M - b0 + 1)
+            H = _ratio(H * M * (N - 1), M - b1)
+            thr *= N
+            # both edges only move right as M grows
+            while b1 < hi:
+                H = _ratio(H * (M - b1), (b1 + 1) * (N - 1))
+                b1 += 1
+                W += H
+            while b0 < lo:
+                L = _ratio(L * (M - b0 + 1), b0 * (N - 1))
+                b0 += 1
+                W -= L
+        if W >= thr:
             return M
     return None
-
-
-def _window_reaches(N: int, M: int, lo: int, hi: int, m: int, first: int,
-                    target: int, step) -> bool:
-    """Does sum_{b=lo..hi} term_b reach target?  term_m = first, and the
-    walk goes outward from b = m by the binomial pmf ratios, each taken by
-    step(num, den): _ratio for the exact sum, _ceil_ratio for a bound."""
-    total = first if lo <= m <= hi else 0
-    if total >= target:
-        return True
-    term = first
-    b = m
-    while b < hi:                            # walk right
-        term = step(term * (M - b), (b + 1) * (N - 1))
-        b += 1
-        if b >= lo:
-            total += term
-            if total >= target:
-                return True
-    term = first
-    b = m
-    while b > lo:                            # walk left
-        term = step(term * b * (N - 1), M - b + 1)
-        b -= 1
-        if b <= hi:
-            total += term
-            if total >= target:
-                return True
-    return False
 
 
 @dataclass(frozen=True)
@@ -291,33 +292,47 @@ class CounterexampleReport:
         })
 
 
-def _normalized(M: int, t):
-    """The event |S_M| > t with S_M = 1 + u*M^(-2/3), as (weight, per)."""
-    t, sign = _threshold(t), _sign_rule(M)
+def _inside(sign, N: int, M: int, t, B: int, C: int):
+    """The window (lo, hi) of b where |q*u + B*M^(1/3) + C*M^(2/3)| <=
+    p*M^(2/3), u = N*b - M, for t = p/q.  Both one-sided signs rise with
+    u, so each edge is a bisection over b in [0, M]."""
     p, q = t.numerator, t.denominator
+    bs = range(M + 1)
+    lo = bisect_left(bs, True,
+                     key=lambda b: sign(q * (N * b - M), B, C + p) >= 0)
+    hi = bisect_left(bs, True,
+                     key=lambda b: sign(q * (N * b - M), B, C - p) > 0)
+    return lo, hi - 1
+
+
+def _normalized(N: int, M: int, t):
+    """The event |S_M| > t with S_M = 1 + u*M^(-2/3), as (per, windows)."""
+    t = _threshold(t)
     # q*M^(2/3)*S_M = q*u + q*M^(2/3); the threshold scales the same way
-    return (lambda u: _abs_gt(sign, q * u, 0, q, p)), 1
+    return 1, [(1, *_inside(_sign_rule(M), N, M, t, 0, t.denominator))]
 
 
 def _extended(N: int, M: int, t):
     """The event |S_M + X_{M+1}| > t, X_{M+1} = Y_{M+1} + M^(-1/3), as
-    (weight, per)."""
+    (per, windows)."""
     t, sign = _threshold(t), _sign_rule(M)
-    p, q = t.numerator, t.denominator
+    q = t.denominator
     # q*M^(2/3)*(S_M + X_{M+1}) = q*u + q*M^(1/3) + q*(1 + y)*M^(2/3):
     # y = N-1 in one draw out of N, y = -1 in the other N-1
-    return (lambda u: _abs_gt(sign, q * u, q, q * N, p)
-            + (N - 1) * _abs_gt(sign, q * u, q, 0, p)), N
+    return N, [(1, *_inside(sign, N, M, t, q, q * N)),
+               (N - 1, *_inside(sign, N, M, t, q, 0))]
 
 
 def normalized_sum_tail(N: int, M: int, t) -> Fraction:
     """Exact Pr(|S_M| > t) with S_M = 1 + (N*B - M)*M^(-2/3)."""
-    return _tail(N, M, *_normalized(M, t))
+    _law(N, M)
+    return _tails(N, M, _normalized(N, M, t))[0]
 
 
 def extended_sum_tail(N: int, M: int, t) -> Fraction:
     """Exact Pr(|S_M + X_{M+1}| > t) with X_{M+1} = Y_{M+1} + M^(-1/3)."""
-    return _tail(N, M, *_extended(N, M, t))
+    _law(N, M)
+    return _tails(N, M, _extended(N, M, t))[0]
 
 
 def refutes_constant(N: int, M: int, c, t) -> "tuple[bool, Fraction, Fraction]":
@@ -329,7 +344,8 @@ def refutes_constant(N: int, M: int, c, t) -> "tuple[bool, Fraction, Fraction]":
     c, t = rat(c), rat(t)
     if c <= 0:
         raise ValueError("c must be positive")
-    lhs, rhs = _tails(N, M, _normalized(M, t), _extended(N, M, t / c))
+    _law(N, M)
+    lhs, rhs = _tails(N, M, _normalized(N, M, t), _extended(N, M, t / c))
     return lhs > c * rhs, lhs, rhs
 
 
@@ -341,22 +357,23 @@ def verify_counterexample(N: int, M: "int | None" = None,
     then evaluates the contrast at c = N/3, t = 1/2: together these show no
     universal constant c <= N/3 can relate the two weighted partial sums.
     """
-    if N < 2:
+    if _int("N", N) < 2:
         raise ValueError("need N >= 2")
     if M is not None and cap is not None:
         raise ValueError("cap bounds the scan for M, so it cannot be "
                          "given together with M")
     used_cap = None
     if M is None:
-        used_cap = cap if cap is not None else max(N ** 3, 100_000)
+        used_cap = max(N ** 3, 100_000) if cap is None else _int("cap", cap)
         M = find_M(N, used_cap)
         if M is None:
             return CounterexampleReport(N=N, cap=used_cap)
+    _law(N, M)
     c_star, t = Fraction(N, 3), Fraction(1, 2)
-    # one walk for all four tails; the refutation's lhs is
+    # one set of windows per tail; the refutation's lhs is
     # Pr(|S_M| > 1/2), the centered tail itself
     admissible, p_cent, rhs, p_ext = _tails(
-        N, M, _centered(M, Fraction(1, N)), _normalized(M, t),
+        N, M, _centered(N, M, Fraction(1, N)), _normalized(N, M, t),
         _extended(N, M, t / c_star), _extended(N, M, Fraction(3, N)))
     return CounterexampleReport(
         N=N, M=M, found=True, cap=used_cap,

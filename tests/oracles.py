@@ -5,10 +5,14 @@ exponential and only usable for small cases; the point is that it shares no
 code path with the production implementations.  ``no_admissible_M_bound``
 is an analytic bound rather than an enumeration, and likewise shares no code
 with the scan it checks.  ``exact_find_M`` is the exact incremental scan
-that ``find_M``'s rounded integer bounds replaced, kept as their
-differential reference.  ``fraction_convolve`` and its left folds are the
-pairwise Fraction convolution the integer-lattice kernel replaced, kept as
-its differential reference: same fold, same atom order, same cap point.
+that ``find_M``'s rounded gate and running window replaced, kept as their
+differential reference.  ``pmf_walk_tails`` with the ``walk_centered``,
+``walk_normalized`` and ``walk_extended`` events is the per-b pmf walk
+that the counterexample tails' binomial windows replaced: every b from 0
+to M, the event decided on each u = N*b - M.  ``fraction_convolve`` and
+its left folds are the pairwise Fraction convolution the integer-lattice
+kernel replaced, kept as its differential reference: same fold, same atom
+order, same cap point.
 ``absorbing_path_dp`` is the single-threshold running-max DP that
 ``iidtails.dists`` replaced with its (sum, running max) pass; its states are
 only the sums still inside the threshold, so it checks that pass from a
@@ -33,7 +37,7 @@ from operator import add
 
 from iidtails.checks import SweepOutcome
 from iidtails.concentration import ConcentrationSet
-from iidtails.counterexample import icbrt
+from iidtails.counterexample import _sign_rule, icbrt
 from iidtails.dists import (
     DEFAULT_SUPPORT_CAP,
     STRICT,
@@ -361,6 +365,63 @@ def exact_find_M(N: int, M_cap: int):
             return M
     return None
 
+
+
+def abs_gt(sign, a: int, b: int, c: int, p: int) -> bool:
+    """|a + b*M^(1/3) + c*M^(2/3)| > p*M^(2/3) for p >= 0, where sign is
+    the sign rule of M."""
+    return sign(a, b, c - p) > 0 or sign(a, b, c + p) < 0
+
+
+def _pmf_numerators(N: int, M: int):
+    """C(M,b)*(N-1)^(M-b) for b = 0..M in turn (denominator N^M)."""
+    term = (N - 1) ** M          # b = 0
+    yield term
+    for b in range(M):
+        term = _exact_div(term * (M - b), (b + 1) * (N - 1))
+        yield term
+
+
+def pmf_walk_tails(N: int, M: int, *events) -> "list[Fraction]":
+    """For each event (weight, per): the sum over every b = 0..M of
+    Pr(B = b) * weight(N*b - M) / per, B ~ Binomial(M, 1/N), where
+    weight(u) counts, as an int or bool, the outcomes out of per that put
+    the event's sum in the tail when sum_{i<=M} Y_i = u."""
+    if N < 2 or M < 1:
+        raise ValueError("need N >= 2 and M >= 1")
+    totals = [0] * len(events)
+    for b, num in enumerate(_pmf_numerators(N, M)):
+        u = N * b - M
+        for i, (weight, _) in enumerate(events):
+            w = weight(u)
+            if w:
+                totals[i] += w * num
+    return [Fraction(total, N ** M * per)
+            for total, (_, per) in zip(totals, events)]
+
+
+def walk_centered(M: int, theta):
+    """|sum_{i<=M} Y_i| > M^(2/3)*theta as a (weight, per) event, by the
+    cube test |u|^3 * q^3 > M^2 * p^3 on each u."""
+    theta = Fraction(theta)
+    q3, bound = theta.denominator ** 3, M * M * theta.numerator ** 3
+    return (lambda u: abs(u) ** 3 * q3 > bound), 1
+
+
+def walk_normalized(M: int, t):
+    """|S_M| > t, S_M = 1 + u*M^(-2/3), as a (weight, per) event."""
+    t, sign = Fraction(t), _sign_rule(M)
+    p, q = t.numerator, t.denominator
+    return (lambda u: abs_gt(sign, q * u, 0, q, p)), 1
+
+
+def walk_extended(N: int, M: int, t):
+    """|S_M + Y_{M+1} + M^(-1/3)| > t as a (weight, per) event: y = N-1 in
+    one draw out of N, y = -1 in the other N-1."""
+    t, sign = Fraction(t), _sign_rule(M)
+    p, q = t.numerator, t.denominator
+    return (lambda u: abs_gt(sign, q * u, q, q * N, p)
+            + (N - 1) * abs_gt(sign, q * u, q, 0, p)), N
 
 def fraction_threshold_candidates(jumps, mixed_modes=False):
     pos = sorted({q for q in jumps if q > 0})

@@ -8,22 +8,21 @@ from pathlib import Path
 
 import mpmath
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from iidtails import counterexample
 from iidtails.counterexample import (
     _ONE,
-    _abs_gt,
     _ceil_ratio,
     _centered,
     _extended,
     _normalized,
-    _ratio,
+    _scan,
     _sign_rule,
-    _tail,
     _tails,
-    _window_reaches,
+    _term,
+    _window,
     cbrt_combo_sign,
     centered_sum_tail,
     extended_sum_tail,
@@ -33,7 +32,14 @@ from iidtails.counterexample import (
     refutes_constant,
     verify_counterexample,
 )
-from oracles import exact_find_M
+from oracles import (
+    abs_gt,
+    exact_find_M,
+    pmf_walk_tails,
+    walk_centered,
+    walk_extended,
+    walk_normalized,
+)
 
 SRC = Path(__file__).resolve().parents[1] / "src"
 
@@ -161,8 +167,9 @@ class TestFindM:
 
 
 class TestFindMBounds:
-    """find_M rejects an M by ceil-rounded integer bounds and decides the
-    rest by the exact window sum; it must agree with the exact scan."""
+    """find_M rejects an M by a ceil-rounded integer bound on the modal
+    term and decides the rest by one exact running window; it must agree
+    with the exact scan."""
 
     # caps from N^3 up, around each known answer and past it
     CAPS = {
@@ -180,57 +187,81 @@ class TestFindMBounds:
         for cap in self.CAPS[N]:
             assert find_M(N, cap) == exact_find_M(N, cap), (N, cap)
 
+    @pytest.mark.parametrize("N", sorted(CAPS))
+    def test_running_window_alone_matches_exact_scan(self, monkeypatch, N):
+        # with the unit 0, R is 0 and rejects nothing: the running window
+        # starts at N^3 and decides every M by Pascal's rule alone
+        monkeypatch.setattr(counterexample, "_ONE", 0)
+        for cap in self.CAPS[N]:
+            assert find_M(N, cap) == exact_find_M(N, cap), (N, cap)
+
     @pytest.mark.parametrize("N, M", [(2, 1), (2, 9), (2, 40), (3, 27),
                                       (3, 50), (4, 64), (5, 31), (7, 60)])
     def test_ceil_walk_bounds_every_exact_term(self, N, M):
-        # the whole pmf, walked from several starting points b0 with the
-        # exact step and the ceil step (start 2^64): every rounded term
-        # is at least 2^64 times the exact term over the exact start
-        def record(step, out):
-            def spy(num, den):
-                out.append(step(num, den))
-                return out[-1]
-            return spy
-
+        # from several start points b0, ceil-rounded ratio steps from 2^64
+        # bound every exact term over the start term, the way R's steps
+        # bound the modal term; and _window, which starts at b0 and takes
+        # exact steps, sums those terms
+        exact = [comb(M, b) * (N - 1) ** (M - b) for b in range(M + 1)]
         for b0 in {0, M // N, (M + 1) // N, M // 2, M}:
-            exact, up = [], []
-            T = comb(M, b0) * (N - 1) ** (M - b0)
-            big = 1 << (M * N + 200)            # never reached
-            assert not _window_reaches(N, M, 0, M, b0, T, big,
-                                       record(_ratio, exact))
-            assert not _window_reaches(N, M, 0, M, b0, _ONE, big,
-                                       record(_ceil_ratio, up))
-            assert exact == [comb(M, b) * (N - 1) ** (M - b)
-                             for b in list(range(b0 + 1, M + 1))
-                             + list(range(b0 - 1, -1, -1))]
-            assert len(up) == len(exact) == M
-            assert all(r * T >= _ONE * e for r, e in zip(up, exact))
+            assert _term(N, M, b0) == exact[b0]
+            up = {b0: _ONE}
+            for b in range(b0, M):                       # walk right
+                up[b + 1] = _ceil_ratio(up[b] * (M - b), (b + 1) * (N - 1))
+            for b in range(b0, 0, -1):                   # walk left
+                up[b - 1] = _ceil_ratio(up[b] * b * (N - 1), M - b + 1)
+            assert all(up[b] * exact[b0] >= _ONE * exact[b]
+                       for b in range(M + 1))
+            assert _window(N, M, b0, M) == sum(exact[b0:])
+            assert _window(N, M, 0, b0) == sum(exact[:b0 + 1])
+            assert _window(N, M, b0 - M - 5, b0 + M + 5) == N ** M
+            assert _window(N, M, b0 + 1, b0) == 0
 
     def test_bound_walks_get_exact_window_and_upper_modal_bound(
             self, monkeypatch):
-        # every window walk of the bound starts at the mode, spans the
-        # exact window, and its target ceil(2^128 / R) is at most
-        # ceil(2^64 * thr / T), that is R >= 2^64 * T / thr
-        seen = []
-        walk = counterexample._window_reaches
+        # at every M of the scan the window is the exact one and
+        # R >= 2^64 * T / thr; the exact window starts where R first lets
+        # an M through, on that M's window
+        N = 3
+        for M, lo, hi, R in _scan(N, 3400):
+            u = icbrt(M * M // N ** 3)
+            assert (lo, hi) == (-(-(M - u) // N), (M + u) // N)
+            m = (M + 1) // N
+            T = comb(M, m) * (N - 1) ** (M - m)
+            assert R * (N - 1) * N ** (M - 1) >= _ONE * T
+        starts = []
+        window = counterexample._window
 
         def spy(*args):
-            if args[-1] is _ceil_ratio:
-                seen.append(args[1:7])
-            return walk(*args)
+            starts.append(args)
+            return window(*args)
 
-        monkeypatch.setattr(counterexample, "_window_reaches", spy)
-        N = 3
+        monkeypatch.setattr(counterexample, "_window", spy)
         assert find_M(N, 3400) is None     # 3375 = 27 * 5^3 is on the edge
-        assert len(seen) > 100
-        for M, lo, hi, m, first, target in seen:
-            u = icbrt(M * M // N ** 3)
-            assert (lo, hi, m) == (-(-(M - u) // N), (M + u) // N,
-                                   (M + 1) // N)
-            assert first == _ONE
+        M = 1728                           # = 12^3, R's first pass at N = 3
+        u = icbrt(M * M // N ** 3)
+        assert starts == [(N, M, -(-(M - u) // N), (M + u) // N)]
+
+    @pytest.mark.parametrize("N", [2, 3, 4, 5])
+    def test_modal_bound_tracks_each_exact_step(self, N):
+        # R starts at ceil(2^64 * T / thr), and each M moves it by the
+        # exact ratio of T / thr at the old mode, rounded up once; where
+        # the mode moves the two modal terms tie, so no step is taken
+        prev = None
+        for M, _, _, R in _scan(N, 3000):
+            m = (M + 1) // N
             T = comb(M, m) * (N - 1) ** (M - m)
-            thr = (N - 1) * N ** (M - 1)
-            assert target <= _ceil_ratio(_ONE * thr, T)
+            exact = F(_ONE * T, (N - 1) * N ** (M - 1))
+            if prev is None:
+                assert R == _ceil_ratio(exact.numerator, exact.denominator)
+            else:
+                old = M // N                        # the mode at M - 1
+                if old != m:
+                    assert comb(M, old) * (N - 1) ** (M - old) == T
+                step = prev * F((N - 1) * M, (M - old) * N)
+                assert R == _ceil_ratio(step.numerator, step.denominator)
+            assert R >= exact, M
+            prev = R
 
     @given(st.integers(0, 10 ** 30), st.integers(1, 10 ** 12))
     @settings(max_examples=200)
@@ -239,19 +270,19 @@ class TestFindMBounds:
         assert (q - 1) * den < num <= q * den
 
     @pytest.mark.parametrize("N, cap, answer, decided", [
-        (2, 100, 8, [8]), (3, 10_000, 4437, [4437]), (10, 15_000, None, [])])
+        (2, 100, 8, [8]), (3, 10_000, 4437, [1728]), (10, 15_000, None, [])])
     def test_exact_decisions(self, monkeypatch, N, cap, answer, decided):
-        # the exact window sum runs only where both bounds fail to reject:
-        # once each at N = 2 and N = 3, at the M returned, never at N = 10
+        # the exact window is built once, at the first M the bound lets
+        # through (M = 8 at N = 2, M = 1728 at N = 3), never at N = 10;
+        # from there Pascal's rule carries it to the answer
         calls = []
-        walk = counterexample._window_reaches
+        window = counterexample._window
 
         def spy(*args):
-            if args[-1] is _ratio:
-                calls.append(args[1])
-            return walk(*args)
+            calls.append(args[1])
+            return window(*args)
 
-        monkeypatch.setattr(counterexample, "_window_reaches", spy)
+        monkeypatch.setattr(counterexample, "_window", spy)
         assert find_M(N, cap) == answer
         assert calls == decided
 
@@ -270,11 +301,13 @@ class TestFindMBounds:
 
 
 class TestOneWalkPerReport:
+    """A report reads its four tails from their windows alone."""
+
     def test_tails_equal_one_event_views(self):
         for N, M in ((2, 8), (3, 27), (3, 100), (5, 64)):
             c, t = F(N, 3), F(1, 2)
-            events = [_centered(M, F(1, N)),
-                      _normalized(M, t), _extended(N, M, t / c),
+            events = [_centered(N, M, F(1, N)),
+                      _normalized(N, M, t), _extended(N, M, t / c),
                       _extended(N, M, F(3, N))]
             assert _tails(N, M, *events) == [
                 centered_sum_tail(N, M, F(1, N)),
@@ -286,19 +319,55 @@ class TestOneWalkPerReport:
                                   extended_sum_tail(N, M, t / c))
             assert fails == (lhs > c * rhs)
 
-    def test_report_walks_the_pmf_once(self, monkeypatch):
-        walks = []
-        pmf = counterexample._pmf_numerators
+    def test_report_steps_only_its_windows(self, monkeypatch):
+        # at most one ratio step per b of the four tails' windows, a
+        # small part of the M + 1 terms of the whole pmf
+        N, M = 3, 4437
+        t = F(1, 2)
+        events = [_centered(N, M, F(1, N)), _normalized(N, M, t),
+                  _extended(N, M, t / F(N, 3)), _extended(N, M, F(3, N))]
+        widths = sum(max(hi - lo + 1, 0)
+                     for _, windows in events for _, lo, hi in windows)
+        assert widths < M // 4
+        steps = []
+        ratio = counterexample._ratio
 
-        def spy(N, M):
-            walks.append((N, M))
-            return pmf(N, M)
+        def spy(num, den):
+            steps.append(den)
+            return ratio(num, den)
 
-        monkeypatch.setattr(counterexample, "_pmf_numerators", spy)
-        rep = verify_counterexample(3, M=4437)
-        assert walks == [(3, 4437)]
+        monkeypatch.setattr(counterexample, "_ratio", spy)
+        rep = verify_counterexample(N, M=M)
+        assert 0 < len(steps) <= widths
         assert rep.centered_holds and rep.extended_holds
         assert rep.refutation["fails"]
+
+
+class TestWindowTails:
+    """The window tails against the per-b pmf walk they replaced."""
+
+    @given(st.integers(2, 7),
+           st.one_of(st.integers(1, 400),
+                     st.sampled_from([1, 8, 27, 64, 125, 216, 343])),
+           st.fractions(0, 8, max_denominator=12))
+    @example(2, 8, F(0))
+    @example(3, 27, F(0))
+    @example(3, 64, F(1, 3))
+    @example(7, 343, F(3, 7))
+    @settings(max_examples=150, deadline=None)
+    def test_match_pmf_walk(self, N, M, t):
+        c = F(N, 3)
+        walked = pmf_walk_tails(
+            N, M, walk_centered(M, t), walk_normalized(M, t),
+            walk_extended(N, M, t), walk_centered(M, F(1, N)),
+            walk_normalized(M, F(1, 2)), walk_extended(N, M, F(3, 2 * N)),
+            walk_extended(N, M, F(3, N)))
+        assert [centered_sum_tail(N, M, t), normalized_sum_tail(N, M, t),
+                extended_sum_tail(N, M, t)] == walked[:3]
+        rep = verify_counterexample(N, M=M)
+        assert [rep.admissible_tail, rep.p_centered,
+                rep.refutation["rhs_prob"], rep.p_extended] == walked[3:]
+        assert rep.refutation["fails"] == (walked[4] > c * walked[5])
 
 
 class TestSignRulePerTail:
@@ -318,7 +387,7 @@ class TestSignRulePerTail:
             t = F(rng.randint(0, 30), rng.randint(1, 7))
             c = rng.randint(-3, 3)
             p, q = t.numerator, t.denominator
-            assert _abs_gt(sign, q * A, q * B, q * c, p) == (
+            assert abs_gt(sign, q * A, q * B, q * c, p) == (
                 cbrt_combo_sign(A, B, c - t, M) > 0
                 or cbrt_combo_sign(A, B, c + t, M) < 0)
 
@@ -330,11 +399,10 @@ class TestSignRulePerTail:
                     or cbrt_combo_sign(a, b, c + t, M) < 0)
 
         for t in (F(0), F(1, 2), F(3, N), F(7, 5), F(2)):
-            assert normalized_sum_tail(N, M, t) == \
-                _tail(N, M, lambda u: gt(u, 0, 1, t))
-            assert extended_sum_tail(N, M, t) == _tail(
-                N, M, lambda u: gt(u, 1, N, t) + (N - 1) * gt(u, 1, 0, t),
-                per=N)
+            assert [normalized_sum_tail(N, M, t),
+                    extended_sum_tail(N, M, t)] == pmf_walk_tails(
+                N, M, (lambda u: gt(u, 0, 1, t), 1),
+                (lambda u: gt(u, 1, N, t) + (N - 1) * gt(u, 1, 0, t), N))
 
     def test_rejects_bad_M(self):
         for M in (0, -8):

@@ -2,7 +2,9 @@
 TypeError when a float stands where a rational is expected (`0.1` is not
 `1/10`).  The Monte Carlo module is the one place floats belong and is not
 listed here.  Booleans are refused the same way, although Python counts
-them as ints: `True` is not the rational 1, in a call or in a law file."""
+them as ints: `True` is not the rational 1, in a call or in a law file.
+The counterexample's integer arguments (N, M and the cap) take only ints:
+a bool, a float or a string there raises TypeError naming the argument."""
 
 import json
 import re
@@ -28,6 +30,7 @@ from iidtails import (
     concentration_set,
     delta,
     extended_sum_tail,
+    find_M,
     first_exceedance_probs,
     has_concentration_point,
     normalized_sum_tail,
@@ -38,6 +41,7 @@ from iidtails import (
     sweep_curves,
     tail,
     tail_curve,
+    verify_counterexample,
     weighted_iid_sum,
     window_mass,
 )
@@ -110,6 +114,37 @@ BOOL_CALLS = {
 @pytest.mark.parametrize("call", BOOL_CALLS.values(), ids=BOOL_CALLS)
 def test_bool_is_refused(call):
     with pytest.raises(TypeError, match="bool"):
+        call()
+
+
+INT_CALLS = {
+    "verify_counterexample.N.bool": ("N", lambda: verify_counterexample(True)),
+    "verify_counterexample.N.float": ("N", lambda: verify_counterexample(3.0)),
+    "verify_counterexample.M.bool":
+        ("M", lambda: verify_counterexample(3, M=True)),
+    "verify_counterexample.M.float":
+        ("M", lambda: verify_counterexample(3, M=2.0)),
+    "verify_counterexample.cap.bool":
+        ("cap", lambda: verify_counterexample(3, cap=True)),
+    "verify_counterexample.cap.float":
+        ("cap", lambda: verify_counterexample(3, cap=1e5)),
+    "find_M.N.bool": ("N", lambda: find_M(True, 100)),
+    "find_M.N.float": ("N", lambda: find_M(3.0, 100)),
+    "find_M.M_cap.float": ("M_cap", lambda: find_M(3, 1e5)),
+    "find_M.M_cap.bool": ("M_cap", lambda: find_M(2, True)),
+    "find_M.M_cap.str": ("M_cap", lambda: find_M(3, "100")),
+    "centered_sum_tail.N": ("N", lambda: centered_sum_tail(2.0, 8, 1)),
+    "centered_sum_tail.M": ("M", lambda: centered_sum_tail(2, True, 1)),
+    "normalized_sum_tail.M": ("M", lambda: normalized_sum_tail(2, 8.0, 1)),
+    "extended_sum_tail.N": ("N", lambda: extended_sum_tail(True, 8, 1)),
+    "refutes_constant.M": ("M", lambda: refutes_constant(2, 8.0, 1, 1)),
+    "cbrt_combo_sign.M": ("M", lambda: cbrt_combo_sign(0, 0, 0, 2.0)),
+}
+
+
+@pytest.mark.parametrize("name, call", INT_CALLS.values(), ids=INT_CALLS)
+def test_non_int_argument_is_refused(name, call):
+    with pytest.raises(TypeError, match=f"^{name} must be an int, not "):
         call()
 
 
