@@ -73,7 +73,7 @@ def _law(N, M) -> None:
 
 def icbrt(n: int) -> int:
     """Floor integer cube root of n >= 0 (Newton, exact)."""
-    if n < 0:
+    if _int("n", n) < 0:
         raise ValueError("icbrt needs n >= 0")
     if n == 0:
         return 0

@@ -3,8 +3,9 @@ TypeError when a float stands where a rational is expected (`0.1` is not
 `1/10`).  The Monte Carlo module is the one place floats belong and is not
 listed here.  Booleans are refused the same way, although Python counts
 them as ints: `True` is not the rational 1, in a call or in a law file.
-The counterexample's integer arguments (N, M and the cap) take only ints:
-a bool, a float or a string there raises TypeError naming the argument."""
+The counterexample's integer arguments (N, M, the cap and icbrt's n) take
+only ints: a bool, a float or a string there raises TypeError naming the
+argument."""
 
 import json
 import re
@@ -33,6 +34,7 @@ from iidtails import (
     find_M,
     first_exceedance_probs,
     has_concentration_point,
+    icbrt,
     normalized_sum_tail,
     path_max_tail,
     ratio_objective,
@@ -139,6 +141,7 @@ INT_CALLS = {
     "extended_sum_tail.N": ("N", lambda: extended_sum_tail(True, 8, 1)),
     "refutes_constant.M": ("M", lambda: refutes_constant(2, 8.0, 1, 1)),
     "cbrt_combo_sign.M": ("M", lambda: cbrt_combo_sign(0, 0, 0, 2.0)),
+    "icbrt.n": ("n", lambda: icbrt(8.0)),
 }
 
 
