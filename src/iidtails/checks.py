@@ -20,13 +20,14 @@ when the strict worst is there.  _sweeps answers MODE_PAIRS from one walk.
 
 Outcomes are ints.  _sweeps returns each worst case as (numerator,
 denominator) pairs (_Outcome); Fractions are built only for what leaves as
-one: sweep_curves' SweepOutcome and a report's InequalityReport (_report).
-_verdict states the status and note rules once, for verify reports and the
-corpus rows rendered straight from the ints alike.
+one: sweep_curves' SweepOutcome (_Outcome.sweep) and a report's
+InequalityReport (_report).
 
 CLAIMS is the one table of claims.  The corpus, the CLI, mc_check and the
-extremal search read it, and the check_* functions are thin wrappers over
-claim_reports.
+extremal search read it.  shape_checks is the one place a check is
+assembled: for verify's reports (claim_reports, which the check_*
+functions wrap) and the corpus rows alike it echoes the params, states the
+status and note (_verdict) and gives the worst case as int pairs.
 """
 
 from __future__ import annotations
@@ -35,6 +36,7 @@ import math
 from bisect import bisect_right
 from dataclasses import dataclass, field
 from fractions import Fraction
+from functools import partial
 from typing import Callable
 
 from .concentration import _corollary3, _lemma2, check_lemma2
@@ -124,8 +126,7 @@ class _Outcome:
     """A sweep's worst case in ints: `ints` holds the worst threshold, lhs,
     factor * rhs and the margin rhs - lhs there, and the largest lhs, each
     a (numerator, denominator) pair with a positive denominator, not
-    reduced.  sweep() is the SweepOutcome it stands for; an _Outcome
-    compares equal to it and reads its other fields from it."""
+    reduced.  sweep() is the SweepOutcome it stands for."""
 
     __slots__ = ("ints",)
 
@@ -139,16 +140,6 @@ class _Outcome:
     def sweep(self) -> SweepOutcome:
         return SweepOutcome(self.status,
                             *(Fraction(n, d) for n, d in self.ints))
-
-    def __eq__(self, other):
-        if isinstance(other, _Outcome):
-            other = other.sweep()
-        return self.sweep() == other
-
-    def __getattr__(self, name):
-        if name not in SweepOutcome.__dataclass_fields__:
-            raise AttributeError(name)
-        return getattr(self.sweep(), name)
 
 
 # both unmixed mode pairs, answered by one strict walk (module docstring);
@@ -471,41 +462,35 @@ class Curves:
         return lhs, self.curve(k) if shape.rhs == SUM else self.envelope(k)
 
 
-def shape_params(spec: ClaimSpec, shape: ClaimSpec, idx: dict, c1, c2,
-                 norm: Norm) -> dict:
-    """The params a report of spec checked in shape's form echoes, less
-    its mode pair."""
-    params = {} if shape is spec else {"shape": shape.claim_id}
-    params.update(idx, c1=c1, c2=c2, norm=norm)
-    return params
-
-
-def shape_outcomes(shape: ClaimSpec, curves: Curves, idx: dict, c1, c2,
-                   modes) -> "list[_Outcome]":
-    """The int outcomes of a sweep shape at validated indices and one
-    constant pair, one per (lhs mode, rhs mode) pair; factor and scale are
-    taken once for them all."""
-    lhs, rhs = curves.sides(shape, idx)
-    j, k = idx.get("j"), idx["k"]
-    return _sweeps(lhs, rhs, shape.factor(c1, j, k), shape.scale(c2, j, k),
-                   modes)
-
-
-def shape_reports(spec: ClaimSpec, shape: ClaimSpec, curves: Curves,
-                  given: dict, c1, c2, modes):
-    """Reports of spec checked in shape's form at one index choice and one
-    constant pair, one per (lhs mode, rhs mode) pair."""
+def shape_checks(spec: ClaimSpec, shape: ClaimSpec, curves: Curves,
+                 given: dict, c1, c2, modes):
+    """The checks of spec in shape's form at one index choice and one
+    constant pair, one per (lhs mode, rhs mode) pair in modes, or one for
+    an evaluated claim: (params, status, note, values, report), where
+    values are the worst threshold, lhs, rhs and margin as (numerator,
+    denominator) pairs or None, and report() builds the InequalityReport."""
     if shape.evaluate is not None:
         if shape.order is not None:
             require_indices(shape.order, given.get("j"), given["k"])
-        yield shape.evaluate(curves, given)
+        rep = shape.evaluate(curves, given)
+        yield (rep.params, rep.status, rep.note,
+               tuple(None if v is None else (v.numerator, v.denominator)
+                     for v in (rep.worst_t, rep.lhs, rep.rhs, rep.margin)),
+               lambda: rep)
         return
     idx = _indices(shape, given)
-    params = shape_params(spec, shape, idx, c1, c2, curves.norm)
-    for mode_pair, out in zip(modes, shape_outcomes(shape, curves, idx, c1,
-                                                    c2, modes)):
-        yield _report(spec.claim_id, {**params, "modes": mode_pair}, out,
-                      curves.norm, spec.note)
+    norm = curves.norm
+    params = {} if shape is spec else {"shape": shape.claim_id}
+    params.update(idx, c1=c1, c2=c2, norm=norm)
+    lhs, rhs = curves.sides(shape, idx)
+    j, k = idx.get("j"), idx["k"]
+    outs = _sweeps(lhs, rhs, shape.factor(c1, j, k), shape.scale(c2, j, k),
+                   modes)
+    for mode_pair, out in zip(modes, outs):
+        status, note = _verdict(out, norm, spec.note)
+        echo = {**params, "modes": mode_pair}
+        yield (echo, status, note, out.ints[:4],
+               partial(_report, spec.claim_id, echo, out, norm, spec.note))
 
 
 def claim_reports(spec: ClaimSpec, curves: Curves, given: dict, c1=None,
@@ -514,8 +499,9 @@ def claim_reports(spec: ClaimSpec, curves: Curves, given: dict, c1=None,
     """Every report of one claim on one law at the given parameters, one
     per shape and constant pair."""
     modes = ((lhs_mode, lhs_mode if rhs_mode is None else rhs_mode),)
-    return [rep for shape, a, b in variants(spec, c1, c2)
-            for rep in shape_reports(spec, shape, curves, given, a, b, modes)]
+    return [check[-1]() for shape, a, b in variants(spec, c1, c2)
+            for check in shape_checks(spec, shape, curves, given, a, b,
+                                      modes)]
 
 
 def _reads(shape: ClaimSpec, given: dict) -> set:

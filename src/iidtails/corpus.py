@@ -4,13 +4,13 @@ Corpora are deterministic given the seed (Philox counter-based generator).
 Every check on every instance is exact; the aggregate separates holds,
 vacuous outcomes, and violations, and keeps full witnesses for the latter.
 
-A sweep check's row is rendered from its int outcome (checks._Outcome):
-each exact field by one int helper (_exact), the float column as n / d,
-and the smallest margin kept by cross-multiplying.  Its status and note are
-checks._verdict's, the rule verify's reports follow, and an
-InequalityReport is built only for a stored violation.  Params text is
-rendered once per run and params key: plan entry, norm, index values in
-ints and mode pair.
+Each check comes from checks.shape_checks, the generator verify's reports
+are built from too: its params echo, its status and note (checks._verdict)
+and its worst case as (numerator, denominator) pairs.  A row renders each
+exact field by one int helper (_exact), the float column as n / d, and
+keeps the smallest margin by cross-multiplying; an InequalityReport is
+built only for a stored violation.  Params text is rendered once per run
+and params key: plan entry, norm, index values in ints and mode pair.
 """
 
 from __future__ import annotations
@@ -19,7 +19,6 @@ import csv
 import json
 from dataclasses import dataclass, field
 from fractions import Fraction
-from functools import partial
 from math import gcd
 
 import numpy as np
@@ -33,13 +32,8 @@ from .checks import (
     MODE_PAIRS,
     WEIGHTED,
     Curves,
-    _indices,
     _reads,
-    _report,
-    _verdict,
-    shape_outcomes,
-    shape_params,
-    shape_reports,
+    shape_checks,
     variants,
 )
 from .dists import (
@@ -252,29 +246,14 @@ def run_corpus(config: CorpusConfig, claims=None,
 
 
 def _checks(pos: int, spec, shape, c1, c2, curves: Curves, given: dict):
-    """The checks of plan entry pos at one index choice, as (claim, params
-    key, params, status, note, values, report): values are the worst
-    threshold, lhs, rhs and margin as (numerator, denominator) pairs or
-    None, and report() builds the InequalityReport, wanted only for a
-    stored violation.  The plan entry, the index values in ints and, for a
-    sweep, the norm and the mode pair fix the params; they are the key."""
-    if shape.evaluate is not None:
-        rep, = shape_reports(spec, shape, curves, given, c1, c2, MODE_PAIRS)
-        values = tuple(None if v is None else (v.numerator, v.denominator)
-                       for v in (rep.worst_t, rep.lhs, rep.rhs, rep.margin))
-        yield (rep.claim_id, (pos, *_ints(given.values())), rep.params,
-               rep.status, rep.note, values, lambda: rep)
-        return
-    idx = _indices(shape, given)
-    norm = curves.norm
-    params = shape_params(spec, shape, idx, c1, c2, norm)
-    key = (pos, norm.value, *_ints(idx.values()))
-    for modes, out in zip(MODE_PAIRS, shape_outcomes(shape, curves, idx, c1,
-                                                     c2, MODE_PAIRS)):
-        status, note = _verdict(out, norm, spec.note)
-        echo = {**params, "modes": modes}
-        yield (spec.claim_id, key + modes, echo, status, note, out.ints[:4],
-               partial(_report, spec.claim_id, echo, out, norm, spec.note))
+    """The checks (checks.shape_checks) of plan entry pos at one index
+    choice, each as (claim, params key, check).  The plan entry, the norm,
+    the index values in ints and the mode pair fix the params; they are
+    the key."""
+    key = (pos, curves.norm.value, *_ints(given.values()))
+    for modes, check in zip(MODE_PAIRS, shape_checks(
+            spec, shape, curves, given, c1, c2, MODE_PAIRS)):
+        yield spec.claim_id, key + modes, check
 
 
 def _ints(values) -> tuple:
@@ -299,7 +278,7 @@ def _exact(pair) -> "str | None":
 def _absorb(report: CorpusReport, index: int, dist: DiscreteDist, check,
             rendered: dict) -> None:
     """Count one check (_checks) and add its row."""
-    claim, key, params, status, note, values, full = check
+    claim, key, (params, status, note, values, full) = check
     report.total_checks += 1
     stats = report.per_claim.setdefault(
         claim, {"checks": 0, "holds": 0, "violated": 0, "vacuous": 0})

@@ -13,7 +13,8 @@ Every tail event is the complement of at most two windows of
 u = N*b - M, so a tail sums only those windows; their edges come from an
 integer cube root (centered) or a bisection on the sign rule, which rises
 with u.  find_M gates each M by a ceil-rounded bound on small ints in
-2^64 units, then carries one exact window from M to M+1 by Pascal's rule.
+2^64 units until the bound lets one through, then carries one exact
+window from M to M+1 by Pascal's rule over the same window edges.
 Thresholds, constants and sign-rule coefficients go through dists.rat, so
 a float is refused as everywhere else; N, M and the cap must be ints, and
 a bool or a float there raises TypeError naming the argument.
@@ -172,18 +173,31 @@ def centered_sum_tail(N: int, M: int, threshold) -> Fraction:
     return _tails(N, M, _centered(N, M, threshold))[0]
 
 
-def _scan(N: int, M_cap: int):
-    """Yield (M, lo, hi, R) for M = N^3..M_cap: find_M's window lo..hi,
-    the b with |N*b - M| <= M^(2/3)/N, and R >= 2^64*T/thr for the modal
-    term T = C(M,m)*(N-1)^(M-m), m = floor((M+1)/N), and
-    thr = (N-1)*N^(M-1), kept by ceil-rounded ratio steps on small ints.
+def _edges(N: int, M_cap: int):
+    """Yield (M, lo, hi) for M = N^3..M_cap: find_M's window lo..hi, the b
+    with |N*b - M| <= M^(2/3)/N."""
+    N3 = N ** 3
+    u = N                                   # largest u with u^3*N^3 <= M^2
+    grow = (u + 1) ** 3 * N3                # the M^2 at which u grows
+    for M in range(N3, M_cap + 1):
+        while M * M >= grow:
+            u += 1
+            grow = (u + 1) ** 3 * N3
+        yield M, -(-(M - u) // N), (M + u) // N
+
+
+def _scan(N: int, edges):
+    """Yield (M, lo, hi, R) for each (M, lo, hi) taken from edges (_edges),
+    which start at M = N^3: R >= 2^64*T/thr for the modal term
+    T = C(M,m)*(N-1)^(M-m), m = floor((M+1)/N), and thr = (N-1)*N^(M-1),
+    kept by ceil-rounded ratio steps on small ints.  An edge is taken only
+    when the next R is asked for, so the caller can carry the rest of
+    edges on without R.
     """
     N3 = N ** 3
     m = (N3 + 1) // N                       # binomial mode floor((M+1)/N)
     R = _ceil_ratio(_term(N, N3, m) * _ONE, (N - 1) * N ** (N3 - 1))
-    u = N                                   # largest u with u^3*N^3 <= M^2
-    grow = (u + 1) ** 3 * N3                # the M^2 at which u grows
-    for M in range(N3, M_cap + 1):
+    for M, lo, hi in edges:
         if M > N3:
             # the modal term from M-1 to M at the old mode, over thr*N
             R = _ceil_ratio(R * (N - 1) * M, (M - m) * N)
@@ -191,10 +205,7 @@ def _scan(N: int, M_cap: int):
                 # the mode moves m -> m+1 where M - m = (m+1)*(N-1), so
                 # the two modal terms tie and R bounds both
                 m += 1
-            while M * M >= grow:
-                u += 1
-                grow = (u + 1) ** 3 * N3
-        yield M, -(-(M - u) // N), (M + u) // N, R
+        yield M, lo, hi, R
 
 
 def find_M(N: int, M_cap: int):
@@ -205,8 +216,10 @@ def find_M(N: int, M_cap: int):
     is the binomial window mass sum_{|N*b-M| <= M^(2/3)/N} C(M,b)*(N-1)^(M-b).
     Every window term is at most the modal term T, so window_count * R
     < 2^64 rejects M for R >= 2^64*T/thr (_scan); R rounds up, so it never
-    rejects an M it should not.  From the first M that R lets through, W is
-    exact: _window at that M, then Pascal's rule from M-1 to M,
+    rejects an M it should not.  The gate loop ends at the first M that R
+    lets through, and R is not stepped again.  From there W is exact:
+    _window at that M, then, over the same window edges (_edges), Pascal's
+    rule from M-1 to M,
 
         sum_{b=lo..hi} t_M(b) = N*sum_{b=lo..hi} t_{M-1}(b)
                                 + t_{M-1}(lo-1) - t_{M-1}(hi),
@@ -219,32 +232,35 @@ def find_M(N: int, M_cap: int):
         raise ValueError("need N >= 2")
     if _int("M_cap", M_cap) < N ** 3:
         raise ValueError(f"cap {M_cap} is below N^3 = {N ** 3}")
-    W = None
-    for M, lo, hi, R in _scan(N, M_cap):
-        if W is None:
-            if (hi - lo + 1) * R < _ONE:
-                continue                    # window mass provably < thr
-            # the exact window from here on, with its edge terms
-            # L = t_M(b0 - 1) and H = t_M(b1)
-            b0, b1 = lo, hi
-            W = _window(N, M, lo, hi)
-            L, H = _term(N, M, lo - 1), _term(N, M, hi)
-            thr = (N - 1) * N ** (M - 1)
-        else:
-            # Pascal's rule over b0..b1, then the edge terms at M
-            W = N * W + L - H
-            L = _ratio(L * M * (N - 1), M - b0 + 1)
-            H = _ratio(H * M * (N - 1), M - b1)
-            thr *= N
-            # both edges only move right as M grows
-            while b1 < hi:
-                H = _ratio(H * (M - b1), (b1 + 1) * (N - 1))
-                b1 += 1
-                W += H
-            while b0 < lo:
-                L = _ratio(L * (M - b0 + 1), b0 * (N - 1))
-                b0 += 1
-                W -= L
+    edges = _edges(N, M_cap)
+    for M, lo, hi, R in _scan(N, edges):
+        if (hi - lo + 1) * R >= _ONE:
+            break                           # the window mass may reach thr
+    else:
+        return None
+    # the exact window from here on, with its edge terms
+    # L = t_M(b0 - 1) and H = t_M(b1)
+    b0, b1 = lo, hi
+    W = _window(N, M, lo, hi)
+    L, H = _term(N, M, lo - 1), _term(N, M, hi)
+    thr = (N - 1) * N ** (M - 1)
+    if W >= thr:
+        return M
+    for M, lo, hi in edges:
+        # Pascal's rule over b0..b1, then the edge terms at M
+        W = N * W + L - H
+        L = _ratio(L * M * (N - 1), M - b0 + 1)
+        H = _ratio(H * M * (N - 1), M - b1)
+        thr *= N
+        # both edges only move right as M grows
+        while b1 < hi:
+            H = _ratio(H * (M - b1), (b1 + 1) * (N - 1))
+            b1 += 1
+            W += H
+        while b0 < lo:
+            L = _ratio(L * (M - b0 + 1), b0 * (N - 1))
+            b0 += 1
+            W -= L
         if W >= thr:
             return M
     return None

@@ -21,6 +21,19 @@ from .reports import jsonify
 FAMILIES = ("discrete", "gaussian", "two_point", "shifted_pareto")
 
 
+def _rational(v) -> Fraction:
+    """A sampler parameter as a Fraction: a float by its shortest repr, an
+    int, a Fraction or text such as "-1/2" (what dist_to_jsonable emits)."""
+    return Fraction(str(v)) if isinstance(v, float) else Fraction(v)
+
+
+def _location(x) -> np.ndarray:
+    """An atom location, one such number or a list of them, as floats."""
+    if isinstance(x, (list, tuple)):
+        return np.array([float(_rational(c)) for c in x])
+    return np.array(float(_rational(x)))
+
+
 @dataclass(frozen=True)
 class SamplerSpec:
     """Recipe for drawing i.i.d. copies of a single summand."""
@@ -39,13 +52,12 @@ class SamplerSpec:
             atoms = p.get("atoms")
             if not atoms:
                 raise ValueError("discrete family needs nonempty 'atoms'")
-            total = sum(Fraction(str(a["p"])) if isinstance(a["p"], float)
-                        else Fraction(a["p"]) for a in atoms)
+            total = sum(_rational(a["p"]) for a in atoms)
             if total != 1:
                 raise ValueError(f"atom probabilities sum to {total}, not 1")
             for a in atoms:
                 x = a["x"]
-                if np.shape(np.asarray(x, dtype=float)) not in ((), (self.dim,)):
+                if np.shape(_location(x)) not in ((), (self.dim,)):
                     raise ValueError(f"atom location {x!r} does not match "
                                      f"dim {self.dim}")
         elif self.family == "gaussian":
@@ -88,11 +100,9 @@ def _draw(spec: SamplerSpec, rng: np.random.Generator, shape) -> np.ndarray:
         return shift + 1.0 + rng.pareto(alpha, size=full)
     # discrete: inverse CDF over the atom list
     atoms = p["atoms"]
-    probs = np.array([float(Fraction(str(a["p"]))
-                            if isinstance(a["p"], float)
-                            else Fraction(a["p"])) for a in atoms])
-    locs = np.array([np.broadcast_to(np.asarray(a["x"], dtype=float),
-                                     (spec.dim,)) for a in atoms])
+    probs = np.array([float(_rational(a["p"])) for a in atoms])
+    locs = np.array([np.broadcast_to(_location(a["x"]), (spec.dim,))
+                     for a in atoms])
     cdf = np.cumsum(probs)
     cdf[-1] = 1.0
     idx = np.searchsorted(cdf, rng.random(size=shape), side="right")
@@ -251,8 +261,7 @@ def mc_check(claim: str, spec: SamplerSpec, j: int, k: int, t_grid,
     if statement.lhs == WEIGHTED:
         if weights is None or len(weights) != k:
             raise ValueError(f"{claim} needs a weight vector of length k")
-        if any(abs(Fraction(str(x)) if isinstance(x, float)
-                   else Fraction(x)) > 1 for x in weights):
+        if any(abs(_rational(x)) > 1 for x in weights):
             raise ValueError(f"{claim} weights must satisfy |w_i| <= 1")
     else:
         require_indices(statement.order, j, k)

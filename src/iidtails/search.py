@@ -95,6 +95,10 @@ class SearchSpace:
             raise ValueError("empty value box")
         if rat(self.c2) <= 0:
             raise ValueError("c2 must be positive")
+        for name in ("lattice_denominator", "prob_denominator"):
+            if getattr(self, name) < 1:
+                raise ValueError(f"{name} must be >= 1, got "
+                                 f"{getattr(self, name)}")
 
 
 @dataclass(frozen=True)

@@ -454,6 +454,11 @@ class TestWalkCases:
 
 # --- one strict walk for both unmixed mode pairs ---------------------------
 
+def sweeps(lhs, rhs, factor, scale, modes):
+    """_sweeps' int outcomes as the SweepOutcomes they stand for."""
+    return [out.sweep() for out in _sweeps(lhs, rhs, factor, scale, modes)]
+
+
 def unmixed_oracle(lhs, rhs, factor, scale):
     return [fraction_sweep_curves(lhs, rhs, factor, scale, m, m)
             for m in ("strict", "weak")]
@@ -465,7 +470,7 @@ def test_shared_walk_matches_fraction_sweep(curves, factor, scale):
     """The weak outcome read off the strict walk is the Fraction sweep's
     weak outcome, worst_q included."""
     lhs, rhs = curves
-    assert _sweeps(lhs, rhs, factor, scale, MODE_PAIRS) == \
+    assert sweeps(lhs, rhs, factor, scale, MODE_PAIRS) == \
         unmixed_oracle(lhs, rhs, factor, scale)
 
 
@@ -474,7 +479,7 @@ class TestSharedWalkCases:
 
     def test_lhs_identically_zero(self):
         zero, rhs = tail_curve(delta(0), ABS), tail_curve(coin(), ABS)
-        outs = _sweeps(zero, rhs, F(1), F(1), MODE_PAIRS)
+        outs = sweeps(zero, rhs, F(1), F(1), MODE_PAIRS)
         assert outs == unmixed_oracle(zero, rhs, F(1), F(1))
         assert [(o.status, o.max_lhs, o.worst_q) for o in outs] == \
             [(HOLDS, 0, F(1, 2))] * 2
@@ -486,13 +491,13 @@ class TestSharedWalkCases:
         lhs = at_zero if side in ("lhs", "both") else off_zero
         rhs = at_zero if side in ("rhs", "both") else off_zero
         for factor, scale in ((F(1), F(1)), (F(1, 3), F(2)), (F(2), F(1, 2))):
-            assert _sweeps(lhs, rhs, factor, scale, MODE_PAIRS) == \
+            assert sweeps(lhs, rhs, factor, scale, MODE_PAIRS) == \
                 unmixed_oracle(lhs, rhs, factor, scale)
 
     def test_single_threshold_grid(self):
         """No positive critical on either side: one read, at t = 1."""
         zero = tail_curve(delta(0), ABS)
-        outs = _sweeps(zero, zero, F(3), F(2), MODE_PAIRS)
+        outs = sweeps(zero, zero, F(3), F(2), MODE_PAIRS)
         assert outs == unmixed_oracle(zero, zero, F(3), F(2))
         assert [o.worst_q for o in outs] == [F(1)] * 2
 
@@ -500,7 +505,7 @@ class TestSharedWalkCases:
         """|X| = 1: the least minimal margin is at t = 1/2 in both modes,
         although the weak read at t = 1 ties it."""
         lhs = rhs = tail_curve(coin(), ABS)
-        outs = _sweeps(lhs, rhs, F(1, 2), F(1), MODE_PAIRS)
+        outs = sweeps(lhs, rhs, F(1, 2), F(1), MODE_PAIRS)
         assert outs == unmixed_oracle(lhs, rhs, F(1, 2), F(1))
         assert [(o.status, o.worst_q, o.margin) for o in outs] == \
             [(VIOLATED, F(1, 2), F(-1, 2))] * 2
@@ -509,7 +514,7 @@ class TestSharedWalkCases:
         """A later strict worst moves one threshold on in weak mode."""
         lhs = tail_curve(dist1d([(1, F(1, 2)), (2, F(1, 2))]), ABS)
         rhs = tail_curve(dist1d([(F(1, 2), F(1, 2)), (3, F(1, 2))]), ABS)
-        strict, weak = _sweeps(lhs, rhs, F(1), F(1), MODE_PAIRS)
+        strict, weak = sweeps(lhs, rhs, F(1), F(1), MODE_PAIRS)
         assert [strict, weak] == unmixed_oracle(lhs, rhs, F(1), F(1))
         assert (strict.worst_q, weak.worst_q) == (F(1, 2), F(1))
         assert strict.margin == weak.margin == F(-1, 2)
@@ -522,7 +527,7 @@ class TestSharedWalkCases:
     def test_other_mode_tuples_walk_each_pair(self, modes):
         lhs = tail_curve(dist1d([(0, F(1, 4)), (1, F(3, 4))]), ABS)
         rhs = tail_curve(iid_sum(coin(0, 1), 2), ABS)
-        assert _sweeps(lhs, rhs, F(1), F(3, 2), modes) == \
+        assert sweeps(lhs, rhs, F(1), F(3, 2), modes) == \
             [fraction_sweep_curves(lhs, rhs, F(1), F(3, 2), *m)
              for m in modes]
 

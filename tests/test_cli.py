@@ -10,7 +10,7 @@ from pathlib import Path
 import pytest
 
 from iidtails.cli import build_parser, main
-from iidtails.dists import DiscreteDist, Norm
+from iidtails.dists import DiscreteDist, Norm, iid_sum, tail
 from iidtails.search import SoundnessViolation
 from iidtails.specfile import dump_dist, save_dist
 from oracles import coin, dist1d
@@ -375,6 +375,16 @@ class TestSearchCmd:
                          "--c2", "1")
         assert code == 2
 
+    @pytest.mark.parametrize("flag", ["--lattice-denominator",
+                                      "--prob-denominator"])
+    @pytest.mark.parametrize("value", ["0", "-3"])
+    def test_denominator_below_one_exit_two(self, capsys, flag, value):
+        code, out, err = run(capsys, "search", "--j", "1", "--k", "2",
+                             "--c2", "1", "--budget", "10", flag, value)
+        assert code == 2
+        assert out == "" and "Traceback" not in err
+        assert f"{flag[2:].replace('-', '_')} must be >= 1" in err
+
 
 class TestCounterexampleCmd:
     def test_N2_verifies(self, capsys):
@@ -444,6 +454,20 @@ class TestMcCmd:
         est = doc["estimates"][0]["estimate"]
         assert abs(est["estimate"] - 0.5) < 0.02
         assert coin_file in doc["manifest"]["input_digests"]
+
+    def test_discrete_fractional_atoms(self, capsys, tmp_path):
+        # dist_to_jsonable writes the atoms as "p/q" text
+        law = dist1d([(F(-1, 2), F(1, 3)), (F(3, 2), F(2, 3))])
+        path = tmp_path / "halves.json"
+        save_dist(law, path)
+        code, out, _ = run(capsys, "mc", "--family", "discrete",
+                           "--dist", str(path), "--k", "2", "--t", "1",
+                           "--n", "20000", "--seed", "2")
+        assert code == 0
+        est = last_json(out)["estimates"][0]["estimate"]
+        exact = tail(iid_sum(law, 2), Norm.ABS1D, 1)     # Pr(S_2 = 3) = 4/9
+        assert exact == F(4, 9)
+        assert est["lo"] <= exact <= est["hi"]
 
     def test_two_point_requires_all_params(self, capsys):
         code, _, err = run(capsys, "mc", "--family", "two_point",

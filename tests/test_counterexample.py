@@ -16,6 +16,7 @@ from iidtails.counterexample import (
     _ONE,
     _ceil_ratio,
     _centered,
+    _edges,
     _extended,
     _normalized,
     _scan,
@@ -223,7 +224,7 @@ class TestFindMBounds:
         # R >= 2^64 * T / thr; the exact window starts where R first lets
         # an M through, on that M's window
         N = 3
-        for M, lo, hi, R in _scan(N, 3400):
+        for M, lo, hi, R in _scan(N, _edges(N, 3400)):
             u = icbrt(M * M // N ** 3)
             assert (lo, hi) == (-(-(M - u) // N), (M + u) // N)
             m = (M + 1) // N
@@ -248,7 +249,7 @@ class TestFindMBounds:
         # exact ratio of T / thr at the old mode, rounded up once; where
         # the mode moves the two modal terms tie, so no step is taken
         prev = None
-        for M, _, _, R in _scan(N, 3000):
+        for M, _, _, R in _scan(N, _edges(N, 3000)):
             m = (M + 1) // N
             T = comb(M, m) * (N - 1) ** (M - m)
             exact = F(_ONE * T, (N - 1) * N ** (M - 1))
@@ -285,6 +286,28 @@ class TestFindMBounds:
         monkeypatch.setattr(counterexample, "_window", spy)
         assert find_M(N, cap) == answer
         assert calls == decided
+
+    @pytest.mark.parametrize("N, cap", [(3, 3000), (3, 10_000)])
+    def test_no_bound_step_after_the_exact_window(self, monkeypatch, N, cap):
+        # the gate stops stepping R at the first M it lets through: no
+        # ceil step follows the exact window, and Pascal's rule carries
+        # the window over the edges alone
+        calls = []
+        window, ceil_ratio = counterexample._window, counterexample._ceil_ratio
+
+        def window_spy(*args):
+            calls.append("window")
+            return window(*args)
+
+        def ceil_spy(*args):
+            calls.append("ceil")
+            return ceil_ratio(*args)
+
+        monkeypatch.setattr(counterexample, "_window", window_spy)
+        monkeypatch.setattr(counterexample, "_ceil_ratio", ceil_spy)
+        assert find_M(N, cap) == exact_find_M(N, cap)
+        assert calls.count("window") == 1
+        assert "ceil" not in calls[calls.index("window"):]
 
     def test_answers_under_python_O(self):
         # no assert guards any step, so -O must give the same answers
