@@ -75,10 +75,16 @@ def _manifest(args, digests: dict, outcome: str) -> RunManifest:
 
 
 def _emit(doc: dict, out: "str | None") -> None:
+    """Write the report to --out, if given, then print it; a file that
+    cannot be written fails before anything is printed."""
     text = json.dumps(jsonify(doc), indent=2, sort_keys=True)
-    print(text)
     if out:
-        Path(out).write_text(text + "\n")
+        try:
+            Path(out).write_text(text + "\n")
+        except OSError as exc:
+            raise OSError(f"cannot write --out {out}: "
+                          f"{exc.strerror or exc}") from exc
+    print(text)
 
 
 def _rational(text: str) -> Fraction:

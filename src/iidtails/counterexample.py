@@ -6,15 +6,18 @@ S_M = M^(-2/3) sum_{i<=M} (Y_i + M^(-1/3)) = 1 + (N*B - M) * M^(-2/3)
 live in the field Q(M^(1/3)); every event probability below is an exact
 rational because all order comparisons are decided by integer arithmetic.
 
-One binomial law serves every tail: _window sums C(M,b)*(N-1)^(M-b) over
-a window of b, from math.comb at its first b and exact ratio steps from
-there (a remainder raises ArithmeticError, also under ``python -O``).
-Every tail event is the complement of at most two windows of
-u = N*b - M, so a tail sums only those windows; their edges come from an
-integer cube root (centered) or a bisection on the sign rule, which rises
-with u.  find_M gates each M by a ceil-rounded bound on small ints in
-2^64 units until the bound lets one through, then carries one exact
-window from M to M+1 by Pascal's rule over the same window edges.
+One binomial law serves every tail: _sums walks C(M,b)*(N-1)^(M-b) once
+over b, from math.comb at its first b and exact ratio steps from there (a
+remainder raises ArithmeticError, also under ``python -O``), and returns
+its prefix sums at the cuts asked for.  Every tail event is the
+complement of at most two windows of u = N*b - M, so a report cuts one
+walk at all its windows' edges and takes each window's mass as a
+difference of two prefix sums; the edges come from an integer cube root
+(centered) or a bisection on the sign rule, which rises with u.  find_M
+touches big integers only at the few M that decide: a block gate rejects
+runs of M by one exact bound at each block's first M, a fixed-point carry
+in 2^64 units rejects one M at a time from there, and an exact _sums seed
+decides every M the carry lets through.
 Thresholds, constants and sign-rule coefficients go through dists.rat, so
 a float is refused as everywhere else; N, M and the cap must be ints, and
 a bool or a float there raises TypeError naming the argument.
@@ -36,7 +39,7 @@ from __future__ import annotations
 from bisect import bisect_left
 from dataclasses import dataclass
 from fractions import Fraction
-from math import comb, lcm
+from math import comb, isqrt, lcm
 
 from .dists import rat
 from .reports import jsonify
@@ -50,12 +53,7 @@ def _ratio(num: int, den: int) -> int:
     return q
 
 
-_ONE = 1 << 64      # the unit of find_M's rounded bound
-
-
-def _ceil_ratio(num: int, den: int) -> int:
-    """ceil(num / den): a ratio step of find_M's upper bound."""
-    return -(-num // den)
+_ONE = 1 << 64      # the unit of find_M's fixed-point carry
 
 
 def _int(name: str, value) -> int:
@@ -122,31 +120,41 @@ def _term(N: int, M: int, b: int) -> int:
     return comb(M, b) * (N - 1) ** (M - b)
 
 
-def _window(N: int, M: int, lo: int, hi: int) -> int:
-    """sum_{b=lo..hi} C(M,b)*(N-1)^(M-b) over the b in [0, M]: math.comb
-    at the first b, exact ratio steps from there; 0 when no b is inside."""
-    lo, hi = max(lo, 0), min(hi, M)
-    if hi < lo:
-        return 0
-    term = total = _term(N, M, lo)
-    for b in range(lo, hi):
-        term = _ratio(term * (M - b), (b + 1) * (N - 1))
+def _sums(N: int, M: int, cuts: "set[int]") -> "dict[int, int]":
+    """{c: sum of C(M,b)*(N-1)^(M-b) over min(cuts) <= b < c} for each cut
+    c in 0..M+1: one walk from the lowest cut to the highest, math.comb at
+    its first b and exact ratio steps from there."""
+    first = min(cuts)
+    sums, total = {first: 0}, 0
+    for b in range(first, max(cuts)):
+        term = _term(N, M, b) if b == first else _ratio(
+            term * (M - b + 1), b * (N - 1))
         total += term
-    return total
+        if b + 1 in cuts:
+            sums[b + 1] = total
+    return sums
 
 
 def _tails(N: int, M: int, *events) -> "list[Fraction]":
     """For each event (per, windows): the exact tail
-    (per*N^M - sum of w*_window(lo, hi) over its windows) / (per*N^M).
+    (per*N^M - sum of w * window mass over its windows) / (per*N^M).
 
     The windows (w, lo, hi) are the b whose u = N*b - M keeps the event's
-    sum inside, w outcomes out of per each.
+    sum inside, w outcomes out of per each.  Every window edge, clipped to
+    0..M, is a cut of one _sums walk, so the events share one math.comb
+    and one term per b from the lowest edge to the highest, and a window's
+    mass is the difference of the sums at its two cuts.
     """
+    spans = [[(w, max(lo, 0), min(hi, M) + 1) for w, lo, hi in windows]
+             for _, windows in events]
+    cuts = {c for windows in spans for _, a, z in windows if a < z
+            for c in (a, z)}
+    sums = _sums(N, M, cuts) if cuts else {}
     total = N ** M
-    return [Fraction(per * total - sum(w * _window(N, M, lo, hi)
-                                       for w, lo, hi in windows),
+    return [Fraction(per * total - sum(w * (sums[z] - sums[a])
+                                       for w, a, z in windows if a < z),
                      per * total)
-            for per, windows in events]
+            for (per, _), windows in zip(events, spans)]
 
 
 def _threshold(t) -> Fraction:
@@ -173,39 +181,77 @@ def centered_sum_tail(N: int, M: int, threshold) -> Fraction:
     return _tails(N, M, _centered(N, M, threshold))[0]
 
 
-def _edges(N: int, M_cap: int):
-    """Yield (M, lo, hi) for M = N^3..M_cap: find_M's window lo..hi, the b
-    with |N*b - M| <= M^(2/3)/N."""
-    N3 = N ** 3
-    u = N                                   # largest u with u^3*N^3 <= M^2
-    grow = (u + 1) ** 3 * N3                # the M^2 at which u grows
-    for M in range(N3, M_cap + 1):
+def _block_end(N: int, M: int) -> int:
+    """The last M' >= M that one exact bound at M rejects, or less than M
+    when it rejects not even M itself.
+
+    With T the modal term at m = floor((M+1)/N) and thr = (N-1)*N^(M-1),
+    T/thr is N/(N-1) times the largest pmf value of B ~ Binomial(M, 1/N),
+    which never rises with M: P(B_{M+1} = b) = P(B_M = b-1)/N +
+    P(B_M = b)*(N-1)/N.  A window of radius u has at most floor(2u/N) + 1
+    terms, each at most T, and u never falls as M grows.  So K*T < thr,
+    K = (thr - 1) // T, rejects every M' whose radius is at most the
+    largest u with floor(2u/N) + 1 <= K; the last such M' has
+    M'^2 < (u+1)^3 * N^3.
+    """
+    m = (M + 1) // N                        # binomial mode floor((M+1)/N)
+    K = ((N - 1) * N ** (M - 1) - 1) // _term(N, M, m)
+    u = (K * N - 1) // 2
+    return isqrt((u + 1) ** 3 * N ** 3 - 1)
+
+
+def _gate(N: int, M_cap: int):
+    """The first M in [N^3, M_cap] that its block bound (_block_end) lets
+    through, or None when the blocks cover the cap."""
+    M = N ** 3
+    while M <= M_cap:
+        end = _block_end(N, M)
+        if end < M:
+            return M
+        M = end + 1
+    return None
+
+
+def _carry(N: int, M: int, M_cap: int, u: int, W: int, L: int, H: int):
+    """Yield (M', w, (l0, l1), (h0, h1)) for M' = M+1..M_cap: in 2^64 units
+    (_ONE) of thr' = (N-1)*N^(M'-1), w bounds the window mass W' at M' from
+    above, and l0 <= L' <= l1, h0 <= H' <= h1 bracket its edge terms
+    L' = t_M'(lo-1) and H' = t_M'(hi), t_M(b) = C(M,b)*(N-1)^(M-b).
+
+    They start from the exact W, L and H at M over its radius u and follow
+    Pascal's rule W' = N*W + L - H over the same edges, the edge terms'
+    exact ratio to M', and one edge term per b the window gains or loses;
+    every step rounds outward, up for an upper bound and down for a lower.
+    """
+    thr = (N - 1) * N ** (M - 1)
+    w = -(-W * _ONE // thr)
+    l0, l1 = L * _ONE // thr, -(-L * _ONE // thr)
+    h0, h1 = H * _ONE // thr, -(-H * _ONE // thr)
+    b0, b1 = -(-(M - u) // N), (M + u) // N
+    grow = (u + 1) ** 3 * N ** 3            # the M^2 at which u grows
+    for M in range(M + 1, M_cap + 1):
         while M * M >= grow:
             u += 1
-            grow = (u + 1) ** 3 * N3
-        yield M, -(-(M - u) // N), (M + u) // N
-
-
-def _scan(N: int, edges):
-    """Yield (M, lo, hi, R) for each (M, lo, hi) taken from edges (_edges),
-    which start at M = N^3: R >= 2^64*T/thr for the modal term
-    T = C(M,m)*(N-1)^(M-m), m = floor((M+1)/N), and thr = (N-1)*N^(M-1),
-    kept by ceil-rounded ratio steps on small ints.  An edge is taken only
-    when the next R is asked for, so the caller can carry the rest of
-    edges on without R.
-    """
-    N3 = N ** 3
-    m = (N3 + 1) // N                       # binomial mode floor((M+1)/N)
-    R = _ceil_ratio(_term(N, N3, m) * _ONE, (N - 1) * N ** (N3 - 1))
-    for M, lo, hi in edges:
-        if M > N3:
-            # the modal term from M-1 to M at the old mode, over thr*N
-            R = _ceil_ratio(R * (N - 1) * M, (M - m) * N)
-            if (M + 1) // N != m:
-                # the mode moves m -> m+1 where M - m = (m+1)*(N-1), so
-                # the two modal terms tie and R bounds both
-                m += 1
-        yield M, lo, hi, R
+            grow = (u + 1) ** 3 * N ** 3
+        # W' / thr' = (N*W + L - H) / (N*thr), then the edge terms at M
+        w -= (h0 - l1) // N
+        up, d0, d1 = M * (N - 1), (M - b0 + 1) * N, (M - b1) * N
+        l0, l1 = l0 * up // d0, -(-l1 * up // d0)
+        h0, h1 = h0 * up // d1, -(-h1 * up // d1)
+        # both edges only move right as M grows
+        hi = (M + u) // N
+        while b1 < hi:
+            d = (b1 + 1) * (N - 1)
+            h0, h1 = h0 * (M - b1) // d, -(-h1 * (M - b1) // d)
+            b1 += 1
+            w += h1
+        lo = -(-(M - u) // N)
+        while b0 < lo:
+            d = b0 * (N - 1)
+            l0, l1 = l0 * (M - b0 + 1) // d, -(-l1 * (M - b0 + 1) // d)
+            b0 += 1
+            w -= l0
+        yield M, w, (l0, l1), (h0, h1)
 
 
 def find_M(N: int, M_cap: int):
@@ -214,55 +260,37 @@ def find_M(N: int, M_cap: int):
 
     The tail condition is equivalent to W >= thr = (N-1)*N^(M-1), where W
     is the binomial window mass sum_{|N*b-M| <= M^(2/3)/N} C(M,b)*(N-1)^(M-b).
-    Every window term is at most the modal term T, so window_count * R
-    < 2^64 rejects M for R >= 2^64*T/thr (_scan); R rounds up, so it never
-    rejects an M it should not.  The gate loop ends at the first M that R
-    lets through, and R is not stepped again.  From there W is exact:
-    _window at that M, then, over the same window edges (_edges), Pascal's
-    rule from M-1 to M,
+    The gate (_gate) rejects whole blocks of M at once, each by one exact
+    bound at its first M (_block_end), and opens at the first M whose
+    block is empty.  From there W and its edge terms are exact at an M
+    (one _sums walk, the exact seed) and carried in 2^64 units to the next
+    M by Pascal's rule,
 
         sum_{b=lo..hi} t_M(b) = N*sum_{b=lo..hi} t_{M-1}(b)
                                 + t_{M-1}(lo-1) - t_{M-1}(hi),
 
-    and one edge term per b the window gains or loses, all by ratio steps
-    that must divide exactly and raise ArithmeticError otherwise; so every
-    answer, None included, is exact, also under ``python -O``.
+    rounded so that the carried w never falls below 2^64*W/thr (_carry).
+    w < 2^64 rejects an M; every other M, the answer included, is decided
+    by a new exact seed there, from which the carry starts again.  The
+    seed's ratio steps must divide exactly and raise ArithmeticError
+    otherwise; so every answer, None included, is exact, also under
+    ``python -O``.
     """
     if _int("N", N) < 2:
         raise ValueError("need N >= 2")
     if _int("M_cap", M_cap) < N ** 3:
         raise ValueError(f"cap {M_cap} is below N^3 = {N ** 3}")
-    edges = _edges(N, M_cap)
-    for M, lo, hi, R in _scan(N, edges):
-        if (hi - lo + 1) * R >= _ONE:
-            break                           # the window mass may reach thr
-    else:
-        return None
-    # the exact window from here on, with its edge terms
-    # L = t_M(b0 - 1) and H = t_M(b1)
-    b0, b1 = lo, hi
-    W = _window(N, M, lo, hi)
-    L, H = _term(N, M, lo - 1), _term(N, M, hi)
-    thr = (N - 1) * N ** (M - 1)
-    if W >= thr:
-        return M
-    for M, lo, hi in edges:
-        # Pascal's rule over b0..b1, then the edge terms at M
-        W = N * W + L - H
-        L = _ratio(L * M * (N - 1), M - b0 + 1)
-        H = _ratio(H * M * (N - 1), M - b1)
-        thr *= N
-        # both edges only move right as M grows
-        while b1 < hi:
-            H = _ratio(H * (M - b1), (b1 + 1) * (N - 1))
-            b1 += 1
-            W += H
-        while b0 < lo:
-            L = _ratio(L * (M - b0 + 1), b0 * (N - 1))
-            b0 += 1
-            W -= L
-        if W >= thr:
+    M = _gate(N, M_cap)
+    while M is not None:
+        u = icbrt(M * M // N ** 3)          # the window radius at M
+        lo, hi = -(-(M - u) // N), (M + u) // N
+        sums = _sums(N, M, {lo - 1, lo, hi, hi + 1})
+        W = sums[hi + 1] - sums[lo]
+        if W >= (N - 1) * N ** (M - 1):
             return M
+        M = next((M for M, w, _, _ in _carry(N, M, M_cap, u, W, sums[lo],
+                                             sums[hi + 1] - sums[hi])
+                  if w >= _ONE), None)
     return None
 
 

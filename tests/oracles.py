@@ -5,11 +5,13 @@ exponential and only usable for small cases; the point is that it shares no
 code path with the production implementations.  ``no_admissible_M_bound``
 is an analytic bound rather than an enumeration, and likewise shares no code
 with the scan it checks.  ``exact_find_M`` is the exact incremental scan
-that ``find_M``'s rounded gate and running window replaced, kept as their
-differential reference.  ``pmf_walk_tails`` with the ``walk_centered``,
-``walk_normalized`` and ``walk_extended`` events is the per-b pmf walk
-that the counterexample tails' binomial windows replaced: every b from 0
-to M, the event decided on each u = N*b - M.  ``fraction_convolve`` and
+that ``find_M``'s block gate and fixed-point carry replaced, kept as their
+differential reference, and ``exact_windows`` is the exact running window
+(Pascal's rule on exact ints) whose carry they round.  ``pmf_walk_tails``
+with the ``walk_centered``, ``walk_normalized`` and ``walk_extended``
+events is the per-b pmf walk that the counterexample tails' binomial
+windows replaced: every b from 0 to M, the event decided on each
+u = N*b - M.  ``fraction_convolve`` and
 its left folds are the pairwise Fraction convolution the integer-lattice
 kernel replaced, kept as its differential reference: same fold, same atom
 order, same cap point.
@@ -365,6 +367,38 @@ def exact_find_M(N: int, M_cap: int):
             return M
     return None
 
+
+
+def exact_windows(N: int, M: int, M_last: int):
+    """{M': (W, L, H)} for M' = M..M_last: find_M's window mass W over
+    |N*b - M'| <= icbrt(M'^2 // N^3) and its edge terms L = t(lo-1) and
+    H = t(hi), t(b) = C(M',b)*(N-1)^(M'-b).  W is summed by comb at M and
+    carried by Pascal's rule, W' = N*W + L - H, after; the edge terms by
+    ratio steps that must divide exactly."""
+    def t(M, b):
+        return math.comb(M, b) * (N - 1) ** (M - b)
+
+    def edges(M):
+        u = icbrt(M * M // N ** 3)
+        return -(-(M - u) // N), (M + u) // N
+
+    lo, hi = edges(M)
+    W, L, H = sum(t(M, b) for b in range(lo, hi + 1)), t(M, lo - 1), t(M, hi)
+    out = {M: (W, L, H)}
+    for M in range(M + 1, M_last + 1):
+        W = N * W + L - H
+        L = _exact_div(L * M * (N - 1), M - lo + 1)
+        H = _exact_div(H * M * (N - 1), M - hi)
+        lo2, hi2 = edges(M)
+        for b in range(hi, hi2):
+            H = _exact_div(H * (M - b), (b + 1) * (N - 1))
+            W += H
+        for b in range(lo, lo2):
+            L = _exact_div(L * (M - b + 1), b * (N - 1))
+            W -= L
+        lo, hi = lo2, hi2
+        out[M] = W, L, H
+    return out
 
 
 def abs_gt(sign, a: int, b: int, c: int, p: int) -> bool:

@@ -414,6 +414,14 @@ class TestCounterexampleCmd:
         assert "--cap" in err and "--M" in err
         assert out == ""
 
+    def test_unwritable_out_exit_two(self, capsys, tmp_path):
+        target = tmp_path / "missing" / "x.json"
+        code, out, err = run(capsys, "counterexample", "--N", "2",
+                             "--out", str(target))
+        assert code == 2
+        assert "--out" in err and str(target) in err
+        assert out == "" and not target.exists()
+
 
 class TestMcCmd:
     def test_gaussian_threshold_zero(self, capsys):

@@ -14,16 +14,15 @@ from hypothesis import strategies as st
 from iidtails import counterexample
 from iidtails.counterexample import (
     _ONE,
-    _ceil_ratio,
+    _block_end,
+    _carry,
     _centered,
-    _edges,
     _extended,
+    _gate,
     _normalized,
-    _scan,
     _sign_rule,
+    _sums,
     _tails,
-    _term,
-    _window,
     cbrt_combo_sign,
     centered_sum_tail,
     extended_sum_tail,
@@ -36,6 +35,7 @@ from iidtails.counterexample import (
 from oracles import (
     abs_gt,
     exact_find_M,
+    exact_windows,
     pmf_walk_tails,
     walk_centered,
     walk_extended,
@@ -167,10 +167,31 @@ class TestFindM:
                 assert centered_sum_tail(N, M, F(1, N)) <= F(1, N)
 
 
+def modal_term(N, M):
+    m = (M + 1) // N
+    return comb(M, m) * (N - 1) ** (M - m)
+
+
+def window_edges(N, M):
+    u = icbrt(M * M // N ** 3)
+    return u, -(-(M - u) // N), (M + u) // N
+
+
+def assert_brackets(N, unit, step, exact):
+    """One step (M, w, (l0, l1), (h0, h1)) of _carry against the exact
+    (W, L, H) at M, each over thr in the given unit."""
+    M, w, (l0, l1), (h0, h1) = step
+    W, L, H = exact
+    thr = (N - 1) * N ** (M - 1)
+    assert w * thr >= unit * W, M
+    assert l0 * thr <= unit * L <= l1 * thr, M
+    assert h0 * thr <= unit * H <= h1 * thr, M
+
+
 class TestFindMBounds:
-    """find_M rejects an M by a ceil-rounded integer bound on the modal
-    term and decides the rest by one exact running window; it must agree
-    with the exact scan."""
+    """find_M rejects whole blocks of M by one exact bound each, carries the
+    window mass over thr in 2^64 units, and decides the rest by exact
+    seeds; it must agree with the exact scan."""
 
     # caps from N^3 up, around each known answer and past it
     CAPS = {
@@ -190,124 +211,181 @@ class TestFindMBounds:
 
     @pytest.mark.parametrize("N", sorted(CAPS))
     def test_running_window_alone_matches_exact_scan(self, monkeypatch, N):
-        # with the unit 0, R is 0 and rejects nothing: the running window
-        # starts at N^3 and decides every M by Pascal's rule alone
-        monkeypatch.setattr(counterexample, "_ONE", 0)
-        for cap in self.CAPS[N]:
-            assert find_M(N, cap) == exact_find_M(N, cap), (N, cap)
+        # a unit of 2^8 makes the carried bound reach 1 every few M, so
+        # exact seeds decide much of the scan; with the gate bypassed the
+        # carry starts at N^3; each way the answers are the exact scan's
+        exact = {cap: exact_find_M(N, cap) for cap in self.CAPS[N]}
+        for unit, bypass in ((1 << 8, False), (_ONE, True)):
+            monkeypatch.setattr(counterexample, "_ONE", unit)
+            if bypass:
+                monkeypatch.setattr(counterexample, "_gate",
+                                    lambda N, cap: N ** 3)
+            for cap in self.CAPS[N]:
+                assert find_M(N, cap) == exact[cap], (N, cap, unit)
 
     @pytest.mark.parametrize("N, M", [(2, 1), (2, 9), (2, 40), (3, 27),
                                       (3, 50), (4, 64), (5, 31), (7, 60)])
     def test_ceil_walk_bounds_every_exact_term(self, N, M):
-        # from several start points b0, ceil-rounded ratio steps from 2^64
-        # bound every exact term over the start term, the way R's steps
-        # bound the modal term; and _window, which starts at b0 and takes
-        # exact steps, sums those terms
+        # _sums walks once from its lowest cut and returns every prefix
+        # sum of the exact terms; from an exact seed at M, the carry's
+        # rounded steps keep w above the exact window mass and each edge
+        # term inside its bracket for 60 more M
         exact = [comb(M, b) * (N - 1) ** (M - b) for b in range(M + 1)]
         for b0 in {0, M // N, (M + 1) // N, M // 2, M}:
-            assert _term(N, M, b0) == exact[b0]
-            up = {b0: _ONE}
-            for b in range(b0, M):                       # walk right
-                up[b + 1] = _ceil_ratio(up[b] * (M - b), (b + 1) * (N - 1))
-            for b in range(b0, 0, -1):                   # walk left
-                up[b - 1] = _ceil_ratio(up[b] * b * (N - 1), M - b + 1)
-            assert all(up[b] * exact[b0] >= _ONE * exact[b]
-                       for b in range(M + 1))
-            assert _window(N, M, b0, M) == sum(exact[b0:])
-            assert _window(N, M, 0, b0) == sum(exact[:b0 + 1])
-            assert _window(N, M, b0 - M - 5, b0 + M + 5) == N ** M
-            assert _window(N, M, b0 + 1, b0) == 0
+            cuts = {b0, b0 + 1, (b0 + M + 1) // 2, M + 1}
+            assert _sums(N, M, cuts) == {c: sum(exact[b0:c]) for c in cuts}
+        assert _sums(N, M, {0, M + 1}) == {0: 0, M + 1: N ** M}
+        u, lo, hi = window_edges(N, M)
+        W = sum(exact[lo:hi + 1])
+        carried = list(_carry(N, M, M + 60, u, W, exact[lo - 1], exact[hi]))
+        assert [step[0] for step in carried] == list(range(M + 1, M + 61))
+        windows = exact_windows(N, M, M + 60)
+        for step in carried:
+            assert_brackets(N, _ONE, step, windows[step[0]])
 
     def test_bound_walks_get_exact_window_and_upper_modal_bound(
             self, monkeypatch):
-        # at every M of the scan the window is the exact one and
-        # R >= 2^64 * T / thr; the exact window starts where R first lets
-        # an M through, on that M's window
+        # at N = 3 the blocks cover 27..1727 without a gap, and the one
+        # exact seed up to 3400 is at 1728, on that M's window
         N = 3
-        for M, lo, hi, R in _scan(N, _edges(N, 3400)):
-            u = icbrt(M * M // N ** 3)
-            assert (lo, hi) == (-(-(M - u) // N), (M + u) // N)
-            m = (M + 1) // N
-            T = comb(M, m) * (N - 1) ** (M - m)
-            assert R * (N - 1) * N ** (M - 1) >= _ONE * T
-        starts = []
-        window = counterexample._window
+        M = N ** 3
+        while (end := _block_end(N, M)) >= M:
+            M = end + 1
+        assert M == _gate(N, 3400) == 1728         # = 12^3
+        seeds = []
+        sums = counterexample._sums
 
         def spy(*args):
-            starts.append(args)
-            return window(*args)
+            seeds.append(args)
+            return sums(*args)
 
-        monkeypatch.setattr(counterexample, "_window", spy)
+        monkeypatch.setattr(counterexample, "_sums", spy)
         assert find_M(N, 3400) is None     # 3375 = 27 * 5^3 is on the edge
-        M = 1728                           # = 12^3, R's first pass at N = 3
-        u = icbrt(M * M // N ** 3)
-        assert starts == [(N, M, -(-(M - u) // N), (M + u) // N)]
+        _, lo, hi = window_edges(N, M)
+        assert seeds == [(N, M, {lo - 1, lo, hi, hi + 1})]
 
-    @pytest.mark.parametrize("N", [2, 3, 4, 5])
+    @pytest.mark.parametrize("N", [2, 3, 4, 5, 6, 7])
     def test_modal_bound_tracks_each_exact_step(self, N):
-        # R starts at ceil(2^64 * T / thr), and each M moves it by the
-        # exact ratio of T / thr at the old mode, rounded up once; where
-        # the mode moves the two modal terms tie, so no step is taken
-        prev = None
-        for M, _, _, R in _scan(N, _edges(N, 3000)):
-            m = (M + 1) // N
-            T = comb(M, m) * (N - 1) ** (M - m)
-            exact = F(_ONE * T, (N - 1) * N ** (M - 1))
-            if prev is None:
-                assert R == _ceil_ratio(exact.numerator, exact.denominator)
-            else:
-                old = M // N                        # the mode at M - 1
-                if old != m:
-                    assert comb(M, old) * (N - 1) ** (M - old) == T
-                step = prev * F((N - 1) * M, (M - old) * N)
-                assert R == _ceil_ratio(step.numerator, step.denominator)
-            assert R >= exact, M
-            prev = R
+        # every M of a block is rejected twice over: by the bound from the
+        # block's first M (floor(2u/N) + 1 terms, each at most T there)
+        # and by its own window count times its own modal term; and the
+        # block ends where that first bound no longer holds
+        M = N ** 3
+        while M <= 3000 and (end := _block_end(N, M)) >= M:
+            T0, thr0 = modal_term(N, M), (N - 1) * N ** (M - 1)
+            for M1 in range(M, min(end, 3000) + 1):
+                u, lo, hi = window_edges(N, M1)
+                assert (2 * u // N + 1) * T0 < thr0, (M, M1)
+                assert ((hi - lo + 1) * modal_term(N, M1)
+                        < (N - 1) * N ** (M1 - 1)), M1
+            u, _, _ = window_edges(N, end + 1)
+            assert (2 * u // N + 1) * T0 >= thr0, (M, end)
+            M = end + 1
+        assert _gate(N, 3000) == (M if M <= 3000 else None)
 
-    @given(st.integers(0, 10 ** 30), st.integers(1, 10 ** 12))
-    @settings(max_examples=200)
-    def test_ceil_ratio_rounds_up(self, num, den):
-        q = _ceil_ratio(num, den)
-        assert (q - 1) * den < num <= q * den
+    @pytest.mark.parametrize("N", range(2, 11))
+    def test_modal_ratio_never_rises(self, N):
+        # T/thr is N/(N-1) times the largest pmf value, which never rises
+        # with M; thr grows by exactly N per M
+        prev = modal_term(N, 1)
+        for M in range(2, 3001):
+            T = modal_term(N, M)
+            assert T <= N * prev, M
+            prev = T
+
+    @pytest.mark.parametrize("N, cap, unit, bypass", [
+        (3, 6000, 1 << 64, False), (3, 4500, 8, False),
+        (4, 1500, 1 << 64, True), (5, 800, 1 << 12, True)])
+    def test_carry_bounds_exact_window(self, monkeypatch, N, cap, unit,
+                                       bypass):
+        # at every carried M of a find_M run, the carried w, times thr, is
+        # at least the unit times the exact window mass; a unit of 8 makes
+        # the carry restart from an exact seed every M or two, and the
+        # bypassed gate makes it run from N^3
+        monkeypatch.setattr(counterexample, "_ONE", unit)
+        if bypass:
+            monkeypatch.setattr(counterexample, "_gate",
+                                lambda N, cap: N ** 3)
+        seen = []
+        carry = counterexample._carry
+
+        def spy(*args):
+            for step in carry(*args):
+                seen.append(step)
+                yield step
+
+        monkeypatch.setattr(counterexample, "_carry", spy)
+        assert find_M(N, cap) == exact_find_M(N, cap)
+        assert seen
+        windows = exact_windows(N, seen[0][0] - 1, seen[-1][0])
+        for step in seen:
+            assert_brackets(N, unit, step, windows[step[0]])
+
+    @pytest.mark.parametrize("N, M0", [(3, 1728), (4, 1000), (5, 125)])
+    def test_each_carried_step_rounds_outward(self, N, M0):
+        # from an exact seed at each of 300 M, the carry's first three
+        # steps: each keeps less than a unit of slack, so a floor where a
+        # ceil belongs (or the reverse) at any one step of w or of an
+        # edge term's bracket puts the exact value outside its bound at
+        # some M
+        windows = exact_windows(N, M0, M0 + 302)
+        for M in range(M0, M0 + 300):
+            u = window_edges(N, M)[0]
+            for step in _carry(N, M, M + 3, u, *windows[M]):
+                assert_brackets(N, _ONE, step, windows[step[0]])
 
     @pytest.mark.parametrize("N, cap, answer, decided", [
-        (2, 100, 8, [8]), (3, 10_000, 4437, [1728]), (10, 15_000, None, [])])
+        (2, 100, 8, [8]), (3, 10_000, 4437, [1728, 4437]),
+        (10, 15_000, None, [])])
     def test_exact_decisions(self, monkeypatch, N, cap, answer, decided):
-        # the exact window is built once, at the first M the bound lets
-        # through (M = 8 at N = 2, M = 1728 at N = 3), never at N = 10;
-        # from there Pascal's rule carries it to the answer
+        # an exact seed is taken where the gate opens (M = 8 at N = 2,
+        # M = 1728 at N = 3, never at N = 10) and where the carried bound
+        # reaches 1, which it first does at the answer
         calls = []
-        window = counterexample._window
+        sums = counterexample._sums
 
         def spy(*args):
             calls.append(args[1])
-            return window(*args)
+            return sums(*args)
 
-        monkeypatch.setattr(counterexample, "_window", spy)
+        monkeypatch.setattr(counterexample, "_sums", spy)
         assert find_M(N, cap) == answer
         assert calls == decided
 
     @pytest.mark.parametrize("N, cap", [(3, 3000), (3, 10_000)])
     def test_no_bound_step_after_the_exact_window(self, monkeypatch, N, cap):
-        # the gate stops stepping R at the first M it lets through: no
-        # ceil step follows the exact window, and Pascal's rule carries
-        # the window over the edges alone
+        # the gate takes no block bound after the first exact seed: from
+        # there the carry and the seeds decide every M
         calls = []
-        window, ceil_ratio = counterexample._window, counterexample._ceil_ratio
+        sums, block_end = counterexample._sums, counterexample._block_end
 
-        def window_spy(*args):
-            calls.append("window")
-            return window(*args)
+        def sums_spy(*args):
+            calls.append("seed")
+            return sums(*args)
 
-        def ceil_spy(*args):
-            calls.append("ceil")
-            return ceil_ratio(*args)
+        def block_spy(*args):
+            calls.append("block")
+            return block_end(*args)
 
-        monkeypatch.setattr(counterexample, "_window", window_spy)
-        monkeypatch.setattr(counterexample, "_ceil_ratio", ceil_spy)
+        monkeypatch.setattr(counterexample, "_sums", sums_spy)
+        monkeypatch.setattr(counterexample, "_block_end", block_spy)
         assert find_M(N, cap) == exact_find_M(N, cap)
-        assert calls.count("window") == 1
-        assert "ceil" not in calls[calls.index("window"):]
+        assert "block" in calls and "seed" in calls
+        assert "block" not in calls[calls.index("seed"):]
+
+    def test_N10_gate_takes_two_blocks(self, monkeypatch):
+        # criterion 7's statement: the gate rejects every M up to 1e5 in
+        # two blocks, one modal term each, and no window is summed
+        calls = []
+        term = counterexample._term
+
+        def spy(*args):
+            calls.append(args)
+            return term(*args)
+
+        monkeypatch.setattr(counterexample, "_term", spy)
+        assert find_M(10, 100_000) is None
+        assert len(calls) <= 3
 
     def test_answers_under_python_O(self):
         # no assert guards any step, so -O must give the same answers
@@ -362,6 +440,36 @@ class TestOneWalkPerReport:
         monkeypatch.setattr(counterexample, "_ratio", spy)
         rep = verify_counterexample(N, M=M)
         assert 0 < len(steps) <= widths
+        assert rep.centered_holds and rep.extended_holds
+        assert rep.refutation["fails"]
+
+
+    def test_report_makes_one_comb(self, monkeypatch):
+        # the four tails' windows share one walk: one math.comb at the
+        # lowest window edge, then one exact ratio step per b up to the
+        # highest
+        N, M = 3, 4437
+        t = F(1, 2)
+        events = [_centered(N, M, F(1, N)), _normalized(N, M, t),
+                  _extended(N, M, t / F(N, 3)), _extended(N, M, F(3, N))]
+        edges = [b for _, windows in events for _, lo, hi in windows
+                 for b in (lo, hi)]
+        combs, steps = [], []
+        ratio = counterexample._ratio
+
+        def comb_spy(*args):
+            combs.append(args)
+            return comb(*args)
+
+        def ratio_spy(num, den):
+            steps.append(den)
+            return ratio(num, den)
+
+        monkeypatch.setattr(counterexample, "comb", comb_spy)
+        monkeypatch.setattr(counterexample, "_ratio", ratio_spy)
+        rep = verify_counterexample(N, M=M)
+        assert combs == [(M, min(edges))]
+        assert len(steps) == max(edges) - min(edges) < 450
         assert rep.centered_holds and rep.extended_holds
         assert rep.refutation["fails"]
 
