@@ -14,7 +14,6 @@ import functools
 import hashlib
 import json
 import sys
-from dataclasses import dataclass
 from datetime import datetime, timezone
 from fractions import Fraction
 from pathlib import Path
@@ -24,7 +23,7 @@ from ._version import __version__
 from .counterexample import verify_counterexample
 from .dists import DEFAULT_SUPPORT_CAP, MODES, STRICT, Norm
 from .montecarlo import MC_CLAIMS, SamplerSpec, estimate_tail, mc_check
-from .reports import HOLDS, VACUOUS, jsonify
+from .reports import HOLDS, VACUOUS, VIOLATED, jsonify
 from .search import SearchSpace, SoundnessViolation, search
 from .specfile import SpecFileError, dist_to_jsonable, load_dist, parse_dist
 
@@ -32,25 +31,6 @@ EXIT_OK = 0
 EXIT_VIOLATION = 1
 EXIT_USAGE = 2
 EXIT_GUARD = 3
-
-
-@dataclass(frozen=True)
-class RunManifest:
-    subcommand: str
-    params: dict
-    seed: "int | None"
-    version: str
-    input_digests: dict
-    wall_clock: str
-    outcome: str
-
-    def to_jsonable(self) -> dict:
-        return jsonify({
-            "subcommand": self.subcommand, "params": self.params,
-            "seed": self.seed, "version": self.version,
-            "input_digests": self.input_digests,
-            "wall_clock": self.wall_clock, "outcome": self.outcome,
-        })
 
 
 def _load(path, digests: dict):
@@ -64,20 +44,24 @@ def _load(path, digests: dict):
         raise SpecFileError(f"{path}: {exc}") from None
 
 
-def _manifest(args, digests: dict, outcome: str) -> RunManifest:
-    params = {k: v for k, v in vars(args).items() if k != "func"}
-    return RunManifest(
-        subcommand=args.subcommand, params=jsonify(params),
-        seed=getattr(args, "seed", None), version=__version__,
-        input_digests=digests,
-        wall_clock=datetime.now(timezone.utc).isoformat(),
-        outcome=outcome)
+def _manifest(args, digests: dict, outcome: str) -> dict:
+    return {"subcommand": args.subcommand,
+            "params": {k: v for k, v in vars(args).items() if k != "func"},
+            "seed": getattr(args, "seed", None), "version": __version__,
+            "input_digests": digests,
+            "wall_clock": datetime.now(timezone.utc).isoformat(),
+            "outcome": outcome}
+
+
+def _render(doc: dict) -> str:
+    """The JSON text of a CLI document, rendered in one jsonify pass."""
+    return json.dumps(jsonify(doc), indent=2, sort_keys=True)
 
 
 def _emit(doc: dict, out: "str | None") -> None:
     """Write the report to --out, if given, then print it; a file that
     cannot be written fails before anything is printed."""
-    text = json.dumps(jsonify(doc), indent=2, sort_keys=True)
+    text = _render(doc)
     if out:
         try:
             Path(out).write_text(text + "\n")
@@ -199,10 +183,10 @@ def cmd_verify(args) -> int:
         for rep in checks.claim_reports(spec, curves, given, args.c1,
                                         args.c2, args.lhs_mode,
                                         args.rhs_mode):
-            reports.append({"file": label, "report": rep.to_jsonable()})
-    ok = all(r["report"]["status"] in (HOLDS, VACUOUS) for r in reports)
+            reports.append({"file": label, "report": rep})
+    ok = all(r["report"].status in (HOLDS, VACUOUS) for r in reports)
     outcome = "all hold" if ok else "violation found"
-    _emit({"manifest": _manifest(args, digests, outcome).to_jsonable(),
+    _emit({"manifest": _manifest(args, digests, outcome),
            "reports": reports}, args.out)
     return EXIT_OK if ok else EXIT_VIOLATION
 
@@ -215,21 +199,22 @@ def cmd_corpus(args) -> int:
         num_range=args.num_range, denominator=args.denominator,
         max_k=args.max_k, dims=tuple(args.dims), norms=tuple(args.norms),
         weight_vectors=args.weight_vectors)
+    outdir = Path(args.out_dir)
+    try:
+        outdir.mkdir(parents=True, exist_ok=True)
+    except OSError as exc:
+        raise OSError(f"cannot write --out-dir {args.out_dir}: "
+                      f"{exc.strerror or exc}") from exc
     report = corpus_mod.run_corpus(config, claims, cap=args.cap)
     outcome = ("violation found" if report.has_violations
                else f"all hold ({report.total_checks} checks)")
-    manifest = _manifest(args, {}, outcome)
-    doc = {"manifest": manifest.to_jsonable(),
-           "corpus": report.to_jsonable()}
-    outdir = Path(args.out_dir)
-    outdir.mkdir(parents=True, exist_ok=True)
     want_json = args.json or not args.csv
     want_csv = args.csv or not args.json
     written = []
     if want_json:
         path = outdir / "corpus.json"
-        path.write_text(json.dumps(jsonify(doc), indent=2, sort_keys=True)
-                        + "\n")
+        path.write_text(_render({"manifest": _manifest(args, {}, outcome),
+                                 "corpus": report}) + "\n")
         written.append(str(path))
     if want_csv:
         path = outdir / "corpus.csv"
@@ -251,9 +236,9 @@ def cmd_search(args) -> int:
         prob_denominator=args.prob_denominator)
     result = search(space, budget=args.budget, restarts=args.restarts,
                     seed=args.seed, cap=args.cap)
-    manifest = _manifest(args, {}, f"achieved_ratio={result.achieved_ratio}")
-    _emit({"manifest": manifest.to_jsonable(),
-           "result": result.to_jsonable()}, args.out)
+    outcome = f"achieved_ratio={result.achieved_ratio}"
+    _emit({"manifest": _manifest(args, {}, outcome), "result": result},
+          args.out)
     return EXIT_OK
 
 
@@ -268,9 +253,8 @@ def cmd_counterexample(args) -> int:
     outcome = "counterexample verified" if verified else (
         "no admissible M under cap" if not report.found
         else "bounds failed to verify")
-    manifest = _manifest(args, {}, outcome)
-    _emit({"manifest": manifest.to_jsonable(),
-           "counterexample": report.to_jsonable()}, args.out)
+    _emit({"manifest": _manifest(args, {}, outcome),
+           "counterexample": report}, args.out)
     return EXIT_OK if verified else EXIT_VIOLATION
 
 
@@ -307,19 +291,17 @@ def cmd_mc(args) -> int:
             args.claim, spec, args.j, args.k, t_grid, c1=args.c1, c2=args.c2,
             weights=args.weights, norm=args.norm, n_samples=args.n,
             seed=args.seed, delta=args.delta)
-        manifest = _manifest(args, digests, verdict.status)
-        _emit({"manifest": manifest.to_jsonable(),
-               "check": verdict.to_jsonable()}, args.out)
-        return EXIT_VIOLATION if verdict.status == "violated" else EXIT_OK
+        _emit({"manifest": _manifest(args, digests, verdict.status),
+               "check": verdict}, args.out)
+        return EXIT_VIOLATION if verdict.status == VIOLATED else EXIT_OK
     estimates = []
     for i, t in enumerate(t_grid):
         est = estimate_tail(spec, args.k, t, norm=args.norm,
                             weights=args.weights, n_samples=args.n,
                             seed=args.seed + i, delta=args.delta)
-        estimates.append({"t": jsonify(t), "estimate": est.to_jsonable()})
-    manifest = _manifest(args, digests, f"{len(estimates)} estimates")
-    _emit({"manifest": manifest.to_jsonable(), "estimates": estimates},
-          args.out)
+        estimates.append({"t": t, "estimate": est})
+    _emit({"manifest": _manifest(args, digests, f"{len(estimates)} estimates"),
+           "estimates": estimates}, args.out)
     return EXIT_OK
 
 

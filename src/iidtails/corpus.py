@@ -42,18 +42,14 @@ from .dists import (
     Norm,
     SupportCapExceeded,
 )
-from .reports import HOLDS, VIOLATED, jsonify
+from .reports import HOLDS, VIOLATED, Report, jsonify
 from .specfile import dist_to_jsonable
 
 DEFAULT_CLAIMS = tuple(CLAIMS)
 
-# alternative constant sets reported under claim_id latala_alt
-LATALA_THEOREM1, LATALA_COROLLARY4 = (
-    pairs for _, pairs in CLAIMS["latala_alt"].shapes)
-
 
 @dataclass(frozen=True)
-class CorpusConfig:
+class CorpusConfig(Report):
     seed: int
     count: int
     max_atoms: int = 5
@@ -76,15 +72,11 @@ class CorpusConfig:
         for d in self.dims:
             if d < 1:
                 raise ValueError(f"dimension {d} invalid")
-
-    def to_jsonable(self) -> dict:
-        return jsonify({
-            "seed": self.seed, "count": self.count,
-            "max_atoms": self.max_atoms, "num_range": self.num_range,
-            "denominator": self.denominator, "max_k": self.max_k,
-            "dims": list(self.dims), "norms": [n.value for n in self.norms],
-            "weight_vectors": self.weight_vectors,
-        })
+        # generate_corpus draws distinct points of the lattice
+        points = (2 * self.num_range + 1) ** min(self.dims)
+        if self.max_atoms > points:
+            raise ValueError(f"max_atoms {self.max_atoms} exceeds the "
+                             f"{points} points of the value lattice")
 
 
 def _instance_key(seed: int, index: int) -> int:
@@ -169,7 +161,7 @@ def normalize_claims(names) -> "list[str]":
 
 
 @dataclass
-class CorpusReport:
+class CorpusReport(Report):
     config: CorpusConfig
     claims: "list[str]"
     total_checks: int = 0
@@ -180,25 +172,12 @@ class CorpusReport:
     worst: "dict | None" = None          # smallest margin over decided checks
     violations: list = field(default_factory=list)
     skipped: list = field(default_factory=list)
-    rows: list = field(default_factory=list)   # flat per-check rows for CSV
+    # flat per-check rows for the CSV, not the JSON
+    rows: list = field(default_factory=list, metadata={"json": False})
 
     @property
     def has_violations(self) -> bool:
         return self.violated > 0
-
-    def to_jsonable(self) -> dict:
-        return jsonify({
-            "config": self.config.to_jsonable(),
-            "claims": self.claims,
-            "total_checks": self.total_checks,
-            "holds": self.holds,
-            "violated": self.violated,
-            "vacuous": self.vacuous,
-            "per_claim": self.per_claim,
-            "worst": self.worst,
-            "violations": self.violations,
-            "skipped": self.skipped,
-        })
 
 
 CSV_COLUMNS = (

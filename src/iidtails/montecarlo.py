@@ -16,7 +16,7 @@ import numpy as np
 
 from .checks import CLAIMS, MAX, SUM, WEIGHTED, require_indices
 from .dists import Norm
-from .reports import jsonify
+from .reports import HOLDS, VIOLATED, Report
 
 FAMILIES = ("discrete", "gaussian", "two_point", "shifted_pareto")
 
@@ -35,7 +35,7 @@ def _location(x) -> np.ndarray:
 
 
 @dataclass(frozen=True)
-class SamplerSpec:
+class SamplerSpec(Report):
     """Recipe for drawing i.i.d. copies of a single summand."""
     family: str
     params: dict
@@ -77,10 +77,6 @@ class SamplerSpec:
             if self.dim != 1:
                 raise ValueError("shifted_pareto family is one-dimensional")
 
-    def to_jsonable(self) -> dict:
-        return jsonify({"family": self.family, "params": self.params,
-                        "dim": self.dim})
-
 
 def _draw(spec: SamplerSpec, rng: np.random.Generator, shape) -> np.ndarray:
     """Array of summands with trailing axis of length spec.dim."""
@@ -121,18 +117,13 @@ def _running_max(draws: np.ndarray, norm: Norm) -> np.ndarray:
 
 
 @dataclass(frozen=True)
-class TailEstimate:
+class TailEstimate(Report):
     estimate: float
     lo: float
     hi: float
     n_samples: int
     count: int
     seed: int
-
-    def to_jsonable(self) -> dict:
-        return jsonify({"estimate": self.estimate, "lo": self.lo,
-                        "hi": self.hi, "n_samples": self.n_samples,
-                        "count": self.count, "seed": self.seed})
 
 
 def clopper_pearson(count: int, n: int, delta: float) -> "tuple[float, float]":
@@ -213,22 +204,16 @@ def _estimate(spec: SamplerSpec, k: int, t, norm, statistic, n_samples: int,
 # supports exactly the claims whose right side is S_k
 MC_CLAIMS = tuple(name for name, claim in CLAIMS.items() if claim.rhs == SUM)
 
-_HOLDS = "holds"
-_VIOLATED = "violated"
 _INCONCLUSIVE = "inconclusive"
 
 
 @dataclass(frozen=True)
-class McVerdict:
+class McVerdict(Report):
     claim_id: str
     params: dict
     rows: tuple           # one dict per t: lhs/rhs estimates and verdict
     status: str           # violated if any row violated, else holds only
                           # if every row holds, else inconclusive
-
-    def to_jsonable(self) -> dict:
-        return jsonify({"claim_id": self.claim_id, "params": self.params,
-                        "rows": self.rows, "status": self.status})
 
 
 def mc_check(claim: str, spec: SamplerSpec, j: int, k: int, t_grid,
@@ -296,18 +281,18 @@ def mc_check(claim: str, spec: SamplerSpec, j: int, k: int, t_grid,
                             delta=delta / 2)
         cf = float(factor)
         if lhs.lo > cf * rhs.hi:
-            verdict = _VIOLATED
+            verdict = VIOLATED
         elif lhs.hi < cf * rhs.lo:
-            verdict = _HOLDS
+            verdict = HOLDS
         else:
             verdict = _INCONCLUSIVE
-        any_viol = any_viol or verdict == _VIOLATED
-        all_hold = all_hold and verdict == _HOLDS
+        any_viol = any_viol or verdict == VIOLATED
+        all_hold = all_hold and verdict == HOLDS
         rows.append({"t": tf, "lhs": lhs.to_jsonable(),
                      "rhs": rhs.to_jsonable(),
                      "factor": cf, "verdict": verdict})
-    status = (_VIOLATED if any_viol
-              else _HOLDS if (all_hold and rows) else _INCONCLUSIVE)
+    status = (VIOLATED if any_viol
+              else HOLDS if (all_hold and rows) else _INCONCLUSIVE)
     return McVerdict(
         claim_id=claim,
         params={"j": j, "k": k, "c1": c1, "c2": c2,

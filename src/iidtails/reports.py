@@ -1,19 +1,36 @@
-"""Common report types shared by the inequality checkers and the CLI."""
+"""Common report types shared by the inequality checkers and the CLI.
+
+Every JSON document the program writes is rendered by jsonify.  A report
+dataclass derives from Report and renders by its fields, in field order;
+a field marked field(..., metadata={"json": False}) is left out.  A law
+renders as its distribution-file document (specfile.dist_to_jsonable).
+"""
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 from enum import Enum
 from fractions import Fraction
+
+from .dists import DiscreteDist
+from .specfile import dist_to_jsonable
 
 HOLDS = "holds"
 VIOLATED = "violated"
 VACUOUS = "vacuous"
 
 
+class Report:
+    """Base of the report dataclasses: to_jsonable renders the fields."""
+
+    def to_jsonable(self) -> dict:
+        return {f.name: jsonify(getattr(self, f.name)) for f in fields(self)
+                if f.metadata.get("json", True)}
+
+
 @dataclass(frozen=True)
-class InequalityReport:
+class InequalityReport(Report):
     claim_id: str
     params: dict
     worst_t: "Fraction | None"
@@ -24,27 +41,14 @@ class InequalityReport:
     witness: "dict | None" = None
     note: "str | None" = None
 
-    def to_jsonable(self) -> dict:
-        return jsonify(
-            {
-                "claim_id": self.claim_id,
-                "params": self.params,
-                "worst_t": self.worst_t,
-                "lhs": self.lhs,
-                "rhs": self.rhs,
-                "margin": self.margin,
-                "status": self.status,
-                "witness": self.witness,
-                "note": self.note,
-            }
-        )
-
 
 def jsonify(value):
     """Recursively render a report structure as JSON-safe data.
 
     Rationals become "p/q" strings (exact, parseable back), enums their
-    value, infinities the string "inf".
+    value, infinities the string "inf", tuples lists, a DiscreteDist its
+    distribution-file document, and anything with a to_jsonable method (a
+    Report renders by its fields) what that method returns.
     """
     if isinstance(value, Fraction):
         return str(value)
@@ -58,4 +62,8 @@ def jsonify(value):
         return {str(k): jsonify(v) for k, v in value.items()}
     if isinstance(value, (list, tuple)):
         return [jsonify(v) for v in value]
+    if isinstance(value, DiscreteDist):
+        return dist_to_jsonable(value)
+    if hasattr(value, "to_jsonable"):
+        return value.to_jsonable()
     return value

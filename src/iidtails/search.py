@@ -23,7 +23,7 @@ import numpy as np
 
 from .checks import CLAIMS, Curves, _reads, least_c1, require_indices
 from .dists import DEFAULT_SUPPORT_CAP, ONE, DiscreteDist, Norm, rat
-from .reports import jsonify
+from .reports import Report, jsonify
 
 INF = math.inf
 _BIG = 1e18  # stand-in for the infinity sentinel inside the optimizer
@@ -102,24 +102,13 @@ class SearchSpace:
 
 
 @dataclass(frozen=True)
-class SearchResult:
+class SearchResult(Report):
     best_dist: DiscreteDist
     best_t: "Fraction | None"      # gauge-space witness threshold
     achieved_ratio: "Fraction | float"
     evaluations: int
     seed: int
     trace: "tuple[tuple[int, float], ...]"   # (restart, best float ratio)
-
-    def to_jsonable(self) -> dict:
-        from .specfile import dist_to_jsonable
-        return jsonify({
-            "best_dist": dist_to_jsonable(self.best_dist),
-            "best_t": self.best_t,
-            "achieved_ratio": self.achieved_ratio,
-            "evaluations": self.evaluations,
-            "seed": self.seed,
-            "trace": [list(entry) for entry in self.trace],
-        })
 
 
 def snap_to_space(theta, space: SearchSpace) -> DiscreteDist:

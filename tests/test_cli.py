@@ -342,6 +342,31 @@ class TestCorpus:
         assert code == 2
         assert "weight_vectors must be >= 0" in err
 
+    def test_more_atoms_than_lattice_points_exit_two(self, capsys,
+                                                     tmp_path):
+        code, out, err = run(capsys, "corpus", "--count", "50",
+                             "--max-atoms", "5", "--num-range", "1",
+                             "--out-dir", str(tmp_path / "out"))
+        assert code == 2 and not out
+        assert "max_atoms 5 exceeds" in err
+        assert not (tmp_path / "out").exists()
+
+    def test_unwritable_out_dir_fails_before_the_run(self, capsys, tmp_path,
+                                                     monkeypatch):
+        from iidtails import corpus
+
+        def never(*args, **kwargs):
+            raise AssertionError("run_corpus ran")
+
+        monkeypatch.setattr(corpus, "run_corpus", never)
+        blocker = tmp_path / "file"
+        blocker.write_text("")
+        target = blocker / "sub"
+        code, out, err = run(capsys, "corpus", "--count", "2", "--claims",
+                             "theorem1", "--out-dir", str(target))
+        assert code == 2 and out == ""
+        assert f"error: cannot write --out-dir {target}: " in err
+
     def test_json_only_toggle(self, capsys, tmp_path):
         code, _, _ = run(capsys, "corpus", "--count", "2", "--json",
                          "--claims", "theorem1", "--max-k", "2",

@@ -4,12 +4,11 @@ from fractions import Fraction as F
 
 import pytest
 
+from iidtails.checks import CLAIMS
 from iidtails.corpus import (
     CSV_COLUMNS,
     CorpusConfig,
     DEFAULT_CLAIMS,
-    LATALA_COROLLARY4,
-    LATALA_THEOREM1,
     generate_corpus,
     normalize_claims,
     run_corpus,
@@ -33,6 +32,20 @@ class TestCorpusConfig:
         with pytest.raises(ValueError, match="weight_vectors"):
             CorpusConfig(seed=1, count=5, weight_vectors=-2)
         assert CorpusConfig(seed=1, count=5, weight_vectors=0)
+
+    def test_rejects_more_atoms_than_lattice_points(self):
+        """generate_corpus draws distinct points of the value lattice, so a
+        max_atoms above its size would never finish drawing."""
+        with pytest.raises(ValueError, match="max_atoms 5 exceeds the 3 "):
+            CorpusConfig(seed=0, count=50, max_atoms=5, num_range=1)
+        # the smallest dimension bounds the draw
+        with pytest.raises(ValueError, match="max_atoms"):
+            CorpusConfig(seed=0, count=1, max_atoms=4, num_range=1,
+                         dims=(2, 1))
+        cfg = CorpusConfig(seed=0, count=20, max_atoms=3, num_range=1)
+        assert max(len(d) for d, _ in generate_corpus(cfg)) == 3
+        assert CorpusConfig(seed=0, count=1, max_atoms=9, num_range=1,
+                            dims=(2,))
 
     def test_jsonable(self):
         d = CorpusConfig(seed=3, count=2).to_jsonable()
@@ -150,8 +163,8 @@ class TestRunCorpus:
         for row in rep.rows:
             params = json.loads(row["params"])
             pairs.add((params["c1"], params["c2"]))
-        want = {(str(a), str(b)) for a, b in LATALA_THEOREM1}
-        want |= {(str(a), str(b)) for a, b in LATALA_COROLLARY4}
+        want = {(str(a), str(b)) for _, constants in
+                CLAIMS["latala_alt"].shapes for a, b in constants}
         assert {(a, b) for a, b in pairs} == want
 
     def test_skipped_instances_are_recorded(self):
