@@ -36,7 +36,7 @@ import math
 from bisect import bisect_right
 from dataclasses import dataclass, field
 from fractions import Fraction
-from functools import partial
+from functools import cached_property, partial
 from typing import Callable
 
 from .concentration import _corollary3, _lemma2, check_lemma2
@@ -392,10 +392,31 @@ class Curves:
     def __init__(self, dist: DiscreteDist, norm: Norm, reads,
                  cap: int = DEFAULT_SUPPORT_CAP):
         self.dist = dist
+        self._start(norm, reads, lambda n: _Walk([dist], n, cap))
+
+    @classmethod
+    def lattice(cls, scale: int, dim: int, atoms, den: int, norm: Norm, reads,
+                cap: int = DEFAULT_SUPPORT_CAP) -> "Curves":
+        """The curves of a law given as lattice ints, one term as
+        _Walk.lattice takes it: (int coordinates, int mass numerator) pairs,
+        coordinates over scale and masses over den."""
+        curves = object.__new__(cls)
+        curves._start(norm, reads, lambda n: _Walk.lattice(
+            scale, dim, [(atoms, den)], n, cap))
+        return curves
+
+    @cached_property
+    def dist(self) -> DiscreteDist:
+        """The law, for curves built on its lattice ints."""
+        return self.walk.dist(self.walk.terms[0])
+
+    def _start(self, norm: Norm, reads, walk) -> None:
+        """Set up the pass of walk(n), the walk as far as the largest S_i
+        in reads."""
         self.norm = norm
-        self.cap = cap
         self.reads = frozenset(reads)
-        self.walk = _Walk([dist], max(self.reads - {MAX} | {1}), cap)
+        self.walk = walk(max(self.reads - {MAX} | {1}))
+        self.cap = self.walk.cap
         self._steps = self.walk.steps(norm if MAX in self.reads else None)
         self._laws = {}               # lattice law of each S_i in reads
         self._max_curves = []         # running max curve or None, per step

@@ -24,7 +24,7 @@ from .counterexample import verify_counterexample
 from .dists import DEFAULT_SUPPORT_CAP, MODES, STRICT, Norm
 from .montecarlo import MC_CLAIMS, SamplerSpec, estimate_tail, mc_check
 from .reports import HOLDS, VACUOUS, VIOLATED, jsonify
-from .search import SearchSpace, SoundnessViolation, search
+from .search import SEED_LIMIT, SearchSpace, SoundnessViolation, search
 from .specfile import SpecFileError, dist_to_jsonable, load_dist, parse_dist
 
 EXIT_OK = 0
@@ -86,16 +86,32 @@ def _norm(text: str) -> Norm:
             f"unknown norm {text!r}; choose abs1d, sup, or euclidean")
 
 
-def _cap(text: str) -> int:
-    """A support cap: a positive int."""
+def _positive(text: str) -> int:
+    """A positive int: a support cap or a restart count."""
     try:
-        cap = int(text)
+        value = int(text)
     except ValueError:
-        cap = 0
-    if cap < 1:
+        value = 0
+    if value < 1:
         raise argparse.ArgumentTypeError(
             f"must be a positive integer, got {text!r}")
-    return cap
+    return value
+
+
+def _seed(limit: int):
+    """The type of a --seed that keys a Philox generator: an int in
+    [0, limit), limit a power of two."""
+    def seed(text: str) -> int:
+        try:
+            value = int(text)
+        except ValueError:
+            value = -1
+        if not 0 <= value < limit:
+            raise argparse.ArgumentTypeError(
+                f"must be an integer in [0, 2**{limit.bit_length() - 1}), "
+                f"got {text!r}")
+        return value
+    return seed
 
 
 def _weights(text: str) -> "list[Fraction]":
@@ -349,13 +365,13 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--lhs-mode", choices=MODES, default=None,
                    help="default strict")
     p.add_argument("--rhs-mode", choices=MODES, default=None)
-    p.add_argument("--cap", type=_cap, default=DEFAULT_SUPPORT_CAP)
+    p.add_argument("--cap", type=_positive, default=DEFAULT_SUPPORT_CAP)
     p.add_argument("--out", default=None, help="also write the JSON here")
     p.add_argument("files", nargs="+", metavar="FILE")
     p.set_defaults(func=cmd_verify)
 
     p = subs.add_parser("corpus", help="random corpus sweep over all claims")
-    p.add_argument("--seed", type=int, default=0)
+    p.add_argument("--seed", type=_seed(corpus_mod.SEED_LIMIT), default=0)
     p.add_argument("--count", type=int, default=100)
     p.add_argument("--claims", default=None,
                    help="comma-separated claim names (default: all)")
@@ -368,7 +384,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--norms", type=lambda s: [_norm(x) for x in s.split(",")],
                    default=[Norm.ABS1D])
     p.add_argument("--weight-vectors", type=int, default=2)
-    p.add_argument("--cap", type=_cap, default=DEFAULT_SUPPORT_CAP)
+    p.add_argument("--cap", type=_positive, default=DEFAULT_SUPPORT_CAP)
     p.add_argument("--out-dir", default=".")
     p.add_argument("--json", action="store_true",
                    help="write corpus.json (default: both artifacts)")
@@ -382,14 +398,14 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--c2", type=_rational, required=True)
     p.add_argument("--atoms", type=int, default=3)
     p.add_argument("--budget", type=int, default=10_000)
-    p.add_argument("--restarts", type=int, default=8)
-    p.add_argument("--seed", type=int, default=0)
+    p.add_argument("--restarts", type=_positive, default=8)
+    p.add_argument("--seed", type=_seed(SEED_LIMIT), default=0)
     p.add_argument("--value-lo", type=_rational, default=Fraction(-4))
     p.add_argument("--value-hi", type=_rational, default=Fraction(4))
     p.add_argument("--lattice-denominator", type=int, default=16)
     p.add_argument("--prob-denominator", type=int, default=64)
     p.add_argument("--norm", type=_norm, default=Norm.ABS1D)
-    p.add_argument("--cap", type=_cap, default=DEFAULT_SUPPORT_CAP)
+    p.add_argument("--cap", type=_positive, default=DEFAULT_SUPPORT_CAP)
     p.add_argument("--out", default=None)
     p.set_defaults(func=cmd_search)
 

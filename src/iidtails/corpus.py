@@ -46,6 +46,9 @@ from .reports import HOLDS, VIOLATED, Report, jsonify
 from .specfile import dist_to_jsonable
 
 DEFAULT_CLAIMS = tuple(CLAIMS)
+# _instance_key puts the seed above 64 bits of instance index in a Philox
+# key, which must stay below 2**128
+SEED_LIMIT = 2 ** 64
 
 
 @dataclass(frozen=True)
@@ -61,6 +64,8 @@ class CorpusConfig(Report):
     weight_vectors: int = 2     # corollary5 weight draws per instance
 
     def __post_init__(self):
+        if not 0 <= self.seed < SEED_LIMIT:
+            raise ValueError(f"seed must be in [0, 2**64), got {self.seed}")
         if self.count < 0 or self.max_atoms < 1 or self.max_k < 1:
             raise ValueError("count, max_atoms, max_k must be positive")
         if self.weight_vectors < 0:

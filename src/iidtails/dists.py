@@ -183,22 +183,20 @@ def delta(x: PointLike, dim: "int | None" = None) -> DiscreteDist:
 # coordinate without carries and the packing stays one-to-one.
 
 
-def _encode(laws: "list[DiscreteDist]", copies: int):
-    """Put laws on one integer lattice able to hold sums of `copies` of their
-    points.  Returns (scale, base, encoded laws)."""
+def _encode(laws: "list[DiscreteDist]"):
+    """The lattice terms of laws, as _Walk.lattice takes them: (scale, dim,
+    terms), coordinates over the least common denominator `scale` of every
+    point and each law's masses over the least common denominator of its
+    own."""
     scale = lcm(*{c.denominator for law in laws for pt in law.atoms
                   for c in pt})
-    ints = [[([c.numerator * (scale // c.denominator) for c in pt], p)
-             for pt, p in law.atoms.items()] for law in laws]
-    reach = max((abs(v) for law in ints for coords, _ in law for v in coords),
-                default=0)
-    base = 2 * copies * reach + 3
-    encoded = []
-    for law in ints:
-        den = lcm(*{p.denominator for _, p in law})
-        encoded.append(({_pack(coords, base): p.numerator
-                         * (den // p.denominator) for coords, p in law}, den))
-    return scale, base, encoded
+    terms = []
+    for law in laws:
+        den = lcm(*{p.denominator for p in law.atoms.values()})
+        terms.append(([([c.numerator * (scale // c.denominator) for c in pt],
+                        p.numerator * (den // p.denominator))
+                       for pt, p in law.atoms.items()], den))
+    return scale, laws[0].dim, terms
 
 
 def _pack(coords: "list[int]", base: int) -> int:
@@ -281,12 +279,33 @@ class _Walk:
     step; a caller that reads an S_i again keeps its lattice law."""
 
     def __init__(self, laws: "list[DiscreteDist]", n: int, cap: int):
+        self._place(*_encode(laws), n, cap)
+
+    @classmethod
+    def lattice(cls, scale: int, dim: int, terms, n: int,
+                cap: int) -> "_Walk":
+        """The walk of n terms given as lattice ints: each term a list of
+        (int coordinates, int mass numerator) pairs over an int mass
+        denominator, coordinates over scale.  Terms of a DiscreteDist come
+        here through _encode; a caller that has the ints skips it."""
+        walk = object.__new__(cls)
+        walk._place(scale, dim, terms, n, cap)
+        return walk
+
+    def _place(self, scale, dim, terms, n, cap):
+        """Pack the terms on a base able to hold sums of n of their
+        points."""
         if n < 1:
             raise ValueError(f"k must be >= 1, got {n}")
-        self.dim = laws[0].dim
+        self.dim = dim
         self.n = n
         self.cap = cap
-        self.scale, self.base, self.terms = _encode(laws, n)
+        self.scale = scale
+        reach = max((abs(v) for atoms, _ in terms for coords, _ in atoms
+                     for v in coords), default=0)
+        self.base = base = 2 * n * reach + 3
+        self.terms = [({_pack(coords, base): p for coords, p in atoms}, den)
+                      for atoms, den in terms]
 
     def steps(self, norm: "Norm | None" = None):
         """Yield S_i's lattice law after each step i = 1, ..., n, split by
@@ -355,6 +374,9 @@ class _Walk:
     def _gauge(self, norm: "Norm"):
         """The gauge of a packed point, an int: scale**e times the gauge of
         the point it stands for, so it orders points the same way."""
+        if self.dim == 1:
+            # a packed 1-D point is its own coordinate
+            return (lambda z: z * z) if norm is Norm.EUCLIDEAN else abs
         gauge, base, dim = norm.gauge, self.base, self.dim
         return lambda z: gauge(_unpack(z, base, dim))
 
@@ -478,8 +500,8 @@ class TailCurve:
                                         tuple(n // h for n in nums))
 
     def _set(self, *values) -> "TailCurve":
-        for f, value in zip(fields(self), values):
-            object.__setattr__(self, f.name, value)
+        for name, value in zip(_CURVE_FIELDS, values):
+            object.__setattr__(self, name, value)
         return self
 
     @property
@@ -505,6 +527,9 @@ class TailCurve:
         if t < 0:
             raise ValueError(f"threshold must be >= 0, got {t}")
         return self.at_gauge(self.norm.to_gauge(t), mode)
+
+
+_CURVE_FIELDS = tuple(f.name for f in fields(TailCurve))
 
 
 def _gauge_curve(norm: Norm, mass: "dict[int, int]", unit: int,

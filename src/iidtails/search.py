@@ -11,6 +11,13 @@ the actual exploring.  Parameters are snapped to the rational lattice before
 every evaluation and scored with exact arithmetic, so the float value handed
 to the optimizer is just a rendering of an exact rational (or an infinity
 sentinel) and reported numbers are exact by construction.
+
+The search scores on the lattice ints: a parameter vector snaps to int
+location numerators and gcd-reduced int weights (_snap), which go straight
+into the one exact kernel (Curves.lattice, then least_c1) with no Fraction
+or DiscreteDist in between.  Snapping makes plateaus the optimizer keeps
+revisiting, so each distinct snapped law is scored once per search();
+`evaluations` counts optimizer queries, repeats included.
 """
 
 from __future__ import annotations
@@ -18,6 +25,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import cached_property
 
 import numpy as np
 
@@ -27,6 +35,7 @@ from .reports import Report, jsonify
 
 INF = math.inf
 _BIG = 1e18  # stand-in for the infinity sentinel inside the optimizer
+SEED_LIMIT = 2 ** 128  # the Philox key range
 
 # (scale threshold, claimed bound): the theorem1-shape constant pairs of
 # theorem1 and latala_alt.  Any exact ratio above the bound at c2 >=
@@ -70,7 +79,14 @@ def _least_c1(claim: str, X: DiscreteDist, j: int, k: int, c2,
     if c2 <= 0:
         raise ValueError(f"c2 must be positive, got {c2}")
     idx = {"j": j, "k": k}
-    lhs, rhs = Curves(X, norm, _reads(spec, idx), cap).sides(spec, idx)
+    return _ratio(spec, Curves(X, norm, _reads(spec, idx), cap), idx, c2)
+
+
+def _ratio(spec, curves: Curves, idx: dict, c2: Fraction):
+    """_least_c1 on curves that read _reads(spec, idx), at checked indices
+    and c2."""
+    j, k = idx["j"], idx["k"]
+    lhs, rhs = curves.sides(spec, idx)
     return least_c1(lhs, rhs, spec.factor(ONE, j, k), spec.scale(c2, j, k))
 
 
@@ -100,6 +116,16 @@ class SearchSpace:
                 raise ValueError(f"{name} must be >= 1, got "
                                  f"{getattr(self, name)}")
 
+    @cached_property
+    def _lattice(self) -> "tuple[int, int, int]":
+        """(unit, lo, hi): snapped locations are int numerators over unit,
+        the lcm of lattice_denominator and the box edges' denominators, and
+        lo, hi are the box edges over it."""
+        lo, hi = Fraction(self.value_lo), Fraction(self.value_hi)
+        unit = math.lcm(self.lattice_denominator, lo.denominator,
+                        hi.denominator)
+        return unit, int(lo * unit), int(hi * unit)
+
 
 @dataclass(frozen=True)
 class SearchResult(Report):
@@ -120,28 +146,48 @@ def snap_to_space(theta, space: SearchSpace) -> DiscreteDist:
     weights.  Weights are snapped to positive integers so probabilities stay
     on the open simplex.  Coinciding snapped locations merge.
     """
+    return _decode(_snap(theta, space), space)
+
+
+def _snap(theta, space: SearchSpace) -> "tuple[tuple[int, int], ...]":
+    """snap_to_space's law in ints: (location numerator over the space's
+    lattice unit, weight) pairs in ascending location, coinciding locations
+    merged and the weights divided by their gcd, so equal tuples are equal
+    laws."""
     n = space.n_atoms
-    lo, hi = float(space.value_lo), float(space.value_hi)
-    ld = space.lattice_denominator
-    pd = space.prob_denominator
-    locs = []
-    for v in theta[:n]:
-        x = min(max(float(v), lo), hi)
-        num = round(x * ld)
-        frac = Fraction(num, ld)
-        if frac < space.value_lo:
-            frac = space.value_lo
-        elif frac > space.value_hi:
-            frac = space.value_hi
-        locs.append(frac)
-    raw = [float(f) * float(f) for f in theta[n:]] + [1.0]
-    weights = [max(1, round(w * pd)) for w in raw]
-    total = sum(weights)
-    atoms: "dict[tuple[Fraction, ...], Fraction]" = {}
-    for x, w in zip(locs, weights):
-        pt = (x,)
-        atoms[pt] = atoms.get(pt, Fraction(0)) + Fraction(w, total)
-    return DiscreteDist(atoms, dim=1)
+    xs = [float(v) for v in theta]
+    if len(xs) != 2 * n - 1:
+        raise ValueError(f"theta needs 2 * n_atoms - 1 = {2 * n - 1} "
+                         f"entries, got {len(xs)}")
+    unit, lo, hi = space._lattice
+    flo, fhi = float(space.value_lo), float(space.value_hi)
+    ld, pd = space.lattice_denominator, space.prob_denominator
+    up = unit // ld
+    atoms: "dict[int, int]" = {}
+    for x, f in zip(xs, xs[n:] + [1.0]):
+        v = round(min(max(x, flo), fhi) * ld) * up
+        v = lo if v < lo else hi if v > hi else v
+        atoms[v] = atoms.get(v, 0) + max(1, round(f * f * pd))
+    g = math.gcd(*atoms.values())
+    return tuple((v, w // g) for v, w in sorted(atoms.items()))
+
+
+def _decode(law, space: SearchSpace) -> DiscreteDist:
+    """The DiscreteDist of a snapped law (_snap)."""
+    unit = space._lattice[0]
+    total = sum(w for _, w in law)
+    return DiscreteDist({Fraction(v, unit): Fraction(w, total)
+                         for v, w in law}, dim=1)
+
+
+def _score(law, space: SearchSpace, cap: int):
+    """ratio_objective_witness of a snapped law (_snap), scored on its
+    lattice ints through the same Curves, walk and least_c1."""
+    spec, idx = CLAIMS["theorem1"], {"j": space.j, "k": space.k}
+    curves = Curves.lattice(space._lattice[0], 1, [([v], w) for v, w in law],
+                            sum(w for _, w in law), space.norm,
+                            _reads(spec, idx), cap)
+    return _ratio(spec, curves, idx, rat(space.c2))
 
 
 def _initial_points(space: SearchSpace, restarts: int, rng):
@@ -183,26 +229,34 @@ def search(space: SearchSpace, budget: int = 10_000, restarts: int = 8,
 
     if budget < 1:
         raise ValueError("budget must be positive")
-    restarts = max(1, restarts)
+    if restarts < 1:
+        raise ValueError(f"restarts must be >= 1, got {restarts}")
+    if not 0 <= seed < SEED_LIMIT:
+        raise ValueError(f"seed must be in [0, 2**128), got {seed}")
     rng = np.random.Generator(np.random.Philox(key=seed))
     evaluations = 0
-    best = (Fraction(0), None, None)  # (exact ratio, witness q, dist)
+    best = (Fraction(0), None, None)  # (exact ratio, witness q, snapped law)
     trace = []
+    scored = {}  # snapped law -> (exact ratio, witness q)
+
+    def score(law):
+        if law not in scored:
+            scored[law] = _score(law, space, cap)
+        return scored[law]
 
     def objective(theta) -> float:
         nonlocal evaluations, best
         if evaluations >= budget:
             return _BIG  # exhausted: poison further moves
         evaluations += 1
-        dist = snap_to_space(theta, space)
-        value, q = ratio_objective_witness(dist, space.j, space.k, space.c2,
-                                           space.norm, cap)
+        law = _snap(theta, space)
+        value, q = score(law)
         if value == INF:
             if not isinstance(best[0], float):
-                best = (INF, q, dist)
+                best = (INF, q, law)
             return -_BIG
         if isinstance(best[0], Fraction) and value > best[0]:
-            best = (value, q, dist)
+            best = (value, q, law)
         return -float(value)
 
     for restart, x0 in enumerate(_initial_points(space, restarts, rng)):
@@ -228,14 +282,13 @@ def search(space: SearchSpace, budget: int = 10_000, restarts: int = 8,
         current = best[0]
         trace.append((restart, float(current) if current != INF else INF))
 
-    ratio, best_q, best_dist = best
-    if best_dist is None:
-        best_dist = snap_to_space(_initial_points(space, 1, rng)[0], space)
-        ratio, best_q = ratio_objective_witness(best_dist, space.j, space.k,
-                                                space.c2, space.norm, cap)
+    ratio, best_q, law = best
+    if law is None:
+        law = _snap(_initial_points(space, 1, rng)[0], space)
+        ratio, best_q = score(law)
     _guard(ratio, rat(space.c2))
-    return SearchResult(best_dist, best_q, ratio, evaluations, seed,
-                        tuple(trace))
+    return SearchResult(_decode(law, space), best_q, ratio, evaluations,
+                        seed, tuple(trace))
 
 
 def _guard(ratio, c2: Fraction) -> None:

@@ -29,6 +29,8 @@ and ``fraction_upper_envelope`` are the Fraction sweep the integer walk of
 curve bisected there through ``TailCurve.at_gauge``.
 ``fraction_concentration_set`` is the Fraction sweep of window masses that
 the integer rule of ``iidtails.concentration`` replaced.
+``fraction_snap_to_space`` is the Fraction decoding of a search parameter
+vector that the integer snap of ``iidtails.search`` replaced.
 """
 
 import math
@@ -561,3 +563,31 @@ def fraction_concentration_set(x: DiscreteDist, t) -> ConcentrationSet:
         else:
             merged.append([lo, hi])
     return ConcentrationSet(tuple((lo, hi) for lo, hi in merged))
+
+
+def fraction_snap_to_space(theta, space) -> DiscreteDist:
+    """Decode a search parameter vector with Fractions: each location
+    clipped to the box as a float, rounded onto the lattice and clipped
+    again as a Fraction; each weight the rounded square of its coordinate
+    (an implicit 1 last) times prob_denominator, at least 1, over the sum of
+    all weights; coinciding locations merge."""
+    n = space.n_atoms
+    lo, hi = float(space.value_lo), float(space.value_hi)
+    ld = space.lattice_denominator
+    pd = space.prob_denominator
+    locs = []
+    for v in theta[:n]:
+        x = min(max(float(v), lo), hi)
+        frac = Fraction(round(x * ld), ld)
+        if frac < space.value_lo:
+            frac = Fraction(space.value_lo)
+        elif frac > space.value_hi:
+            frac = Fraction(space.value_hi)
+        locs.append(frac)
+    raw = [float(f) * float(f) for f in theta[n:]] + [1.0]
+    weights = [max(1, round(w * pd)) for w in raw]
+    total = sum(weights)
+    atoms = {}
+    for x, w in zip(locs, weights):
+        atoms[(x,)] = atoms.get((x,), ZERO) + Fraction(w, total)
+    return DiscreteDist(atoms, dim=1)

@@ -400,6 +400,35 @@ class TestSearchCmd:
                          "--c2", "1")
         assert code == 2
 
+    @pytest.mark.parametrize("value", ["0", "-3"])
+    def test_restarts_below_one_exit_two(self, capsys, value):
+        code, out, err = run(capsys, "search", "--j", "1", "--k", "2",
+                             "--c2", "1", "--budget", "10",
+                             "--restarts", value)
+        assert code == 2 and out == "" and "Traceback" not in err
+        assert f"argument --restarts: must be a positive integer, got " \
+               f"{value!r}" in err
+
+    @pytest.mark.parametrize("subcommand, limit", [("search", 128),
+                                                   ("corpus", 64)])
+    def test_seed_outside_the_key_range_exit_two(self, capsys, tmp_path,
+                                                  subcommand, limit):
+        """search keys Philox with the seed, corpus with the seed above 64
+        bits of instance index; a seed outside either range is refused
+        with a message that names --seed."""
+        argv = (["search", "--j", "1", "--k", "2", "--c2", "1",
+                 "--budget", "5", "--restarts", "1"]
+                if subcommand == "search" else
+                ["corpus", "--count", "1", "--claims", "theorem1",
+                 "--max-k", "2", "--out-dir", str(tmp_path)])
+        for seed in ("-1", str(2 ** limit)):
+            code, out, err = run(capsys, *argv, "--seed", seed)
+            assert code == 2 and out == "" and "Traceback" not in err
+            assert f"argument --seed: must be an integer in " \
+                   f"[0, 2**{limit}), got {seed!r}" in err
+        code, _, _ = run(capsys, *argv, "--seed", str(2 ** limit - 1))
+        assert code == 0
+
     @pytest.mark.parametrize("flag", ["--lattice-denominator",
                                       "--prob-denominator"])
     @pytest.mark.parametrize("value", ["0", "-3"])

@@ -28,6 +28,16 @@ class TestCorpusConfig:
         with pytest.raises(ValueError):
             CorpusConfig(seed=1, count=5, dims=(0,))
 
+    def test_seed_range(self):
+        """An instance's Philox key puts the seed above 64 bits of index,
+        so a corpus seed is refused outside [0, 2**64)."""
+        for seed in (-1, 2 ** 64):
+            with pytest.raises(ValueError, match=r"seed must be in "
+                                                 r"\[0, 2\*\*64\)"):
+                CorpusConfig(seed=seed, count=1)
+        cfg = CorpusConfig(seed=2 ** 64 - 1, count=2)
+        assert len(generate_corpus(cfg)) == 2
+
     def test_rejects_negative_weight_vectors(self):
         with pytest.raises(ValueError, match="weight_vectors"):
             CorpusConfig(seed=1, count=5, weight_vectors=-2)

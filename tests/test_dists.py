@@ -12,8 +12,11 @@ from iidtails.dists import (
     SupportCapExceeded,
     TailCurve,
     _Walk,
+    _encode,
     _gauge_curve,
     _merged,
+    _unpack,
+    _weighted_walk,
     affine,
     as_point,
     convolve,
@@ -639,6 +642,43 @@ def test_walked_curves_match_brute_force(data, dim, norm, horizon):
         assert curves.curve(i) == tail_curve(brute_iid_sum(x, i), norm)
     with pytest.raises(ValueError):
         curves.curve(horizon + 1)
+
+
+@given(st.data(), st.integers(1, 3), st.sampled_from([ABS, SUP, EUC]),
+       st.integers(1, 5))
+@settings(max_examples=60, deadline=None)
+def test_lattice_curves_match_brute_force(data, dim, norm, horizon):
+    """Curves built on a law's lattice ints (Curves.lattice) hold the law
+    and the brute-force curve of each S_i."""
+    from iidtails.checks import Curves
+    if norm is ABS and dim != 1:
+        norm = SUP
+    x = data.draw(lattice_dists(dim, max_atoms=3))
+    scale, dim, ((atoms, den),) = _encode([x])
+    curves = Curves.lattice(scale, dim, atoms, den, norm,
+                            range(1, horizon + 1), DEFAULT_SUPPORT_CAP)
+    assert curves.dist == x
+    for i in range(1, horizon + 1):
+        assert curves.curve(i) == tail_curve(brute_iid_sum(x, i), norm)
+
+
+@given(st.lists(st.builds(F, st.integers(-40, 40), st.integers(1, 6)),
+                min_size=1, max_size=4, unique=True),
+       st.lists(st.builds(F, st.integers(-3, 3), st.integers(1, 3)),
+                min_size=1, max_size=4),
+       st.sampled_from([ABS, SUP, EUC]))
+@settings(max_examples=100, deadline=None)
+def test_one_dimensional_gauge_reads_the_packed_point(values, alphas, norm):
+    """In dimension 1 a packed point is its own coordinate, so the gauge of
+    every sum of an iid walk and of a weighted walk is norm.gauge of the
+    unpacked point."""
+    x = DiscreteDist({v: F(1, len(values)) for v in values})
+    for walk in (_Walk([x], len(alphas), DEFAULT_SUPPORT_CAP),
+                 _weighted_walk(x, alphas, DEFAULT_SUPPORT_CAP)):
+        gauge = walk._gauge(norm)
+        for atoms, _ in walk.sums():
+            for z in atoms:
+                assert gauge(z) == norm.gauge(_unpack(z, walk.base, 1))
 
 
 def _watch_lattice_sums(monkeypatch):

@@ -1,22 +1,27 @@
 import json
 import math
+import sys
 from fractions import Fraction as F
 
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
-from iidtails.dists import DiscreteDist, Norm, delta
+from iidtails.dists import DEFAULT_SUPPORT_CAP, DiscreteDist, Norm, delta
 from iidtails.search import (
     SOUNDNESS_GUARDS,
     SearchSpace,
     SoundnessViolation,
     _guard,
+    _score,
+    _snap,
     probe_necessity,
     ratio_objective,
     ratio_objective_witness,
     search,
     snap_to_space,
 )
-from oracles import coin, dist1d
+from oracles import coin, dist1d, fraction_snap_to_space
 
 
 class TestRatioObjective:
@@ -94,6 +99,56 @@ class TestSnapToSpace:
         b = snap_to_space(theta, self.SPACE)
         assert a.atoms == b.atoms
 
+    def test_equal_laws_snap_to_equal_ints(self):
+        """The snapped ints identify the law: atoms in another order or
+        weights in proportion give the same tuple."""
+        space = SearchSpace(n_atoms=2, j=1, k=2, c2=F(1))
+        laws = {_snap(theta, space) for theta in
+                ([1.0, -1.0, 1.0], [-1.0, 1.0, 1.0], [-1.0, 1.0, -1.0])}
+        assert laws == {((-16, 1), (16, 1))}
+        assert snap_to_space([1.0, -1.0, 1.0], space) == coin()
+
+    def test_rejects_wrong_length(self):
+        with pytest.raises(ValueError, match="5 entries, got 4"):
+            snap_to_space([0.3, -1.2, 2.4, 0.7], self.SPACE)
+
+
+@st.composite
+def spaces_and_thetas(draw):
+    """A search space, some box edges off its lattice, and a parameter
+    vector reaching past the box."""
+    n = draw(st.integers(2, 4))
+    k = draw(st.integers(1, 4))
+    edges = st.builds(F, st.integers(-24, 24), st.integers(1, 4))
+    lo, hi = sorted(draw(st.lists(edges, min_size=2, max_size=2,
+                                  unique=True)))
+    space = SearchSpace(
+        n_atoms=n, j=draw(st.integers(1, k)), k=k,
+        c2=draw(st.sampled_from([F(1, 2), F(1), F(10)])), value_lo=lo,
+        value_hi=hi, norm=draw(st.sampled_from(list(Norm))),
+        lattice_denominator=draw(st.integers(1, 16)),
+        prob_denominator=draw(st.integers(1, 64)))
+    coords = st.floats(-8, 8, allow_nan=False)
+    return space, draw(st.lists(coords, min_size=2 * n - 1,
+                                max_size=2 * n - 1))
+
+
+@given(spaces_and_thetas())
+@example((SearchSpace(n_atoms=3, j=1, k=2, c2=F(1), value_lo=F(-7, 3),
+                      lattice_denominator=3),
+          [-2.4, 0.1, 3.9, 0.5, 1.5]))
+@settings(max_examples=150, deadline=None)
+def test_lattice_score_matches_the_dist_path(case):
+    """The search's score on the snapped ints is ratio_objective_witness of
+    the snapped law, value and witness, and the snapped law is the
+    Fraction decoding's."""
+    space, theta = case
+    dist = snap_to_space(theta, space)
+    assert dist == fraction_snap_to_space(theta, space)
+    assert _score(_snap(theta, space), space, DEFAULT_SUPPORT_CAP) == \
+        ratio_objective_witness(dist, space.j, space.k, space.c2,
+                                space.norm)
+
 
 class TestSearch:
     def test_coin_ratio_reachable_at_c2_one(self):
@@ -125,6 +180,49 @@ class TestSearch:
     def test_rejects_zero_budget(self):
         with pytest.raises(ValueError):
             search(SearchSpace(n_atoms=2, j=1, k=2, c2=F(1)), budget=0)
+
+    @pytest.mark.parametrize("restarts", [0, -3])
+    def test_rejects_restarts_below_one(self, restarts):
+        with pytest.raises(ValueError, match=f"restarts must be >= 1, got "
+                                             f"{restarts}"):
+            search(SearchSpace(n_atoms=2, j=1, k=2, c2=F(1)), budget=5,
+                   restarts=restarts)
+
+    @pytest.mark.parametrize("seed", [-1, 2 ** 128])
+    def test_rejects_seed_outside_the_key_range(self, seed):
+        with pytest.raises(ValueError, match=r"seed must be in \[0, 2\*\*128"):
+            search(SearchSpace(n_atoms=2, j=1, k=2, c2=F(1)), budget=5,
+                   seed=seed)
+
+    @pytest.mark.parametrize("seed", [0, 2 ** 128 - 1])
+    def test_accepts_seed_at_the_key_range_edges(self, seed):
+        res = search(SearchSpace(n_atoms=2, j=1, k=2, c2=F(1)), budget=5,
+                     restarts=1, seed=seed)
+        assert res.seed == seed and res.evaluations == 5
+
+    def test_scores_each_distinct_law_once(self, monkeypatch):
+        """Every optimizer query counts as an evaluation, and each distinct
+        snapped law is scored at its first query only."""
+        snapped, scored = [], []
+
+        def snap(theta, space):
+            snapped.append(_snap(theta, space))
+            return snapped[-1]
+
+        def score(law, space, cap):
+            scored.append(law)
+            return _score(law, space, cap)
+
+        # the package re-exports search(), which shadows the module name
+        module = sys.modules["iidtails.search"]
+        monkeypatch.setattr(module, "_snap", snap)
+        monkeypatch.setattr(module, "_score", score)
+        res = search(SearchSpace(n_atoms=3, j=1, k=2, c2=F(1)), budget=60,
+                     restarts=2, seed=3)
+        assert res.evaluations == 60 == len(snapped)
+        assert scored == list(dict.fromkeys(snapped))
+        assert len(scored) < len(snapped)    # the search revisits laws
+        assert res.achieved_ratio == F(29282, 14657)
 
 
 class TestGuards:
