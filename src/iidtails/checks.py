@@ -417,7 +417,8 @@ class Curves:
         self.reads = frozenset(reads)
         self.walk = walk(max(self.reads - {MAX} | {1}))
         self.cap = self.walk.cap
-        self._steps = self.walk.steps(norm if MAX in self.reads else None)
+        self._steps = self.walk.steps(norm if MAX in self.reads else None,
+                                      self.reads)
         self._laws = {}               # lattice law of each S_i in reads
         self._max_curves = []         # running max curve or None, per step
         self._curves = {}

@@ -18,7 +18,7 @@ from datetime import datetime, timezone
 from fractions import Fraction
 from pathlib import Path
 
-from . import checks, corpus as corpus_mod
+from . import checks, corpus as corpus_mod, montecarlo
 from ._version import __version__
 from .counterexample import verify_counterexample
 from .dists import DEFAULT_SUPPORT_CAP, MODES, STRICT, Norm
@@ -210,6 +210,11 @@ def cmd_verify(args) -> int:
 def cmd_corpus(args) -> int:
     claims = corpus_mod.normalize_claims(args.claims.split(",")) \
         if args.claims else None
+    for dim in args.dims:
+        if not corpus_mod.norms_at(args.norms, dim):
+            raise ValueError(
+                f"--norms {','.join(n.value for n in args.norms)} defines "
+                f"no norm in --dims {dim} (abs1d needs dimension 1)")
     config = corpus_mod.CorpusConfig(
         seed=args.seed, count=args.count, max_atoms=args.max_atoms,
         num_range=args.num_range, denominator=args.denominator,
@@ -302,6 +307,12 @@ def _sampler_from_args(args) -> "tuple[SamplerSpec, dict]":
 def cmd_mc(args) -> int:
     spec, digests = _sampler_from_args(args)
     t_grid = args.t or [Fraction(1)]
+    # row i is keyed by seed + i, or by mc_check's two keys per row
+    limit = montecarlo.mc_seed_limit(len(t_grid)) if args.claim \
+        else montecarlo.SEED_LIMIT - len(t_grid) + 1
+    if args.seed >= limit:
+        raise ValueError(f"--seed must be below {limit} for "
+                         f"{len(t_grid)} thresholds, got {args.seed}")
     if args.claim:
         verdict = mc_check(
             args.claim, spec, args.j, args.k, t_grid, c1=args.c1, c2=args.c2,
@@ -440,7 +451,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--c1", type=_rational, default=None)
     p.add_argument("--c2", type=_rational, default=None)
     p.add_argument("--n", type=int, default=100_000)
-    p.add_argument("--seed", type=int, default=0)
+    p.add_argument("--seed", type=_seed(montecarlo.SEED_LIMIT), default=0)
     p.add_argument("--delta", type=float, default=0.05)
     p.add_argument("--norm", type=_norm, default=None)
     p.add_argument("--out", default=None)

@@ -261,8 +261,9 @@ def classify_case(X: DiscreteDist, j: int, k: int, t,
     if not 1 <= j <= k:
         raise ValueError(f"need 1 <= j <= k, got j={j}, k={k}")
     walk = _Walk([X], k, cap)
-    laws = {i: law for i, law in enumerate(walk.sums(), 1)
-            if i in (k - j, j, k)}      # only the sums read below
+    reads = {k - j, j, k}               # only the sums read below
+    laws = {i: law for i, law in enumerate(walk.sums(reads), 1)
+            if i in reads}
     p_gap = ZERO if j == k else walk.curve(norm, laws[k - j]).at_radius(
         tt * Fraction(9, 10))   # S_0 = 0 never exceeds 9t/10
     sk = walk.curve(norm, laws[k])

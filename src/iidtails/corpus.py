@@ -60,7 +60,8 @@ class CorpusConfig(Report):
     denominator: int = 4        # lattice denominator for atom values and weights
     max_k: int = 6
     dims: "tuple[int, ...]" = (1,)
-    norms: "tuple[Norm, ...]" = (Norm.ABS1D,)
+    # None: abs1d when every dim is 1, else sup (defined in every dim)
+    norms: "tuple[Norm, ...] | None" = None
     weight_vectors: int = 2     # corollary5 weight draws per instance
 
     def __post_init__(self):
@@ -72,16 +73,31 @@ class CorpusConfig(Report):
             raise ValueError("weight_vectors must be >= 0")
         if self.num_range < 1 or self.denominator < 1:
             raise ValueError("value lattice must be nondegenerate")
-        if not self.dims or not self.norms:
-            raise ValueError("dims and norms must be nonempty")
+        if not self.dims:
+            raise ValueError("dims must be nonempty")
         for d in self.dims:
             if d < 1:
                 raise ValueError(f"dimension {d} invalid")
+        if self.norms is None:
+            object.__setattr__(self, "norms", (Norm.ABS1D,) if set(
+                self.dims) == {1} else (Norm.SUP,))
+        if not self.norms:
+            raise ValueError("norms must be nonempty")
         # generate_corpus draws distinct points of the lattice
         points = (2 * self.num_range + 1) ** min(self.dims)
         if self.max_atoms > points:
             raise ValueError(f"max_atoms {self.max_atoms} exceeds the "
                              f"{points} points of the value lattice")
+        for d in self.dims:
+            if not norms_at(self.norms, d):
+                raise ValueError(
+                    f"norms {','.join(n.value for n in self.norms)} define "
+                    f"no norm in dimension {d} (abs1d needs dimension 1)")
+
+
+def norms_at(norms, dim: int) -> "list[Norm]":
+    """The norms among `norms` defined in dimension dim."""
+    return [n for n in norms if n is not Norm.ABS1D or dim == 1]
 
 
 def _instance_key(seed: int, index: int) -> int:
@@ -95,10 +111,7 @@ def generate_corpus(config: CorpusConfig) -> "list[tuple[DiscreteDist, Norm]]":
     out = []
     for _ in range(config.count):
         dim = int(rng.choice(config.dims))
-        allowed = [n for n in config.norms
-                   if not (n is Norm.ABS1D and dim != 1)]
-        if not allowed:
-            allowed = [Norm.SUP]
+        allowed = norms_at(config.norms, dim)
         norm = allowed[int(rng.integers(0, len(allowed)))]
         n_atoms = int(rng.integers(1, config.max_atoms + 1))
         points = set()

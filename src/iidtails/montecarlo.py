@@ -20,6 +20,17 @@ from .reports import HOLDS, VIOLATED, Report
 
 FAMILIES = ("discrete", "gaussian", "two_point", "shifted_pareto")
 
+# a seed is one 64-bit word of a Philox key [seed, stream]
+SEED_LIMIT = 2 ** 64
+# mc_check keys row i's two sides with seed * _ROW_STRIDE + 2i and + 2i + 1
+_ROW_STRIDE = 1_000_003
+
+
+def mc_seed_limit(rows: int) -> int:
+    """The least seed whose keys over `rows` threshold rows of mc_check
+    pass 2**64."""
+    return (SEED_LIMIT - 2 * rows) // _ROW_STRIDE + 1
+
 
 def _rational(v) -> Fraction:
     """A sampler parameter as a Fraction: a float by its shortest repr, an
@@ -185,12 +196,16 @@ def _estimate(spec: SamplerSpec, k: int, t, norm, statistic, n_samples: int,
     tf = float(Fraction(t)) if not isinstance(t, float) else t
     if tf < 0:
         raise ValueError("t must be >= 0")
+    if not 0 <= seed < SEED_LIMIT:
+        raise ValueError(f"seed must be in [0, 2**64), got {seed}")
     count = 0
     done = 0
     stream = 0
     while done < n_samples:
         m = min(_BATCH, n_samples - done)
-        rng = np.random.Generator(np.random.Philox(key=[seed, stream]))
+        # uint64 words: a list of Python ints above 2**63 goes through float
+        key = np.array([seed, stream], dtype=np.uint64)
+        rng = np.random.Generator(np.random.Philox(key=key))
         draws = _draw(spec, rng, (m, k))           # (m, k, dim)
         count += int(np.count_nonzero(statistic(draws, norm) > tf))
         done += m
@@ -254,6 +269,9 @@ def mc_check(claim: str, spec: SamplerSpec, j: int, k: int, t_grid,
     rhs_scale = statement.scale(c2, j, k)
     if not t_grid:
         raise ValueError("t grid must be nonempty")
+    if not 0 <= seed < mc_seed_limit(len(t_grid)):
+        raise ValueError(f"seed must be in [0, {mc_seed_limit(len(t_grid))}) "
+                         f"for {len(t_grid)} thresholds, got {seed}")
     rows = []
     any_viol = False
     all_hold = True
@@ -265,7 +283,7 @@ def mc_check(claim: str, spec: SamplerSpec, j: int, k: int, t_grid,
                          "verdict": _INCONCLUSIVE})
             all_hold = False
             continue
-        lhs_seed = seed * 1_000_003 + 2 * i
+        lhs_seed = seed * _ROW_STRIDE + 2 * i
         if statement.lhs == MAX:
             lhs = _estimate(spec, k, tf, norm, _running_max, n_samples,
                             lhs_seed, delta / 2)
@@ -277,7 +295,7 @@ def mc_check(claim: str, spec: SamplerSpec, j: int, k: int, t_grid,
                                 delta=delta / 2)
         rhs = estimate_tail(spec, k, tf / float(rhs_scale), norm=norm,
                             n_samples=n_samples,
-                            seed=seed * 1_000_003 + 2 * i + 1,
+                            seed=lhs_seed + 1,
                             delta=delta / 2)
         cf = float(factor)
         if lhs.lo > cf * rhs.hi:

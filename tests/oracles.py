@@ -13,8 +13,9 @@ events is the per-b pmf walk that the counterexample tails' binomial
 windows replaced: every b from 0 to M, the event decided on each
 u = N*b - M.  ``fraction_convolve`` and
 its left folds are the pairwise Fraction convolution the integer-lattice
-kernel replaced, kept as its differential reference: same fold, same atom
-order, same cap point.
+kernel replaced, kept as its differential reference: same fold, same cap
+point, and its output atoms in the kernel's one order, ascending packed
+point, i.e. lexicographic on reversed coordinates (``_ascending``).
 ``absorbing_path_dp`` is the single-threshold running-max DP that
 ``iidtails.dists`` replaced with its (sum, running max) pass; its states are
 only the sums still inside the threshold, so it checks that pass from a
@@ -88,6 +89,12 @@ def brute_weighted_sum(x: DiscreteDist, alphas) -> DiscreteDist:
     return DiscreteDist(acc)
 
 
+def _ascending(atoms, dim: int) -> DiscreteDist:
+    """The law of (point, mass) pairs, its atoms in lexicographic order of
+    reversed coordinates."""
+    return DiscreteDist(sorted(atoms, key=lambda a: a[0][::-1]), dim=dim)
+
+
 def fraction_convolve(a: DiscreteDist, b: DiscreteDist,
                       cap: int = DEFAULT_SUPPORT_CAP) -> DiscreteDist:
     """Law of U + V, one Fraction product and sum per atom pair."""
@@ -104,12 +111,12 @@ def fraction_convolve(a: DiscreteDist, b: DiscreteDist,
                 out[z] = p * q
             else:
                 out[z] = prev + p * q
-    return DiscreteDist(out, dim=a.dim)
+    return _ascending(out.items(), a.dim)
 
 
 def _fraction_fold(terms, cap: int) -> DiscreteDist:
     """The left fold S <- S + term over independent terms."""
-    result = terms[0]
+    result = _ascending(terms[0].atoms.items(), terms[0].dim)
     for term in terms[1:]:
         result = fraction_convolve(result, term, cap)
     return result

@@ -477,6 +477,25 @@ class TestCounterexampleCmd:
         assert out == "" and not target.exists()
 
 
+class TestCorpusNorms:
+    def test_norms_without_a_norm_in_some_dim_exit_two(self, capsys,
+                                                       tmp_path):
+        """corpus checks and reports only norms --norms lists: a list with
+        no norm defined in one of --dims exits 2 naming --norms."""
+        base = ("corpus", "--count", "2", "--claims", "theorem1",
+                "--max-k", "2", "--out-dir", str(tmp_path), "--json")
+        for dims in ("2", "1,2"):
+            code, out, err = run(capsys, *base, "--dims", dims,
+                                 "--norms", "abs1d")
+            assert code == 2 and not out
+            assert "--norms abs1d" in err and "--dims 2" in err
+            assert not (tmp_path / "corpus.json").exists()
+        code, _, _ = run(capsys, *base, "--dims", "2", "--norms", "sup")
+        assert code == 0
+        doc = json.loads((tmp_path / "corpus.json").read_text())
+        assert doc["corpus"]["config"]["norms"] == ["sup"]
+
+
 class TestMcCmd:
     def test_gaussian_threshold_zero(self, capsys):
         code, out, _ = run(capsys, "mc", "--family", "gaussian", "--k", "4",
@@ -535,6 +554,28 @@ class TestMcCmd:
         code, _, err = run(capsys, "mc", "--family", "two_point",
                            "--a", "-1", "--t", "1")
         assert code == 2
+
+    def test_seed_range(self, capsys):
+        """--seed keys Philox words: outside [0, 2**64), or past it at some
+        threshold row, it exits 2 naming --seed, with no traceback."""
+        gauss = ("mc", "--family", "gaussian", "--n", "100")
+        top = str(2 ** 64 - 1)
+        for seed in ("-1", str(2 ** 64)):
+            code, out, err = run(capsys, *gauss, "--seed", seed, "--t", "1")
+            assert code == 2 and not out
+            assert "argument --seed" in err and "2**64" in err
+        code, out, err = run(capsys, *gauss, "--seed", top, "--t", "1")
+        assert code == 0 and not err
+        assert last_json(out)["manifest"]["seed"] == 2 ** 64 - 1
+        code, out, err = run(capsys, *gauss, "--seed", top, "--t", "1",
+                             "--t", "2")
+        assert code == 2 and not out and "--seed" in err
+        claim = ("--claim", "theorem1", "--t", "1/2")
+        limit = (2 ** 64 - 2) // 1_000_003 + 1
+        code, out, err = run(capsys, *gauss, *claim, "--seed", str(limit))
+        assert code == 2 and not out and "--seed" in err
+        code, _, _ = run(capsys, *gauss, *claim, "--seed", str(limit - 1))
+        assert code in (0, 1)
 
 
 class TestShow:

@@ -61,6 +61,23 @@ class TestCorpusConfig:
         d = CorpusConfig(seed=3, count=2).to_jsonable()
         assert d["seed"] == 3 and d["norms"] == ["abs1d"]
 
+    def test_norms_define_a_norm_in_every_dim(self):
+        """A norm list with no norm defined in some listed dimension is
+        refused, so the config never reports a norm it does not check;
+        without a list the norm is abs1d when every dim is 1, else sup."""
+        for dims in ((2,), (1, 2)):
+            with pytest.raises(ValueError, match="no norm in dimension 2"):
+                CorpusConfig(seed=1, count=5, dims=dims,
+                             norms=(Norm.ABS1D,))
+        cfg = CorpusConfig(seed=1, count=5, dims=(1, 2),
+                           norms=(Norm.ABS1D, Norm.SUP))
+        assert {n for _, n in generate_corpus(cfg)} <= {Norm.ABS1D, Norm.SUP}
+        for dims, norm in (((1,), Norm.ABS1D), ((2,), Norm.SUP),
+                           ((1, 2), Norm.SUP)):
+            cfg = CorpusConfig(seed=1, count=5, dims=dims)
+            assert cfg.norms == (norm,)
+            assert {n for _, n in generate_corpus(cfg)} == {norm}
+
 
 class TestGenerateCorpus:
     def test_deterministic(self):

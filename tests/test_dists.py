@@ -1,8 +1,9 @@
 import random
 from fractions import Fraction as F
+from math import comb
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, event, given, settings
 from hypothesis import strategies as st
 
 from iidtails.dists import (
@@ -503,7 +504,10 @@ def lattice_dists(draw, dim, max_atoms=4):
 
 
 def _outcome(fn, *args):
-    """The result's atoms in order, or the cap exception's (size, cap)."""
+    """The result's atoms in order, or the cap exception's (size, cap).  The
+    order compared is the one both fold paths give, ascending packed point
+    (lexicographic on reversed coordinates), so a result in reversed or in
+    first-appearance order fails."""
     try:
         return list(fn(*args).atoms.items())
     except SupportCapExceeded as exc:
@@ -540,6 +544,194 @@ def test_lattice_weighted_sum_matches_fraction_oracle(data, dim, alphas, cap):
     x = data.draw(lattice_dists(dim))
     assert _outcome(weighted_iid_sum, x, alphas, cap) == \
         _outcome(fraction_weighted_iid_sum, x, alphas, cap)
+
+
+# ----------------------------------- slot fold (_Walk._slot_steps) vs oracle
+#
+# The slot step is called directly, whatever the rule (_Walk.on_slots) would
+# pick for the walk, and each S_i it decodes is compared in order with the
+# Fraction fold's.
+
+def _slot_sums(walk):
+    """Every S_i of the walk's slot fold, decoded, as a DiscreteDist."""
+    return [walk.dist(buckets[None]) for buckets in walk._slot_steps(None)]
+
+
+def _most_steps(size: int, atoms: int = 2000) -> int:
+    """The largest n <= 12 whose sums of n draws from `size` atoms can
+    have at most `atoms` points, to bound the Fraction fold's work."""
+    return max(n for n in range(1, 13) if comb(n + size - 1, size - 1)
+               <= atoms)
+
+
+# a packed n-D point spans base**(dim - 1) slots per unit of its last
+# coordinate, so above dimension 1 the points and the walks are smaller
+slot_coords = {1: lattice_coords,
+               2: st.builds(F, st.integers(-3, 3), st.sampled_from([1, 2])),
+               3: st.builds(F, st.integers(-2, 2), st.sampled_from([1, 2]))}
+slot_steps = {1: 12, 2: 12, 3: 4}
+
+
+@st.composite
+def slot_dists(draw, dim, max_atoms=7):
+    n = draw(st.integers(1, max_atoms))
+    pts = draw(st.lists(st.tuples(*[slot_coords[dim]] * dim), min_size=n,
+                        max_size=n, unique=True))
+    weights = draw(st.lists(st.integers(1, 9), min_size=n, max_size=n))
+    tot = sum(weights)
+    return DiscreteDist({pt: F(w, tot) for pt, w in zip(pts, weights)})
+
+
+@given(st.data(), st.integers(1, 3))
+@settings(max_examples=80, deadline=None)
+def test_slot_fold_matches_fraction_fold(data, dim):
+    x = data.draw(slot_dists(dim))
+    n = data.draw(st.integers(1, min(slot_steps[dim], _most_steps(len(x)))))
+    walk = _Walk([x], n, DEFAULT_SUPPORT_CAP)
+    assume(walk._grid()[2] <= 20_000)
+    expect = fraction_iid_sum(x, 1)
+    for i, got in enumerate(_slot_sums(walk), 1):
+        if i > 1:
+            expect = fraction_convolve(expect, x)
+        assert list(got.atoms.items()) == list(expect.atoms.items())
+    assert i == n
+
+
+@given(st.data(), st.integers(1, 3))
+@settings(max_examples=80, deadline=None)
+def test_weighted_slot_fold_matches_fraction_fold(data, dim):
+    """Weighted walks, zero weights included: a zero weight's term is
+    {0: den}, the mass of X merged into one point."""
+    x = data.draw(slot_dists(dim, max_atoms=4))
+    # distinct weights keep every product of draws apart: bound len(x)**n
+    most = max(n for n in range(1, 9) if len(x) ** n <= 1000)
+    alphas = data.draw(st.lists(
+        st.builds(F, st.integers(-4, 4), st.sampled_from([1, 2, 3]))
+        if dim == 1 else st.builds(F, st.integers(-2, 2), st.just(2)),
+        min_size=1, max_size=min(slot_steps[dim], most)))
+    walk = _weighted_walk(x, alphas, DEFAULT_SUPPORT_CAP)
+    assume(walk._grid()[2] <= 20_000)
+    expect = None
+    for alpha, got in zip(alphas, _slot_sums(walk)):
+        term = affine(x, alpha)
+        expect = term if expect is None else fraction_convolve(expect, term)
+        assert list(got.atoms.items()) == \
+            list(fraction_convolve(expect, delta((0,) * dim)).atoms.items())
+
+
+def test_slot_holds_the_whole_denominator():
+    """With every weight zero, S_i is the point 0 with numerator equal to
+    the product of the denominators, the widest a slot ever holds."""
+    x = dist1d([(-1, F(1, 7)), (0, F(2, 7)), (3, F(4, 7))])
+    walk = _weighted_walk(x, [0] * 9, DEFAULT_SUPPORT_CAP)
+    _, width, slots = walk._grid()
+    assert (width, slots) == (4, 1)         # 7**9 takes 26 bits
+    for i, got in enumerate(_slot_sums(walk), 1):
+        assert got == delta(0)
+    assert i == 9
+
+
+@given(st.data(), st.integers(1, 2), st.integers(0, 2))
+@settings(max_examples=25, deadline=None)
+def test_slot_rule_keeps_the_cap_on_the_dict_loop(data, dim, extra):
+    """Caps on both sides of the slots S_n spans: below them the rule keeps
+    the dict loop, where the cap is raised at the step and size it always
+    was, and at or above them no step can pass the cap; both paths equal
+    the Fraction fold, cap exception included."""
+    x = data.draw(slot_dists(dim))
+    n = min(-(-40 // len(x)) + extra + 1, _most_steps(len(x), 1000))
+    slots = _Walk([x], n, DEFAULT_SUPPORT_CAP)._grid()[2]
+    whole = _outcome(fraction_iid_sum, x, n, DEFAULT_SUPPORT_CAP)
+    for cap in (slots - 1, slots, slots + 1):
+        if cap < 1:
+            continue
+        walk = _Walk([x], n, cap)
+        event(f"on slots at cap slots{cap - slots:+d}: {walk.on_slots}")
+        assert not walk.on_slots or slots <= cap
+        # no sum has more atoms than S_n has slots
+        expect = whole if cap >= slots else \
+            _outcome(fraction_iid_sum, x, n, cap)
+        assert _outcome(iid_sum, x, n, cap) == expect
+
+
+def _verify_wide_laws():
+    """The 1-D and 2-D laws of the verify_wide benchmark workload at its
+    default seed."""
+    one = DiscreteDist({F(x): F(p, 61) for x, p in zip(
+        ("-2", "-5/4", "-2/3", "1/6", "3/4", "3/2", "2"),
+        (6, 3, 11, 23, 2, 4, 12))})
+    two = DiscreteDist({pt: F(p, 61) for pt, p in zip(
+        ((2, 0), (-2, 0), (0, 2), (0, -2), (1, 1), (-1, 2)),
+        (2, 6, 10, 9, 20, 14))})
+    return one, two
+
+
+def test_slot_rule_decisions():
+    """The rule puts dense walks on slots and keeps sparse, wide-slot and
+    small walks on the dict loop."""
+    one, two = _verify_wide_laws()
+    weights = ["-1", "1", "1/2", "-1", "1/4", "1", "-1/2", "1/4"]
+    on_slots = [_Walk([one], 10, DEFAULT_SUPPORT_CAP),
+                _Walk([one], 40, DEFAULT_SUPPORT_CAP),
+                _Walk([two], 10, DEFAULT_SUPPORT_CAP),
+                _weighted_walk(one, weights, DEFAULT_SUPPORT_CAP),
+                # one grid step of 10**9: 41 slots
+                _Walk([dist1d([(0, F(1, 2)), (10 ** 9, F(1, 2))])], 40,
+                      DEFAULT_SUPPORT_CAP),
+                _Walk([coin()], 1000, DEFAULT_SUPPORT_CAP),
+                _weighted_walk(coin(), [1] * 1000, DEFAULT_SUPPORT_CAP)]
+    assert all(walk.on_slots for walk in on_slots)
+    on_dict = [
+        # 861 sums spread over 4e10 slots
+        _Walk([dist1d([(0, F(1, 2)), (1, F(1, 4)), (10 ** 9, F(1, 4))])],
+              40, DEFAULT_SUPPORT_CAP),
+        _Walk([coin()], 5000, DEFAULT_SUPPORT_CAP),      # 626-byte slots
+        _Walk([one], 5, DEFAULT_SUPPORT_CAP),            # 35 atom pairs
+        _Walk([one], 40, 1920)]                          # 1921 slots
+    assert not any(walk.on_slots for walk in on_dict)
+
+
+def test_slot_fold_decodes_only_the_sums_read(monkeypatch):
+    """On slots S_i is decoded only where it is read: last() decodes S_n,
+    Curves the S_i of its reads, and sums() every S_i."""
+    from iidtails import dists
+    from iidtails.checks import Curves
+    decoded = []
+    unslot = dists._unslot
+
+    def counted(*args):
+        decoded.append(len(decoded))
+        return unslot(*args)
+
+    monkeypatch.setattr(dists, "_unslot", counted)
+    one, _ = _verify_wide_laws()
+    assert iid_sum(one, 10) == fraction_iid_sum(one, 10)
+    assert len(decoded) == 1
+    curves = Curves(one, ABS, {6, 10}, DEFAULT_SUPPORT_CAP)
+    assert curves.curve(10) == tail_curve(fraction_iid_sum(one, 10), ABS)
+    assert curves.curve(6) == tail_curve(fraction_iid_sum(one, 6), ABS)
+    assert len(decoded) == 3
+    laws = list(_Walk([one], 10, DEFAULT_SUPPORT_CAP).sums())
+    assert len(decoded) == 13 and None not in laws
+
+
+def test_slot_fold_holds_only_the_running_int():
+    """The slot counterpart of test_lone_sum_holds_only_the_running_sum: a
+    step holds S_{i-1}'s int and the products it sums into S_i, so the
+    fold's peak traced memory, decoding nothing, stays within a few ints
+    the size of S_n's."""
+    import tracemalloc
+    walk = _Walk([dist1d([(-1, F(1, 3)), (0, F(1, 3)), (2, F(1, 3))])],
+                 400, DEFAULT_SUPPORT_CAP)
+    assert walk.on_slots
+    _, width, slots = walk._grid()
+    tracemalloc.start()
+    try:
+        assert set(walk.sums(set())) == {None}
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 5 * width * slots
 
 
 @given(st.data(), st.integers(1, 2), st.sampled_from([ABS, SUP, EUC]))

@@ -10,6 +10,7 @@ from iidtails.montecarlo import (
     clopper_pearson,
     estimate_tail,
     mc_check,
+    mc_seed_limit,
 )
 from oracles import coin, dist1d
 
@@ -237,3 +238,42 @@ class TestMcCheck:
                          t_grid=[0.25, 0.75, 1.25], n_samples=4000,
                          seed=seed)
             assert v.status != "violated"
+
+
+class TestSeedRange:
+    """A seed is one 64-bit word of a Philox key [seed, stream]."""
+
+    def test_estimate_tail_takes_seeds_in_0_to_2_64(self):
+        import warnings
+        for seed in (-1, 2 ** 64):
+            with pytest.raises(ValueError, match=r"seed must be in "
+                                                 r"\[0, 2\*\*64\)"):
+                estimate_tail(coin_spec(), 2, 1, n_samples=10, seed=seed)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            est = estimate_tail(coin_spec(), 2, 1, n_samples=10,
+                                seed=2 ** 64 - 1)
+        assert est.seed == 2 ** 64 - 1
+
+    def test_seeds_above_2_63_key_distinct_streams(self):
+        """Keys are uint64 words: a list of Python ints above 2**63 would
+        pass through float64 and map neighbouring seeds to one stream."""
+        counts = {estimate_tail(coin_spec(), 9, 2, n_samples=400,
+                                seed=seed).count
+                  for seed in (2 ** 63, 2 ** 63 + 1, 2 ** 63 + 2)}
+        assert len(counts) == 3
+
+    def test_mc_check_keys_every_row_below_2_64(self):
+        """Row i of mc_check keys seed * 1000003 + 2i and + 2i + 1, so the
+        largest seed depends on the number of thresholds."""
+        grid = [0.5, 1.5]
+        top = mc_seed_limit(len(grid)) - 1
+        assert top * 1_000_003 + 2 * len(grid) - 1 < 2 ** 64 <= \
+            (top + 1) * 1_000_003 + 2 * len(grid) - 1
+        v = mc_check("theorem1", coin_spec(), j=1, k=2, t_grid=grid,
+                     n_samples=10, seed=top)
+        assert v.params["seed"] == top
+        for seed in (-1, top + 1):
+            with pytest.raises(ValueError, match="seed must be in"):
+                mc_check("theorem1", coin_spec(), j=1, k=2, t_grid=grid,
+                         n_samples=10, seed=seed)
