@@ -65,9 +65,8 @@ verdict = mc_check("theorem1", gauss, j=1, k=2,
                    t_grid=[0.5, 1.0, 2.0, 4.0], n_samples=50_000, seed=5)
 print("gaussian, constants (3, 10), thresholds 0.5/1/2/4:")
 for row in verdict.rows:
-    lhs = row["lhs"]
-    print(f"  t = {row['t']}: lhs <= {lhs['hi']:.4f},"
-          f" factor*rhs >= {float(F(row['factor'])) * row['rhs']['lo']:.4f}"
+    print(f"  t = {row['t']}: lhs <= {row['lhs'].hi:.4f},"
+          f" factor*rhs >= {row['factor'] * row['rhs'].lo:.4f}"
           f"  -> {row['verdict']}")
 print(f"overall status: {verdict.status}")
 
@@ -78,7 +77,7 @@ verdict = mc_check("theorem1", coin_spec, j=1, k=2, t_grid=[0.5],
                    n_samples=50_000, seed=5, c1=1, c2=1)
 row = verdict.rows[0]
 print(f"coin, constants (1, 1) at t = 1/2: lhs interval"
-      f" [{row['lhs']['lo']:.4f}, {row['lhs']['hi']:.4f}] vs"
-      f" rhs interval [{row['rhs']['lo']:.4f}, {row['rhs']['hi']:.4f}]")
+      f" [{row['lhs'].lo:.4f}, {row['lhs'].hi:.4f}] vs"
+      f" rhs interval [{row['rhs'].lo:.4f}, {row['rhs'].hi:.4f}]")
 print(f"  verdict: {row['verdict']}  (the whole lhs interval sits above"
       f" the rhs interval, so noise cannot explain it)")

@@ -24,7 +24,9 @@ one: sweep_curves' SweepOutcome (_Outcome.sweep) and a report's
 InequalityReport (_report).
 
 CLAIMS is the one table of claims.  The corpus, the CLI, mc_check and the
-extremal search read it.  shape_checks is the one place a check is
+extremal search read it, and judge a claim's parameters by its rules:
+variants is the one constants rule and _indices (require_indices) the one
+index and weight rule.  shape_checks is the one place a check is
 assembled: for verify's reports (claim_reports, which the check_*
 functions wrap) and the corpus rows alike it echoes the params, states the
 status and note (_verdict) and gives the worst case as int pairs.
@@ -353,7 +355,13 @@ def require_indices(order: str, j, k) -> None:
 
 def variants(spec: ClaimSpec, c1=None, c2=None) -> list:
     """(shape, c1, c2) for each constant pair the claim checks, in report
-    order; c1 and c2 replace the default constants when given."""
+    order; c1 and c2 replace the default constants when given.  The one
+    constants rule: a claim whose constants are fixed or absent refuses
+    them, and constants must be positive."""
+    if (spec.fixed or spec.constants is None) and (c1, c2) != (None, None):
+        what = "has fixed constants" if spec.fixed else "takes no constants"
+        raise ValueError(f"{spec.claim_id} {what}, so no "
+                         f"{'c1' if c1 is not None else 'c2'}")
     if spec.shapes:
         return [(CLAIMS[shape], a, b)
                 for shape, pairs in spec.shapes for a, b in pairs]
@@ -369,8 +377,11 @@ def variants(spec: ClaimSpec, c1=None, c2=None) -> list:
 def _indices(shape: ClaimSpec, given: dict) -> dict:
     """The validated indices a check of this shape reads and echoes."""
     if shape.lhs == WEIGHTED:
-        coeffs = [rat(a) for a in given["alphas"]]
+        coeffs = [rat(a) for a in given.get("alphas") or ()]
         _require(bool(coeffs), "alphas must be nonempty")
+        _require(given.get("k", len(coeffs)) == len(coeffs),
+                 f"{shape.claim_id} takes k = {len(coeffs)}, the number "
+                 f"of weights, got k={given.get('k')}")
         for a in coeffs:
             _require(abs(a) <= 1, f"weight {a} out of range, "
                                   "need |alpha_i| <= 1")

@@ -21,7 +21,7 @@ from pathlib import Path
 from . import checks, corpus as corpus_mod, montecarlo
 from ._version import __version__
 from .counterexample import verify_counterexample
-from .dists import DEFAULT_SUPPORT_CAP, MODES, STRICT, Norm
+from .dists import DEFAULT_SUPPORT_CAP, MODES, STRICT, Norm, default_norm
 from .montecarlo import MC_CLAIMS, SamplerSpec, estimate_tail, mc_check
 from .reports import HOLDS, VACUOUS, VIOLATED, jsonify
 from .search import SEED_LIMIT, SearchSpace, SoundnessViolation, search
@@ -193,7 +193,7 @@ def cmd_verify(args) -> int:
         jobs = [(str(f), _load(f, digests)) for f in args.files]
     reports = []
     for label, dist in jobs:
-        norm = args.norm or (Norm.ABS1D if dist.dim == 1 else Norm.EUCLIDEAN)
+        norm = args.norm or default_norm(dist.dim)
         curves = checks.Curves(dist, norm, checks._reads(spec, given),
                                args.cap)
         for rep in checks.claim_reports(spec, curves, given, args.c1,
@@ -334,7 +334,7 @@ def cmd_mc(args) -> int:
 
 def cmd_show(args) -> int:
     dist = load_dist(args.file)
-    norm = args.norm or (Norm.ABS1D if dist.dim == 1 else Norm.EUCLIDEAN)
+    norm = args.norm or default_norm(dist.dim)
     print(f"{args.file}: dim={dist.dim}, {len(dist)} atoms")
     for x, p in sorted(dist.atoms.items()):
         loc = x[0] if dist.dim == 1 else tuple(map(str, x))

@@ -20,6 +20,7 @@ from .dists import (
     Norm,
     WEAK,
     _Walk,
+    _threshold,
     rat,
 )
 from .reports import HOLDS, InequalityReport, VACUOUS, VIOLATED
@@ -68,14 +69,6 @@ def window_mass(X: DiscreteDist, x, t) -> Fraction:
     return sum((p for a, p in X.scalar_items() if abs(a - xx) <= tt), ZERO)
 
 
-def _radius(t) -> Fraction:
-    """The window radius t as a Fraction; a negative t is refused."""
-    tt = rat(t)
-    if tt < 0:
-        raise ValueError(f"t must be >= 0, got {tt}")
-    return tt
-
-
 def concentration_set(X: DiscreteDist, t) -> ConcentrationSet:
     """Exact set {x : Pr(|X - x| <= t) > 2/3} for a 1-dimensional law: the
     rule of _lattice_set on the one-term walk of X."""
@@ -93,7 +86,7 @@ def _lattice_set(walk: _Walk, law, t) -> ConcentrationSet:
     one sweep of the breakpoints on ints gives the mass at each breakpoint
     and on each open gap, and the closed intervals they make up.
     """
-    tt = _radius(t)
+    tt = _threshold(t)
     if walk.dim != 1:
         raise ValueError("concentration_set requires dimension 1")
     atoms, den = law
@@ -127,7 +120,7 @@ def has_concentration_point(X: DiscreteDist, t, norm: Norm = Norm.ABS1D):
     dimensions only support atoms are tried as centers, which is sound when
     it finds a witness but cannot certify absence; exact=False then.
     """
-    tt = _radius(t)
+    tt = _threshold(t)
     if X.dim == 1:
         cs = concentration_set(X, tt)
         return (False, None, True) if cs.is_empty else (True, cs.min, True)
@@ -257,7 +250,7 @@ def classify_case(X: DiscreteDist, j: int, k: int, t,
            concluding bound Pr(||S_k|| > t/10) >= 1/3.
     case3: otherwise; concluding bound Pr(||S_k|| >= t/10) >= 2/3 (weak).
     """
-    tt = _radius(t)
+    tt = _threshold(t)
     if not 1 <= j <= k:
         raise ValueError(f"need 1 <= j <= k, got j={j}, k={k}")
     walk = _Walk([X], k, cap)

@@ -43,7 +43,6 @@ from .dists import (
     SupportCapExceeded,
 )
 from .reports import HOLDS, VIOLATED, Report, jsonify
-from .specfile import dist_to_jsonable
 
 DEFAULT_CLAIMS = tuple(CLAIMS)
 # _instance_key puts the seed above 64 bits of instance index in a Philox
@@ -210,19 +209,16 @@ def run_corpus(config: CorpusConfig, claims=None,
     """Run the requested claims over a generated corpus.
 
     overrides maps a claim name to replacement constants, e.g.
-    {"theorem1": {"c1": 1, "c2": 1}} to probe deliberately false values.
+    {"theorem1": {"c1": 1, "c2": 1}} to probe deliberately false values;
+    checks.variants judges each, whether or not its claim is run.
     """
     claims = normalize_claims(claims if claims is not None else DEFAULT_CLAIMS)
-    constants = {}
-    for name, ov in (overrides or {}).items():
-        name = ALIASES.get(name, name)
-        if (name not in CLAIMS or CLAIMS[name].constants is None
-                or CLAIMS[name].fixed):
-            raise ValueError(f"no overridable constants for {name!r}")
-        constants[name] = (ov.get("c1"), ov.get("c2"))
-    plan = [(CLAIMS[name], shape, c1, c2) for name in claims
-            for shape, c1, c2 in variants(CLAIMS[name],
-                                          *constants.get(name, ()))]
+    judged = {name: variants(CLAIMS[name]) for name in claims}
+    for raw, ov in (overrides or {}).items():
+        (name,) = normalize_claims([raw])
+        judged[name] = variants(CLAIMS[name], ov.get("c1"), ov.get("c2"))
+    plan = [(CLAIMS[name], *variant) for name in claims
+            for variant in judged[name]]
     report = CorpusReport(config=config, claims=claims)
     rendered = {}  # params text per params key (_checks), this run only
     instances = generate_corpus(config)
@@ -287,11 +283,8 @@ def _absorb(report: CorpusReport, index: int, dist: DiscreteDist, check,
         report.violated += 1
         stats["violated"] += 1
         if len(report.violations) < 100:
-            report.violations.append({
-                "instance": index,
-                "dist": dist_to_jsonable(dist),
-                "report": full().to_jsonable(),
-            })
+            report.violations.append(
+                {"instance": index, "dist": dist, "report": full()})
     else:
         report.vacuous += 1
         stats["vacuous"] += 1

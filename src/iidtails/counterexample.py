@@ -41,7 +41,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from math import comb, isqrt, lcm
 
-from .dists import rat
+from .dists import _threshold, rat
 from .reports import Report, jsonify
 
 
@@ -155,13 +155,6 @@ def _tails(N: int, M: int, *events) -> "list[Fraction]":
                                        for w, a, z in windows if a < z),
                      per * total)
             for (per, _), windows in zip(events, spans)]
-
-
-def _threshold(t) -> Fraction:
-    t = rat(t)
-    if t < 0:
-        raise ValueError("threshold must be >= 0")
-    return t
 
 
 def _centered(N: int, M: int, threshold):

@@ -63,6 +63,14 @@ def rat(value) -> Fraction:
     return Fraction(value)
 
 
+def _threshold(t) -> Fraction:
+    """A threshold t (a radius) as a Fraction; a negative t is refused."""
+    t = rat(t)
+    if t < 0:
+        raise ValueError(f"t must be >= 0, got {t}")
+    return t
+
+
 def as_point(x: PointLike, dim: "int | None" = None) -> "tuple[Fraction, ...]":
     """Coerce a scalar or coordinate sequence to a canonical point."""
     if isinstance(x, (tuple, list)):
@@ -101,6 +109,12 @@ class Norm(Enum):
     def to_gauge(self, t: Fraction) -> Fraction:
         """Map a radius t >= 0 into gauge space (t or t**2)."""
         return t * t if self is Norm.EUCLIDEAN else t
+
+
+def default_norm(dim: int) -> Norm:
+    """The norm of a law whose norm is not named: abs1d in dimension 1,
+    euclidean above."""
+    return Norm.ABS1D if dim == 1 else Norm.EUCLIDEAN
 
 
 def _check_mode(mode: str) -> str:
@@ -617,10 +631,7 @@ class TailCurve:
         return ONE if i == 0 else Fraction(self.nums[i - 1], self.den)
 
     def at_radius(self, t, mode: str = STRICT) -> Fraction:
-        t = rat(t)
-        if t < 0:
-            raise ValueError(f"threshold must be >= 0, got {t}")
-        return self.at_gauge(self.norm.to_gauge(t), mode)
+        return self.at_gauge(self.norm.to_gauge(_threshold(t)), mode)
 
 
 _CURVE_FIELDS = tuple(f.name for f in fields(TailCurve))

@@ -14,8 +14,8 @@ from fractions import Fraction
 
 import numpy as np
 
-from .checks import CLAIMS, MAX, SUM, WEIGHTED, require_indices
-from .dists import Norm
+from .checks import CLAIMS, MAX, SUM, WEIGHTED, _indices, variants
+from .dists import Norm, default_norm
 from .reports import HOLDS, VIOLATED, Report
 
 FAMILIES = ("discrete", "gaussian", "two_point", "shifted_pareto")
@@ -191,8 +191,7 @@ def _estimate(spec: SamplerSpec, k: int, t, norm, statistic, n_samples: int,
         raise ValueError("n_samples must be >= 1")
     if not 0 < delta < 1:
         raise ValueError("delta must lie in (0, 1)")
-    if norm is None:
-        norm = Norm.ABS1D if spec.dim == 1 else Norm.EUCLIDEAN
+    norm = default_norm(spec.dim) if norm is None else norm
     tf = float(Fraction(t)) if not isinstance(t, float) else t
     if tf < 0:
         raise ValueError("t must be >= 0")
@@ -203,9 +202,9 @@ def _estimate(spec: SamplerSpec, k: int, t, norm, statistic, n_samples: int,
     stream = 0
     while done < n_samples:
         m = min(_BATCH, n_samples - done)
-        # uint64 words: a list of Python ints above 2**63 goes through float
-        key = np.array([seed, stream], dtype=np.uint64)
-        rng = np.random.Generator(np.random.Philox(key=key))
+        # the key words [seed, stream] as one int: a list of Python ints
+        # above 2**63 would go through float
+        rng = np.random.Generator(np.random.Philox(key=seed + (stream << 64)))
         draws = _draw(spec, rng, (m, k))           # (m, k, dim)
         count += int(np.count_nonzero(statistic(draws, norm) > tf))
         done += m
@@ -226,7 +225,7 @@ _INCONCLUSIVE = "inconclusive"
 class McVerdict(Report):
     claim_id: str
     params: dict
-    rows: tuple           # one dict per t: lhs/rhs estimates and verdict
+    rows: tuple           # one dict per t: lhs/rhs TailEstimates, verdict
     status: str           # violated if any row violated, else holds only
                           # if every row holds, else inconclusive
 
@@ -250,21 +249,10 @@ def mc_check(claim: str, spec: SamplerSpec, j: int, k: int, t_grid,
         raise ValueError("n_samples must be >= 0")
     if not 0 < delta < 1:
         raise ValueError("delta must lie in (0, 1)")
-    if statement.fixed and (c1, c2) != (None, None):
-        flag = "c1" if c1 is not None else "c2"
-        raise ValueError(f"{claim} has fixed constants, so no {flag}")
-    d1, d2 = statement.constants
-    c1 = d1 if c1 is None else Fraction(c1)
-    c2 = d2 if c2 is None else Fraction(c2)
-    if c1 <= 0 or c2 <= 0:
-        raise ValueError("constants must be positive")
-    if statement.lhs == WEIGHTED:
-        if weights is None or len(weights) != k:
-            raise ValueError(f"{claim} needs a weight vector of length k")
-        if any(abs(_rational(x)) > 1 for x in weights):
-            raise ValueError(f"{claim} weights must satisfy |w_i| <= 1")
-    else:
-        require_indices(statement.order, j, k)
+    ((_, c1, c2),) = variants(statement, *(None if c is None else Fraction(c)
+                                           for c in (c1, c2)))
+    _indices(statement, {"j": j, "k": k, "alphas": None if weights is None
+                         else map(_rational, weights)})
     factor = statement.factor(c1, j, k)
     rhs_scale = statement.scale(c2, j, k)
     if not t_grid:
@@ -273,15 +261,12 @@ def mc_check(claim: str, spec: SamplerSpec, j: int, k: int, t_grid,
         raise ValueError(f"seed must be in [0, {mc_seed_limit(len(t_grid))}) "
                          f"for {len(t_grid)} thresholds, got {seed}")
     rows = []
-    any_viol = False
-    all_hold = True
     for i, t in enumerate(t_grid):
         tf = float(Fraction(t)) if not isinstance(t, float) else t
         if n_samples == 0:
             rows.append({"t": tf, "lhs": None, "rhs": None,
                          "factor": float(factor),
                          "verdict": _INCONCLUSIVE})
-            all_hold = False
             continue
         lhs_seed = seed * _ROW_STRIDE + 2 * i
         if statement.lhs == MAX:
@@ -304,13 +289,11 @@ def mc_check(claim: str, spec: SamplerSpec, j: int, k: int, t_grid,
             verdict = HOLDS
         else:
             verdict = _INCONCLUSIVE
-        any_viol = any_viol or verdict == VIOLATED
-        all_hold = all_hold and verdict == HOLDS
-        rows.append({"t": tf, "lhs": lhs.to_jsonable(),
-                     "rhs": rhs.to_jsonable(),
-                     "factor": cf, "verdict": verdict})
-    status = (VIOLATED if any_viol
-              else HOLDS if (all_hold and rows) else _INCONCLUSIVE)
+        rows.append({"t": tf, "lhs": lhs, "rhs": rhs, "factor": cf,
+                     "verdict": verdict})
+    verdicts = {row["verdict"] for row in rows}
+    status = (VIOLATED if VIOLATED in verdicts
+              else HOLDS if verdicts == {HOLDS} else _INCONCLUSIVE)
     return McVerdict(
         claim_id=claim,
         params={"j": j, "k": k, "c1": c1, "c2": c2,

@@ -105,8 +105,7 @@ class SearchSpace:
     def __post_init__(self):
         if not 2 <= self.n_atoms <= 6:
             raise ValueError("n_atoms must be in 2..6")
-        if not 1 <= self.j <= self.k:
-            raise ValueError(f"need 1 <= j <= k, got {self.j}, {self.k}")
+        require_indices(CLAIMS["theorem1"].order, self.j, self.k)
         if self.value_lo >= self.value_hi:
             raise ValueError("empty value box")
         if rat(self.c2) <= 0:

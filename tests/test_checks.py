@@ -12,6 +12,7 @@ from iidtails.checks import (
     CLAIMS,
     MODE_PAIRS,
     Curves,
+    _reads,
     _report,
     _sweeps,
     _verdict,
@@ -21,10 +22,12 @@ from iidtails.checks import (
     check_latala_sharp,
     check_levy_ottaviani,
     check_theorem1,
+    claim_reports,
     least_c1,
     sweep_curves,
     threshold_candidates,
     upper_envelope,
+    variants,
 )
 from iidtails.dists import (
     DiscreteDist,
@@ -261,6 +264,42 @@ class TestClaimTable:
                 assert shape in statement
                 for c1, c2 in pairs:
                     assert f"({c1}, {c2})" in statement, name
+
+
+class TestClaimConstants:
+    """variants is the one constants rule, so claim_reports, the corpus and
+    mc_check refuse the same constants."""
+
+    REFUSING = (("latala_sharp", "has fixed constants"),
+                ("latala_alt", "has fixed constants"),
+                ("lemma2", "takes no constants"),
+                ("corollary3", "takes no constants"))
+
+    @pytest.mark.parametrize("claim, what", REFUSING)
+    @pytest.mark.parametrize("c1, c2", ((F(1, 100), None), (None, F(1)),
+                                        (F(2), F(3, 2))))
+    def test_refuses_constants_it_does_not_take(self, claim, what, c1, c2):
+        spec = CLAIMS[claim]
+        message = f"^{claim} {what}, so no {'c2' if c1 is None else 'c1'}$"
+        with pytest.raises(ValueError, match=message):
+            variants(spec, c1, c2)
+        given = {"j": 1, "k": 2, "t": F(1)}
+        curves = Curves(coin(), Norm.ABS1D, _reads(spec, given))
+        with pytest.raises(ValueError, match=message):
+            claim_reports(spec, curves, given, c1, c2)
+
+    def test_defaults_and_positivity(self):
+        spec = CLAIMS["theorem1"]
+        assert variants(spec) == [(spec, F(3), F(10))]
+        assert variants(spec, 1, "1/2") == [(spec, F(1), F(1, 2))]
+        for c1, c2 in ((0, None), (None, F(-1))):
+            with pytest.raises(ValueError, match="constants for theorem1 "
+                                                 "must be positive"):
+                variants(spec, c1, c2)
+        sharp = CLAIMS["latala_sharp"]
+        assert variants(sharp) == [(sharp, F(2), F(3, 2))]
+        assert variants(CLAIMS["lemma2"]) == [(CLAIMS["lemma2"], None, None)]
+        assert len(variants(CLAIMS["latala_alt"])) == 4
 
 
 class TestUpperEnvelope:

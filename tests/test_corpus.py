@@ -158,9 +158,9 @@ class TestRunCorpus:
                          overrides={"theorem1": {"c1": 1, "c2": 1}})
         assert rep.has_violations
         w = rep.violations[0]
-        assert w["report"]["status"] == "violated"
-        assert w["report"]["witness"] is not None
-        assert "atoms" in w["dist"]
+        assert w["report"].status == "violated"
+        assert w["report"].witness is not None
+        assert w["dist"] == generate_corpus(cfg)[w["instance"]][0]
 
     def test_override_rejects_unknown_or_nonpositive(self):
         cfg = CorpusConfig(seed=1, count=1)
@@ -172,6 +172,27 @@ class TestRunCorpus:
         with pytest.raises(ValueError, match="latala_sharp"):
             run_corpus(cfg, ["latala_sharp"],
                        overrides={"latala_sharp": {"c1": 1, "c2": 1}})
+
+    def test_overrides_are_judged_by_the_claim_table(self):
+        """Every override goes through checks.variants, run or not."""
+        cfg = CorpusConfig(seed=1, count=1)
+        for name, ov, message in (
+                ("lemma2", {"c1": 1}, "^lemma2 takes no constants, so no c1$"),
+                ("latala", {"c2": 1},
+                 "^latala_sharp has fixed constants, so no c2$"),
+                ("latala_alt", {"c1": 1, "c2": 1},
+                 "^latala_alt has fixed constants, so no c1$"),
+                ("theorem1", {"c2": 0}, "constants for theorem1 must be"),
+                ("nope", {"c1": 1}, "unknown claim 'nope'")):
+            for claims in (["theorem1"], ["corollary4"]):
+                with pytest.raises(ValueError, match=message):
+                    run_corpus(cfg, claims, overrides={name: ov})
+
+    def test_empty_override_of_fixed_constants_is_a_no_op(self):
+        cfg = CorpusConfig(seed=3, count=4, max_k=2)
+        plain = run_corpus(cfg, ["latala_sharp", "lemma2"]).to_jsonable()
+        assert run_corpus(cfg, ["latala_sharp", "lemma2"], overrides={
+            "latala_sharp": {}, "lemma2": {}}).to_jsonable() == plain
 
     def test_override_constants_are_exact(self):
         cfg = CorpusConfig(seed=1, count=1, max_k=2)

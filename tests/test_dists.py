@@ -250,6 +250,22 @@ class TestTail:
         with pytest.raises(ValueError):
             tail(TRI, ABS, -1)
 
+    def test_one_threshold_rule(self):
+        """Tails, concentration sets and the counterexample's tails refuse
+        a negative threshold with one message (dists._threshold)."""
+        from iidtails.concentration import concentration_set
+        from iidtails.counterexample import (
+            centered_sum_tail, extended_sum_tail, normalized_sum_tail)
+        for call in (lambda t: tail(TRI, ABS, t),
+                     lambda t: path_max_tail(coin(), 2, ABS, t),
+                     lambda t: concentration_set(TRI, t),
+                     lambda t: centered_sum_tail(2, 8, t),
+                     lambda t: normalized_sum_tail(2, 8, t),
+                     lambda t: extended_sum_tail(2, 8, t)):
+            with pytest.raises(ValueError, match=r"^t must be >= 0, "
+                                                 r"got -1/2$"):
+                call(F(-1, 2))
+
     def test_rejects_unknown_mode(self):
         with pytest.raises(ValueError):
             tail(TRI, ABS, 1, "sharp")

@@ -1,12 +1,15 @@
 from fractions import Fraction as F
 
+import numpy as np
 import pytest
 
 from iidtails.checks import check_corollary4
-from iidtails.dists import Norm, iid_sum, tail
+from iidtails.dists import Norm, default_norm, iid_sum, tail
 from iidtails.montecarlo import (
+    _BATCH,
     MC_CLAIMS,
     SamplerSpec,
+    _draw,
     clopper_pearson,
     estimate_tail,
     mc_check,
@@ -91,6 +94,18 @@ class TestEstimateTail:
         c = estimate_tail(coin_spec(), 3, 1.5, n_samples=20_000, seed=10)
         assert a.count != c.count or a.seed != c.seed
 
+    def test_default_norm_follows_the_dimension(self):
+        assert default_norm(1) is Norm.ABS1D
+        assert default_norm(2) is default_norm(3) is Norm.EUCLIDEAN
+        plane = SamplerSpec("discrete", {"atoms": [
+            {"x": [0, 0], "p": "1/2"}, {"x": [1, 1], "p": "1/2"}]}, dim=2)
+        # |(1, 1)| is 1 under sup and sqrt(2) under the euclidean norm
+        est = estimate_tail(plane, 1, 1.2, n_samples=500, seed=1)
+        assert est == estimate_tail(plane, 1, 1.2, Norm.EUCLIDEAN,
+                                    n_samples=500, seed=1)
+        assert est.count > 0 == estimate_tail(plane, 1, 1.2, Norm.SUP,
+                                              n_samples=500, seed=1).count
+
     def test_pinned_coin_interval_covers_truth(self):
         # Pr(|S_2| > 1) = 1/2 exactly
         est = estimate_tail(coin_spec(), 2, 1.0, n_samples=40_000, seed=4,
@@ -171,7 +186,7 @@ class TestMcCheck:
         assert v.status == "violated"
         row = v.rows[0]
         assert row["verdict"] == "violated"
-        assert row["lhs"]["lo"] > row["factor"] * row["rhs"]["hi"]
+        assert row["lhs"].lo > row["factor"] * row["rhs"].hi
 
     def test_zero_budget_inconclusive(self):
         v = mc_check("theorem1", coin_spec(), j=1, k=2, t_grid=[0.5],
@@ -216,7 +231,7 @@ class TestMcCheck:
         assert check_corollary4(coin(), 2, 1, 1).status == "violated"
         v = mc_check("corollary4", coin_spec(), j=2, k=2, t_grid=[0.5],
                      c1=1, c2=1, n_samples=5000, seed=0)
-        assert v.rows[0]["lhs"]["estimate"] == 1.0
+        assert v.rows[0]["lhs"].estimate == 1.0
         assert v.status == "violated"
 
     def test_latala_sharp_fixes_the_indices(self):
@@ -262,6 +277,29 @@ class TestSeedRange:
                                 seed=seed).count
                   for seed in (2 ** 63, 2 ** 63 + 1, 2 ** 63 + 2)}
         assert len(counts) == 3
+
+    def test_int_key_is_the_word_key(self):
+        """A batch's Philox key is the int seed + (stream << 64), the same
+        generator as the uint64 words [seed, stream]."""
+        for seed, stream in ((0, 0), (5, 3), (2 ** 63 + 1, 7),
+                             (2 ** 64 - 1, 2 ** 64 - 1)):
+            words = np.array([seed, stream], dtype=np.uint64)
+            a = np.random.Generator(np.random.Philox(key=words))
+            b = np.random.Generator(np.random.Philox(key=seed + (stream << 64)))
+            assert (a.random(64) == b.random(64)).all()
+
+    def test_estimate_draws_from_the_word_keys(self):
+        """estimate_tail's batches 0 and 1 draw from the word keys
+        [seed, 0] and [seed, 1]."""
+        seed, n = 2 ** 63 + 1, _BATCH + 300
+        count = 0
+        for stream, m in enumerate((_BATCH, n - _BATCH)):
+            words = np.array([seed, stream], dtype=np.uint64)
+            rng = np.random.Generator(np.random.Philox(key=words))
+            sums = _draw(coin_spec(), rng, (m, 3)).sum(axis=1)
+            count += int(np.count_nonzero(np.abs(sums) > 1))
+        assert estimate_tail(coin_spec(), 3, 1, n_samples=n,
+                             seed=seed).count == count
 
     def test_mc_check_keys_every_row_below_2_64(self):
         """Row i of mc_check keys seed * 1000003 + 2i and + 2i + 1, so the

@@ -75,6 +75,12 @@ class TestSearchSpace:
             SearchSpace(n_atoms=2, j=1, k=2, c2=F(1),
                         value_lo=F(1), value_hi=F(1))
 
+    def test_indices_follow_the_theorem1_rule(self):
+        for j, k in ((3, 2), (0, 2)):
+            with pytest.raises(ValueError, match=rf"^need 1 <= j <= k, "
+                                                 rf"got j={j}, k={k}$"):
+                SearchSpace(n_atoms=3, j=j, k=k, c2=1)
+
 
 class TestSnapToSpace:
     SPACE = SearchSpace(n_atoms=3, j=1, k=2, c2=F(1))
