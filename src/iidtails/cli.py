@@ -313,6 +313,12 @@ def cmd_mc(args) -> int:
     if args.seed >= limit:
         raise ValueError(f"--seed must be below {limit} for "
                          f"{len(t_grid)} thresholds, got {args.seed}")
+    # as in verify, --j only for a claim that takes it
+    if args.j is not None and not (args.claim and
+                                   "j" in checks.CLAIMS[args.claim].takes):
+        raise ValueError(f"--claim {args.claim} does not take --j"
+                         if args.claim else "mc without --claim does not "
+                         "take --j")
     if args.claim:
         verdict = mc_check(
             args.claim, spec, args.j, args.k, t_grid, c1=args.c1, c2=args.c2,
@@ -443,7 +449,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--alpha", type=float, default=1.0)
     p.add_argument("--shift", type=float, default=0.0)
     p.add_argument("--dim", type=int, default=1)
-    p.add_argument("--j", type=int, default=1)
+    p.add_argument("--j", type=int, default=None,
+                   help="left index S_j, for claims that read one")
     p.add_argument("--k", type=int, default=2)
     p.add_argument("--t", type=_rational, action="append", default=None,
                    help="threshold; repeat for a grid")

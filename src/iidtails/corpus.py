@@ -1,6 +1,7 @@
 """Randomized corpora of exact distributions and batch inequality checking.
 
-Corpora are deterministic given the seed (Philox counter-based generator).
+Corpora are deterministic given the seed (numpy's Philox counter-based
+generator, imported when a corpus is drawn: generate_corpus, run_corpus).
 Every check on every instance is exact; the aggregate separates holds,
 vacuous outcomes, and violations, and keeps full witnesses for the latter.
 
@@ -20,8 +21,6 @@ import json
 from dataclasses import dataclass, field
 from fractions import Fraction
 from math import gcd
-
-import numpy as np
 
 from .checks import (
     ALIASES,
@@ -106,6 +105,8 @@ def _instance_key(seed: int, index: int) -> int:
 
 def generate_corpus(config: CorpusConfig) -> "list[tuple[DiscreteDist, Norm]]":
     """Deterministic list of (distribution, norm) pairs for the config."""
+    import numpy as np  # numpy loads only for the Philox draws
+
     rng = np.random.Generator(np.random.Philox(key=config.seed))
     out = []
     for _ in range(config.count):
@@ -212,6 +213,8 @@ def run_corpus(config: CorpusConfig, claims=None,
     {"theorem1": {"c1": 1, "c2": 1}} to probe deliberately false values;
     checks.variants judges each, whether or not its claim is run.
     """
+    import numpy as np  # numpy loads only for the Philox draws
+
     claims = normalize_claims(claims if claims is not None else DEFAULT_CLAIMS)
     judged = {name: variants(CLAIMS[name]) for name in claims}
     for raw, ov in (overrides or {}).items():

@@ -275,6 +275,26 @@ def _unpack(z: int, base: int, dim: int) -> "list[int]":
     return coords
 
 
+def _packed_gauge(base: int, dim: int, euclidean: bool):
+    """norm.gauge(_unpack(z, base, dim)) of an n-D packed point z, read off
+    its balanced digits in ints: sum of v**2 (euclidean) or max |v| (sup).
+    Below the top digit each step peels one coordinate; what is left is
+    the top coordinate itself."""
+    half, lower = base // 2, range(dim - 1)
+
+    def gauge(z: int) -> int:
+        g = 0
+        for _ in lower:
+            z, v = divmod(z + half, base)
+            v -= half
+            if euclidean:
+                g += v * v
+            elif g < abs(v):
+                g = abs(v)
+        return g + z * z if euclidean else max(g, abs(z))
+    return gauge
+
+
 def _split(buckets, term, gauge, cap):
     """A step of the split pass: each bucket law advanced by term (if any)
     through the convolution loop, each sum z moved to bucket max(m,
@@ -492,8 +512,9 @@ class _Walk:
         if self.dim == 1:
             # a packed 1-D point is its own coordinate
             return (lambda z: z * z) if norm is Norm.EUCLIDEAN else abs
-        gauge, base, dim = norm.gauge, self.base, self.dim
-        return lambda z: gauge(_unpack(z, base, dim))
+        if norm is Norm.ABS1D:
+            raise ValueError("abs1d norm requires dimension 1")
+        return _packed_gauge(self.base, self.dim, norm is Norm.EUCLIDEAN)
 
     def curve(self, norm: "Norm", law=None) -> "TailCurve":
         """The tail curve of a lattice law (S_n by default)."""

@@ -5,14 +5,16 @@ Clopper-Pearson interval and the checker only reports a violation when the
 intervals themselves separate.  Streams use counter-based Philox keyed by
 (seed, stream index) so estimates are reproducible and independent of batch
 order.
+
+numpy is imported by the functions that draw or reduce arrays (the
+sampler, the gauges and the estimators), scipy by clopper_pearson, so
+importing this module or building a SamplerSpec loads neither.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-
-import numpy as np
 
 from .checks import CLAIMS, MAX, SUM, WEIGHTED, _indices, variants
 from .dists import Norm, default_norm
@@ -38,11 +40,11 @@ def _rational(v) -> Fraction:
     return Fraction(str(v)) if isinstance(v, float) else Fraction(v)
 
 
-def _location(x) -> np.ndarray:
+def _location(x) -> "float | list[float]":
     """An atom location, one such number or a list of them, as floats."""
     if isinstance(x, (list, tuple)):
-        return np.array([float(_rational(c)) for c in x])
-    return np.array(float(_rational(x)))
+        return [float(_rational(c)) for c in x]
+    return float(_rational(x))
 
 
 @dataclass(frozen=True)
@@ -68,7 +70,8 @@ class SamplerSpec(Report):
                 raise ValueError(f"atom probabilities sum to {total}, not 1")
             for a in atoms:
                 x = a["x"]
-                if np.shape(_location(x)) not in ((), (self.dim,)):
+                loc = _location(x)
+                if isinstance(loc, list) and len(loc) != self.dim:
                     raise ValueError(f"atom location {x!r} does not match "
                                      f"dim {self.dim}")
         elif self.family == "gaussian":
@@ -89,8 +92,11 @@ class SamplerSpec(Report):
                 raise ValueError("shifted_pareto family is one-dimensional")
 
 
-def _draw(spec: SamplerSpec, rng: np.random.Generator, shape) -> np.ndarray:
-    """Array of summands with trailing axis of length spec.dim."""
+def _draw(spec: SamplerSpec, rng, shape):
+    """Array of summands with trailing axis of length spec.dim, drawn from
+    the numpy Generator rng."""
+    import numpy as np
+
     full = tuple(shape) + (spec.dim,)
     p = spec.params
     if spec.family == "gaussian":
@@ -116,14 +122,19 @@ def _draw(spec: SamplerSpec, rng: np.random.Generator, shape) -> np.ndarray:
     return locs[idx].reshape(full)
 
 
-def _gauge(points: np.ndarray, norm: Norm) -> np.ndarray:
+def _gauge(points, norm: Norm):
+    """The norm of each point of an array along its trailing axis."""
+    import numpy as np
+
     if norm is Norm.EUCLIDEAN:
         return np.sqrt(np.sum(points * points, axis=-1))
     return np.max(np.abs(points), axis=-1)   # abs1d and sup coincide here
 
 
-def _running_max(draws: np.ndarray, norm: Norm) -> np.ndarray:
+def _running_max(draws, norm: Norm):
     """max_{i<=k} ||X_1 + ... + X_i|| for each row of (m, k, dim) draws."""
+    import numpy as np
+
     return np.max(_gauge(np.cumsum(draws, axis=1), norm), axis=1)
 
 
@@ -166,6 +177,8 @@ def estimate_tail(spec: SamplerSpec, k: int, t, norm: Norm = None,
     block draws from its own Philox substream, so the totals do not depend
     on how the sample budget is sliced into batches.
     """
+    import numpy as np
+
     if k < 1:
         raise ValueError("k must be >= 1")
     if weights is None:
@@ -187,6 +200,8 @@ def _estimate(spec: SamplerSpec, k: int, t, norm, statistic, n_samples: int,
 
     statistic maps (m, k, dim) draws and the norm to m values.
     """
+    import numpy as np
+
     if n_samples < 1:
         raise ValueError("n_samples must be >= 1")
     if not 0 < delta < 1:
@@ -230,7 +245,7 @@ class McVerdict(Report):
                           # if every row holds, else inconclusive
 
 
-def mc_check(claim: str, spec: SamplerSpec, j: int, k: int, t_grid,
+def mc_check(claim: str, spec: SamplerSpec, j: "int | None", k: int, t_grid,
              c1=None, c2=None, weights=None, norm: Norm = None,
              n_samples: int = 100_000, seed: int = 0,
              delta: float = 0.05) -> McVerdict:
@@ -240,6 +255,10 @@ def mc_check(claim: str, spec: SamplerSpec, j: int, k: int, t_grid,
     exceeds c1 times the upper confidence bound of the rhs, each side at
     level 1 - delta/2, so a reported violation is wrong with probability
     at most delta per row.
+
+    j is the index of the left side S_j: None takes the claim's default,
+    and a claim whose left side is no S_j (corollary4's running max,
+    corollary5's weighted sum) refuses any j and echoes none.
     """
     if claim not in MC_CLAIMS:
         raise ValueError(f"unsupported claim {claim!r}; "
@@ -251,8 +270,14 @@ def mc_check(claim: str, spec: SamplerSpec, j: int, k: int, t_grid,
         raise ValueError("delta must lie in (0, 1)")
     ((_, c1, c2),) = variants(statement, *(None if c is None else Fraction(c)
                                            for c in (c1, c2)))
-    _indices(statement, {"j": j, "k": k, "alphas": None if weights is None
-                         else map(_rational, weights)})
+    given = {"k": k, "alphas": None if weights is None
+             else map(_rational, weights)}
+    if j is not None:
+        given["j"] = j
+    idx = _indices(statement, {**statement.defaults, **given})
+    if "j" not in idx and j is not None:
+        raise ValueError(f"{claim} reads no j, got j={j}")
+    j = idx.get("j")
     factor = statement.factor(c1, j, k)
     rhs_scale = statement.scale(c2, j, k)
     if not t_grid:
@@ -296,8 +321,9 @@ def mc_check(claim: str, spec: SamplerSpec, j: int, k: int, t_grid,
               else HOLDS if verdicts == {HOLDS} else _INCONCLUSIVE)
     return McVerdict(
         claim_id=claim,
-        params={"j": j, "k": k, "c1": c1, "c2": c2,
-                "n_samples": n_samples, "seed": seed, "delta": delta,
+        params={**({} if j is None else {"j": j}), "k": k, "c1": c1,
+                "c2": c2, "n_samples": n_samples, "seed": seed,
+                "delta": delta,
                 "norm": (norm.value if norm is not None else None),
                 "weights": list(weights) if weights is not None else None},
         rows=tuple(rows), status=status)

@@ -18,6 +18,10 @@ into the one exact kernel (Curves.lattice, then least_c1) with no Fraction
 or DiscreteDist in between.  Snapping makes plateaus the optimizer keeps
 revisiting, so each distinct snapped law is scored once per search();
 `evaluations` counts optimizer queries, repeats included.
+
+numpy (the Philox starts and kicks) and scipy (Nelder-Mead) are imported
+by search() when it runs; the exact objectives and probe_necessity load
+neither.
 """
 
 from __future__ import annotations
@@ -26,8 +30,6 @@ import math
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
-
-import numpy as np
 
 from .checks import CLAIMS, Curves, _reads, least_c1, require_indices
 from .dists import DEFAULT_SUPPORT_CAP, ONE, DiscreteDist, Norm, rat
@@ -190,6 +192,8 @@ def _score(law, space: SearchSpace, cap: int):
 
 
 def _initial_points(space: SearchSpace, restarts: int, rng):
+    import numpy as np  # numpy loads only for a search
+
     n = space.n_atoms
     lo, hi = float(space.value_lo), float(space.value_hi)
     width = hi - lo
@@ -224,7 +228,8 @@ def search(space: SearchSpace, budget: int = 10_000, restarts: int = 8,
     SoundnessViolation if the final exact ratio contradicts a known bound
     for the requested c2 (that would be a bug, not a result).
     """
-    from scipy.optimize import minimize  # scipy loads only for a search
+    import numpy as np  # numpy and scipy load only for a search
+    from scipy.optimize import minimize
 
     if budget < 1:
         raise ValueError("budget must be positive")

@@ -228,14 +228,15 @@ def test_criterion_09_monte_carlo_calibration():
     battery_ok = True
     for spec_i in (spec, two_pt, gauss):
         for claim in ("theorem1", "corollary4", "corollary6"):
-            j, k = (3, 2) if claim == "corollary6" else (1, 3)
+            j, k = {"corollary6": (3, 2), "corollary4": (None, 3)}.get(
+                claim, (1, 3))
             for seed in range(5):
                 v = mc_check(claim, spec_i, j=j, k=k,
                              t_grid=[0.5, 1.5], n_samples=3000, seed=seed)
                 if v.status == "violated":
                     battery_ok = False
         for seed in range(5):
-            v = mc_check("corollary5", spec_i, j=1, k=3,
+            v = mc_check("corollary5", spec_i, j=None, k=3,
                          weights=[1.0, -0.5, 0.25], t_grid=[0.5, 1.5],
                          n_samples=3000, seed=seed)
             if v.status == "violated":

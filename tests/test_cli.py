@@ -521,6 +521,23 @@ class TestMcCmd:
         assert code == 2 and not out
         assert "latala_sharp" in err and "fixed constants" in err
 
+    def test_j_only_for_a_claim_that_takes_it(self, capsys):
+        """As in verify, --j is refused where the claim takes none (or no
+        claim is checked), with exit 2 naming --j; there is no default j
+        to echo."""
+        gauss = ("mc", "--family", "gaussian", "--n", "100", "--t", "1")
+        for argv in (("--claim", "corollary4"),
+                     ("--claim", "corollary5", "--weights", "1,1/2"), ()):
+            code, out, err = run(capsys, *gauss, *argv, "--j", "7")
+            assert code == 2 and not out
+            assert "does not take --j" in err
+        code, out, _ = run(capsys, *gauss, "--claim", "corollary4")
+        doc = last_json(out)
+        assert code in (0, 1) and doc["manifest"]["params"]["j"] is None
+        assert "j" not in doc["check"]["params"]
+        code, out, _ = run(capsys, *gauss, "--claim", "theorem1")
+        assert code in (0, 1) and last_json(out)["check"]["params"]["j"] == 1
+
     def test_discrete_needs_dist_file(self, capsys):
         code, _, err = run(capsys, "mc", "--family", "discrete", "--t", "1")
         assert code == 2
@@ -651,3 +668,40 @@ def test_import_loads_no_scipy():
                           capture_output=True, text=True, timeout=120)
     assert proc.returncode == 0, proc.stderr
     assert proc.stdout.strip() == "[]"
+
+
+def _loads_in_fresh_process(*argvs) -> "tuple[list[int], list[str]]":
+    """(exit codes, which of numpy and scipy got imported) of main run on
+    each argv in turn in one fresh interpreter, output discarded."""
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(
+        filter(None, [str(SRC), env.get("PYTHONPATH")]))
+    code = (
+        "import contextlib, io, json, sys\n"
+        "from iidtails.cli import main\n"
+        "with contextlib.redirect_stdout(io.StringIO()):\n"
+        "    codes = [main(argv) for argv in json.loads(sys.argv[1])]\n"
+        "print(json.dumps([codes, sorted({m.split('.')[0] for m in "
+        "sys.modules} & {'numpy', 'scipy'})]))\n")
+    proc = subprocess.run([sys.executable, "-c", code, json.dumps(argvs)],
+                          env=env, capture_output=True, text=True,
+                          timeout=120)
+    assert proc.returncode == 0, proc.stderr
+    return tuple(json.loads(proc.stdout))
+
+
+def test_exact_subcommands_load_no_numpy(coin_file, tmp_path):
+    """verify and counterexample are exact, so a process that runs them
+    (1-D, 2-D under the euclidean norm, and the N = 2 counterexample)
+    never loads numpy or scipy; a corpus draw loads numpy."""
+    plane = tmp_path / "plane.json"
+    save_dist(DiscreteDist({(0, 1): F(1, 3), (2, -1): F(2, 3)}, dim=2),
+              plane)
+    codes, loaded = _loads_in_fresh_process(
+        ["verify", "--claim", "theorem1", "--j", "1", "--k", "3", coin_file],
+        ["verify", "--claim", "theorem1", "--norm", "euclidean", str(plane)],
+        ["counterexample", "--N", "2"])
+    assert codes == [0, 0, 0] and loaded == []
+    codes, loaded = _loads_in_fresh_process(
+        ["corpus", "--count", "1", "--out-dir", str(tmp_path)])
+    assert codes == [0] and loaded == ["numpy"]

@@ -16,6 +16,8 @@ from iidtails.dists import (
     _encode,
     _gauge_curve,
     _merged,
+    _pack,
+    _packed_gauge,
     _unpack,
     _weighted_walk,
     affine,
@@ -887,6 +889,38 @@ def test_one_dimensional_gauge_reads_the_packed_point(values, alphas, norm):
         for atoms, _ in walk.sums():
             for z in atoms:
                 assert gauge(z) == norm.gauge(_unpack(z, walk.base, 1))
+
+
+@given(st.data(), st.sampled_from([2, 3]), st.integers(1, 200),
+       st.sampled_from([SUP, EUC]))
+@settings(max_examples=200, deadline=None)
+def test_packed_gauge_reads_the_balanced_digits(data, dim, half, norm):
+    """The int gauge of an n-D packed point equals norm.gauge of its
+    unpacked coordinates, negative coordinates and digits at +-base//2
+    included."""
+    base = 2 * half + 1
+    coord = st.one_of(st.sampled_from([-half, half]),
+                      st.integers(-half, half))
+    coords = data.draw(st.lists(coord, min_size=dim, max_size=dim))
+    z = _pack(coords, base)
+    assert _unpack(z, base, dim) == coords
+    gauge = _packed_gauge(base, dim, norm is EUC)
+    assert gauge(z) == norm.gauge(coords)
+
+
+@pytest.mark.parametrize("norm", [SUP, EUC])
+def test_walk_gauges_packed_points_in_ints(norm):
+    """A 2-D walk's gauge of every sum is norm.gauge of the unpacked point;
+    abs1d is refused there."""
+    x = DiscreteDist({(-2, 1): F(1, 4), (3, -3): F(1, 4), (0, 2): F(1, 2)},
+                     dim=2)
+    walk = _Walk([x], 4, DEFAULT_SUPPORT_CAP)
+    gauge = walk._gauge(norm)
+    for atoms, _ in walk.sums():
+        for z in atoms:
+            assert gauge(z) == norm.gauge(_unpack(z, walk.base, 2))
+    with pytest.raises(ValueError, match="abs1d"):
+        walk._gauge(ABS)
 
 
 def _watch_lattice_sums(monkeypatch):

@@ -33,6 +33,11 @@ class TestSamplerSpec:
         with pytest.raises(ValueError, match="dim"):
             SamplerSpec("discrete", {"atoms": [{"x": [0, 0], "p": 1}]},
                         dim=3)
+        # one location is a scalar, broadcast to every coordinate; a
+        # one-entry list is a point of dimension 1
+        SamplerSpec("discrete", {"atoms": [{"x": 1, "p": 1}]}, dim=2)
+        with pytest.raises(ValueError, match="dim"):
+            SamplerSpec("discrete", {"atoms": [{"x": [1], "p": 1}]}, dim=2)
 
     def test_gaussian_requires_positive_sigma(self):
         SamplerSpec("gaussian", {"mu": 0.0, "sigma": 2.0})
@@ -195,15 +200,15 @@ class TestMcCheck:
         assert all(r["verdict"] == "inconclusive" for r in v.rows)
 
     def test_corollary5_weights_length(self):
-        v = mc_check("corollary5", coin_spec(), j=1, k=2,
+        v = mc_check("corollary5", coin_spec(), j=None, k=2,
                      weights=[1.0, 0.5], t_grid=[0.5], n_samples=5000,
                      seed=2)
         assert v.status in ("holds", "inconclusive")
         with pytest.raises(ValueError):
-            mc_check("corollary5", coin_spec(), j=1, k=2, weights=[1.0],
-                     t_grid=[0.5])
+            mc_check("corollary5", coin_spec(), j=None, k=2,
+                     weights=[1.0], t_grid=[0.5])
         with pytest.raises(ValueError):
-            mc_check("corollary5", coin_spec(), j=1, k=2,
+            mc_check("corollary5", coin_spec(), j=None, k=2,
                      weights=[1.0, 2.0], t_grid=[0.5])
 
     def test_corollary6_index_order(self):
@@ -229,10 +234,30 @@ class TestMcCheck:
         # max(|S_1|, |S_2|) >= 1 on every coin path, while P(|S_2| > 1/2)
         # is 1/2: at c1 = c2 = 1 the claim fails, exactly and by sampling
         assert check_corollary4(coin(), 2, 1, 1).status == "violated"
-        v = mc_check("corollary4", coin_spec(), j=2, k=2, t_grid=[0.5],
+        v = mc_check("corollary4", coin_spec(), j=None, k=2, t_grid=[0.5],
                      c1=1, c2=1, n_samples=5000, seed=0)
         assert v.rows[0]["lhs"].estimate == 1.0
         assert v.status == "violated"
+
+    @pytest.mark.parametrize("claim, weights", [("corollary4", None),
+                                                ("corollary5", [1.0, 0.5])])
+    def test_j_only_where_the_claim_reads_it(self, claim, weights):
+        """corollary4's left side is a running max and corollary5's a
+        weighted sum: neither reads j, so any j is refused and none is
+        echoed."""
+        run = dict(k=2, weights=weights, t_grid=[1.0], n_samples=100)
+        for j in (1, 7):
+            with pytest.raises(ValueError, match=f"{claim} reads no j"):
+                mc_check(claim, coin_spec(), j=j, **run)
+        assert "j" not in mc_check(claim, coin_spec(), j=None, **run).params
+
+    def test_j_defaults_to_the_claims(self):
+        run = dict(k=2, t_grid=[0.5], n_samples=500, seed=4)
+        for claim, j in (("theorem1", 1), ("corollary6", 2),
+                         ("latala_sharp", 1)):
+            v = mc_check(claim, coin_spec(), None, **run)
+            assert v.params["j"] == j
+            assert v == mc_check(claim, coin_spec(), j, **run)
 
     def test_latala_sharp_fixes_the_indices(self):
         for j, k in ((1, 3), (2, 2), (2, 1)):
