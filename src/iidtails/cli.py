@@ -305,6 +305,11 @@ def _sampler_from_args(args) -> "tuple[SamplerSpec, dict]":
 
 
 def cmd_mc(args) -> int:
+    # as in verify, a weighted claim's k is the number of its weights
+    if args.k is None:
+        weighted = args.claim and \
+            checks.CLAIMS[args.claim].lhs == checks.WEIGHTED
+        args.k = len(args.weights) if weighted and args.weights else 2
     spec, digests = _sampler_from_args(args)
     t_grid = args.t or [Fraction(1)]
     # row i is keyed by seed + i, or by mc_check's two keys per row
@@ -451,7 +456,9 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--dim", type=int, default=1)
     p.add_argument("--j", type=int, default=None,
                    help="left index S_j, for claims that read one")
-    p.add_argument("--k", type=int, default=2)
+    p.add_argument("--k", type=int, default=None,
+                   help="right index S_k (default 2; for corollary5 the "
+                        "number of weights)")
     p.add_argument("--t", type=_rational, action="append", default=None,
                    help="threshold; repeat for a grid")
     p.add_argument("--weights", type=_weights, default=None)

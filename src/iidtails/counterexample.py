@@ -6,18 +6,19 @@ S_M = M^(-2/3) sum_{i<=M} (Y_i + M^(-1/3)) = 1 + (N*B - M) * M^(-2/3)
 live in the field Q(M^(1/3)); every event probability below is an exact
 rational because all order comparisons are decided by integer arithmetic.
 
-One binomial law serves every tail: _sums walks C(M,b)*(N-1)^(M-b) once
-over b, from math.comb at its first b and exact ratio steps from there (a
-remainder raises ArithmeticError, also under ``python -O``), and returns
-its prefix sums at the cuts asked for.  Every tail event is the
-complement of at most two windows of u = N*b - M, so a report cuts one
-walk at all its windows' edges and takes each window's mass as a
-difference of two prefix sums; the edges come from an integer cube root
-(centered) or a bisection on the sign rule, which rises with u.  find_M
-touches big integers only at the few M that decide: a block gate rejects
-runs of M by one exact bound at each block's first M, a fixed-point carry
-in 2^64 units rejects one M at a time from there, and an exact _sums seed
-decides every M the carry lets through.
+One binomial law serves every tail: _sums sums C(M,b)*(N-1)^(M-b) over b
+from math.comb at its lowest cut, by binary splitting of the exact ratio
+steps from each cut to the next (a remainder raises ArithmeticError, also
+under ``python -O``), and returns its prefix sums at the cuts asked for.
+Every tail event is the complement of at most two windows of u = N*b - M,
+so a report cuts one sum at all its windows' edges and takes each window's
+mass as a difference of two prefix sums; the edges come from an integer
+cube root (centered) or a bisection on the sign rule, which rises with u.
+find_M needs big integers only where its gate opens.  The most mass that K
+consecutive values of the binomial hold never rises with M, so a bound on
+the K largest terms at a block's first M rejects every later M whose
+window has at most K terms; an exact _sums seed decides the first M no
+block rejects, and if it fails the gate runs again from the next M.
 Thresholds, constants and sign-rule coefficients go through dists.rat, so
 a float is refused as everywhere else; N, M and the cap must be ints, and
 a bool or a float there raises TypeError naming the argument.
@@ -39,7 +40,7 @@ from __future__ import annotations
 from bisect import bisect_left
 from dataclasses import dataclass
 from fractions import Fraction
-from math import comb, isqrt, lcm
+from math import comb, isqrt, lcm, prod
 
 from .dists import _threshold, rat
 from .reports import Report, jsonify
@@ -53,7 +54,7 @@ def _ratio(num: int, den: int) -> int:
     return q
 
 
-_ONE = 1 << 64      # the unit of find_M's fixed-point carry
+_ONE = 1 << 64      # thr in the units of find_M's gate
 
 
 def _int(name: str, value) -> int:
@@ -120,18 +121,29 @@ def _term(N: int, M: int, b: int) -> int:
     return comb(M, b) * (N - 1) ** (M - b)
 
 
+def _split(N: int, M: int, a: int, z: int) -> "tuple[int, int, int]":
+    """(P, Q, S) over the ratio steps t(b+1)/t(b) = (M-b)/((b+1)*(N-1)) for
+    a <= b < z, by binary splitting: P/Q = t(z)/t(a) and
+    S/Q = sum_{a<=b<z} t(b)/t(a)."""
+    if z - a == 1:
+        q = (a + 1) * (N - 1)
+        return M - a, q, q
+    mid = (a + z) // 2
+    (P0, Q0, S0), (P1, Q1, S1) = _split(N, M, a, mid), _split(N, M, mid, z)
+    return P0 * P1, Q0 * Q1, S0 * Q1 + P0 * S1
+
+
 def _sums(N: int, M: int, cuts: "set[int]") -> "dict[int, int]":
     """{c: sum of C(M,b)*(N-1)^(M-b) over min(cuts) <= b < c} for each cut
-    c in 0..M+1: one walk from the lowest cut to the highest, math.comb at
-    its first b and exact ratio steps from there."""
-    first = min(cuts)
-    sums, total = {first: 0}, 0
-    for b in range(first, max(cuts)):
-        term = _term(N, M, b) if b == first else _ratio(
-            term * (M - b + 1), b * (N - 1))
-        total += term
-        if b + 1 in cuts:
-            sums[b + 1] = total
+    c in 0..M+1: math.comb at the lowest cut, then from each cut to the
+    next one binary-split (P, Q, S) and two exact divisions by Q."""
+    first, *rest = sorted(cuts)
+    sums, term = {first: 0}, _term(N, M, first)
+    for a, z in zip((first, *rest), rest):
+        P, Q, S = _split(N, M, a, z)
+        sums[z] = sums[a] + _ratio(term * S, Q)
+        if z < rest[-1]:
+            term = _ratio(term * P, Q)
     return sums
 
 
@@ -174,77 +186,68 @@ def centered_sum_tail(N: int, M: int, threshold) -> Fraction:
     return _tails(N, M, _centered(N, M, threshold))[0]
 
 
-def _block_end(N: int, M: int) -> int:
-    """The last M' >= M that one exact bound at M rejects, or less than M
-    when it rejects not even M itself.
+def _outward(N: int, M: int, t: int):
+    """Upper bounds on the terms t_M(b), in units of thr/_ONE, from the mode
+    m = floor((M+1)/N) outward, largest first: t bounds t_M(m), every ratio
+    step rounds up, and the terms fall away from the mode on either side
+    (down to 0 past its end), so a two-sided merge yields them in order."""
+    lo = hi = (M + 1) // N
+    left = -(-t * lo * (N - 1) // (M - lo + 1))       # at lo - 1
+    right = -(-t * (M - hi) // ((hi + 1) * (N - 1)))  # at hi + 1
+    yield t
+    while left or right:
+        if left >= right:
+            yield left
+            lo -= 1
+            left = -(-left * lo * (N - 1) // (M - lo + 1))
+        else:
+            yield right
+            hi += 1
+            right = -(-right * (M - hi) // ((hi + 1) * (N - 1)))
 
-    With T the modal term at m = floor((M+1)/N) and thr = (N-1)*N^(M-1),
-    T/thr is N/(N-1) times the largest pmf value of B ~ Binomial(M, 1/N),
-    which never rises with M: P(B_{M+1} = b) = P(B_M = b-1)/N +
-    P(B_M = b)*(N-1)/N.  A window of radius u has at most floor(2u/N) + 1
-    terms, each at most T, and u never falls as M grows.  So K*T < thr,
-    K = (thr - 1) // T, rejects every M' whose radius is at most the
-    largest u with floor(2u/N) + 1 <= K; the last such M' has
-    M'^2 < (u+1)^3 * N^3.
+
+def _block_end(N: int, M: int, t: int) -> int:
+    """The last M' >= M that the top-K bound at M rejects, or less than M
+    when it rejects not even M, for t >= _ONE*T/thr at the modal term T.
+
+    K is the most of _outward's terms whose sum stays below _ONE, so the K
+    largest pmf terms at M hold less than thr/N^M, and by the lemma
+    (find_M) any K consecutive terms at M' >= M hold less than thr'/N^M'.
+    A window of radius u has at most floor(2u/N) + 1 terms and u never
+    falls as M grows, so every M' with M'^2 < (u+1)^3 * N^3 for the
+    largest u with floor(2u/N) + 1 <= K is rejected.
     """
-    m = (M + 1) // N                        # binomial mode floor((M+1)/N)
-    K = ((N - 1) * N ** (M - 1) - 1) // _term(N, M, m)
+    total = 0
+    for K, x in enumerate(_outward(N, M, t)):
+        total += x
+        if total >= _ONE:
+            break
     u = (K * N - 1) // 2
     return isqrt((u + 1) ** 3 * N ** 3 - 1)
 
 
-def _gate(N: int, M_cap: int):
-    """The first M in [N^3, M_cap] that its block bound (_block_end) lets
-    through, or None when the blocks cover the cap."""
-    M = N ** 3
-    while M <= M_cap:
-        end = _block_end(N, M)
-        if end < M:
-            return M
-        M = end + 1
-    return None
+def _prod(a: int, z: int) -> int:
+    """The product of the ints in (a, z], by a balanced product tree."""
+    if z - a < 16:
+        return prod(range(a + 1, z + 1))
+    mid = (a + z) // 2
+    return _prod(a, mid) * _prod(mid, z)
 
 
-def _carry(N: int, M: int, M_cap: int, u: int, W: int, L: int, H: int):
-    """Yield (M', w, (l0, l1), (h0, h1)) for M' = M+1..M_cap: in 2^64 units
-    (_ONE) of thr' = (N-1)*N^(M'-1), w bounds the window mass W' at M' from
-    above, and l0 <= L' <= l1, h0 <= H' <= h1 bracket its edge terms
-    L' = t_M'(lo-1) and H' = t_M'(hi), t_M(b) = C(M,b)*(N-1)^(M-b).
-
-    They start from the exact W, L and H at M over its radius u and follow
-    Pascal's rule W' = N*W + L - H over the same edges, the edge terms'
-    exact ratio to M', and one edge term per b the window gains or loses;
-    every step rounds outward, up for an upper bound and down for a lower.
-    """
-    thr = (N - 1) * N ** (M - 1)
-    w = -(-W * _ONE // thr)
-    l0, l1 = L * _ONE // thr, -(-L * _ONE // thr)
-    h0, h1 = H * _ONE // thr, -(-H * _ONE // thr)
-    b0, b1 = -(-(M - u) // N), (M + u) // N
-    grow = (u + 1) ** 3 * N ** 3            # the M^2 at which u grows
-    for M in range(M + 1, M_cap + 1):
-        while M * M >= grow:
-            u += 1
-            grow = (u + 1) ** 3 * N ** 3
-        # W' / thr' = (N*W + L - H) / (N*thr), then the edge terms at M
-        w -= (h0 - l1) // N
-        up, d0, d1 = M * (N - 1), (M - b0 + 1) * N, (M - b1) * N
-        l0, l1 = l0 * up // d0, -(-l1 * up // d0)
-        h0, h1 = h0 * up // d1, -(-h1 * up // d1)
-        # both edges only move right as M grows
-        hi = (M + u) // N
-        while b1 < hi:
-            d = (b1 + 1) * (N - 1)
-            h0, h1 = h0 * (M - b1) // d, -(-h1 * (M - b1) // d)
-            b1 += 1
-            w += h1
-        lo = -(-(M - u) // N)
-        while b0 < lo:
-            d = b0 * (N - 1)
-            l0, l1 = l0 * (M - b0 + 1) // d, -(-l1 * (M - b0 + 1) // d)
-            b0 += 1
-            w -= l0
-        yield M, w, (l0, l1), (h0, h1)
+def _modal(N: int, M: int, M1: int, t: int) -> int:
+    """The bound t >= _ONE*T/thr on the modal term at M, carried to M1 > M:
+    t times the ratio of T/thr at M1 to T/thr at M, rounded up.  With
+    m = floor((M+1)/N), T = M!/(m!*(M-m)!) * (N-1)^(M-m) and thr gains a
+    factor N per M; the ranges (M, M1] of M1!/M! and (M-m, M1-m1] of
+    (M1-m1)!/(M-m)! cancel where they overlap, and the powers of N-1 and N
+    keep their top 128 bits, rounded up and down."""
+    m, m1 = (M + 1) // N, (M1 + 1) // N
+    a, z = M - m, M1 - m1
+    up, down = (N - 1) ** (z - a), N ** (M1 - M)
+    i, k = (max(x.bit_length() - 128, 0) for x in (up, down))
+    num = _prod(max(M, z), M1) * -(-up >> i) << i
+    den = _prod(m, m1) * _prod(a, min(M, z)) * (down >> k) << k
+    return -(-t * num // den)
 
 
 def find_M(N: int, M_cap: int):
@@ -253,38 +256,36 @@ def find_M(N: int, M_cap: int):
 
     The tail condition is equivalent to W >= thr = (N-1)*N^(M-1), where W
     is the binomial window mass sum_{|N*b-M| <= M^(2/3)/N} C(M,b)*(N-1)^(M-b).
-    The gate (_gate) rejects whole blocks of M at once, each by one exact
-    bound at its first M (_block_end), and opens at the first M whose
-    block is empty.  From there W and its edge terms are exact at an M
-    (one _sums walk, the exact seed) and carried in 2^64 units to the next
-    M by Pascal's rule,
-
-        sum_{b=lo..hi} t_M(b) = N*sum_{b=lo..hi} t_{M-1}(b)
-                                + t_{M-1}(lo-1) - t_{M-1}(hi),
-
-    rounded so that the carried w never falls below 2^64*W/thr (_carry).
-    w < 2^64 rejects an M; every other M, the answer included, is decided
-    by a new exact seed there, from which the carry starts again.  The
-    seed's ratio steps must divide exactly and raise ArithmeticError
-    otherwise; so every answer, None included, is exact, also under
-    ``python -O``.
+    Lemma: the most mass F_M(K) that K consecutive values of
+    B ~ Binomial(M, 1/N) hold never rises with M, since
+    P(B_{M+1} in I) = P(B_M in I-1)/N + P(B_M in I)*(N-1)/N, and it is the
+    sum of the K largest pmf terms, as the pmf is unimodal.  So the top-K
+    gate (_block_end) rejects a block of M by one ceil walk at its first M
+    in 2^64 units of thr, from a ceil bound on the modal term: exact at
+    N^3, then carried from block to block by the modal ratio, rounded up
+    (_modal).  At the first M no block rejects, one exact _sums seed
+    decides; if it fails, the gate runs again from M+1.  The seed's steps
+    must divide exactly and raise ArithmeticError otherwise, so every
+    answer, None included, is exact, also under ``python -O``.
     """
     if _int("N", N) < 2:
         raise ValueError("need N >= 2")
     if _int("M_cap", M_cap) < N ** 3:
         raise ValueError(f"cap {M_cap} is below N^3 = {N ** 3}")
-    M = _gate(N, M_cap)
-    while M is not None:
-        u = icbrt(M * M // N ** 3)          # the window radius at M
-        lo, hi = -(-(M - u) // N), (M + u) // N
-        sums = _sums(N, M, {lo - 1, lo, hi, hi + 1})
-        W = sums[hi + 1] - sums[lo]
-        if W >= (N - 1) * N ** (M - 1):
-            return M
-        M = next((M for M, w, _, _ in _carry(N, M, M_cap, u, W, sums[lo],
-                                             sums[hi + 1] - sums[hi])
-                  if w >= _ONE), None)
-    return None
+    M = N ** 3
+    t = -(-_term(N, M, (M + 1) // N) * _ONE // ((N - 1) * N ** (M - 1)))
+    while True:
+        end = _block_end(N, M, t)
+        if end < M:
+            u = icbrt(M * M // N ** 3)      # the window radius at M
+            lo, hi = -(-(M - u) // N), (M + u) // N
+            sums = _sums(N, M, {lo, hi + 1})
+            if sums[hi + 1] - sums[lo] >= (N - 1) * N ** (M - 1):
+                return M
+            end = M
+        if end >= M_cap:
+            return None
+        t, M = _modal(N, M, end + 1, t), end + 1
 
 
 @dataclass(frozen=True)

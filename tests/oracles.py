@@ -5,9 +5,9 @@ exponential and only usable for small cases; the point is that it shares no
 code path with the production implementations.  ``no_admissible_M_bound``
 is an analytic bound rather than an enumeration, and likewise shares no code
 with the scan it checks.  ``exact_find_M`` is the exact incremental scan
-that ``find_M``'s block gate and fixed-point carry replaced, kept as their
-differential reference, and ``exact_windows`` is the exact running window
-(Pascal's rule on exact ints) whose carry they round.  ``pmf_walk_tails``
+that ``find_M``'s top-K block gate replaced, kept as its differential
+reference, and ``exact_windows`` is the exact running window (Pascal's
+rule on exact ints) that the gate's bounds are checked against.  ``pmf_walk_tails``
 with the ``walk_centered``, ``walk_normalized`` and ``walk_extended``
 events is the per-b pmf walk that the counterexample tails' binomial
 windows replaced: every b from 0 to M, the event decided on each

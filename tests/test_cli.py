@@ -538,6 +538,24 @@ class TestMcCmd:
         code, out, _ = run(capsys, *gauss, "--claim", "theorem1")
         assert code in (0, 1) and last_json(out)["check"]["params"]["j"] == 1
 
+    def test_corollary5_takes_k_from_the_weights(self, capsys):
+        """As in verify, corollary5 without --k reads k from --weights; a
+        --k that disagrees is still refused, and without a weighted claim
+        k stays 2."""
+        gauss = ("mc", "--family", "gaussian", "--n", "100")
+        code, out, _ = run(capsys, *gauss, "--claim", "corollary5",
+                           "--weights", "1,1/2,1/4")
+        doc = last_json(out)
+        assert code in (0, 1)
+        assert doc["check"]["params"]["k"] == 3
+        assert doc["manifest"]["params"]["k"] == 3
+        code, out, err = run(capsys, *gauss, "--claim", "corollary5",
+                             "--weights", "1,1/2,1/4", "--k", "2")
+        assert code == 2 and not out and "got k=2" in err
+        code, out, _ = run(capsys, *gauss, "--claim", "theorem1", "--t", "1")
+        assert code in (0, 1)
+        assert last_json(out)["manifest"]["params"]["k"] == 2
+
     def test_discrete_needs_dist_file(self, capsys):
         code, _, err = run(capsys, "mc", "--family", "discrete", "--t", "1")
         assert code == 2

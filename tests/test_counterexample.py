@@ -3,7 +3,8 @@ import random
 import subprocess
 import sys
 from fractions import Fraction as F
-from math import comb
+from itertools import accumulate
+from math import comb, isqrt
 from pathlib import Path
 
 import mpmath
@@ -15,11 +16,11 @@ from iidtails import counterexample
 from iidtails.counterexample import (
     _ONE,
     _block_end,
-    _carry,
     _centered,
     _extended,
-    _gate,
+    _modal,
     _normalized,
+    _outward,
     _sign_rule,
     _sums,
     _tails,
@@ -177,21 +178,47 @@ def window_edges(N, M):
     return u, -(-(M - u) // N), (M + u) // N
 
 
-def assert_brackets(N, unit, step, exact):
-    """One step (M, w, (l0, l1), (h0, h1)) of _carry against the exact
-    (W, L, H) at M, each over thr in the given unit."""
-    M, w, (l0, l1), (h0, h1) = step
-    W, L, H = exact
-    thr = (N - 1) * N ** (M - 1)
-    assert w * thr >= unit * W, M
-    assert l0 * thr <= unit * L <= l1 * thr, M
-    assert h0 * thr <= unit * H <= h1 * thr, M
+def thr(N, M):
+    return (N - 1) * N ** (M - 1)
+
+
+def modal_bound(N, M, unit=_ONE):
+    """ceil(unit * T / thr) at M, the gate's modal bound at N^3."""
+    return -(-modal_term(N, M) * unit // thr(N, M))
+
+
+def modal_ratio(N, M, M1):
+    """The exact ratio of T/thr at M1 to T/thr at M."""
+    return F(modal_term(N, M1) * thr(N, M), modal_term(N, M) * thr(N, M1))
+
+
+def gate_blocks(N, M_cap, t=None):
+    """[(M, end, t)] for each block of the gate from N^3 up to the first
+    M it lets through or the cap, with the modal bound t at M."""
+    M, t = N ** 3, modal_bound(N, N ** 3) if t is None else t
+    blocks = []
+    while M <= M_cap:
+        end = _block_end(N, M, t)
+        blocks.append((M, end, t))
+        if end < M:
+            break
+        t, M = _modal(N, M, end + 1, t), end + 1
+    return blocks
+
+
+def top_k(N, M, t):
+    """The gate's K at M and the sum of its first K ceil bounds."""
+    total = 0
+    for K, x in enumerate(_outward(N, M, t)):
+        if total + x >= _ONE:
+            return K, total
+        total += x
 
 
 class TestFindMBounds:
-    """find_M rejects whole blocks of M by one exact bound each, carries the
-    window mass over thr in 2^64 units, and decides the rest by exact
-    seeds; it must agree with the exact scan."""
+    """find_M rejects whole blocks of M by one top-K bound each, in 2^64
+    units of thr from a carried modal bound, and decides the M where the
+    gate opens by an exact seed; it must agree with the exact scan."""
 
     # caps from N^3 up, around each known answer and past it
     CAPS = {
@@ -211,47 +238,90 @@ class TestFindMBounds:
 
     @pytest.mark.parametrize("N", sorted(CAPS))
     def test_running_window_alone_matches_exact_scan(self, monkeypatch, N):
-        # a unit of 2^8 makes the carried bound reach 1 every few M, so
-        # exact seeds decide much of the scan; with the gate bypassed the
-        # carry starts at N^3; each way the answers are the exact scan's
+        # a unit of 2^8 makes the gate open early (at N = 3 from M = 689),
+        # so seeds fail and the gate runs again from the next M; with the
+        # gate rejecting nothing, an exact seed at every M from N^3 (caps
+        # up to 1000) decides alone; each way the answers are the exact
+        # scan's
         exact = {cap: exact_find_M(N, cap) for cap in self.CAPS[N]}
-        for unit, bypass in ((1 << 8, False), (_ONE, True)):
-            monkeypatch.setattr(counterexample, "_ONE", unit)
-            if bypass:
-                monkeypatch.setattr(counterexample, "_gate",
-                                    lambda N, cap: N ** 3)
-            for cap in self.CAPS[N]:
-                assert find_M(N, cap) == exact[cap], (N, cap, unit)
+        seeds, sums = [], counterexample._sums
+
+        def spy(*args):
+            seeds.append(args[1])
+            return sums(*args)
+
+        monkeypatch.setattr(counterexample, "_sums", spy)
+        monkeypatch.setattr(counterexample, "_ONE", 1 << 8)
+        for cap in self.CAPS[N]:
+            if cap <= 4437:
+                assert find_M(N, cap) == exact[cap], (N, cap)
+        found = [M for M in exact.values() if M is not None]
+        assert N != 3 or len(seeds) > 2 * len(found)
+        monkeypatch.undo()
+        monkeypatch.setattr(counterexample, "_block_end",
+                            lambda N, M, t: M - 1)
+        for cap in self.CAPS[N]:
+            if cap <= 1000:
+                assert find_M(N, cap) == exact[cap], (N, cap)
 
     @pytest.mark.parametrize("N, M", [(2, 1), (2, 9), (2, 40), (3, 27),
                                       (3, 50), (4, 64), (5, 31), (7, 60)])
-    def test_ceil_walk_bounds_every_exact_term(self, N, M):
-        # _sums walks once from its lowest cut and returns every prefix
-        # sum of the exact terms; from an exact seed at M, the carry's
-        # rounded steps keep w above the exact window mass and each edge
-        # term inside its bracket for 60 more M
+    def test_sums_are_exact_prefix_sums(self, N, M):
+        # _sums sums from its lowest cut and returns every prefix sum of
+        # the exact terms
         exact = [comb(M, b) * (N - 1) ** (M - b) for b in range(M + 1)]
         for b0 in {0, M // N, (M + 1) // N, M // 2, M}:
             cuts = {b0, b0 + 1, (b0 + M + 1) // 2, M + 1}
             assert _sums(N, M, cuts) == {c: sum(exact[b0:c]) for c in cuts}
         assert _sums(N, M, {0, M + 1}) == {0: 0, M + 1: N ** M}
-        u, lo, hi = window_edges(N, M)
-        W = sum(exact[lo:hi + 1])
-        carried = list(_carry(N, M, M + 60, u, W, exact[lo - 1], exact[hi]))
-        assert [step[0] for step in carried] == list(range(M + 1, M + 61))
-        windows = exact_windows(N, M, M + 60)
-        for step in carried:
-            assert_brackets(N, _ONE, step, windows[step[0]])
+
+    @given(st.integers(2, 7), st.integers(1, 400),
+           st.lists(st.integers(0, 401), min_size=2, max_size=8))
+    @settings(max_examples=200, deadline=None)
+    def test_sums_match_the_per_b_walk(self, N, M, cuts):
+        cuts = {min(c, M + 1) for c in cuts}
+        if len(cuts) < 2:
+            return
+        first = min(cuts)
+        exact = [comb(M, b) * (N - 1) ** (M - b) for b in range(M + 1)]
+        assert _sums(N, M, cuts) == {c: sum(exact[first:c]) for c in cuts}
+
+    @pytest.mark.parametrize("N, M", [(2, 1), (2, 9), (2, 40), (3, 27),
+                                      (3, 50), (4, 64), (5, 31), (7, 60)])
+    def test_ceil_walk_bounds_every_exact_term(self, monkeypatch, N, M):
+        # from the ceil modal bound the walk yields one bound per b, in
+        # descending order, and the i-th largest bound is at least the
+        # i-th largest exact term over thr in 2^64 units; a floor step
+        # drops some bound below its term (the far tails' bounds to 0,
+        # which also ends the walk early)
+        walk = list(_outward(N, M, modal_bound(N, M)))
+        assert len(walk) == M + 1
+        assert walk == sorted(walk, reverse=True)
+        exact = sorted((comb(M, b) * (N - 1) ** (M - b)
+                        for b in range(M + 1)), reverse=True)
+        for x, term in zip(walk, exact):
+            assert x * thr(N, M) >= _ONE * term
+        # with a unit of 64 some running sums reach it exactly: K counts
+        # the bounds whose running sum stays below it
+        monkeypatch.setattr(counterexample, "_ONE", 64)
+        for t in range(modal_bound(N, M, 64), 64):
+            K = sum(s < 64 for s in accumulate(_outward(N, M, t)))
+            u = (K * N - 1) // 2
+            assert _block_end(N, M, t) == isqrt((u + 1) ** 3 * N ** 3 - 1)
 
     def test_bound_walks_get_exact_window_and_upper_modal_bound(
             self, monkeypatch):
-        # at N = 3 the blocks cover 27..1727 without a gap, and the one
-        # exact seed up to 3400 is at 1728, on that M's window
+        # at N = 3 the blocks cover 27..4436 without a gap, and the carried
+        # modal bound stays above 2^64*T/thr, by less than 2^-60 of thr; the
+        # one exact seed up to 10_000 is at 4437, on that M's window
         N = 3
-        M = N ** 3
-        while (end := _block_end(N, M)) >= M:
-            M = end + 1
-        assert M == _gate(N, 3400) == 1728         # = 12^3
+        blocks = gate_blocks(N, 10_000)
+        assert len(blocks) == 18 and blocks[-1][0] == 4437
+        assert [M for M, _, _ in blocks[1:]] == [
+            end + 1 for _, end, _ in blocks[:-1]]
+        for M, _, t in blocks:
+            excess = t - F(_ONE * modal_term(N, M), thr(N, M))
+            assert 0 <= excess < F(_ONE, 1 << 60), M
         seeds = []
         sums = counterexample._sums
 
@@ -260,28 +330,31 @@ class TestFindMBounds:
             return sums(*args)
 
         monkeypatch.setattr(counterexample, "_sums", spy)
-        assert find_M(N, 3400) is None     # 3375 = 27 * 5^3 is on the edge
-        _, lo, hi = window_edges(N, M)
-        assert seeds == [(N, M, {lo - 1, lo, hi, hi + 1})]
+        assert find_M(N, 4436) is None and seeds == []
+        assert find_M(N, 10_000) == 4437
+        _, lo, hi = window_edges(N, 4437)
+        assert seeds == [(N, 4437, {lo, hi + 1})]
 
     @pytest.mark.parametrize("N", [2, 3, 4, 5, 6, 7])
     def test_modal_bound_tracks_each_exact_step(self, N):
-        # every M of a block is rejected twice over: by the bound from the
-        # block's first M (floor(2u/N) + 1 terms, each at most T there)
-        # and by its own window count times its own modal term; and the
-        # block ends where that first bound no longer holds
-        M = N ** 3
-        while M <= 3000 and (end := _block_end(N, M)) >= M:
-            T0, thr0 = modal_term(N, M), (N - 1) * N ** (M - 1)
+        # at every M of every block up to 3000, the exact window mass is at
+        # most the block's ceil top-K sum, both over thr, and the window
+        # has at most K terms; the block ends where the count passes K
+        blocks = gate_blocks(N, 3000)
+        windows = exact_windows(N, N ** 3, 3001)
+        for M, end, t in blocks:
+            K, top = top_k(N, M, t)
+            assert top < _ONE
             for M1 in range(M, min(end, 3000) + 1):
                 u, lo, hi = window_edges(N, M1)
-                assert (2 * u // N + 1) * T0 < thr0, (M, M1)
-                assert ((hi - lo + 1) * modal_term(N, M1)
-                        < (N - 1) * N ** (M1 - 1)), M1
-            u, _, _ = window_edges(N, end + 1)
-            assert (2 * u // N + 1) * T0 >= thr0, (M, end)
-            M = end + 1
-        assert _gate(N, 3000) == (M if M <= 3000 else None)
+                assert 2 * u // N + 1 <= K, (M, M1)
+                assert hi - lo + 1 <= K
+                assert windows[M1][0] * _ONE <= top * thr(N, M1), (M, M1)
+            if end >= M:
+                u, _, _ = window_edges(N, end + 1)
+                assert 2 * u // N + 1 > K, (M, end)
+        M, end, _ = blocks[-1]
+        assert find_M(N, 3000) == (M if end < M <= 3000 else None)
 
     @pytest.mark.parametrize("N", range(2, 11))
     def test_modal_ratio_never_rises(self, N):
@@ -293,54 +366,82 @@ class TestFindMBounds:
             assert T <= N * prev, M
             prev = T
 
+    @pytest.mark.parametrize("N", range(2, 8))
+    def test_top_k_mass_never_rises(self, N):
+        # the lemma, exactly: F_{M+1}(K) <= F_M(K) for the K largest terms
+        # (N^M times the pmf, so F_{M+1} <= N * F_M); for small M, F_M(K)
+        # is also the most that K consecutive terms hold
+        def top(M):
+            terms = [comb(M, b) * (N - 1) ** (M - b) for b in range(M + 1)]
+            desc = sorted(terms, reverse=True)[:30]
+            return terms, [sum(desc[:K]) for K in range(1, 31)]
+
+        terms, prev = top(1)
+        for M in range(2, 401):
+            terms, cur = top(M)
+            assert all(c <= N * p for c, p in zip(cur, prev)), M
+            if M <= 60:
+                for K, F_K in enumerate(cur[:M + 1], 1):
+                    assert F_K == max(sum(terms[s:s + K])
+                                      for s in range(M + 2 - K)), (M, K)
+            prev = cur
+
     @pytest.mark.parametrize("N, cap, unit, bypass", [
         (3, 6000, 1 << 64, False), (3, 4500, 8, False),
         (4, 1500, 1 << 64, True), (5, 800, 1 << 12, True)])
     def test_carry_bounds_exact_window(self, monkeypatch, N, cap, unit,
                                        bypass):
-        # at every carried M of a find_M run, the carried w, times thr, is
-        # at least the unit times the exact window mass; a unit of 8 makes
-        # the carry restart from an exact seed every M or two, and the
-        # bypassed gate makes it run from N^3
+        # every modal bound find_M carries, in the given unit, is the
+        # ceil of the bound it came from times the exact ratio, so it stays
+        # at least unit*T/thr; a unit of 8 or 2^12 makes the gate open
+        # early and re-gate after failed seeds, and the bypassed gate
+        # rejects nothing, so the bound is carried from every M to M + 1
         monkeypatch.setattr(counterexample, "_ONE", unit)
         if bypass:
-            monkeypatch.setattr(counterexample, "_gate",
-                                lambda N, cap: N ** 3)
+            monkeypatch.setattr(counterexample, "_block_end",
+                                lambda N, M, t: M - 1)
         seen = []
-        carry = counterexample._carry
+        modal = counterexample._modal
 
-        def spy(*args):
-            for step in carry(*args):
-                seen.append(step)
-                yield step
+        def spy(N, M, M1, t):
+            seen.append((M, M1, t, modal(N, M, M1, t)))
+            return seen[-1][-1]
 
-        monkeypatch.setattr(counterexample, "_carry", spy)
+        monkeypatch.setattr(counterexample, "_modal", spy)
         assert find_M(N, cap) == exact_find_M(N, cap)
-        assert seen
-        windows = exact_windows(N, seen[0][0] - 1, seen[-1][0])
-        for step in seen:
-            assert_brackets(N, unit, step, windows[step[0]])
+        assert seen and seen[0][2] == modal_bound(N, N ** 3, unit)
+        for M, M1, t, t1 in seen:
+            carried = t * modal_ratio(N, M, M1)
+            assert carried <= t1 < carried + 1, (M, M1)
+            assert t1 * thr(N, M1) >= unit * modal_term(N, M1), M1
 
     @pytest.mark.parametrize("N, M0", [(3, 1728), (4, 1000), (5, 125)])
     def test_each_carried_step_rounds_outward(self, N, M0):
-        # from an exact seed at each of 300 M, the carry's first three
-        # steps: each keeps less than a unit of slack, so a floor where a
-        # ceil belongs (or the reverse) at any one step of w or of an
-        # edge term's bracket puts the exact value outside its bound at
-        # some M
-        windows = exact_windows(N, M0, M0 + 302)
+        # from the ceil modal bound at each of 300 M, the bound carried one
+        # M and a long way on is the ceil of t times the exact ratio: a
+        # floor where the ceil belongs puts it below its exact value
         for M in range(M0, M0 + 300):
-            u = window_edges(N, M)[0]
-            for step in _carry(N, M, M + 3, u, *windows[M]):
-                assert_brackets(N, _ONE, step, windows[step[0]])
+            t = modal_bound(N, M)
+            for M1 in (M + 1, M + 2, 2 * M + 7):
+                t1 = _modal(N, M, M1, t)
+                carried = t * modal_ratio(N, M, M1)
+                assert carried <= t1 < carried + 1, (M, M1)
+                assert t1 * thr(N, M1) >= _ONE * modal_term(N, M1), (M, M1)
+        # the powers of N - 1 and N keep their top 128 bits, rounded so the
+        # ratio only grows, by less than 2^-120; a bound of 2^256 units
+        # shows a rounding the other way
+        for M in range(M0, M0 + 20):
+            t, M1 = 1 << 256, 2 * M + 7
+            carried = t * modal_ratio(N, M, M1)
+            assert carried <= _modal(N, M, M1, t) <= carried * (
+                1 + F(1, 1 << 120)) + 1, M
 
     @pytest.mark.parametrize("N, cap, answer, decided", [
-        (2, 100, 8, [8]), (3, 10_000, 4437, [1728, 4437]),
+        (2, 100, 8, [8]), (3, 10_000, 4437, [4437]),
         (10, 15_000, None, [])])
     def test_exact_decisions(self, monkeypatch, N, cap, answer, decided):
-        # an exact seed is taken where the gate opens (M = 8 at N = 2,
-        # M = 1728 at N = 3, never at N = 10) and where the carried bound
-        # reaches 1, which it first does at the answer
+        # an exact seed is taken only where the gate opens, which at N = 2
+        # and N = 3 is at the answer, and never at N = 10
         calls = []
         sums = counterexample._sums
 
@@ -352,10 +453,30 @@ class TestFindMBounds:
         assert find_M(N, cap) == answer
         assert calls == decided
 
+    def test_failed_seed_regates_from_the_next_M(self, monkeypatch):
+        # with the blocks cut at 4399 and every later M let through, the
+        # seeds from 4400 fail until the answer, and after each failed seed
+        # the gate runs again from the very next M, so none is skipped
+        seeds = []
+        block_end, sums = counterexample._block_end, counterexample._sums
+
+        def cut(N, M, t):
+            return min(block_end(N, M, t), 4399) if M < 4400 else M - 1
+
+        def spy(*args):
+            seeds.append(args[1])
+            return sums(*args)
+
+        monkeypatch.setattr(counterexample, "_block_end", cut)
+        monkeypatch.setattr(counterexample, "_sums", spy)
+        assert find_M(3, 10_000) == 4437
+        assert seeds == list(range(4400, 4438))
+
     @pytest.mark.parametrize("N, cap", [(3, 3000), (3, 10_000)])
     def test_no_bound_step_after_the_exact_window(self, monkeypatch, N, cap):
-        # the gate takes no block bound after the first exact seed: from
-        # there the carry and the seeds decide every M
+        # the gate takes no block bound after the exact seed that decides:
+        # under 4437 the blocks reject every M, and at 4437 the one seed
+        # returns the answer
         calls = []
         sums, block_end = counterexample._sums, counterexample._block_end
 
@@ -370,22 +491,35 @@ class TestFindMBounds:
         monkeypatch.setattr(counterexample, "_sums", sums_spy)
         monkeypatch.setattr(counterexample, "_block_end", block_spy)
         assert find_M(N, cap) == exact_find_M(N, cap)
-        assert "block" in calls and "seed" in calls
-        assert "block" not in calls[calls.index("seed"):]
+        assert "block" in calls
+        assert calls.count("seed") == (cap >= 4437)
+        assert "seed" not in calls or calls[-1] == "seed"
 
     def test_N10_gate_takes_two_blocks(self, monkeypatch):
         # criterion 7's statement: the gate rejects every M up to 1e5 in
-        # two blocks, one modal term each, and no window is summed
-        calls = []
-        term = counterexample._term
+        # two blocks (1000 and 61024), from one exact modal term and one
+        # carried ratio, and no window is summed
+        calls, blocks = [], []
+        term, block_end = counterexample._term, counterexample._block_end
 
         def spy(*args):
             calls.append(args)
             return term(*args)
 
+        def block_spy(N, M, t):
+            blocks.append(M)
+            return block_end(N, M, t)
+
         monkeypatch.setattr(counterexample, "_term", spy)
+        monkeypatch.setattr(counterexample, "_block_end", block_spy)
         assert find_M(10, 100_000) is None
         assert len(calls) <= 3
+        assert blocks == [1000, 61024]
+
+    def test_first_N4_horizon(self):
+        # the first certified N = 4 horizon: the gate opens at 253742,
+        # where the one exact seed is admissible
+        assert find_M(4, 300_000) == 253742
 
     def test_answers_under_python_O(self):
         # no assert guards any step, so -O must give the same answers
@@ -394,11 +528,11 @@ class TestFindMBounds:
             filter(None, [str(SRC), env.get("PYTHONPATH")]))
         code = ("from iidtails.counterexample import find_M; "
                 "print(__debug__, find_M(2, 100), find_M(3, 10_000), "
-                "find_M(10, 15_000))")
+                "find_M(3, 4436), find_M(10, 15_000))")
         proc = subprocess.run([sys.executable, "-O", "-c", code], env=env,
                               capture_output=True, text=True, timeout=120)
         assert proc.returncode == 0, proc.stderr
-        assert proc.stdout.split() == ["False", "8", "4437", "None"]
+        assert proc.stdout.split() == ["False", "8", "4437", "None", "None"]
 
 
 class TestOneWalkPerReport:
@@ -445,15 +579,15 @@ class TestOneWalkPerReport:
 
 
     def test_report_makes_one_comb(self, monkeypatch):
-        # the four tails' windows share one walk: one math.comb at the
-        # lowest window edge, then one exact ratio step per b up to the
-        # highest
+        # the four tails' windows share one sum: one math.comb at the
+        # lowest window edge, then at most two exact divisions (_ratio) from
+        # each window edge to the next
         N, M = 3, 4437
         t = F(1, 2)
         events = [_centered(N, M, F(1, N)), _normalized(N, M, t),
                   _extended(N, M, t / F(N, 3)), _extended(N, M, F(3, N))]
         edges = [b for _, windows in events for _, lo, hi in windows
-                 for b in (lo, hi)]
+                 for b in (lo, hi + 1)]
         combs, steps = [], []
         ratio = counterexample._ratio
 
@@ -469,7 +603,8 @@ class TestOneWalkPerReport:
         monkeypatch.setattr(counterexample, "_ratio", ratio_spy)
         rep = verify_counterexample(N, M=M)
         assert combs == [(M, min(edges))]
-        assert len(steps) == max(edges) - min(edges) < 450
+        assert max(edges) - min(edges) <= 450
+        assert 0 < len(steps) <= 2 * (len(set(edges)) - 1)
         assert rep.centered_holds and rep.extended_holds
         assert rep.refutation["fails"]
 
