@@ -25,11 +25,12 @@ InequalityReport (_report).
 
 CLAIMS is the one table of claims.  The corpus, the CLI, mc_check and the
 extremal search read it, and judge a claim's parameters by its rules:
-variants is the one constants rule and _indices (require_indices) the one
-index and weight rule.  shape_checks is the one place a check is
-assembled: for verify's reports (claim_reports, which the check_*
-functions wrap) and the corpus rows alike it echoes the params, states the
-status and note (_verdict) and gives the worst case as int pairs.
+variants (require_positive) is the one constants rule and _indices
+(dists.require_indices) the one index and weight rule.  shape_checks is
+the one place a check is assembled: for verify's reports (claim_reports,
+which the check_* functions wrap) and the corpus rows alike it echoes the
+params, states the status and note (_verdict) and gives the worst case as
+int pairs.
 """
 
 from __future__ import annotations
@@ -44,6 +45,7 @@ from typing import Callable
 from .concentration import _corollary3, _lemma2, check_lemma2
 from .dists import (
     DEFAULT_SUPPORT_CAP,
+    FIRST_TWO, J_LE_K, K_LE_J, K_ONLY,  # the index rules
     DiscreteDist,
     Norm,
     STRICT,
@@ -56,6 +58,7 @@ from .dists import (
     _merged,
     _weighted_walk,
     rat,
+    require_indices,
 )
 from .reports import HOLDS, InequalityReport, VIOLATED
 
@@ -267,18 +270,6 @@ MAX = "max"            # running maximum max_{i<=k} ||S_i||
 WEIGHTED = "weighted"  # sum_i alpha_i X_i with k = len(alphas)
 ENVELOPE = "envelope"  # max_{i<=k} Pr(||S_i|| > .), pointwise
 
-# index rules; each also sets the corpus range (corpus._grid)
-J_LE_K = "1 <= j <= k"
-K_LE_J = "1 <= k <= j"
-K_ONLY = "k >= 1"
-FIRST_TWO = "(j, k) = (1, 2)"
-_ADMITS = {
-    J_LE_K: lambda j, k: 1 <= j <= k,
-    K_LE_J: lambda j, k: 1 <= k <= j,
-    K_ONLY: lambda j, k: k >= 1,
-    FIRST_TWO: lambda j, k: (j, k) == (1, 2),
-}
-
 EXTERNAL = "external claim [L]"
 
 
@@ -348,11 +339,6 @@ CLAIMS = {spec.claim_id: spec for spec in (
 ALIASES = {"levy": "levy_ottaviani", "latala": "latala_sharp"}
 
 
-def require_indices(order: str, j, k) -> None:
-    if not _ADMITS[order](j, k):
-        raise ValueError(f"need {order}, got j={j}, k={k}")
-
-
 def variants(spec: ClaimSpec, c1=None, c2=None) -> list:
     """(shape, c1, c2) for each constant pair the claim checks, in report
     order; c1 and c2 replace the default constants when given.  The one
@@ -369,9 +355,14 @@ def variants(spec: ClaimSpec, c1=None, c2=None) -> list:
         return [(spec, None, None)]
     c1 = spec.constants[0] if c1 is None else rat(c1)
     c2 = spec.constants[1] if c2 is None else rat(c2)
-    _require(c1 > 0 and c2 > 0, f"constants for {spec.claim_id} must be "
-                                "positive")
+    require_positive(f"constants for {spec.claim_id} must be positive",
+                     c1, c2)
     return [(spec, c1, c2)]
+
+
+def require_positive(message: str, *constants: Fraction) -> None:
+    """The one positivity rule for claim constants."""
+    _require(all(c > 0 for c in constants), message)
 
 
 def _indices(shape: ClaimSpec, given: dict) -> dict:

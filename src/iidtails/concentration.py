@@ -16,12 +16,14 @@ from math import gcd
 
 from .dists import (
     DEFAULT_SUPPORT_CAP,
+    J_LE_K,
     DiscreteDist,
     Norm,
     WEAK,
     _Walk,
     _threshold,
     rat,
+    require_indices,
 )
 from .reports import HOLDS, InequalityReport, VACUOUS, VIOLATED
 
@@ -251,8 +253,7 @@ def classify_case(X: DiscreteDist, j: int, k: int, t,
     case3: otherwise; concluding bound Pr(||S_k|| >= t/10) >= 2/3 (weak).
     """
     tt = _threshold(t)
-    if not 1 <= j <= k:
-        raise ValueError(f"need 1 <= j <= k, got j={j}, k={k}")
+    require_indices(J_LE_K, j, k)
     walk = _Walk([X], k, cap)
     reads = {k - j, j, k}               # only the sums read below
     laws = {i: law for i, law in enumerate(walk.sums(reads), 1)

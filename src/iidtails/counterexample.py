@@ -17,8 +17,10 @@ cube root (centered) or a bisection on the sign rule, which rises with u.
 find_M needs big integers only where its gate opens.  The most mass that K
 consecutive values of the binomial hold never rises with M, so a bound on
 the K largest terms at a block's first M rejects every later M whose
-window has at most K terms; an exact _sums seed decides the first M no
-block rejects, and if it fails the gate runs again from the next M.
+window has at most K terms, from Robbins' closed-form bound on the modal
+term.  find_M decides each M the gate (_gate) lets through by an exact
+_sums seed, and verify_counterexample by the report, whose admissible
+tail has the seed's window, so a scan and its report share one walk.
 Thresholds, constants and sign-rule coefficients go through dists.rat, so
 a float is refused as everywhere else; N, M and the cap must be ints, and
 a bool or a float there raises TypeError naming the argument.
@@ -40,7 +42,7 @@ from __future__ import annotations
 from bisect import bisect_left
 from dataclasses import dataclass
 from fractions import Fraction
-from math import comb, isqrt, lcm, prod
+from math import comb, isqrt, lcm
 
 from .dists import _threshold, rat
 from .reports import Report, jsonify
@@ -115,12 +117,6 @@ def cbrt_combo_sign(a, b, c, M: int) -> int:
                            for x in (a, b, c)))
 
 
-def _term(N: int, M: int, b: int) -> int:
-    """C(M,b)*(N-1)^(M-b), the pmf numerator of B ~ Binomial(M, 1/N) at b
-    (denominator N^M)."""
-    return comb(M, b) * (N - 1) ** (M - b)
-
-
 def _split(N: int, M: int, a: int, z: int) -> "tuple[int, int, int]":
     """(P, Q, S) over the ratio steps t(b+1)/t(b) = (M-b)/((b+1)*(N-1)) for
     a <= b < z, by binary splitting: P/Q = t(z)/t(a) and
@@ -138,7 +134,7 @@ def _sums(N: int, M: int, cuts: "set[int]") -> "dict[int, int]":
     c in 0..M+1: math.comb at the lowest cut, then from each cut to the
     next one binary-split (P, Q, S) and two exact divisions by Q."""
     first, *rest = sorted(cuts)
-    sums, term = {first: 0}, _term(N, M, first)
+    sums, term = {first: 0}, comb(M, first) * (N - 1) ** (M - first)
     for a, z in zip((first, *rest), rest):
         P, Q, S = _split(N, M, a, z)
         sums[z] = sums[a] + _ratio(term * S, Q)
@@ -226,28 +222,29 @@ def _block_end(N: int, M: int, t: int) -> int:
     return isqrt((u + 1) ** 3 * N ** 3 - 1)
 
 
-def _prod(a: int, z: int) -> int:
-    """The product of the ints in (a, z], by a balanced product tree."""
-    if z - a < 16:
-        return prod(range(a + 1, z + 1))
-    mid = (a + z) // 2
-    return _prod(a, mid) * _prod(mid, z)
+def _modal(N: int, M: int) -> int:
+    """A bound t >= _ONE*T/thr on the modal term T at M >= N^3 in closed
+    form: T/thr = N/(N-1)*P(B = m), m = floor((M+1)/N), and by Robbins'
+    Stirling bounds (1955) P(B = m) <= e^(1/(12M))*sqrt(M/(2*pi*m*(M-m)));
+    with e^(1/(12M)) <= 12M/(12M-1) and pi > 103993/33102, t is the ceil of
+    the square root of the ceil of the bound's square, num/den."""
+    m = (M + 1) // N
+    num = (_ONE * N * 12 * M) ** 2 * M * 33102
+    den = ((N - 1) * (12 * M - 1)) ** 2 * 2 * 103993 * m * (M - m)
+    return isqrt((num - 1) // den) + 1     # ceil(sqrt(c)) = isqrt(c-1) + 1
 
 
-def _modal(N: int, M: int, M1: int, t: int) -> int:
-    """The bound t >= _ONE*T/thr on the modal term at M, carried to M1 > M:
-    t times the ratio of T/thr at M1 to T/thr at M, rounded up.  With
-    m = floor((M+1)/N), T = M!/(m!*(M-m)!) * (N-1)^(M-m) and thr gains a
-    factor N per M; the ranges (M, M1] of M1!/M! and (M-m, M1-m1] of
-    (M1-m1)!/(M-m)! cancel where they overlap, and the powers of N-1 and N
-    keep their top 128 bits, rounded up and down."""
-    m, m1 = (M + 1) // N, (M1 + 1) // N
-    a, z = M - m, M1 - m1
-    up, down = (N - 1) ** (z - a), N ** (M1 - M)
-    i, k = (max(x.bit_length() - 128, 0) for x in (up, down))
-    num = _prod(max(M, z), M1) * -(-up >> i) << i
-    den = _prod(m, m1) * _prod(a, min(M, z)) * (down >> k) << k
-    return -(-t * num // den)
+def _gate(N: int, cap: int):
+    """Each M in [N^3, cap] no block of the top-K gate rejects, in order,
+    the blocks running from N^3 with no gap; a cap below N^3 is refused."""
+    M = N ** 3
+    if cap < M:
+        raise ValueError(f"cap {cap} is below N^3 = {M}")
+    while M <= cap:
+        end = _block_end(N, M, _modal(N, M))
+        if end < M:
+            yield M
+        M = max(end, M) + 1
 
 
 def find_M(N: int, M_cap: int):
@@ -260,32 +257,20 @@ def find_M(N: int, M_cap: int):
     B ~ Binomial(M, 1/N) hold never rises with M, since
     P(B_{M+1} in I) = P(B_M in I-1)/N + P(B_M in I)*(N-1)/N, and it is the
     sum of the K largest pmf terms, as the pmf is unimodal.  So the top-K
-    gate (_block_end) rejects a block of M by one ceil walk at its first M
-    in 2^64 units of thr, from a ceil bound on the modal term: exact at
-    N^3, then carried from block to block by the modal ratio, rounded up
-    (_modal).  At the first M no block rejects, one exact _sums seed
-    decides; if it fails, the gate runs again from M+1.  The seed's steps
-    must divide exactly and raise ArithmeticError otherwise, so every
+    gate (_gate) rejects a block of M by one ceil walk (_block_end) at its
+    first M, in 2^64 units of thr from Robbins' bound there (_modal).  Each
+    M it lets through gets one exact _sums seed over its window; the seed's
+    steps must divide exactly and raise ArithmeticError otherwise, so every
     answer, None included, is exact, also under ``python -O``.
     """
     if _int("N", N) < 2:
         raise ValueError("need N >= 2")
-    if _int("M_cap", M_cap) < N ** 3:
-        raise ValueError(f"cap {M_cap} is below N^3 = {N ** 3}")
-    M = N ** 3
-    t = -(-_term(N, M, (M + 1) // N) * _ONE // ((N - 1) * N ** (M - 1)))
-    while True:
-        end = _block_end(N, M, t)
-        if end < M:
-            u = icbrt(M * M // N ** 3)      # the window radius at M
-            lo, hi = -(-(M - u) // N), (M + u) // N
-            sums = _sums(N, M, {lo, hi + 1})
-            if sums[hi + 1] - sums[lo] >= (N - 1) * N ** (M - 1):
-                return M
-            end = M
-        if end >= M_cap:
-            return None
-        t, M = _modal(N, M, end + 1, t), end + 1
+    for M in _gate(N, _int("M_cap", M_cap)):
+        _, [(_, lo, hi)] = _centered(N, M, Fraction(1, N))
+        sums = _sums(N, M, {lo, hi + 1})
+        if sums[hi + 1] - sums[lo] >= (N - 1) * N ** (M - 1):
+            return M
+    return None
 
 
 @dataclass(frozen=True)
@@ -386,42 +371,45 @@ def verify_counterexample(N: int, M: "int | None" = None,
     Checks Pr(|S_M| > 1/2) >= 1 - 1/N and Pr(|S_M + X_{M+1}| > 3/N) <= 2/N,
     then evaluates the contrast at c = N/3, t = 1/2: together these show no
     universal constant c <= N/3 can relate the two weighted partial sums.
+    Without M, the report is the first at an M find_M's gate lets through
+    (cap defaults to max(N^3, 100000)) whose admissible tail is at most
+    1/N: that tail's window is find_M's seed, so both share one _sums walk.
     """
     if _int("N", N) < 2:
         raise ValueError("need N >= 2")
-    if M is not None and cap is not None:
+    if M is None:
+        cap = max(N ** 3, 100_000) if cap is None else _int("cap", cap)
+        candidates = _gate(N, cap)
+    elif cap is not None:
         raise ValueError("cap bounds the scan for M, so it cannot be "
                          "given together with M")
-    used_cap = None
-    if M is None:
-        used_cap = max(N ** 3, 100_000) if cap is None else _int("cap", cap)
-        M = find_M(N, used_cap)
-        if M is None:
-            return CounterexampleReport(N=N, cap=used_cap)
-    _law(N, M)
+    else:
+        _law(N, M)
+        candidates = (M,)
     c_star, t = Fraction(N, 3), Fraction(1, 2)
-    # one set of windows per tail; the refutation's lhs is
-    # Pr(|S_M| > 1/2), the centered tail itself
-    admissible, p_cent, rhs, p_ext = _tails(
-        N, M, _centered(N, M, Fraction(1, N)), _normalized(N, M, t),
-        _extended(N, M, t / c_star), _extended(N, M, Fraction(3, N)))
-    return CounterexampleReport(
-        N=N, M=M, found=True, cap=used_cap,
-        admissible_tail=admissible,
-        p_centered=p_cent,
-        centered_holds=p_cent >= 1 - Fraction(1, N),
-        p_extended=p_ext,
-        extended_holds=p_ext <= Fraction(2, N),
-        refutation={
-            "c": c_star,
-            "t": t,
-            "lhs": p_cent,
-            "rhs_prob": rhs,
-            "rhs_total": c_star * rhs,
-            "fails": p_cent > c_star * rhs,
-            "covers": "all c <= N/3 by monotonicity of c * Pr(> t/c) in c",
-            # the two headline bounds alone already force failure for
-            # c <= min(N/6, (N-1)/2); the direct evaluation above extends
-            # the range to N/3
-            "bound_implied_c": min(Fraction(N, 6), Fraction(N - 1, 2)),
-        })
+    for M in candidates:
+        # one set of windows per tail; the refutation's lhs is
+        # Pr(|S_M| > 1/2), the centered tail itself
+        admissible, p_cent, rhs, p_ext = _tails(
+            N, M, _centered(N, M, Fraction(1, N)), _normalized(N, M, t),
+            _extended(N, M, t / c_star), _extended(N, M, Fraction(3, N)))
+        if cap is None or admissible <= Fraction(1, N):
+            return CounterexampleReport(
+                N=N, M=M, found=True, cap=cap,
+                admissible_tail=admissible,
+                p_centered=p_cent,
+                centered_holds=p_cent >= 1 - Fraction(1, N),
+                p_extended=p_ext,
+                extended_holds=p_ext <= Fraction(2, N),
+                refutation={
+                    "c": c_star, "t": t, "lhs": p_cent, "rhs_prob": rhs,
+                    "rhs_total": c_star * rhs, "fails": p_cent > c_star * rhs,
+                    "covers": "all c <= N/3 by monotonicity of "
+                              "c * Pr(> t/c) in c",
+                    # the two headline bounds alone already force failure
+                    # for c <= min(N/6, (N-1)/2); the direct evaluation
+                    # above extends the range to N/3
+                    "bound_implied_c": min(Fraction(N, 6),
+                                           Fraction(N - 1, 2)),
+                })
+    return CounterexampleReport(N=N, cap=cap)

@@ -71,6 +71,25 @@ def _threshold(t) -> Fraction:
     return t
 
 
+# index rules of the claims; each also sets the corpus range (corpus._grid)
+J_LE_K = "1 <= j <= k"
+K_LE_J = "1 <= k <= j"
+K_ONLY = "k >= 1"
+FIRST_TWO = "(j, k) = (1, 2)"
+_ADMITS = {
+    J_LE_K: lambda j, k: 1 <= j <= k,
+    K_LE_J: lambda j, k: 1 <= k <= j,
+    K_ONLY: lambda j, k: k >= 1,
+    FIRST_TWO: lambda j, k: (j, k) == (1, 2),
+}
+
+
+def require_indices(order: str, j, k) -> None:
+    """The one index rule: refuse j, k unless they obey order."""
+    if not _ADMITS[order](j, k):
+        raise ValueError(f"need {order}, got j={j}, k={k}")
+
+
 def as_point(x: PointLike, dim: "int | None" = None) -> "tuple[Fraction, ...]":
     """Coerce a scalar or coordinate sequence to a canonical point."""
     if isinstance(x, (tuple, list)):
@@ -157,6 +176,15 @@ class DiscreteDist:
             raise ValueError(f"probabilities sum to {total}, expected exactly 1")
         object.__setattr__(self, "dim", dim)
         object.__setattr__(self, "atoms", canon)
+
+    @classmethod
+    def _trusted(cls, dim: int, atoms: dict) -> "DiscreteDist":
+        """The law of atoms, in their order, unchecked: atoms must map
+        distinct dim-tuples of Fractions to positive Fractions summing to 1."""
+        dist = object.__new__(cls)
+        object.__setattr__(dist, "dim", dim)
+        object.__setattr__(dist, "atoms", atoms)
+        return dist
 
     def __setattr__(self, name, value):
         raise AttributeError("DiscreteDist is immutable")
@@ -490,21 +518,17 @@ class _Walk:
         return (self.running_max(norm, b) for b in self.steps(norm))
 
     def dist(self, law=None) -> DiscreteDist:
-        """Trusted constructor: the DiscreteDist of a lattice law (S_n by
-        default), built without re-validation, its atoms in ascending
-        packed order, i.e. lexicographic on reversed coordinates, whichever
-        path built the law."""
+        """The DiscreteDist of a lattice law (S_n by default), by the trusted
+        constructor, its atoms in ascending packed order, i.e.
+        lexicographic on reversed coordinates, whichever path built it."""
         atoms, den = law or self.last()
         if sum(atoms.values()) != den:
             raise ArithmeticError("lattice masses do not sum to their "
                                   "denominator")
-        dist = object.__new__(DiscreteDist)
-        object.__setattr__(dist, "dim", self.dim)
-        object.__setattr__(dist, "atoms", {
+        return DiscreteDist._trusted(self.dim, {
             tuple(Fraction(v, self.scale)
                   for v in _unpack(z, self.base, self.dim)):
             Fraction(atoms[z], den) for z in sorted(atoms)})
-        return dist
 
     def _gauge(self, norm: "Norm"):
         """The gauge of a packed point, an int: scale**e times the gauge of

@@ -31,8 +31,9 @@ from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
 
-from .checks import CLAIMS, Curves, _reads, least_c1, require_indices
-from .dists import DEFAULT_SUPPORT_CAP, ONE, DiscreteDist, Norm, rat
+from .checks import CLAIMS, Curves, _reads, least_c1, require_positive
+from .dists import (DEFAULT_SUPPORT_CAP, ONE, DiscreteDist, Norm, rat,
+                    require_indices)
 from .reports import Report, jsonify
 
 INF = math.inf
@@ -78,8 +79,7 @@ def _least_c1(claim: str, X: DiscreteDist, j: int, k: int, c2,
     spec = CLAIMS[claim]
     c2 = rat(c2)
     require_indices(spec.order, j, k)
-    if c2 <= 0:
-        raise ValueError(f"c2 must be positive, got {c2}")
+    require_positive(f"c2 must be positive, got {c2}", c2)
     idx = {"j": j, "k": k}
     return _ratio(spec, Curves(X, norm, _reads(spec, idx), cap), idx, c2)
 
@@ -110,8 +110,7 @@ class SearchSpace:
         require_indices(CLAIMS["theorem1"].order, self.j, self.k)
         if self.value_lo >= self.value_hi:
             raise ValueError("empty value box")
-        if rat(self.c2) <= 0:
-            raise ValueError("c2 must be positive")
+        require_positive("c2 must be positive", rat(self.c2))
         for name in ("lattice_denominator", "prob_denominator"):
             if getattr(self, name) < 1:
                 raise ValueError(f"{name} must be >= 1, got "

@@ -50,7 +50,7 @@ def dist_from_jsonable(doc) -> DiscreteDist:
         raise SpecFileError(f"dim: expected a positive integer, got {dim!r}")
     if not isinstance(atoms, list) or not atoms:
         raise SpecFileError("atoms: expected a nonempty list")
-    pairs = []
+    law = {}
     for i, entry in enumerate(atoms):
         where = f"atoms[{i}]"
         if not isinstance(entry, dict) or "x" not in entry or "p" not in entry:
@@ -68,16 +68,13 @@ def dist_from_jsonable(doc) -> DiscreteDist:
         prob = parse_rational(entry["p"], f"{where}.p")
         if prob <= 0:
             raise SpecFileError(f"{where}.p: probability {prob} is not positive")
-        pairs.append((pt, prob))
-    seen = set()
-    for i, (pt, _) in enumerate(pairs):
-        if pt in seen:
-            raise SpecFileError(f"atoms[{i}]: duplicate point {tuple(map(str, pt))}")
-        seen.add(pt)
-    total = sum(p for _, p in pairs)
+        if pt in law:
+            raise SpecFileError(f"{where}: duplicate point {tuple(map(str, pt))}")
+        law[pt] = prob
+    total = sum(law.values())
     if total != 1:
         raise SpecFileError(f"atoms: probabilities sum to {total}, expected 1")
-    return DiscreteDist(pairs, dim=dim)
+    return DiscreteDist._trusted(dim, law)
 
 
 def parse_dist(text: str) -> DiscreteDist:

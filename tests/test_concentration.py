@@ -245,6 +245,20 @@ class TestClassifyCase:
         with pytest.raises(ValueError):
             classify_case(coin(), 3, 2, 1)
 
+    def test_indices_follow_the_one_rule(self, monkeypatch):
+        # classify_case judges j, k by the shared index rule, whose text
+        # is the one it always gave
+        from iidtails import concentration, dists
+        for j, k in ((3, 2), (0, 2)):
+            with pytest.raises(ValueError, match=rf"^need 1 <= j <= k, "
+                                                 rf"got j={j}, k={k}$"):
+                classify_case(coin(), j, k, 1)
+        seen = []
+        monkeypatch.setattr(concentration, "require_indices",
+                            lambda *args: seen.append(args))
+        classify_case(coin(), 1, 2, 1)
+        assert seen == [(dists.J_LE_K, 1, 2)]
+
     def test_rejects_negative_t_as_passed(self):
         x = dist1d([(-1, F(1, 4)), (0, F(1, 2)), (1, F(1, 4))])
         for j, k in ((1, 2), (2, 2)):

@@ -2,6 +2,7 @@ import os
 import random
 import subprocess
 import sys
+from dataclasses import replace
 from fractions import Fraction as F
 from itertools import accumulate
 from math import comb, isqrt
@@ -183,26 +184,30 @@ def thr(N, M):
 
 
 def modal_bound(N, M, unit=_ONE):
-    """ceil(unit * T / thr) at M, the gate's modal bound at N^3."""
+    """ceil(unit * T / thr) at M, the least bound the gate may start from."""
     return -(-modal_term(N, M) * unit // thr(N, M))
 
 
-def modal_ratio(N, M, M1):
-    """The exact ratio of T/thr at M1 to T/thr at M."""
-    return F(modal_term(N, M1) * thr(N, M), modal_term(N, M) * thr(N, M1))
+def robbins_square(N, M, unit=_ONE):
+    """The square of the closed-form bound _modal rounds up, as a Fraction:
+    (unit * N/(N-1) * 12M/(12M-1))^2 * M / (2 * pi' * m * (M-m)) with
+    pi' = 103993/33102 < pi and m = floor((M+1)/N)."""
+    m = (M + 1) // N
+    return (unit * F(N, N - 1) * F(12 * M, 12 * M - 1)) ** 2 * F(
+        M * 33102, 2 * 103993 * m * (M - m))
 
 
-def gate_blocks(N, M_cap, t=None):
+def gate_blocks(N, M_cap):
     """[(M, end, t)] for each block of the gate from N^3 up to the first
-    M it lets through or the cap, with the modal bound t at M."""
-    M, t = N ** 3, modal_bound(N, N ** 3) if t is None else t
-    blocks = []
+    M it lets through or the cap, with the modal bound t = _modal(N, M)."""
+    M, blocks = N ** 3, []
     while M <= M_cap:
+        t = _modal(N, M)
         end = _block_end(N, M, t)
         blocks.append((M, end, t))
         if end < M:
             break
-        t, M = _modal(N, M, end + 1, t), end + 1
+        M = end + 1
     return blocks
 
 
@@ -217,8 +222,8 @@ def top_k(N, M, t):
 
 class TestFindMBounds:
     """find_M rejects whole blocks of M by one top-K bound each, in 2^64
-    units of thr from a carried modal bound, and decides the M where the
-    gate opens by an exact seed; it must agree with the exact scan."""
+    units of thr from a closed-form modal bound, and decides the M where
+    the gate opens by an exact seed; it must agree with the exact scan."""
 
     # caps from N^3 up, around each known answer and past it
     CAPS = {
@@ -238,7 +243,7 @@ class TestFindMBounds:
 
     @pytest.mark.parametrize("N", sorted(CAPS))
     def test_running_window_alone_matches_exact_scan(self, monkeypatch, N):
-        # a unit of 2^8 makes the gate open early (at N = 3 from M = 689),
+        # a unit of 2^8 makes the gate open early (at N = 3 from M = 1218),
         # so seeds fail and the gate runs again from the next M; with the
         # gate rejecting nothing, an exact seed at every M from N^3 (caps
         # up to 1000) decides alone; each way the answers are the exact
@@ -311,17 +316,18 @@ class TestFindMBounds:
 
     def test_bound_walks_get_exact_window_and_upper_modal_bound(
             self, monkeypatch):
-        # at N = 3 the blocks cover 27..4436 without a gap, and the carried
-        # modal bound stays above 2^64*T/thr, by less than 2^-60 of thr; the
-        # one exact seed up to 10_000 is at 4437, on that M's window
+        # at N = 3 the blocks cover 27..4436 without a gap, and the modal
+        # bound at each block start is at least 2^64*T/thr and at most 3%
+        # above it; the one exact seed up to 10_000 is at 4437, on that
+        # M's window
         N = 3
         blocks = gate_blocks(N, 10_000)
         assert len(blocks) == 18 and blocks[-1][0] == 4437
         assert [M for M, _, _ in blocks[1:]] == [
             end + 1 for _, end, _ in blocks[:-1]]
         for M, _, t in blocks:
-            excess = t - F(_ONE * modal_term(N, M), thr(N, M))
-            assert 0 <= excess < F(_ONE, 1 << 60), M
+            exact = F(_ONE * modal_term(N, M), thr(N, M))
+            assert exact <= t < exact * F(103, 100), M
         seeds = []
         sums = counterexample._sums
 
@@ -338,11 +344,13 @@ class TestFindMBounds:
     @pytest.mark.parametrize("N", [2, 3, 4, 5, 6, 7])
     def test_modal_bound_tracks_each_exact_step(self, N):
         # at every M of every block up to 3000, the exact window mass is at
-        # most the block's ceil top-K sum, both over thr, and the window
-        # has at most K terms; the block ends where the count passes K
+        # most the block's ceil top-K sum from the closed-form modal bound,
+        # both over thr, and the window has at most K terms; the block ends
+        # where the count passes K
         blocks = gate_blocks(N, 3000)
         windows = exact_windows(N, N ** 3, 3001)
         for M, end, t in blocks:
+            assert t >= modal_bound(N, M), M
             K, top = top_k(N, M, t)
             assert top < _ONE
             for M1 in range(M, min(end, 3000) + 1):
@@ -391,11 +399,10 @@ class TestFindMBounds:
         (4, 1500, 1 << 64, True), (5, 800, 1 << 12, True)])
     def test_carry_bounds_exact_window(self, monkeypatch, N, cap, unit,
                                        bypass):
-        # every modal bound find_M carries, in the given unit, is the
-        # ceil of the bound it came from times the exact ratio, so it stays
-        # at least unit*T/thr; a unit of 8 or 2^12 makes the gate open
-        # early and re-gate after failed seeds, and the bypassed gate
-        # rejects nothing, so the bound is carried from every M to M + 1
+        # every modal bound find_M takes, in the given unit, is at least
+        # unit*T/thr for the exact modal term T; a unit of 8 or 2^12 makes
+        # the gate open early and re-gate after failed seeds, and the
+        # bypassed gate rejects nothing, so a bound is taken at every M
         monkeypatch.setattr(counterexample, "_ONE", unit)
         if bypass:
             monkeypatch.setattr(counterexample, "_block_end",
@@ -403,38 +410,67 @@ class TestFindMBounds:
         seen = []
         modal = counterexample._modal
 
-        def spy(N, M, M1, t):
-            seen.append((M, M1, t, modal(N, M, M1, t)))
+        def spy(N, M):
+            seen.append((M, modal(N, M)))
             return seen[-1][-1]
 
         monkeypatch.setattr(counterexample, "_modal", spy)
         assert find_M(N, cap) == exact_find_M(N, cap)
-        assert seen and seen[0][2] == modal_bound(N, N ** 3, unit)
-        for M, M1, t, t1 in seen:
-            carried = t * modal_ratio(N, M, M1)
-            assert carried <= t1 < carried + 1, (M, M1)
-            assert t1 * thr(N, M1) >= unit * modal_term(N, M1), M1
+        assert seen and seen[0][0] == N ** 3
+        assert not bypass or [M for M, _ in seen] == list(
+            range(N ** 3, cap + 1))
+        for M, t in seen:
+            assert t * thr(N, M) >= unit * modal_term(N, M), M
 
     @pytest.mark.parametrize("N, M0", [(3, 1728), (4, 1000), (5, 125)])
-    def test_each_carried_step_rounds_outward(self, N, M0):
-        # from the ceil modal bound at each of 300 M, the bound carried one
-        # M and a long way on is the ceil of t times the exact ratio: a
-        # floor where the ceil belongs puts it below its exact value
-        for M in range(M0, M0 + 300):
-            t = modal_bound(N, M)
-            for M1 in (M + 1, M + 2, 2 * M + 7):
-                t1 = _modal(N, M, M1, t)
-                carried = t * modal_ratio(N, M, M1)
-                assert carried <= t1 < carried + 1, (M, M1)
-                assert t1 * thr(N, M1) >= _ONE * modal_term(N, M1), (M, M1)
-        # the powers of N - 1 and N keep their top 128 bits, rounded so the
-        # ratio only grows, by less than 2^-120; a bound of 2^256 units
-        # shows a rounding the other way
-        for M in range(M0, M0 + 20):
-            t, M1 = 1 << 256, 2 * M + 7
-            carried = t * modal_ratio(N, M, M1)
-            assert carried <= _modal(N, M, M1, t) <= carried * (
-                1 + F(1, 1 << 120)) + 1, M
+    def test_each_carried_step_rounds_outward(self, monkeypatch, N, M0):
+        # at each of 300 M, in three units, the bound is the ceil of the
+        # square root of the ceil of its rational square, which is at least
+        # the square of unit*T/thr: a floor at either rounding drops it
+        # below the exact bound in a small unit
+        for unit in (_ONE, 1 << 12, 8):
+            monkeypatch.setattr(counterexample, "_ONE", unit)
+            for M in range(M0, M0 + 300):
+                t = _modal(N, M)
+                square = robbins_square(N, M, unit)
+                assert (t - 1) ** 2 < -(-square.numerator
+                                        // square.denominator) <= t * t, M
+                assert square >= F(unit * modal_term(N, M), thr(N, M)) ** 2
+                assert t >= modal_bound(N, M, unit), (unit, M)
+
+    @pytest.mark.parametrize("N", range(2, 11))
+    def test_closed_form_bounds_the_exact_modal_term(self, N):
+        # _modal(N, M) * thr >= 2^64 * T at every M in [N^3, N^3 + 2000]
+        # and at sampled M up to 1e5; a bound without the factor N/(N-1)
+        # falls below it (Robbins' slack is under 10% at N = 2 and under
+        # 0.5% at N = 10)
+        rng = random.Random(N)
+        Ms = [*range(N ** 3, N ** 3 + 2001),
+              *sorted(rng.sample(range(N ** 3 + 2001, 100_001), 12))]
+        worst = 0
+        for M in Ms:
+            t, T = _modal(N, M), modal_term(N, M)
+            assert t * thr(N, M) >= _ONE * T, M
+            worst = max(worst, F(t * thr(N, M), _ONE * T))
+        assert worst < F(N, N - 1)
+
+    @pytest.mark.parametrize("N, cap", [(10, 100_000), (3, 100_000),
+                                        (4, 300_000)])
+    def test_bound_holds_at_every_block_start(self, monkeypatch, N, cap):
+        # every block start of these runs gets a bound at least 2^64*T/thr,
+        # checked against the exact modal term there
+        seen = []
+        modal = counterexample._modal
+
+        def spy(N, M):
+            seen.append((M, modal(N, M)))
+            return seen[-1][-1]
+
+        monkeypatch.setattr(counterexample, "_modal", spy)
+        assert find_M(N, cap) == {10: None, 3: 4437, 4: 253742}[N]
+        assert seen
+        for M, t in seen:
+            assert t * thr(N, M) >= _ONE * modal_term(N, M), M
 
     @pytest.mark.parametrize("N, cap, answer, decided", [
         (2, 100, 8, [8]), (3, 10_000, 4437, [4437]),
@@ -497,24 +533,40 @@ class TestFindMBounds:
 
     def test_N10_gate_takes_two_blocks(self, monkeypatch):
         # criterion 7's statement: the gate rejects every M up to 1e5 in
-        # two blocks (1000 and 61024), from one exact modal term and one
-        # carried ratio, and no window is summed
+        # two blocks (1000 and 61024), from two closed-form modal bounds,
+        # and no binomial coefficient is built
         calls, blocks = [], []
-        term, block_end = counterexample._term, counterexample._block_end
+        block_end = counterexample._block_end
 
         def spy(*args):
             calls.append(args)
-            return term(*args)
+            return comb(*args)
 
         def block_spy(N, M, t):
             blocks.append(M)
             return block_end(N, M, t)
 
-        monkeypatch.setattr(counterexample, "_term", spy)
+        monkeypatch.setattr(counterexample, "comb", spy)
         monkeypatch.setattr(counterexample, "_block_end", block_spy)
         assert find_M(10, 100_000) is None
-        assert len(calls) <= 3
+        assert calls == []
         assert blocks == [1000, 61024]
+
+    def test_N10_gate_alone_reaches_past_1e10(self, monkeypatch):
+        # the gate alone rejects every M from 1000 to 14436841070 at
+        # N = 10, in 48 blocks, so no admissible N = 10 horizon lies below
+        # 14436841071; only the gate runs, since an exact seed at such an
+        # M would be an integer of about 5e10 bits
+        blocks = []
+        block_end = counterexample._block_end
+
+        def spy(N, M, t):
+            blocks.append(M)
+            return block_end(N, M, t)
+
+        monkeypatch.setattr(counterexample, "_block_end", spy)
+        assert next(counterexample._gate(10, 2 * 10 ** 10)) == 14436841071
+        assert len(blocks) == 48 and blocks[:2] == [1000, 61024]
 
     def test_first_N4_horizon(self):
         # the first certified N = 4 horizon: the gate opens at 253742,
@@ -802,6 +854,47 @@ class TestVerifyCounterexample:
     def test_rejects_N_below_2(self):
         with pytest.raises(ValueError):
             verify_counterexample(1)
+
+    def test_scan_sums_once(self, monkeypatch):
+        # the report's admissible tail is find_M's seed: a scan for M sums
+        # one window walk, at the answer, and the report equals the one at
+        # that M apart from the cap; no block opens at N = 10 under 15000
+        calls = []
+        sums = counterexample._sums
+
+        def spy(*args):
+            calls.append(args[1])
+            return sums(*args)
+
+        monkeypatch.setattr(counterexample, "_sums", spy)
+        rep = verify_counterexample(3)
+        assert calls == [4437]
+        assert rep.cap == 100_000
+        assert replace(rep, cap=None) == verify_counterexample(3, M=4437)
+        calls.clear()
+        rep = verify_counterexample(10, cap=15_000)
+        assert calls == [] and not rep.found and rep.cap == 15_000
+        with pytest.raises(ValueError, match=r"^cap 26 is below N\^3 = 27$"):
+            verify_counterexample(3, cap=26)
+
+    def test_scan_skips_reports_that_fail(self, monkeypatch):
+        # with every M from 4400 let through, the reports there fail the
+        # admissible tail until 4437, one walk each, as find_M's seeds do
+        calls = []
+        block_end, sums = counterexample._block_end, counterexample._sums
+
+        def cut(N, M, t):
+            return min(block_end(N, M, t), 4399) if M < 4400 else M - 1
+
+        def spy(*args):
+            calls.append(args[1])
+            return sums(*args)
+
+        monkeypatch.setattr(counterexample, "_block_end", cut)
+        monkeypatch.setattr(counterexample, "_sums", spy)
+        rep = verify_counterexample(3, cap=5000)
+        assert rep.M == 4437 and calls == list(range(4400, 4438))
+        assert replace(rep, cap=None) == verify_counterexample(3, M=4437)
 
     def test_rejects_M_with_cap(self):
         # the cap bounds the scan for M; with M given it would be ignored

@@ -81,6 +81,22 @@ class TestSearchSpace:
                                                  rf"got j={j}, k={k}$"):
                 SearchSpace(n_atoms=3, j=j, k=k, c2=1)
 
+    def test_c2_follows_the_one_positivity_rule(self, monkeypatch):
+        # SearchSpace and the least-c1 objectives refuse c2 <= 0 through
+        # checks.require_positive, with the texts they always gave
+        search_mod = sys.modules[SearchSpace.__module__]
+        with pytest.raises(ValueError, match=r"^c2 must be positive$"):
+            SearchSpace(n_atoms=2, j=1, k=2, c2=F(0))
+        with pytest.raises(ValueError,
+                           match=r"^c2 must be positive, got -1/2$"):
+            ratio_objective(coin(), 1, 2, "-1/2")
+        seen = []
+        monkeypatch.setattr(search_mod, "require_positive",
+                            lambda message, *cs: seen.append(cs))
+        SearchSpace(n_atoms=2, j=1, k=2, c2=F(-1))
+        ratio_objective(coin(), 1, 2, F(1))
+        assert seen == [(F(-1),), (F(1),)]
+
 
 class TestSnapToSpace:
     SPACE = SearchSpace(n_atoms=3, j=1, k=2, c2=F(1))

@@ -110,6 +110,29 @@ class TestParse:
         with pytest.raises(SpecFileError, match=r"atoms\[0\].p"):
             dist_from_jsonable(doc)
 
+    def test_validates_once_and_keeps_file_order(self, monkeypatch):
+        # the parser's own located checks are the only ones: the law is
+        # built without DiscreteDist.__init__, and equals the validated
+        # law with its atoms in file order
+        doc = {"dim": 2, "atoms": [{"x": ["1", "-1/2"], "p": "1/6"},
+                                   {"x": ["-3", "2/4"], "p": "1/2"},
+                                   {"x": [0, "5"], "p": "1/3"}]}
+        pairs = [((F(1), F(-1, 2)), F(1, 6)), ((F(-3), F(1, 2)), F(1, 2)),
+                 ((F(0), F(5)), F(1, 3))]
+        expected = DiscreteDist(pairs)
+        inits = []
+        init = DiscreteDist.__init__
+
+        def spy(self, *args, **kwargs):
+            inits.append(args)
+            init(self, *args, **kwargs)
+
+        monkeypatch.setattr(DiscreteDist, "__init__", spy)
+        got = dist_from_jsonable(doc)
+        assert inits == []
+        assert got == expected and got.dim == 2
+        assert list(got.atoms.items()) == pairs
+
 
 class TestFiles:
     def test_save_load(self, tmp_path):
