@@ -386,10 +386,11 @@ class Curves:
     """Tail curves of one law under one norm, each built once, from one
     pass (_Walk.steps) as far as the largest S_i in `reads` (_reads), split
     by running max iff reads hold MAX.  The lattice laws of the S_i in reads
-    are merged from the buckets and kept, every other law is dropped once
-    passed, and the running max's curve is built at every step.  A read
-    outside reads raises ValueError; a running max from the step where the
-    pass collapsed at the cap on raises SupportCapExceeded."""
+    are merged from the buckets and kept (on slots as slot laws, which a
+    curve reads without decoding them into atoms), every other law is
+    dropped once passed, and the running max's curve is built at every
+    step.  A read outside reads raises ValueError; a running max from the
+    step where the pass collapsed at the cap on raises SupportCapExceeded."""
 
     def __init__(self, dist: DiscreteDist, norm: Norm, reads,
                  cap: int = DEFAULT_SUPPORT_CAP):

@@ -21,6 +21,7 @@ from .dists import (
     Norm,
     WEAK,
     _Walk,
+    _atoms,
     _threshold,
     rat,
     require_indices,
@@ -79,7 +80,8 @@ def concentration_set(X: DiscreteDist, t) -> ConcentrationSet:
 
 
 def _lattice_set(walk: _Walk, law, t) -> ConcentrationSet:
-    """The concentration set of a 1-D lattice law (atoms, den) of `walk`.
+    """The concentration set of a 1-D lattice law of `walk`, (atoms, den)
+    or a slot law, whose atoms dists._atoms decodes.
 
     The window mass x -> Pr(X in [x-t, x+t]) is an upper semicontinuous
     step function whose only breakpoints are a - t and a + t over atoms a.
@@ -91,7 +93,7 @@ def _lattice_set(walk: _Walk, law, t) -> ConcentrationSet:
     tt = _threshold(t)
     if walk.dim != 1:
         raise ValueError("concentration_set requires dimension 1")
-    atoms, den = law
+    atoms, den = _atoms(law)
     q, reach = tt.denominator, tt.numerator * walk.scale
     starts: "dict[int, int]" = {}
     ends: "dict[int, int]" = {}

@@ -10,8 +10,9 @@ are built from too: its params echo, its status and note (checks._verdict)
 and its worst case as (numerator, denominator) pairs.  A row renders each
 exact field by one int helper (_exact), the float column as n / d, and
 keeps the smallest margin by cross-multiplying; an InequalityReport is
-built only for a stored violation.  Params text is rendered once per run
-and params key: plan entry, norm, index values in ints and mode pair.
+built only for a stored violation.  Params text is joined once per run
+and params key (plan entry, norm, index values in ints and mode pair) from
+the text of each params value, and each value is rendered once per run.
 """
 
 from __future__ import annotations
@@ -21,6 +22,7 @@ import json
 from dataclasses import dataclass, field
 from fractions import Fraction
 from math import gcd
+from operator import itemgetter
 
 from .checks import (
     ALIASES,
@@ -223,7 +225,7 @@ def run_corpus(config: CorpusConfig, claims=None,
     plan = [(CLAIMS[name], *variant) for name in claims
             for variant in judged[name]]
     report = CorpusReport(config=config, claims=claims)
-    rendered = {}  # params text per params key (_checks), this run only
+    rendered = _Rendered()
     instances = generate_corpus(config)
     for index, (dist, norm) in enumerate(instances):
         rng = np.random.Generator(
@@ -271,8 +273,36 @@ def _exact(pair) -> "str | None":
     return str(n // g) if g == d else f"{n // g}/{d // g}"
 
 
+class _Rendered(dict):
+    """The params text of each params key (_checks), for one run_corpus
+    call, and in `parts` the text of each params value."""
+
+    def __init__(self):
+        super().__init__()
+        self.parts = {}
+
+
+def _params_text(params: dict, parts: dict) -> str:
+    """json.dumps(jsonify(params), sort_keys=True), joined in sorted-key
+    order from the text of each name and value, each rendered once into
+    parts.  A value is told apart by its type too (the int 1 renders as 1,
+    the Fraction 1 as "1"), a list (weights, which checks._indices makes
+    Fractions) by its items."""
+    texts = []
+    for name in sorted(params):
+        value = params[name]
+        key = (name, value.__class__,
+               tuple(value) if isinstance(value, list) else value)
+        text = parts.get(key)
+        if text is None:
+            text = parts[key] = f"{json.dumps(name)}: " \
+                f"{json.dumps(jsonify(value), sort_keys=True)}"
+        texts.append(text)
+    return "{" + ", ".join(texts) + "}"
+
+
 def _absorb(report: CorpusReport, index: int, dist: DiscreteDist, check,
-            rendered: dict) -> None:
+            rendered: _Rendered) -> None:
     """Count one check (_checks) and add its row."""
     claim, key, (params, status, note, values, full) = check
     report.total_checks += 1
@@ -302,7 +332,7 @@ def _absorb(report: CorpusReport, index: int, dist: DiscreteDist, check,
                             "rhs": Fraction(*rhs)}
     text = rendered.get(key)
     if text is None:
-        text = rendered[key] = json.dumps(jsonify(params), sort_keys=True)
+        text = rendered[key] = _params_text(params, rendered.parts)
     report.rows.append({
         "instance": index,
         "claim": claim,
@@ -320,7 +350,6 @@ def _absorb(report: CorpusReport, index: int, dist: DiscreteDist, check,
 
 def write_csv(report: CorpusReport, path) -> None:
     with open(path, "w", newline="", encoding="utf-8") as fh:
-        writer = csv.DictWriter(fh, fieldnames=CSV_COLUMNS)
-        writer.writeheader()
-        for row in report.rows:
-            writer.writerow(row)
+        writer = csv.writer(fh)
+        writer.writerow(CSV_COLUMNS)
+        writer.writerows(map(itemgetter(*CSV_COLUMNS), report.rows))

@@ -11,8 +11,14 @@ split by running max max_{j<=i} ||S_j|| when that is read, serves every
 sum, running max and tail curve, and goes only as far as asked.  Without a
 running max, a walk that a rule read off its terms picks (_Walk._slots_pay)
 holds each S_i as one int of fixed-width mass slots, so a step is a few
-big-int shift-adds, and decodes S_i into atoms only where it is read;
-every other step runs the dict loop (_convolve_lattice).
+big-int shift-adds; every other step runs the dict loop (_convolve_lattice).
+A slot width of at most 8 bytes is rounded up to 1, 2, 4 or 8, so one
+decoder (_slot_nums) reads a slot int by one struct unpack of native words
+(wider slots by int.from_bytes each).  A read S_i stays a slot law until
+something reads it: its tail curve comes straight from the slot values,
+with no atom dict (1-D: folded at zero; n-D: gauges a row of the packed
+box at a time), and only readers that need atoms (dist, the concentration
+sets) decode them, through the same decoder.
 The euclidean norm is handled through squared values (the "gauge") so that
 every order comparison against a rational threshold stays rational; abs1d and
 sup norms compare radii directly.
@@ -24,10 +30,12 @@ from bisect import bisect_left, bisect_right
 from dataclasses import dataclass, fields
 from enum import Enum
 from fractions import Fraction
-from itertools import accumulate, repeat
+from functools import cached_property
+from itertools import accumulate, compress, repeat, starmap, zip_longest
 from math import ceil, comb, floor, gcd, inf, lcm, prod
-from struct import Struct
-from typing import Iterable, Mapping, Union
+from operator import add
+from struct import Struct, unpack
+from typing import Iterable, Mapping, NamedTuple, Union
 
 PointLike = Union[tuple, list, int, Fraction, str]
 
@@ -39,7 +47,7 @@ DEFAULT_SUPPORT_CAP = 2_000_000
 # the slot rule's constants (_Walk._slots_pay)
 SLOT_MIN_PAIRS = 40
 SLOT_PAIR_BYTES = 256
-SLOT_DECODE_BYTES = 16
+SLOT_DECODE_BYTES = 8
 
 STRICT = "strict"
 WEAK = "weak"
@@ -279,15 +287,100 @@ def _convolve_lattice(a, b, cap: int):
     return out, a_den * b_den
 
 
-def _unslot(packed: int, low: int, step: int, width: int, den: int):
-    """The lattice law (atoms, den) of a slot int: the `width`-byte slot j
-    of `packed` holds the mass numerator of the point low + j*step."""
+# struct codes of the slot widths that decode as native words (_slot_nums)
+_WORDS = {1: "B", 2: "H", 4: "I", 8: "Q"}
+
+
+def _slot_width(den: int) -> int:
+    """The byte width of a slot that holds any mass numerator over den:
+    den's byte length, rounded up to 1, 2, 4 or 8 bytes when it is at
+    most 8, so that such a slot decodes as one native word."""
+    width = (den.bit_length() + 7) // 8
+    return 1 << (width - 1).bit_length() if width <= 8 else width
+
+
+def _slot_nums(packed: int, width: int):
+    """The one slot decoder: the values of the `width`-byte slots of
+    `packed`, lowest slot first.  Widths 1, 2, 4 and 8 decode by one struct
+    unpack of native words; wider slots by int.from_bytes each."""
     count = -(-packed.bit_length() // (8 * width))
-    slots = Struct(f"{width}s" * count).unpack(
-        packed.to_bytes(count * width, "little"))
-    return {z: num for z, num in zip(range(low, low + count * step, step),
-                                     map(int.from_bytes, slots,
-                                         repeat("little"))) if num}, den
+    data = packed.to_bytes(count * width, "little")
+    word = _WORDS.get(width)
+    if word:
+        return unpack(f"<{count}{word}", data)
+    return list(map(int.from_bytes, Struct(f"{width}s" * count).unpack(data),
+                    repeat("little")))
+
+
+class _Slots(NamedTuple):
+    """A lattice law held as a slot int (_Walk._slot_steps): slot j of
+    `packed`, `width` bytes wide, holds the mass numerator of the packed
+    point low + j*step, over den."""
+
+    packed: int
+    low: int
+    step: int
+    width: int
+    den: int
+
+
+def _atoms(law):
+    """A lattice law as (atoms, den): a slot law decoded into its atom
+    dict, any other law as it is."""
+    if not isinstance(law, _Slots):
+        return law
+    nums = _slot_nums(law.packed, law.width)
+    points = range(law.low, law.low + len(nums) * law.step, law.step)
+    return dict(compress(zip(points, nums), nums)), law.den
+
+
+def _folded(nums, low: int, step: int):
+    """(|z| ascending, mass at each |z|) of a 1-D slot law whose slot j
+    holds the mass of z = low + j*step: the law folded at zero.  The slots
+    of z >= 0, and those of z < 0 reversed, each run up |z| by step; their
+    two grids either coincide, and the runs add slot by slot (zero on the
+    grid, or both runs starting at step/2), or interleave.  Masses may be
+    0 where no atom lies."""
+    zero = min(max(-(low // step), 0), len(nums))    # first slot at z >= 0
+    up, down = nums[zero:], nums[zero - 1::-1] if zero else ()
+    a = low + zero * step                            # |z| of up[0]
+    b = step - a                                     # |z| of down[0]
+    if not down or not up:
+        start = a if up else b
+        return range(start, start + len(nums) * step, step), up or down
+    if a == 0 or 2 * a == step:
+        shift = repeat(0, (b - a) // step)           # 1 with zero on the grid
+        return range(a, a + len(nums) * step, step), list(starmap(
+            add, zip_longest(up, (*shift, *down), fillvalue=0)))
+    (a, first), (b, second) = sorted(((a, up), (b, down)))
+    n = max(len(up), len(down))
+    mags, masses = [0] * (2 * n), [0] * (2 * n)
+    mags[0::2], mags[1::2] = (range(c, c + n * step, step) for c in (a, b))
+    masses[0:2 * len(first):2], masses[1:2 * len(second):2] = first, second
+    return mags, masses
+
+
+def _row_gauges(nums, low: int, step: int, base: int, dim: int,
+                euclidean: bool) -> "list[int]":
+    """The int gauge of every slot of an n-D slot law (slot j at the packed
+    point low + j*step), a row of the packed box at a time: a row is a run
+    of slots that share every coordinate but the first, so its gauges are
+    the gauge of those coordinates joined with the square (euclidean) or
+    absolute value (sup) of each first coordinate, sliced by step from one
+    list over [-base//2, base//2]."""
+    half = base // 2
+    firsts = [v * v if euclidean else abs(v) for v in range(-half, half + 1)]
+    upper = _packed_gauge(base, dim - 1, euclidean)
+    gauges: "list[int]" = []
+    z, end = low + half, low + half + len(nums) * step
+    while z < end:
+        rest, v = divmod(z, base)                    # v indexes firsts
+        row = firsts[v::step]
+        g = upper(rest)
+        gauges += [g + x for x in row] if euclidean else \
+            [x if x > g else g for x in row]
+        z += len(row) * step
+    return gauges
 
 
 def _unpack(z: int, base: int, dim: int) -> "list[int]":
@@ -348,7 +441,8 @@ def _merged(buckets):
     if len(laws) == 1:
         return laws[0]
     atoms = {}
-    for part, den in laws:
+    for law in laws:
+        part, den = _atoms(law)
         for z, p in part.items():
             atoms[z] = atoms.get(z, 0) + p
     return atoms, den
@@ -392,13 +486,14 @@ class _Walk:
         self.on_slots = (n - 1) * max(len(atoms) for atoms, _ in self.terms) \
             >= SLOT_MIN_PAIRS and self._slots_pay()
 
+    @cached_property
     def _grid(self):
-        """(step, width, slots): the slot grid of the fold.  Every S_i lies
-        on low_i + step*Z, low_i the sum of its terms' least packed points
-        and step the gcd of every term point's offset from its term's
-        least; S_n spans `slots` grid points; and `width` is the byte
-        length of S_n's mass denominator, the product of the terms', which
-        bounds every mass numerator of every S_i."""
+        """(step, width, slots): the slot grid of the fold, computed once
+        per walk.  Every S_i lies on low_i + step*Z, low_i the sum of its
+        terms' least packed points and step the gcd of every term point's
+        offset from its term's least; S_n spans `slots` grid points; and
+        `width` holds S_n's mass denominator, the product of the terms',
+        which bounds every mass numerator of every S_i (_slot_width)."""
         count = len(self.terms)
         uses = [len(range(t, self.n, count)) for t in range(count)]
         step = gcd(*(z - min(atoms) for atoms, _ in self.terms
@@ -406,7 +501,7 @@ class _Walk:
         span = sum(u * (max(atoms) - min(atoms))
                    for u, (atoms, _) in zip(uses, self.terms))
         den = prod(den ** u for u, (_, den) in zip(uses, self.terms))
-        return step, (den.bit_length() + 7) // 8, span // step + 1
+        return step, _slot_width(den), span // step + 1
 
     def _slots_pay(self) -> bool:
         """The rule that puts the fold without a norm on slots.  It reads
@@ -414,19 +509,21 @@ class _Walk:
           - slots <= cap: S_n cannot pass cap, so SupportCapExceeded is
             raised only on the dict loop, at the step it always was;
           - (width + SLOT_DECODE_BYTES) * slots <= SLOT_PAIR_BYTES * atoms,
-            atoms the bound min(slots, distinct sums) on S_n's atoms (a sum
-            is fixed by the multiset of draws from each group of equal
-            terms).  Measured under CPython 3.11 on a 2-core Xeon VM, a
-            slot step costs ~0.7-1.3 ns per byte of S and term atom, the
-            dict loop ~150-450 ns per atom of S and term atom, and decoding
-            ~150-300 ns per slot, which at (n - 1) * |T| >= SLOT_MIN_PAIRS
-            is at most ~16 bytes per slot of the fold; so slots are taken
-            only where they cost at most about what the dict loop does.
+            width the rounded slot width (_slot_width) and atoms the bound
+            min(slots, distinct sums) on S_n's atoms (a sum is fixed by the
+            multiset of draws from each group of equal terms).  Measured
+            under CPython 3.11 on a 2-core Xeon VM, a slot step costs
+            ~0.6-1.6 ns per byte of S and term atom, the dict loop ~150-450
+            ns per atom of S and term atom, and decoding (_slot_nums) ~25-35
+            ns per slot of 8 bytes or fewer and ~130-200 ns per wider slot,
+            which at (n - 1) * |T| >= SLOT_MIN_PAIRS is at most ~8 bytes
+            per slot of the fold; so slots are taken only where they cost
+            at most about what the dict loop does.
         Walks below SLOT_MIN_PAIRS ((n - 1) * max|T|, the term atoms the
         fold passes each atom of S through) stay on the dict loop without
         this test: there the slot path ran 0.4-3x the dict loop's time, and
         the test itself would cost about as much as their fold."""
-        _, width, slots = self._grid()
+        _, width, slots = self._grid
         if slots > self.cap:
             return False
         uses = {}
@@ -446,11 +543,11 @@ class _Walk:
         bounds the states (z, m) of each step after the first.  Without a
         norm there is one bucket, None, and a step is one convolution, whose
         cap bounds S_i, or on a walk the rule puts on slots (on_slots) one
-        slot step (_slot_steps), which decodes S_i only for i in reads
-        (every i when reads is None) and leaves {None: None} at the other
-        steps.  A step whose states pass cap collapses the pass to that one
-        bucket: S_i is kept, and from there the running max is lost
-        (running_max raises)."""
+        slot step (_slot_steps), which yields S_i as its slot law (_Slots)
+        only for i in reads (every i when reads is None) and leaves
+        {None: None} at the other steps.  A step whose states pass cap
+        collapses the pass to that one bucket: S_i is kept, and from there
+        the running max is lost (running_max raises)."""
         if norm is None and self.on_slots:
             return self._slot_steps(reads)
         return self._dict_steps(norm)
@@ -460,8 +557,9 @@ class _Walk:
         `width` bytes wide, holds the mass numerator of low_i + j*step
         (_grid).  No numerator exceeds 2**(8*width), so slots never carry,
         and a step by a term T is sum over (y, q) in T of (S*q) shifted by
-        (y - min T)/step slots: |T| linear big-int passes."""
-        step, width, _ = self._grid()
+        (y - min T)/step slots: |T| linear big-int passes.  Nothing is
+        decoded here: a reader of S_i decodes its slot law (_slot_nums)."""
+        step, width, _ = self._grid
         bits = 8 * width
         plan = [(min(atoms), den, [((z - min(atoms)) // step * bits, q)
                                    for z, q in atoms.items()])
@@ -471,7 +569,7 @@ class _Walk:
             term_low, term_den, shifts = plan[i % len(plan)]
             packed = sum((packed * q) << s for s, q in shifts)
             low, den = low + term_low, den * term_den
-            yield {None: _unslot(packed, low, step, width, den)
+            yield {None: _Slots(packed, low, step, width, den)
                    if reads is None or i + 1 in reads else None}
 
     def _dict_steps(self, norm):
@@ -494,8 +592,8 @@ class _Walk:
 
     def sums(self, reads=None):
         """The lattice laws of S_1, ..., S_n, lazily: the one-bucket pass.
-        On slots only the S_i in reads (every S_i by default) are decoded,
-        the others are None."""
+        On slots only the S_i in reads (every S_i by default) are yielded,
+        as slot laws, the others are None."""
         return (buckets[None] for buckets in self.steps(None, reads))
 
     def last(self):
@@ -521,7 +619,7 @@ class _Walk:
         """The DiscreteDist of a lattice law (S_n by default), by the trusted
         constructor, its atoms in ascending packed order, i.e.
         lexicographic on reversed coordinates, whichever path built it."""
-        atoms, den = law or self.last()
+        atoms, den = _atoms(law or self.last())
         if sum(atoms.values()) != den:
             raise ArithmeticError("lattice masses do not sum to their "
                                   "denominator")
@@ -541,15 +639,30 @@ class _Walk:
         return _packed_gauge(self.base, self.dim, norm is Norm.EUCLIDEAN)
 
     def curve(self, norm: "Norm", law=None) -> "TailCurve":
-        """The tail curve of a lattice law (S_n by default)."""
-        atoms, den = law or self.last()
+        """The tail curve of a lattice law (S_n by default).  A slot law
+        gives it straight from its slot values, with no atom dict: in 1-D
+        folded at zero (_folded), whose |z| ascend, so one accumulate gives
+        the tail numerators; in n-D by the gauges of whole rows
+        (_row_gauges), summed per gauge in one pass."""
+        law = law or self.last()
+        unit = self.scale ** norm.scale_exponent
         gauge = self._gauge(norm)
+        if isinstance(law, _Slots):
+            nums, den = _slot_nums(law.packed, law.width), law.den
+            if self.dim == 1:
+                mags, masses = _folded(nums, law.low, law.step)
+                return _sorted_curve(norm, list(map(gauge, compress(
+                    mags, masses))), list(compress(masses, masses)), unit, den)
+            pairs = zip(compress(_row_gauges(
+                nums, law.low, law.step, self.base, self.dim,
+                norm is Norm.EUCLIDEAN), nums), compress(nums, nums))
+        else:
+            atoms, den = law
+            pairs = zip(map(gauge, atoms), atoms.values())
         mass: "dict[int, int]" = {}
-        for z, num in atoms.items():
-            g = gauge(z)
+        for g, num in pairs:
             mass[g] = mass.get(g, 0) + num
-        return _gauge_curve(norm, mass, self.scale ** norm.scale_exponent,
-                            den)
+        return _gauge_curve(norm, mass, unit, den)
 
 
 def convolve(a: DiscreteDist, b: DiscreteDist,
@@ -648,9 +761,8 @@ class TailCurve:
         numerators over den, in curve order; both units are reduced to the
         least ones."""
         g, h = gcd(unit, *crits), gcd(den, *nums)
-        return object.__new__(cls)._set(norm, unit // g,
-                                        tuple(c // g for c in crits), den // h,
-                                        tuple(n // h for n in nums))
+        return object.__new__(cls)._set(norm, unit // g, _over(crits, g),
+                                        den // h, _over(nums, h))
 
     def _set(self, *values) -> "TailCurve":
         for name, value in zip(_CURVE_FIELDS, values):
@@ -682,12 +794,26 @@ class TailCurve:
 _CURVE_FIELDS = tuple(f.name for f in fields(TailCurve))
 
 
+def _over(values, g: int) -> "tuple[int, ...]":
+    """values, each divided by their common divisor g."""
+    return tuple(values) if g == 1 else tuple(v // g for v in values)
+
+
 def _gauge_curve(norm: Norm, mass: "dict[int, int]", unit: int,
                  den: int) -> TailCurve:
     """The TailCurve of a law given as a map int gauge value -> int mass
     numerator, gauge values over `unit` and masses over `den`."""
-    crits = sorted(mass)  # and the mass strictly above each, top down
-    above = accumulate((mass[g] for g in reversed(crits[1:])), initial=0)
+    crits = sorted(mass)
+    return _sorted_curve(norm, crits, [mass[g] for g in crits], unit, den)
+
+
+def _sorted_curve(norm: Norm, crits: "list[int]", masses: "list[int]",
+                  unit: int, den: int) -> TailCurve:
+    """The TailCurve of distinct int gauge values in ascending order and
+    the int mass numerator at each, gauge values over `unit` and masses
+    over `den`: the tail numerators are the masses strictly above each
+    critical, summed top down."""
+    above = accumulate(masses[:0:-1], initial=0)
     return TailCurve._of(norm, unit, crits, den, list(above)[::-1])
 
 

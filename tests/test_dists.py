@@ -606,7 +606,7 @@ def test_slot_fold_matches_fraction_fold(data, dim):
     x = data.draw(slot_dists(dim))
     n = data.draw(st.integers(1, min(slot_steps[dim], _most_steps(len(x)))))
     walk = _Walk([x], n, DEFAULT_SUPPORT_CAP)
-    assume(walk._grid()[2] <= 20_000)
+    assume(walk._grid[2] <= 20_000)
     expect = fraction_iid_sum(x, 1)
     for i, got in enumerate(_slot_sums(walk), 1):
         if i > 1:
@@ -628,7 +628,7 @@ def test_weighted_slot_fold_matches_fraction_fold(data, dim):
         if dim == 1 else st.builds(F, st.integers(-2, 2), st.just(2)),
         min_size=1, max_size=min(slot_steps[dim], most)))
     walk = _weighted_walk(x, alphas, DEFAULT_SUPPORT_CAP)
-    assume(walk._grid()[2] <= 20_000)
+    assume(walk._grid[2] <= 20_000)
     expect = None
     for alpha, got in zip(alphas, _slot_sums(walk)):
         term = affine(x, alpha)
@@ -637,12 +637,120 @@ def test_weighted_slot_fold_matches_fraction_fold(data, dim):
             list(fraction_convolve(expect, delta((0,) * dim)).atoms.items())
 
 
+# ------------------------- curves straight from slots (_Walk.curve) vs oracle
+#
+# A slot law's curve is built from its slot values (1-D: folded at zero;
+# n-D: gauges by rows of the packed box) and must equal the curve of the
+# Fraction fold's S_i, which tail_curve builds on the atom dict path.
+
+def _norms(dim: int):
+    return (ABS, SUP, EUC) if dim == 1 else (SUP, EUC)
+
+
+def _slot_curves_match(walk, x, norm):
+    """Every S_i curve read off the walk's slot fold equals the Fraction
+    fold's; the number of sums checked."""
+    expect = None
+    for i, buckets in enumerate(walk._slot_steps(None), 1):
+        expect = x if expect is None else fraction_convolve(expect, x)
+        assert walk.curve(norm, buckets[None]) == tail_curve(expect, norm)
+    return i
+
+
+def _zero_case(law) -> str:
+    """Where zero falls on a 1-D slot law's grid low + step*Z."""
+    top = law.low + (law.packed.bit_length() - 1) // (8 * law.width) \
+        * law.step
+    if law.low >= 0 or top < 0:
+        return "one-sided"
+    off = -law.low % law.step
+    return "on grid" if off == 0 else "aligned halves" \
+        if 2 * off == law.step else "interleaved"
+
+
+@given(st.data(), st.integers(1, 3), st.sampled_from([ABS, SUP, EUC]))
+@settings(max_examples=120, deadline=None)
+def test_slot_curves_match_fraction_fold_curves(data, dim, norm):
+    """Random laws in dims 1-3 under every norm of their dim, each S_i of
+    the slot fold against the Fraction fold's curve."""
+    if norm is ABS and dim != 1:
+        norm = SUP
+    x = data.draw(slot_dists(dim))
+    n = data.draw(st.integers(1, min(slot_steps[dim], _most_steps(len(x)))))
+    walk = _Walk([x], n, DEFAULT_SUPPORT_CAP)
+    step, width, slots = walk._grid
+    assume(slots <= 20_000)
+    event(f"width {width}, step {'> 1' if step > 1 else '1'}")
+    if dim == 1:
+        *_, last = walk._slot_steps(None)
+        event(_zero_case(last[None]))
+    assert _slot_curves_match(walk, x, norm) == n
+
+
+def _x(*pairs) -> DiscreteDist:
+    return dist1d([(F(v), F(p)) for v, p in pairs])
+
+
+SLOT_CURVE_CASES = {
+    # name: (law, n, width of S_n's slots in bytes)
+    "coin, 1-byte": (coin(), 7, 1),
+    "coin, 2-byte": (coin(), 12, 2),
+    "step 3, 3 bytes rounded to 4": (_x((-1, "1/3"), (2, "2/3")), 14, 4),
+    "positive only, 6 bytes rounded to 8": (
+        _x((1, "20/61"), ("3/2", "11/61"), (3, "30/61")), 7, 8),
+    "negative only, 9 bytes": (
+        _x((-3, "20/61"), (-1, "11/61"), ("-1/2", "30/61")), 12, 9),
+    "zero on the grid, step 1": (
+        _x((-2, "1/4"), (0, "1/4"), (1, "1/2")), 9, 4),
+    "2-D, one slot per row": (DiscreteDist(
+        {(0, 0): F(1, 2), (0, 1): F(1, 4), (0, -2): F(1, 4)}), 7, 2),
+    "2-D, step 2": (DiscreteDist(
+        {(0, 0): F(1, 3), (2, 0): F(1, 3), (-2, 2): F(1, 3)}), 6, 2),
+    "2-D, verify_wide points": (DiscreteDist({pt: F(p, 61) for pt, p in zip(
+        ((2, 0), (-2, 0), (0, 2), (0, -2), (1, 1), (-1, 2)),
+        (2, 6, 10, 9, 20, 14))}), 4, 4),
+    "3-D": (DiscreteDist({(1, 0, 0): F(1, 4), (0, -1, 0): F(1, 4),
+                          (0, 0, 1): F(1, 4), (-1, 1, -1): F(1, 4)}), 4, 2),
+}
+
+
+@pytest.mark.parametrize("case", SLOT_CURVE_CASES)
+def test_slot_curve_cases(case):
+    """Pinned laws: zero on the 1-D grid, off it with the halves aligned
+    or interleaved, one-sided supports, steps > 1, rows of one slot, and
+    slot widths of 1, 2, 4, 8 and more than 8 bytes."""
+    x, n, width = SLOT_CURVE_CASES[case]
+    walk = _Walk([x], n, DEFAULT_SUPPORT_CAP)
+    assert walk._grid[1] == width
+    for norm in _norms(x.dim):
+        assert _slot_curves_match(walk, x, norm) == n
+
+
+def test_slot_curve_cases_cover_the_fold_and_the_widths():
+    """The pinned cases hold every place zero takes on a 1-D grid, and
+    every rounded slot width."""
+    seen, widths = set(), set()
+    for x, n, width in SLOT_CURVE_CASES.values():
+        walk = _Walk([x], n, DEFAULT_SUPPORT_CAP)
+        widths.add(width)
+        if x.dim == 1:
+            seen |= {_zero_case(b[None]) for b in walk._slot_steps(None)}
+    assert seen == {"one-sided", "on grid", "aligned halves", "interleaved"}
+    assert widths == {1, 2, 4, 8, 9}
+
+
+def test_slot_width_rounds_up_to_a_native_word():
+    from iidtails.dists import _slot_width
+    assert [_slot_width(2 ** (8 * b - 1)) for b in range(1, 11)] == \
+        [1, 2, 4, 4, 8, 8, 8, 8, 9, 10]
+
+
 def test_slot_holds_the_whole_denominator():
     """With every weight zero, S_i is the point 0 with numerator equal to
     the product of the denominators, the widest a slot ever holds."""
     x = dist1d([(-1, F(1, 7)), (0, F(2, 7)), (3, F(4, 7))])
     walk = _weighted_walk(x, [0] * 9, DEFAULT_SUPPORT_CAP)
-    _, width, slots = walk._grid()
+    _, width, slots = walk._grid
     assert (width, slots) == (4, 1)         # 7**9 takes 26 bits
     for i, got in enumerate(_slot_sums(walk), 1):
         assert got == delta(0)
@@ -658,7 +766,7 @@ def test_slot_rule_keeps_the_cap_on_the_dict_loop(data, dim, extra):
     the Fraction fold, cap exception included."""
     x = data.draw(slot_dists(dim))
     n = min(-(-40 // len(x)) + extra + 1, _most_steps(len(x), 1000))
-    slots = _Walk([x], n, DEFAULT_SUPPORT_CAP)._grid()[2]
+    slots = _Walk([x], n, DEFAULT_SUPPORT_CAP)._grid[2]
     whole = _outcome(fraction_iid_sum, x, n, DEFAULT_SUPPORT_CAP)
     for cap in (slots - 1, slots, slots + 1):
         if cap < 1:
@@ -710,27 +818,36 @@ def test_slot_rule_decisions():
 
 
 def test_slot_fold_decodes_only_the_sums_read(monkeypatch):
-    """On slots S_i is decoded only where it is read: last() decodes S_n,
-    Curves the S_i of its reads, and sums() every S_i."""
+    """On slots S_i is decoded, by the one decoder, only where it is read:
+    last() decodes S_n, Curves the S_i of its reads, and a dist of every
+    law sums() yields every S_i.  A curve decodes S_i's slot values but
+    builds no atom dict; only dist() does."""
     from iidtails import dists
     from iidtails.checks import Curves
-    decoded = []
-    unslot = dists._unslot
+    decoded, atom_dicts = [], []
+    slot_nums, atoms = dists._slot_nums, dists._atoms
 
     def counted(*args):
         decoded.append(len(decoded))
-        return unslot(*args)
+        return slot_nums(*args)
 
-    monkeypatch.setattr(dists, "_unslot", counted)
+    def counted_atoms(law):
+        atom_dicts.append(law)
+        return atoms(law)
+
+    monkeypatch.setattr(dists, "_slot_nums", counted)
+    monkeypatch.setattr(dists, "_atoms", counted_atoms)
     one, _ = _verify_wide_laws()
     assert iid_sum(one, 10) == fraction_iid_sum(one, 10)
-    assert len(decoded) == 1
+    assert len(decoded) == 1 and len(atom_dicts) == 1
     curves = Curves(one, ABS, {6, 10}, DEFAULT_SUPPORT_CAP)
     assert curves.curve(10) == tail_curve(fraction_iid_sum(one, 10), ABS)
     assert curves.curve(6) == tail_curve(fraction_iid_sum(one, 6), ABS)
-    assert len(decoded) == 3
-    laws = list(_Walk([one], 10, DEFAULT_SUPPORT_CAP).sums())
-    assert len(decoded) == 13 and None not in laws
+    assert len(decoded) == 3 and len(atom_dicts) == 1
+    walk = _Walk([one], 10, DEFAULT_SUPPORT_CAP)
+    laws = [walk.dist(law) for law in walk.sums()]
+    assert len(decoded) == 13 and len(atom_dicts) == 11
+    assert laws[5] == fraction_iid_sum(one, 6)
 
 
 def test_slot_fold_holds_only_the_running_int():
@@ -742,7 +859,7 @@ def test_slot_fold_holds_only_the_running_int():
     walk = _Walk([dist1d([(-1, F(1, 3)), (0, F(1, 3)), (2, F(1, 3))])],
                  400, DEFAULT_SUPPORT_CAP)
     assert walk.on_slots
-    _, width, slots = walk._grid()
+    _, width, slots = walk._grid
     tracemalloc.start()
     try:
         assert set(walk.sums(set())) == {None}
