@@ -225,7 +225,7 @@ def run_corpus(config: CorpusConfig, claims=None,
     plan = [(CLAIMS[name], *variant) for name in claims
             for variant in judged[name]]
     report = CorpusReport(config=config, claims=claims)
-    rendered = _Rendered()
+    rendered, parts = {}, {}
     instances = generate_corpus(config)
     for index, (dist, norm) in enumerate(instances):
         rng = np.random.Generator(
@@ -237,7 +237,7 @@ def run_corpus(config: CorpusConfig, claims=None,
         try:
             for pos, idx in planned:
                 for check in _checks(pos, *plan[pos], curves, idx):
-                    _absorb(report, index, dist, check, rendered)
+                    _absorb(report, index, dist, check, rendered, parts)
         except SupportCapExceeded as exc:
             report.skipped.append({"instance": index, "reason": str(exc)})
     return report
@@ -273,15 +273,6 @@ def _exact(pair) -> "str | None":
     return str(n // g) if g == d else f"{n // g}/{d // g}"
 
 
-class _Rendered(dict):
-    """The params text of each params key (_checks), for one run_corpus
-    call, and in `parts` the text of each params value."""
-
-    def __init__(self):
-        super().__init__()
-        self.parts = {}
-
-
 def _params_text(params: dict, parts: dict) -> str:
     """json.dumps(jsonify(params), sort_keys=True), joined in sorted-key
     order from the text of each name and value, each rendered once into
@@ -302,8 +293,10 @@ def _params_text(params: dict, parts: dict) -> str:
 
 
 def _absorb(report: CorpusReport, index: int, dist: DiscreteDist, check,
-            rendered: _Rendered) -> None:
-    """Count one check (_checks) and add its row."""
+            rendered: dict, parts: dict) -> None:
+    """Count one check (_checks) and add its row; rendered holds the params
+    text of each params key and parts the text of each params value, both
+    for one run_corpus call."""
     claim, key, (params, status, note, values, full) = check
     report.total_checks += 1
     stats = report.per_claim.setdefault(
@@ -332,7 +325,7 @@ def _absorb(report: CorpusReport, index: int, dist: DiscreteDist, check,
                             "rhs": Fraction(*rhs)}
     text = rendered.get(key)
     if text is None:
-        text = rendered[key] = _params_text(params, rendered.parts)
+        text = rendered[key] = _params_text(params, parts)
     report.rows.append({
         "instance": index,
         "claim": claim,

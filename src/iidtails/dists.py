@@ -366,19 +366,25 @@ def _row_gauges(nums, low: int, step: int, base: int, dim: int,
     point low + j*step), a row of the packed box at a time: a row is a run
     of slots that share every coordinate but the first, so its gauges are
     the gauge of those coordinates joined with the square (euclidean) or
-    absolute value (sup) of each first coordinate, sliced by step from one
-    list over [-base//2, base//2]."""
+    absolute value (sup) of each first coordinate.  Those terms are kept
+    per row start and length, and only for the slots a row holds, so the
+    cost follows the slot count, not base."""
     half = base // 2
-    firsts = [v * v if euclidean else abs(v) for v in range(-half, half + 1)]
     upper = _packed_gauge(base, dim - 1, euclidean)
+    rows: "dict[tuple[int, int], list[int]]" = {}
     gauges: "list[int]" = []
-    z, end = low + half, low + half + len(nums) * step
-    while z < end:
-        rest, v = divmod(z, base)                    # v indexes firsts
-        row = firsts[v::step]
+    z, left = low + half, len(nums)
+    while left:
+        rest, v = divmod(z, base)                    # first coordinate v - half
+        row = range(v - half, half + 1, step)[:left]
+        terms = rows.get((v, len(row)))
+        if terms is None:
+            terms = rows[v, len(row)] = [x * x for x in row] if euclidean \
+                else list(map(abs, row))
         g = upper(rest)
-        gauges += [g + x for x in row] if euclidean else \
-            [x if x > g else g for x in row]
+        gauges += [g + x for x in terms] if euclidean else \
+            [x if x > g else g for x in terms]
+        left -= len(row)
         z += len(row) * step
     return gauges
 

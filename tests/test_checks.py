@@ -41,7 +41,7 @@ from iidtails.dists import (
     weighted_iid_sum,
 )
 from iidtails.corpus import (CorpusConfig, CorpusReport, _absorb, _checks,
-                             _exact, _Rendered)
+                             _exact)
 from iidtails.reports import HOLDS, VIOLATED
 from oracles import (
     coin,
@@ -616,7 +616,7 @@ def test_rows_render_the_fraction_sweep(curves, factor, scale, claim):
     report = CorpusReport(CorpusConfig(seed=0, count=1), [claim])
     for check in _checks(0, spec, spec, factor, scale, stub(),
                          {"j": 1, "k": 2}):
-        _absorb(report, 0, delta(0), check, _Rendered())
+        _absorb(report, 0, delta(0), check, {}, {})
     for row, modes in zip(report.rows, MODE_PAIRS):
         want = fraction_sweep_curves(lhs, rhs, factor, scale, *modes)
         expected = want_report(claim, None, want, norm)

@@ -284,11 +284,12 @@ def test_params_render_cache_is_per_call(monkeypatch):
     caches = []
     absorb = corpus._absorb
 
-    def watched(report, index, dist, rep, rendered):
-        if not any(rendered is c for c in caches):
-            assert not rendered
-            caches.append(rendered)
-        return absorb(report, index, dist, rep, rendered)
+    def watched(report, index, dist, rep, rendered, parts):
+        if not any(rendered is c for c, _ in caches):
+            assert not rendered and not parts
+            assert not any(parts is p for _, p in caches)
+            caches.append((rendered, parts))
+        return absorb(report, index, dist, rep, rendered, parts)
 
     monkeypatch.setattr(corpus, "_absorb", watched)
     config = CorpusConfig(seed=5, count=4, max_k=3)
@@ -299,7 +300,7 @@ def test_params_render_cache_is_per_call(monkeypatch):
     for row in first.rows:
         assert by_text.setdefault(row["params"], row["params"]) \
             is row["params"]
-    assert len(by_text) == len(caches[0]) < len(first.rows)
+    assert len(by_text) == len(caches[0][0]) < len(first.rows)
 
 
 def test_max_k_one_draws_single_weights():

@@ -711,6 +711,13 @@ SLOT_CURVE_CASES = {
         (2, 6, 10, 9, 20, 14))}), 4, 4),
     "3-D": (DiscreteDist({(1, 0, 0): F(1, 4), (0, -1, 0): F(1, 4),
                           (0, 0, 1): F(1, 4), (-1, 1, -1): F(1, 4)}), 4, 2),
+    # wide coordinates on few slots: base far above the slot count
+    "2-D, wide coordinates in one row": (DiscreteDist(
+        {(0, 0): F(1, 3), (10 ** 4, 0): F(1, 3), (-2 * 10 ** 4, 0): F(1, 3)}),
+        15, 4),
+    "3-D, wide coordinates on a diagonal": (DiscreteDist(
+        {(0, 0, 0): F(1, 2), (10 ** 4, -10 ** 4, 10 ** 4): F(1, 4),
+         (-10 ** 4, 10 ** 4, -10 ** 4): F(1, 4)}), 6, 2),
 }
 
 
@@ -737,6 +744,24 @@ def test_slot_curve_cases_cover_the_fold_and_the_widths():
             seen |= {_zero_case(b[None]) for b in walk._slot_steps(None)}
     assert seen == {"one-sided", "on grid", "aligned halves", "interleaved"}
     assert widths == {1, 2, 4, 8, 9}
+
+
+def test_slot_curve_cost_follows_the_slots():
+    """An n-D curve read off slots allocates by the slots it reads, not by
+    the lattice base: here S_15 holds 46 slots on a base of 600,003."""
+    import tracemalloc
+    x, n, _ = SLOT_CURVE_CASES["2-D, wide coordinates in one row"]
+    walk = _Walk([x], n, DEFAULT_SUPPORT_CAP)
+    assert walk.on_slots and walk._grid[2] == 46 and walk.base == 600_003
+    law = walk.last()
+    tracemalloc.start()
+    try:
+        for norm in (SUP, EUC):
+            walk.curve(norm, law)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < walk.base
 
 
 def test_slot_width_rounds_up_to_a_native_word():
