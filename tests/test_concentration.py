@@ -241,6 +241,18 @@ class TestClassifyCase:
         assert v.case_id == "case2"
         assert v.bound_holds
 
+    def test_case2_in_the_plane(self):
+        # above dimension 1 case 2 asks has_concentration_point: mass 1/4
+        # at (+-10, 0) and (0, +-10) has no point within t/10 = 1/10 of
+        # half its mass, so S_1 is the witness under sup and euclidean
+        x = DiscreteDist({pt: F(1, 4) for pt in
+                          ((10, 0), (-10, 0), (0, 10), (0, -10))})
+        for norm in (Norm.SUP, Norm.EUCLIDEAN):
+            v = classify_case(x, 1, 2, 1, norm)
+            assert (v.case_id, v.witnesses["index"]) == ("case2", 1)
+            assert v.approximate
+            assert (v.bound_lhs, v.bound_holds) == (F(3, 4), True)
+
     def test_rejects_bad_indices(self):
         with pytest.raises(ValueError):
             classify_case(coin(), 3, 2, 1)

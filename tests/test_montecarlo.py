@@ -128,6 +128,14 @@ class TestEstimateTail:
         est = estimate_tail(coin_spec(), 2, 10.0, n_samples=1000, seed=2)
         assert est.count == 0 and est.lo == 0.0
 
+    def test_shifted_pareto_interval_covers_the_tail(self):
+        # shift + 1 + Lomax(alpha) exceeds t > shift + 1 with probability
+        # (t - shift)**-alpha
+        spec = SamplerSpec("shifted_pareto", {"alpha": 2.0, "shift": -1.0})
+        for t in (F(1, 2), 1, 2):
+            est = estimate_tail(spec, 1, t, n_samples=20_000, seed=3)
+            assert est.lo <= float(t + 1) ** -2 <= est.hi
+
     def test_weights_change_the_law(self):
         est = estimate_tail(coin_spec(), 2, 1.0, weights=[1.0, 0.0],
                             n_samples=30_000, seed=3)

@@ -199,6 +199,15 @@ class TestSearch:
         assert res.achieved_ratio != math.inf
         assert res.achieved_ratio <= 2
 
+    def test_infinite_ratio_is_kept_and_traced(self):
+        # at c2 = 1/4 a two-atom law's S_1 reaches past t where S_2 cannot
+        # reach t/c2, so every law scores inf: the first one is kept
+        res = search(SearchSpace(2, 1, 2, F(1, 4)), budget=40, restarts=2,
+                     seed=0)
+        assert res.achieved_ratio == math.inf
+        assert res.trace == ((0, math.inf), (1, math.inf))
+        assert res.evaluations == 40
+
     def test_rejects_zero_budget(self):
         with pytest.raises(ValueError):
             search(SearchSpace(n_atoms=2, j=1, k=2, c2=F(1)), budget=0)
@@ -284,6 +293,14 @@ class TestProbeNecessity:
         for row in out["rows"]:
             assert F(row["ratio"]) == 1 / F(row["p"])
         assert out["induced_c1_lower_bound"] == "1000"
+
+    def test_rare_bernoulli_below_the_scale_is_infinite(self):
+        out = probe_necessity("rare_bernoulli", c2=F(1, 4))
+        assert out["induced_c1_lower_bound"] == "inf"
+        assert out["rows"] and all(row["ratio"] == "inf"
+                                   for row in out["rows"])
+        out = probe_necessity("rare_bernoulli", p_values=())
+        assert (out["rows"], out["induced_c1_lower_bound"]) == ([], "0")
 
     def test_pm_one_gives_two(self):
         out = probe_necessity("pm_one")
