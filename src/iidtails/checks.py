@@ -94,6 +94,9 @@ def _walk(sides, grid: bool = True):
     norm = sides[0][0].norm
     if any(c.norm is not norm for c, _, _ in sides):
         raise ValueError("curves use different norms")
+    for _, s, _ in sides:   # int or Fraction: the numerator has the sign
+        if s.numerator <= 0:
+            raise ValueError("scales must be positive")
     e = norm.scale_exponent
     sides = [(c, s.numerator ** e, s.denominator ** e, _check_mode(m))
              for c, s, m in sides]
@@ -192,8 +195,8 @@ def sweep_curves(lhs_curve: TailCurve, rhs_curve: TailCurve, factor: Fraction,
                  rhs_mode: "str | None" = None) -> SweepOutcome:
     """Exact sweep of lhs(t) <= factor * rhs(t/scale) over all t > 0.
 
-    factor and scale are rationals (floats raise TypeError).  scale is in
-    radius space; in gauge space (euclidean) it acts squared.
+    factor and scale are rationals (floats raise TypeError); scale > 0 is
+    a radius, so in gauge space (euclidean) it acts squared.
     """
     rhs_mode = lhs_mode if rhs_mode is None else rhs_mode
     return _sweeps(lhs_curve, rhs_curve, rat(factor), rat(scale),
@@ -204,10 +207,10 @@ def least_c1(lhs_curve: TailCurve, rhs_curve: TailCurve, factor: Fraction,
              scale: Fraction):
     """Least c1 with lhs(t) <= c1 * factor * rhs(t/scale) for all t > 0.
 
-    Strict tails on both sides.  Returns (c1, gauge-space threshold where
-    it is attained): a Fraction, 0 with threshold None when lhs is
-    identically zero, or math.inf at the first threshold where lhs > 0 and
-    rhs = 0.
+    Strict tails on both sides, scale > 0.  Returns (c1, gauge-space
+    threshold where it is attained): a Fraction, 0 with threshold None when
+    lhs is identically zero, or math.inf at the first threshold where lhs >
+    0 and rhs = 0.
     """
     unit, (dl, dr), xs, (nls, nrs) = _walk([(lhs_curve, 1, STRICT),
                                             (rhs_curve, rat(scale), STRICT)])

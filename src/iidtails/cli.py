@@ -280,28 +280,23 @@ def cmd_counterexample(args) -> int:
 
 
 def _sampler_from_args(args) -> "tuple[SamplerSpec, dict]":
+    """The sampler of the mc flags: a discrete law from its --dist file,
+    any other family from its parameters' flags, as floats."""
     digests = {}
     if args.family == "discrete":
         if not args.dist:
             raise ValueError("discrete family needs --dist FILE")
         dist = _load(args.dist, digests)
-        spec = SamplerSpec("discrete",
+        return SamplerSpec("discrete",
                            {"atoms": dist_to_jsonable(dist)["atoms"]},
-                           dim=dist.dim)
-    elif args.family == "gaussian":
-        spec = SamplerSpec("gaussian", {"mu": args.mu, "sigma": args.sigma},
-                           dim=args.dim)
-    elif args.family == "two_point":
-        for name in ("a", "b", "p"):
-            if getattr(args, name) is None:
-                raise ValueError(f"two_point family needs --{name}")
-        spec = SamplerSpec("two_point",
-                           {"a": float(args.a), "b": float(args.b),
-                            "p": float(args.p)})
-    else:
-        spec = SamplerSpec("shifted_pareto",
-                           {"alpha": args.alpha, "shift": args.shift})
-    return spec, digests
+                           dim=dist.dim), digests
+    params = {name: getattr(args, name)
+              for name in montecarlo.FAMILIES[args.family][0]}
+    for name, value in params.items():
+        if value is None:
+            raise ValueError(f"{args.family} family needs --{name}")
+    return SamplerSpec(args.family, {name: float(value) for name, value
+                                     in params.items()}, dim=args.dim), digests
 
 
 def cmd_mc(args) -> int:
@@ -443,16 +438,14 @@ def build_parser() -> argparse.ArgumentParser:
     p = subs.add_parser("mc", help="Monte Carlo estimate or claim check")
     p.add_argument("--claim", default=None, choices=MC_CLAIMS)
     p.add_argument("--family", required=True,
-                   choices=("discrete", "gaussian", "two_point",
-                            "shifted_pareto"))
+                   choices=tuple(montecarlo.FAMILIES))
     p.add_argument("--dist", default=None, help="dist file for discrete")
-    p.add_argument("--mu", type=float, default=0.0)
-    p.add_argument("--sigma", type=float, default=1.0)
-    p.add_argument("--a", type=_rational, default=None)
-    p.add_argument("--b", type=_rational, default=None)
-    p.add_argument("--p", type=_rational, default=None)
-    p.add_argument("--alpha", type=float, default=1.0)
-    p.add_argument("--shift", type=float, default=0.0)
+    # the families' parameter flags; the required ones are exact rationals
+    for defaults, _, _ in montecarlo.FAMILIES.values():
+        for name, default in defaults.items():
+            if name != "atoms":   # a discrete law comes from --dist
+                p.add_argument(f"--{name}", default=default,
+                               type=_rational if default is None else float)
     p.add_argument("--dim", type=int, default=1)
     p.add_argument("--j", type=int, default=None,
                    help="left index S_j, for claims that read one")

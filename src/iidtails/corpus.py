@@ -97,7 +97,7 @@ class CorpusConfig(Report):
 
 def norms_at(norms, dim: int) -> "list[Norm]":
     """The norms among `norms` defined in dimension dim."""
-    return [n for n in norms if n is not Norm.ABS1D or dim == 1]
+    return [n for n in norms if n.defined_in(dim)]
 
 
 def _instance_key(seed: int, index: int) -> int:

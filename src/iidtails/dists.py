@@ -122,12 +122,20 @@ class Norm(Enum):
         """e such that gauge(c*x) = c**e * gauge(x) for rational c > 0."""
         return 2 if self is Norm.EUCLIDEAN else 1
 
+    def defined_in(self, dim: int) -> bool:
+        """The one rule of where a norm is defined: abs1d in dimension 1
+        only, sup and euclidean in every dimension."""
+        return self is not Norm.ABS1D or dim == 1
+
+    def require_dim(self, dim: int) -> None:
+        if not self.defined_in(dim):
+            raise ValueError("abs1d norm requires dimension 1")
+
     def gauge(self, point: "tuple[Fraction, ...]") -> Fraction:
         """Order-preserving rational stand-in for ||point||: the norm itself
         for abs1d and sup, the squared norm for euclidean."""
         if self is Norm.ABS1D:
-            if len(point) != 1:
-                raise ValueError("abs1d norm requires dimension 1")
+            self.require_dim(len(point))
             return abs(point[0])
         if self is Norm.SUP:
             return max(abs(c) for c in point)
@@ -640,8 +648,7 @@ class _Walk:
         if self.dim == 1:
             # a packed 1-D point is its own coordinate
             return (lambda z: z * z) if norm is Norm.EUCLIDEAN else abs
-        if norm is Norm.ABS1D:
-            raise ValueError("abs1d norm requires dimension 1")
+        norm.require_dim(self.dim)
         return _packed_gauge(self.base, self.dim, norm is Norm.EUCLIDEAN)
 
     def curve(self, norm: "Norm", law=None) -> "TailCurve":

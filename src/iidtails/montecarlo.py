@@ -20,8 +20,6 @@ from .checks import CLAIMS, MAX, SUM, WEIGHTED, _indices, variants
 from .dists import Norm, default_norm
 from .reports import HOLDS, VIOLATED, Report
 
-FAMILIES = ("discrete", "gaussian", "two_point", "shifted_pareto")
-
 # a seed is one 64-bit word of a Philox key [seed, stream]
 SEED_LIMIT = 2 ** 64
 # mc_check keys row i's two sides with seed * _ROW_STRIDE + 2i and + 2i + 1
@@ -47,6 +45,51 @@ def _location(x) -> "float | list[float]":
     return float(_rational(x))
 
 
+def _discrete(rng, size, atoms):
+    """Inverse CDF over the atom list."""
+    import numpy as np
+
+    locs = np.array([np.broadcast_to(_location(a["x"]), size[-1:])
+                     for a in atoms])
+    cdf = np.cumsum([float(_rational(a["p"])) for a in atoms])
+    cdf[-1] = 1.0
+    return locs[np.searchsorted(cdf, rng.random(size=size[:-1]), side="right")]
+
+
+# the one table of sampler families: family -> (each parameter's default,
+# None where it is required; whether it draws in dimension 1 only; its
+# draw(rng, size, **params), size ending in the dimension)
+FAMILIES = {
+    "discrete": ({"atoms": None}, False, _discrete),
+    "gaussian": ({"mu": 0.0, "sigma": 1.0}, False,
+                 lambda rng, size, mu, sigma: rng.normal(mu, sigma, size)),
+    "two_point": ({"a": None, "b": None, "p": None}, True,
+                  lambda rng, size, a, b, p: (rng.random(size) < float(p))
+                  .choose((float(b), float(a)))),
+    "shifted_pareto": ({"alpha": 1.0, "shift": 0.0}, True,
+                       lambda rng, size, alpha, shift:
+                       shift + 1.0 + rng.pareto(alpha, size)),
+}
+
+
+def _atoms_fault(atoms, dim: int) -> "str | None":
+    """What is wrong with a discrete family's atom list, if anything."""
+    total = sum(_rational(a["p"]) for a in atoms)
+    if total != 1:
+        return f"have probabilities summing to {total}, not 1"
+    for a in atoms:
+        loc = _location(a["x"])
+        if isinstance(loc, list) and len(loc) != dim:
+            return f"hold {a['x']!r}, not a point of dim {dim}"
+
+
+# each parameter's rule: (value, dim) -> what is wrong with it, if anything
+_RULES = {"atoms": _atoms_fault,
+          "sigma": lambda v, dim: float(v) <= 0 and "must be positive",
+          "alpha": lambda v, dim: float(v) <= 0 and "must be positive",
+          "p": lambda v, dim: not 0 < float(v) < 1 and "must lie in (0, 1)"}
+
+
 @dataclass(frozen=True)
 class SamplerSpec(Report):
     """Recipe for drawing i.i.d. copies of a single summand."""
@@ -57,69 +100,25 @@ class SamplerSpec(Report):
     def __post_init__(self):
         if self.family not in FAMILIES:
             raise ValueError(f"unknown family {self.family!r}; "
-                             f"choose from {FAMILIES}")
+                             f"choose from {tuple(FAMILIES)}")
         if self.dim < 1:
             raise ValueError("dim must be >= 1")
-        p = self.params
-        if self.family == "discrete":
-            atoms = p.get("atoms")
-            if not atoms:
-                raise ValueError("discrete family needs nonempty 'atoms'")
-            total = sum(_rational(a["p"]) for a in atoms)
-            if total != 1:
-                raise ValueError(f"atom probabilities sum to {total}, not 1")
-            for a in atoms:
-                x = a["x"]
-                loc = _location(x)
-                if isinstance(loc, list) and len(loc) != self.dim:
-                    raise ValueError(f"atom location {x!r} does not match "
-                                     f"dim {self.dim}")
-        elif self.family == "gaussian":
-            if float(p.get("sigma", 1.0)) <= 0:
-                raise ValueError("gaussian sigma must be positive")
-        elif self.family == "two_point":
-            for key in ("a", "b", "p"):
-                if key not in p:
-                    raise ValueError(f"two_point family needs {key!r}")
-            if not 0 < float(p["p"]) < 1:
-                raise ValueError("two_point p must lie in (0, 1)")
-            if self.dim != 1:
-                raise ValueError("two_point family is one-dimensional")
-        elif self.family == "shifted_pareto":
-            if float(p.get("alpha", 1.0)) <= 0:
-                raise ValueError("pareto alpha must be positive")
-            if self.dim != 1:
-                raise ValueError("shifted_pareto family is one-dimensional")
+        defaults, one_dim, _ = FAMILIES[self.family]
+        if one_dim and self.dim != 1:
+            raise ValueError(f"{self.family} family is one-dimensional")
+        for name, value in {**defaults, **self.params}.items():
+            fault = ("is required" if value is None
+                     else "is unknown" if name not in defaults
+                     else name in _RULES and _RULES[name](value, self.dim))
+            if fault:
+                raise ValueError(f"{self.family} {name} {fault}")
 
 
 def _draw(spec: SamplerSpec, rng, shape):
     """Array of summands with trailing axis of length spec.dim, drawn from
     the numpy Generator rng."""
-    import numpy as np
-
-    full = tuple(shape) + (spec.dim,)
-    p = spec.params
-    if spec.family == "gaussian":
-        mu = float(p.get("mu", 0.0))
-        sigma = float(p.get("sigma", 1.0))
-        return rng.normal(mu, sigma, size=full)
-    if spec.family == "two_point":
-        a, b = float(p["a"]), float(p["b"])
-        hit = rng.random(size=full) < float(p["p"])
-        return np.where(hit, a, b)
-    if spec.family == "shifted_pareto":
-        alpha = float(p.get("alpha", 1.0))
-        shift = float(p.get("shift", 0.0))
-        return shift + 1.0 + rng.pareto(alpha, size=full)
-    # discrete: inverse CDF over the atom list
-    atoms = p["atoms"]
-    probs = np.array([float(_rational(a["p"])) for a in atoms])
-    locs = np.array([np.broadcast_to(_location(a["x"]), (spec.dim,))
-                     for a in atoms])
-    cdf = np.cumsum(probs)
-    cdf[-1] = 1.0
-    idx = np.searchsorted(cdf, rng.random(size=shape), side="right")
-    return locs[idx].reshape(full)
+    defaults, _, draw = FAMILIES[spec.family]
+    return draw(rng, (*shape, spec.dim), **{**defaults, **spec.params})
 
 
 def _gauge(points, norm: Norm):
@@ -207,6 +206,7 @@ def _estimate(spec: SamplerSpec, k: int, t, norm, statistic, n_samples: int,
     if not 0 < delta < 1:
         raise ValueError("delta must lie in (0, 1)")
     norm = default_norm(spec.dim) if norm is None else norm
+    norm.require_dim(spec.dim)
     tf = float(Fraction(t)) if not isinstance(t, float) else t
     if tf < 0:
         raise ValueError("t must be >= 0")
@@ -268,6 +268,7 @@ def mc_check(claim: str, spec: SamplerSpec, j: "int | None", k: int, t_grid,
         raise ValueError("n_samples must be >= 0")
     if not 0 < delta < 1:
         raise ValueError("delta must lie in (0, 1)")
+    (default_norm(spec.dim) if norm is None else norm).require_dim(spec.dim)
     ((_, c1, c2),) = variants(statement, *(None if c is None else Fraction(c)
                                            for c in (c1, c2)))
     given = {"k": k, "alphas": None if weights is None
@@ -304,8 +305,7 @@ def mc_check(claim: str, spec: SamplerSpec, j: "int | None", k: int, t_grid,
                                 n_samples=n_samples, seed=lhs_seed,
                                 delta=delta / 2)
         rhs = estimate_tail(spec, k, tf / float(rhs_scale), norm=norm,
-                            n_samples=n_samples,
-                            seed=lhs_seed + 1,
+                            n_samples=n_samples, seed=lhs_seed + 1,
                             delta=delta / 2)
         cf = float(factor)
         if lhs.lo > cf * rhs.hi:

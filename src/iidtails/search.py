@@ -29,15 +29,14 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import cached_property
+from functools import cache, cached_property
 
 from .checks import CLAIMS, Curves, _reads, least_c1, require_positive
 from .dists import (DEFAULT_SUPPORT_CAP, ONE, DiscreteDist, Norm, rat,
                     require_indices)
 from .reports import Report, jsonify
 
-INF = math.inf
-_BIG = 1e18  # stand-in for the infinity sentinel inside the optimizer
+_BIG = 1e18  # the optimizer sees an infinite ratio as this, never as inf
 SEED_LIMIT = 2 ** 128  # the Philox key range
 
 # (scale threshold, claimed bound): the theorem1-shape constant pairs of
@@ -240,12 +239,8 @@ def search(space: SearchSpace, budget: int = 10_000, restarts: int = 8,
     evaluations = 0
     best = (Fraction(0), None, None)  # (exact ratio, witness q, snapped law)
     trace = []
-    scored = {}  # snapped law -> (exact ratio, witness q)
-
-    def score(law):
-        if law not in scored:
-            scored[law] = _score(law, space, cap)
-        return scored[law]
+    # snapped law -> (exact ratio, witness q), each law scored once
+    score = cache(lambda law: _score(law, space, cap))
 
     def objective(theta) -> float:
         nonlocal evaluations, best
@@ -254,21 +249,19 @@ def search(space: SearchSpace, budget: int = 10_000, restarts: int = 8,
         evaluations += 1
         law = _snap(theta, space)
         value, q = score(law)
-        if value == INF:
-            if not isinstance(best[0], float):
-                best = (INF, q, law)
-            return -_BIG
-        if isinstance(best[0], Fraction) and value > best[0]:
+        if value > best[0]:  # inf orders above every Fraction
             best = (value, q, law)
-        return -float(value)
+        return -min(float(value), _BIG)
+
+    def descend(x0, maxfev: int):
+        return minimize(objective, x0, method="Nelder-Mead",
+                        options={"maxfev": max(1, maxfev), "xatol": 1e-3,
+                                 "fatol": 1e-9})
 
     for restart, x0 in enumerate(_initial_points(space, restarts, rng)):
         if evaluations >= budget:
             break
-        remaining = budget - evaluations
-        res = minimize(objective, x0, method="Nelder-Mead",
-                       options={"maxfev": max(1, remaining // (restarts - restart)),
-                                "xatol": 1e-3, "fatol": 1e-9})
+        res = descend(x0, (budget - evaluations) // (restarts - restart))
         kicked = res.x
         # jitter kicks: the landscape is flat almost everywhere, so nudge
         # the incumbent across lattice cells a few times per restart
@@ -276,14 +269,11 @@ def search(space: SearchSpace, budget: int = 10_000, restarts: int = 8,
             if evaluations >= budget:
                 break
             kick = kicked + rng.normal(0.0, 0.5, size=kicked.shape)
-            res2 = minimize(objective, kick, method="Nelder-Mead",
-                            options={"maxfev": max(1, (budget - evaluations) // 4),
-                                     "xatol": 1e-3, "fatol": 1e-9})
+            res2 = descend(kick, (budget - evaluations) // 4)
             if res2.fun < res.fun:
                 res = res2
                 kicked = res2.x
-        current = best[0]
-        trace.append((restart, float(current) if current != INF else INF))
+        trace.append((restart, float(best[0])))
 
     ratio, best_q, law = best
     if law is None:
@@ -295,12 +285,6 @@ def search(space: SearchSpace, budget: int = 10_000, restarts: int = 8,
 
 
 def _guard(ratio, c2: Fraction) -> None:
-    if isinstance(ratio, float) and math.isinf(ratio):
-        applicable = [b for s, b in SOUNDNESS_GUARDS if c2 >= s]
-        if applicable:
-            raise SoundnessViolation(
-                f"infinite ratio at c2={c2} contradicts known bounds")
-        return
     for scale, bound in SOUNDNESS_GUARDS:
         if c2 >= scale and ratio > bound:
             raise SoundnessViolation(
@@ -329,22 +313,14 @@ def probe_necessity(family: str, **params) -> dict:
              Fraction(1, 10000)))]
         if any(not 0 < p < 1 for p in ps):
             raise ValueError("need 0 < p < 1")
-        rows = []
-        finite_max = Fraction(0)
-        saw_inf = False
-        for p in ps:
-            X = DiscreteDist({0: 1 - p, 1: p})
-            r = ratio_objective(X, j, k, c2)
-            rows.append({"p": p, "ratio": r})
-            if r == INF:
-                saw_inf = True
-            else:
-                finite_max = max(finite_max, r)
+        rows = [{"p": p, "ratio": ratio_objective(
+            DiscreteDist({0: 1 - p, 1: p}), j, k, c2)} for p in ps]
         return jsonify({
             "family": family, "claim": "theorem1",
             "fixed": {"j": j, "k": k, "c2": c2},
             "rows": rows,
-            "induced_c1_lower_bound": INF if saw_inf else finite_max,
+            "induced_c1_lower_bound": max((row["ratio"] for row in rows),
+                                          default=Fraction(0)),
         })
     if family == "constant":
         j = params.get("j", 4)
@@ -355,18 +331,14 @@ def probe_necessity(family: str, **params) -> dict:
             (Fraction(1, 4), Fraction(1, 2), Fraction(3, 4), Fraction(1),
              Fraction(3, 2), Fraction(2)))]
         X = DiscreteDist({1: 1})
-        rows = []
-        threshold = None
-        for c2 in sorted(grid):
-            r, _ = _least_c1("corollary6", X, j, k, c2)
-            rows.append({"c2": c2, "ratio": r})
-            if r != INF and threshold is None:
-                threshold = c2
+        rows = [{"c2": c2, "ratio": _least_c1("corollary6", X, j, k, c2)[0]}
+                for c2 in sorted(grid)]
         return jsonify({
             "family": family, "claim": "corollary6",
             "fixed": {"j": j, "k": k},
             "rows": rows,
-            "induced_c2_lower_bound": threshold,
+            "induced_c2_lower_bound": next(
+                (row["c2"] for row in rows if row["ratio"] < math.inf), None),
         })
     if family == "pm_one":
         j = params.get("j", 1)

@@ -78,6 +78,18 @@ class TestSweepCurves:
         assert (type(out.rhs), type(out.margin)) == (F, F)
         assert (out.status, out.margin) == (VIOLATED, F(-19, 20))
 
+    @pytest.mark.parametrize("norm", [ABS, Norm.EUCLIDEAN])
+    @pytest.mark.parametrize("scale", [0, -1, F(-3, 2)])
+    def test_refuses_a_scale_that_is_not_positive(self, norm, scale):
+        # read as t / scale, a negative scale made the coin's abs1d sweep
+        # say violated and its euclidean one square the sign away
+        lhs, rhs = tail_curve(coin(), norm), tail_curve(iid_sum(coin(), 2),
+                                                        norm)
+        with pytest.raises(ValueError, match="^scales must be positive$"):
+            sweep_curves(lhs, rhs, 2, scale)
+        with pytest.raises(ValueError, match="^scales must be positive$"):
+            least_c1(lhs, rhs, 1, scale)
+
 
 class TestTheorem1:
     def test_pinned_coin(self):

@@ -585,6 +585,24 @@ class TestMcCmd:
         assert exact == F(4, 9)
         assert est["lo"] <= exact <= est["hi"]
 
+    def test_one_dimensional_families_refuse_dim(self, capsys):
+        """two_point and shifted_pareto draw in dimension 1 only: --dim 2
+        exits 2, where it once drew in 1-D and echoed dim 2."""
+        for family in (("two_point", "--a", "1", "--b", "-1", "--p", "1/2"),
+                       ("shifted_pareto",)):
+            code, out, err = run(capsys, "mc", "--family", *family, "--dim",
+                                 "2", "--t", "1", "--n", "10")
+            assert code == 2 and not out
+            assert f"{family[0]} family is one-dimensional" in err
+
+    def test_abs1d_refused_above_dimension_one(self, capsys):
+        gauss = ("mc", "--family", "gaussian", "--dim", "2", "--norm",
+                 "abs1d", "--t", "1")
+        for argv in (("--n", "1000"), ("--claim", "theorem1", "--n", "0")):
+            code, out, err = run(capsys, *gauss, *argv)
+            assert code == 2 and not out
+            assert "abs1d norm requires dimension 1" in err
+
     def test_two_point_requires_all_params(self, capsys):
         code, _, err = run(capsys, "mc", "--family", "two_point",
                            "--a", "-1", "--t", "1")

@@ -277,6 +277,17 @@ class TestTail:
         with pytest.raises(ValueError):
             tail(d2, ABS, 1)
 
+    def test_one_rule_of_where_a_norm_is_defined(self):
+        assert all(norm.defined_in(1) for norm in Norm)
+        assert [norm for norm in Norm if norm.defined_in(3)] == [SUP, EUC]
+        d2 = DiscreteDist({(F(0), F(0)): F(1)})
+        for call in (lambda: ABS.gauge((F(0), F(0))),
+                     lambda: tail(d2, ABS, 1),
+                     lambda: tail_curve(iid_sum(d2, 3), ABS)):
+            with pytest.raises(ValueError, match=r"^abs1d norm requires "
+                                                 r"dimension 1$"):
+                call()
+
     def test_euclidean_squared_comparison(self):
         # atom at (3/5, 4/5) has norm exactly 1: strict vs weak at t=1 differ
         d = DiscreteDist({(F(3, 5), F(4, 5)): F(1)})

@@ -7,6 +7,7 @@ from iidtails.checks import check_corollary4
 from iidtails.dists import Norm, default_norm, iid_sum, tail
 from iidtails.montecarlo import (
     _BATCH,
+    FAMILIES,
     MC_CLAIMS,
     SamplerSpec,
     _draw,
@@ -59,6 +60,36 @@ class TestSamplerSpec:
     def test_unknown_family(self):
         with pytest.raises(ValueError, match="family"):
             SamplerSpec("cauchy", {})
+
+    def test_one_dimensional_families_refuse_higher_dims(self):
+        for family, params in (("two_point", {"a": 1, "b": -1, "p": 0.5}),
+                               ("shifted_pareto", {})):
+            with pytest.raises(ValueError, match=f"^{family} family is "
+                                                 "one-dimensional$"):
+                SamplerSpec(family, params, dim=2)
+
+    def test_parameters_follow_the_family_table(self):
+        with pytest.raises(ValueError, match="^two_point p is required$"):
+            SamplerSpec("two_point", {"a": 1.0, "b": -1.0})
+        with pytest.raises(ValueError, match="^gaussian sigmaa is unknown$"):
+            SamplerSpec("gaussian", {"sigmaa": 2.0})
+        with pytest.raises(ValueError, match="^shifted_pareto alpha must "):
+            SamplerSpec("shifted_pareto", {"alpha": -1})
+        # what is not given takes the table's default
+        rng = np.random.Generator(np.random.Philox(key=4))
+        want = np.random.Generator(np.random.Philox(key=4)).normal(
+            0.0, 1.0, size=(3, 2, 2))
+        assert np.array_equal(_draw(SamplerSpec("gaussian", {}, dim=2), rng,
+                                    (3, 2)), want)
+
+    def test_every_family_draws_summands_of_its_dim(self):
+        params = {"discrete": {"atoms": [{"x": [1, -1], "p": 1}]},
+                  "two_point": {"a": 1, "b": -1, "p": 0.5}}
+        for family, (_, one_dim, _) in FAMILIES.items():
+            dim = 1 if one_dim else 2
+            spec = SamplerSpec(family, params.get(family, {}), dim=dim)
+            draws = _draw(spec, np.random.default_rng(0), (5, 3))
+            assert draws.shape == (5, 3, dim) and draws.dtype == float
 
 
 class TestClopperPearson:
@@ -135,6 +166,16 @@ class TestEstimateTail:
         for t in (F(1, 2), 1, 2):
             est = estimate_tail(spec, 1, t, n_samples=20_000, seed=3)
             assert est.lo <= float(t + 1) ** -2 <= est.hi
+
+    def test_abs1d_refused_above_dimension_one(self):
+        # as in the exact engine: a sup reading of abs1d is no answer
+        plane = SamplerSpec("gaussian", {}, dim=2)
+        with pytest.raises(ValueError, match="^abs1d norm requires dim"):
+            estimate_tail(plane, 2, 1.0, Norm.ABS1D, n_samples=10)
+        for n_samples in (10, 0):
+            with pytest.raises(ValueError, match="^abs1d norm requires dim"):
+                mc_check("theorem1", plane, None, 2, [1.0], norm=Norm.ABS1D,
+                         n_samples=n_samples)
 
     def test_weights_change_the_law(self):
         est = estimate_tail(coin_spec(), 2, 1.0, weights=[1.0, 0.0],
