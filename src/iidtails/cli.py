@@ -280,23 +280,19 @@ def cmd_counterexample(args) -> int:
 
 
 def _sampler_from_args(args) -> "tuple[SamplerSpec, dict]":
-    """The sampler of the mc flags: a discrete law from its --dist file,
-    any other family from its parameters' flags, as floats."""
-    digests = {}
-    if args.family == "discrete":
-        if not args.dist:
-            raise ValueError("discrete family needs --dist FILE")
+    """The sampler of the mc flags that were set and of a --dist file: the
+    family table fills in the defaults and refuses what it does not read."""
+    digests, dim = {}, {} if args.dim is None else {"dim": args.dim}
+    params = {name: value for defaults, _, _ in montecarlo.FAMILIES.values()
+              for name in defaults
+              if (value := getattr(args, name, None)) is not None}
+    if args.dist:
         dist = _load(args.dist, digests)
-        return SamplerSpec("discrete",
-                           {"atoms": dist_to_jsonable(dist)["atoms"]},
-                           dim=dist.dim), digests
-    params = {name: getattr(args, name)
-              for name in montecarlo.FAMILIES[args.family][0]}
-    for name, value in params.items():
-        if value is None:
-            raise ValueError(f"{args.family} family needs --{name}")
-    return SamplerSpec(args.family, {name: float(value) for name, value
-                                     in params.items()}, dim=args.dim), digests
+        params["atoms"] = dist_to_jsonable(dist)["atoms"]
+        dim.setdefault("dim", dist.dim)
+    elif args.family == "discrete":
+        raise ValueError("discrete family needs --dist FILE")
+    return SamplerSpec(args.family, params, **dim), digests
 
 
 def cmd_mc(args) -> int:
@@ -440,13 +436,12 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--family", required=True,
                    choices=tuple(montecarlo.FAMILIES))
     p.add_argument("--dist", default=None, help="dist file for discrete")
-    # the families' parameter flags; the required ones are exact rationals
+    # the families' parameters, each an exact rational passed only when set
     for defaults, _, _ in montecarlo.FAMILIES.values():
-        for name, default in defaults.items():
+        for name in defaults:
             if name != "atoms":   # a discrete law comes from --dist
-                p.add_argument(f"--{name}", default=default,
-                               type=_rational if default is None else float)
-    p.add_argument("--dim", type=int, default=1)
+                p.add_argument(f"--{name}", type=_rational)
+    p.add_argument("--dim", type=int)
     p.add_argument("--j", type=int, default=None,
                    help="left index S_j, for claims that read one")
     p.add_argument("--k", type=int, default=None,
@@ -484,7 +479,7 @@ def main(argv=None) -> int:
     except SoundnessViolation as exc:
         print(f"soundness guard tripped: {exc}", file=sys.stderr)
         return EXIT_GUARD
-    except (ValueError, OSError, RuntimeError) as exc:
+    except (ValueError, OSError, RuntimeError, OverflowError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE
 

@@ -12,8 +12,8 @@ steps from each cut to the next (a remainder raises ArithmeticError, also
 under ``python -O``), and returns its prefix sums at the cuts asked for.
 Every tail event is the complement of at most two windows of u = N*b - M,
 so a report cuts one sum at all its windows' edges and takes each window's
-mass as a difference of two prefix sums; the edges come from an integer
-cube root (centered) or a bisection on the sign rule, which rises with u.
+mass as a difference of two prefix sums; each edge comes from one
+bisection on the sign rule, which rises with u.
 find_M needs big integers only where its gate opens.  The most mass that K
 consecutive values of the binomial hold never rises with M, so a bound on
 the K largest terms at a block's first M rejects every later M whose
@@ -44,7 +44,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from math import comb, isqrt, lcm
 
-from .dists import _threshold, rat
+from .dists import _int, _threshold, rat
 from .reports import Report, jsonify
 
 
@@ -57,14 +57,6 @@ def _ratio(num: int, den: int) -> int:
 
 
 _ONE = 1 << 64      # thr in the units of find_M's gate
-
-
-def _int(name: str, value) -> int:
-    """value, refused with a TypeError naming it unless it is an int."""
-    if isinstance(value, bool) or not isinstance(value, int):
-        raise TypeError(f"{name} must be an int, not "
-                        f"{type(value).__name__} {value!r}")
-    return value
 
 
 def _law(N, M) -> None:
@@ -166,14 +158,9 @@ def _tails(N: int, M: int, *events) -> "list[Fraction]":
 
 
 def _centered(N: int, M: int, threshold):
-    """The event |sum_{i<=M} Y_i| > M^(2/3) * threshold, as (per, windows).
-
-    Uses |u| > M^(2/3)*theta  <=>  |u|^3 * q^3 > M^2 * p^3 for theta = p/q,
-    so the inside is |u| <= icbrt(M^2*p^3 // q^3), all in integers.
-    """
-    theta = _threshold(threshold)
-    U = icbrt(M * M * theta.numerator ** 3 // theta.denominator ** 3)
-    return 1, [(1, -(-(M - U) // N), (M + U) // N)]
+    """The event |sum_{i<=M} Y_i| > M^(2/3) * threshold, as (per, windows):
+    u = N*b - M stays inside where |q*u| <= p*M^(2/3), theta = p/q."""
+    return 1, [(1, *_inside(_sign_rule(M), N, M, _threshold(threshold), 0, 0))]
 
 
 def centered_sum_tail(N: int, M: int, threshold) -> Fraction:

@@ -92,9 +92,19 @@ _ADMITS = {
 }
 
 
+def _int(name: str, value) -> int:
+    """The one int rule: value, or a TypeError naming it if not an int."""
+    if isinstance(value, bool) or not isinstance(value, int):
+        raise TypeError(f"{name} must be an int, not "
+                        f"{type(value).__name__} {value!r}")
+    return value
+
+
 def require_indices(order: str, j, k) -> None:
-    """The one index rule: refuse j, k unless they obey order."""
-    if not _ADMITS[order](j, k):
+    """The one index rule: refuse j, k unless they are ints obeying order."""
+    if order != K_ONLY:
+        _int("j", j)
+    if not _ADMITS[order](j, _int("k", k)):
         raise ValueError(f"need {order}, got j={j}, k={k}")
 
 
@@ -486,7 +496,7 @@ class _Walk:
     def _place(self, scale, dim, terms, n, cap):
         """Pack the terms on a base able to hold sums of n of their
         points."""
-        if n < 1:
+        if _int("k", n) < 1:
             raise ValueError(f"k must be >= 1, got {n}")
         self.dim = dim
         self.n = n

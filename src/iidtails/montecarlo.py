@@ -33,8 +33,8 @@ def mc_seed_limit(rows: int) -> int:
 
 
 def _rational(v) -> Fraction:
-    """A sampler parameter as a Fraction: a float by its shortest repr, an
-    int, a Fraction or text such as "-1/2" (what dist_to_jsonable emits)."""
+    """The one reader of a number here, as a Fraction: a float by its
+    shortest repr, an int, a Fraction or text such as "1/1000"."""
     return Fraction(str(v)) if isinstance(v, float) else Fraction(v)
 
 
@@ -58,15 +58,15 @@ def _discrete(rng, size, atoms):
 
 # the one table of sampler families: family -> (each parameter's default,
 # None where it is required; whether it draws in dimension 1 only; its
-# draw(rng, size, **params), size ending in the dimension)
+# draw(rng, size, **params) of float numbers, size ending in the dimension)
 FAMILIES = {
     "discrete": ({"atoms": None}, False, _discrete),
-    "gaussian": ({"mu": 0.0, "sigma": 1.0}, False,
+    "gaussian": ({"mu": 0, "sigma": 1}, False,
                  lambda rng, size, mu, sigma: rng.normal(mu, sigma, size)),
     "two_point": ({"a": None, "b": None, "p": None}, True,
-                  lambda rng, size, a, b, p: (rng.random(size) < float(p))
-                  .choose((float(b), float(a)))),
-    "shifted_pareto": ({"alpha": 1.0, "shift": 0.0}, True,
+                  lambda rng, size, a, b, p: (rng.random(size) < p)
+                  .choose((b, a))),
+    "shifted_pareto": ({"alpha": 1, "shift": 0}, True,
                        lambda rng, size, alpha, shift:
                        shift + 1.0 + rng.pareto(alpha, size)),
 }
@@ -83,11 +83,21 @@ def _atoms_fault(atoms, dim: int) -> "str | None":
             return f"hold {a['x']!r}, not a point of dim {dim}"
 
 
+def _number(admits=lambda x: True, fault: str = ""):
+    """The rule of a number parameter: a rational x for which admits(x)."""
+    def rule(value, dim):
+        try:
+            return not admits(_rational(value)) and fault
+        except (TypeError, ValueError, ZeroDivisionError):
+            return f"is not a rational: {value!r}"
+    return rule
+
+
 # each parameter's rule: (value, dim) -> what is wrong with it, if anything
 _RULES = {"atoms": _atoms_fault,
-          "sigma": lambda v, dim: float(v) <= 0 and "must be positive",
-          "alpha": lambda v, dim: float(v) <= 0 and "must be positive",
-          "p": lambda v, dim: not 0 < float(v) < 1 and "must lie in (0, 1)"}
+          "sigma": _number(lambda x: x > 0, "must be positive"),
+          "alpha": _number(lambda x: x > 0, "must be positive"),
+          "p": _number(lambda x: 0 < x < 1, "must lie in (0, 1)")}
 
 
 @dataclass(frozen=True)
@@ -109,7 +119,7 @@ class SamplerSpec(Report):
         for name, value in {**defaults, **self.params}.items():
             fault = ("is required" if value is None
                      else "is unknown" if name not in defaults
-                     else name in _RULES and _RULES[name](value, self.dim))
+                     else _RULES.get(name, _number())(value, self.dim))
             if fault:
                 raise ValueError(f"{self.family} {name} {fault}")
 
@@ -118,7 +128,9 @@ def _draw(spec: SamplerSpec, rng, shape):
     """Array of summands with trailing axis of length spec.dim, drawn from
     the numpy Generator rng."""
     defaults, _, draw = FAMILIES[spec.family]
-    return draw(rng, (*shape, spec.dim), **{**defaults, **spec.params})
+    return draw(rng, (*shape, spec.dim), **{
+        name: value if name == "atoms" else float(_rational(value))
+        for name, value in {**defaults, **spec.params}.items()})
 
 
 def _gauge(points, norm: Norm):
@@ -183,8 +195,7 @@ def estimate_tail(spec: SamplerSpec, k: int, t, norm: Norm = None,
     if weights is None:
         w = np.ones(k)
     else:
-        w = np.array([float(Fraction(x)) if not isinstance(x, float) else x
-                      for x in weights])
+        w = np.array([float(_rational(x)) for x in weights])
         if w.shape != (k,):
             raise ValueError(f"need exactly {k} weights")
     return _estimate(
@@ -207,7 +218,7 @@ def _estimate(spec: SamplerSpec, k: int, t, norm, statistic, n_samples: int,
         raise ValueError("delta must lie in (0, 1)")
     norm = default_norm(spec.dim) if norm is None else norm
     norm.require_dim(spec.dim)
-    tf = float(Fraction(t)) if not isinstance(t, float) else t
+    tf = float(_rational(t))
     if tf < 0:
         raise ValueError("t must be >= 0")
     if not 0 <= seed < SEED_LIMIT:
@@ -288,7 +299,7 @@ def mc_check(claim: str, spec: SamplerSpec, j: "int | None", k: int, t_grid,
                          f"for {len(t_grid)} thresholds, got {seed}")
     rows = []
     for i, t in enumerate(t_grid):
-        tf = float(Fraction(t)) if not isinstance(t, float) else t
+        tf = float(_rational(t))
         if n_samples == 0:
             rows.append({"t": tf, "lhs": None, "rhs": None,
                          "factor": float(factor),

@@ -303,6 +303,12 @@ def probe_necessity(family: str, **params) -> dict:
         least scale with a finite ratio.
     pm_one: the +-1 coin; at c2 = 1, (j,k) = (1,2) the exact ratio is 2.
     """
+    reads = {"rare_bernoulli": ("j", "k", "c2", "p_values"),
+             "constant": ("j", "k", "c2_values"), "pm_one": ("j", "k", "c2")}
+    if family not in reads:
+        raise ValueError(f"unknown family {family!r}")
+    for name in sorted(params.keys() - set(reads[family])):
+        raise ValueError(f"{family} {name} is unknown")
     if family == "rare_bernoulli":
         j = params.get("j", 1)
         k = params.get("k", 2)
@@ -352,4 +358,3 @@ def probe_necessity(family: str, **params) -> dict:
             "rows": [{"ratio": r}],
             "induced_c1_lower_bound": r,
         })
-    raise ValueError(f"unknown family {family!r}")

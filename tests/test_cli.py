@@ -606,7 +606,58 @@ class TestMcCmd:
     def test_two_point_requires_all_params(self, capsys):
         code, _, err = run(capsys, "mc", "--family", "two_point",
                            "--a", "-1", "--t", "1")
-        assert code == 2
+        assert code == 2 and "two_point b is required" in err
+
+    def test_family_table_judges_the_flags_given(self, capsys, coin_file):
+        """mc passes only the flags that were set, so the family table
+        refuses a parameter its family does not read and a --dim that the
+        --dist file's points do not have, each exit 2 naming it."""
+        gauss = ("mc", "--family", "gaussian", "--t", "1", "--n", "100")
+        for argv, message in (
+                (("--alpha", "3"), "gaussian alpha is unknown"),
+                (("--alpha", "3", "--a", "2"), "gaussian a is unknown"),
+                (("--dist", coin_file), "gaussian atoms is unknown"),
+                (("--mu", "1/0"), "argument --mu: not a rational")):
+            code, out, err = run(capsys, *gauss, *argv)
+            assert code == 2 and not out and message in err
+        code, out, err = run(capsys, "mc", "--family", "discrete", "--dist",
+                             coin_file, "--dim", "2", "--t", "1", "--n",
+                             "100")
+        assert code == 2 and not out
+        assert "discrete atoms hold ['-1'], not a point of dim 2" in err
+
+    def test_parameters_are_exact_rationals(self, capsys):
+        """Every family flag takes a rational such as 1/2, drawn as the
+        float it rounds to; the manifest echoes the flags as given."""
+        code, out, _ = run(capsys, "mc", "--family", "gaussian", "--sigma",
+                           "1/2", "--t", "1", "--n", "1000", "--seed", "3")
+        doc = last_json(out)
+        assert code == 0 and doc["manifest"]["params"]["sigma"] == "1/2"
+        code, out, _ = run(capsys, "mc", "--family", "gaussian", "--sigma",
+                           "0.5", "--t", "1", "--n", "1000", "--seed", "3")
+        assert last_json(out)["estimates"] == doc["estimates"]
+
+    def test_a_plane_law_draws_in_its_own_dimension(self, capsys, tmp_path):
+        """Without --dim a --dist law draws in its file's dimension, and the
+        manifest echoes no --dim: every point (3, 4) or (0, 0) summed twice
+        lies at radius 0, 5 or 10."""
+        plane = tmp_path / "plane.json"
+        save_dist(DiscreteDist({(3, 4): F(1, 2), (0, 0): F(1, 2)}), plane)
+        radii = []
+        for t in ("4", "9"):
+            code, out, _ = run(capsys, "mc", "--family", "discrete", "--dist",
+                               str(plane), "--norm", "euclidean", "--t", t,
+                               "--n", "4000", "--seed", "1")
+            doc = last_json(out)
+            assert code == 0 and doc["manifest"]["params"]["dim"] is None
+            radii.append(doc["estimates"][0]["estimate"]["estimate"])
+        assert abs(radii[0] - 3 / 4) < 0.03 and abs(radii[1] - 1 / 4) < 0.03
+
+    def test_a_number_past_the_float_range_exits_two(self, capsys):
+        for argv in (("--mu", "1e400", "--t", "1"), ("--t", "1e400")):
+            code, out, err = run(capsys, "mc", "--family", "gaussian",
+                                 "--n", "10", *argv)
+            assert code == 2 and not out and "too large" in err
 
     def test_seed_range(self, capsys):
         """--seed keys Philox words: outside [0, 2**64), or past it at some
@@ -672,6 +723,19 @@ class TestTopLevel:
         assert code == 2 and not out
         assert f"argument --cap: must be a positive integer, got {cap!r}" \
             in err
+
+    @pytest.mark.parametrize("argv, message", [
+        (("verify", "--claim", "theorem1", "--norm", "l2", "COIN"),
+         "unknown norm 'l2'"),
+        (("corpus", "--seed", "abc"), "argument --seed: must be an integer"),
+        (("verify", "--claim", "lemma2", "--t", "1", "COIN", "COIN", "COIN"),
+         "lemma2 takes one file (Y = X) or two"),
+    ], ids=["norm", "seed", "lemma2-files"])
+    def test_malformed_flags_exit_two(self, capsys, coin_file, argv,
+                                      message):
+        code, out, err = run(capsys, *[coin_file if a == "COIN" else a
+                                       for a in argv])
+        assert code == 2 and not out and message in err
 
     def test_no_subcommand_exit_two(self, capsys):
         assert main([]) == 2

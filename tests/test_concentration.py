@@ -156,6 +156,10 @@ class TestLemma2:
         r = check_lemma2(x, y, F(1, 2))
         assert r.status == HOLDS
 
+    def test_rejects_laws_of_two_dimensions(self):
+        with pytest.raises(ValueError, match="dimension mismatch: 1 vs 2"):
+            check_lemma2(coin(), DiscreteDist({(0, 1): F(1)}), 1)
+
     def test_never_violated_on_random_instances(self):
         rng = random.Random(17)
         for _ in range(80):

@@ -27,6 +27,8 @@ class TestCorpusConfig:
             CorpusConfig(seed=1, count=5, dims=())
         with pytest.raises(ValueError):
             CorpusConfig(seed=1, count=5, dims=(0,))
+        with pytest.raises(ValueError, match="^norms must be nonempty$"):
+            CorpusConfig(seed=1, count=5, norms=())
 
     def test_seed_range(self):
         """An instance's Philox key puts the seed above 64 bits of index,

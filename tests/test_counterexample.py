@@ -129,6 +129,17 @@ class TestCenteredSumTail:
         with pytest.raises(ValueError):
             centered_sum_tail(2, 5, -1)
 
+    @pytest.mark.parametrize("N, M, theta", [
+        (3, 4437, F(1, 3)), (2, 8, F(1, 2)), (2, 8, F(1)),
+        (3, 10 ** 6 + 1, F(1, 3)), (10, 14436841080, F(1, 10)),
+        (10, 14436841080, F(7, 9))])
+    def test_window_is_the_cube_root_window(self, N, M, theta):
+        """The centered window, found by bisection on the sign rule, is the
+        b with |N*b - M| <= icbrt(M^2*p^3 // q^3) for theta = p/q."""
+        _, [(_, lo, hi)] = _centered(N, M, theta)
+        U = icbrt(M * M * theta.numerator ** 3 // theta.denominator ** 3)
+        assert (lo, hi) == (-(-(M - U) // N), (M + U) // N)
+
     def test_against_direct_enumeration(self):
         from math import comb
         for N, M, theta in ((2, 12, F(1, 2)), (3, 20, F(1, 3)),

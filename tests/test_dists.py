@@ -104,6 +104,22 @@ class TestDiscreteDist:
         assert d.p(0) == F(1, 2)
         assert d.p(7) == 0
 
+    def test_point_of_the_wrong_length_is_refused(self):
+        plane = DiscreteDist({(0, 1): F(1)})
+        with pytest.raises(ValueError, match="has length 1, expected 2"):
+            plane.p(0)
+        with pytest.raises(ValueError, match="has length 2, expected 1"):
+            as_point((1, 2), 1)
+        with pytest.raises(ValueError, match="requires dimension 1"):
+            plane.scalar_items()
+
+    def test_equality_and_repr(self):
+        d = DiscreteDist({F(-1, 2): F(1, 3), 2: F(2, 3)})
+        assert d != 1 and d == DiscreteDist({2: F(2, 3), F(-1, 2): F(1, 3)})
+        assert repr(d) == "DiscreteDist({-1/2: 1/3, 2: 2/3})"
+        plane = DiscreteDist({(0, F(1, 2)): F(1)})
+        assert repr(plane) == "DiscreteDist({('0', '1/2'): 1})"
+
 
 # --------------------------------------------------------------- convolution
 
@@ -334,6 +350,10 @@ class TestTailCurve:
             TailCurve(ABS, (F(0), F(1)), (F(1, 4), F(1, 2)))  # increasing
         with pytest.raises(ValueError):
             TailCurve(ABS, (F(0), F(1)), (F(1, 2), F(1, 4)))  # no zero end
+        with pytest.raises(ValueError, match="equal length"):
+            TailCurve(ABS, (F(0), F(1)), (F(0),))
+        with pytest.raises(ValueError, match="at least one critical"):
+            TailCurve(ABS, (), ())
 
     def test_equal_curves_compare_equal_across_lattices(self):
         """A curve is held in ints over its least units, so curves built on

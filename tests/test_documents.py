@@ -30,10 +30,10 @@ def interval(count, n_samples, seed, lo, hi) -> dict:
 
 
 MC_PARAMS = {
-    "a": None, "alpha": 1.0, "b": None, "c1": None, "c2": None,
-    "claim": None, "delta": 0.05, "dim": 1, "dist": None, "family": None,
-    "j": None, "k": 2, "mu": 0.0, "n": 2000, "norm": None, "out": None,
-    "p": None, "seed": None, "shift": 0.0, "sigma": 1.0, "subcommand": "mc",
+    "a": None, "alpha": None, "b": None, "c1": None, "c2": None,
+    "claim": None, "delta": 0.05, "dim": None, "dist": None, "family": None,
+    "j": None, "k": 2, "mu": None, "n": 2000, "norm": None, "out": None,
+    "p": None, "seed": None, "shift": None, "sigma": None, "subcommand": "mc",
     "t": None, "weights": None,
 }
 

@@ -3,9 +3,10 @@ TypeError when a float stands where a rational is expected (`0.1` is not
 `1/10`).  The Monte Carlo module is the one place floats belong and is not
 listed here.  Booleans are refused the same way, although Python counts
 them as ints: `True` is not the rational 1, in a call or in a law file.
-The counterexample's integer arguments (N, M, the cap and icbrt's n) take
-only ints: a bool, a float or a string there raises TypeError naming the
-argument."""
+The counterexample's integer arguments (N, M, the cap and icbrt's n) and
+the indices j and k of a check or a sum take only ints, by one rule
+(dists._int): a bool, a float or a string there raises TypeError naming
+the argument."""
 
 import json
 import re
@@ -35,6 +36,7 @@ from iidtails import (
     first_exceedance_probs,
     has_concentration_point,
     icbrt,
+    iid_sum,
     normalized_sum_tail,
     path_max_tail,
     ratio_objective,
@@ -142,6 +144,14 @@ INT_CALLS = {
     "refutes_constant.M": ("M", lambda: refutes_constant(2, 8.0, 1, 1)),
     "cbrt_combo_sign.M": ("M", lambda: cbrt_combo_sign(0, 0, 0, 2.0)),
     "icbrt.n": ("n", lambda: icbrt(8.0)),
+    "check_theorem1.j.bool": ("j", lambda: check_theorem1(X, True, 2)),
+    "check_theorem1.j.float": ("j", lambda: check_theorem1(X, 1.5, 2)),
+    "check_theorem1.j.whole_float": ("j", lambda: check_theorem1(X, 1.0, 2)),
+    "check_theorem1.k.float": ("k", lambda: check_theorem1(X, 1, 2.0)),
+    "check_corollary6.k.bool":
+        ("k", lambda: check_corollary6(X, 2, True)),
+    "iid_sum.k.float": ("k", lambda: iid_sum(X, 2.0)),
+    "iid_sum.k.bool": ("k", lambda: iid_sum(X, True)),
 }
 
 

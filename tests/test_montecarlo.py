@@ -1,3 +1,4 @@
+import re
 from fractions import Fraction as F
 
 import numpy as np
@@ -81,6 +82,31 @@ class TestSamplerSpec:
             0.0, 1.0, size=(3, 2, 2))
         assert np.array_equal(_draw(SamplerSpec("gaussian", {}, dim=2), rng,
                                     (3, 2)), want)
+
+    def test_parameters_are_read_as_exact_rationals(self):
+        """Every number parameter is read once, as a rational: "1/1000"
+        draws the same summands as the float 0.001, and a value that is no
+        rational is refused naming the parameter, with or without a rule."""
+        rare = SamplerSpec("two_point", {"a": 1, "b": 0, "p": "1/1000"})
+        as_float = SamplerSpec("two_point", {"a": 1.0, "b": 0.0, "p": 0.001})
+        draws = [_draw(spec, np.random.Generator(np.random.Philox(key=7)),
+                       (1000, 4)) for spec in (rare, as_float)]
+        assert np.array_equal(*draws)
+        assert set(np.unique(draws[0])) <= {0.0, 1.0}
+        for family, name, value in (("two_point", "p", "x"),
+                                    ("two_point", "a", [1]),
+                                    ("two_point", "b", "1/0"),
+                                    ("gaussian", "mu", float("nan")),
+                                    ("gaussian", "sigma", "1/2/3")):
+            params = {"a": 1, "b": 0, "p": "1/2"} \
+                if family == "two_point" else {}
+            with pytest.raises(ValueError, match=re.escape(
+                    f"{family} {name} is not a rational: {value!r}")):
+                SamplerSpec(family, {**params, name: value})
+
+    def test_dim_below_one_is_refused(self):
+        with pytest.raises(ValueError, match="^dim must be >= 1$"):
+            SamplerSpec("gaussian", {}, dim=0)
 
     def test_every_family_draws_summands_of_its_dim(self):
         params = {"discrete": {"atoms": [{"x": [1, -1], "p": 1}]},
@@ -205,6 +231,8 @@ class TestEstimateTail:
             estimate_tail(coin_spec(), 2, 1.0, delta=0.0)
         with pytest.raises(ValueError):
             estimate_tail(coin_spec(), 2, 1.0, weights=[1.0])
+        with pytest.raises(ValueError, match="^t must be >= 0$"):
+            estimate_tail(coin_spec(), 2, F(-1, 2))
 
 
 class TestCalibration:
@@ -272,6 +300,11 @@ class TestMcCheck:
             mc_check("lemma2", coin_spec(), j=1, k=2, t_grid=[1.0])
         with pytest.raises(ValueError):
             mc_check("theorem1", coin_spec(), j=1, k=2, t_grid=[])
+        with pytest.raises(ValueError, match="^n_samples must be >= 0$"):
+            mc_check("theorem1", coin_spec(), j=1, k=2, t_grid=[1],
+                     n_samples=-1)
+        with pytest.raises(ValueError, match="^delta must lie in"):
+            mc_check("theorem1", coin_spec(), j=1, k=2, t_grid=[1], delta=2)
 
     def test_latala_sharp_default_scale(self):
         v = mc_check("latala_sharp", coin_spec(), j=1, k=2, t_grid=[0.5],

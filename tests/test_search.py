@@ -180,6 +180,16 @@ class TestSearch:
         if res.achieved_ratio != math.inf:
             assert res.achieved_ratio >= 2
 
+    def test_a_space_of_point_masses_returns_one(self):
+        """A value box that snaps every law to delta_0 never beats ratio 0,
+        so the search reports a law of its space: delta_0, with no
+        witness threshold."""
+        space = SearchSpace(2, 1, 2, F(1), value_lo=F(-1, 100),
+                            value_hi=F(1, 100), lattice_denominator=1)
+        res = search(space, budget=20, restarts=1, seed=0)
+        assert res.achieved_ratio == 0 and res.best_t is None
+        assert res.best_dist == delta(0) and res.evaluations == 20
+
     def test_deterministic_given_seed(self):
         space = SearchSpace(n_atoms=2, j=1, k=2, c2=F(2))
         a = search(space, budget=400, seed=5)
@@ -311,3 +321,14 @@ class TestProbeNecessity:
             probe_necessity("cauchy")
         with pytest.raises(ValueError):
             probe_necessity("rare_bernoulli", p_values=(F(2),))
+
+    @pytest.mark.parametrize("family, params, name", [
+        ("rare_bernoulli", {"p_value": [F(1, 2)], "c3": 5}, "c3"),
+        ("rare_bernoulli", {"c2_values": [F(1)]}, "c2_values"),
+        ("constant", {"c2": F(1)}, "c2"),
+        ("pm_one", {"p_values": [F(1, 2)]}, "p_values"),
+    ])
+    def test_rejects_a_parameter_its_family_does_not_read(self, family,
+                                                          params, name):
+        with pytest.raises(ValueError, match=f"^{family} {name} is unknown$"):
+            probe_necessity(family, **params)

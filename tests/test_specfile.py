@@ -61,6 +61,21 @@ class TestParse:
         with pytest.raises(SpecFileError, match="missing key"):
             dist_from_jsonable({"dim": 1})
 
+    @pytest.mark.parametrize("doc, message", [
+        ([1], "top level: expected an object, got list"),
+        ({"dim": 1, "atoms": []}, "atoms: expected a nonempty list"),
+        ({"dim": 1, "atoms": {"x": 0, "p": 1}},
+         "atoms: expected a nonempty list"),
+        ({"dim": 1, "atoms": [{"x": 0}]},
+         "atoms[0]: expected an object with keys 'x' and 'p'"),
+        ({"dim": 1, "atoms": [["0", "1"]]},
+         "atoms[0]: expected an object with keys 'x' and 'p'"),
+    ], ids=["list", "no-atoms", "atoms-object", "no-p", "atom-list"])
+    def test_malformed_shape_is_located(self, doc, message):
+        with pytest.raises(SpecFileError) as exc:
+            dist_from_jsonable(doc)
+        assert str(exc.value) == message
+
     def test_bad_dim(self):
         with pytest.raises(SpecFileError, match="dim"):
             dist_from_jsonable({"dim": 0, "atoms": COIN_DOC["atoms"]})
