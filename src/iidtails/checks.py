@@ -26,11 +26,12 @@ InequalityReport (_report).
 CLAIMS is the one table of claims.  The corpus, the CLI, mc_check and the
 extremal search read it, and judge a claim's parameters by its rules:
 variants (require_positive) is the one constants rule and _indices
-(dists.require_indices) the one index and weight rule.  shape_checks is
-the one place a check is assembled: for verify's reports (claim_reports,
-which the check_* functions wrap) and the corpus rows alike it echoes the
-params, states the status and note (_verdict) and gives the worst case as
-int pairs.
+(dists.require_indices) the one index and weight rule, which judges the
+parameters before _reads sizes a walk from them.  claim_reports builds
+its own walk (Curves) for verify's reports, which the check_* functions
+return.  shape_checks is the one place a check is assembled: for those
+reports and the corpus rows alike it echoes the params, states the status
+and note (_verdict) and gives the worst case as int pairs.
 """
 
 from __future__ import annotations
@@ -369,7 +370,7 @@ def require_positive(message: str, *constants: Fraction) -> None:
 
 
 def _indices(shape: ClaimSpec, given: dict) -> dict:
-    """The validated indices a check of this shape reads and echoes."""
+    """Judge a shape's indices: those a check of it reads and echoes."""
     if shape.lhs == WEIGHTED:
         coeffs = [rat(a) for a in given.get("alphas") or ()]
         _require(bool(coeffs), "alphas must be nonempty")
@@ -380,6 +381,8 @@ def _indices(shape: ClaimSpec, given: dict) -> dict:
             _require(abs(a) <= 1, f"weight {a} out of range, "
                                   "need |alpha_i| <= 1")
         return {"k": len(coeffs), "alphas": coeffs}
+    if shape.order is None:
+        return {}
     require_indices(shape.order, given.get("j"), given["k"])
     return {n: given[n] for n in (("k",) if shape.order == K_ONLY
                                   else ("j", "k"))}
@@ -498,8 +501,7 @@ def shape_checks(spec: ClaimSpec, shape: ClaimSpec, curves: Curves,
     values are the worst threshold, lhs, rhs and margin as (numerator,
     denominator) pairs or None, and report() builds the InequalityReport."""
     if shape.evaluate is not None:
-        if shape.order is not None:
-            require_indices(shape.order, given.get("j"), given["k"])
+        _indices(shape, given)
         rep = shape.evaluate(curves, given)
         yield (rep.params, rep.status, rep.note,
                tuple(None if v is None else (v.numerator, v.denominator)
@@ -521,40 +523,35 @@ def shape_checks(spec: ClaimSpec, shape: ClaimSpec, curves: Curves,
                partial(_report, spec.claim_id, echo, out, norm, spec.note))
 
 
-def claim_reports(spec: ClaimSpec, curves: Curves, given: dict, c1=None,
-                  c2=None, lhs_mode: str = STRICT,
-                  rhs_mode: "str | None" = None) -> "list[InequalityReport]":
-    """Every report of one claim on one law at the given parameters, one
-    per shape and constant pair."""
-    modes = ((lhs_mode, lhs_mode if rhs_mode is None else rhs_mode),)
-    return [check[-1]() for shape, a, b in variants(spec, c1, c2)
-            for check in shape_checks(spec, shape, curves, given, a, b,
-                                      modes)]
-
-
 def _reads(shape: ClaimSpec, given: dict) -> set:
     """The i of every S_i a check of this claim or shape reads at these
-    parameters, and MAX when it reads a running max: S_j and S_k for its
-    SUM sides, S_1..S_k for an envelope and for corollary3, S_1 and S_2 for
-    lemma2 with Y = X."""
+    parameters, as _indices judges them, and MAX when it reads a running
+    max: S_j and S_k for its SUM sides, S_1..S_k for an envelope and for
+    corollary3, S_1 and S_2 for lemma2 with Y = X."""
     if shape.shapes:
         return set().union(*(_reads(CLAIMS[name], given)
                              for name, _ in shape.shapes))
     if shape.claim_id == "lemma2":
         return {1} if "y" in given else {1, 2}
-    k = len(given["alphas"]) if shape.lhs == WEIGHTED else given.get("k")
+    idx = _indices(shape, given)
     reads = {MAX} if shape.lhs == MAX else set()
     if shape.rhs == ENVELOPE or shape.claim_id == "corollary3":
-        return reads | set(range(1, k + 1))
-    return reads | {i for side, i in ((shape.lhs, given.get("j")),
-                                      (shape.rhs, k)) if side == SUM}
+        return reads | set(range(1, idx["k"] + 1))
+    return reads | {i for side, i in ((shape.lhs, idx.get("j")),
+                                      (shape.rhs, idx["k"])) if side == SUM}
 
 
-def _check(claim: str, X: DiscreteDist, given: dict, c1, c2, norm: Norm,
-           lhs_mode: str, rhs_mode, cap: int) -> InequalityReport:
-    curves = Curves(X, norm, _reads(CLAIMS[claim], given), cap)
-    return claim_reports(CLAIMS[claim], curves, given, c1, c2, lhs_mode,
-                         rhs_mode)[0]
+def claim_reports(spec: ClaimSpec, X: DiscreteDist, norm: Norm, given: dict,
+                  c1=None, c2=None, lhs_mode: str = STRICT,
+                  rhs_mode: "str | None" = None,
+                  cap: int = DEFAULT_SUPPORT_CAP) -> "list[InequalityReport]":
+    """Every report of one claim on one law at the given parameters, one
+    per shape and constant pair, all on one walk as far as _reads says."""
+    curves = Curves(X, norm, _reads(spec, given), cap)
+    modes = ((lhs_mode, lhs_mode if rhs_mode is None else rhs_mode),)
+    return [check[-1]() for shape, a, b in variants(spec, c1, c2)
+            for check in shape_checks(spec, shape, curves, given, a, b,
+                                      modes)]
 
 
 def check_theorem1(X: DiscreteDist, j: int, k: int, c1=None, c2=None,
@@ -562,8 +559,8 @@ def check_theorem1(X: DiscreteDist, j: int, k: int, c1=None, c2=None,
                    rhs_mode: "str | None" = None,
                    cap: int = DEFAULT_SUPPORT_CAP) -> InequalityReport:
     """Pr(||S_j|| > t) <= c1 * Pr(||S_k|| > t/c2) for all t > 0."""
-    return _check("theorem1", X, {"j": j, "k": k}, c1, c2, norm, lhs_mode,
-                  rhs_mode, cap)
+    return claim_reports(CLAIMS["theorem1"], X, norm, {"j": j, "k": k}, c1,
+                         c2, lhs_mode, rhs_mode, cap)[0]
 
 
 def check_latala_sharp(X: DiscreteDist, norm: Norm = Norm.ABS1D,
@@ -573,8 +570,8 @@ def check_latala_sharp(X: DiscreteDist, norm: Norm = Norm.ABS1D,
 
     Treated as an external claim under test, not assumed.
     """
-    return _check("latala_sharp", X, {"j": 1, "k": 2}, None, None, norm,
-                  lhs_mode, rhs_mode, cap)
+    return claim_reports(CLAIMS["latala_sharp"], X, norm, {"j": 1, "k": 2},
+                         None, None, lhs_mode, rhs_mode, cap)[0]
 
 
 def check_levy_ottaviani(X: DiscreteDist, k: int, c1=None, c2=None,
@@ -582,8 +579,8 @@ def check_levy_ottaviani(X: DiscreteDist, k: int, c1=None, c2=None,
                          rhs_mode: "str | None" = None,
                          cap: int = DEFAULT_SUPPORT_CAP) -> InequalityReport:
     """Pr(max_j ||S_j|| > t) <= c1 * max_j Pr(||S_j|| > t/c2), all t > 0."""
-    return _check("levy_ottaviani", X, {"k": k}, c1, c2, norm, lhs_mode,
-                  rhs_mode, cap)
+    return claim_reports(CLAIMS["levy_ottaviani"], X, norm, {"k": k}, c1, c2,
+                         lhs_mode, rhs_mode, cap)[0]
 
 
 def check_corollary4(X: DiscreteDist, k: int, c1=None, c2=None,
@@ -591,8 +588,8 @@ def check_corollary4(X: DiscreteDist, k: int, c1=None, c2=None,
                      rhs_mode: "str | None" = None,
                      cap: int = DEFAULT_SUPPORT_CAP) -> InequalityReport:
     """Pr(max_j ||S_j|| > t) <= c1 * Pr(||S_k|| > t/c2) for all t > 0."""
-    return _check("corollary4", X, {"k": k}, c1, c2, norm, lhs_mode,
-                  rhs_mode, cap)
+    return claim_reports(CLAIMS["corollary4"], X, norm, {"k": k}, c1, c2,
+                         lhs_mode, rhs_mode, cap)[0]
 
 
 def check_corollary5(X: DiscreteDist, alphas, c1=None, c2=None,
@@ -600,8 +597,9 @@ def check_corollary5(X: DiscreteDist, alphas, c1=None, c2=None,
                      rhs_mode: "str | None" = None,
                      cap: int = DEFAULT_SUPPORT_CAP) -> InequalityReport:
     """Pr(||sum_i alpha_i X_i|| > t) <= c1 * Pr(||S_k|| > t/c2), |alpha_i| <= 1."""
-    return _check("corollary5", X, {"alphas": list(alphas)}, c1, c2, norm,
-                  lhs_mode, rhs_mode, cap)
+    return claim_reports(CLAIMS["corollary5"], X, norm,
+                         {"alphas": list(alphas)}, c1, c2, lhs_mode,
+                         rhs_mode, cap)[0]
 
 
 def check_corollary6(X: DiscreteDist, j: int, k: int, c1=None, c2=None,
@@ -609,8 +607,8 @@ def check_corollary6(X: DiscreteDist, j: int, k: int, c1=None, c2=None,
                      rhs_mode: "str | None" = None,
                      cap: int = DEFAULT_SUPPORT_CAP) -> InequalityReport:
     """Pr(||S_j|| > t) <= (c1*j/k) * Pr(||S_k|| > k*t/(c2*j)) for 1 <= k <= j."""
-    return _check("corollary6", X, {"j": j, "k": k}, c1, c2, norm, lhs_mode,
-                  rhs_mode, cap)
+    return claim_reports(CLAIMS["corollary6"], X, norm, {"j": j, "k": k}, c1,
+                         c2, lhs_mode, rhs_mode, cap)[0]
 
 
 def _require(cond: bool, message: str) -> None:

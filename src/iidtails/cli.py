@@ -87,7 +87,7 @@ def _norm(text: str) -> Norm:
 
 
 def _positive(text: str) -> int:
-    """A positive int: a support cap or a restart count."""
+    """A positive int: a support cap, a restart count or a dimension."""
     try:
         value = int(text)
     except ValueError:
@@ -191,15 +191,10 @@ def cmd_verify(args) -> int:
         jobs = [(" + ".join(str(f) for f in args.files), laws[0])]
     else:
         jobs = [(str(f), _load(f, digests)) for f in args.files]
-    reports = []
-    for label, dist in jobs:
-        norm = args.norm or default_norm(dist.dim)
-        curves = checks.Curves(dist, norm, checks._reads(spec, given),
-                               args.cap)
-        for rep in checks.claim_reports(spec, curves, given, args.c1,
-                                        args.c2, args.lhs_mode,
-                                        args.rhs_mode):
-            reports.append({"file": label, "report": rep})
+    reports = [{"file": label, "report": rep} for label, dist in jobs
+               for rep in checks.claim_reports(
+                   spec, dist, args.norm or default_norm(dist.dim), given,
+                   args.c1, args.c2, args.lhs_mode, args.rhs_mode, args.cap)]
     ok = all(r["report"].status in (HOLDS, VACUOUS) for r in reports)
     outcome = "all hold" if ok else "violation found"
     _emit({"manifest": _manifest(args, digests, outcome),
@@ -392,7 +387,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--num-range", type=int, default=8)
     p.add_argument("--denominator", type=int, default=4)
     p.add_argument("--max-k", type=int, default=6)
-    p.add_argument("--dims", type=lambda s: [int(x) for x in s.split(",")],
+    p.add_argument("--dims", type=lambda s: list(map(_positive, s.split(","))),
                    default=[1])
     p.add_argument("--norms", type=lambda s: [_norm(x) for x in s.split(",")],
                    default=[Norm.ABS1D])

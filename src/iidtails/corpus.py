@@ -7,9 +7,11 @@ vacuous outcomes, and violations, and keeps full witnesses for the latter.
 
 Each check comes from checks.shape_checks, the generator verify's reports
 are built from too: its params echo, its status and note (checks._verdict)
-and its worst case as (numerator, denominator) pairs.  A row renders each
-exact field by one int helper (_exact), the float column as n / d, and
-keeps the smallest margin by cross-multiplying; an InequalityReport is
+and its worst case as (numerator, denominator) pairs.  _absorb counts it
+once, in its claim's per_claim entry by status, and adds its row; the
+report's totals are summed from those when the run ends.  A row renders
+each exact field by one int helper (_exact), the float column as n / d,
+and keeps the smallest margin by cross-multiplying; an InequalityReport is
 built only for a stored violation.  Params text is joined once per run
 and params key (plan entry, norm, index values in ints and mode pair) from
 the text of each params value, and each value is rendered once per run.
@@ -42,8 +44,9 @@ from .dists import (
     DiscreteDist,
     Norm,
     SupportCapExceeded,
+    _int,
 )
-from .reports import HOLDS, VIOLATED, Report, jsonify
+from .reports import HOLDS, VACUOUS, VIOLATED, Report, jsonify
 
 DEFAULT_CLAIMS = tuple(CLAIMS)
 # _instance_key puts the seed above 64 bits of instance index in a Philox
@@ -65,18 +68,21 @@ class CorpusConfig(Report):
     weight_vectors: int = 2     # corollary5 weight draws per instance
 
     def __post_init__(self):
-        if not 0 <= self.seed < SEED_LIMIT:
+        if not 0 <= _int("seed", self.seed) < SEED_LIMIT:
             raise ValueError(f"seed must be in [0, 2**64), got {self.seed}")
-        if self.count < 0 or self.max_atoms < 1 or self.max_k < 1:
+        if _int("count", self.count) < 0 or \
+                _int("max_atoms", self.max_atoms) < 1 or \
+                _int("max_k", self.max_k) < 1:
             raise ValueError("count, max_atoms, max_k must be positive")
-        if self.weight_vectors < 0:
+        if _int("weight_vectors", self.weight_vectors) < 0:
             raise ValueError("weight_vectors must be >= 0")
-        if self.num_range < 1 or self.denominator < 1:
+        if _int("num_range", self.num_range) < 1 or \
+                _int("denominator", self.denominator) < 1:
             raise ValueError("value lattice must be nondegenerate")
         if not self.dims:
             raise ValueError("dims must be nonempty")
         for d in self.dims:
-            if d < 1:
+            if _int("dimension", d) < 1:
                 raise ValueError(f"dimension {d} invalid")
         if self.norms is None:
             object.__setattr__(self, "norms", (Norm.ABS1D,) if set(
@@ -240,6 +246,10 @@ def run_corpus(config: CorpusConfig, claims=None,
                     _absorb(report, index, dist, check, rendered, parts)
         except SupportCapExceeded as exc:
             report.skipped.append({"instance": index, "reason": str(exc)})
+    report.total_checks = len(report.rows)
+    for status in (HOLDS, VIOLATED, VACUOUS):
+        setattr(report, status, sum(s[status]
+                                    for s in report.per_claim.values()))
     return report
 
 
@@ -298,22 +308,13 @@ def _absorb(report: CorpusReport, index: int, dist: DiscreteDist, check,
     text of each params key and parts the text of each params value, both
     for one run_corpus call."""
     claim, key, (params, status, note, values, full) = check
-    report.total_checks += 1
     stats = report.per_claim.setdefault(
         claim, {"checks": 0, "holds": 0, "violated": 0, "vacuous": 0})
     stats["checks"] += 1
-    if status == HOLDS:
-        report.holds += 1
-        stats["holds"] += 1
-    elif status == VIOLATED:
-        report.violated += 1
-        stats["violated"] += 1
-        if len(report.violations) < 100:
-            report.violations.append(
-                {"instance": index, "dist": dist, "report": full()})
-    else:
-        report.vacuous += 1
-        stats["vacuous"] += 1
+    stats[status] += 1
+    if status == VIOLATED and len(report.violations) < 100:
+        report.violations.append(
+            {"instance": index, "dist": dist, "report": full()})
     t, lhs, rhs, margin = values
     if margin is not None:
         worst = report.worst and report.worst["margin"]

@@ -500,7 +500,7 @@ class _Walk:
             raise ValueError(f"k must be >= 1, got {n}")
         self.dim = dim
         self.n = n
-        self.cap = cap
+        self.cap = _int("cap", cap)
         self.scale = scale
         reach = max((abs(v) for atoms, _ in terms for coords, _ in atoms
                      for v in coords), default=0)

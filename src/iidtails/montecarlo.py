@@ -17,7 +17,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 from .checks import CLAIMS, MAX, SUM, WEIGHTED, _indices, variants
-from .dists import Norm, default_norm
+from .dists import Norm, _int, default_norm
 from .reports import HOLDS, VIOLATED, Report
 
 # a seed is one 64-bit word of a Philox key [seed, stream]
@@ -38,11 +38,24 @@ def _rational(v) -> Fraction:
     return Fraction(str(v)) if isinstance(v, float) else Fraction(v)
 
 
+def _float(name: str, value) -> float:
+    """The float of a number here (_rational), refused with a ValueError
+    that names it when it would be infinite, or 0 for a nonzero number."""
+    q = _rational(value)
+    try:
+        f = float(q)
+    except OverflowError:
+        raise ValueError(f"{name} is too large for a float") from None
+    if q and not f:
+        raise ValueError(f"{name} is too small for a float")
+    return f
+
+
 def _location(x) -> "float | list[float]":
     """An atom location, one such number or a list of them, as floats."""
     if isinstance(x, (list, tuple)):
-        return [float(_rational(c)) for c in x]
-    return float(_rational(x))
+        return [_float("discrete atom x", c) for c in x]
+    return _float("discrete atom x", x)
 
 
 def _discrete(rng, size, atoms):
@@ -51,7 +64,7 @@ def _discrete(rng, size, atoms):
 
     locs = np.array([np.broadcast_to(_location(a["x"]), size[-1:])
                      for a in atoms])
-    cdf = np.cumsum([float(_rational(a["p"])) for a in atoms])
+    cdf = np.cumsum([_float("discrete atom p", a["p"]) for a in atoms])
     cdf[-1] = 1.0
     return locs[np.searchsorted(cdf, rng.random(size=size[:-1]), side="right")]
 
@@ -111,7 +124,7 @@ class SamplerSpec(Report):
         if self.family not in FAMILIES:
             raise ValueError(f"unknown family {self.family!r}; "
                              f"choose from {tuple(FAMILIES)}")
-        if self.dim < 1:
+        if _int("dim", self.dim) < 1:
             raise ValueError("dim must be >= 1")
         defaults, one_dim, _ = FAMILIES[self.family]
         if one_dim and self.dim != 1:
@@ -129,8 +142,8 @@ def _draw(spec: SamplerSpec, rng, shape):
     the numpy Generator rng."""
     defaults, _, draw = FAMILIES[spec.family]
     return draw(rng, (*shape, spec.dim), **{
-        name: value if name == "atoms" else float(_rational(value))
-        for name, value in {**defaults, **spec.params}.items()})
+        name: v if name == "atoms" else _float(f"{spec.family} {name}", v)
+        for name, v in {**defaults, **spec.params}.items()})
 
 
 def _gauge(points, norm: Norm):
@@ -190,12 +203,12 @@ def estimate_tail(spec: SamplerSpec, k: int, t, norm: Norm = None,
     """
     import numpy as np
 
-    if k < 1:
+    if _int("k", k) < 1:
         raise ValueError("k must be >= 1")
     if weights is None:
         w = np.ones(k)
     else:
-        w = np.array([float(_rational(x)) for x in weights])
+        w = np.array([_float("weights", x) for x in weights])
         if w.shape != (k,):
             raise ValueError(f"need exactly {k} weights")
     return _estimate(
@@ -212,16 +225,16 @@ def _estimate(spec: SamplerSpec, k: int, t, norm, statistic, n_samples: int,
     """
     import numpy as np
 
-    if n_samples < 1:
+    if _int("n_samples", n_samples) < 1:
         raise ValueError("n_samples must be >= 1")
     if not 0 < delta < 1:
         raise ValueError("delta must lie in (0, 1)")
     norm = default_norm(spec.dim) if norm is None else norm
     norm.require_dim(spec.dim)
-    tf = float(_rational(t))
+    tf = _float("t", t)
     if tf < 0:
         raise ValueError("t must be >= 0")
-    if not 0 <= seed < SEED_LIMIT:
+    if not 0 <= _int("seed", seed) < SEED_LIMIT:
         raise ValueError(f"seed must be in [0, 2**64), got {seed}")
     count = 0
     done = 0
@@ -275,7 +288,7 @@ def mc_check(claim: str, spec: SamplerSpec, j: "int | None", k: int, t_grid,
         raise ValueError(f"unsupported claim {claim!r}; "
                          f"choose from {MC_CLAIMS}")
     statement = CLAIMS[claim]
-    if n_samples < 0:
+    if _int("n_samples", n_samples) < 0:
         raise ValueError("n_samples must be >= 0")
     if not 0 < delta < 1:
         raise ValueError("delta must lie in (0, 1)")
@@ -291,18 +304,18 @@ def mc_check(claim: str, spec: SamplerSpec, j: "int | None", k: int, t_grid,
         raise ValueError(f"{claim} reads no j, got j={j}")
     j = idx.get("j")
     factor = statement.factor(c1, j, k)
-    rhs_scale = statement.scale(c2, j, k)
+    scale = statement.scale(c2, j, k)
     if not t_grid:
         raise ValueError("t grid must be nonempty")
-    if not 0 <= seed < mc_seed_limit(len(t_grid)):
+    if not 0 <= _int("seed", seed) < mc_seed_limit(len(t_grid)):
         raise ValueError(f"seed must be in [0, {mc_seed_limit(len(t_grid))}) "
                          f"for {len(t_grid)} thresholds, got {seed}")
     rows = []
+    cf = _float("c1", factor)
     for i, t in enumerate(t_grid):
-        tf = float(_rational(t))
+        tf = _float("t", t)
         if n_samples == 0:
-            rows.append({"t": tf, "lhs": None, "rhs": None,
-                         "factor": float(factor),
+            rows.append({"t": tf, "lhs": None, "rhs": None, "factor": cf,
                          "verdict": _INCONCLUSIVE})
             continue
         lhs_seed = seed * _ROW_STRIDE + 2 * i
@@ -315,10 +328,9 @@ def mc_check(claim: str, spec: SamplerSpec, j: "int | None", k: int, t_grid,
             lhs = estimate_tail(spec, lhs_k, tf, norm=norm, weights=lhs_w,
                                 n_samples=n_samples, seed=lhs_seed,
                                 delta=delta / 2)
-        rhs = estimate_tail(spec, k, tf / float(rhs_scale), norm=norm,
-                            n_samples=n_samples, seed=lhs_seed + 1,
+        rhs = estimate_tail(spec, k, _float("t / c2", _rational(t) / scale),
+                            norm=norm, n_samples=n_samples, seed=lhs_seed + 1,
                             delta=delta / 2)
-        cf = float(factor)
         if lhs.lo > cf * rhs.hi:
             verdict = VIOLATED
         elif lhs.hi < cf * rhs.lo:

@@ -32,8 +32,9 @@ from fractions import Fraction
 from functools import cache, cached_property
 
 from .checks import CLAIMS, Curves, _reads, least_c1, require_positive
-from .dists import (DEFAULT_SUPPORT_CAP, ONE, DiscreteDist, Norm, rat,
+from .dists import (DEFAULT_SUPPORT_CAP, ONE, DiscreteDist, Norm, _int, rat,
                     require_indices)
+from .montecarlo import _float
 from .reports import Report, jsonify
 
 _BIG = 1e18  # the optimizer sees an infinite ratio as this, never as inf
@@ -77,7 +78,6 @@ def _least_c1(claim: str, X: DiscreteDist, j: int, k: int, c2,
     threshold in gauge space); see checks.least_c1."""
     spec = CLAIMS[claim]
     c2 = rat(c2)
-    require_indices(spec.order, j, k)
     require_positive(f"c2 must be positive, got {c2}", c2)
     idx = {"j": j, "k": k}
     return _ratio(spec, Curves(X, norm, _reads(spec, idx), cap), idx, c2)
@@ -104,14 +104,15 @@ class SearchSpace:
     prob_denominator: int = 64
 
     def __post_init__(self):
-        if not 2 <= self.n_atoms <= 6:
+        if not 2 <= _int("n_atoms", self.n_atoms) <= 6:
             raise ValueError("n_atoms must be in 2..6")
         require_indices(CLAIMS["theorem1"].order, self.j, self.k)
         if self.value_lo >= self.value_hi:
             raise ValueError("empty value box")
+        _float("value_lo", self.value_lo), _float("value_hi", self.value_hi)
         require_positive("c2 must be positive", rat(self.c2))
         for name in ("lattice_denominator", "prob_denominator"):
-            if getattr(self, name) < 1:
+            if _int(name, getattr(self, name)) < 1:
                 raise ValueError(f"{name} must be >= 1, got "
                                  f"{getattr(self, name)}")
 
@@ -229,11 +230,11 @@ def search(space: SearchSpace, budget: int = 10_000, restarts: int = 8,
     import numpy as np  # numpy and scipy load only for a search
     from scipy.optimize import minimize
 
-    if budget < 1:
+    if _int("budget", budget) < 1:
         raise ValueError("budget must be positive")
-    if restarts < 1:
+    if _int("restarts", restarts) < 1:
         raise ValueError(f"restarts must be >= 1, got {restarts}")
-    if not 0 <= seed < SEED_LIMIT:
+    if not 0 <= _int("seed", seed) < SEED_LIMIT:
         raise ValueError(f"seed must be in [0, 2**128), got {seed}")
     rng = np.random.Generator(np.random.Philox(key=seed))
     evaluations = 0

@@ -12,7 +12,6 @@ from iidtails.checks import (
     CLAIMS,
     MODE_PAIRS,
     Curves,
-    _reads,
     _report,
     _sweeps,
     _verdict,
@@ -297,9 +296,8 @@ class TestClaimConstants:
         with pytest.raises(ValueError, match=message):
             variants(spec, c1, c2)
         given = {"j": 1, "k": 2, "t": F(1)}
-        curves = Curves(coin(), Norm.ABS1D, _reads(spec, given))
         with pytest.raises(ValueError, match=message):
-            claim_reports(spec, curves, given, c1, c2)
+            claim_reports(spec, coin(), Norm.ABS1D, given, c1, c2)
 
     def test_defaults_and_positivity(self):
         spec = CLAIMS["theorem1"]

@@ -439,6 +439,15 @@ class TestSearchCmd:
         assert out == "" and "Traceback" not in err
         assert f"{flag[2:].replace('-', '_')} must be >= 1" in err
 
+    @pytest.mark.parametrize("edge", ["--value-lo=-1e400", "--value-hi=1e400",
+                                      "--value-lo=1e-400"])
+    def test_box_edges_outside_the_floats_exit_two(self, capsys, edge):
+        code, out, err = run(capsys, "search", "--j", "1", "--k", "2",
+                             "--c2", "1", "--budget", "5", edge)
+        flag = edge.split("=")[0][2:].replace("-", "_")
+        assert code == 2 and not out
+        assert err.startswith(f"error: {flag} is too ")
+
 
 class TestCounterexampleCmd:
     def test_N2_verifies(self, capsys):
@@ -494,6 +503,19 @@ class TestCorpusNorms:
         assert code == 0
         doc = json.loads((tmp_path / "corpus.json").read_text())
         assert doc["corpus"]["config"]["norms"] == ["sup"]
+
+    def test_a_dimension_below_one_exits_two_naming_dims(self, capsys,
+                                                          tmp_path):
+        """--dims 0 is refused as a dimension, not as a --norms list with
+        no norm in dimension 0."""
+        for dims in ("0", "1,0", "1.5"):
+            code, out, err = run(capsys, "corpus", "--count", "1", "--dims",
+                                 dims, "--out-dir", str(tmp_path))
+            assert code == 2 and not out
+            assert err.splitlines()[-1].endswith(
+                f"argument --dims: must be a positive integer, got "
+                f"'{dims.split(',')[-1]}'")
+            assert not (tmp_path / "corpus.json").exists()
 
 
 class TestMcCmd:
@@ -658,6 +680,30 @@ class TestMcCmd:
             code, out, err = run(capsys, "mc", "--family", "gaussian",
                                  "--n", "10", *argv)
             assert code == 2 and not out and "too large" in err
+
+    @pytest.mark.parametrize("argv, name", [
+        (("--claim", "theorem1", "--c2", "1e-400", "--t", "1"), "t / c2"),
+        (("--claim", "corollary6", "--c2", "1e400", "--t", "1"), "t / c2"),
+        (("--claim", "theorem1", "--c1", "1e400", "--t", "1"), "c1"),
+        (("--claim", "theorem1", "--t", "1e-400"), "t"),
+        (("--t", "1e400"), "t"),
+        (("--mu", "1e400", "--t", "1"), "gaussian mu"),
+        (("--family", "two_point", "--a", "1e400", "--b", "0", "--p", "1/2",
+          "--t", "1"), "two_point a"),
+        (("--family", "shifted_pareto", "--alpha", "1e-400", "--t", "1"),
+         "shifted_pareto alpha"),
+    ], ids=["c2_tiny", "c2_huge", "c1", "t_tiny", "t", "mu", "a", "alpha"])
+    def test_a_number_outside_the_floats_exits_two_naming_it(
+            self, capsys, argv, name):
+        """A number whose float is infinite, or 0 though it is not, exits
+        2 with a message that names it; the right side's threshold t / c2
+        is read exactly before it is rounded, so a tiny c2 is no division
+        by zero (exit 1, the violation code, with a traceback)."""
+        family = () if "--family" in argv else ("--family", "gaussian")
+        code, out, err = run(capsys, "mc", *family, "--n", "10", *argv)
+        assert code == 2 and not out
+        assert err.startswith(f"error: {name} is too ")
+        assert err.rstrip().endswith(" for a float")
 
     def test_seed_range(self, capsys):
         """--seed keys Philox words: outside [0, 2**64), or past it at some

@@ -3,10 +3,11 @@ TypeError when a float stands where a rational is expected (`0.1` is not
 `1/10`).  The Monte Carlo module is the one place floats belong and is not
 listed here.  Booleans are refused the same way, although Python counts
 them as ints: `True` is not the rational 1, in a call or in a law file.
-The counterexample's integer arguments (N, M, the cap and icbrt's n) and
-the indices j and k of a check or a sum take only ints, by one rule
-(dists._int): a bool, a float or a string there raises TypeError naming
-the argument."""
+The counterexample's integer arguments (N, M, the cap and icbrt's n), the
+indices j and k of a check or a sum, and every count, seed and support cap
+of the walk, the search, the corpus and Monte Carlo take only ints, by one
+rule (dists._int): a bool, a float or a string there raises TypeError
+naming the argument."""
 
 import json
 import re
@@ -50,12 +51,17 @@ from iidtails import (
     window_mass,
 )
 from iidtails.cli import main
+from iidtails.corpus import CorpusConfig
 from iidtails.dists import rat
+from iidtails.montecarlo import SamplerSpec, estimate_tail, mc_check
+from iidtails.search import SearchSpace, search
 from iidtails.specfile import SpecFileError, parse_dist
 from oracles import coin
 
 X = coin()
 CURVE = tail_curve(X, Norm.ABS1D)
+SPACE = SearchSpace(n_atoms=2, j=1, k=2, c2=1)
+GAUSS = SamplerSpec("gaussian", {})
 
 FLOAT_CALLS = {
     "DiscreteDist.atom": lambda: DiscreteDist({0.5: F(1)}),
@@ -152,6 +158,41 @@ INT_CALLS = {
         ("k", lambda: check_corollary6(X, 2, True)),
     "iid_sum.k.float": ("k", lambda: iid_sum(X, 2.0)),
     "iid_sum.k.bool": ("k", lambda: iid_sum(X, True)),
+    "iid_sum.cap.float": ("cap", lambda: iid_sum(X, 3, cap=2.5)),
+    "check_levy_ottaviani.k.float":
+        ("k", lambda: check_levy_ottaviani(X, 2.0)),
+    "search.budget.float": ("budget", lambda: search(SPACE, budget=2.5)),
+    "search.restarts.float": ("restarts", lambda: search(SPACE, restarts=1.5)),
+    "search.seed.float": ("seed", lambda: search(SPACE, seed=1.5)),
+    "SearchSpace.n_atoms.float":
+        ("n_atoms", lambda: SearchSpace(n_atoms=2.5, j=1, k=2, c2=1)),
+    "SearchSpace.prob_denominator.float": ("prob_denominator", lambda:
+        SearchSpace(n_atoms=2, j=1, k=2, c2=1, prob_denominator=8.0)),
+    "SamplerSpec.dim.float":
+        ("dim", lambda: SamplerSpec("gaussian", {}, dim=1.5)),
+    "estimate_tail.k.float": ("k", lambda: estimate_tail(GAUSS, 2.5, 1)),
+    "estimate_tail.n_samples.float":
+        ("n_samples", lambda: estimate_tail(GAUSS, 2, 1, n_samples=10.5)),
+    "estimate_tail.seed.bool":
+        ("seed", lambda: estimate_tail(GAUSS, 2, 1, n_samples=1, seed=True)),
+    "mc_check.n_samples.float": ("n_samples", lambda: mc_check(
+        "theorem1", GAUSS, None, 2, [1], n_samples=1.5)),
+    "mc_check.seed.float": ("seed", lambda: mc_check(
+        "theorem1", GAUSS, None, 2, [1], n_samples=1, seed=0.0)),
+    "CorpusConfig.seed.bool": ("seed", lambda: CorpusConfig(True, 1)),
+    "CorpusConfig.count.float": ("count", lambda: CorpusConfig(0, 2.5)),
+    "CorpusConfig.max_atoms.float":
+        ("max_atoms", lambda: CorpusConfig(0, 2, max_atoms=2.0)),
+    "CorpusConfig.num_range.float":
+        ("num_range", lambda: CorpusConfig(0, 2, num_range=8.0)),
+    "CorpusConfig.denominator.float":
+        ("denominator", lambda: CorpusConfig(0, 2, denominator=2.5)),
+    "CorpusConfig.max_k.float":
+        ("max_k", lambda: CorpusConfig(0, 2, max_k=2.0)),
+    "CorpusConfig.weight_vectors.float":
+        ("weight_vectors", lambda: CorpusConfig(0, 2, weight_vectors=1.0)),
+    "CorpusConfig.dims.float":
+        ("dimension", lambda: CorpusConfig(0, 2, dims=(1, 1.5))),
 }
 
 

@@ -9,6 +9,7 @@ paths) are excluded.  To see what changed after a deliberate change, run
 digests and marks those that differ.
 """
 
+import csv
 import hashlib
 import io
 import json
@@ -253,6 +254,28 @@ def test_capped_mixed_corpus_bytes(tmp_path):
     assert got == {k: GOLDEN[k] for k in got}
     doc = json.loads((tmp_path / "corpus.json").read_text())["corpus"]
     assert (doc["total_checks"], len(doc["skipped"])) == (1018, 7)
+
+
+def test_each_check_is_tallied_once_by_status(tmp_path):
+    """holds + violated + vacuous is the sum of the per_claim counts and the
+    number of rows, on the capped corpus (seven instances skipped part way)
+    and on a corpus with violated and vacuous rows."""
+    statuses = ("holds", "violated", "vacuous")
+    corpus_digests(tmp_path, CAPPED_MIXED_ARGS, "capped_mixed")
+    doc = json.loads((tmp_path / "corpus.json").read_text())["corpus"]
+    with open(tmp_path / "corpus.csv", newline="", encoding="utf-8") as fh:
+        capped = (doc, list(csv.DictReader(fh)))
+    rep = run_corpus(CorpusConfig(seed=7, count=10, max_k=3),
+                     ["theorem1", "corollary3"],
+                     overrides={"theorem1": {"c1": 1, "c2": 1}})
+    for doc, rows in (capped, (rep.to_jsonable(), rep.rows)):
+        per_claim = doc["per_claim"].values()
+        assert sum(doc[s] for s in statuses) == doc["total_checks"] \
+            == sum(c["checks"] for c in per_claim) == len(rows)
+        for s in statuses:
+            assert doc[s] == sum(c[s] for c in per_claim) \
+                == sum(row["status"] == s for row in rows)
+    assert rep.violated and rep.vacuous and rep.holds
 
 
 def test_corpus_override_violations(tmp_path):
