@@ -25,13 +25,16 @@ InequalityReport (_report).
 
 CLAIMS is the one table of claims.  The corpus, the CLI, mc_check and the
 extremal search read it, and judge a claim's parameters by its rules:
-variants (require_positive) is the one constants rule and _indices
-(dists.require_indices) the one index and weight rule, which judges the
-parameters before _reads sizes a walk from them.  claim_reports builds
-its own walk (Curves) for verify's reports, which the check_* functions
-return.  shape_checks is the one place a check is assembled: for those
-reports and the corpus rows alike it echoes the params, states the status
-and note (_verdict) and gives the worst case as int pairs.
+variants (require_positive) is the one constants rule, and _indices
+(dists.require_indices) fills in the defaults and is the one index and
+weight rule.  It runs once per shape and index choice, where a check
+enters (claim_reports, run_corpus, SearchSpace, the search objectives,
+mc_check); _reads, shape_checks and Curves.sides read its judged dict.
+claim_reports builds its own walk (Curves) for verify's reports, which
+the check_* functions return.  shape_checks is the one place a check is
+assembled: for those reports and the corpus rows alike it echoes the
+params, states the status and note (_verdict) and gives the worst case
+as int pairs.
 """
 
 from __future__ import annotations
@@ -293,7 +296,7 @@ class ClaimSpec:
     check reads (j, k, alphas, t); defaults: values for those not given;
     order: the rule j and k obey.  fixed constants belong to the statement.
     shapes: other claims' shapes checked at this claim's own constant
-    pairs.  evaluate(curves, given): a checker that replaces the sweep.
+    pairs.  evaluate(curves, idx): a checker that replaces the sweep.
     """
 
     claim_id: str
@@ -331,13 +334,13 @@ CLAIMS = {spec.claim_id: spec for spec in (
     ClaimSpec("corollary6", SUM, SUM, (Fraction(6), Fraction(20)),
               ("j", "k"), K_LE_J, {"j": 2, "k": 1},
               factor=_times_j_over_k, scale=_times_j_over_k),
-    ClaimSpec("lemma2", takes=("t",), evaluate=lambda c, given:
-              check_lemma2(c.dist, given["y"], given["t"], c.cap)
-              if "y" in given else
-              _lemma2(c.walk, c._law(1), c._law(1), c._law(2), given["t"])),
+    ClaimSpec("lemma2", takes=("t",), evaluate=lambda c, idx:
+              check_lemma2(c.dist, idx["y"], idx["t"], c.cap)
+              if "y" in idx else
+              _lemma2(c.walk, c._law(1), c._law(1), c._law(2), idx["t"])),
     ClaimSpec("corollary3", takes=("k", "t"), order=K_ONLY,
-              defaults={"k": 3}, evaluate=lambda c, given: _corollary3(
-                  c.walk, map(c._law, range(1, given["k"] + 1)), given["t"])),
+              defaults={"k": 3}, evaluate=lambda c, idx: _corollary3(
+                  c.walk, map(c._law, range(1, idx["k"] + 1)), idx["t"])),
 )}
 
 ALIASES = {"levy": "levy_ottaviani", "latala": "latala_sharp"}
@@ -369,23 +372,33 @@ def require_positive(message: str, *constants: Fraction) -> None:
     _require(all(c > 0 for c in constants), message)
 
 
-def _indices(shape: ClaimSpec, given: dict) -> dict:
-    """Judge a shape's indices: those a check of it reads and echoes."""
+def _indices(shape: ClaimSpec, given: dict,
+             spec: "ClaimSpec | None" = None) -> dict:
+    """Judge a shape's parameters once: each missing or None takes the
+    default of spec, the claim checked in shape's form (latala_alt checks
+    corollary4's at its own k = 2), else of shape.  Returns what a check
+    reads and echoes, and t (and lemma2's y) for an evaluated shape."""
+    given = {**given, **{n: v for n, v in (spec or shape).defaults.items()
+                         if given.get(n) is None}}
     if shape.lhs == WEIGHTED:
         coeffs = [rat(a) for a in given.get("alphas") or ()]
         _require(bool(coeffs), "alphas must be nonempty")
-        _require(given.get("k", len(coeffs)) == len(coeffs),
+        _require(given.get("k") in (None, len(coeffs)),
                  f"{shape.claim_id} takes k = {len(coeffs)}, the number "
                  f"of weights, got k={given.get('k')}")
         for a in coeffs:
             _require(abs(a) <= 1, f"weight {a} out of range, "
                                   "need |alpha_i| <= 1")
         return {"k": len(coeffs), "alphas": coeffs}
-    if shape.order is None:
-        return {}
-    require_indices(shape.order, given.get("j"), given["k"])
-    return {n: given[n] for n in (("k",) if shape.order == K_ONLY
-                                  else ("j", "k"))}
+    idx = {}
+    if shape.order is not None:
+        require_indices(shape.order, given.get("j"), given["k"])
+        idx = {n: given[n] for n in (("k",) if shape.order == K_ONLY
+                                     else ("j", "k"))}
+    if shape.evaluate is not None:   # lemma2 reads y when it is given
+        _require(given.get("t") is not None, f"{shape.claim_id} needs t")
+        idx.update((n, given[n]) for n in ("t", "y") if n in given)
+    return idx
 
 
 class Curves:
@@ -477,7 +490,7 @@ class Curves:
         return self._envelopes[k - 1]
 
     def sides(self, shape: ClaimSpec, idx: dict):
-        """(lhs, rhs) curves of a sweep claim at validated indices."""
+        """(lhs, rhs) curves of a sweep claim at judged indices."""
         k = idx["k"]
         if shape.lhs == SUM:
             lhs = self.curve(idx["j"])
@@ -494,21 +507,19 @@ class Curves:
 
 
 def shape_checks(spec: ClaimSpec, shape: ClaimSpec, curves: Curves,
-                 given: dict, c1, c2, modes):
-    """The checks of spec in shape's form at one index choice and one
-    constant pair, one per (lhs mode, rhs mode) pair in modes, or one for
-    an evaluated claim: (params, status, note, values, report), where
+                 idx: dict, c1, c2, modes):
+    """The checks of spec in shape's form at one judged index choice and
+    one constant pair, one per (lhs mode, rhs mode) pair in modes, or one
+    for an evaluated claim: (params, status, note, values, report), where
     values are the worst threshold, lhs, rhs and margin as (numerator,
     denominator) pairs or None, and report() builds the InequalityReport."""
     if shape.evaluate is not None:
-        _indices(shape, given)
-        rep = shape.evaluate(curves, given)
+        rep = shape.evaluate(curves, idx)
         yield (rep.params, rep.status, rep.note,
                tuple(None if v is None else (v.numerator, v.denominator)
                      for v in (rep.worst_t, rep.lhs, rep.rhs, rep.margin)),
                lambda: rep)
         return
-    idx = _indices(shape, given)
     norm = curves.norm
     params = {} if shape is spec else {"shape": shape.claim_id}
     params.update(idx, c1=c1, c2=c2, norm=norm)
@@ -523,17 +534,13 @@ def shape_checks(spec: ClaimSpec, shape: ClaimSpec, curves: Curves,
                partial(_report, spec.claim_id, echo, out, norm, spec.note))
 
 
-def _reads(shape: ClaimSpec, given: dict) -> set:
-    """The i of every S_i a check of this claim or shape reads at these
-    parameters, as _indices judges them, and MAX when it reads a running
-    max: S_j and S_k for its SUM sides, S_1..S_k for an envelope and for
-    corollary3, S_1 and S_2 for lemma2 with Y = X."""
-    if shape.shapes:
-        return set().union(*(_reads(CLAIMS[name], given)
-                             for name, _ in shape.shapes))
+def _reads(shape: ClaimSpec, idx: dict) -> set:
+    """The i of every S_i a check of this shape reads at judged parameters
+    (_indices), and MAX when it reads a running max: S_j and S_k for its
+    SUM sides, S_1..S_k for an envelope and for corollary3, S_1 and S_2
+    for lemma2 with Y = X."""
     if shape.claim_id == "lemma2":
-        return {1} if "y" in given else {1, 2}
-    idx = _indices(shape, given)
+        return {1} if "y" in idx else {1, 2}
     reads = {MAX} if shape.lhs == MAX else set()
     if shape.rhs == ENVELOPE or shape.claim_id == "corollary3":
         return reads | set(range(1, idx["k"] + 1))
@@ -547,11 +554,15 @@ def claim_reports(spec: ClaimSpec, X: DiscreteDist, norm: Norm, given: dict,
                   cap: int = DEFAULT_SUPPORT_CAP) -> "list[InequalityReport]":
     """Every report of one claim on one law at the given parameters, one
     per shape and constant pair, all on one walk as far as _reads says."""
-    curves = Curves(X, norm, _reads(spec, given), cap)
+    plan = variants(spec, c1, c2)
+    judged = {name: _indices(CLAIMS[name], given, spec)
+              for name in dict.fromkeys(shape.claim_id for shape, *_ in plan)}
+    curves = Curves(X, norm, set().union(*(
+        _reads(CLAIMS[name], idx) for name, idx in judged.items())), cap)
     modes = ((lhs_mode, lhs_mode if rhs_mode is None else rhs_mode),)
-    return [check[-1]() for shape, a, b in variants(spec, c1, c2)
-            for check in shape_checks(spec, shape, curves, given, a, b,
-                                      modes)]
+    return [check[-1]() for shape, a, b in plan
+            for check in shape_checks(spec, shape, curves,
+                                      judged[shape.claim_id], a, b, modes)]
 
 
 def check_theorem1(X: DiscreteDist, j: int, k: int, c1=None, c2=None,

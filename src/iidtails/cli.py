@@ -24,7 +24,8 @@ from .counterexample import verify_counterexample
 from .dists import DEFAULT_SUPPORT_CAP, MODES, STRICT, Norm, default_norm
 from .montecarlo import MC_CLAIMS, SamplerSpec, estimate_tail, mc_check
 from .reports import HOLDS, VACUOUS, VIOLATED, jsonify
-from .search import SEED_LIMIT, SearchSpace, SoundnessViolation, search
+from .search import (N_ATOMS, SEED_LIMIT, SearchSpace, SoundnessViolation,
+                     search)
 from .specfile import SpecFileError, dist_to_jsonable, load_dist, parse_dist
 
 EXIT_OK = 0
@@ -86,16 +87,20 @@ def _norm(text: str) -> Norm:
             f"unknown norm {text!r}; choose abs1d, sup, or euclidean")
 
 
-def _positive(text: str) -> int:
-    """A positive int: a support cap, a restart count or a dimension."""
+def _positive(text: str, least: int = 1) -> int:
+    """An int >= least, by default positive: a cap, count, size or dim."""
     try:
         value = int(text)
     except ValueError:
-        value = 0
-    if value < 1:
+        value = least - 1
+    if value < least:
         raise argparse.ArgumentTypeError(
-            f"must be a positive integer, got {text!r}")
+            f"must be a {'nonnegative' if least == 0 else 'positive'} "
+            f"integer, got {text!r}")
     return value
+
+
+_nonnegative = functools.partial(_positive, least=0)   # a count that may be 0
 
 
 def _seed(limit: int):
@@ -146,10 +151,11 @@ _FLAGS = {"j": "--j", "k": "--k", "t": "--t", "alphas": "--weights"}
 
 
 def _claim_args(spec, args) -> dict:
-    """The claim's parameters from the verify flags, defaults filled in.  A
-    flag the claim does not take is an error; corollary5 takes --k only as
-    the number of weights."""
-    given = dict(spec.defaults)
+    """The claim's parameters from the verify flags (checks._indices fills
+    in the defaults).  A flag the claim does not take is an error, as is a
+    missing one with no default; corollary5 takes --k only as the number of
+    weights."""
+    given = {}
     for name, flag in _FLAGS.items():
         value = getattr(args, flag[2:])
         if value is None:
@@ -158,11 +164,12 @@ def _claim_args(spec, args) -> dict:
                                                            checks.WEIGHTED):
             raise ValueError(f"--claim {spec.claim_id} does not take {flag}")
         given[name] = value
-    missing = [_FLAGS[name] for name in spec.takes if name not in given]
+    missing = [_FLAGS[name] for name in spec.takes
+               if name not in given and name not in spec.defaults]
     if missing:
         raise ValueError(f"{spec.claim_id} needs {missing[0]}")
     if spec.lhs == checks.WEIGHTED and \
-            given.setdefault("k", len(given["alphas"])) != len(given["alphas"]):
+            given.get("k", len(given["alphas"])) != len(given["alphas"]):
         raise ValueError(f"--claim {spec.claim_id} takes --k {given['k']} "
                          f"but {len(given['alphas'])} --weights")
     for flag in ("--c1", "--c2"):
@@ -291,11 +298,6 @@ def _sampler_from_args(args) -> "tuple[SamplerSpec, dict]":
 
 
 def cmd_mc(args) -> int:
-    # as in verify, a weighted claim's k is the number of its weights
-    if args.k is None:
-        weighted = args.claim and \
-            checks.CLAIMS[args.claim].lhs == checks.WEIGHTED
-        args.k = len(args.weights) if weighted and args.weights else 2
     spec, digests = _sampler_from_args(args)
     t_grid = args.t or [Fraction(1)]
     # row i is keyed by seed + i, or by mc_check's two keys per row
@@ -315,9 +317,11 @@ def cmd_mc(args) -> int:
             args.claim, spec, args.j, args.k, t_grid, c1=args.c1, c2=args.c2,
             weights=args.weights, norm=args.norm, n_samples=args.n,
             seed=args.seed, delta=args.delta)
+        args.k = verdict.params["k"]   # echo the k checked, maybe a default
         _emit({"manifest": _manifest(args, digests, verdict.status),
                "check": verdict}, args.out)
         return EXIT_VIOLATION if verdict.status == VIOLATED else EXIT_OK
+    args.k = 2 if args.k is None else args.k
     estimates = []
     for i, t in enumerate(t_grid):
         est = estimate_tail(spec, args.k, t, norm=args.norm,
@@ -380,18 +384,18 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = subs.add_parser("corpus", help="random corpus sweep over all claims")
     p.add_argument("--seed", type=_seed(corpus_mod.SEED_LIMIT), default=0)
-    p.add_argument("--count", type=int, default=100)
+    p.add_argument("--count", type=_nonnegative, default=100)
     p.add_argument("--claims", default=None,
                    help="comma-separated claim names (default: all)")
-    p.add_argument("--max-atoms", type=int, default=5)
-    p.add_argument("--num-range", type=int, default=8)
-    p.add_argument("--denominator", type=int, default=4)
-    p.add_argument("--max-k", type=int, default=6)
+    p.add_argument("--max-atoms", type=_positive, default=5)
+    p.add_argument("--num-range", type=_positive, default=8)
+    p.add_argument("--denominator", type=_positive, default=4)
+    p.add_argument("--max-k", type=_positive, default=6)
     p.add_argument("--dims", type=lambda s: list(map(_positive, s.split(","))),
                    default=[1])
     p.add_argument("--norms", type=lambda s: [_norm(x) for x in s.split(",")],
                    default=[Norm.ABS1D])
-    p.add_argument("--weight-vectors", type=int, default=2)
+    p.add_argument("--weight-vectors", type=_nonnegative, default=2)
     p.add_argument("--cap", type=_positive, default=DEFAULT_SUPPORT_CAP)
     p.add_argument("--out-dir", default=".")
     p.add_argument("--json", action="store_true",
@@ -404,14 +408,14 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--j", type=int, required=True)
     p.add_argument("--k", type=int, required=True)
     p.add_argument("--c2", type=_rational, required=True)
-    p.add_argument("--atoms", type=int, default=3)
-    p.add_argument("--budget", type=int, default=10_000)
+    p.add_argument("--atoms", type=int, choices=N_ATOMS, default=3)
+    p.add_argument("--budget", type=_positive, default=10_000)
     p.add_argument("--restarts", type=_positive, default=8)
     p.add_argument("--seed", type=_seed(SEED_LIMIT), default=0)
     p.add_argument("--value-lo", type=_rational, default=Fraction(-4))
     p.add_argument("--value-hi", type=_rational, default=Fraction(4))
-    p.add_argument("--lattice-denominator", type=int, default=16)
-    p.add_argument("--prob-denominator", type=int, default=64)
+    p.add_argument("--lattice-denominator", type=_positive, default=16)
+    p.add_argument("--prob-denominator", type=_positive, default=64)
     p.add_argument("--norm", type=_norm, default=Norm.ABS1D)
     p.add_argument("--cap", type=_positive, default=DEFAULT_SUPPORT_CAP)
     p.add_argument("--out", default=None)
@@ -440,14 +444,14 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--j", type=int, default=None,
                    help="left index S_j, for claims that read one")
     p.add_argument("--k", type=int, default=None,
-                   help="right index S_k (default 2; for corollary5 the "
-                        "number of weights)")
+                   help="right index S_k (default: the claim's, as in "
+                        "verify; 2 without --claim)")
     p.add_argument("--t", type=_rational, action="append", default=None,
                    help="threshold; repeat for a grid")
     p.add_argument("--weights", type=_weights, default=None)
     p.add_argument("--c1", type=_rational, default=None)
     p.add_argument("--c2", type=_rational, default=None)
-    p.add_argument("--n", type=int, default=100_000)
+    p.add_argument("--n", type=_nonnegative, default=100_000)
     p.add_argument("--seed", type=_seed(montecarlo.SEED_LIMIT), default=0)
     p.add_argument("--delta", type=float, default=0.05)
     p.add_argument("--norm", type=_norm, default=None)

@@ -5,6 +5,8 @@ generator, imported when a corpus is drawn: generate_corpus, run_corpus).
 Every check on every instance is exact; the aggregate separates holds,
 vacuous outcomes, and violations, and keeps full witnesses for the latter.
 
+Each grid entry of an instance is judged once (checks._indices); the
+instance's walk is sized from the judged dicts, and its checks read them.
 Each check comes from checks.shape_checks, the generator verify's reports
 are built from too: its params echo, its status and note (checks._verdict)
 and its worst case as (numerator, denominator) pairs.  _absorb counts it
@@ -13,7 +15,7 @@ report's totals are summed from those when the run ends.  A row renders
 each exact field by one int helper (_exact), the float column as n / d,
 and keeps the smallest margin by cross-multiplying; an InequalityReport is
 built only for a stored violation.  Params text is joined once per run
-and params key (plan entry, norm, index values in ints and mode pair) from
+and params key (plan entry, norm, judged values in ints and mode pair) from
 the text of each params value, and each value is rendered once per run.
 """
 
@@ -35,6 +37,7 @@ from .checks import (
     MODE_PAIRS,
     WEIGHTED,
     Curves,
+    _indices,
     _reads,
     shape_checks,
     variants,
@@ -70,15 +73,12 @@ class CorpusConfig(Report):
     def __post_init__(self):
         if not 0 <= _int("seed", self.seed) < SEED_LIMIT:
             raise ValueError(f"seed must be in [0, 2**64), got {self.seed}")
-        if _int("count", self.count) < 0 or \
-                _int("max_atoms", self.max_atoms) < 1 or \
-                _int("max_k", self.max_k) < 1:
-            raise ValueError("count, max_atoms, max_k must be positive")
-        if _int("weight_vectors", self.weight_vectors) < 0:
-            raise ValueError("weight_vectors must be >= 0")
-        if _int("num_range", self.num_range) < 1 or \
-                _int("denominator", self.denominator) < 1:
-            raise ValueError("value lattice must be nondegenerate")
+        for name, least in (("count", 0), ("max_atoms", 1), ("max_k", 1),
+                            ("weight_vectors", 0), ("num_range", 1),
+                            ("denominator", 1)):
+            if _int(name, getattr(self, name)) < least:
+                raise ValueError(f"{name} must be >= {least}, got "
+                                 f"{getattr(self, name)}")
         if not self.dims:
             raise ValueError("dims must be nonempty")
         for d in self.dims:
@@ -236,7 +236,8 @@ def run_corpus(config: CorpusConfig, claims=None,
     for index, (dist, norm) in enumerate(instances):
         rng = np.random.Generator(
             np.random.Philox(key=_instance_key(config.seed, index)))
-        planned = [(pos, idx) for pos, (_, shape, _, _) in enumerate(plan)
+        planned = [(pos, _indices(shape, idx, spec))
+                   for pos, (spec, shape, _, _) in enumerate(plan)
                    for idx in _grid(shape, dist, rng, config)]
         curves = Curves(dist, norm, set().union(
             *(_reads(plan[pos][1], idx) for pos, idx in planned)), cap)
@@ -253,14 +254,14 @@ def run_corpus(config: CorpusConfig, claims=None,
     return report
 
 
-def _checks(pos: int, spec, shape, c1, c2, curves: Curves, given: dict):
-    """The checks (checks.shape_checks) of plan entry pos at one index
-    choice, each as (claim, params key, check).  The plan entry, the norm,
-    the index values in ints and the mode pair fix the params; they are
-    the key."""
-    key = (pos, curves.norm.value, *_ints(given.values()))
+def _checks(pos: int, spec, shape, c1, c2, curves: Curves, idx: dict):
+    """The checks (checks.shape_checks) of plan entry pos at one judged
+    index choice, each as (claim, params key, check).  The plan entry, the
+    norm, the judged values in ints and the mode pair fix the params; they
+    are the key."""
+    key = (pos, curves.norm.value, *_ints(idx.values()))
     for modes, check in zip(MODE_PAIRS, shape_checks(
-            spec, shape, curves, given, c1, c2, MODE_PAIRS)):
+            spec, shape, curves, idx, c1, c2, MODE_PAIRS)):
         yield spec.claim_id, key + modes, check
 
 

@@ -269,9 +269,9 @@ class McVerdict(Report):
                           # if every row holds, else inconclusive
 
 
-def mc_check(claim: str, spec: SamplerSpec, j: "int | None", k: int, t_grid,
-             c1=None, c2=None, weights=None, norm: Norm = None,
-             n_samples: int = 100_000, seed: int = 0,
+def mc_check(claim: str, spec: SamplerSpec, j: "int | None",
+             k: "int | None", t_grid, c1=None, c2=None, weights=None,
+             norm: Norm = None, n_samples: int = 100_000, seed: int = 0,
              delta: float = 0.05) -> McVerdict:
     """Interval-separated comparison lhs <= c1 * rhs along a grid of t.
 
@@ -280,9 +280,10 @@ def mc_check(claim: str, spec: SamplerSpec, j: "int | None", k: int, t_grid,
     level 1 - delta/2, so a reported violation is wrong with probability
     at most delta per row.
 
-    j is the index of the left side S_j: None takes the claim's default,
-    and a claim whose left side is no S_j (corollary4's running max,
-    corollary5's weighted sum) refuses any j and echoes none.
+    j and k index the sides S_j and S_k; None takes the claim's default,
+    as in verify (corollary5's k is the number of its weights).  A claim
+    whose left side is no S_j (corollary4's running max, corollary5's
+    weighted sum) refuses any j and echoes none.
     """
     if claim not in MC_CLAIMS:
         raise ValueError(f"unsupported claim {claim!r}; "
@@ -295,14 +296,11 @@ def mc_check(claim: str, spec: SamplerSpec, j: "int | None", k: int, t_grid,
     (default_norm(spec.dim) if norm is None else norm).require_dim(spec.dim)
     ((_, c1, c2),) = variants(statement, *(None if c is None else Fraction(c)
                                            for c in (c1, c2)))
-    given = {"k": k, "alphas": None if weights is None
-             else map(_rational, weights)}
-    if j is not None:
-        given["j"] = j
-    idx = _indices(statement, {**statement.defaults, **given})
+    idx = _indices(statement, {"j": j, "k": k,
+                               "alphas": map(_rational, weights or ())})
     if "j" not in idx and j is not None:
         raise ValueError(f"{claim} reads no j, got j={j}")
-    j = idx.get("j")
+    j, k = idx.get("j"), idx["k"]
     factor = statement.factor(c1, j, k)
     scale = statement.scale(c2, j, k)
     if not t_grid:

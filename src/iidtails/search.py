@@ -31,14 +31,15 @@ from dataclasses import dataclass
 from fractions import Fraction
 from functools import cache, cached_property
 
-from .checks import CLAIMS, Curves, _reads, least_c1, require_positive
-from .dists import (DEFAULT_SUPPORT_CAP, ONE, DiscreteDist, Norm, _int, rat,
-                    require_indices)
+from .checks import (CLAIMS, Curves, _indices, _reads, least_c1,
+                     require_positive)
+from .dists import DEFAULT_SUPPORT_CAP, ONE, DiscreteDist, Norm, _int, rat
 from .montecarlo import _float
 from .reports import Report, jsonify
 
 _BIG = 1e18  # the optimizer sees an infinite ratio as this, never as inf
 SEED_LIMIT = 2 ** 128  # the Philox key range
+N_ATOMS = range(2, 7)  # the atom counts a search space takes
 
 # (scale threshold, claimed bound): the theorem1-shape constant pairs of
 # theorem1 and latala_alt.  Any exact ratio above the bound at c2 >=
@@ -79,13 +80,13 @@ def _least_c1(claim: str, X: DiscreteDist, j: int, k: int, c2,
     spec = CLAIMS[claim]
     c2 = rat(c2)
     require_positive(f"c2 must be positive, got {c2}", c2)
-    idx = {"j": j, "k": k}
+    idx = _indices(spec, {"j": j, "k": k})
     return _ratio(spec, Curves(X, norm, _reads(spec, idx), cap), idx, c2)
 
 
 def _ratio(spec, curves: Curves, idx: dict, c2: Fraction):
-    """_least_c1 on curves that read _reads(spec, idx), at checked indices
-    and c2."""
+    """_least_c1 on curves that read _reads(spec, idx), at judged indices
+    (checks._indices) and c2."""
     j, k = idx["j"], idx["k"]
     lhs, rhs = curves.sides(spec, idx)
     return least_c1(lhs, rhs, spec.factor(ONE, j, k), spec.scale(c2, j, k))
@@ -104,9 +105,9 @@ class SearchSpace:
     prob_denominator: int = 64
 
     def __post_init__(self):
-        if not 2 <= _int("n_atoms", self.n_atoms) <= 6:
+        if _int("n_atoms", self.n_atoms) not in N_ATOMS:
             raise ValueError("n_atoms must be in 2..6")
-        require_indices(CLAIMS["theorem1"].order, self.j, self.k)
+        self._theorem1  # judge j and k now
         if self.value_lo >= self.value_hi:
             raise ValueError("empty value box")
         _float("value_lo", self.value_lo), _float("value_hi", self.value_hi)
@@ -115,6 +116,12 @@ class SearchSpace:
             if _int(name, getattr(self, name)) < 1:
                 raise ValueError(f"{name} must be >= 1, got "
                                  f"{getattr(self, name)}")
+
+    @cached_property
+    def _theorem1(self) -> "tuple[dict, set]":
+        """theorem1's judged indices (_indices) and the sums a score reads."""
+        idx = _indices(CLAIMS["theorem1"], {"j": self.j, "k": self.k})
+        return idx, _reads(CLAIMS["theorem1"], idx)
 
     @cached_property
     def _lattice(self) -> "tuple[int, int, int]":
@@ -183,11 +190,10 @@ def _decode(law, space: SearchSpace) -> DiscreteDist:
 def _score(law, space: SearchSpace, cap: int):
     """ratio_objective_witness of a snapped law (_snap), scored on its
     lattice ints through the same Curves, walk and least_c1."""
-    spec, idx = CLAIMS["theorem1"], {"j": space.j, "k": space.k}
+    idx, reads = space._theorem1
     curves = Curves.lattice(space._lattice[0], 1, [([v], w) for v, w in law],
-                            sum(w for _, w in law), space.norm,
-                            _reads(spec, idx), cap)
-    return _ratio(spec, curves, idx, rat(space.c2))
+                            sum(w for _, w in law), space.norm, reads, cap)
+    return _ratio(CLAIMS["theorem1"], curves, idx, rat(space.c2))
 
 
 def _initial_points(space: SearchSpace, restarts: int, rng):
@@ -330,19 +336,19 @@ def probe_necessity(family: str, **params) -> dict:
                                           default=Fraction(0)),
         })
     if family == "constant":
-        j = params.get("j", 4)
-        k = params.get("k", 2)
-        require_indices(CLAIMS["corollary6"].order, j, k)
+        idx = _indices(CLAIMS["corollary6"],
+                       {"j": params.get("j", 4), "k": params.get("k", 2)})
         grid = [rat(c) for c in params.get(
             "c2_values",
             (Fraction(1, 4), Fraction(1, 2), Fraction(3, 4), Fraction(1),
              Fraction(3, 2), Fraction(2)))]
         X = DiscreteDist({1: 1})
-        rows = [{"c2": c2, "ratio": _least_c1("corollary6", X, j, k, c2)[0]}
+        rows = [{"c2": c2, "ratio": _least_c1("corollary6", X, idx["j"],
+                                              idx["k"], c2)[0]}
                 for c2 in sorted(grid)]
         return jsonify({
             "family": family, "claim": "corollary6",
-            "fixed": {"j": j, "k": k},
+            "fixed": idx,
             "rows": rows,
             "induced_c2_lower_bound": next(
                 (row["c2"] for row in rows if row["ratio"] < math.inf), None),

@@ -40,6 +40,7 @@ from itertools import product
 from math import lcm
 from operator import add
 
+from iidtails import checks
 from iidtails.checks import SweepOutcome
 from iidtails.concentration import ConcentrationSet
 from iidtails.counterexample import _sign_rule, icbrt
@@ -598,3 +599,17 @@ def fraction_snap_to_space(theta, space) -> DiscreteDist:
     for x, w in zip(locs, weights):
         atoms[(x,)] = atoms.get((x,), ZERO) + Fraction(w, total)
     return DiscreteDist(atoms, dim=1)
+
+
+def count_judgements(monkeypatch, *modules) -> list:
+    """Record the shape of every ``checks._indices`` call made through
+    ``checks`` or any of modules (each imports ``_indices`` by name)."""
+    calls, judge = [], checks._indices
+
+    def counted(shape, given, spec=None):
+        calls.append(shape.claim_id)
+        return judge(shape, given, spec)
+
+    for module in (checks, *modules):
+        monkeypatch.setattr(module, "_indices", counted)
+    return calls

@@ -340,7 +340,8 @@ class TestCorpus:
                            "--weight-vectors", "-2", "--out-dir",
                            str(tmp_path))
         assert code == 2
-        assert "weight_vectors must be >= 0" in err
+        assert "argument --weight-vectors: must be a nonnegative integer, " \
+               "got '-2'" in err
 
     def test_more_atoms_than_lattice_points_exit_two(self, capsys,
                                                      tmp_path):
@@ -437,7 +438,8 @@ class TestSearchCmd:
                              "--c2", "1", "--budget", "10", flag, value)
         assert code == 2
         assert out == "" and "Traceback" not in err
-        assert f"{flag[2:].replace('-', '_')} must be >= 1" in err
+        assert f"argument {flag}: must be a positive integer, got " \
+               f"{value!r}" in err
 
     @pytest.mark.parametrize("edge", ["--value-lo=-1e400", "--value-hi=1e400",
                                       "--value-lo=1e-400"])
@@ -577,6 +579,24 @@ class TestMcCmd:
         code, out, _ = run(capsys, *gauss, "--claim", "theorem1", "--t", "1")
         assert code in (0, 1)
         assert last_json(out)["manifest"]["params"]["k"] == 2
+
+    def test_a_claim_takes_its_default_indices_as_in_verify(self, capsys,
+                                                            coin_file):
+        """Without --j and --k, mc checks a claim at the indices verify
+        checks it at (corollary4 at k = 4, corollary6 at (j, k) = (2, 1))
+        and echoes them in the check; the manifest echoes the k checked."""
+        gauss = ("mc", "--family", "gaussian", "--t", "1", "--n", "10")
+        for claim, j, k in (("corollary4", None, 4), ("corollary6", 2, 1),
+                            ("theorem1", 1, 2), ("latala_sharp", 1, 2)):
+            code, out, _ = run(capsys, *gauss, "--claim", claim)
+            doc = last_json(out)
+            assert code in (0, 1)
+            assert (doc["check"]["params"].get("j"),
+                    doc["check"]["params"]["k"]) == (j, k)
+            assert doc["manifest"]["params"]["k"] == k
+            code, out, _ = run(capsys, "verify", "--claim", claim, coin_file)
+            params = last_json(out)["reports"][0]["report"]["params"]
+            assert (params.get("j"), params["k"]) == (j, k)
 
     def test_discrete_needs_dist_file(self, capsys):
         code, _, err = run(capsys, "mc", "--family", "discrete", "--t", "1")
@@ -769,6 +789,40 @@ class TestTopLevel:
         assert code == 2 and not out
         assert f"argument --cap: must be a positive integer, got {cap!r}" \
             in err
+
+    @pytest.mark.parametrize("argv, message", [
+        (("corpus", "--count=-1"), "--count: must be a nonnegative integer"),
+        (("corpus", "--max-atoms=0"), "--max-atoms: must be a positive"),
+        (("corpus", "--max-k=0", "--count=1"), "--max-k: must be a positive"),
+        (("corpus", "--num-range=x"), "--num-range: must be a positive"),
+        (("corpus", "--denominator=0"), "--denominator: must be a positive"),
+        (("search", "--atoms=9"), "--atoms: invalid choice: 9"),
+        (("search", "--atoms=1"), "--atoms: invalid choice: 1"),
+        (("search", "--budget=0"), "--budget: must be a positive"),
+        (("mc", "--n=-5"), "--n: must be a nonnegative integer"),
+    ])
+    def test_integer_flags_exit_two_naming_the_flag(self, capsys, tmp_path,
+                                                     argv, message):
+        """Every integer flag is judged as it is parsed, so a value below
+        its least exits 2 naming the flag, not the field it fills (the
+        --weight-vectors and search denominator tests above check the
+        rest)."""
+        rest = {"corpus": ("--out-dir", str(tmp_path)),
+                "search": ("--j", "1", "--k", "2", "--c2", "1"),
+                "mc": ("--family", "gaussian", "--t", "1")}[argv[0]]
+        code, out, err = run(capsys, *argv, *rest)
+        assert code == 2 and not out
+        assert f"argument {message}" in err
+        assert not (tmp_path / "corpus.json").exists()
+
+    def test_zero_counts_run(self, capsys, tmp_path):
+        """--count, --weight-vectors and mc --n may be 0."""
+        assert run(capsys, "corpus", "--count", "0", "--weight-vectors",
+                   "0", "--out-dir", str(tmp_path))[0] == 0
+        code, out, _ = run(capsys, "mc", "--family", "gaussian", "--claim",
+                           "theorem1", "--t", "1", "--n", "0")
+        assert code == 0
+        assert last_json(out)["check"]["status"] == "inconclusive"
 
     @pytest.mark.parametrize("argv, message", [
         (("verify", "--claim", "theorem1", "--norm", "l2", "COIN"),

@@ -4,7 +4,8 @@ from fractions import Fraction as F
 
 import pytest
 
-from iidtails.checks import CLAIMS
+from iidtails import corpus
+from iidtails.checks import CLAIMS, MODE_PAIRS, claim_reports
 from iidtails.corpus import (
     CSV_COLUMNS,
     CorpusConfig,
@@ -15,6 +16,7 @@ from iidtails.corpus import (
     write_csv,
 )
 from iidtails.dists import Norm
+from oracles import coin, count_judgements
 
 
 class TestCorpusConfig:
@@ -39,6 +41,18 @@ class TestCorpusConfig:
                 CorpusConfig(seed=seed, count=1)
         cfg = CorpusConfig(seed=2 ** 64 - 1, count=2)
         assert len(generate_corpus(cfg)) == 2
+
+    @pytest.mark.parametrize("name, least", [
+        ("count", 0), ("max_atoms", 1), ("max_k", 1), ("weight_vectors", 0),
+        ("num_range", 1), ("denominator", 1)])
+    def test_each_count_is_refused_by_name(self, name, least):
+        """A count below its least is refused in a message that names it
+        alone; the least itself is accepted."""
+        base = {"seed": 1, "count": 1, "max_atoms": 1}
+        with pytest.raises(ValueError, match=rf"^{name} must be >= {least}, "
+                                             rf"got {least - 1}$"):
+            CorpusConfig(**{**base, name: least - 1})
+        assert getattr(CorpusConfig(**{**base, name: least}), name) == least
 
     def test_rejects_negative_weight_vectors(self):
         with pytest.raises(ValueError, match="weight_vectors"):
@@ -314,3 +328,41 @@ def test_max_k_one_draws_single_weights():
             if r["claim"] == "corollary5"} == {1}
     assert rep.per_claim["latala_sharp"]["checks"] == 3 * 2
     assert rep.per_claim["corollary5"]["checks"] == 3 * 2 * 2
+
+
+def test_run_corpus_judges_each_grid_entry_once(monkeypatch):
+    """Every (plan entry, grid entry) is judged once, when the instance's
+    plan is laid out; sizing the walk and the checks read the judged dict.
+    A sweep entry gives one row per mode pair, an evaluated one a row."""
+    calls = count_judgements(monkeypatch, corpus)
+    rep = run_corpus(CorpusConfig(seed=7, count=5, max_k=4))
+    assert not rep.skipped
+    evaluated = sum(CLAIMS[row["claim"]].evaluate is not None
+                    for row in rep.rows)
+    assert evaluated and len(calls) == \
+        evaluated + (len(rep.rows) - evaluated) // len(MODE_PAIRS)
+
+
+def test_claim_reports_judges_each_shape_once(monkeypatch):
+    """latala_alt checks two shapes at two constant pairs each: one
+    judgement per shape, at latala_alt's own defaults (corollary4's form
+    at k = 2, not corollary4's k = 4)."""
+    calls = count_judgements(monkeypatch)
+    reports = claim_reports(CLAIMS["latala_alt"], coin(), Norm.ABS1D, {})
+    assert calls == ["theorem1", "corollary4"]
+    assert [(r.params["shape"], r.params.get("j"), r.params["k"])
+            for r in reports] == [("theorem1", 1, 2)] * 2 + \
+        [("corollary4", None, 2)] * 2
+
+
+def test_claim_reports_fills_the_claim_defaults():
+    """Parameters not given take the claim's defaults: theorem1 at
+    (j, k) = (1, 2), corollary3 at k = 3; a threshold has none."""
+    (rep,) = claim_reports(CLAIMS["theorem1"], coin(), Norm.ABS1D, {})
+    assert (rep.params["j"], rep.params["k"]) == (1, 2)
+    (rep,) = claim_reports(CLAIMS["corollary3"], coin(), Norm.ABS1D,
+                           {"t": 1})
+    assert rep.params["k"] == 3
+    for claim in ("lemma2", "corollary3"):
+        with pytest.raises(ValueError, match=f"^{claim} needs t$"):
+            claim_reports(CLAIMS[claim], coin(), Norm.ABS1D, {})

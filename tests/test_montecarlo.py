@@ -4,7 +4,7 @@ from fractions import Fraction as F
 import numpy as np
 import pytest
 
-from iidtails.checks import check_corollary4
+from iidtails.checks import CLAIMS, check_corollary4, claim_reports
 from iidtails.dists import Norm, default_norm, iid_sum, tail
 from iidtails.montecarlo import (
     _BATCH,
@@ -287,6 +287,21 @@ class TestMcCheck:
         with pytest.raises(ValueError):
             mc_check("corollary5", coin_spec(), j=None, k=2,
                      weights=[1.0, 2.0], t_grid=[0.5])
+
+    @pytest.mark.parametrize("claim", MC_CLAIMS)
+    def test_indices_default_as_in_verify(self, claim):
+        """j = k = None take the claim's defaults, the indices verify
+        checks at (corollary5's k is the number of its weights); the
+        factor reads the judged indices."""
+        weights = [1, F(1, 2)] if claim == "corollary5" else None
+        v = mc_check(claim, coin_spec(), None, None, [1], weights=weights,
+                     n_samples=0)
+        (rep,) = claim_reports(CLAIMS[claim], coin(), Norm.ABS1D,
+                               {} if weights is None else {"alphas": weights})
+        assert (v.params.get("j"), v.params["k"]) == \
+            (rep.params.get("j"), rep.params["k"])
+        c1, (j, k) = v.params["c1"], (rep.params.get("j"), rep.params["k"])
+        assert v.rows[0]["factor"] == float(CLAIMS[claim].factor(c1, j, k))
 
     def test_corollary6_index_order(self):
         v = mc_check("corollary6", coin_spec(), j=4, k=2, t_grid=[1.0],

@@ -21,7 +21,7 @@ from iidtails.search import (
     search,
     snap_to_space,
 )
-from oracles import coin, dist1d, fraction_snap_to_space
+from oracles import coin, count_judgements, dist1d, fraction_snap_to_space
 
 
 class TestRatioObjective:
@@ -229,6 +229,14 @@ class TestSearch:
             search(SearchSpace(n_atoms=2, j=1, k=2, c2=F(1)), budget=5,
                    restarts=restarts)
 
+    @pytest.mark.parametrize("value", [0, -3])
+    @pytest.mark.parametrize("name", ["lattice_denominator",
+                                      "prob_denominator"])
+    def test_rejects_denominator_below_one(self, name, value):
+        with pytest.raises(ValueError,
+                           match=f"^{name} must be >= 1, got {value}$"):
+            SearchSpace(n_atoms=2, j=1, k=2, c2=1, **{name: value})
+
     @pytest.mark.parametrize("seed", [-1, 2 ** 128])
     def test_rejects_seed_outside_the_key_range(self, seed):
         with pytest.raises(ValueError, match=r"seed must be in \[0, 2\*\*128"):
@@ -296,6 +304,14 @@ class TestProbeNecessity:
         by_c2 = {row["c2"]: row["ratio"] for row in out["rows"]}
         assert by_c2["1/2"] == "inf"
 
+    def test_constant_family_judges_its_indices_without_a_grid(self):
+        """corollary6's index rule judges the fixed (j, k) once, before
+        any c2 is swept, so an empty grid still refuses k > j."""
+        with pytest.raises(ValueError, match=r"got j=1, k=2$"):
+            probe_necessity("constant", j=1, k=2, c2_values=())
+        out = probe_necessity("constant", c2_values=())
+        assert (out["fixed"], out["rows"]) == ({"j": 4, "k": 2}, [])
+
     def test_rare_bernoulli_ratios_are_reciprocal_p(self):
         out = probe_necessity(
             "rare_bernoulli",
@@ -332,3 +348,15 @@ class TestProbeNecessity:
                                                           params, name):
         with pytest.raises(ValueError, match=f"^{family} {name} is unknown$"):
             probe_necessity(family, **params)
+
+
+def test_a_search_judges_its_indices_once(monkeypatch):
+    """SearchSpace judges theorem1's indices once and keeps them; scoring
+    a law judges nothing, so a search of budget 20 and one of 200 make the
+    same one judgement."""
+    calls = count_judgements(monkeypatch,
+                             sys.modules[SearchSpace.__module__])
+    for budget in (20, 200):
+        search(SearchSpace(n_atoms=3, j=1, k=2, c2=F(1)), budget=budget,
+               restarts=2, seed=1)
+    assert calls == ["theorem1"] * 2
