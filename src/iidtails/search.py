@@ -19,9 +19,17 @@ or DiscreteDist in between.  Snapping makes plateaus the optimizer keeps
 revisiting, so each distinct snapped law is scored once per search();
 `evaluations` counts optimizer queries, repeats included.
 
-numpy (the Philox starts and kicks) and scipy (Nelder-Mead) are imported
-by search() when it runs; the exact objectives and probe_necessity load
-neither.
+The descent is _nelder_mead, a port of scipy 1.17's non-adaptive,
+unbounded Nelder-Mead (Nelder & Mead, 1965) to Python floats whose
+iterates are bit-identical to scipy's.  It orders the simplex by
+numpy.argsort, whose order among tied values depends on the numpy build
+and the CPU (its SIMD sorts are not stable); the objective is flat almost
+everywhere, so ties are common and a search reproduces for a given numpy
+build and CPU.
+
+numpy (the Philox starts and kicks, and the simplex order) is imported by
+search() when it runs, and scipy never is; the exact objectives and
+probe_necessity load neither.
 """
 
 from __future__ import annotations
@@ -225,6 +233,90 @@ def _initial_points(space: SearchSpace, restarts: int, rng):
     return pts[:restarts]
 
 
+class _Spent(Exception):
+    """_nelder_mead's call limit is reached."""
+
+
+def _nelder_mead(f, x0, maxfev: int, xatol: float, fatol: float):
+    """(x, f(x)) for the best vertex that Nelder-Mead reaches from x0 in at
+    most maxfev calls of f, stopping early once every vertex lies within
+    xatol of the best and every value within fatol of its value.
+
+    A port of scipy.optimize.minimize(method="Nelder-Mead") in scipy 1.17,
+    non-adaptive and unbounded, on float lists: every point it hands f and
+    its (x, fun) equal scipy's bit for bit.  That rests on scipy's order of
+    float operations, on checking the call limit before a call is counted
+    (a cut-off call ends the iteration, keeping any vertices a shrink has
+    already moved), and on numpy.argsort's order among tied values.
+    """
+    import numpy as np  # argsort alone gives scipy's order among ties
+
+    n = len(x0)
+    calls = 0
+
+    def call(x):
+        nonlocal calls
+        if calls >= maxfev:
+            raise _Spent
+        calls += 1
+        return f(x)
+
+    def ordered():
+        ranks = np.argsort(fsim).tolist()
+        return [sim[i] for i in ranks], [fsim[i] for i in ranks]
+
+    x0 = [float(v) for v in x0]
+    sim = [x0] + [x0[:k] + [(1 + 0.05) * v if v != 0 else 0.00025]
+                  + x0[k + 1:] for k, v in enumerate(x0)]
+    fsim = [math.inf] * (n + 1)
+    try:
+        for k, x in enumerate(sim):
+            fsim[k] = call(x)
+    except _Spent:
+        pass
+    sim, fsim = ordered()
+    sim, fsim = ordered()  # as scipy does: ties may move again
+    while calls < maxfev:
+        try:
+            best, last = sim[0], sim[-1]
+            if (max(abs(a - b) for x in sim[1:] for a, b in zip(x, best))
+                    <= xatol and max(abs(fsim[0] - g) for g in fsim[1:])
+                    <= fatol):
+                break
+            xbar = [0.0] * n  # numpy's row-order sum from its identity
+            for x in sim[:-1]:
+                xbar = [a + b for a, b in zip(xbar, x)]
+            xbar = [a / n for a in xbar]
+            xr = [2 * a - b for a, b in zip(xbar, last)]
+            fxr = call(xr)
+            if fxr < fsim[0]:
+                xe = [3 * a - 2 * b for a, b in zip(xbar, last)]
+                fxe = call(xe)
+                sim[-1], fsim[-1] = (xe, fxe) if fxe < fxr else (xr, fxr)
+            elif fxr < fsim[-2]:
+                sim[-1], fsim[-1] = xr, fxr
+            else:
+                if fxr < fsim[-1]:   # contract outside
+                    xc = [1.5 * a - 0.5 * b for a, b in zip(xbar, last)]
+                    fxc = call(xc)
+                    keep = fxc <= fxr
+                else:                # contract inside
+                    xc = [0.5 * a + 0.5 * b for a, b in zip(xbar, last)]
+                    fxc = call(xc)
+                    keep = fxc < fsim[-1]
+                if keep:
+                    sim[-1], fsim[-1] = xc, fxc
+                else:
+                    for j in range(1, n + 1):
+                        sim[j] = [a + 0.5 * (b - a)
+                                  for a, b in zip(best, sim[j])]
+                        fsim[j] = call(sim[j])
+        except _Spent:
+            pass
+        sim, fsim = ordered()
+    return sim[0], min(fsim)
+
+
 def search(space: SearchSpace, budget: int = 10_000, restarts: int = 8,
            seed: int = 0, cap: int = DEFAULT_SUPPORT_CAP) -> SearchResult:
     """Nelder-Mead restarts with jitter kicks over the exact objective.
@@ -233,8 +325,7 @@ def search(space: SearchSpace, budget: int = 10_000, restarts: int = 8,
     SoundnessViolation if the final exact ratio contradicts a known bound
     for the requested c2 (that would be a bug, not a result).
     """
-    import numpy as np  # numpy and scipy load only for a search
-    from scipy.optimize import minimize
+    import numpy as np  # numpy loads only for a search
 
     if _int("budget", budget) < 1:
         raise ValueError("budget must be positive")
@@ -261,25 +352,22 @@ def search(space: SearchSpace, budget: int = 10_000, restarts: int = 8,
         return -min(float(value), _BIG)
 
     def descend(x0, maxfev: int):
-        return minimize(objective, x0, method="Nelder-Mead",
-                        options={"maxfev": max(1, maxfev), "xatol": 1e-3,
-                                 "fatol": 1e-9})
+        return _nelder_mead(objective, x0, max(1, maxfev), 1e-3, 1e-9)
 
     for restart, x0 in enumerate(_initial_points(space, restarts, rng)):
         if evaluations >= budget:
             break
-        res = descend(x0, (budget - evaluations) // (restarts - restart))
-        kicked = res.x
+        kicked, fun = descend(x0, (budget - evaluations)
+                              // (restarts - restart))
         # jitter kicks: the landscape is flat almost everywhere, so nudge
         # the incumbent across lattice cells a few times per restart
         for _ in range(3):
             if evaluations >= budget:
                 break
-            kick = kicked + rng.normal(0.0, 0.5, size=kicked.shape)
-            res2 = descend(kick, (budget - evaluations) // 4)
-            if res2.fun < res.fun:
-                res = res2
-                kicked = res2.x
+            kick = kicked + rng.normal(0.0, 0.5, size=len(kicked))
+            x, fun2 = descend(kick, (budget - evaluations) // 4)
+            if fun2 < fun:
+                kicked, fun = x, fun2
         trace.append((restart, float(best[0])))
 
     ratio, best_q, law = best
@@ -309,6 +397,9 @@ def probe_necessity(family: str, **params) -> dict:
     constant: X = delta_1 against the j >= k claim; sweeping c2 locates the
         least scale with a finite ratio.
     pm_one: the +-1 coin; at c2 = 1, (j,k) = (1,2) the exact ratio is 2.
+
+    Each family judges (j, k) once, before any row is scored, by its
+    claim's rule and defaults (checks._indices), and echoes them judged.
     """
     reads = {"rare_bernoulli": ("j", "k", "c2", "p_values"),
              "constant": ("j", "k", "c2_values"), "pm_one": ("j", "k", "c2")}
@@ -316,9 +407,16 @@ def probe_necessity(family: str, **params) -> dict:
         raise ValueError(f"unknown family {family!r}")
     for name in sorted(params.keys() - set(reads[family])):
         raise ValueError(f"{family} {name} is unknown")
+    # the constant family probes (j, k) = (4, 2), not corollary6's default
+    claim, given = (("corollary6", {"j": 4, "k": 2}) if family == "constant"
+                    else ("theorem1", {}))
+    idx = _indices(CLAIMS[claim], {**given, **{n: params[n] for n in ("j", "k")
+                                              if n in params}})
+
+    def ratio(X, c2):
+        return _least_c1(claim, X, idx["j"], idx["k"], c2)[0]
+
     if family == "rare_bernoulli":
-        j = params.get("j", 1)
-        k = params.get("k", 2)
         c2 = rat(params.get("c2", Fraction(1, 2)))
         ps = [rat(p) for p in params.get(
             "p_values",
@@ -326,42 +424,34 @@ def probe_necessity(family: str, **params) -> dict:
              Fraction(1, 10000)))]
         if any(not 0 < p < 1 for p in ps):
             raise ValueError("need 0 < p < 1")
-        rows = [{"p": p, "ratio": ratio_objective(
-            DiscreteDist({0: 1 - p, 1: p}), j, k, c2)} for p in ps]
+        rows = [{"p": p, "ratio": ratio(DiscreteDist({0: 1 - p, 1: p}), c2)}
+                for p in ps]
         return jsonify({
-            "family": family, "claim": "theorem1",
-            "fixed": {"j": j, "k": k, "c2": c2},
+            "family": family, "claim": claim,
+            "fixed": {**idx, "c2": c2},
             "rows": rows,
             "induced_c1_lower_bound": max((row["ratio"] for row in rows),
                                           default=Fraction(0)),
         })
     if family == "constant":
-        idx = _indices(CLAIMS["corollary6"],
-                       {"j": params.get("j", 4), "k": params.get("k", 2)})
         grid = [rat(c) for c in params.get(
             "c2_values",
             (Fraction(1, 4), Fraction(1, 2), Fraction(3, 4), Fraction(1),
              Fraction(3, 2), Fraction(2)))]
-        X = DiscreteDist({1: 1})
-        rows = [{"c2": c2, "ratio": _least_c1("corollary6", X, idx["j"],
-                                              idx["k"], c2)[0]}
+        rows = [{"c2": c2, "ratio": ratio(DiscreteDist({1: 1}), c2)}
                 for c2 in sorted(grid)]
         return jsonify({
-            "family": family, "claim": "corollary6",
+            "family": family, "claim": claim,
             "fixed": idx,
             "rows": rows,
             "induced_c2_lower_bound": next(
                 (row["c2"] for row in rows if row["ratio"] < math.inf), None),
         })
-    if family == "pm_one":
-        j = params.get("j", 1)
-        k = params.get("k", 2)
-        c2 = rat(params.get("c2", Fraction(1)))
-        X = DiscreteDist({-1: Fraction(1, 2), 1: Fraction(1, 2)})
-        r = ratio_objective(X, j, k, c2)
-        return jsonify({
-            "family": family, "claim": "theorem1",
-            "fixed": {"j": j, "k": k, "c2": c2},
-            "rows": [{"ratio": r}],
-            "induced_c1_lower_bound": r,
-        })
+    c2 = rat(params.get("c2", Fraction(1)))
+    r = ratio(DiscreteDist({-1: Fraction(1, 2), 1: Fraction(1, 2)}), c2)
+    return jsonify({
+        "family": family, "claim": claim,
+        "fixed": {**idx, "c2": c2},
+        "rows": [{"ratio": r}],
+        "induced_c1_lower_bound": r,
+    })

@@ -855,9 +855,9 @@ class TestTopLevel:
 
 
 def test_import_loads_no_scipy():
-    """verify and corpus never touch scipy, so importing the package and
-    its CLI must not load it; the search and Monte Carlo intervals import
-    it when they run."""
+    """verify, corpus and search never touch scipy, so importing the
+    package and its CLI must not load it; only the Monte Carlo intervals
+    import it when they run."""
     env = dict(os.environ)
     env["PYTHONPATH"] = os.pathsep.join(
         filter(None, [str(SRC), env.get("PYTHONPATH")]))
@@ -904,4 +904,12 @@ def test_exact_subcommands_load_no_numpy(coin_file, tmp_path):
     assert codes == [0, 0, 0] and loaded == []
     codes, loaded = _loads_in_fresh_process(
         ["corpus", "--count", "1", "--out-dir", str(tmp_path)])
+    assert codes == [0] and loaded == ["numpy"]
+
+
+def test_search_loads_numpy_alone():
+    """A search draws its starts and kicks with numpy and runs its own
+    Nelder-Mead, so it never loads scipy."""
+    codes, loaded = _loads_in_fresh_process(
+        ["search", "--j", "1", "--k", "2", "--c2", "1", "--budget", "20"])
     assert codes == [0] and loaded == ["numpy"]

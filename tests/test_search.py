@@ -1,3 +1,4 @@
+import functools
 import json
 import math
 import sys
@@ -9,10 +10,13 @@ from hypothesis import strategies as st
 
 from iidtails.dists import DEFAULT_SUPPORT_CAP, DiscreteDist, Norm, delta
 from iidtails.search import (
+    N_ATOMS,
     SOUNDNESS_GUARDS,
     SearchSpace,
     SoundnessViolation,
     _guard,
+    _initial_points,
+    _nelder_mead,
     _score,
     _snap,
     probe_necessity,
@@ -274,6 +278,77 @@ class TestSearch:
         assert res.achieved_ratio == F(29282, 14657)
 
 
+def _same_descent(f, x0, maxfev: int) -> list:
+    """Run _nelder_mead and scipy's Nelder-Mead from x0 with the search's
+    tolerances and assert that f receives the same points, as float reprs,
+    and that both return the same (x, fun); returns the points."""
+    optimize = pytest.importorskip("scipy.optimize")
+
+    def recorded(seen):
+        def g(x):
+            seen.append([repr(float(v)) for v in x])
+            return f(x)
+        return g
+
+    ours, scipys = [], []
+    x, fun = _nelder_mead(recorded(ours), x0, maxfev, 1e-3, 1e-9)
+    res = optimize.minimize(recorded(scipys), x0, method="Nelder-Mead",
+                            options={"maxfev": maxfev, "xatol": 1e-3,
+                                     "fatol": 1e-9})
+    assert ours == scipys
+    assert [repr(float(v)) for v in x] == [repr(float(v)) for v in res.x]
+    assert repr(float(fun)) == repr(float(res.fun))
+    return ours
+
+
+def _bowl(x):
+    return sum((v - 0.1 * i) ** 2 for i, v in enumerate(x))
+
+
+class TestNelderMead:
+    """_nelder_mead against scipy.optimize.minimize(method="Nelder-Mead"),
+    point for point.  The search's plateaus tie many vertices, so these
+    runs also pin the order among ties to numpy.argsort's."""
+
+    @pytest.mark.parametrize("n_atoms", list(N_ATOMS))
+    def test_search_objective(self, n_atoms):
+        np = pytest.importorskip("numpy")
+        space = SearchSpace(n_atoms, 1, 2, F(1))
+        score = functools.cache(
+            lambda law: _score(law, space, DEFAULT_SUPPORT_CAP)[0])
+        rng = np.random.Generator(np.random.Philox(key=n_atoms))
+        for x0 in _initial_points(space, 3, rng):
+            _same_descent(
+                lambda x: -min(float(score(_snap(x, space))), 1e18), x0,
+                120)
+
+    def test_limit_inside_the_initial_simplex(self):
+        points = _same_descent(_bowl, [0.5, -1.0, 2.0, 1.0, 0.3], 3)
+        assert len(points) == 3
+
+    def test_limit_inside_a_shrink(self):
+        # on a flat objective every iteration reflects, contracts inside
+        # and shrinks the 3 other vertices: 4 + 5 calls, then the second
+        # iteration's shrink is cut at its third vertex
+        points = _same_descent(lambda x: 1.0, [1.0, -2.0, 3.0], 13)
+        assert len(points) == 13
+
+    @pytest.mark.parametrize("maxfev", range(1, 61))
+    def test_every_limit_on_a_bumpy_objective(self, maxfev):
+        """Cut at every call of a descent whose failed contractions shrink,
+        some shrunk vertices beating the best: the simplex is ordered once
+        more after an iteration the limit cuts."""
+        _same_descent(lambda x: abs(6 * x[0] - 1) + abs(5 * x[1] - 1)
+                      + math.sin(9 * x[0]), [1.5, -0.5], maxfev)
+
+    def test_zero_entries_of_x0(self):
+        _same_descent(_bowl, [0.0, 1.5, 0.0, -0.0], 80)
+
+    def test_stops_on_the_tolerances(self):
+        points = _same_descent(_bowl, [1.0, -0.5, 2.0], 5000)
+        assert len(points) < 5000
+
+
 class TestGuards:
     def test_guard_table_is_fixed(self):
         assert SOUNDNESS_GUARDS == ((F(5), F(4)), (F(7), F(2)), (F(10), F(3)))
@@ -327,6 +402,20 @@ class TestProbeNecessity:
                                    for row in out["rows"])
         out = probe_necessity("rare_bernoulli", p_values=())
         assert (out["rows"], out["induced_c1_lower_bound"]) == ([], "0")
+
+    @pytest.mark.parametrize("family, grid", [
+        ("rare_bernoulli", {"p_values": ()}), ("pm_one", {})])
+    def test_theorem1_families_judge_their_indices_once(self, monkeypatch,
+                                                        family, grid):
+        """rare_bernoulli and pm_one judge (j, k) once by theorem1's rule,
+        before any row is scored, and echo theorem1's defaults judged."""
+        with pytest.raises(ValueError, match=r"got j=3, k=2$"):
+            probe_necessity(family, j=3, k=2, **grid)
+        calls = count_judgements(monkeypatch, sys.modules[
+            probe_necessity.__module__])
+        out = probe_necessity("rare_bernoulli", p_values=())
+        assert calls == ["theorem1"]
+        assert out["fixed"] == {"j": 1, "k": 2, "c2": "1/2"}
 
     def test_pm_one_gives_two(self):
         out = probe_necessity("pm_one")
