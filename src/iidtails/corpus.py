@@ -1,7 +1,8 @@
 """Randomized corpora of exact distributions and batch inequality checking.
 
-Corpora are deterministic given the seed (numpy's Philox counter-based
-generator, imported when a corpus is drawn: generate_corpus, run_corpus).
+Corpora are deterministic given the seed: every draw comes from the
+package's own Philox4x64-10 stream (_philox.Stream, which draws what numpy's
+Generator(Philox(key)) draws), in Python ints, so no corpus loads numpy.
 Every check on every instance is exact; the aggregate separates holds,
 vacuous outcomes, and violations, and keeps full witnesses for the latter.
 
@@ -42,6 +43,7 @@ from .checks import (
     shape_checks,
     variants,
 )
+from ._philox import Stream
 from .dists import (
     DEFAULT_SUPPORT_CAP,
     DiscreteDist,
@@ -113,25 +115,21 @@ def _instance_key(seed: int, index: int) -> int:
 
 def generate_corpus(config: CorpusConfig) -> "list[tuple[DiscreteDist, Norm]]":
     """Deterministic list of (distribution, norm) pairs for the config."""
-    import numpy as np  # numpy loads only for the Philox draws
-
-    rng = np.random.Generator(np.random.Philox(key=config.seed))
+    rng = Stream(config.seed)
     out = []
     for _ in range(config.count):
-        dim = int(rng.choice(config.dims))
-        allowed = norms_at(config.norms, dim)
-        norm = allowed[int(rng.integers(0, len(allowed)))]
-        n_atoms = int(rng.integers(1, config.max_atoms + 1))
+        dim = rng.choice(config.dims)
+        norm = rng.choice(norms_at(config.norms, dim))
+        n_atoms = rng.integers(1, config.max_atoms + 1)
         points = set()
         while len(points) < n_atoms:
             nums = rng.integers(-config.num_range, config.num_range + 1,
                                 size=dim)
-            points.add(tuple(Fraction(int(v), config.denominator)
-                             for v in nums))
+            points.add(tuple(Fraction(v, config.denominator) for v in nums))
         weights = rng.integers(1, 13, size=n_atoms)
-        total = int(weights.sum())
+        total = sum(weights)
         atoms = {
-            pt: Fraction(int(w), total)
+            pt: Fraction(w, total)
             for pt, w in zip(sorted(points), weights)
         }
         out.append((DiscreteDist(atoms, dim=dim), norm))
@@ -150,10 +148,10 @@ def _grid(shape, dist: DiscreteDist, rng, config: "CorpusConfig") -> list:
     if shape.lhs == WEIGHTED:
         out = []
         for _ in range(config.weight_vectors):
-            k = int(rng.integers(min(2, K), K + 1))
+            k = rng.integers(min(2, K), K + 1)
             nums = rng.integers(-config.denominator,
                                 config.denominator + 1, size=k)
-            out.append({"alphas": [Fraction(int(v), config.denominator)
+            out.append({"alphas": [Fraction(v, config.denominator)
                                    for v in nums]})
         return out
     if shape.order == FIRST_TWO:
@@ -221,8 +219,6 @@ def run_corpus(config: CorpusConfig, claims=None,
     {"theorem1": {"c1": 1, "c2": 1}} to probe deliberately false values;
     checks.variants judges each, whether or not its claim is run.
     """
-    import numpy as np  # numpy loads only for the Philox draws
-
     claims = normalize_claims(claims if claims is not None else DEFAULT_CLAIMS)
     judged = {name: variants(CLAIMS[name]) for name in claims}
     for raw, ov in (overrides or {}).items():
@@ -234,8 +230,7 @@ def run_corpus(config: CorpusConfig, claims=None,
     rendered, parts = {}, {}
     instances = generate_corpus(config)
     for index, (dist, norm) in enumerate(instances):
-        rng = np.random.Generator(
-            np.random.Philox(key=_instance_key(config.seed, index)))
+        rng = Stream(_instance_key(config.seed, index))
         planned = [(pos, _indices(shape, idx, spec))
                    for pos, (spec, shape, _, _) in enumerate(plan)
                    for idx in _grid(shape, dist, rng, config)]

@@ -893,7 +893,8 @@ def _loads_in_fresh_process(*argvs) -> "tuple[list[int], list[str]]":
 def test_exact_subcommands_load_no_numpy(coin_file, tmp_path):
     """verify and counterexample are exact, so a process that runs them
     (1-D, 2-D under the euclidean norm, and the N = 2 counterexample)
-    never loads numpy or scipy; a corpus draw loads numpy."""
+    never loads numpy or scipy; a corpus draws from the package's own
+    Philox stream, so it loads neither either."""
     plane = tmp_path / "plane.json"
     save_dist(DiscreteDist({(0, 1): F(1, 3), (2, -1): F(2, 3)}, dim=2),
               plane)
@@ -904,7 +905,7 @@ def test_exact_subcommands_load_no_numpy(coin_file, tmp_path):
     assert codes == [0, 0, 0] and loaded == []
     codes, loaded = _loads_in_fresh_process(
         ["corpus", "--count", "1", "--out-dir", str(tmp_path)])
-    assert codes == [0] and loaded == ["numpy"]
+    assert codes == [0] and loaded == []
 
 
 def test_search_loads_numpy_alone():
