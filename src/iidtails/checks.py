@@ -7,16 +7,23 @@ Every sweep claim here decides a statement of the form
 for all t > 0 (with > replaced by >= in weak mode on either side), with L
 and R taken from S_j, the running maximum max_{i<=k} S_i, the weighted sum
 sum_i alpha_i X_i and the envelope max_{i<=k} Pr(||S_i|| > .).  Both sides
-are step functions, so reading both at a finite set of thresholds in one
-integer walk (_walk) is exhaustive; nothing is sampled or rounded anywhere.
+are step functions, constant between the candidate thresholds
+(threshold_candidates), so reading them there is exhaustive; nothing is
+sampled or rounded anywhere.
+
+A sweep reads only where the margin can fall (_Pair.reads): the first
+threshold and, below the lhs's reach (lhs > 0), each one where an rhs
+critical is first counted.  Tails only fall as t grows, so the margin
+only rises in between, and the outcome is that of reading every candidate.
 
 Weak equals shifted strict.  When neither side mixes modes, every critical
-on the walk's unit is even, so `crits <= x - 1` (the weak read at x) and
+on the sweep's unit is even, so `crits <= x - 1` (the weak read at x) and
 `crits <= x'` (the strict read at the threshold x' before x) pass the same
 points, and the first read is the same in both modes.  So the (weak, weak)
 outcome has the (strict, strict) status, lhs, rhs, margin and max_lhs; its
-worst_q is the threshold after the strict worst, or the first threshold
-when the strict worst is there.  _sweeps answers MODE_PAIRS from one walk.
+worst_q is the threshold after the strict worst, the next critical of
+either curve, or the first threshold when the strict worst is there.
+_sweeps answers MODE_PAIRS from one strict sweep.
 
 Outcomes are ints.  _sweeps returns each worst case as (numerator,
 denominator) pairs (_Outcome); Fractions are built only for what leaves as
@@ -40,7 +47,7 @@ as int pairs.
 from __future__ import annotations
 
 import math
-from bisect import bisect_right
+from bisect import bisect_left, bisect_right
 from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import cached_property, partial
@@ -67,59 +74,87 @@ from .dists import (
 from .reports import HOLDS, InequalityReport, VIOLATED
 
 
-def _thresholds(jumps: "list[int]", one: int, mixed: bool) -> "list[int]":
-    """The candidate rule, a threshold in every constancy region of two step
-    functions with these distinct positive jumps (ascending even ints; 1 is
-    `one`): half the first, each jump, twice the last and, when modes mix,
-    the midpoints, where left and right continuous steps pair anew."""
-    if not jumps:
-        return [one]
-    out = [jumps[0] // 2]
-    for a, b in zip(jumps, jumps[1:]):
-        out += (a, (a + b) // 2) if mixed else (a,)
-    return out + [jumps[-1], 2 * jumps[-1]]
-
-
 def threshold_candidates(jumps, mixed_modes: bool = False) -> "list[Fraction]":
-    """The candidate rule at rational jumps (gauge values of both sides)."""
+    """The candidate rule at rational jumps (gauge values of both sides): a
+    threshold in every constancy region of two step functions with these
+    jumps, namely half the first positive jump, each positive jump, twice
+    the last and, when modes mix, the midpoints, where left and right
+    continuous steps pair anew; 1 when no jump is positive.  A sweep reads
+    the thresholds of this rule where its margin can fall (_Pair.reads)."""
     jumps = [rat(q) for q in jumps]
     unit = 2 * math.lcm(*(q.denominator for q in jumps))
     xs = sorted({q.numerator * unit // q.denominator for q in jumps if q > 0})
-    return [Fraction(x, unit) for x in _thresholds(xs, unit, mixed_modes)]
+    if not xs:
+        return [Fraction(1)]
+    out = [xs[0] // 2]
+    for a, b in zip(xs, xs[1:]):
+        out += (a, (a + b) // 2) if mixed_modes else (a,)
+    return [Fraction(x, unit) for x in out + [xs[-1], 2 * xs[-1]]]
 
 
-def _walk(sides, grid: bool = True):
-    """The one comparison of step curves: sweep_curves, least_c1 and
-    upper_envelope read each (curve, scale, mode) side at t / scale in its
-    mode, at ascending gauge thresholds x / unit, by bisection and only
-    ints.  With grid the candidate rule picks the x, on a unit doubled to
-    keep them integral; without it every critical is one.  Returns (unit,
-    dens, the x, per side the tail numerator over dens[i] at each x)."""
-    norm = sides[0][0].norm
-    if any(c.norm is not norm for c, _, _ in sides):
-        raise ValueError("curves use different norms")
-    for _, s, _ in sides:   # int or Fraction: the numerator has the sign
-        if s.numerator <= 0:
+class _Pair:
+    """lhs(t) against rhs(t / scale) in ints: both curves' criticals over
+    one int unit, a gauge critical g / c.unit read at t / scale sitting at
+    g * m / unit (m = ml on the left, mr on the right).  The unit is doubled
+    so that the candidate thresholds (threshold_candidates), half-points
+    and midpoints, stay integral; the criticals on it are even."""
+
+    __slots__ = ("lhs", "rhs", "unit", "ml", "mr")
+
+    def __init__(self, lhs: TailCurve, rhs: TailCurve, scale):
+        if lhs.norm is not rhs.norm:
+            raise ValueError("curves use different norms")
+        if scale.numerator <= 0:   # int or Fraction: the numerator has the sign
             raise ValueError("scales must be positive")
-    e = norm.scale_exponent
-    sides = [(c, s.numerator ** e, s.denominator ** e, _check_mode(m))
-             for c, s, m in sides]
-    # a critical g / c.unit read at t / s is g * s over one common unit
-    unit = (1 + grid) * math.lcm(*{c.unit * sd for c, _, sd, _ in sides})
-    cs = []
-    for c, sn, sd, _ in sides:
-        m = sn * unit // (c.unit * sd)
-        cs.append([g * m for g in c.crits])
-    xs = sorted(set().union(*cs))
-    if grid:
-        xs = _thresholds([x for x in xs if x > 0], unit,
-                         len({mode for *_, mode in sides}) > 1)
-    columns = []
-    for crits, (c, _, _, mode) in zip(cs, sides):
-        # a weak tail Pr(g >= q) passes the criticals c < q, c <= q - 1
-        weak, vals = mode != STRICT, (c.den, *c.nums)
-        columns.append([vals[bisect_right(crits, x - weak)] for x in xs])
-    return unit, [c.den for c, *_ in sides], xs, columns
+        e = lhs.norm.scale_exponent
+        sn, sd = scale.numerator ** e, scale.denominator ** e
+        self.lhs, self.rhs = lhs, rhs
+        self.unit = 2 * math.lcm(lhs.unit, rhs.unit * sd)
+        self.ml = self.unit // lhs.unit
+        self.mr = sn * self.unit // (rhs.unit * sd)
+
+    def after(self, x: int) -> int:
+        """The next critical of either curve after x, which lies below the
+        lhs's last critical."""
+        lc, rc, ml, mr = self.lhs.crits, self.rhs.crits, self.ml, self.mr
+        i = bisect_right(rc, x // mr)
+        nxt = lc[bisect_right(lc, x // ml)] * ml
+        return nxt if i == len(rc) else min(nxt, rc[i] * mr)
+
+    def reads(self, lhs_mode: str, rhs_mode: str):
+        """The candidate thresholds x where the margin can fall, ascending,
+        and each side's tail numerator there: (xs, nls over lhs.den, nrs
+        over rhs.den).
+
+        A tail only falls as x grows, so between two drops of the rhs read
+        the margin factor * rhs - lhs (and the ratio lhs / rhs) can only get
+        better, and the least worst threshold of all the candidates is the
+        first threshold or one where an rhs critical c is first counted: at
+        c for a strict rhs read (tail > t), at the next candidate after c
+        for a weak one (tail >= t).  Only those with lhs > 0 can decide, so
+        reads stop at the lhs's reach: below its last critical for a strict
+        lhs read, at or below it for a weak one.  The first threshold is
+        read whatever lhs is there; every later read has lhs > 0."""
+        weak_l = _check_mode(lhs_mode) != STRICT
+        weak_r = _check_mode(rhs_mode) != STRICT
+        lhs, rhs, ml, mr = self.lhs, self.rhs, self.ml, self.mr
+        lc, rc = lhs.crits, rhs.crits
+        # half the least positive critical: a critical 0 is already passed
+        firsts = [g * m for cs, m in ((lc, ml), (rc, mr)) for g in cs[:2] if g]
+        xs = [min(firsts) // 2 if firsts else self.unit]
+        nls = [lhs.nums[0] if lc[0] == 0 else lhs.den]
+        nrs = [rhs.nums[0] if rc[0] == 0 else rhs.den]
+        # rhs criticals c * mr < top are first counted inside the reach
+        top = lc[-1] * ml + (weak_l and not weak_r)
+        for i in range(rc[0] == 0, bisect_left(rc, -(-top // mr))):
+            x = rc[i] * mr
+            if weak_r:   # the next candidate: a midpoint iff modes mix
+                x = self.after(x) if weak_l else (x + self.after(x)) // 2
+            n = bisect_right(lc, (x - weak_l) // ml)
+            xs.append(x)
+            nls.append(lhs.nums[n - 1] if n else lhs.den)
+            nrs.append(rhs.nums[i])
+        return xs, nls, nrs
 
 
 @dataclass(frozen=True)
@@ -154,7 +189,7 @@ class _Outcome:
                             *(Fraction(n, d) for n, d in self.ints))
 
 
-# both unmixed mode pairs, answered by one strict walk (module docstring);
+# both unmixed mode pairs, answered by one strict sweep (module docstring);
 # every corpus check runs at these
 MODE_PAIRS = ((STRICT, STRICT), (WEAK, WEAK))
 
@@ -162,35 +197,35 @@ MODE_PAIRS = ((STRICT, STRICT), (WEAK, WEAK))
 def _sweeps(lhs_curve: TailCurve, rhs_curve: TailCurve, factor, scale,
             modes) -> "list[_Outcome]":
     """One outcome of lhs(t) <= factor * rhs(t/scale) per (lhs mode, rhs
-    mode) pair in modes, for rational factor and scale.  MODE_PAIRS takes
-    one strict walk and reads the weak outcome off it; any other tuple
-    takes one walk per pair."""
+    mode) pair in modes, for rational factor and scale, from the reads
+    where its margin can fall (_Pair.reads: the first threshold and, below
+    the lhs's reach, one per rhs critical), which hold the least worst of
+    every candidate threshold.  MODE_PAIRS reads the strict pair once and
+    takes the weak outcome off it; any other tuple reads each pair."""
+    pair = _Pair(lhs_curve, rhs_curve, scale)
     shared = tuple(modes) == MODE_PAIRS
     fn, fd = factor.numerator, factor.denominator
+    dl, dr = lhs_curve.den, rhs_curve.den
+    # margin = factor * rhs - lhs is kr * nr - kl * nl over fd * dl * dr
+    kr, kl = fn * dl, fd * dr
     outs = []
     for lhs_mode, rhs_mode in modes[:1] if shared else modes:
-        unit, (dl, dr), xs, (nls, nrs) = _walk([(lhs_curve, 1, lhs_mode),
-                                                (rhs_curve, scale, rhs_mode)])
-        # margin = factor * rhs - lhs is kr * nr - kl * nl over fd * dl * dr
-        kr, kl = fn * dl, fd * dr
-        # Only lhs > 0 can violate, and past both supports 0 <= 0 would mask
-        # the worst case; ties go to the least x.  lhs is nonincreasing and
-        # 0 at the last read, past every critical: the reads before its
-        # first 0 are those with lhs > 0, and the first read holds its
-        # largest value, the outcome when lhs is identically 0.
-        margins = [kr * nr - kl * nl for nl, nr in zip(nls[:nls.index(0)],
-                                                         nrs)]
-        p = margins.index(min(margins)) if margins else 0
+        xs, nls, nrs = pair.reads(lhs_mode, rhs_mode)
+        # every read past the first has lhs > 0; ties go to the least x.
+        # The first read holds the largest lhs, and is the outcome when lhs
+        # is identically 0 (then it is the only read)
+        margins = [kr * nr - kl * nl for nl, nr in zip(nls, nrs)]
+        p = margins.index(min(margins))
         nl, nr = nls[p], nrs[p]
-        outs.append(_Outcome(((xs[p], unit), (nl, dl), (fn * nr, kl),
-                              (kr * nr - kl * nl, fd * dl * dr),
-                              (nls[0], dl))))
+        outs.append(_Outcome(((xs[p], pair.unit), (nl, dl), (fn * nr, kl),
+                              (margins[p], fd * dl * dr), (nls[0], dl))))
     if shared:
-        # the weak read at xs[i + 1] is the strict read at xs[i], and the
-        # first read is the same in both; a worst p > 0 has lhs > 0, so it
-        # is not the last read, past every critical
-        outs.append(_Outcome(((xs[0 if p == 0 else p + 1], unit),)
-                             + outs[0].ints[1:]))
+        # the weak read at a candidate is the strict read at the one
+        # before it, and the first read is the same in both; a worst p > 0
+        # is an rhs critical below the lhs's last, followed by the next
+        # critical of either curve
+        outs.append(_Outcome(((xs[0] if p == 0 else pair.after(xs[p]),
+                               pair.unit),) + outs[0].ints[1:]))
     return outs
 
 
@@ -214,20 +249,21 @@ def least_c1(lhs_curve: TailCurve, rhs_curve: TailCurve, factor: Fraction,
     Strict tails on both sides, scale > 0.  Returns (c1, gauge-space
     threshold where it is attained): a Fraction, 0 with threshold None when
     lhs is identically zero, or math.inf at the first threshold where lhs >
-    0 and rhs = 0.
+    0 and rhs = 0.  It reads where a sweep reads (_Pair.reads), since the
+    ratio lhs / rhs only falls between those reads.
     """
-    unit, (dl, dr), xs, (nls, nrs) = _walk([(lhs_curve, 1, STRICT),
-                                            (rhs_curve, rat(scale), STRICT)])
+    pair = _Pair(lhs_curve, rhs_curve, rat(scale))
+    xs, nls, nrs = pair.reads(STRICT, STRICT)
     bl, br, bx = 0, 1, None  # lhs, rhs numerators at the largest ratio
     for x, nl, nr in zip(xs, nls, nrs):
         if not nl:
-            break  # lhs is nonincreasing: zero from here on
+            break  # lhs is identically zero: the first read is the only one
         if not nr:
-            return math.inf, Fraction(x, unit)
+            return math.inf, Fraction(x, pair.unit)
         if nl * br > bl * nr:
             bl, br, bx = nl, nr, x
-    return (Fraction(bl * dr, br * dl) / factor,
-            None if bx is None else Fraction(bx, unit))
+    return (Fraction(bl * rhs_curve.den, br * lhs_curve.den) / factor,
+            None if bx is None else Fraction(bx, pair.unit))
 
 
 def _verdict(outcome: _Outcome, norm: Norm,
@@ -261,12 +297,19 @@ def upper_envelope(curves: "list[TailCurve]") -> TailCurve:
     """
     if not curves:
         raise ValueError("need at least one curve")
-    unit, dens, xs, columns = _walk([(c, 1, STRICT) for c in curves],
-                                    grid=False)
-    den = math.lcm(*dens)
-    ups = [den // d for d in dens]  # the largest tail at each critical
-    nums = [max(n * u for n, u in zip(ns, ups)) for ns in zip(*columns)]
-    return TailCurve._of(curves[0].norm, unit, xs, den, nums)
+    norm = curves[0].norm
+    if any(c.norm is not norm for c in curves):
+        raise ValueError("curves use different norms")
+    unit = math.lcm(*(c.unit for c in curves))
+    den = math.lcm(*(c.den for c in curves))
+    cs = [[g * (unit // c.unit) for g in c.crits] for c in curves]
+    xs = sorted(set().union(*cs))
+    columns = []
+    for crits, c in zip(cs, curves):   # its tail over den at each critical
+        vals, up = (c.den, *c.nums), den // c.den
+        columns.append([vals[bisect_right(crits, x)] * up for x in xs])
+    return TailCurve._of(norm, unit, xs, den,
+                         [max(ns) for ns in zip(*columns)])
 
 
 # --- the claim table -------------------------------------------------------

@@ -51,7 +51,8 @@ from .dists import (
     SupportCapExceeded,
     _int,
 )
-from .reports import HOLDS, VACUOUS, VIOLATED, Report, jsonify
+from .reports import (HOLDS, VACUOUS, VIOLATED, Report, jsonify,
+                      ratio_text)
 
 DEFAULT_CLAIMS = tuple(CLAIMS)
 # _instance_key puts the seed above 64 bits of instance index in a Philox
@@ -271,12 +272,13 @@ def _ints(values) -> tuple:
 
 
 def _exact(pair) -> "str | None":
-    """The text of the rational n / d (d > 0), as str of its Fraction."""
+    """The text of the rational n / d (d > 0), as jsonify renders its
+    Fraction."""
     if pair is None:
         return None
     n, d = pair
     g = gcd(n, d)
-    return str(n // g) if g == d else f"{n // g}/{d // g}"
+    return ratio_text(n // g, d // g)
 
 
 def _params_text(params: dict, parts: dict) -> str:

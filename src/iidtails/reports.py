@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, fields
+from decimal import Decimal
 from enum import Enum
 from fractions import Fraction
 
@@ -45,13 +46,14 @@ class InequalityReport(Report):
 def jsonify(value):
     """Recursively render a report structure as JSON-safe data.
 
-    Rationals become "p/q" strings (exact, parseable back), enums their
-    value, infinities the string "inf", tuples lists, a DiscreteDist its
-    distribution-file document, and anything with a to_jsonable method (a
-    Report renders by its fields) what that method returns.
+    Rationals become "p/q" strings (exact, parseable back, of any length:
+    ratio_text), enums their value, infinities the string "inf", tuples
+    lists, a DiscreteDist its distribution-file document, and anything with
+    a to_jsonable method (a Report renders by its fields) what that method
+    returns.
     """
     if isinstance(value, Fraction):
-        return str(value)
+        return ratio_text(value.numerator, value.denominator)
     if isinstance(value, Enum):
         return value.value
     if isinstance(value, float):
@@ -67,3 +69,14 @@ def jsonify(value):
     if hasattr(value, "to_jsonable"):
         return value.to_jsonable()
     return value
+
+
+def ratio_text(n: int, d: int) -> str:
+    """The text of the reduced rational n / d (d > 0), str of its Fraction,
+    also past the interpreter's limit on int to string conversion
+    (sys.get_int_max_str_digits), where str raises: a decimal Decimal holds
+    an int exactly and renders all its digits."""
+    try:
+        return str(n) if d == 1 else f"{n}/{d}"
+    except ValueError:
+        return str(Decimal(n)) if d == 1 else f"{Decimal(n)}/{Decimal(d)}"

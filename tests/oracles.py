@@ -25,9 +25,11 @@ max) DP that the split pass ``_Walk.steps`` replaced (read through
 states and its own pair loop, kept as the differential reference for the
 laws at every step and for the step and size at which the cap is hit.
 ``fraction_sweep_curves``, ``fraction_least_c1``
-and ``fraction_upper_envelope`` are the Fraction sweep the integer walk of
+and ``fraction_upper_envelope`` are the Fraction sweep the integer sweeps of
 ``iidtails.checks`` replaced: a sorted set of candidate thresholds, each
-curve bisected there through ``TailCurve.at_gauge``.
+curve bisected there through ``TailCurve.at_gauge``.  They read every
+candidate, where ``checks._Pair.reads`` reads only those where the margin
+can fall, so they check that no candidate it skips could decide.
 ``fraction_concentration_set`` is the Fraction sweep of window masses that
 the integer rule of ``iidtails.concentration`` replaced.
 ``fraction_snap_to_space`` is the Fraction decoding of a search parameter

@@ -12,6 +12,7 @@ from iidtails.checks import (
     CLAIMS,
     MODE_PAIRS,
     Curves,
+    _Pair,
     _report,
     _sweeps,
     _verdict,
@@ -413,12 +414,18 @@ def test_corollary5_never_violated_with_defaults(x, alphas):
     assert check_corollary5(x, alphas).status == HOLDS
 
 
-# --- the integer walk against the Fraction sweep it replaced ---------------
+# --- the integer sweep against the Fraction sweep of every candidate ---------
 
 NORMS_BY_DIM = {1: [Norm.ABS1D, Norm.SUP, Norm.EUCLIDEAN],
                 2: [Norm.SUP, Norm.EUCLIDEAN]}
 positive_rationals = st.builds(F, st.integers(1, 12), st.integers(1, 5))
+# scales below 1, 1, and the claims' 10, 20 * j / k and 90, which put most
+# rhs criticals past the lhs's support
+scales = st.one_of(positive_rationals,
+                   st.sampled_from([F(1, 10), F(1), F(10), F(40, 3), F(90)]))
 modes = st.sampled_from(["strict", "weak"])
+ALL_MODE_PAIRS = (("strict", "strict"), ("weak", "weak"),
+                  ("strict", "weak"), ("weak", "strict"))
 
 
 @st.composite
@@ -443,19 +450,37 @@ def curve_lists(draw, size):
             for _ in range(draw(size))]
 
 
-@given(curve_lists(st.just(2)), positive_rationals, positive_rationals,
-       modes, modes)
+@given(curve_lists(st.just(2)), positive_rationals, scales)
 @settings(max_examples=300, deadline=None)
-def test_walk_matches_fraction_sweep(curves, factor, scale, lhs_mode,
-                                     rhs_mode):
-    """Strict, weak and mixed modes, rational factor and scale (below 1
-    and with non-unit denominators too): the whole SweepOutcome and the
-    least c1 are those of the Fraction sweep."""
+def test_walk_matches_fraction_sweep(curves, factor, scale):
+    """All four mode pairs, rational factor and scale (below 1, 1, 10 and
+    more, with non-unit denominators too): the whole SweepOutcome and the
+    least c1, read only where the margin can fall, are those of the
+    Fraction sweep over every candidate threshold."""
     lhs, rhs = curves
-    assert sweep_curves(lhs, rhs, factor, scale, lhs_mode, rhs_mode) == \
-        fraction_sweep_curves(lhs, rhs, factor, scale, lhs_mode, rhs_mode)
+    assert sweeps(lhs, rhs, factor, scale, ALL_MODE_PAIRS) == \
+        [fraction_sweep_curves(lhs, rhs, factor, scale, *m)
+         for m in ALL_MODE_PAIRS]
     assert least_c1(lhs, rhs, factor, scale) == \
         fraction_least_c1(lhs, rhs, factor, scale)
+
+
+@given(curve_lists(st.just(2)), scales, modes, modes)
+@settings(max_examples=300, deadline=None)
+def test_sweep_reads_only_below_the_lhs_reach(curves, scale, lhs_mode,
+                                              rhs_mode):
+    """A sweep reads the first threshold and at most one threshold per rhs
+    critical (times scale^e) below the lhs's last critical, or at it too
+    for a weak lhs against a strict rhs, where the weak lhs still reads
+    the mass at that critical; every read past the first has lhs > 0."""
+    lhs, rhs = curves
+    last = lhs.criticals[-1]
+    scaled = [c * scale ** lhs.norm.scale_exponent for c in rhs.criticals]
+    reach = sum(c < last or (c == last and (lhs_mode, rhs_mode)
+                             == ("weak", "strict")) for c in scaled)
+    xs, nls, _ = _Pair(lhs, rhs, scale).reads(lhs_mode, rhs_mode)
+    assert len(xs) <= reach + 1
+    assert xs == sorted(set(xs)) and all(nls[1:])
 
 
 @given(curve_lists(st.integers(1, 4)))
@@ -483,6 +508,43 @@ class TestWalkCases:
         assert out == fraction_sweep_curves(zero, rhs, 1, 1, "weak", "strict")
         assert (out.status, out.max_lhs) == (HOLDS, 0)
 
+    def test_tied_minima_go_to_the_least_threshold(self):
+        """Both sides uniform on {1, 2, 3, 4}: unless a weak lhs meets a
+        strict rhs, every read has margin 0 and ratio 1, so the worst is
+        the first threshold."""
+        lhs = rhs = tail_curve(dist1d([(i, F(1, 4)) for i in (1, 2, 3, 4)]),
+                               ABS)
+        tied = ALL_MODE_PAIRS[:3]
+        outs = sweeps(lhs, rhs, F(1), F(1), tied)
+        assert outs == [fraction_sweep_curves(lhs, rhs, 1, 1, *m)
+                        for m in tied]
+        assert {(o.worst_q, o.margin) for o in outs} == {(F(1, 2), 0)}
+        assert least_c1(lhs, rhs, F(1), F(1)) == (1, F(1, 2))
+        assert len(_Pair(lhs, rhs, F(1)).reads("strict", "strict")[0]) == 4
+
+    def test_weak_rhs_reads_after_its_critical(self):
+        """A weak rhs read counts a critical c only at the candidate after
+        c: the next jump when both reads are weak, the midpoint to it when
+        the lhs read is strict.  At c itself the rhs would read its drop
+        too early and miss the worst case, which is at those thresholds."""
+        lhs = tail_curve(dist1d([(4, F(1))]), ABS)
+        rhs = tail_curve(dist1d([(2, F(1, 2)), (5, F(1, 2))]), ABS)
+        for lhs_mode, t in (("weak", F(4)), ("strict", F(3))):
+            out = sweep_curves(lhs, rhs, F(1), F(1), lhs_mode, "weak")
+            assert out == fraction_sweep_curves(lhs, rhs, 1, 1, lhs_mode,
+                                                "weak")
+            assert (out.worst_q, out.margin) == (t, F(-1, 2))
+
+    def test_strict_lhs_reach_stops_below_its_last_critical(self):
+        """|X| = 1 on both sides and factor 2: past the lhs's last critical
+        a strict lhs is 0, and the read there (margin 0) would hide the
+        worst case with lhs > 0 (margin 1, at t = 1/2)."""
+        lhs = rhs = tail_curve(coin(), ABS)
+        for modes_ in (("strict", "strict"), ("strict", "weak")):
+            out = sweep_curves(lhs, rhs, F(2), F(1), *modes_)
+            assert out == fraction_sweep_curves(lhs, rhs, 2, 1, *modes_)
+            assert (out.worst_q, out.lhs, out.margin) == (F(1, 2), 1, 1)
+
     def test_rhs_vanishes_first(self):
         lhs, rhs = tail_curve(coin(-2, 2), ABS), tail_curve(coin(), ABS)
         got = least_c1(lhs, rhs, F(1), F(1, 2))
@@ -502,7 +564,7 @@ class TestWalkCases:
             fraction_least_c1(lhs, rhs, F(1), scale)
 
 
-# --- one strict walk for both unmixed mode pairs ---------------------------
+# --- one strict sweep for both unmixed mode pairs ----------------------------
 
 def sweeps(lhs, rhs, factor, scale, modes):
     """_sweeps' int outcomes as the SweepOutcomes they stand for."""
@@ -514,10 +576,10 @@ def unmixed_oracle(lhs, rhs, factor, scale):
             for m in ("strict", "weak")]
 
 
-@given(curve_lists(st.just(2)), positive_rationals, positive_rationals)
+@given(curve_lists(st.just(2)), positive_rationals, scales)
 @settings(max_examples=300, deadline=None)
 def test_shared_walk_matches_fraction_sweep(curves, factor, scale):
-    """The weak outcome read off the strict walk is the Fraction sweep's
+    """The weak outcome read off the strict sweep is the Fraction sweep's
     weak outcome, worst_q included."""
     lhs, rhs = curves
     assert sweeps(lhs, rhs, factor, scale, MODE_PAIRS) == \
@@ -525,7 +587,7 @@ def test_shared_walk_matches_fraction_sweep(curves, factor, scale):
 
 
 class TestSharedWalkCases:
-    """Corner cases of reading the weak outcome off the strict walk."""
+    """Corner cases of reading the weak outcome off the strict sweep."""
 
     def test_lhs_identically_zero(self):
         zero, rhs = tail_curve(delta(0), ABS), tail_curve(coin(), ABS)

@@ -4,12 +4,14 @@ import os
 import subprocess
 import sys
 import threading
+from decimal import Decimal
 from fractions import Fraction as F
 from pathlib import Path
 
 import pytest
 
 from iidtails.cli import build_parser, main
+from iidtails.counterexample import verify_counterexample
 from iidtails.dists import DiscreteDist, Norm, iid_sum, tail
 from iidtails.search import SoundnessViolation
 from iidtails.specfile import dump_dist, save_dist
@@ -467,6 +469,19 @@ class TestCounterexampleCmd:
         doc = last_json(out)
         assert doc["counterexample"]["found"] is False
         assert doc["manifest"]["outcome"] == "no admissible M under cap"
+
+    def test_tails_past_the_int_string_limit(self, capsys):
+        """At N = 3, M = 20000 the exact tails have numerators past the
+        interpreter's 4300-digit limit on int to string conversion; the
+        report still renders, and its text reads back (through Decimal,
+        which int() and Fraction() of a str cannot) as the exact tail."""
+        code, out, _ = run(capsys, "counterexample", "--N", "3", "--M",
+                           "20000")
+        assert code == 0
+        num, den = last_json(out)["counterexample"]["p_centered"].split("/")
+        assert len(num) > 4300
+        assert F(int(Decimal(num)), int(Decimal(den))) == \
+            verify_counterexample(3, M=20000).p_centered
 
     def test_invalid_N_exit_two(self, capsys):
         code, _, _ = run(capsys, "counterexample", "--N", "1")

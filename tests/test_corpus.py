@@ -1,5 +1,6 @@
 import csv
 import json
+from decimal import Decimal
 from fractions import Fraction as F
 
 import pytest
@@ -16,6 +17,7 @@ from iidtails.corpus import (
     write_csv,
 )
 from iidtails.dists import Norm
+from iidtails.reports import jsonify
 from oracles import coin, count_judgements
 
 
@@ -243,6 +245,19 @@ class TestRunCorpus:
         cfg = CorpusConfig(seed=13, count=4, max_k=3)
         rep = run_corpus(cfg, ["levy", "corollary4"])
         assert set(rep.per_claim) == {"levy_ottaviani", "corollary4"}
+
+
+def test_exact_fields_render_past_the_int_string_limit():
+    """A row's exact field, from an unreduced int pair, is the text jsonify
+    gives its Fraction, on either side of the interpreter's 4300-digit
+    limit on int to string conversion."""
+    big = 7 ** 6000   # 5071 digits
+    for n, d in ((6, 4), (-12, 3), (3 * big, 3), (2 * big, 14), (-5, big)):
+        text = corpus._exact((n, d))
+        assert text == jsonify(F(n, d))
+        num, _, den = text.partition("/")
+        assert F(int(Decimal(num)), int(Decimal(den or 1))) == F(n, d)
+    assert corpus._exact((6, 4)) == "3/2" and corpus._exact((-12, 3)) == "-4"
 
 
 class TestCsv:
