@@ -26,9 +26,9 @@ either curve, or the first threshold when the strict worst is there.
 _sweeps answers MODE_PAIRS from one strict sweep.
 
 Outcomes are ints.  _sweeps returns each worst case as (numerator,
-denominator) pairs (_Outcome); Fractions are built only for what leaves as
-one: sweep_curves' SweepOutcome (_Outcome.sweep) and a report's
-InequalityReport (_report).
+denominator) pairs, and its status is the sign of the margin; Fractions
+are built only for what leaves as one: sweep_curves' SweepOutcome and a
+report's InequalityReport (_report).
 
 CLAIMS is the one table of claims.  The corpus, the CLI, mc_check and the
 extremal search read it, and judge a claim's parameters by its rules:
@@ -36,9 +36,11 @@ variants (require_positive) is the one constants rule, and _indices
 (dists.require_indices) fills in the defaults and is the one index and
 weight rule.  It runs once per shape and index choice, where a check
 enters (claim_reports, run_corpus, SearchSpace, the search objectives,
-mc_check); _reads, shape_checks and Curves.sides read its judged dict.
-claim_reports builds its own walk (Curves) for verify's reports, which
-the check_* functions return.  shape_checks is the one place a check is
+mc_check); _reads, shape_checks and _sides read its judged dict.  A check
+reads one walk of the law (dists._Walk) as far as _reads says: _sides
+takes a sweep claim's two curves from it, an evaluated claim its lattice
+laws.  claim_reports builds that walk for verify's reports, which the
+check_* functions return.  shape_checks is the one place a check is
 assembled: for those reports and the corpus rows alike it echoes the
 params, states the status and note (_verdict) and gives the worst case
 as int pairs.
@@ -50,26 +52,26 @@ import math
 from bisect import bisect_left, bisect_right
 from dataclasses import dataclass, field
 from fractions import Fraction
-from functools import cached_property, partial
+from functools import partial
 from typing import Callable
 
 from .concentration import _corollary3, _lemma2, check_lemma2
 from .dists import (
     DEFAULT_SUPPORT_CAP,
     FIRST_TWO, J_LE_K, K_LE_J, K_ONLY,  # the index rules
+    MAX,
     DiscreteDist,
     Norm,
     STRICT,
-    SupportCapExceeded,
     TailCurve,
     WEAK,
     _check_mode,
+    _encode,
     _Walk,
-    _gauge_curve,
-    _merged,
     _weighted_walk,
     rat,
     require_indices,
+    upper_envelope,
 )
 from .reports import HOLDS, InequalityReport, VIOLATED
 
@@ -169,35 +171,17 @@ class SweepOutcome:
     max_lhs: Fraction          # largest lhs seen (0 means the check was idle)
 
 
-class _Outcome:
-    """A sweep's worst case in ints: `ints` holds the worst threshold, lhs,
-    factor * rhs and the margin rhs - lhs there, and the largest lhs, each
-    a (numerator, denominator) pair with a positive denominator, not
-    reduced.  sweep() is the SweepOutcome it stands for."""
-
-    __slots__ = ("ints",)
-
-    def __init__(self, ints):
-        self.ints = ints
-
-    @property
-    def status(self) -> str:
-        return VIOLATED if self.ints[3][0] < 0 else HOLDS
-
-    def sweep(self) -> SweepOutcome:
-        return SweepOutcome(self.status,
-                            *(Fraction(n, d) for n, d in self.ints))
-
-
 # both unmixed mode pairs, answered by one strict sweep (module docstring);
 # every corpus check runs at these
 MODE_PAIRS = ((STRICT, STRICT), (WEAK, WEAK))
 
 
 def _sweeps(lhs_curve: TailCurve, rhs_curve: TailCurve, factor, scale,
-            modes) -> "list[_Outcome]":
+            modes) -> "list[tuple]":
     """One outcome of lhs(t) <= factor * rhs(t/scale) per (lhs mode, rhs
-    mode) pair in modes, for rational factor and scale, from the reads
+    mode) pair in modes, for rational factor and scale: the worst threshold,
+    lhs, factor * rhs and margin there, and the largest lhs, each a
+    (numerator, denominator) pair, denominator > 0, from the reads
     where its margin can fall (_Pair.reads: the first threshold and, below
     the lhs's reach, one per rhs critical), which hold the least worst of
     every candidate threshold.  MODE_PAIRS reads the strict pair once and
@@ -217,15 +201,15 @@ def _sweeps(lhs_curve: TailCurve, rhs_curve: TailCurve, factor, scale,
         margins = [kr * nr - kl * nl for nl, nr in zip(nls, nrs)]
         p = margins.index(min(margins))
         nl, nr = nls[p], nrs[p]
-        outs.append(_Outcome(((xs[p], pair.unit), (nl, dl), (fn * nr, kl),
-                              (margins[p], fd * dl * dr), (nls[0], dl))))
+        outs.append(((xs[p], pair.unit), (nl, dl), (fn * nr, kl),
+                     (margins[p], fd * dl * dr), (nls[0], dl)))
     if shared:
         # the weak read at a candidate is the strict read at the one
         # before it, and the first read is the same in both; a worst p > 0
         # is an rhs critical below the lhs's last, followed by the next
         # critical of either curve
-        outs.append(_Outcome(((xs[0] if p == 0 else pair.after(xs[p]),
-                               pair.unit),) + outs[0].ints[1:]))
+        outs.append(((xs[0] if p == 0 else pair.after(xs[p]), pair.unit),)
+                    + outs[0][1:])
     return outs
 
 
@@ -238,8 +222,10 @@ def sweep_curves(lhs_curve: TailCurve, rhs_curve: TailCurve, factor: Fraction,
     a radius, so in gauge space (euclidean) it acts squared.
     """
     rhs_mode = lhs_mode if rhs_mode is None else rhs_mode
-    return _sweeps(lhs_curve, rhs_curve, rat(factor), rat(scale),
-                   ((lhs_mode, rhs_mode),))[0].sweep()
+    out, = _sweeps(lhs_curve, rhs_curve, rat(factor), rat(scale),
+                   ((lhs_mode, rhs_mode),))
+    return SweepOutcome(VIOLATED if out[3][0] < 0 else HOLDS,
+                        *(Fraction(n, d) for n, d in out))
 
 
 def least_c1(lhs_curve: TailCurve, rhs_curve: TailCurve, factor: Fraction,
@@ -266,57 +252,35 @@ def least_c1(lhs_curve: TailCurve, rhs_curve: TailCurve, factor: Fraction,
             None if bx is None else Fraction(bx, pair.unit))
 
 
-def _verdict(outcome: _Outcome, norm: Norm,
+def _verdict(outcome: tuple, norm: Norm,
              note: "str | None" = None) -> "tuple[str, str | None]":
     """The status and the note of a sweep claim's report, for verify and
     the corpus alike: violated iff the margin is negative; the claim's own
     note, then "lhs identically zero" and, under the euclidean gauge,
     that thresholds are squared radii."""
     notes = [] if note is None else [note]
-    if not outcome.ints[4][0]:
+    if not outcome[4][0]:
         notes.append("lhs identically zero")
     if norm.scale_exponent == 2:
         notes.append("thresholds are squared radii (euclidean gauge)")
-    return outcome.status, "; ".join(notes) or None
+    return (VIOLATED if outcome[3][0] < 0 else HOLDS,
+            "; ".join(notes) or None)
 
 
-def _report(claim_id: str, params: dict, outcome: _Outcome, norm: Norm,
+def _report(claim_id: str, params: dict, outcome: tuple, norm: Norm,
             note: "str | None" = None) -> InequalityReport:
     status, note = _verdict(outcome, norm, note)
-    t, lhs, rhs, margin, _ = (Fraction(n, d) for n, d in outcome.ints)
+    t, lhs, rhs, margin, _ = (Fraction(n, d) for n, d in outcome)
     witness = {"t": t, "lhs": lhs, "rhs": rhs} if status == VIOLATED else None
     return InequalityReport(claim_id, params, t, lhs, rhs, margin, status,
                             witness, note)
-
-
-def upper_envelope(curves: "list[TailCurve]") -> TailCurve:
-    """Pointwise maximum of survival step curves, again a step curve.
-
-    All inputs share a norm.  The envelope jumps only where some input
-    jumps, so its criticals are the union of the inputs' criticals.
-    """
-    if not curves:
-        raise ValueError("need at least one curve")
-    norm = curves[0].norm
-    if any(c.norm is not norm for c in curves):
-        raise ValueError("curves use different norms")
-    unit = math.lcm(*(c.unit for c in curves))
-    den = math.lcm(*(c.den for c in curves))
-    cs = [[g * (unit // c.unit) for g in c.crits] for c in curves]
-    xs = sorted(set().union(*cs))
-    columns = []
-    for crits, c in zip(cs, curves):   # its tail over den at each critical
-        vals, up = (c.den, *c.nums), den // c.den
-        columns.append([vals[bisect_right(crits, x)] * up for x in xs])
-    return TailCurve._of(norm, unit, xs, den,
-                         [max(ns) for ns in zip(*columns)])
 
 
 # --- the claim table -------------------------------------------------------
 
 # sides of a sweep claim
 SUM = "sum"            # S_j on the left, S_k on the right
-MAX = "max"            # running maximum max_{i<=k} ||S_i||
+# MAX, the running maximum max_{i<=k} ||S_i||, is the walk's read of it
 WEIGHTED = "weighted"  # sum_i alpha_i X_i with k = len(alphas)
 ENVELOPE = "envelope"  # max_{i<=k} Pr(||S_i|| > .), pointwise
 
@@ -339,7 +303,7 @@ class ClaimSpec:
     check reads (j, k, alphas, t); defaults: values for those not given;
     order: the rule j and k obey.  fixed constants belong to the statement.
     shapes: other claims' shapes checked at this claim's own constant
-    pairs.  evaluate(curves, idx): a checker that replaces the sweep.
+    pairs.  evaluate(walk, idx): a checker that replaces the sweep.
     """
 
     claim_id: str
@@ -377,13 +341,13 @@ CLAIMS = {spec.claim_id: spec for spec in (
     ClaimSpec("corollary6", SUM, SUM, (Fraction(6), Fraction(20)),
               ("j", "k"), K_LE_J, {"j": 2, "k": 1},
               factor=_times_j_over_k, scale=_times_j_over_k),
-    ClaimSpec("lemma2", takes=("t",), evaluate=lambda c, idx:
-              check_lemma2(c.dist, idx["y"], idx["t"], c.cap)
+    ClaimSpec("lemma2", takes=("t",), evaluate=lambda w, idx:
+              check_lemma2(w.dist(w.law(1)), idx["y"], idx["t"], w.cap)
               if "y" in idx else
-              _lemma2(c.walk, c._law(1), c._law(1), c._law(2), idx["t"])),
+              _lemma2(w, w.law(1), w.law(1), w.law(2), idx["t"])),
     ClaimSpec("corollary3", takes=("k", "t"), order=K_ONLY,
-              defaults={"k": 3}, evaluate=lambda c, idx: _corollary3(
-                  c.walk, map(c._law, range(1, idx["k"] + 1)), idx["t"])),
+              defaults={"k": 3}, evaluate=lambda w, idx: _corollary3(
+                  w, map(w.law, range(1, idx["k"] + 1)), idx["t"])),
 )}
 
 ALIASES = {"levy": "levy_ottaviani", "latala": "latala_sharp"}
@@ -444,112 +408,21 @@ def _indices(shape: ClaimSpec, given: dict,
     return idx
 
 
-class Curves:
-    """Tail curves of one law under one norm, each built once, from one
-    pass (_Walk.steps) as far as the largest S_i in `reads` (_reads), split
-    by running max iff reads hold MAX.  The lattice laws of the S_i in reads
-    are merged from the buckets and kept (on slots as slot laws, which a
-    curve reads without decoding them into atoms), every other law is
-    dropped once passed, and the running max's curve is built at every
-    step.  A read outside reads raises ValueError; a running max from the
-    step where the pass collapsed at the cap on raises SupportCapExceeded."""
-
-    def __init__(self, dist: DiscreteDist, norm: Norm, reads,
-                 cap: int = DEFAULT_SUPPORT_CAP):
-        self.dist = dist
-        self._start(norm, reads, lambda n: _Walk([dist], n, cap))
-
-    @classmethod
-    def lattice(cls, scale: int, dim: int, atoms, den: int, norm: Norm, reads,
-                cap: int = DEFAULT_SUPPORT_CAP) -> "Curves":
-        """The curves of a law given as lattice ints, one term as
-        _Walk.lattice takes it: (int coordinates, int mass numerator) pairs,
-        coordinates over scale and masses over den."""
-        curves = object.__new__(cls)
-        curves._start(norm, reads, lambda n: _Walk.lattice(
-            scale, dim, [(atoms, den)], n, cap))
-        return curves
-
-    @cached_property
-    def dist(self) -> DiscreteDist:
-        """The law, for curves built on its lattice ints."""
-        return self.walk.dist(self.walk.terms[0])
-
-    def _start(self, norm: Norm, reads, walk) -> None:
-        """Set up the pass of walk(n), the walk as far as the largest S_i
-        in reads."""
-        self.norm = norm
-        self.reads = frozenset(reads)
-        self.walk = walk(max(self.reads - {MAX} | {1}))
-        self.cap = self.walk.cap
-        self._steps = self.walk.steps(norm if MAX in self.reads else None,
-                                      self.reads)
-        self._laws = {}               # lattice law of each S_i in reads
-        self._max_curves = []         # running max curve or None, per step
-        self._curves = {}
-        self._envelopes = []          # max_{i<=k} Pr(||S_i|| > .), per k
-        self._cap_error = None        # (size, cap) where the pass stopped
-
-    def _step(self, i: int) -> "TailCurve | None":
-        """Take the pass to step i; the running max's curve there.  Past the
-        step where the pass stopped at the cap, every read raises its
-        SupportCapExceeded again."""
-        for n in range(len(self._max_curves) + 1, i + 1):
-            if self._cap_error is not None:
-                raise SupportCapExceeded(*self._cap_error)
-            try:
-                buckets = next(self._steps)
-            except SupportCapExceeded as exc:
-                # the sizes, not exc, whose traceback would hold self
-                self._cap_error = exc.size, exc.cap
-                raise
-            if n in self.reads:
-                self._laws[n] = _merged(buckets)
-            curve = None if None in buckets else _gauge_curve(
-                self.norm, *self.walk.running_max(self.norm, buckets))
-            self._max_curves.append(curve)
-        return self._max_curves[i - 1]
-
-    def _law(self, i: int):
-        """The lattice law (atoms, den) of S_i on the walk's lattice."""
-        if i not in self.reads:
-            raise ValueError(f"S_{i} is not among the sums these curves "
-                             f"read, {sorted(self.reads - {MAX})}")
-        self._step(i)
-        return self._laws[i]
-
-    def curve(self, i: int) -> TailCurve:
-        if i not in self._curves:
-            self._curves[i] = self.walk.curve(self.norm, self._law(i))
-        return self._curves[i]
-
-    def envelope(self, k: int) -> TailCurve:
-        """max_{i<=k} Pr(||S_i|| > .), the envelope to k - 1 raised by S_k's
-        curve."""
-        while len(self._envelopes) < k:
-            curve = self.curve(len(self._envelopes) + 1)
-            self._envelopes.append(upper_envelope(
-                [self._envelopes[-1], curve]) if self._envelopes else curve)
-        return self._envelopes[k - 1]
-
-    def sides(self, shape: ClaimSpec, idx: dict):
-        """(lhs, rhs) curves of a sweep claim at judged indices."""
-        k = idx["k"]
-        if shape.lhs == SUM:
-            lhs = self.curve(idx["j"])
-        elif shape.lhs == MAX:
-            if MAX not in self.reads or k > self.walk.n:
-                raise ValueError(f"the running max to k={k} is not read")
-            lhs = self._step(k)
-            if lhs is None:
-                raise SupportCapExceeded(self.cap + 1, self.cap)
-        else:
-            lhs = _weighted_walk(self.dist, idx["alphas"],
-                                 self.cap).curve(self.norm)
-        return lhs, self.curve(k) if shape.rhs == SUM else self.envelope(k)
+def _sides(walk: _Walk, shape: ClaimSpec, idx: dict):
+    """(lhs, rhs) curves of a sweep claim at judged indices, read off the
+    walk of its law; a weighted lhs walks the walk's own lattice term."""
+    k = idx["k"]
+    if shape.lhs == SUM:
+        lhs = walk.curve(idx["j"])
+    elif shape.lhs == MAX:
+        lhs = walk.max_curve(k)
+    else:
+        lhs = _weighted_walk(walk.scale, walk.dim, walk.encoded[0],
+                             idx["alphas"], walk.cap, walk.norm).curve(k)
+    return lhs, walk.curve(k) if shape.rhs == SUM else walk.envelope(k)
 
 
-def shape_checks(spec: ClaimSpec, shape: ClaimSpec, curves: Curves,
+def shape_checks(spec: ClaimSpec, shape: ClaimSpec, walk: _Walk,
                  idx: dict, c1, c2, modes):
     """The checks of spec in shape's form at one judged index choice and
     one constant pair, one per (lhs mode, rhs mode) pair in modes, or one
@@ -557,23 +430,23 @@ def shape_checks(spec: ClaimSpec, shape: ClaimSpec, curves: Curves,
     values are the worst threshold, lhs, rhs and margin as (numerator,
     denominator) pairs or None, and report() builds the InequalityReport."""
     if shape.evaluate is not None:
-        rep = shape.evaluate(curves, idx)
+        rep = shape.evaluate(walk, idx)
         yield (rep.params, rep.status, rep.note,
                tuple(None if v is None else (v.numerator, v.denominator)
                      for v in (rep.worst_t, rep.lhs, rep.rhs, rep.margin)),
                lambda: rep)
         return
-    norm = curves.norm
+    norm = walk.norm
     params = {} if shape is spec else {"shape": shape.claim_id}
     params.update(idx, c1=c1, c2=c2, norm=norm)
-    lhs, rhs = curves.sides(shape, idx)
+    lhs, rhs = _sides(walk, shape, idx)
     j, k = idx.get("j"), idx["k"]
     outs = _sweeps(lhs, rhs, shape.factor(c1, j, k), shape.scale(c2, j, k),
                    modes)
     for mode_pair, out in zip(modes, outs):
         status, note = _verdict(out, norm, spec.note)
         echo = {**params, "modes": mode_pair}
-        yield (echo, status, note, out.ints[:4],
+        yield (echo, status, note, out[:4],
                partial(_report, spec.claim_id, echo, out, norm, spec.note))
 
 
@@ -600,11 +473,11 @@ def claim_reports(spec: ClaimSpec, X: DiscreteDist, norm: Norm, given: dict,
     plan = variants(spec, c1, c2)
     judged = {name: _indices(CLAIMS[name], given, spec)
               for name in dict.fromkeys(shape.claim_id for shape, *_ in plan)}
-    curves = Curves(X, norm, set().union(*(
-        _reads(CLAIMS[name], idx) for name, idx in judged.items())), cap)
+    walk = _Walk(*_encode([X]), set().union(*(
+        _reads(CLAIMS[name], idx) for name, idx in judged.items())), cap, norm)
     modes = ((lhs_mode, lhs_mode if rhs_mode is None else rhs_mode),)
     return [check[-1]() for shape, a, b in plan
-            for check in shape_checks(spec, shape, curves,
+            for check in shape_checks(spec, shape, walk,
                                       judged[shape.claim_id], a, b, modes)]
 
 

@@ -2,10 +2,10 @@
 
 A t-concentration point of X is an x with Pr(|X - x| <= t) > 2/3 (strictly).
 In dimension 1 the full set of such points is computed exactly as a finite
-union of closed intervals, on ints, straight from a lattice law of the sum
-walk (dists._Walk): the checks read S_i there without decoding it into a
-DiscreteDist.  In higher dimensions only atom-centered candidates are tested
-and results are flagged approximate.
+union of closed intervals, on ints, straight from a lattice law that the
+sum walk (dists._Walk) keeps (law) or streams (sums): the checks read S_i
+there without decoding it into a DiscreteDist.  In higher dimensions only
+atom-centered candidates are tested and results are flagged approximate.
 """
 
 from __future__ import annotations
@@ -22,6 +22,7 @@ from .dists import (
     WEAK,
     _Walk,
     _atoms,
+    _encode,
     _threshold,
     rat,
     require_indices,
@@ -75,8 +76,8 @@ def window_mass(X: DiscreteDist, x, t) -> Fraction:
 def concentration_set(X: DiscreteDist, t) -> ConcentrationSet:
     """Exact set {x : Pr(|X - x| <= t) > 2/3} for a 1-dimensional law: the
     rule of _lattice_set on the one-term walk of X."""
-    walk = _Walk([X], 1, DEFAULT_SUPPORT_CAP)
-    return _lattice_set(walk, walk.last(), t)
+    walk = _Walk(*_encode([X]), {1}, DEFAULT_SUPPORT_CAP)
+    return _lattice_set(walk, walk.law(1), t)
 
 
 def _lattice_set(walk: _Walk, law, t) -> ConcentrationSet:
@@ -150,9 +151,8 @@ def check_lemma2(X: DiscreteDist, Y: DiscreteDist, t,
     """
     if X.dim != Y.dim:
         raise ValueError(f"dimension mismatch: {X.dim} vs {Y.dim}")
-    walk = _Walk([X, Y], 2, cap)
-    x, xy = walk.sums()
-    return _lemma2(walk, x, walk.terms[1], xy, t)
+    walk = _Walk(*_encode([X, Y]), {1, 2}, cap)
+    return _lemma2(walk, walk.law(1), walk.terms[1], walk.law(2), t)
 
 
 def _lemma2(walk: _Walk, x, y, xy, t) -> InequalityReport:
@@ -180,7 +180,7 @@ def check_corollary3(X: DiscreteDist, k: int, t,
     independent endpoint pairs (any pair extends to a full selection) and
     for j = k forces s_j = s_k, making the refined bound 0 <= 0.
     """
-    walk = _Walk([X], k, cap)
+    walk = _Walk(*_encode([X]), {k}, cap)
     return _corollary3(walk, walk.sums(), t)
 
 
@@ -256,17 +256,15 @@ def classify_case(X: DiscreteDist, j: int, k: int, t,
     """
     tt = _threshold(t)
     require_indices(J_LE_K, j, k)
-    walk = _Walk([X], k, cap)
-    reads = {k - j, j, k}               # only the sums read below
-    laws = {i: law for i, law in enumerate(walk.sums(reads), 1)
-            if i in reads}
-    p_gap = ZERO if j == k else walk.curve(norm, laws[k - j]).at_radius(
-        tt * Fraction(9, 10))   # S_0 = 0 never exceeds 9t/10
-    sk = walk.curve(norm, laws[k])
+    # only the sums read below; S_0 = 0 never exceeds 9t/10
+    walk = _Walk(*_encode([X]), {k - j, j, k} - {0}, cap, norm)
+    sk = walk.curve(k)
+    p_gap = ZERO if j == k else walk.curve(k - j).at_radius(
+        tt * Fraction(9, 10))
     approximate = X.dim > 1
 
     if p_gap <= Fraction(1, 3):
-        lhs = walk.curve(norm, laws[j]).at_radius(tt)
+        lhs = walk.curve(j).at_radius(tt)
         rhs = Fraction(3, 2) * sk.at_radius(tt / 10)
         return CaseVerdict("case1", {"p_gap": p_gap},
                            "Pr(||S_j||>t) <= (3/2) Pr(||S_k||>t/10)",

@@ -37,7 +37,6 @@ from .checks import (
     K_ONLY,
     MODE_PAIRS,
     WEIGHTED,
-    Curves,
     _indices,
     _reads,
     shape_checks,
@@ -49,7 +48,9 @@ from .dists import (
     DiscreteDist,
     Norm,
     SupportCapExceeded,
+    _encode,
     _int,
+    _Walk,
 )
 from .reports import (HOLDS, VACUOUS, VIOLATED, Report, jsonify,
                       ratio_text)
@@ -235,11 +236,11 @@ def run_corpus(config: CorpusConfig, claims=None,
         planned = [(pos, _indices(shape, idx, spec))
                    for pos, (spec, shape, _, _) in enumerate(plan)
                    for idx in _grid(shape, dist, rng, config)]
-        curves = Curves(dist, norm, set().union(
-            *(_reads(plan[pos][1], idx) for pos, idx in planned)), cap)
+        walk = _Walk(*_encode([dist]), set().union(
+            *(_reads(plan[pos][1], idx) for pos, idx in planned)), cap, norm)
         try:
             for pos, idx in planned:
-                for check in _checks(pos, *plan[pos], curves, idx):
+                for check in _checks(pos, *plan[pos], walk, idx):
                     _absorb(report, index, dist, check, rendered, parts)
         except SupportCapExceeded as exc:
             report.skipped.append({"instance": index, "reason": str(exc)})
@@ -250,14 +251,14 @@ def run_corpus(config: CorpusConfig, claims=None,
     return report
 
 
-def _checks(pos: int, spec, shape, c1, c2, curves: Curves, idx: dict):
+def _checks(pos: int, spec, shape, c1, c2, walk: _Walk, idx: dict):
     """The checks (checks.shape_checks) of plan entry pos at one judged
     index choice, each as (claim, params key, check).  The plan entry, the
     norm, the judged values in ints and the mode pair fix the params; they
     are the key."""
-    key = (pos, curves.norm.value, *_ints(idx.values()))
+    key = (pos, walk.norm.value, *_ints(idx.values()))
     for modes, check in zip(MODE_PAIRS, shape_checks(
-            spec, shape, curves, idx, c1, c2, MODE_PAIRS)):
+            spec, shape, walk, idx, c1, c2, MODE_PAIRS)):
         yield spec.claim_id, key + modes, check
 
 

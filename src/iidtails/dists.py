@@ -6,19 +6,21 @@ common denominator.  Every sum of independent terms (convolve, iid_sum,
 weighted_iid_sum, and the S_i behind every check) is one left fold
 S <- S (+) term on an integer lattice: coordinates are scaled by a common
 denominator and an n-D point is packed into one int, masses are int
-numerators over a common denominator.  One pass of the fold (_Walk.steps),
-split by running max max_{j<=i} ||S_j|| when that is read, serves every
-sum, running max and tail curve, and goes only as far as asked.  Without a
-running max, a walk that a rule read off its terms picks (_Walk._slots_pay)
-holds each S_i as one int of fixed-width mass slots, so a step is a few
-big-int shift-adds; every other step runs the dict loop (_convolve_lattice).
-A slot width of at most 8 bytes is rounded up to 1, 2, 4 or 8, so one
-decoder (_slot_nums) reads a slot int by one struct unpack of native words
-(wider slots by int.from_bytes each).  A read S_i stays a slot law until
-something reads it: its tail curve comes straight from the slot values,
-with no atom dict (1-D: folded at zero; n-D: gauges a row of the packed
-box at a time), and only readers that need atoms (dist, the concentration
-sets) decode them, through the same decoder.
+numerators over a common denominator.  One object holds a walk of the
+fold and answers every read of it (_Walk): S_i's law and tail curve, the
+running max max_{j<=i} ||S_j||'s curve and the envelope max_{j<=k}
+Pr(||S_j|| > .), from one pass as far as its reads go, split by running
+max when that is read.  Without a running max, a walk that a rule read off
+its terms picks (_Walk._slots_pay) holds each S_i as one int of
+fixed-width mass slots, so a step is a few big-int shift-adds
+(_slot_steps); every other step runs the dict loop (_dict_steps,
+_convolve_lattice).  A slot width of at most 8 bytes is rounded up to 1,
+2, 4 or 8, so one decoder (_slot_nums) reads a slot int by one struct
+unpack of native words (wider slots by int.from_bytes each).  A read S_i
+stays a slot law until something reads it: its tail curve comes straight
+from the slot values, with no atom dict (1-D: folded at zero; n-D: gauges
+a row of the packed box at a time), and only readers that need atoms
+(dist, the concentration sets) decode them, through the same decoder.
 The euclidean norm is handled through squared values (the "gauge") so that
 every order comparison against a rational threshold stays rational; abs1d and
 sup norms compare radii directly.
@@ -33,7 +35,7 @@ from fractions import Fraction
 from functools import cached_property
 from itertools import accumulate, compress, repeat, starmap, zip_longest
 from math import ceil, comb, floor, gcd, inf, lcm, prod
-from operator import add
+from operator import add, sub
 from struct import Struct, unpack
 from typing import Iterable, Mapping, NamedTuple, Union
 
@@ -52,6 +54,8 @@ SLOT_DECODE_BYTES = 8
 STRICT = "strict"
 WEAK = "weak"
 MODES = (STRICT, WEAK)
+
+MAX = "max"   # the read of a running max max_{i<=k} ||S_i|| (_Walk)
 
 
 class SupportCapExceeded(RuntimeError):
@@ -262,7 +266,7 @@ def delta(x: PointLike, dim: "int | None" = None) -> DiscreteDist:
 
 
 def _encode(laws: "list[DiscreteDist]"):
-    """The lattice terms of laws, as _Walk.lattice takes them: (scale, dim,
+    """The lattice terms of laws, as _Walk takes them: (scale, dim,
     terms), coordinates over the least common denominator `scale` of every
     point and each law's masses over the least common denominator of its
     own."""
@@ -331,7 +335,7 @@ def _slot_nums(packed: int, width: int):
 
 
 class _Slots(NamedTuple):
-    """A lattice law held as a slot int (_Walk._slot_steps): slot j of
+    """A lattice law held as a slot int (_slot_steps): slot j of
     `packed`, `width` bytes wide, holds the mass numerator of the packed
     point low + j*step, over den."""
 
@@ -472,43 +476,100 @@ def _merged(buckets):
     return atoms, den
 
 
+def _dict_steps(terms, n: int, cap: int, gauge, reads):
+    """A pass (_Walk) on the convolution loop, split by running max when a
+    gauge is given: S_i is held as buckets, int gauge m -> the law of S_i
+    on max_{j<=i} gauge(S_j) = m; a step takes every bucket through the
+    convolution loop and moves each new sum z to bucket max(m, gauge(z))
+    (_split), and cap bounds the states (z, m) of each step after the
+    first.  The running max's law is (int gauge -> int mass, mass
+    denominator).  Without a gauge there is one bucket, None, and a step
+    is one convolution, whose cap bounds S_i.  A step whose states pass
+    cap collapses the pass to that one bucket: S_i is kept, and from there
+    the running max is lost (None)."""
+    # S_1: each atom to the bucket of its own gauge, as -1 < every gauge
+    buckets = _split({-1: terms[0]}, None, gauge, inf) if gauge \
+        else {None: terms[0]}
+    den = terms[0][1]
+    for i in range(1, n + 1):
+        if i > 1:
+            term = terms[(i - 1) % len(terms)]
+            den *= term[1]
+            if gauge:
+                try:
+                    buckets = _split(buckets, term, gauge, cap)
+                except SupportCapExceeded:
+                    gauge, buckets = None, {None: _merged(buckets)}
+            if not gauge:
+                buckets = {None: _convolve_lattice(buckets[None], term, cap)}
+        yield (_merged(buckets) if reads is None or i in reads else None,
+               gauge and ({m: sum(atoms.values())
+                           for m, (atoms, _) in buckets.items()}, den))
+
+
+def _slot_steps(terms, n: int, grid, reads):
+    """A pass (_Walk) without a norm on slots: S_i is one int whose slot j,
+    `width` bytes wide, holds the mass numerator of low_i + j*step (grid,
+    _Walk._grid).  No numerator exceeds 2**(8*width), so slots never carry,
+    and a step by a term T is sum over (y, q) in T of (S*q) shifted by
+    (y - min T)/step slots: |T| linear big-int passes.  Nothing is decoded
+    here: a reader of S_i decodes its slot law (_Slots, _slot_nums)."""
+    step, width, _ = grid
+    bits = 8 * width
+    plan = [(min(atoms), den, [((z - min(atoms)) // step * bits, q)
+                               for z, q in atoms.items()])
+            for atoms, den in terms]
+    packed, low, den = 1, 0, 1           # S_0 = 0
+    for i in range(1, n + 1):
+        term_low, term_den, shifts = plan[(i - 1) % len(plan)]
+        packed = sum((packed * q) << s for s, q in shifts)
+        low, den = low + term_low, den * term_den
+        yield (_Slots(packed, low, step, width, den)
+               if reads is None or i in reads else None), None
+
+
 class _Walk:
-    """The partial sums S_i = T_1 + ... + T_i of n independent terms, by the
-    left fold S_i = S_{i-1} (+) T_i: the one way a sum is built.  The terms
-    are `laws`, or n copies of one law, on a lattice packed for n terms.
-    steps() is the one pass of the fold, and it holds only the current
-    step; a caller that reads an S_i again keeps its lattice law."""
+    """The partial sums S_i = T_1 + ... + T_i of independent terms, by the
+    left fold S_i = S_{i-1} (+) T_i: the one way a sum is built, and the one
+    object that answers every read of it.  The terms are lattice ints, as
+    _encode gives them: each a list of (int coordinates, int mass
+    numerator) pairs over an int mass denominator, coordinates over scale;
+    the fold cycles through them, on a lattice packed for n terms.
 
-    def __init__(self, laws: "list[DiscreteDist]", n: int, cap: int):
-        self._place(*_encode(laws), n, cap)
+    n is the largest S_i in `reads`, and one pass goes that far, split by
+    running max iff reads hold MAX.  It keeps the lattice law of each S_i
+    in reads (on slots as slot laws, which a curve reads without decoding
+    them into atoms) and, with MAX, the running max's curve at each step,
+    and drops every other law once passed.  A read outside reads raises
+    ValueError; one at or past the step where the pass stopped at the cap
+    raises SupportCapExceeded again.  Each pass, which yields (S_i's law or
+    None, the running max's law or None) per step i, is a module generator
+    of the terms (_dict_steps, _slot_steps): a method's frame would hold
+    the walk, a cycle that keeps every law read until the cyclic GC."""
 
-    @classmethod
-    def lattice(cls, scale: int, dim: int, terms, n: int,
-                cap: int) -> "_Walk":
-        """The walk of n terms given as lattice ints: each term a list of
-        (int coordinates, int mass numerator) pairs over an int mass
-        denominator, coordinates over scale.  Terms of a DiscreteDist come
-        here through _encode; a caller that has the ints skips it."""
-        walk = object.__new__(cls)
-        walk._place(scale, dim, terms, n, cap)
-        return walk
-
-    def _place(self, scale, dim, terms, n, cap):
-        """Pack the terms on a base able to hold sums of n of their
-        points."""
+    def __init__(self, scale: int, dim: int, terms, reads, cap: int,
+                 norm: "Norm | None" = None):
+        self.reads = reads = frozenset(reads)
+        n = max(reads - {MAX}, default=MAX)   # k == MAX: _int refuses it
         if _int("k", n) < 1:
             raise ValueError(f"k must be >= 1, got {n}")
-        self.dim = dim
-        self.n = n
+        self.dim, self.n, self.scale, self.norm = dim, n, scale, norm
+        self._unit = norm and scale ** norm.scale_exponent   # gauge unit
         self.cap = _int("cap", cap)
-        self.scale = scale
+        self.encoded = terms
         reach = max((abs(v) for atoms, _ in terms for coords, _ in atoms
                      for v in coords), default=0)
+        # a base able to hold sums of n of the terms' points
         self.base = base = 2 * n * reach + 3
         self.terms = [({_pack(coords, base): p for coords, p in atoms}, den)
                       for atoms, den in terms]
         self.on_slots = (n - 1) * max(len(atoms) for atoms, _ in self.terms) \
             >= SLOT_MIN_PAIRS and self._slots_pay()
+        self._pass = _dict_steps(self.terms, n, self.cap, self._gauge(norm),
+                                 reads) if MAX in reads else self._sums(reads)
+        self._laws, self._curves = {}, {}     # per S_i read
+        self._maxima, self._envelopes = [], []  # per step, per k
+        self._cap_error = None        # (size, cap) where the pass stopped
 
     @cached_property
     def _grid(self):
@@ -559,91 +620,72 @@ class _Walk:
         return (width + SLOT_DECODE_BYTES) * slots \
             <= SLOT_PAIR_BYTES * min(slots, sums)
 
-    def steps(self, norm: "Norm | None" = None, reads=None):
-        """Yield S_i's lattice law after each step i = 1, ..., n, split by
-        running max: int gauge m -> the law of S_i on max_{j<=i} gauge(S_j)
-        = m.  A step takes every bucket through the convolution loop and,
-        with a norm, moves each new sum z to bucket max(m, gauge(z)); cap
-        bounds the states (z, m) of each step after the first.  Without a
-        norm there is one bucket, None, and a step is one convolution, whose
-        cap bounds S_i, or on a walk the rule puts on slots (on_slots) one
-        slot step (_slot_steps), which yields S_i as its slot law (_Slots)
-        only for i in reads (every i when reads is None) and leaves
-        {None: None} at the other steps.  A step whose states pass cap
-        collapses the pass to that one bucket: S_i is kept, and from there
-        the running max is lost (running_max raises)."""
-        if norm is None and self.on_slots:
-            return self._slot_steps(reads)
-        return self._dict_steps(norm)
+    def _sums(self, reads):
+        """A pass without a norm, on slots iff on_slots."""
+        if self.on_slots:
+            return _slot_steps(self.terms, self.n, self._grid, reads)
+        return _dict_steps(self.terms, self.n, self.cap, None, reads)
 
-    def _slot_steps(self, reads):
-        """The fold without a norm on slots: S_i is one int whose slot j,
-        `width` bytes wide, holds the mass numerator of low_i + j*step
-        (_grid).  No numerator exceeds 2**(8*width), so slots never carry,
-        and a step by a term T is sum over (y, q) in T of (S*q) shifted by
-        (y - min T)/step slots: |T| linear big-int passes.  Nothing is
-        decoded here: a reader of S_i decodes its slot law (_slot_nums)."""
-        step, width, _ = self._grid
-        bits = 8 * width
-        plan = [(min(atoms), den, [((z - min(atoms)) // step * bits, q)
-                                   for z, q in atoms.items()])
-                for atoms, den in self.terms]
-        packed, low, den = 1, 0, 1           # S_0 = 0
-        for i in range(self.n):
-            term_low, term_den, shifts = plan[i % len(plan)]
-            packed = sum((packed * q) << s for s, q in shifts)
-            low, den = low + term_low, den * term_den
-            yield {None: _Slots(packed, low, step, width, den)
-                   if reads is None or i + 1 in reads else None}
+    def sums(self):
+        """The lattice laws of S_1, ..., S_n, lazily, by a pass of their
+        own that keeps none of them."""
+        return (law for law, _ in self._sums(None))
 
-    def _dict_steps(self, norm):
-        """steps() on the convolution loop."""
-        cap, gauge = self.cap, norm and self._gauge(norm)
-        # S_1: each atom to the bucket of its own gauge, as -1 < every gauge
-        buckets = _split({-1: self.terms[0]}, None, gauge, inf) if gauge \
-            else {None: self.terms[0]}
-        yield buckets
-        for i in range(1, self.n):
-            term = self.terms[i % len(self.terms)]
-            if gauge:
-                try:
-                    buckets = _split(buckets, term, gauge, cap)
-                except SupportCapExceeded:
-                    gauge, buckets = None, {None: _merged(buckets)}
-            if not gauge:
-                buckets = {None: _convolve_lattice(buckets[None], term, cap)}
-            yield buckets
+    def _step(self, i: int) -> None:
+        """Take the pass to step i.  Past the step where it stopped at the
+        cap, every read raises its SupportCapExceeded again."""
+        for n in range(len(self._maxima) + 1, i + 1):
+            if self._cap_error is not None:
+                raise SupportCapExceeded(*self._cap_error)
+            try:
+                law, maxima = next(self._pass)
+            except SupportCapExceeded as exc:
+                # the sizes, not exc, whose traceback would hold self
+                self._cap_error = exc.size, exc.cap
+                raise
+            if law is not None:
+                self._laws[n] = law
+            self._maxima.append(maxima and _gauge_curve(
+                self.norm, maxima[0], self._unit, maxima[1]))
 
-    def sums(self, reads=None):
-        """The lattice laws of S_1, ..., S_n, lazily: the one-bucket pass.
-        On slots only the S_i in reads (every S_i by default) are yielded,
-        as slot laws, the others are None."""
-        return (buckets[None] for buckets in self.steps(None, reads))
+    def law(self, i: int):
+        """S_i's lattice law: (atoms, den), or on slots its slot law."""
+        if i not in self.reads:
+            raise ValueError(f"S_{i} is not among the sums this walk "
+                             f"reads, {sorted(self.reads - {MAX})}")
+        self._step(i)
+        return self._laws[i]
 
-    def last(self):
-        for law in self.sums({self.n}):
-            pass
-        return law
+    def curve(self, i: int) -> TailCurve:
+        """S_i's tail curve under the walk's norm, built once."""
+        if i not in self._curves:
+            self._curves[i] = self._law_curve(self.law(i))
+        return self._curves[i]
 
-    def running_max(self, norm: "Norm", buckets):
-        """The law of max_{j<=i} gauge(S_j) at a step of steps(norm) as (int
-        gauge -> int mass, gauge unit, mass denominator); SupportCapExceeded
-        once the pass has collapsed."""
-        if None in buckets:
+    def max_curve(self, k: int) -> TailCurve:
+        """The tail curve of max_{i<=k} ||S_i||; SupportCapExceeded from the
+        step where the pass collapsed at the cap on."""
+        if MAX not in self.reads or k > self.n:
+            raise ValueError(f"the running max to k={k} is not read")
+        self._step(k)
+        curve = self._maxima[k - 1]
+        if curve is None:
             raise SupportCapExceeded(self.cap + 1, self.cap)
-        (_, den), *_ = buckets.values()
-        return ({m: sum(atoms.values()) for m, (atoms, _) in buckets.items()},
-                self.scale ** norm.scale_exponent, den)
+        return curve
 
-    def maxima(self, norm: "Norm"):
-        """The running max's law after each step, lazily (running_max)."""
-        return (self.running_max(norm, b) for b in self.steps(norm))
+    def envelope(self, k: int) -> TailCurve:
+        """max_{i<=k} Pr(||S_i|| > .), the envelope to k - 1 raised by S_k's
+        curve."""
+        while len(self._envelopes) < k:
+            curve = self.curve(len(self._envelopes) + 1)
+            self._envelopes.append(upper_envelope(
+                [self._envelopes[-1], curve]) if self._envelopes else curve)
+        return self._envelopes[k - 1]
 
-    def dist(self, law=None) -> DiscreteDist:
-        """The DiscreteDist of a lattice law (S_n by default), by the trusted
-        constructor, its atoms in ascending packed order, i.e.
-        lexicographic on reversed coordinates, whichever path built it."""
-        atoms, den = _atoms(law or self.last())
+    def dist(self, law) -> DiscreteDist:
+        """The DiscreteDist of a lattice law, its atoms in ascending packed
+        order (lexicographic on reversed coordinates) whatever built it."""
+        atoms, den = _atoms(law)
         if sum(atoms.values()) != den:
             raise ArithmeticError("lattice masses do not sum to their "
                                   "denominator")
@@ -661,15 +703,13 @@ class _Walk:
         norm.require_dim(self.dim)
         return _packed_gauge(self.base, self.dim, norm is Norm.EUCLIDEAN)
 
-    def curve(self, norm: "Norm", law=None) -> "TailCurve":
-        """The tail curve of a lattice law (S_n by default).  A slot law
-        gives it straight from its slot values, with no atom dict: in 1-D
-        folded at zero (_folded), whose |z| ascend, so one accumulate gives
-        the tail numerators; in n-D by the gauges of whole rows
+    def _law_curve(self, law) -> "TailCurve":
+        """The tail curve of a lattice law under the walk's norm.  A slot
+        law gives it straight from its slot values, with no atom dict: in
+        1-D folded at zero (_folded), whose |z| ascend, so one accumulate
+        gives the tail numerators; in n-D by the gauges of whole rows
         (_row_gauges), summed per gauge in one pass."""
-        law = law or self.last()
-        unit = self.scale ** norm.scale_exponent
-        gauge = self._gauge(norm)
+        norm, unit, gauge = self.norm, self._unit, self._gauge(self.norm)
         if isinstance(law, _Slots):
             nums, den = _slot_nums(law.packed, law.width), law.den
             if self.dim == 1:
@@ -693,7 +733,8 @@ def convolve(a: DiscreteDist, b: DiscreteDist,
     """Law of U + V for independent U ~ a, V ~ b, with exact merging."""
     if a.dim != b.dim:
         raise ValueError(f"dimension mismatch: {a.dim} vs {b.dim}")
-    return _Walk([a, b], 2, cap).dist()
+    walk = _Walk(*_encode([a, b]), {2}, cap)
+    return walk.dist(walk.law(2))
 
 
 def affine(a: DiscreteDist, scale, shift: PointLike = 0) -> DiscreteDist:
@@ -711,28 +752,33 @@ def affine(a: DiscreteDist, scale, shift: PointLike = 0) -> DiscreteDist:
 def iid_sum(x: DiscreteDist, k: int, cap: int = DEFAULT_SUPPORT_CAP) -> DiscreteDist:
     """Exact law of S_k = X_1 + ... + X_k for i.i.d. X_i ~ x: the k-th law
     of the left fold S_i = S_{i-1} (+) X over k copies of x."""
-    return _Walk([x], k, cap).dist()
+    walk = _Walk(*_encode([x]), {k}, cap)
+    return walk.dist(walk.law(k))
 
 
-def _weighted_walk(x: DiscreteDist, alphas: Iterable, cap: int) -> _Walk:
-    """The fold over the terms alpha_1 X_1, alpha_2 X_2, ...: X's lattice
-    terms, refined by the alphas' denominators, with every point times the
-    int alpha_i takes on that lattice; a zero weight merges X into 0."""
+def _weighted_walk(scale: int, dim: int, term, alphas: Iterable, cap: int,
+                   norm: "Norm | None" = None) -> _Walk:
+    """The walk of alpha_1 X_1 + ... + alpha_k X_k, read at its last sum:
+    X's lattice term (as _Walk takes it, coordinates over scale), refined
+    by the alphas' denominators, with every point times the int alpha_i
+    takes on that lattice; a zero weight merges X into 0."""
     alphas = [rat(a) for a in alphas]
     if not alphas:
         raise ValueError("alphas must be nonempty")
     lift = lcm(*(a.denominator for a in alphas))
     mults = [a.numerator * (lift // a.denominator) for a in alphas]
-    scale, dim, ((atoms, den),) = _encode([x])
+    atoms, den = term
     terms = [([([m * v for v in coords], p) for coords, p in atoms]
               if m else [([0] * dim, den)], den) for m in mults]
-    return _Walk.lattice(scale * lift, dim, terms, len(mults), cap)
+    return _Walk(scale * lift, dim, terms, {len(mults)}, cap, norm)
 
 
 def weighted_iid_sum(x: DiscreteDist, alphas: Iterable,
                      cap: int = DEFAULT_SUPPORT_CAP) -> DiscreteDist:
     """Exact law of sum_i alpha_i X_i for i.i.d. X_i ~ x."""
-    return _weighted_walk(x, alphas, cap).dist()
+    scale, dim, (term,) = _encode([x])
+    walk = _weighted_walk(scale, dim, term, alphas, cap)
+    return walk.dist(walk.law(walk.n))
 
 
 def tail(a: DiscreteDist, norm: Norm, t, mode: str = STRICT) -> Fraction:
@@ -842,7 +888,7 @@ def _sorted_curve(norm: Norm, crits: "list[int]", masses: "list[int]",
 
 def tail_curve(a: DiscreteDist, norm: Norm) -> TailCurve:
     """Exact survival step function of ||U|| in gauge space."""
-    return _Walk([a], 1, DEFAULT_SUPPORT_CAP).curve(norm)
+    return _Walk(*_encode([a]), {1}, DEFAULT_SUPPORT_CAP, norm).curve(1)
 
 
 def path_max_tail(x: DiscreteDist, k: int, norm: Norm, t,
@@ -863,20 +909,44 @@ def first_exceedance_probs(x: DiscreteDist, k: int, norm: Norm, t,
     off consecutive horizons of one running-max pass, so the Pr(A_j) sum to
     path_max_tail exactly.
     """
-    tails = [_gauge_curve(norm, *law).at_radius(t, mode)
-             for law in _Walk([x], k, cap).maxima(norm)]
+    walk = _Walk(*_encode([x]), {k, MAX}, cap, norm)
+    tails = [walk.max_curve(i).at_radius(t, mode) for i in range(1, k + 1)]
     return [b - a for a, b in zip([ZERO] + tails, tails)]
 
 
 def path_max_gauge_dist(x: DiscreteDist, k: int, norm: Norm,
                         cap: int = DEFAULT_SUPPORT_CAP) -> "dict[Fraction, Fraction]":
-    """Exact law of max_{1<=j<=k} gauge(S_j) as a map gauge value -> mass."""
-    *_, (law, unit, total) = _Walk([x], k, cap).maxima(norm)
-    return {Fraction(m, unit): Fraction(p, total) for m, p in law.items()}
+    """Exact law of max_{1<=j<=k} gauge(S_j) as a map gauge value -> mass:
+    the drops of its tail curve, the mass at each critical."""
+    curve = path_max_curve(x, k, norm, cap)
+    return {Fraction(c, curve.unit): Fraction(p, curve.den) for c, p in zip(
+        curve.crits, map(sub, (curve.den, *curve.nums), curve.nums))}
 
 
 def path_max_curve(x: DiscreteDist, k: int, norm: Norm,
                    cap: int = DEFAULT_SUPPORT_CAP) -> TailCurve:
     """Tail curve (in gauge space) of the running maximum max_j ||S_j||."""
-    *_, law = _Walk([x], k, cap).maxima(norm)
-    return _gauge_curve(norm, *law)
+    return _Walk(*_encode([x]), {k, MAX}, cap, norm).max_curve(k)
+
+
+def upper_envelope(curves: "list[TailCurve]") -> TailCurve:
+    """Pointwise maximum of survival step curves, again a step curve.
+
+    All inputs share a norm.  The envelope jumps only where some input
+    jumps, so its criticals are the union of the inputs' criticals.
+    """
+    if not curves:
+        raise ValueError("need at least one curve")
+    norm = curves[0].norm
+    if any(c.norm is not norm for c in curves):
+        raise ValueError("curves use different norms")
+    unit = lcm(*(c.unit for c in curves))
+    den = lcm(*(c.den for c in curves))
+    cs = [[g * (unit // c.unit) for g in c.crits] for c in curves]
+    xs = sorted(set().union(*cs))
+    columns = []
+    for crits, c in zip(cs, curves):   # its tail over den at each critical
+        vals, up = (c.den, *c.nums), den // c.den
+        columns.append([vals[bisect_right(crits, x)] * up for x in xs])
+    return TailCurve._of(norm, unit, xs, den,
+                         [max(ns) for ns in zip(*columns)])

@@ -10,9 +10,10 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, fields
-from decimal import Decimal
+from decimal import MAX_EMAX, MAX_PREC, Context, Decimal, Inexact, localcontext
 from enum import Enum
 from fractions import Fraction
+from functools import cache
 
 from .dists import DiscreteDist
 from .specfile import dist_to_jsonable
@@ -75,8 +76,31 @@ def ratio_text(n: int, d: int) -> str:
     """The text of the reduced rational n / d (d > 0), str of its Fraction,
     also past the interpreter's limit on int to string conversion
     (sys.get_int_max_str_digits), where str raises: a decimal Decimal holds
-    an int exactly and renders all its digits."""
+    an int exactly and renders all its digits (_decimal)."""
     try:
         return str(n) if d == 1 else f"{n}/{d}"
     except ValueError:
-        return str(Decimal(n)) if d == 1 else f"{Decimal(n)}/{Decimal(d)}"
+        with localcontext(_EXACT):
+            return str(_decimal(n)) if d == 1 else \
+                f"{_decimal(n)}/{_decimal(d)}"
+
+
+# a context in which a sum or product of Decimal ints is exact, or raises
+_EXACT = Context(prec=MAX_PREC, Emax=MAX_EMAX, traps=[Inexact])
+# Decimal(n) is quadratic in n's length; below this many bits it is cheap
+_DECIMAL_BITS = 1 << 12
+
+
+def _decimal(n: int) -> Decimal:
+    """Decimal(n) in the _EXACT context, near linear in n's length: n = hi *
+    2**e + lo, e the largest power of 2 below n's bit length, whose few
+    powers are cached; libmpdec multiplies large operands by an NTT."""
+    if n < 0:
+        return -_decimal(-n)
+    if n.bit_length() <= _DECIMAL_BITS:
+        return Decimal(n)
+    e = 1 << (n.bit_length() - 1).bit_length() - 1
+    return _decimal(n >> e) * _power_of_2(e) + _decimal(n & (1 << e) - 1)
+
+
+_power_of_2 = cache(lambda e: Decimal(2) ** e)

@@ -14,7 +14,7 @@ sentinel) and reported numbers are exact by construction.
 
 The search scores on the lattice ints: a parameter vector snaps to int
 location numerators and gcd-reduced int weights (_snap), which go straight
-into the one exact kernel (Curves.lattice, then least_c1) with no Fraction
+into the one exact kernel (dists._Walk, then least_c1) with no Fraction
 or DiscreteDist in between.  Snapping makes plateaus the optimizer keeps
 revisiting, so each distinct snapped law is scored once per search();
 `evaluations` counts optimizer queries, repeats included.
@@ -39,9 +39,10 @@ from dataclasses import dataclass
 from fractions import Fraction
 from functools import cache, cached_property
 
-from .checks import (CLAIMS, Curves, _indices, _reads, least_c1,
+from .checks import (CLAIMS, _indices, _reads, _sides, least_c1,
                      require_positive)
-from .dists import DEFAULT_SUPPORT_CAP, ONE, DiscreteDist, Norm, _int, rat
+from .dists import (DEFAULT_SUPPORT_CAP, ONE, DiscreteDist, Norm, _encode,
+                    _int, _Walk, rat)
 from .montecarlo import _float
 from .reports import Report, jsonify
 
@@ -89,14 +90,15 @@ def _least_c1(claim: str, X: DiscreteDist, j: int, k: int, c2,
     c2 = rat(c2)
     require_positive(f"c2 must be positive, got {c2}", c2)
     idx = _indices(spec, {"j": j, "k": k})
-    return _ratio(spec, Curves(X, norm, _reads(spec, idx), cap), idx, c2)
+    return _ratio(spec, _Walk(*_encode([X]), _reads(spec, idx), cap, norm),
+                  idx, c2)
 
 
-def _ratio(spec, curves: Curves, idx: dict, c2: Fraction):
-    """_least_c1 on curves that read _reads(spec, idx), at judged indices
+def _ratio(spec, walk: _Walk, idx: dict, c2: Fraction):
+    """_least_c1 on a walk that reads _reads(spec, idx), at judged indices
     (checks._indices) and c2."""
     j, k = idx["j"], idx["k"]
-    lhs, rhs = curves.sides(spec, idx)
+    lhs, rhs = _sides(walk, spec, idx)
     return least_c1(lhs, rhs, spec.factor(ONE, j, k), spec.scale(c2, j, k))
 
 
@@ -197,11 +199,12 @@ def _decode(law, space: SearchSpace) -> DiscreteDist:
 
 def _score(law, space: SearchSpace, cap: int):
     """ratio_objective_witness of a snapped law (_snap), scored on its
-    lattice ints through the same Curves, walk and least_c1."""
+    lattice ints through the same walk and least_c1."""
     idx, reads = space._theorem1
-    curves = Curves.lattice(space._lattice[0], 1, [([v], w) for v, w in law],
-                            sum(w for _, w in law), space.norm, reads, cap)
-    return _ratio(CLAIMS["theorem1"], curves, idx, rat(space.c2))
+    walk = _Walk(space._lattice[0], 1, [([([v], w) for v, w in law],
+                                          sum(w for _, w in law))],
+                 reads, cap, space.norm)
+    return _ratio(CLAIMS["theorem1"], walk, idx, rat(space.c2))
 
 
 def _initial_points(space: SearchSpace, restarts: int, rng):

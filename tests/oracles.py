@@ -20,8 +20,8 @@ point, i.e. lexicographic on reversed coordinates (``_ascending``).
 ``iidtails.dists`` replaced with its (sum, running max) pass; its states are
 only the sums still inside the threshold, so it checks that pass from a
 different state space.  ``tuple_running_max_laws`` is the (sum, running
-max) DP that the split pass ``_Walk.steps`` replaced (read through
-``_Walk.maxima``): its own lattice encoding, tuple
+max) DP that the split pass ``dists._dict_steps`` replaced (read through
+``_Walk.max_curve``): its own lattice encoding, tuple
 states and its own pair loop, kept as the differential reference for the
 laws at every step and for the step and size at which the cap is hit.
 ``fraction_sweep_curves``, ``fraction_least_c1``

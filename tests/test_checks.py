@@ -3,6 +3,7 @@ import random
 import re
 from fractions import Fraction as F
 from pathlib import Path
+from unittest import mock
 
 import pytest
 from hypothesis import example, given, settings
@@ -11,7 +12,7 @@ from hypothesis import strategies as st
 from iidtails.checks import (
     CLAIMS,
     MODE_PAIRS,
-    Curves,
+    SweepOutcome,
     _Pair,
     _report,
     _sweeps,
@@ -29,10 +30,14 @@ from iidtails.checks import (
     upper_envelope,
     variants,
 )
+from iidtails import checks
 from iidtails.dists import (
+    DEFAULT_SUPPORT_CAP,
     DiscreteDist,
     Norm,
     SupportCapExceeded,
+    _encode,
+    _Walk,
     delta,
     iid_sum,
     path_max_tail,
@@ -568,7 +573,9 @@ class TestWalkCases:
 
 def sweeps(lhs, rhs, factor, scale, modes):
     """_sweeps' int outcomes as the SweepOutcomes they stand for."""
-    return [out.sweep() for out in _sweeps(lhs, rhs, factor, scale, modes)]
+    return [SweepOutcome(VIOLATED if out[3][0] < 0 else HOLDS,
+                         *(F(n, d) for n, d in out))
+            for out in _sweeps(lhs, rhs, factor, scale, modes)]
 
 
 def unmixed_oracle(lhs, rhs, factor, scale):
@@ -683,12 +690,13 @@ def test_rows_render_the_fraction_sweep(curves, factor, scale, claim):
     lhs, rhs = curves
     norm = lhs.norm
     spec = CLAIMS[claim]
-    stub = type("Sides", (), {"norm": norm,
-                              "sides": lambda self, shape, idx: (lhs, rhs)})
+    stub = type("Walk", (), {"norm": norm})
     report = CorpusReport(CorpusConfig(seed=0, count=1), [claim])
-    for check in _checks(0, spec, spec, factor, scale, stub(),
-                         {"j": 1, "k": 2}):
-        _absorb(report, 0, delta(0), check, {}, {})
+    with mock.patch.object(checks, "_sides",
+                           lambda walk, shape, idx: (lhs, rhs)):
+        for check in _checks(0, spec, spec, factor, scale, stub(),
+                             {"j": 1, "k": 2}):
+            _absorb(report, 0, delta(0), check, {}, {})
     for row, modes in zip(report.rows, MODE_PAIRS):
         want = fraction_sweep_curves(lhs, rhs, factor, scale, *modes)
         expected = want_report(claim, None, want, norm)
@@ -699,7 +707,7 @@ def test_rows_render_the_fraction_sweep(curves, factor, scale, claim):
     mixed = (("weak", "strict"), ("strict", "weak"))
     for modes, out in zip(mixed, _sweeps(lhs, rhs, factor, scale, mixed)):
         want = fraction_sweep_curves(lhs, rhs, factor, scale, *modes)
-        assert [_exact(v) for v in out.ints[:4]] == \
+        assert [_exact(v) for v in out[:4]] == \
             [str(v) for v in (want.worst_q, want.lhs, want.rhs, want.margin)]
         assert _verdict(out, norm, spec.note) == \
             (want.status, want_report(claim, {}, want, norm)["note"])
@@ -710,25 +718,26 @@ def test_rows_render_the_fraction_sweep(curves, factor, scale, claim):
 
 
 def test_incremental_envelope_is_the_envelope():
-    """Curves.envelope(k), the envelope to k - 1 raised by S_k's curve, is
+    """_Walk.envelope(k), the envelope to k - 1 raised by S_k's curve, is
     the envelope of S_1..S_k at every k, read from the top down too."""
     laws_ = [coin(), dist1d([(0, F(1, 3)), (F(1, 2), F(1, 6)), (3, F(1, 2))]),
              DiscreteDist({(F(1), F(-1, 2)): F(1, 3), (F(0), F(2)): F(2, 3)})]
     for x in laws_:
         for norm in NORMS_BY_DIM[x.dim]:
-            curves = Curves(x, norm, set(range(1, 7)))
-            assert curves.envelope(6) is curves.envelope(6)
+            walk = _Walk(*_encode([x]), range(1, 7), DEFAULT_SUPPORT_CAP,
+                         norm)
+            assert walk.envelope(6) is walk.envelope(6)
             for k in range(1, 7):
-                assert curves.envelope(k) == upper_envelope(
-                    [curves.curve(i) for i in range(1, k + 1)])
+                assert walk.envelope(k) == upper_envelope(
+                    [walk.curve(i) for i in range(1, k + 1)])
 
 
 def test_read_past_the_cap_raises_the_cap_error_again():
     """A pass stopped at the cap raises SupportCapExceeded on every later
     read past it, not StopIteration; reads before it still answer."""
     x = dist1d([(0, F(1, 3)), (1, F(1, 3)), (3, F(1, 3))])
-    curves = Curves(x, ABS, {1, 4}, 5)
+    walk = _Walk(*_encode([x]), {1, 4}, 5, ABS)
     for _ in range(3):
         with pytest.raises(SupportCapExceeded, match="exceeds cap 5"):
-            curves.curve(4)
-    assert curves.curve(1) == tail_curve(x, ABS)
+            walk.curve(4)
+    assert walk.curve(1) == tail_curve(x, ABS)

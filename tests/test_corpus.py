@@ -1,11 +1,14 @@
 import csv
 import json
-from decimal import Decimal
+import random
+from decimal import Decimal, localcontext
 from fractions import Fraction as F
 
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
-from iidtails import corpus
+from iidtails import corpus, reports
 from iidtails.checks import CLAIMS, MODE_PAIRS, claim_reports
 from iidtails.corpus import (
     CSV_COLUMNS,
@@ -260,6 +263,22 @@ def test_exact_fields_render_past_the_int_string_limit():
     assert corpus._exact((6, 4)) == "3/2" and corpus._exact((-12, 3)) == "-4"
 
 
+@given(st.integers(4301, 60_000), st.integers(0, 2 ** 64),
+       st.sampled_from([1, -1]))
+@example(1, 0, 1)        # 0 and 10**4300, the first int of 4301 digits
+@example(4301, 0, -1)
+@settings(max_examples=25, deadline=None)
+def test_decimal_of_a_long_int_is_exact(digits, seed, sign):
+    """ratio_text's conversion of an int past the 4300-digit limit, by
+    halves at powers of 2, equals Decimal(n) digit for digit, for ints of
+    4301 to 60,000 digits of both signs, and for 0."""
+    low = 10 ** (digits - 1) if digits > 1 else 0
+    n = sign * random.Random(seed).randrange(low, 10 * low or 1)
+    with localcontext(reports._EXACT):
+        got = reports._decimal(n)
+    assert got.as_tuple() == Decimal(n).as_tuple()
+
+
 class TestCsv:
     def test_columns_and_rows(self, tmp_path):
         cfg = CorpusConfig(seed=17, count=4, max_k=3)
@@ -282,18 +301,18 @@ def test_running_max_pass_takes_one_step_per_horizon(monkeypatch):
     alone, so no plain fold of S_1..S_K runs beside it."""
     from iidtails import dists
     steps, pairs = [0], [0]
-    one_pass, convolve = dists._Walk.steps, dists._convolve_lattice
+    one_pass, convolve = dists._dict_steps, dists._convolve_lattice
 
     def counted_steps(*args):
-        for buckets in one_pass(*args):
+        for step in one_pass(*args):
             steps[0] += 1
-            yield buckets
+            yield step
 
     def counted_pairs(a, b, cap):
         pairs[0] += len(a[0]) * len(b[0])
         return convolve(a, b, cap)
 
-    monkeypatch.setattr(dists._Walk, "steps", counted_steps)
+    monkeypatch.setattr(dists, "_dict_steps", counted_steps)
     monkeypatch.setattr(dists, "_convolve_lattice", counted_pairs)
     K = 5
     config = CorpusConfig(seed=3, count=4, max_k=K)
@@ -302,8 +321,8 @@ def test_running_max_pass_takes_one_step_per_horizon(monkeypatch):
     assert steps[0] == 4 * K
     in_corpus, pairs[0] = pairs[0], 0
     for dist, norm in generate_corpus(config):
-        for _ in dists._Walk([dist], K, dists.DEFAULT_SUPPORT_CAP).maxima(norm):
-            pass
+        dists._Walk(*dists._encode([dist]), {K, dists.MAX},
+                    dists.DEFAULT_SUPPORT_CAP, norm).max_curve(K)
     assert in_corpus == pairs[0] > 0
 
 

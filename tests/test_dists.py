@@ -8,16 +8,18 @@ from hypothesis import strategies as st
 
 from iidtails.dists import (
     DEFAULT_SUPPORT_CAP,
+    MAX,
     DiscreteDist,
     Norm,
     SupportCapExceeded,
     TailCurve,
     _Walk,
+    _dict_steps,
     _encode,
     _gauge_curve,
-    _merged,
     _pack,
     _packed_gauge,
+    _slot_steps,
     _unpack,
     _weighted_walk,
     affine,
@@ -52,6 +54,17 @@ from oracles import (
 ABS = Norm.ABS1D
 SUP = Norm.SUP
 EUC = Norm.EUCLIDEAN
+
+
+def _walk(x, n, cap=DEFAULT_SUPPORT_CAP, norm=None, reads=None):
+    """The walk of n draws of x, reading S_n, or the S_i in reads."""
+    return _Walk(*_encode([x]), reads or {n}, cap, norm)
+
+
+def _weighted(x, alphas, cap=DEFAULT_SUPPORT_CAP, norm=None):
+    """The walk of sum_i alpha_i X_i, X_i ~ x, on x's lattice term."""
+    scale, dim, (term,) = _encode([x])
+    return _weighted_walk(scale, dim, term, alphas, cap, norm)
 
 
 # ---------------------------------------------------------------- primitives
@@ -595,15 +608,21 @@ def test_lattice_weighted_sum_matches_fraction_oracle(data, dim, alphas, cap):
         _outcome(fraction_weighted_iid_sum, x, alphas, cap)
 
 
-# ----------------------------------- slot fold (_Walk._slot_steps) vs oracle
+# ----------------------------------------- slot fold (_slot_steps) vs oracle
 #
-# The slot step is called directly, whatever the rule (_Walk.on_slots) would
+# The slot pass is run directly, whatever the rule (_Walk.on_slots) would
 # pick for the walk, and each S_i it decodes is compared in order with the
 # Fraction fold's.
 
+def _slot_laws(walk):
+    """Every S_i of the walk's slot fold, as its slot law."""
+    return (law for law, _ in _slot_steps(walk.terms, walk.n, walk._grid,
+                                          None))
+
+
 def _slot_sums(walk):
     """Every S_i of the walk's slot fold, decoded, as a DiscreteDist."""
-    return [walk.dist(buckets[None]) for buckets in walk._slot_steps(None)]
+    return [walk.dist(law) for law in _slot_laws(walk)]
 
 
 def _most_steps(size: int, atoms: int = 2000) -> int:
@@ -636,7 +655,7 @@ def slot_dists(draw, dim, max_atoms=7):
 def test_slot_fold_matches_fraction_fold(data, dim):
     x = data.draw(slot_dists(dim))
     n = data.draw(st.integers(1, min(slot_steps[dim], _most_steps(len(x)))))
-    walk = _Walk([x], n, DEFAULT_SUPPORT_CAP)
+    walk = _walk(x, n)
     assume(walk._grid[2] <= 20_000)
     expect = fraction_iid_sum(x, 1)
     for i, got in enumerate(_slot_sums(walk), 1):
@@ -658,7 +677,7 @@ def test_weighted_slot_fold_matches_fraction_fold(data, dim):
         st.builds(F, st.integers(-4, 4), st.sampled_from([1, 2, 3]))
         if dim == 1 else st.builds(F, st.integers(-2, 2), st.just(2)),
         min_size=1, max_size=min(slot_steps[dim], most)))
-    walk = _weighted_walk(x, alphas, DEFAULT_SUPPORT_CAP)
+    walk = _weighted(x, alphas)
     assume(walk._grid[2] <= 20_000)
     expect = None
     for alpha, got in zip(alphas, _slot_sums(walk)):
@@ -668,7 +687,7 @@ def test_weighted_slot_fold_matches_fraction_fold(data, dim):
             list(fraction_convolve(expect, delta((0,) * dim)).atoms.items())
 
 
-# ------------------------- curves straight from slots (_Walk.curve) vs oracle
+# --------------------- curves straight from slots (_Walk._law_curve) vs oracle
 #
 # A slot law's curve is built from its slot values (1-D: folded at zero;
 # n-D: gauges by rows of the packed box) and must equal the curve of the
@@ -678,13 +697,13 @@ def _norms(dim: int):
     return (ABS, SUP, EUC) if dim == 1 else (SUP, EUC)
 
 
-def _slot_curves_match(walk, x, norm):
-    """Every S_i curve read off the walk's slot fold equals the Fraction
-    fold's; the number of sums checked."""
+def _slot_curves_match(walk, x):
+    """Every S_i curve read off the walk's slot fold, under the walk's
+    norm, equals the Fraction fold's; the number of sums checked."""
     expect = None
-    for i, buckets in enumerate(walk._slot_steps(None), 1):
+    for i, law in enumerate(_slot_laws(walk), 1):
         expect = x if expect is None else fraction_convolve(expect, x)
-        assert walk.curve(norm, buckets[None]) == tail_curve(expect, norm)
+        assert walk._law_curve(law) == tail_curve(expect, walk.norm)
     return i
 
 
@@ -708,14 +727,14 @@ def test_slot_curves_match_fraction_fold_curves(data, dim, norm):
         norm = SUP
     x = data.draw(slot_dists(dim))
     n = data.draw(st.integers(1, min(slot_steps[dim], _most_steps(len(x)))))
-    walk = _Walk([x], n, DEFAULT_SUPPORT_CAP)
+    walk = _walk(x, n, norm=norm)
     step, width, slots = walk._grid
     assume(slots <= 20_000)
     event(f"width {width}, step {'> 1' if step > 1 else '1'}")
     if dim == 1:
-        *_, last = walk._slot_steps(None)
-        event(_zero_case(last[None]))
-    assert _slot_curves_match(walk, x, norm) == n
+        *_, last = _slot_laws(walk)
+        event(_zero_case(last))
+    assert _slot_curves_match(walk, x) == n
 
 
 def _x(*pairs) -> DiscreteDist:
@@ -758,10 +777,10 @@ def test_slot_curve_cases(case):
     or interleaved, one-sided supports, steps > 1, rows of one slot, and
     slot widths of 1, 2, 4, 8 and more than 8 bytes."""
     x, n, width = SLOT_CURVE_CASES[case]
-    walk = _Walk([x], n, DEFAULT_SUPPORT_CAP)
-    assert walk._grid[1] == width
     for norm in _norms(x.dim):
-        assert _slot_curves_match(walk, x, norm) == n
+        walk = _walk(x, n, norm=norm)
+        assert walk._grid[1] == width
+        assert _slot_curves_match(walk, x) == n
 
 
 def test_slot_curve_cases_cover_the_fold_and_the_widths():
@@ -769,10 +788,10 @@ def test_slot_curve_cases_cover_the_fold_and_the_widths():
     every rounded slot width."""
     seen, widths = set(), set()
     for x, n, width in SLOT_CURVE_CASES.values():
-        walk = _Walk([x], n, DEFAULT_SUPPORT_CAP)
+        walk = _walk(x, n)
         widths.add(width)
         if x.dim == 1:
-            seen |= {_zero_case(b[None]) for b in walk._slot_steps(None)}
+            seen |= {_zero_case(law) for law in _slot_laws(walk)}
     assert seen == {"one-sided", "on grid", "aligned halves", "interleaved"}
     assert widths == {1, 2, 4, 8, 9}
 
@@ -782,13 +801,14 @@ def test_slot_curve_cost_follows_the_slots():
     the lattice base: here S_15 holds 46 slots on a base of 600,003."""
     import tracemalloc
     x, n, _ = SLOT_CURVE_CASES["2-D, wide coordinates in one row"]
-    walk = _Walk([x], n, DEFAULT_SUPPORT_CAP)
+    walks = [_walk(x, n, norm=norm) for norm in (SUP, EUC)]
+    walk = walks[0]
     assert walk.on_slots and walk._grid[2] == 46 and walk.base == 600_003
-    law = walk.last()
+    laws = [w.law(n) for w in walks]
     tracemalloc.start()
     try:
-        for norm in (SUP, EUC):
-            walk.curve(norm, law)
+        for w, law in zip(walks, laws):
+            w._law_curve(law)
         _, peak = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()
@@ -805,7 +825,7 @@ def test_slot_holds_the_whole_denominator():
     """With every weight zero, S_i is the point 0 with numerator equal to
     the product of the denominators, the widest a slot ever holds."""
     x = dist1d([(-1, F(1, 7)), (0, F(2, 7)), (3, F(4, 7))])
-    walk = _weighted_walk(x, [0] * 9, DEFAULT_SUPPORT_CAP)
+    walk = _weighted(x, [0] * 9)
     _, width, slots = walk._grid
     assert (width, slots) == (4, 1)         # 7**9 takes 26 bits
     for i, got in enumerate(_slot_sums(walk), 1):
@@ -822,12 +842,12 @@ def test_slot_rule_keeps_the_cap_on_the_dict_loop(data, dim, extra):
     the Fraction fold, cap exception included."""
     x = data.draw(slot_dists(dim))
     n = min(-(-40 // len(x)) + extra + 1, _most_steps(len(x), 1000))
-    slots = _Walk([x], n, DEFAULT_SUPPORT_CAP)._grid[2]
+    slots = _walk(x, n)._grid[2]
     whole = _outcome(fraction_iid_sum, x, n, DEFAULT_SUPPORT_CAP)
     for cap in (slots - 1, slots, slots + 1):
         if cap < 1:
             continue
-        walk = _Walk([x], n, cap)
+        walk = _walk(x, n, cap)
         event(f"on slots at cap slots{cap - slots:+d}: {walk.on_slots}")
         assert not walk.on_slots or slots <= cap
         # no sum has more atoms than S_n has slots
@@ -853,33 +873,27 @@ def test_slot_rule_decisions():
     small walks on the dict loop."""
     one, two = _verify_wide_laws()
     weights = ["-1", "1", "1/2", "-1", "1/4", "1", "-1/2", "1/4"]
-    on_slots = [_Walk([one], 10, DEFAULT_SUPPORT_CAP),
-                _Walk([one], 40, DEFAULT_SUPPORT_CAP),
-                _Walk([two], 10, DEFAULT_SUPPORT_CAP),
-                _weighted_walk(one, weights, DEFAULT_SUPPORT_CAP),
+    on_slots = [_walk(one, 10), _walk(one, 40), _walk(two, 10),
+                _weighted(one, weights),
                 # one grid step of 10**9: 41 slots
-                _Walk([dist1d([(0, F(1, 2)), (10 ** 9, F(1, 2))])], 40,
-                      DEFAULT_SUPPORT_CAP),
-                _Walk([coin()], 1000, DEFAULT_SUPPORT_CAP),
-                _weighted_walk(coin(), [1] * 1000, DEFAULT_SUPPORT_CAP)]
+                _walk(dist1d([(0, F(1, 2)), (10 ** 9, F(1, 2))]), 40),
+                _walk(coin(), 1000), _weighted(coin(), [1] * 1000)]
     assert all(walk.on_slots for walk in on_slots)
     on_dict = [
         # 861 sums spread over 4e10 slots
-        _Walk([dist1d([(0, F(1, 2)), (1, F(1, 4)), (10 ** 9, F(1, 4))])],
-              40, DEFAULT_SUPPORT_CAP),
-        _Walk([coin()], 5000, DEFAULT_SUPPORT_CAP),      # 626-byte slots
-        _Walk([one], 5, DEFAULT_SUPPORT_CAP),            # 35 atom pairs
-        _Walk([one], 40, 1920)]                          # 1921 slots
+        _walk(dist1d([(0, F(1, 2)), (1, F(1, 4)), (10 ** 9, F(1, 4))]), 40),
+        _walk(coin(), 5000),                             # 626-byte slots
+        _walk(one, 5),                                   # 35 atom pairs
+        _walk(one, 40, 1920)]                            # 1921 slots
     assert not any(walk.on_slots for walk in on_dict)
 
 
 def test_slot_fold_decodes_only_the_sums_read(monkeypatch):
     """On slots S_i is decoded, by the one decoder, only where it is read:
-    last() decodes S_n, Curves the S_i of its reads, and a dist of every
-    law sums() yields every S_i.  A curve decodes S_i's slot values but
-    builds no atom dict; only dist() does."""
+    iid_sum decodes S_n, a walk's curves the S_i of its reads, and a dist
+    of every law sums() yields every S_i.  A curve decodes S_i's slot
+    values but builds no atom dict; only dist() does."""
     from iidtails import dists
-    from iidtails.checks import Curves
     decoded, atom_dicts = [], []
     slot_nums, atoms = dists._slot_nums, dists._atoms
 
@@ -896,11 +910,11 @@ def test_slot_fold_decodes_only_the_sums_read(monkeypatch):
     one, _ = _verify_wide_laws()
     assert iid_sum(one, 10) == fraction_iid_sum(one, 10)
     assert len(decoded) == 1 and len(atom_dicts) == 1
-    curves = Curves(one, ABS, {6, 10}, DEFAULT_SUPPORT_CAP)
+    curves = _walk(one, 10, norm=ABS, reads={6, 10})
     assert curves.curve(10) == tail_curve(fraction_iid_sum(one, 10), ABS)
     assert curves.curve(6) == tail_curve(fraction_iid_sum(one, 6), ABS)
     assert len(decoded) == 3 and len(atom_dicts) == 1
-    walk = _Walk([one], 10, DEFAULT_SUPPORT_CAP)
+    walk = _walk(one, 10)
     laws = [walk.dist(law) for law in walk.sums()]
     assert len(decoded) == 13 and len(atom_dicts) == 11
     assert laws[5] == fraction_iid_sum(one, 6)
@@ -912,13 +926,13 @@ def test_slot_fold_holds_only_the_running_int():
     fold's peak traced memory, decoding nothing, stays within a few ints
     the size of S_n's."""
     import tracemalloc
-    walk = _Walk([dist1d([(-1, F(1, 3)), (0, F(1, 3)), (2, F(1, 3))])],
-                 400, DEFAULT_SUPPORT_CAP)
+    walk = _walk(dist1d([(-1, F(1, 3)), (0, F(1, 3)), (2, F(1, 3))]), 400)
     assert walk.on_slots
     _, width, slots = walk._grid
     tracemalloc.start()
     try:
-        assert set(walk.sums(set())) == {None}
+        assert set(_slot_steps(walk.terms, walk.n, walk._grid, set())) == \
+            {(None, None)}
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
@@ -931,22 +945,22 @@ def test_resumable_running_max_matches_absorbing_oracle(data, dim, norm):
     if norm is ABS and dim != 1:
         norm = SUP
     x = data.draw(lattice_dists(dim, max_atoms=3))
-    laws = _Walk([x], 5, DEFAULT_SUPPORT_CAP).maxima(norm)   # one pass
+    walk = _walk(x, 5, norm=norm, reads={5, MAX})   # one pass
     for k in range(1, 6):
-        curve = _gauge_curve(norm, *next(laws))
+        curve = walk.max_curve(k)
         for q in curve.criticals + (curve.criticals[-1] + 1,):
             for mode in ("strict", "weak"):
                 _, alive = absorbing_path_dp(x, k, norm, q, mode)
                 assert curve.at_gauge(q, mode) == 1 - alive
 
 
-def _max_steps(laws, k):
-    """The first k running-max laws of a pass, each as (law items sorted,
-    unit, den), ending with ("cap", size, cap) if the cap is hit."""
+def _max_steps(curves, k):
+    """The first k running-max curves of a pass, ending with ("cap", size,
+    cap) if the cap is hit."""
     out = []
     try:
-        for law, unit, den in laws:
-            out.append((sorted(law.items()), unit, den))
+        for curve in curves:
+            out.append(curve)
             if len(out) == k:
                 break
     except SupportCapExceeded as exc:
@@ -955,17 +969,20 @@ def _max_steps(laws, k):
 
 
 def _pass_steps(walk, norm=None):
-    """Each step of one pass: S_i merged from its buckets, as (atoms sorted,
-    den), and with a norm the running max read there, as _max_steps renders
-    it; a pass that hits the cap ends both lists with ("cap", size, cap)."""
+    """Each step of one pass (_dict_steps): S_i merged from its buckets, as
+    (atoms sorted, den), and with a norm the running max's curve there, or
+    ("cap", cap + 1, cap) once the pass has collapsed; a pass that hits the
+    cap ends both lists with ("cap", size, cap)."""
     sums, maxima = [], []
+    gauge = norm and walk._gauge(norm)
     try:
-        for buckets in walk.steps(norm):
-            atoms, den = _merged(buckets)
+        for (atoms, den), law in _dict_steps(walk.terms, walk.n, walk.cap,
+                                             gauge, None):
             sums.append((sorted(atoms.items()), den))
             if norm:
-                maxima += _max_steps((walk.running_max(norm, b)
-                                      for b in [buckets]), 1)
+                maxima.append(("cap", walk.cap + 1, walk.cap) if law is None
+                              else _gauge_curve(norm, law[0], walk.scale **
+                                                norm.scale_exponent, law[1]))
     except SupportCapExceeded as exc:
         sums.append(("cap", exc.size, exc.cap))
         maxima.append(sums[-1])
@@ -985,29 +1002,31 @@ def test_walk_maxima_match_tuple_state_oracle(data, dim, norm, k, cap):
     if norm is ABS and dim != 1:
         norm = SUP
     x = data.draw(lattice_dists(dim, max_atoms=4))
-    walk = _Walk([x], k, cap)
-    oracle = _max_steps(tuple_running_max_laws(x, norm, cap), k)
-    assert _max_steps(walk.maxima(norm), k) == oracle
+    walk = _walk(x, k, cap, norm, {k, MAX})
+    oracle = _max_steps((_gauge_curve(norm, *law) for law in
+                         tuple_running_max_laws(x, norm, cap)), k)
+    assert _max_steps(map(walk.max_curve, range(1, k + 1)), k) == oracle
     sums, maxima = _pass_steps(walk, norm)
     assert sums == _pass_steps(walk)[0]
-    lost = next((i for i, m in enumerate(maxima) if m[0] == "cap"),
+    lost = next((i for i, m in enumerate(maxima) if isinstance(m, tuple)),
                 len(maxima))
     assert maxima[:lost + 1] == oracle
     assert all(m == ("cap", cap + 1, cap) for m in maxima[lost:])
 
 
 def test_curves_read_the_running_max_from_their_own_walk():
-    """A Curves walk past the horizon gives path_max_curve's curves, and a
+    """A walk past the horizon gives path_max_curve's curves, and a
     horizon past its walk is refused."""
-    from iidtails.checks import CLAIMS, MAX, Curves
+    from iidtails.checks import CLAIMS, _sides
     x = dist1d([(-3, F(1, 7)), (0, F(2, 7)), (F(1, 3), F(3, 7)), (5, F(1, 7))])
     for norm in (ABS, SUP, EUC):
-        curves = Curves(x, norm, {*range(1, 7), MAX})
+        walk = _walk(x, 6, norm=norm, reads={*range(1, 7), MAX})
         for k in range(1, 4):
-            lhs, _ = curves.sides(CLAIMS["corollary4"], {"k": k})
+            lhs, _ = _sides(walk, CLAIMS["corollary4"], {"k": k})
             assert lhs == path_max_curve(x, k, norm)
     with pytest.raises(ValueError):
-        Curves(coin(), ABS, {1, MAX}).sides(CLAIMS["corollary4"], {"k": 3})
+        _sides(_walk(coin(), 1, norm=ABS, reads={1, MAX}),
+               CLAIMS["corollary4"], {"k": 3})
 
 
 @given(st.data(), st.integers(1, 3), st.sampled_from([ABS, SUP, EUC]),
@@ -1016,11 +1035,10 @@ def test_curves_read_the_running_max_from_their_own_walk():
 def test_walked_curves_match_brute_force(data, dim, norm, horizon):
     """Each S_i curve of one walk, built straight from the lattice law,
     equals the curve of the brute-force law of S_i; S_{H+1} is refused."""
-    from iidtails.checks import Curves
     if norm is ABS and dim != 1:
         norm = SUP
     x = data.draw(lattice_dists(dim, max_atoms=3))
-    curves = Curves(x, norm, range(1, horizon + 1), DEFAULT_SUPPORT_CAP)
+    curves = _walk(x, horizon, norm=norm, reads=range(1, horizon + 1))
     for i in range(1, horizon + 1):
         assert curves.curve(i) == tail_curve(brute_iid_sum(x, i), norm)
     with pytest.raises(ValueError):
@@ -1031,16 +1049,15 @@ def test_walked_curves_match_brute_force(data, dim, norm, horizon):
        st.integers(1, 5))
 @settings(max_examples=60, deadline=None)
 def test_lattice_curves_match_brute_force(data, dim, norm, horizon):
-    """Curves built on a law's lattice ints (Curves.lattice) hold the law
-    and the brute-force curve of each S_i."""
-    from iidtails.checks import Curves
+    """A walk built on a law's lattice ints, (int coordinates, int mass)
+    pairs, holds the law and the brute-force curve of each S_i."""
     if norm is ABS and dim != 1:
         norm = SUP
     x = data.draw(lattice_dists(dim, max_atoms=3))
     scale, dim, ((atoms, den),) = _encode([x])
-    curves = Curves.lattice(scale, dim, atoms, den, norm,
-                            range(1, horizon + 1), DEFAULT_SUPPORT_CAP)
-    assert curves.dist == x
+    curves = _Walk(scale, dim, [(atoms, den)], range(1, horizon + 1),
+                   DEFAULT_SUPPORT_CAP, norm)
+    assert curves.dist(curves.law(1)) == x
     for i in range(1, horizon + 1):
         assert curves.curve(i) == tail_curve(brute_iid_sum(x, i), norm)
 
@@ -1056,8 +1073,7 @@ def test_one_dimensional_gauge_reads_the_packed_point(values, alphas, norm):
     every sum of an iid walk and of a weighted walk is norm.gauge of the
     unpacked point."""
     x = DiscreteDist({v: F(1, len(values)) for v in values})
-    for walk in (_Walk([x], len(alphas), DEFAULT_SUPPORT_CAP),
-                 _weighted_walk(x, alphas, DEFAULT_SUPPORT_CAP)):
+    for walk in (_walk(x, len(alphas)), _weighted(x, alphas)):
         gauge = walk._gauge(norm)
         for atoms, _ in walk.sums():
             for z in atoms:
@@ -1087,7 +1103,7 @@ def test_walk_gauges_packed_points_in_ints(norm):
     abs1d is refused there."""
     x = DiscreteDist({(-2, 1): F(1, 4), (3, -3): F(1, 4), (0, 2): F(1, 2)},
                      dim=2)
-    walk = _Walk([x], 4, DEFAULT_SUPPORT_CAP)
+    walk = _walk(x, 4)
     gauge = walk._gauge(norm)
     for atoms, _ in walk.sums():
         for z in atoms:
@@ -1154,20 +1170,61 @@ def test_a_check_holds_little_more_than_a_lone_sum():
 
 
 def test_curves_keep_only_the_sums_their_checks_read(monkeypatch):
-    """Curves keeps the lattice laws of the S_i in its reads for its
-    lifetime and drops every other law once the walk has passed it."""
-    from iidtails.checks import Curves
+    """A walk keeps the lattice laws of the S_i in its reads for its
+    lifetime and drops every other law once its pass has passed it."""
     alive, after_step = _watch_lattice_sums(monkeypatch)
-    curves = Curves(coin(), ABS, {1, 6}, DEFAULT_SUPPORT_CAP)
+    curves = _walk(coin(), 6, norm=ABS, reads={1, 6})
     assert curves.curve(6) == tail_curve(brute_iid_sum(coin(), 6), ABS)
     # S_6 is the one lattice sum alive; S_1 is the walk's own first term
     assert len(after_step) == 5 and max(after_step) <= 2 and alive() == 1
-    assert curves._law(1) is curves.walk.terms[0]
+    assert curves.law(1) is curves.terms[0]
     assert curves.curve(1) == tail_curve(coin(), ABS)
     with pytest.raises(ValueError):
-        curves._law(3)
+        curves.law(3)
 
-    every = Curves(coin(), ABS, range(1, 7), DEFAULT_SUPPORT_CAP)
+    every = _walk(coin(), 6, norm=ABS, reads=range(1, 7))
     for i in range(1, 7):
         assert every.curve(i) == tail_curve(brute_iid_sum(coin(), i), ABS)
     assert alive() == 1 + 5         # S_6 above, S_2..S_6 here
+
+
+def test_walk_holds_no_reference_cycle():
+    """A walk that has answered law, curve and max_curve reads, or slot
+    reads, is freed by reference counting alone, with the cyclic GC off:
+    its pass is a module generator of the terms, and no frame it keeps
+    holds the walk."""
+    import gc
+    import weakref
+    x = dist1d([(-1, F(1, 3)), (0, F(1, 3)), (2, F(1, 3))])
+    enabled = gc.isenabled()
+    gc.disable()
+    try:
+        walk = _walk(x, 4, norm=ABS, reads={2, 4, MAX})
+        walk.law(2), walk.curve(4), walk.max_curve(3)
+        ref = weakref.ref(walk)
+        del walk
+        assert ref() is None
+        walk = _walk(x, 40, norm=ABS, reads={20, 40})
+        assert walk.on_slots
+        walk.law(20), walk.curve(40)
+        ref = weakref.ref(walk)
+        del walk
+        assert ref() is None
+    finally:
+        if enabled:
+            gc.enable()
+
+
+def test_read_outside_the_reads_names_them():
+    """law and curve refuse an S_i the walk does not read, naming the sums
+    it reads; max_curve refuses a horizon past the walk or a walk that
+    does not read the running max."""
+    walk = _walk(coin(), 6, norm=ABS, reads={2, 6, MAX})
+    for read in (walk.law, walk.curve):
+        with pytest.raises(ValueError, match=r"^S_3 is not among the sums "
+                                             r"this walk reads, \[2, 6\]$"):
+            read(3)
+    with pytest.raises(ValueError, match="the running max to k=7"):
+        walk.max_curve(7)
+    with pytest.raises(ValueError, match="the running max to k=2"):
+        _walk(coin(), 6, norm=ABS).max_curve(2)
