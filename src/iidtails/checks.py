@@ -280,7 +280,6 @@ def _report(claim_id: str, params: dict, outcome: tuple, norm: Norm,
 
 # sides of a sweep claim
 SUM = "sum"            # S_j on the left, S_k on the right
-# MAX, the running maximum max_{i<=k} ||S_i||, is the walk's read of it
 WEIGHTED = "weighted"  # sum_i alpha_i X_i with k = len(alphas)
 ENVELOPE = "envelope"  # max_{i<=k} Pr(||S_i|| > .), pointwise
 

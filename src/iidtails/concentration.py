@@ -23,6 +23,7 @@ from .dists import (
     _Walk,
     _atoms,
     _encode,
+    _int,
     _threshold,
     rat,
     require_indices,
@@ -180,7 +181,7 @@ def check_corollary3(X: DiscreteDist, k: int, t,
     independent endpoint pairs (any pair extends to a full selection) and
     for j = k forces s_j = s_k, making the refined bound 0 <= 0.
     """
-    walk = _Walk(*_encode([X]), {k}, cap)
+    walk = _Walk(*_encode([X]), {_int("k", k)}, cap)
     return _corollary3(walk, walk.sums(), t)
 
 

@@ -236,6 +236,8 @@ def run_corpus(config: CorpusConfig, claims=None,
         planned = [(pos, _indices(shape, idx, spec))
                    for pos, (spec, shape, _, _) in enumerate(plan)
                    for idx in _grid(shape, dist, rng, config)]
+        if not planned:       # e.g. lemma2 and corollary3 above dimension 1
+            continue
         walk = _Walk(*_encode([dist]), set().union(
             *(_reads(plan[pos][1], idx) for pos, idx in planned)), cap, norm)
         try:

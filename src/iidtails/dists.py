@@ -469,8 +469,7 @@ def _merged(buckets):
     if len(laws) == 1:
         return laws[0]
     atoms = {}
-    for law in laws:
-        part, den = _atoms(law)
+    for part, den in laws:
         for z, p in part.items():
             atoms[z] = atoms.get(z, 0) + p
     return atoms, den
@@ -539,13 +538,14 @@ class _Walk:
     n is the largest S_i in `reads`, and one pass goes that far, split by
     running max iff reads hold MAX.  It keeps the lattice law of each S_i
     in reads (on slots as slot laws, which a curve reads without decoding
-    them into atoms) and, with MAX, the running max's curve at each step,
-    and drops every other law once passed.  A read outside reads raises
-    ValueError; one at or past the step where the pass stopped at the cap
-    raises SupportCapExceeded again.  Each pass, which yields (S_i's law or
-    None, the running max's law or None) per step i, is a module generator
-    of the terms (_dict_steps, _slot_steps): a method's frame would hold
-    the walk, a cycle that keeps every law read until the cyclic GC."""
+    them into atoms) and, with MAX, the running max's law at each step (a
+    curve once read), and drops every other law once passed.  A read
+    outside reads raises ValueError; one at or past the step where the
+    pass stopped at the cap raises SupportCapExceeded again.  Each pass,
+    which yields (S_i's law or None, the running max's law or None) per
+    step i, is a module generator of the terms (_dict_steps, _slot_steps):
+    a method's frame would hold the walk, a cycle that keeps every law
+    read until the cyclic GC."""
 
     def __init__(self, scale: int, dim: int, terms, reads, cap: int,
                  norm: "Norm | None" = None):
@@ -567,8 +567,8 @@ class _Walk:
             >= SLOT_MIN_PAIRS and self._slots_pay()
         self._pass = _dict_steps(self.terms, n, self.cap, self._gauge(norm),
                                  reads) if MAX in reads else self._sums(reads)
-        self._laws, self._curves = {}, {}     # per S_i read
-        self._maxima, self._envelopes = [], []  # per step, per k
+        self._laws, self._maxima = [], []       # per step
+        self._curves, self._envelopes = {}, []  # per S_i read, per k
         self._cap_error = None        # (size, cap) where the pass stopped
 
     @cached_property
@@ -634,7 +634,7 @@ class _Walk:
     def _step(self, i: int) -> None:
         """Take the pass to step i.  Past the step where it stopped at the
         cap, every read raises its SupportCapExceeded again."""
-        for n in range(len(self._maxima) + 1, i + 1):
+        while len(self._maxima) < i:
             if self._cap_error is not None:
                 raise SupportCapExceeded(*self._cap_error)
             try:
@@ -643,10 +643,8 @@ class _Walk:
                 # the sizes, not exc, whose traceback would hold self
                 self._cap_error = exc.size, exc.cap
                 raise
-            if law is not None:
-                self._laws[n] = law
-            self._maxima.append(maxima and _gauge_curve(
-                self.norm, maxima[0], self._unit, maxima[1]))
+            self._laws.append(law)
+            self._maxima.append(maxima)
 
     def law(self, i: int):
         """S_i's lattice law: (atoms, den), or on slots its slot law."""
@@ -654,7 +652,7 @@ class _Walk:
             raise ValueError(f"S_{i} is not among the sums this walk "
                              f"reads, {sorted(self.reads - {MAX})}")
         self._step(i)
-        return self._laws[i]
+        return self._laws[i - 1]
 
     def curve(self, i: int) -> TailCurve:
         """S_i's tail curve under the walk's norm, built once."""
@@ -668,10 +666,12 @@ class _Walk:
         if MAX not in self.reads or k > self.n:
             raise ValueError(f"the running max to k={k} is not read")
         self._step(k)
-        curve = self._maxima[k - 1]
-        if curve is None:
+        if (law := self._maxima[k - 1]) is None:
             raise SupportCapExceeded(self.cap + 1, self.cap)
-        return curve
+        if not isinstance(law, TailCurve):    # a curve on its first read
+            law = self._maxima[k - 1] = _gauge_curve(
+                self.norm, law[0], self._unit, law[1])
+        return law
 
     def envelope(self, k: int) -> TailCurve:
         """max_{i<=k} Pr(||S_i|| > .), the envelope to k - 1 raised by S_k's
@@ -752,7 +752,7 @@ def affine(a: DiscreteDist, scale, shift: PointLike = 0) -> DiscreteDist:
 def iid_sum(x: DiscreteDist, k: int, cap: int = DEFAULT_SUPPORT_CAP) -> DiscreteDist:
     """Exact law of S_k = X_1 + ... + X_k for i.i.d. X_i ~ x: the k-th law
     of the left fold S_i = S_{i-1} (+) X over k copies of x."""
-    walk = _Walk(*_encode([x]), {k}, cap)
+    walk = _Walk(*_encode([x]), {_int("k", k)}, cap)
     return walk.dist(walk.law(k))
 
 
@@ -909,7 +909,7 @@ def first_exceedance_probs(x: DiscreteDist, k: int, norm: Norm, t,
     off consecutive horizons of one running-max pass, so the Pr(A_j) sum to
     path_max_tail exactly.
     """
-    walk = _Walk(*_encode([x]), {k, MAX}, cap, norm)
+    walk = _Walk(*_encode([x]), {_int("k", k), MAX}, cap, norm)
     tails = [walk.max_curve(i).at_radius(t, mode) for i in range(1, k + 1)]
     return [b - a for a, b in zip([ZERO] + tails, tails)]
 
@@ -926,7 +926,7 @@ def path_max_gauge_dist(x: DiscreteDist, k: int, norm: Norm,
 def path_max_curve(x: DiscreteDist, k: int, norm: Norm,
                    cap: int = DEFAULT_SUPPORT_CAP) -> TailCurve:
     """Tail curve (in gauge space) of the running maximum max_j ||S_j||."""
-    return _Walk(*_encode([x]), {k, MAX}, cap, norm).max_curve(k)
+    return _Walk(*_encode([x]), {_int("k", k), MAX}, cap, norm).max_curve(k)
 
 
 def upper_envelope(curves: "list[TailCurve]") -> TailCurve:

@@ -16,8 +16,8 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .checks import CLAIMS, MAX, SUM, WEIGHTED, _indices, variants
-from .dists import Norm, _int, default_norm
+from .checks import CLAIMS, SUM, WEIGHTED, _indices, variants
+from .dists import MAX, Norm, _int, default_norm
 from .reports import HOLDS, VIOLATED, Report
 
 # a seed is one 64-bit word of a Philox key [seed, stream]

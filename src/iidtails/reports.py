@@ -10,7 +10,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, fields
-from decimal import MAX_EMAX, MAX_PREC, Context, Decimal, Inexact, localcontext
+from decimal import MAX_EMAX, MAX_PREC, Context, Decimal, Inexact
 from enum import Enum
 from fractions import Fraction
 from functools import cache
@@ -80,9 +80,7 @@ def ratio_text(n: int, d: int) -> str:
     try:
         return str(n) if d == 1 else f"{n}/{d}"
     except ValueError:
-        with localcontext(_EXACT):
-            return str(_decimal(n)) if d == 1 else \
-                f"{_decimal(n)}/{_decimal(d)}"
+        return str(_decimal(n)) if d == 1 else f"{_decimal(n)}/{_decimal(d)}"
 
 
 # a context in which a sum or product of Decimal ints is exact, or raises
@@ -92,15 +90,16 @@ _DECIMAL_BITS = 1 << 12
 
 
 def _decimal(n: int) -> Decimal:
-    """Decimal(n) in the _EXACT context, near linear in n's length: n = hi *
-    2**e + lo, e the largest power of 2 below n's bit length, whose few
-    powers are cached; libmpdec multiplies large operands by an NTT."""
+    """Decimal(n) in _EXACT whatever the caller's context, near linear in
+    n's length: n = hi * 2**e + lo, e the largest power of 2 below n's bit
+    length, whose few powers are cached; libmpdec multiplies by an NTT."""
     if n < 0:
-        return -_decimal(-n)
+        return _decimal(-n).copy_negate()
     if n.bit_length() <= _DECIMAL_BITS:
         return Decimal(n)
     e = 1 << (n.bit_length() - 1).bit_length() - 1
-    return _decimal(n >> e) * _power_of_2(e) + _decimal(n & (1 << e) - 1)
+    return _EXACT.fma(_decimal(n >> e), _power_of_2(e),
+                      _decimal(n & (1 << e) - 1))
 
 
-_power_of_2 = cache(lambda e: Decimal(2) ** e)
+_power_of_2 = cache(lambda e: _EXACT.power(2, e))

@@ -521,6 +521,17 @@ class TestCorpusNorms:
         doc = json.loads((tmp_path / "corpus.json").read_text())
         assert doc["corpus"]["config"]["norms"] == ["sup"]
 
+    @pytest.mark.parametrize("claim", ["lemma2", "corollary3"])
+    def test_claims_of_one_dimension_on_a_plane_corpus(self, capsys,
+                                                      tmp_path, claim):
+        """lemma2 and corollary3 judge only 1-D laws: on a corpus of
+        dimension 2 they give no checks and the run exits 0."""
+        code, out, err = run(capsys, "corpus", "--count", "3", "--claims",
+                             claim, "--dims", "2", "--norms", "sup",
+                             "--out-dir", str(tmp_path))
+        assert code == 0, err
+        assert "checks=0" in out
+
     def test_a_dimension_below_one_exits_two_naming_dims(self, capsys,
                                                           tmp_path):
         """--dims 0 is refused as a dimension, not as a --norms list with

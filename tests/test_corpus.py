@@ -249,6 +249,23 @@ class TestRunCorpus:
         rep = run_corpus(cfg, ["levy", "corollary4"])
         assert set(rep.per_claim) == {"levy_ottaviani", "corollary4"}
 
+    @pytest.mark.parametrize("claim", ["lemma2", "corollary3"])
+    @pytest.mark.parametrize("dims, count", [((2,), 3), ((1, 2), 6)])
+    def test_instance_with_no_checks_builds_no_walk(self, claim, dims,
+                                                    count):
+        """lemma2 and corollary3 judge no index on an instance above
+        dimension 1: such an instance gives no checks and no walk, whose
+        reads would hold no sum."""
+        cfg = CorpusConfig(seed=1, count=count, dims=dims)
+        rep = run_corpus(cfg, [claim])
+        laws = [d for d, _ in generate_corpus(cfg)]
+        assert {d.dim for d in laws} == set(dims)
+        assert {row["instance"] for row in rep.rows} <= \
+            {i for i, d in enumerate(laws) if d.dim == 1}
+        assert not rep.skipped
+        assert rep.total_checks == len(rep.rows)
+        assert bool(rep.rows) == (1 in dims)
+
 
 def test_exact_fields_render_past_the_int_string_limit():
     """A row's exact field, from an unreduced int pair, is the text jsonify
@@ -277,6 +294,20 @@ def test_decimal_of_a_long_int_is_exact(digits, seed, sign):
     with localcontext(reports._EXACT):
         got = reports._decimal(n)
     assert got.as_tuple() == Decimal(n).as_tuple()
+
+
+def test_decimal_is_exact_in_a_rounding_context():
+    """_decimal works in its own exact context, so a call under a rounding
+    one neither rounds nor caches a rounded power of 2 for later calls."""
+    n = -random.Random(5).getrandbits(1 << 15)
+    reports._power_of_2.cache_clear()
+    with localcontext() as ctx:
+        ctx.prec = 28
+        got = reports._decimal(n)
+    with localcontext(reports._EXACT):
+        again = reports._decimal(n)
+    reports._power_of_2.cache_clear()
+    assert got.as_tuple() == again.as_tuple() == Decimal(n).as_tuple()
 
 
 class TestCsv:

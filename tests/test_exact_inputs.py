@@ -39,6 +39,7 @@ from iidtails import (
     icbrt,
     iid_sum,
     normalized_sum_tail,
+    path_max_gauge_dist,
     path_max_tail,
     ratio_objective,
     ratio_objective_witness,
@@ -158,6 +159,15 @@ INT_CALLS = {
         ("k", lambda: check_corollary6(X, 2, True)),
     "iid_sum.k.float": ("k", lambda: iid_sum(X, 2.0)),
     "iid_sum.k.bool": ("k", lambda: iid_sum(X, True)),
+    # a walk's reads are a set; an unhashable k is still refused by name
+    "iid_sum.k.list": ("k", lambda: iid_sum(X, [2])),
+    "check_corollary3.k.list": ("k", lambda: check_corollary3(X, [2], 1)),
+    "path_max_tail.k.list":
+        ("k", lambda: path_max_tail(X, [2], Norm.ABS1D, 1)),
+    "path_max_gauge_dist.k.list":
+        ("k", lambda: path_max_gauge_dist(X, [2], Norm.ABS1D)),
+    "first_exceedance_probs.k.list":
+        ("k", lambda: first_exceedance_probs(X, [2], Norm.ABS1D, 1)),
     "iid_sum.cap.float": ("cap", lambda: iid_sum(X, 3, cap=2.5)),
     "check_levy_ottaviani.k.float":
         ("k", lambda: check_levy_ottaviani(X, 2.0)),
