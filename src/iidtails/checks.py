@@ -36,14 +36,15 @@ variants (require_positive) is the one constants rule, and _indices
 (dists.require_indices) fills in the defaults and is the one index and
 weight rule.  It runs once per shape and index choice, where a check
 enters (claim_reports, run_corpus, SearchSpace, the search objectives,
-mc_check); _reads, shape_checks and _sides read its judged dict.  A check
-reads one walk of the law (dists._Walk) as far as _reads says: _sides
-takes a sweep claim's two curves from it, an evaluated claim its lattice
-laws.  claim_reports builds that walk for verify's reports, which the
-check_* functions return.  shape_checks is the one place a check is
-assembled: for those reports and the corpus rows alike it echoes the
-params, states the status and note (_verdict) and gives the worst case
-as int pairs.
+mc_check); _reads, plan_entry and _sides read its judged dict.
+plan_entry is the one place a check is laid out, for verify's reports
+(claim_reports, which the check_* functions return) and the corpus rows
+(run_corpus, once per run) alike: it holds the judged indices, the sums
+the check reads (_reads), a sweep claim's factor and scale and the params
+echo of each mode pair.  A check reads one walk of the law (dists._Walk)
+as far as those reads go: shape_checks reads an entry off it, a sweep
+claim's two curves (_sides) swept to int pairs, an evaluated claim's
+lattice laws to its report, and _verdict states a sweep's status and note.
 """
 
 from __future__ import annotations
@@ -52,10 +53,9 @@ import math
 from bisect import bisect_left, bisect_right
 from dataclasses import dataclass, field
 from fractions import Fraction
-from functools import partial
-from typing import Callable
+from typing import Callable, NamedTuple
 
-from .concentration import _corollary3, _lemma2, check_lemma2
+from .concentration import _corollary3, _lemma2
 from .dists import (
     DEFAULT_SUPPORT_CAP,
     FIRST_TWO, J_LE_K, K_LE_J, K_ONLY,  # the index rules
@@ -340,10 +340,9 @@ CLAIMS = {spec.claim_id: spec for spec in (
     ClaimSpec("corollary6", SUM, SUM, (Fraction(6), Fraction(20)),
               ("j", "k"), K_LE_J, {"j": 2, "k": 1},
               factor=_times_j_over_k, scale=_times_j_over_k),
-    ClaimSpec("lemma2", takes=("t",), evaluate=lambda w, idx:
-              check_lemma2(w.dist(w.law(1)), idx["y"], idx["t"], w.cap)
-              if "y" in idx else
-              _lemma2(w, w.law(1), w.law(1), w.law(2), idx["t"])),
+    ClaimSpec("lemma2", takes=("t",), evaluate=lambda w, idx: _lemma2(
+        w, w.law(1), w.terms[1] if "y" in idx else w.law(1), w.law(2),
+        idx["t"])),
     ClaimSpec("corollary3", takes=("k", "t"), order=K_ONLY,
               defaults={"k": 3}, evaluate=lambda w, idx: _corollary3(
                   w, map(w.law, range(1, idx["k"] + 1)), idx["t"])),
@@ -421,41 +420,69 @@ def _sides(walk: _Walk, shape: ClaimSpec, idx: dict):
     return lhs, walk.curve(k) if shape.rhs == SUM else walk.envelope(k)
 
 
-def shape_checks(spec: ClaimSpec, shape: ClaimSpec, walk: _Walk,
-                 idx: dict, c1, c2, modes):
-    """The checks of spec in shape's form at one judged index choice and
-    one constant pair, one per (lhs mode, rhs mode) pair in modes, or one
-    for an evaluated claim: (params, status, note, values, report), where
-    values are the worst threshold, lhs, rhs and margin as (numerator,
-    denominator) pairs or None, and report() builds the InequalityReport."""
+class _Entry(NamedTuple):
+    """One entry of a check plan: spec checked in shape's form at one
+    constant pair, one judged index choice (_indices) and one norm, with
+    all a check of it reads but the law: the sums its walk must read
+    (_reads), a sweep claim's factor and scale, and the params echo of each
+    of its (lhs mode, rhs mode) pairs (none for an evaluated claim, whose
+    report echoes its own)."""
+
+    spec: ClaimSpec
+    shape: ClaimSpec
+    idx: dict
+    reads: set
+    norm: Norm
+    modes: tuple
+    factor: "Fraction | None"
+    scale: "Fraction | None"
+    echoes: tuple
+
+
+def plan_entry(spec: ClaimSpec, shape: ClaimSpec, c1, c2, idx: dict,
+               norm: Norm, modes) -> _Entry:
+    """The plan entry of spec in shape's form at constants (c1, c2) and
+    judged indices idx, under norm, at each mode pair in modes: the one
+    place a check is laid out, for verify's reports (claim_reports) and the
+    corpus rows alike."""
+    reads = _reads(shape, idx)
     if shape.evaluate is not None:
-        rep = shape.evaluate(walk, idx)
-        yield (rep.params, rep.status, rep.note,
-               tuple(None if v is None else (v.numerator, v.denominator)
-                     for v in (rep.worst_t, rep.lhs, rep.rhs, rep.margin)),
-               lambda: rep)
-        return
-    norm = walk.norm
+        return _Entry(spec, shape, idx, reads, norm, modes, None, None, ())
+    j, k = idx.get("j"), idx["k"]
     params = {} if shape is spec else {"shape": shape.claim_id}
     params.update(idx, c1=c1, c2=c2, norm=norm)
-    lhs, rhs = _sides(walk, shape, idx)
-    j, k = idx.get("j"), idx["k"]
-    outs = _sweeps(lhs, rhs, shape.factor(c1, j, k), shape.scale(c2, j, k),
-                   modes)
-    for mode_pair, out in zip(modes, outs):
-        status, note = _verdict(out, norm, spec.note)
-        echo = {**params, "modes": mode_pair}
-        yield (echo, status, note, out[:4],
-               partial(_report, spec.claim_id, echo, out, norm, spec.note))
+    return _Entry(spec, shape, idx, reads, norm, modes, shape.factor(c1, j, k),
+                  shape.scale(c2, j, k),
+                  tuple({**params, "modes": pair} for pair in modes))
+
+
+def shape_checks(entry: _Entry, walk: _Walk):
+    """The checks of a plan entry on the walk of a law: an evaluated
+    claim's InequalityReport, or a sweep claim's outcomes (_sweeps), one
+    per mode pair of the entry: the worst threshold, lhs, factor * rhs,
+    margin and largest lhs as (numerator, denominator) pairs."""
+    if entry.shape.evaluate is not None:
+        return entry.shape.evaluate(walk, entry.idx)
+    lhs, rhs = _sides(walk, entry.shape, entry.idx)
+    return _sweeps(lhs, rhs, entry.factor, entry.scale, entry.modes)
+
+
+def entry_reports(entry: _Entry, got) -> "list[InequalityReport]":
+    """The InequalityReport of each check of a plan entry, from what
+    shape_checks gave for it."""
+    if entry.shape.evaluate is not None:
+        return [got]
+    return [_report(entry.spec.claim_id, echo, out, entry.norm,
+                    entry.spec.note) for echo, out in zip(entry.echoes, got)]
 
 
 def _reads(shape: ClaimSpec, idx: dict) -> set:
     """The i of every S_i a check of this shape reads at judged parameters
     (_indices), and MAX when it reads a running max: S_j and S_k for its
-    SUM sides, S_1..S_k for an envelope and for corollary3, S_1 and S_2
-    for lemma2 with Y = X."""
+    SUM sides, S_1..S_k for an envelope and for corollary3, S_1 = X and
+    S_2 = X + Y for lemma2."""
     if shape.claim_id == "lemma2":
-        return {1} if "y" in idx else {1, 2}
+        return {1, 2}
     reads = {MAX} if shape.lhs == MAX else set()
     if shape.rhs == ENVELOPE or shape.claim_id == "corollary3":
         return reads | set(range(1, idx["k"] + 1))
@@ -468,16 +495,19 @@ def claim_reports(spec: ClaimSpec, X: DiscreteDist, norm: Norm, given: dict,
                   rhs_mode: "str | None" = None,
                   cap: int = DEFAULT_SUPPORT_CAP) -> "list[InequalityReport]":
     """Every report of one claim on one law at the given parameters, one
-    per shape and constant pair, all on one walk as far as _reads says."""
+    per shape and constant pair, all on one walk as far as _reads says.
+    lemma2's Y, when given, is the walk's second term, so S_2 = X + Y."""
     plan = variants(spec, c1, c2)
     judged = {name: _indices(CLAIMS[name], given, spec)
               for name in dict.fromkeys(shape.claim_id for shape, *_ in plan)}
-    walk = _Walk(*_encode([X]), set().union(*(
-        _reads(CLAIMS[name], idx) for name, idx in judged.items())), cap, norm)
     modes = ((lhs_mode, lhs_mode if rhs_mode is None else rhs_mode),)
-    return [check[-1]() for shape, a, b in plan
-            for check in shape_checks(spec, shape, walk,
-                                      judged[shape.claim_id], a, b, modes)]
+    entries = [plan_entry(spec, shape, a, b, judged[shape.claim_id], norm,
+                          modes) for shape, a, b in plan]
+    laws = [X, *(entry.idx["y"] for entry in entries if "y" in entry.idx)]
+    walk = _Walk(*_encode(laws), set().union(
+        *(entry.reads for entry in entries)), cap, norm)
+    return [rep for entry in entries
+            for rep in entry_reports(entry, shape_checks(entry, walk))]
 
 
 def check_theorem1(X: DiscreteDist, j: int, k: int, c1=None, c2=None,

@@ -150,17 +150,17 @@ def check_lemma2(X: DiscreteDist, Y: DiscreteDist, t,
     The maximum of the linear form over a product of interval unions is
     attained at interval endpoints, so the check is a finite maximization.
     """
-    if X.dim != Y.dim:
-        raise ValueError(f"dimension mismatch: {X.dim} vs {Y.dim}")
     walk = _Walk(*_encode([X, Y]), {1, 2}, cap)
     return _lemma2(walk, walk.law(1), walk.terms[1], walk.law(2), t)
 
 
 def _lemma2(walk: _Walk, x, y, xy, t) -> InequalityReport:
-    """check_lemma2 on the lattice laws of X, Y and X + Y of one walk."""
+    """check_lemma2 on the lattice laws of X, Y and X + Y of one walk; Y
+    given as X's own law (Y = X) shares X's concentration set."""
     tt = rat(t)
-    sets = {name: _lattice_set(walk, law, tt)
-            for name, law in (("X", x), ("Y", y), ("X+Y", xy))}
+    sets = {"X": _lattice_set(walk, x, tt)}
+    sets["Y"] = sets["X"] if y is x else _lattice_set(walk, y, tt)
+    sets["X+Y"] = _lattice_set(walk, xy, tt)
     empty = ", ".join(name for name, c in sets.items() if c.is_empty)
     if empty:
         return _report("lemma2", {"t": tt}, empty)

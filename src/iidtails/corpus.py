@@ -6,18 +6,22 @@ Generator(Philox(key)) draws), in Python ints, so no corpus loads numpy.
 Every check on every instance is exact; the aggregate separates holds,
 vacuous outcomes, and violations, and keeps full witnesses for the latter.
 
-Each grid entry of an instance is judged once (checks._indices); the
-instance's walk is sized from the judged dicts, and its checks read them.
-Each check comes from checks.shape_checks, the generator verify's reports
-are built from too: its params echo, its status and note (checks._verdict)
-and its worst case as (numerator, denominator) pairs.  _absorb counts it
-once, in its claim's per_claim entry by status, and adds its row; the
-report's totals are summed from those when the run ends.  A row renders
-each exact field by one int helper (_exact), the float column as n / d,
-and keeps the smallest margin by cross-multiplying; an InequalityReport is
-built only for a stored violation.  Params text is joined once per run
-and params key (plan entry, norm, judged values in ints and mode pair) from
-the text of each params value, and each value is rendered once per run.
+Each plan entry is laid out once per run_corpus call, keyed on its plan
+position, the instance's norm and the raw grid entry, by checks.plan_entry,
+which lays out verify's reports (checks.claim_reports) too: the judged
+indices (checks._indices), the sums its walk reads, a sweep claim's factor
+and scale and the params echo of each mode pair.  The corpus adds the
+params text of each of its rows, joined from the text of each params
+value, each value rendered once per run.  An instance's walk is sized from
+the reads of its entries, and checks.shape_checks reads each entry off it:
+an evaluated claim's report, or a sweep claim's int outcome per mode pair.
+_absorb counts an entry's checks once, in its claim's per_claim entry by
+status, and adds their rows; the report's totals are summed from those
+when the run ends.  The (strict, strict) and (weak, weak) rows of a sweep
+share status, note, lhs, rhs and margin, so those are rendered once, each
+exact field by one int helper (_exact) and the float column as n / d; the
+smallest margin is kept by cross-multiplying, and an InequalityReport is
+built only for a stored violation.
 """
 
 from __future__ import annotations
@@ -38,7 +42,9 @@ from .checks import (
     MODE_PAIRS,
     WEIGHTED,
     _indices,
-    _reads,
+    _verdict,
+    entry_reports,
+    plan_entry,
     shape_checks,
     variants,
 )
@@ -229,21 +235,30 @@ def run_corpus(config: CorpusConfig, claims=None,
     plan = [(CLAIMS[name], *variant) for name in claims
             for variant in judged[name]]
     report = CorpusReport(config=config, claims=claims)
-    rendered, parts = {}, {}
+    # (plan position, norm, grid entry) -> [plan entry, params texts]
+    entries, parts = {}, {}
     instances = generate_corpus(config)
     for index, (dist, norm) in enumerate(instances):
         rng = Stream(_instance_key(config.seed, index))
-        planned = [(pos, _indices(shape, idx, spec))
-                   for pos, (spec, shape, _, _) in enumerate(plan)
-                   for idx in _grid(shape, dist, rng, config)]
+        planned = []
+        for pos, (spec, shape, c1, c2) in enumerate(plan):
+            for raw in _grid(shape, dist, rng, config):
+                key = (pos, norm, *(tuple(v) if isinstance(v, list) else v
+                                    for v in raw.values()))
+                item = entries.get(key)
+                if item is None:
+                    item = entries[key] = _item(plan_entry(
+                        spec, shape, c1, c2, _indices(shape, raw, spec), norm,
+                        MODE_PAIRS), parts)
+                planned.append(item)
         if not planned:       # e.g. lemma2 and corollary3 above dimension 1
             continue
         walk = _Walk(*_encode([dist]), set().union(
-            *(_reads(plan[pos][1], idx) for pos, idx in planned)), cap, norm)
+            *(entry.reads for entry, _ in planned)), cap, norm)
         try:
-            for pos, idx in planned:
-                for check in _checks(pos, *plan[pos], walk, idx):
-                    _absorb(report, index, dist, check, rendered, parts)
+            for item in planned:
+                _absorb(report, index, dist, item,
+                        shape_checks(item[0], walk), parts)
         except SupportCapExceeded as exc:
             report.skipped.append({"instance": index, "reason": str(exc)})
     report.total_checks = len(report.rows)
@@ -253,35 +268,12 @@ def run_corpus(config: CorpusConfig, claims=None,
     return report
 
 
-def _checks(pos: int, spec, shape, c1, c2, walk: _Walk, idx: dict):
-    """The checks (checks.shape_checks) of plan entry pos at one judged
-    index choice, each as (claim, params key, check).  The plan entry, the
-    norm, the judged values in ints and the mode pair fix the params; they
-    are the key."""
-    key = (pos, walk.norm.value, *_ints(idx.values()))
-    for modes, check in zip(MODE_PAIRS, shape_checks(
-            spec, shape, walk, idx, c1, c2, MODE_PAIRS)):
-        yield spec.claim_id, key + modes, check
-
-
-def _ints(values) -> tuple:
-    """Index values (ints, rationals, lists of rationals) as the numerator
-    and denominator of each rational in turn."""
-    out = []
-    for v in values:
-        for q in v if isinstance(v, list) else (v,):
-            out += (q.numerator, q.denominator)
-    return tuple(out)
-
-
-def _exact(pair) -> "str | None":
-    """The text of the rational n / d (d > 0), as jsonify renders its
-    Fraction."""
-    if pair is None:
-        return None
-    n, d = pair
-    g = gcd(n, d)
-    return ratio_text(n // g, d // g)
+def _item(entry, parts: dict) -> list:
+    """A plan entry (checks.plan_entry) and the params text of each of its
+    rows: a sweep claim's from its echoes, an evaluated claim's from its
+    first report (_absorb); parts holds the text of each params value, for
+    one run_corpus call."""
+    return [entry, [_params_text(echo, parts) for echo in entry.echoes]]
 
 
 def _params_text(params: dict, parts: dict) -> str:
@@ -303,44 +295,64 @@ def _params_text(params: dict, parts: dict) -> str:
     return "{" + ", ".join(texts) + "}"
 
 
-def _absorb(report: CorpusReport, index: int, dist: DiscreteDist, check,
-            rendered: dict, parts: dict) -> None:
-    """Count one check (_checks) and add its row; rendered holds the params
-    text of each params key and parts the text of each params value, both
-    for one run_corpus call."""
-    claim, key, (params, status, note, values, full) = check
+def _pair(value: "Fraction | None"):
+    return None if value is None else (value.numerator, value.denominator)
+
+
+def _exact(pair) -> "str | None":
+    """The text of the rational n / d (d > 0), as jsonify renders its
+    Fraction."""
+    if pair is None:
+        return None
+    n, d = pair
+    g = gcd(n, d)
+    return ratio_text(n // g, d // g)
+
+
+def _absorb(report: CorpusReport, index: int, dist: DiscreteDist, item: list,
+            got, parts: dict) -> None:
+    """Count the checks of one plan entry (_item) on one instance and add
+    their rows.  got is what checks.shape_checks gives: an evaluated
+    claim's report, one row; or a sweep claim's outcomes at MODE_PAIRS, one
+    row each, which share status, note, lhs, rhs and margin (checks: weak
+    equals shifted strict), so those are rendered once and only worst_t
+    and the params text per row."""
+    entry, texts = item
+    claim = entry.spec.claim_id
+    if entry.shape.evaluate is not None:
+        if not texts:
+            texts.append(_params_text(got.params, parts))
+        status, note = got.status, got.note
+        ts = [_pair(got.worst_t)]
+        lhs, rhs, margin = map(_pair, (got.lhs, got.rhs, got.margin))
+    else:
+        status, note = _verdict(got[0], entry.norm, entry.spec.note)
+        ts = [out[0] for out in got]
+        lhs, rhs, margin = got[0][1:4]
     stats = report.per_claim.setdefault(
         claim, {"checks": 0, "holds": 0, "violated": 0, "vacuous": 0})
-    stats["checks"] += 1
-    stats[status] += 1
+    stats["checks"] += len(ts)
+    stats[status] += len(ts)
     if status == VIOLATED and len(report.violations) < 100:
-        report.violations.append(
-            {"instance": index, "dist": dist, "report": full()})
-    t, lhs, rhs, margin = values
+        report.violations += [
+            {"instance": index, "dist": dist, "report": full}
+            for full in entry_reports(entry, got)[
+                :100 - len(report.violations)]]
     if margin is not None:
         worst = report.worst and report.worst["margin"]
         if worst is None or \
                 margin[0] * worst.denominator < worst.numerator * margin[1]:
             report.worst = {"instance": index, "claim": claim,
                             "margin": Fraction(*margin),
-                            "worst_t": Fraction(*t), "lhs": Fraction(*lhs),
-                            "rhs": Fraction(*rhs)}
-    text = rendered.get(key)
-    if text is None:
-        text = rendered[key] = _params_text(params, parts)
-    report.rows.append({
-        "instance": index,
-        "claim": claim,
-        "params": text,
-        "worst_t": _exact(t),
-        "lhs": _exact(lhs),
-        "rhs": _exact(rhs),
-        "margin": _exact(margin),
-        "margin_float_approx": None if margin is None
-        else margin[0] / margin[1],
-        "status": status,
-        "note": note,
-    })
+                            "worst_t": Fraction(*ts[0]),
+                            "lhs": Fraction(*lhs), "rhs": Fraction(*rhs)}
+    shared = {"lhs": _exact(lhs), "rhs": _exact(rhs), "margin": _exact(margin),
+              "margin_float_approx": None if margin is None
+              else margin[0] / margin[1],
+              "status": status, "note": note}
+    for text, t in zip(texts, ts):
+        report.rows.append({"instance": index, "claim": claim,
+                            "params": text, "worst_t": _exact(t), **shared})
 
 
 def write_csv(report: CorpusReport, path) -> None:

@@ -13,8 +13,9 @@ Pr(||S_j|| > .), from one pass as far as its reads go, split by running
 max when that is read.  Without a running max, a walk that a rule read off
 its terms picks (_Walk._slots_pay) holds each S_i as one int of
 fixed-width mass slots, so a step is a few big-int shift-adds
-(_slot_steps); every other step runs the dict loop (_dict_steps,
-_convolve_lattice).  A slot width of at most 8 bytes is rounded up to 1,
+(_slot_steps); every other step runs on dicts (_dict_steps): the
+convolution loop (_convolve_lattice) for a plain sum, or, split by running
+max, one fused loop that sends each pair's sum to its bucket (_split).  A slot width of at most 8 bytes is rounded up to 1,
 2, 4 or 8, so one decoder (_slot_nums) reads a slot int by one struct
 unpack of native words (wider slots by int.from_bytes each).  A read S_i
 stays a slot law until something reads it: its tail curve comes straight
@@ -269,7 +270,11 @@ def _encode(laws: "list[DiscreteDist]"):
     """The lattice terms of laws, as _Walk takes them: (scale, dim,
     terms), coordinates over the least common denominator `scale` of every
     point and each law's masses over the least common denominator of its
-    own."""
+    own.  Every law must have the first one's dimension."""
+    for law in laws[1:]:
+        if law.dim != laws[0].dim:
+            raise ValueError(f"dimension mismatch: {laws[0].dim} vs "
+                             f"{law.dim}")
     scale = lcm(*{c.denominator for law in laws for pt in law.atoms
                   for c in pt})
     terms = []
@@ -445,22 +450,41 @@ def _packed_gauge(base: int, dim: int, euclidean: bool):
 
 
 def _split(buckets, term, gauge, cap):
-    """A step of the split pass: each bucket law advanced by term (if any)
-    through the convolution loop, each sum z moved to bucket max(m,
-    gauge(z)).  SupportCapExceeded once the states (z, m) pass cap."""
-    out, gauges, states = {}, {}, 0
-    for m, law in buckets.items():
-        atoms, den = _convolve_lattice(law, term, cap) if term else law
-        for z, p in atoms.items():
-            g = gauges.get(z)
-            if g is None:
-                g = gauges[z] = gauge(z)
-            into = out.setdefault(m if m >= g else g, {})
-            states += z not in into
-            into[z] = into.get(z, 0) + p
-        if states > cap:
-            raise SupportCapExceeded(cap + 1, cap)
-    return {m: (atoms, den) for m, atoms in out.items()}
+    """A step of the split pass, in one loop: each pair of an atom x of
+    bucket m and an atom y of term sends its mass to the sum z = x + y in
+    bucket max(m, gauge(z)), with no law of the bucket's sums in between.
+    The sums of x with every y, and their gauges, are listed once per
+    step, however many buckets hold x.  SupportCapExceeded(cap + 1, cap)
+    once the distinct states (z, m) pass cap."""
+    term_items = list(term[0].items())
+    den = next(iter(buckets.values()))[1] * term[1]    # every bucket's
+    sums, gauges, out, states = {}, {}, {}, 0
+    for m, (atoms, _) in buckets.items():
+        mine = out.setdefault(m, {})
+        for x, p in atoms.items():
+            to = sums.get(x)
+            if to is None:
+                to = sums[x] = []
+                for y, q in term_items:
+                    z = x + y
+                    g = gauges.get(z)
+                    if g is None:
+                        g = gauges[z] = gauge(z)
+                    to.append((z, g, q))
+            for z, g, q in to:
+                into = mine if g <= m else out.get(g)
+                if into is None:
+                    into = out[g] = {}
+                prev = into.get(z)
+                if prev is None:
+                    if states >= cap:
+                        raise SupportCapExceeded(cap + 1, cap)
+                    states += 1
+                    into[z] = p * q
+                else:
+                    into[z] = prev + p * q
+    # a bucket whose every sum moved up is left empty, and dropped
+    return {m: (atoms, den) for m, atoms in out.items() if atoms}
 
 
 def _merged(buckets):
@@ -476,18 +500,19 @@ def _merged(buckets):
 
 
 def _dict_steps(terms, n: int, cap: int, gauge, reads):
-    """A pass (_Walk) on the convolution loop, split by running max when a
-    gauge is given: S_i is held as buckets, int gauge m -> the law of S_i
-    on max_{j<=i} gauge(S_j) = m; a step takes every bucket through the
-    convolution loop and moves each new sum z to bucket max(m, gauge(z))
-    (_split), and cap bounds the states (z, m) of each step after the
-    first.  The running max's law is (int gauge -> int mass, mass
-    denominator).  Without a gauge there is one bucket, None, and a step
-    is one convolution, whose cap bounds S_i.  A step whose states pass
-    cap collapses the pass to that one bucket: S_i is kept, and from there
-    the running max is lost (None)."""
-    # S_1: each atom to the bucket of its own gauge, as -1 < every gauge
-    buckets = _split({-1: terms[0]}, None, gauge, inf) if gauge \
+    """A pass (_Walk) on dict laws.  Split by running max when a gauge is
+    given: S_i is held as buckets, int gauge m -> the law of S_i on
+    max_{j<=i} gauge(S_j) = m, and a step is the fused loop _split, which
+    sends the sum z of each pair of a bucket atom and a term atom straight
+    to bucket max(m, gauge(z)); S_1 is S_0 = 0 stepped the same way, and
+    cap bounds the states (z, m) of each step after the first.  The
+    running max's law is (int gauge -> int mass, mass denominator).
+    Without a gauge there is one bucket, None, and a step is one
+    convolution (_convolve_lattice), whose cap bounds S_i.  A step whose
+    states pass cap collapses the pass to that one bucket: S_i is kept,
+    and from there the running max is lost (None)."""
+    # S_1: S_0 = 0 stepped by the first term, in bucket -1 < every gauge
+    buckets = _split({-1: ({0: 1}, 1)}, terms[0], gauge, inf) if gauge \
         else {None: terms[0]}
     den = terms[0][1]
     for i in range(1, n + 1):
@@ -731,8 +756,6 @@ class _Walk:
 def convolve(a: DiscreteDist, b: DiscreteDist,
              cap: int = DEFAULT_SUPPORT_CAP) -> DiscreteDist:
     """Law of U + V for independent U ~ a, V ~ b, with exact merging."""
-    if a.dim != b.dim:
-        raise ValueError(f"dimension mismatch: {a.dim} vs {b.dim}")
     walk = _Walk(*_encode([a, b]), {2}, cap)
     return walk.dist(walk.law(2))
 

@@ -25,6 +25,8 @@ from iidtails.checks import (
     check_theorem1,
     claim_reports,
     least_c1,
+    plan_entry,
+    shape_checks,
     sweep_curves,
     threshold_candidates,
     upper_envelope,
@@ -45,8 +47,8 @@ from iidtails.dists import (
     tail_curve,
     weighted_iid_sum,
 )
-from iidtails.corpus import (CorpusConfig, CorpusReport, _absorb, _checks,
-                             _exact)
+from iidtails.corpus import (CorpusConfig, CorpusReport, _absorb, _exact,
+                             _item)
 from iidtails.reports import HOLDS, VIOLATED
 from oracles import (
     coin,
@@ -690,13 +692,14 @@ def test_rows_render_the_fraction_sweep(curves, factor, scale, claim):
     lhs, rhs = curves
     norm = lhs.norm
     spec = CLAIMS[claim]
-    stub = type("Walk", (), {"norm": norm})
     report = CorpusReport(CorpusConfig(seed=0, count=1), [claim])
+    # both claims' factor and scale are their constants, here factor, scale
+    entry = plan_entry(spec, spec, factor, scale, {"j": 1, "k": 2}, norm,
+                       MODE_PAIRS)
     with mock.patch.object(checks, "_sides",
                            lambda walk, shape, idx: (lhs, rhs)):
-        for check in _checks(0, spec, spec, factor, scale, stub(),
-                             {"j": 1, "k": 2}):
-            _absorb(report, 0, delta(0), check, {}, {})
+        _absorb(report, 0, delta(0), _item(entry, {}),
+                shape_checks(entry, None), {})
     for row, modes in zip(report.rows, MODE_PAIRS):
         want = fraction_sweep_curves(lhs, rhs, factor, scale, *modes)
         expected = want_report(claim, None, want, norm)

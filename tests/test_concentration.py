@@ -5,7 +5,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from iidtails.checks import check_theorem1
+from iidtails import concentration, dists
+from iidtails.checks import CLAIMS, check_theorem1, claim_reports
 from iidtails.concentration import (
     ConcentrationSet,
     check_corollary3,
@@ -159,6 +160,45 @@ class TestLemma2:
     def test_rejects_laws_of_two_dimensions(self):
         with pytest.raises(ValueError, match="dimension mismatch: 1 vs 2"):
             check_lemma2(coin(), DiscreteDist({(0, 1): F(1)}), 1)
+
+    def test_verify_reads_x_and_y_off_one_walk(self, monkeypatch):
+        """claim_reports with a second law Y encodes [X, Y] into one walk
+        that reads S_1 = X and S_2 = X + Y, takes Y as its second term and
+        decodes nothing; its report is check_lemma2's."""
+        x = dist1d([(0, F(9, 10)), (4, F(1, 10))])
+        y = dist1d([(1, F(3, 4)), (F(5, 2), F(1, 4))])
+        want = {t: check_lemma2(x, y, t) for t in (F(1, 2), 2)}
+        walks, init = [], dists._Walk.__init__
+
+        def counted(walk, *args, **kwargs):
+            walks.append(walk)
+            init(walk, *args, **kwargs)
+
+        monkeypatch.setattr(dists._Walk, "__init__", counted)
+        monkeypatch.setattr(dists._Walk, "dist", None)   # no decode
+        for t, rep in want.items():
+            assert claim_reports(CLAIMS["lemma2"], x, Norm.ABS1D,
+                                 {"t": t, "y": y}) == [rep]
+        assert [(w.reads, len(w.encoded)) for w in walks] == \
+            [({1, 2}, 2)] * 2
+        with pytest.raises(ValueError, match="dimension mismatch: 1 vs 2"):
+            claim_reports(CLAIMS["lemma2"], x, Norm.ABS1D,
+                          {"t": 1, "y": DiscreteDist({(0, 1): F(1)})})
+
+    def test_x_as_y_has_one_concentration_set(self, monkeypatch):
+        """With Y = X (the corpus, and verify without a second law) X's
+        concentration set is computed once, shared by Y."""
+        sets, lattice_set = [], concentration._lattice_set
+
+        def counted(walk, law, t):
+            sets.append(law)
+            return lattice_set(walk, law, t)
+
+        monkeypatch.setattr(concentration, "_lattice_set", counted)
+        x = dist1d([(0, F(9, 10)), (4, F(1, 10))])
+        (rep,) = claim_reports(CLAIMS["lemma2"], x, Norm.ABS1D, {"t": 1})
+        assert len(sets) == 2
+        assert rep.status == HOLDS and rep == check_lemma2(x, x, 1)
 
     def test_never_violated_on_random_instances(self):
         rng = random.Random(17)

@@ -19,7 +19,7 @@ from iidtails.corpus import (
     run_corpus,
     write_csv,
 )
-from iidtails.dists import Norm
+from iidtails.dists import Norm, SupportCapExceeded
 from iidtails.reports import jsonify
 from oracles import coin, count_judgements
 
@@ -328,23 +328,31 @@ class TestCsv:
 def test_running_max_pass_takes_one_step_per_horizon(monkeypatch):
     """levy_ottaviani and corollary4 at k = 1..K read every S_i and every
     running max of an instance from one pass: K steps in all, not one
-    restart per horizon, and no atom pair beyond those of the bucketed pass
-    alone, so no plain fold of S_1..S_K runs beside it."""
+    restart per horizon, and no atom pair beyond those of the fused
+    running-max steps (_split) of a lone max_curve walk, so no plain fold
+    of S_1..S_K (_convolve_lattice) runs beside it."""
     from iidtails import dists
     steps, pairs = [0], [0]
-    one_pass, convolve = dists._dict_steps, dists._convolve_lattice
+    one_pass, split = dists._dict_steps, dists._split
+    convolve = dists._convolve_lattice
 
     def counted_steps(*args):
         for step in one_pass(*args):
             steps[0] += 1
             yield step
 
-    def counted_pairs(a, b, cap):
+    def counted_split(buckets, term, gauge, cap):
+        pairs[0] += sum(len(atoms) for atoms, _ in buckets.values()) \
+            * len(term[0])
+        return split(buckets, term, gauge, cap)
+
+    def counted_convolve(a, b, cap):
         pairs[0] += len(a[0]) * len(b[0])
         return convolve(a, b, cap)
 
     monkeypatch.setattr(dists, "_dict_steps", counted_steps)
-    monkeypatch.setattr(dists, "_convolve_lattice", counted_pairs)
+    monkeypatch.setattr(dists, "_split", counted_split)
+    monkeypatch.setattr(dists, "_convolve_lattice", counted_convolve)
     K = 5
     config = CorpusConfig(seed=3, count=4, max_k=K)
     rep = run_corpus(config, ["levy_ottaviani", "corollary4"])
@@ -359,29 +367,30 @@ def test_running_max_pass_takes_one_step_per_horizon(monkeypatch):
 
 def test_params_render_cache_is_per_call(monkeypatch):
     """Rows render each distinct params once per run_corpus call: two calls
-    give equal rows, each call starts from an empty cache of its own, and
-    rows with equal params share one rendered string."""
+    give equal rows, each renders every text afresh from an empty cache of
+    its own, and rows with equal params share one rendered string."""
     from iidtails import corpus
-    caches = []
-    absorb = corpus._absorb
+    rendered, caches, render = [], [], corpus._params_text
 
-    def watched(report, index, dist, rep, rendered, parts):
-        if not any(rendered is c for c, _ in caches):
-            assert not rendered and not parts
-            assert not any(parts is p for _, p in caches)
-            caches.append((rendered, parts))
-        return absorb(report, index, dist, rep, rendered, parts)
+    def counted(params, parts):
+        if not any(parts is c for c in caches):
+            assert not parts
+            caches.append(parts)
+        rendered.append(params)
+        return render(params, parts)
 
-    monkeypatch.setattr(corpus, "_absorb", watched)
+    monkeypatch.setattr(corpus, "_params_text", counted)
     config = CorpusConfig(seed=5, count=4, max_k=3)
-    first, second = run_corpus(config), run_corpus(config)
-    assert len(caches) == 2
+    first = run_corpus(config)
+    once = len(rendered)
+    second = run_corpus(config)
+    assert len(caches) == 2 and len(rendered) == 2 * once
     assert first.rows == second.rows
     by_text = {}
     for row in first.rows:
         assert by_text.setdefault(row["params"], row["params"]) \
             is row["params"]
-    assert len(by_text) == len(caches[0][0]) < len(first.rows)
+    assert len(by_text) == once < len(first.rows)
 
 
 def test_max_k_one_draws_single_weights():
@@ -396,16 +405,26 @@ def test_max_k_one_draws_single_weights():
 
 
 def test_run_corpus_judges_each_grid_entry_once(monkeypatch):
-    """Every (plan entry, grid entry) is judged once, when the instance's
-    plan is laid out; sizing the walk and the checks read the judged dict.
-    A sweep entry gives one row per mode pair, an evaluated one a row."""
+    """Every distinct (plan entry, grid entry) is judged once per
+    run_corpus call, when it first enters an instance's plan; later
+    instances with the same grid entry, the walk's sizing and the checks
+    read the judged entry.  A sweep entry gives one row per mode pair, an
+    evaluated one a row, so the distinct params of the rows, modes left
+    out, are the judged entries."""
     calls = count_judgements(monkeypatch, corpus)
-    rep = run_corpus(CorpusConfig(seed=7, count=5, max_k=4))
+    config = CorpusConfig(seed=7, count=5, max_k=4)
+    rep = run_corpus(config)
     assert not rep.skipped
+    entries = {(row["claim"], json.dumps(
+        {n: v for n, v in json.loads(row["params"]).items() if n != "modes"},
+        sort_keys=True)) for row in rep.rows}
     evaluated = sum(CLAIMS[row["claim"]].evaluate is not None
                     for row in rep.rows)
-    assert evaluated and len(calls) == \
+    assert evaluated and len(calls) == len(entries) < \
         evaluated + (len(rep.rows) - evaluated) // len(MODE_PAIRS)
+    calls.clear()
+    run_corpus(config)
+    assert len(calls) == len(entries)
 
 
 def test_claim_reports_judges_each_shape_once(monkeypatch):
@@ -431,3 +450,67 @@ def test_claim_reports_fills_the_claim_defaults():
     for claim in ("lemma2", "corollary3"):
         with pytest.raises(ValueError, match=f"^{claim} needs t$"):
             claim_reports(CLAIMS[claim], coin(), Norm.ABS1D, {})
+
+
+FALSE_CONSTANTS = {"theorem1": {"c1": 1, "c2": 1},
+                   "corollary4": {"c1": 1, "c2": 1}}
+
+
+def _verify_row(row, dist, norm, overrides, cap) -> dict:
+    """The row of one corpus check as verify gives it: claim_reports on the
+    instance's law at the row's claim, indices, constants and mode pair,
+    the report whose params echo the row's, rendered field by field."""
+    params = json.loads(row["params"])
+    spec = CLAIMS[row["claim"]]
+    given = {n: params[n] for n in ("j", "k") if n in params}
+    if "t" in params:
+        given["t"] = F(params["t"])
+    if "alphas" in params:
+        given["alphas"] = [F(a) for a in params["alphas"]]
+    constants = overrides.get(spec.claim_id, {})
+    modes = params.get("modes", ("strict", "strict"))
+    reports = [rep.to_jsonable() for rep in claim_reports(
+        spec, dist, norm, given, constants.get("c1"), constants.get("c2"),
+        *modes, cap=cap)]
+    (doc,) = [doc for doc in reports if doc["params"] == params]
+    return {"params": params, "margin_float_approx": None
+            if doc["margin"] is None else float(F(doc["margin"])),
+            **{n: doc[n] for n in ("worst_t", "lhs", "rhs", "margin",
+                                   "status", "note")}}
+
+
+@pytest.mark.parametrize("seed, cap", [(1, 40), (7, 2_000_000)])
+def test_every_row_is_verify_s_report(seed, cap):
+    """Each run_corpus row equals the row rendered from verify's report
+    (claim_reports) for the same instance, claim, params and mode pair,
+    over dims 1 and 2, all three norms and all nine claims, with constants
+    that give violations.  At cap 40 (seed 1) instances are skipped part
+    way through: the rows they gave before the cap agree with verify's
+    too, unless verify, which reports every shape of a claim on one walk,
+    passes the cap for the whole claim (latala_alt's corollary4 shape)."""
+    config = CorpusConfig(seed=seed, count=8, max_k=3, dims=(1, 2),
+                          norms=tuple(Norm))
+    rep = run_corpus(config, None, cap, FALSE_CONSTANTS)
+    instances = generate_corpus(config)
+    skipped = {s["instance"] for s in rep.skipped}
+    compared = []
+    for row in rep.rows:
+        dist, norm = instances[row["instance"]]
+        try:
+            fields = _verify_row(row, dist, norm, FALSE_CONSTANTS, cap)
+        except SupportCapExceeded:
+            assert row["instance"] in skipped
+            continue
+        assert {n: json.loads(row["params"]) if n == "params" else row[n]
+                for n in fields} == fields
+        compared.append(row)
+    assert {row["claim"] for row in compared} == set(CLAIMS)
+    assert {(instances[row["instance"]][0].dim, instances[row["instance"]][1])
+            for row in compared} >= \
+        ({(1, Norm.ABS1D), (1, Norm.SUP), (2, Norm.EUCLIDEAN)} if seed == 1
+         else {(1, n) for n in Norm} | {(2, Norm.SUP), (2, Norm.EUCLIDEAN)})
+    assert any(row["status"] == "violated" for row in compared)
+    assert bool(skipped) == (cap == 40)
+    assert skipped <= {row["instance"] for row in compared}
+    assert {s["reason"] for s in rep.skipped} <= \
+        {f"support size {cap + 1} exceeds cap {cap}"}
