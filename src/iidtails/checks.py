@@ -41,8 +41,9 @@ plan_entry is the one place a check is laid out, for verify's reports
 (claim_reports, which the check_* functions return) and the corpus rows
 (run_corpus, once per run) alike: it holds the judged indices, the sums
 the check reads (_reads), a sweep claim's factor and scale and the params
-echo of each mode pair.  A check reads one walk of the law (dists._Walk)
-as far as those reads go: shape_checks reads an entry off it, a sweep
+echo of each mode pair.  walk_checks walks a law (dists._Walk) as far as
+its entries read, for verify and a corpus instance alike, and gives every
+entry's checks or none: shape_checks reads an entry off the walk, a sweep
 claim's two curves (_sides) swept to int pairs, an evaluated claim's
 lattice laws to its report, and _verdict states a sweep's status and note.
 """
@@ -467,6 +468,16 @@ def shape_checks(entry: _Entry, walk: _Walk):
     return _sweeps(lhs, rhs, entry.factor, entry.scale, entry.modes)
 
 
+def walk_checks(entries, X: DiscreteDist, cap: int) -> list:
+    """shape_checks of every plan entry (all under one norm) on one walk of
+    X, as far as their reads go, or SupportCapExceeded when the walk
+    passes cap.  lemma2's Y, when given, is the walk's second term."""
+    laws = [X, *(entry.idx["y"] for entry in entries if "y" in entry.idx)]
+    walk = _Walk(*_encode(laws), set().union(
+        *(entry.reads for entry in entries)), cap, entries[0].norm)
+    return [shape_checks(entry, walk) for entry in entries]
+
+
 def entry_reports(entry: _Entry, got) -> "list[InequalityReport]":
     """The InequalityReport of each check of a plan entry, from what
     shape_checks gave for it."""
@@ -495,19 +506,15 @@ def claim_reports(spec: ClaimSpec, X: DiscreteDist, norm: Norm, given: dict,
                   rhs_mode: "str | None" = None,
                   cap: int = DEFAULT_SUPPORT_CAP) -> "list[InequalityReport]":
     """Every report of one claim on one law at the given parameters, one
-    per shape and constant pair, all on one walk as far as _reads says.
-    lemma2's Y, when given, is the walk's second term, so S_2 = X + Y."""
+    per shape and constant pair, all or none (walk_checks)."""
     plan = variants(spec, c1, c2)
     judged = {name: _indices(CLAIMS[name], given, spec)
               for name in dict.fromkeys(shape.claim_id for shape, *_ in plan)}
     modes = ((lhs_mode, lhs_mode if rhs_mode is None else rhs_mode),)
     entries = [plan_entry(spec, shape, a, b, judged[shape.claim_id], norm,
                           modes) for shape, a, b in plan]
-    laws = [X, *(entry.idx["y"] for entry in entries if "y" in entry.idx)]
-    walk = _Walk(*_encode(laws), set().union(
-        *(entry.reads for entry in entries)), cap, norm)
-    return [rep for entry in entries
-            for rep in entry_reports(entry, shape_checks(entry, walk))]
+    return [rep for entry, got in zip(entries, walk_checks(entries, X, cap))
+            for rep in entry_reports(entry, got)]
 
 
 def check_theorem1(X: DiscreteDist, j: int, k: int, c1=None, c2=None,

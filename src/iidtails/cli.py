@@ -26,7 +26,7 @@ from .montecarlo import MC_CLAIMS, SamplerSpec, estimate_tail, mc_check
 from .reports import HOLDS, VACUOUS, VIOLATED, jsonify
 from .search import (N_ATOMS, SEED_LIMIT, SearchSpace, SoundnessViolation,
                      search)
-from .specfile import SpecFileError, dist_to_jsonable, load_dist, parse_dist
+from .specfile import dist_to_jsonable, read_dist
 
 EXIT_OK = 0
 EXIT_VIOLATION = 1
@@ -39,10 +39,7 @@ def _load(path, digests: dict):
     bytes parsed (a pipe cannot be read twice)."""
     data = Path(path).read_bytes()
     digests[str(path)] = hashlib.sha256(data).hexdigest()
-    try:
-        return parse_dist(data.decode("utf-8"))
-    except SpecFileError as exc:
-        raise SpecFileError(f"{path}: {exc}") from None
+    return read_dist(data, path)
 
 
 def _manifest(args, digests: dict, outcome: str) -> dict:
@@ -334,7 +331,7 @@ def cmd_mc(args) -> int:
 
 
 def cmd_show(args) -> int:
-    dist = load_dist(args.file)
+    dist = _load(args.file, {})
     norm = args.norm or default_norm(dist.dim)
     print(f"{args.file}: dim={dist.dim}, {len(dist)} atoms")
     for x, p in sorted(dist.atoms.items()):

@@ -10,18 +10,18 @@ Each plan entry is laid out once per run_corpus call, keyed on its plan
 position, the instance's norm and the raw grid entry, by checks.plan_entry,
 which lays out verify's reports (checks.claim_reports) too: the judged
 indices (checks._indices), the sums its walk reads, a sweep claim's factor
-and scale and the params echo of each mode pair.  The corpus adds the
-params text of each of its rows, joined from the text of each params
-value, each value rendered once per run.  An instance's walk is sized from
-the reads of its entries, and checks.shape_checks reads each entry off it:
-an evaluated claim's report, or a sweep claim's int outcome per mode pair.
-_absorb counts an entry's checks once, in its claim's per_claim entry by
-status, and adds their rows; the report's totals are summed from those
-when the run ends.  The (strict, strict) and (weak, weak) rows of a sweep
-share status, note, lhs, rhs and margin, so those are rendered once, each
-exact field by one int helper (_exact) and the float column as n / d; the
-smallest margin is kept by cross-multiplying, and an InequalityReport is
-built only for a stored violation.
+and scale and the params echo of each mode pair.  The corpus adds the params
+text of each of its rows, joined from the text of each params value, each
+value rendered once per run.  checks.walk_checks gives every entry's checks
+on an instance, as verify's, or none (an instance past the cap is only
+listed in skipped): an evaluated claim's report, or a sweep claim's int
+outcome per mode pair.  _absorb counts an entry's checks once, in its
+claim's per_claim entry by status, and adds their rows; the report's totals
+are summed from those when the run ends.  The (strict, strict) and (weak,
+weak) rows of a sweep share status, note, lhs, rhs and margin, so those are
+rendered once, each exact field by one int helper (_exact) and the float
+column as n / d; the smallest margin is kept by cross-multiplying, and an
+InequalityReport is built only for a stored violation.
 """
 
 from __future__ import annotations
@@ -45,8 +45,8 @@ from .checks import (
     _verdict,
     entry_reports,
     plan_entry,
-    shape_checks,
     variants,
+    walk_checks,
 )
 from ._philox import Stream
 from .dists import (
@@ -54,9 +54,7 @@ from .dists import (
     DiscreteDist,
     Norm,
     SupportCapExceeded,
-    _encode,
     _int,
-    _Walk,
 )
 from .reports import (HOLDS, VACUOUS, VIOLATED, Report, jsonify,
                       ratio_text)
@@ -253,14 +251,13 @@ def run_corpus(config: CorpusConfig, claims=None,
                 planned.append(item)
         if not planned:       # e.g. lemma2 and corollary3 above dimension 1
             continue
-        walk = _Walk(*_encode([dist]), set().union(
-            *(entry.reads for entry, _ in planned)), cap, norm)
         try:
-            for item in planned:
-                _absorb(report, index, dist, item,
-                        shape_checks(item[0], walk), parts)
+            got = walk_checks([entry for entry, _ in planned], dist, cap)
         except SupportCapExceeded as exc:
             report.skipped.append({"instance": index, "reason": str(exc)})
+            continue
+        for item, checks in zip(planned, got):
+            _absorb(report, index, dist, item, checks, parts)
     report.total_checks = len(report.rows)
     for status in (HOLDS, VIOLATED, VACUOUS):
         setattr(report, status, sum(s[status]

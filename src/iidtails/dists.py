@@ -508,9 +508,8 @@ def _dict_steps(terms, n: int, cap: int, gauge, reads):
     cap bounds the states (z, m) of each step after the first.  The
     running max's law is (int gauge -> int mass, mass denominator).
     Without a gauge there is one bucket, None, and a step is one
-    convolution (_convolve_lattice), whose cap bounds S_i.  A step whose
-    states pass cap collapses the pass to that one bucket: S_i is kept,
-    and from there the running max is lost (None)."""
+    convolution (_convolve_lattice), whose cap bounds S_i.  A step that
+    passes cap raises SupportCapExceeded(cap + 1, cap), split or not."""
     # S_1: S_0 = 0 stepped by the first term, in bucket -1 < every gauge
     buckets = _split({-1: ({0: 1}, 1)}, terms[0], gauge, inf) if gauge \
         else {None: terms[0]}
@@ -519,13 +518,8 @@ def _dict_steps(terms, n: int, cap: int, gauge, reads):
         if i > 1:
             term = terms[(i - 1) % len(terms)]
             den *= term[1]
-            if gauge:
-                try:
-                    buckets = _split(buckets, term, gauge, cap)
-                except SupportCapExceeded:
-                    gauge, buckets = None, {None: _merged(buckets)}
-            if not gauge:
-                buckets = {None: _convolve_lattice(buckets[None], term, cap)}
+            buckets = _split(buckets, term, gauge, cap) if gauge else \
+                {None: _convolve_lattice(buckets[None], term, cap)}
         yield (_merged(buckets) if reads is None or i in reads else None,
                gauge and ({m: sum(atoms.values())
                            for m, (atoms, _) in buckets.items()}, den))
@@ -686,14 +680,11 @@ class _Walk:
         return self._curves[i]
 
     def max_curve(self, k: int) -> TailCurve:
-        """The tail curve of max_{i<=k} ||S_i||; SupportCapExceeded from the
-        step where the pass collapsed at the cap on."""
+        """The tail curve of max_{i<=k} ||S_i||, made on its first read."""
         if MAX not in self.reads or k > self.n:
             raise ValueError(f"the running max to k={k} is not read")
         self._step(k)
-        if (law := self._maxima[k - 1]) is None:
-            raise SupportCapExceeded(self.cap + 1, self.cap)
-        if not isinstance(law, TailCurve):    # a curve on its first read
+        if not isinstance(law := self._maxima[k - 1], TailCurve):
             law = self._maxima[k - 1] = _gauge_curve(
                 self.norm, law[0], self._unit, law[1])
         return law

@@ -39,10 +39,10 @@ from dataclasses import dataclass
 from fractions import Fraction
 from functools import cache, cached_property
 
-from .checks import (CLAIMS, _indices, _reads, _sides, least_c1,
+from .checks import (CLAIMS, _indices, _sides, least_c1, plan_entry,
                      require_positive)
-from .dists import (DEFAULT_SUPPORT_CAP, ONE, DiscreteDist, Norm, _encode,
-                    _int, _Walk, rat)
+from .dists import (DEFAULT_SUPPORT_CAP, ONE, STRICT, DiscreteDist, Norm,
+                    _encode, _int, _Walk, rat)
 from .montecarlo import _float
 from .reports import Report, jsonify
 
@@ -86,20 +86,20 @@ def _least_c1(claim: str, X: DiscreteDist, j: int, k: int, c2,
               norm: Norm = Norm.ABS1D, cap: int = DEFAULT_SUPPORT_CAP):
     """(least c1 for which the claim holds on X at j, k, c2, witness
     threshold in gauge space); see checks.least_c1."""
-    spec = CLAIMS[claim]
     c2 = rat(c2)
     require_positive(f"c2 must be positive, got {c2}", c2)
-    idx = _indices(spec, {"j": j, "k": k})
-    return _ratio(spec, _Walk(*_encode([X]), _reads(spec, idx), cap, norm),
-                  idx, c2)
+    entry = _entry(claim, j, k, c2, norm)
+    walk = _Walk(*_encode([X]), entry.reads, cap, norm)
+    return least_c1(*_sides(walk, entry.shape, entry.idx), entry.factor,
+                    entry.scale)
 
 
-def _ratio(spec, walk: _Walk, idx: dict, c2: Fraction):
-    """_least_c1 on a walk that reads _reads(spec, idx), at judged indices
-    (checks._indices) and c2."""
-    j, k = idx["j"], idx["k"]
-    lhs, rhs = _sides(walk, spec, idx)
-    return least_c1(lhs, rhs, spec.factor(ONE, j, k), spec.scale(c2, j, k))
+def _entry(claim: str, j: int, k: int, c2, norm: Norm):
+    """The plan entry (checks.plan_entry) a least-c1 objective reads: the
+    claim at j and k judged (_indices), c1 = 1 and c2, strict reads."""
+    spec = CLAIMS[claim]
+    return plan_entry(spec, spec, ONE, c2, _indices(spec, {"j": j, "k": k}),
+                      norm, ((STRICT, STRICT),))
 
 
 @dataclass(frozen=True)
@@ -128,10 +128,9 @@ class SearchSpace:
                                  f"{getattr(self, name)}")
 
     @cached_property
-    def _theorem1(self) -> "tuple[dict, set]":
-        """theorem1's judged indices (_indices) and the sums a score reads."""
-        idx = _indices(CLAIMS["theorem1"], {"j": self.j, "k": self.k})
-        return idx, _reads(CLAIMS["theorem1"], idx)
+    def _theorem1(self):
+        """theorem1's plan entry (_entry), which a score reads."""
+        return _entry("theorem1", self.j, self.k, self.c2, self.norm)
 
     @cached_property
     def _lattice(self) -> "tuple[int, int, int]":
@@ -200,11 +199,12 @@ def _decode(law, space: SearchSpace) -> DiscreteDist:
 def _score(law, space: SearchSpace, cap: int):
     """ratio_objective_witness of a snapped law (_snap), scored on its
     lattice ints through the same walk and least_c1."""
-    idx, reads = space._theorem1
+    entry = space._theorem1
     walk = _Walk(space._lattice[0], 1, [([([v], w) for v, w in law],
                                           sum(w for _, w in law))],
-                 reads, cap, space.norm)
-    return _ratio(CLAIMS["theorem1"], walk, idx, rat(space.c2))
+                 entry.reads, cap, space.norm)
+    return least_c1(*_sides(walk, entry.shape, entry.idx), entry.factor,
+                    entry.scale)
 
 
 def _initial_points(space: SearchSpace, restarts: int, rng):

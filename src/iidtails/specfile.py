@@ -88,10 +88,17 @@ def parse_dist(text: str) -> DiscreteDist:
 
 
 def load_dist(path) -> DiscreteDist:
-    with open(path, "r", encoding="utf-8") as fh:
-        text = fh.read()
+    with open(path, "rb") as fh:
+        return read_dist(fh.read(), path)
+
+
+def read_dist(data: bytes, path) -> DiscreteDist:
+    """The law in the bytes of the law file at path, decoded here only; a
+    SpecFileError names path, and the first byte offset that is not UTF-8."""
     try:
-        return parse_dist(text)
+        return parse_dist(data.decode("utf-8"))
+    except UnicodeDecodeError as exc:
+        raise SpecFileError(f"{path}: not UTF-8 at byte {exc.start}") from None
     except SpecFileError as exc:
         raise SpecFileError(f"{path}: {exc}") from None
 

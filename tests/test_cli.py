@@ -863,6 +863,23 @@ class TestTopLevel:
                                        for a in argv])
         assert code == 2 and not out and message in err
 
+    @pytest.mark.parametrize("argv", [
+        ("verify", "--claim", "theorem1", "BAD"),
+        ("verify", "--claim", "lemma2", "--t", "1", "COIN", "BAD"),
+        ("show", "BAD"),
+        ("mc", "--family", "discrete", "--dist", "BAD", "--t", "1"),
+    ], ids=["verify", "lemma2-second-file", "show", "mc-dist"])
+    def test_non_utf8_law_file_exit_two_naming_it(self, capsys, coin_file,
+                                                  tmp_path, argv):
+        """A law file that is not UTF-8 is refused where it is read, with
+        the file and the offset of its first bad byte."""
+        bad = tmp_path / "latin1.json"
+        bad.write_bytes(b'{"dim": 1, "atoms": [{"x": "1", "p": "1"}]}\xff')
+        code, out, err = run(capsys, *[
+            {"COIN": coin_file, "BAD": str(bad)}.get(a, a) for a in argv])
+        assert code == 2 and not out
+        assert f"error: {bad}: not UTF-8 at byte 43" in err
+
     def test_no_subcommand_exit_two(self, capsys):
         assert main([]) == 2
 

@@ -484,33 +484,65 @@ def test_every_row_is_verify_s_report(seed, cap):
     """Each run_corpus row equals the row rendered from verify's report
     (claim_reports) for the same instance, claim, params and mode pair,
     over dims 1 and 2, all three norms and all nine claims, with constants
-    that give violations.  At cap 40 (seed 1) instances are skipped part
-    way through: the rows they gave before the cap agree with verify's
-    too, unless verify, which reports every shape of a claim on one walk,
-    passes the cap for the whole claim (latala_alt's corollary4 shape)."""
+    that give violations.  At cap 40 (seed 1) instances are skipped, and a
+    skipped instance gives no row, so verify succeeds on every row's
+    instance: both check an instance all or nothing."""
     config = CorpusConfig(seed=seed, count=8, max_k=3, dims=(1, 2),
                           norms=tuple(Norm))
     rep = run_corpus(config, None, cap, FALSE_CONSTANTS)
     instances = generate_corpus(config)
     skipped = {s["instance"] for s in rep.skipped}
-    compared = []
     for row in rep.rows:
         dist, norm = instances[row["instance"]]
-        try:
-            fields = _verify_row(row, dist, norm, FALSE_CONSTANTS, cap)
-        except SupportCapExceeded:
-            assert row["instance"] in skipped
-            continue
+        fields = _verify_row(row, dist, norm, FALSE_CONSTANTS, cap)
         assert {n: json.loads(row["params"]) if n == "params" else row[n]
                 for n in fields} == fields
-        compared.append(row)
-    assert {row["claim"] for row in compared} == set(CLAIMS)
+    assert {row["claim"] for row in rep.rows} == set(CLAIMS)
     assert {(instances[row["instance"]][0].dim, instances[row["instance"]][1])
-            for row in compared} >= \
+            for row in rep.rows} >= \
         ({(1, Norm.ABS1D), (1, Norm.SUP), (2, Norm.EUCLIDEAN)} if seed == 1
          else {(1, n) for n in Norm} | {(2, Norm.SUP), (2, Norm.EUCLIDEAN)})
-    assert any(row["status"] == "violated" for row in compared)
+    assert any(row["status"] == "violated" for row in rep.rows)
     assert bool(skipped) == (cap == 40)
-    assert skipped <= {row["instance"] for row in compared}
+    assert skipped.isdisjoint(row["instance"] for row in rep.rows)
     assert {s["reason"] for s in rep.skipped} <= \
         {f"support size {cap + 1} exceeds cap {cap}"}
+
+
+def test_a_skipped_instance_adds_nothing():
+    """An instance whose walk passes the cap is skipped whole: the run at
+    cap 40, where instances 2 and 4 pass it, has exactly the rows, counts,
+    worst case and violations of the uncapped run without them, and verify
+    (claim_reports) of the running max at max_k fails on each skipped
+    instance with the reason the corpus gives."""
+    config = CorpusConfig(seed=1, count=8, max_k=3, dims=(1, 2),
+                          norms=tuple(Norm))
+    capped = run_corpus(config, None, 40, FALSE_CONSTANTS)
+    full = run_corpus(config, None, overrides=FALSE_CONSTANTS)
+    skipped = {s["instance"] for s in capped.skipped}
+    assert skipped == {2, 4} and not full.skipped
+    rows = [row for row in full.rows if row["instance"] not in skipped]
+    assert capped.rows == rows and capped.total_checks == len(rows)
+    per_claim = {}
+    for row in rows:
+        stats = per_claim.setdefault(row["claim"], {
+            "checks": 0, "holds": 0, "violated": 0, "vacuous": 0})
+        stats["checks"] += 1
+        stats[row["status"]] += 1
+    assert capped.per_claim == per_claim
+    least = min(F(row["margin"]) for row in rows if row["margin"])
+    first = next(row for row in rows if row["margin"]
+                 and F(row["margin"]) == least)
+    assert capped.worst == {"instance": first["instance"],
+                            "claim": first["claim"], "margin": least,
+                            **{n: F(first[n]) for n in ("worst_t", "lhs",
+                                                        "rhs")}}
+    assert len(full.violations) < 100 and capped.violations == [
+        v for v in full.violations if v["instance"] not in skipped]
+    assert capped.violations and full.worst["instance"] in skipped
+    instances = generate_corpus(config)
+    for skip in capped.skipped:
+        with pytest.raises(SupportCapExceeded) as exc:
+            claim_reports(CLAIMS["corollary4"], *instances[skip["instance"]],
+                          {"k": 3}, cap=40)
+        assert str(exc.value) == skip["reason"]

@@ -970,9 +970,8 @@ def _max_steps(curves, k):
 
 def _pass_steps(walk, norm=None):
     """Each step of one pass (_dict_steps): S_i merged from its buckets, as
-    (atoms sorted, den), and with a norm the running max's curve there, or
-    ("cap", cap + 1, cap) once the pass has collapsed; a pass that hits the
-    cap ends both lists with ("cap", size, cap)."""
+    (atoms sorted, den), and with a norm the running max's curve there; a
+    pass that hits the cap ends both lists with ("cap", size, cap)."""
     sums, maxima = [], []
     gauge = norm and walk._gauge(norm)
     try:
@@ -980,9 +979,8 @@ def _pass_steps(walk, norm=None):
                                              gauge, None):
             sums.append((sorted(atoms.items()), den))
             if norm:
-                maxima.append(("cap", walk.cap + 1, walk.cap) if law is None
-                              else _gauge_curve(norm, law[0], walk.scale **
-                                                norm.scale_exponent, law[1]))
+                maxima.append(_gauge_curve(norm, law[0], walk.scale **
+                                           norm.scale_exponent, law[1]))
     except SupportCapExceeded as exc:
         sums.append(("cap", exc.size, exc.cap))
         maxima.append(sums[-1])
@@ -995,10 +993,10 @@ def _pass_steps(walk, norm=None):
 def test_walk_maxima_match_tuple_state_oracle(data, dim, norm, k, cap):
     """The running max bucketed on the sum walk gives the tuple-state DP's
     law at every step, or hits the cap at the same step with the same
-    size.  At every step the S_i merged from the buckets is the one-bucket
-    fold's S_i, also once the states have passed the cap and the pass has
-    collapsed to one bucket; from that step on every running-max read
-    raises, as the tuple-state DP does."""
+    size.  Up to the step where the states pass the cap, the S_i merged
+    from the buckets is the one-bucket fold's S_i; there the split pass
+    stops, both its lists ending in ("cap", cap + 1, cap), as the
+    tuple-state DP does."""
     if norm is ABS and dim != 1:
         norm = SUP
     x = data.draw(lattice_dists(dim, max_atoms=4))
@@ -1007,11 +1005,12 @@ def test_walk_maxima_match_tuple_state_oracle(data, dim, norm, k, cap):
                          tuple_running_max_laws(x, norm, cap)), k)
     assert _max_steps(map(walk.max_curve, range(1, k + 1)), k) == oracle
     sums, maxima = _pass_steps(walk, norm)
-    assert sums == _pass_steps(walk)[0]
+    assert maxima == oracle
     lost = next((i for i, m in enumerate(maxima) if isinstance(m, tuple)),
                 len(maxima))
-    assert maxima[:lost + 1] == oracle
-    assert all(m == ("cap", cap + 1, cap) for m in maxima[lost:])
+    assert sums[:lost] == _pass_steps(walk)[0][:lost]
+    assert sums[lost:] == maxima[lost:] == \
+        [("cap", cap + 1, cap)][:len(maxima) - lost]
 
 
 def test_curves_read_the_running_max_from_their_own_walk():

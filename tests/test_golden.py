@@ -29,15 +29,16 @@ from oracles import dist1d
 CORPUS_ARGS = ("corpus", "--seed", "7", "--count", "20", "--max-k", "4",
                "--dims", "1,2", "--norms", "abs1d,sup,euclidean")
 
-# running-max claims under a small support cap: seven instances are skipped
-# part way through, so the digests pin which rows come before each skip
+# running-max claims under a small support cap: seven instances pass it and
+# are skipped whole, so the digests pin that a skipped instance gives no row
 CAPPED_ARGS = ("corpus", "--seed", "7", "--count", "20", "--max-k", "6",
                "--dims", "1,2", "--norms", "abs1d,sup,euclidean",
                "--claims", "levy_ottaviani,corollary4", "--cap", "150")
 
 # the same corpus with theorem1 beside corollary4: the running max and S_k
 # share one pass, so these digests pin that a state cap hit by the running
-# max leaves every theorem1 row before the sum cap in place
+# max skips the instance's theorem1 rows too, as verify reports a claim
+# all or nothing
 CAPPED_MIXED_ARGS = CAPPED_ARGS[:-4] + ("--claims", "theorem1,corollary4",
                                         "--cap", "150")
 
@@ -80,13 +81,13 @@ GOLDEN = {
     "corpus.json":
         "6920a74fc7b972f40ab28dc1a746a54c2eb70ecf1596c06c14ad164e2ec83209",
     "capped.csv":
-        "0529bd618249489ab447ea19937eceeca74a0c1a133b7ae9f5dc138f8532aa60",
+        "ab32660dc3be242c88301e1f2b4f2d25819b8d44c68ac0ad1c369a8bcd505926",
     "capped.json":
-        "d303b8cad1c5273b0d67ebf0e8e090214f1a3e0df10657583403fdc82510548d",
+        "877e0063205bafaf67d0e5f93a8e248bc6e888d8c1ec74572352f16f56d7aee2",
     "capped_mixed.csv":
-        "faddf359d99dda4fd38a4902e3e04a6a02fa489a055e23d255665cb4903166f2",
+        "6990e2fc8402aa717bd9af4fd2ab35e5db88d09cfb38b4156359ce144b2b1475",
     "capped_mixed.json":
-        "9bbf3162f3e27fec6d2ca5ca63805e613f3fa72a1895c8dd5af3e50598ee5393",
+        "2860213315235558ad6cdca054e02c3704431131ed34e599cccef4e73812d42d",
     "overrides":
         "1b69cd5ae4e84766c03f790529988013fe389700aa33954383334bbb230d6014",
     "overrides.csv":
@@ -246,20 +247,20 @@ def test_capped_corpus_bytes(tmp_path):
     got = corpus_digests(tmp_path, CAPPED_ARGS, "capped")
     assert got == {k: GOLDEN[k] for k in got}
     doc = json.loads((tmp_path / "corpus.json").read_text())["corpus"]
-    assert (doc["total_checks"], len(doc["skipped"])) == (372, 7)
+    assert (doc["total_checks"], len(doc["skipped"])) == (312, 7)
 
 
 def test_capped_mixed_corpus_bytes(tmp_path):
     got = corpus_digests(tmp_path, CAPPED_MIXED_ARGS, "capped_mixed")
     assert got == {k: GOLDEN[k] for k in got}
     doc = json.loads((tmp_path / "corpus.json").read_text())["corpus"]
-    assert (doc["total_checks"], len(doc["skipped"])) == (1018, 7)
+    assert (doc["total_checks"], len(doc["skipped"])) == (702, 7)
 
 
 def test_each_check_is_tallied_once_by_status(tmp_path):
     """holds + violated + vacuous is the sum of the per_claim counts and the
-    number of rows, on the capped corpus (seven instances skipped part way)
-    and on a corpus with violated and vacuous rows."""
+    number of rows, on the capped corpus (seven instances skipped) and on
+    a corpus with violated and vacuous rows."""
     statuses = ("holds", "violated", "vacuous")
     corpus_digests(tmp_path, CAPPED_MIXED_ARGS, "capped_mixed")
     doc = json.loads((tmp_path / "corpus.json").read_text())["corpus"]

@@ -162,6 +162,14 @@ class TestFiles:
         with pytest.raises(SpecFileError, match="bad.json"):
             load_dist(path)
 
+    def test_load_locates_bytes_that_are_not_utf8(self, tmp_path):
+        path = tmp_path / "latin1.json"
+        head = b'{"dim": 1, "atoms": [{"x": "'
+        path.write_bytes(head + "é".encode("latin-1"))
+        with pytest.raises(SpecFileError) as exc:
+            load_dist(path)
+        assert str(exc.value) == f"{path}: not UTF-8 at byte {len(head)}"
+
     def test_dump_is_stable_and_sorted(self):
         d = coin()
         text = dump_dist(d)
