@@ -26,9 +26,11 @@ either curve, or the first threshold when the strict worst is there.
 _sweeps answers MODE_PAIRS from one strict sweep.
 
 Outcomes are ints.  _sweeps returns each worst case as (numerator,
-denominator) pairs, and its status is the sign of the margin; Fractions
-are built only for what leaves as one: sweep_curves' SweepOutcome and a
-report's InequalityReport (_report).
+denominator) pairs, and its status is the sign of the margin; an evaluated
+claim's outcome (concentration._Outcome) holds such pairs too.  Fractions
+are built only for what leaves as one: sweep_curves' SweepOutcome and the
+InequalityReport (_report, _Outcome.report) of verify, the check_*
+functions and a stored corpus violation.
 
 CLAIMS is the one table of claims.  The corpus, the CLI, mc_check and the
 extremal search read it, and judge a claim's parameters by its rules:
@@ -45,7 +47,8 @@ echo of each mode pair.  walk_checks walks a law (dists._Walk) as far as
 its entries read, for verify and a corpus instance alike, and gives every
 entry's checks or none: shape_checks reads an entry off the walk, a sweep
 claim's two curves (_sides) swept to int pairs, an evaluated claim's
-lattice laws to its report, and _verdict states a sweep's status and note.
+lattice laws to its int outcome, and _verdict states a sweep's status and
+note.
 """
 
 from __future__ import annotations
@@ -459,9 +462,10 @@ def plan_entry(spec: ClaimSpec, shape: ClaimSpec, c1, c2, idx: dict,
 
 def shape_checks(entry: _Entry, walk: _Walk):
     """The checks of a plan entry on the walk of a law: an evaluated
-    claim's InequalityReport, or a sweep claim's outcomes (_sweeps), one
-    per mode pair of the entry: the worst threshold, lhs, factor * rhs,
-    margin and largest lhs as (numerator, denominator) pairs."""
+    claim's outcome (concentration._Outcome), or a sweep claim's outcomes
+    (_sweeps), one per mode pair of the entry: the worst threshold, lhs,
+    factor * rhs, margin and largest lhs as (numerator, denominator)
+    pairs."""
     if entry.shape.evaluate is not None:
         return entry.shape.evaluate(walk, entry.idx)
     lhs, rhs = _sides(walk, entry.shape, entry.idx)
@@ -482,7 +486,7 @@ def entry_reports(entry: _Entry, got) -> "list[InequalityReport]":
     """The InequalityReport of each check of a plan entry, from what
     shape_checks gave for it."""
     if entry.shape.evaluate is not None:
-        return [got]
+        return [got.report()]
     return [_report(entry.spec.claim_id, echo, out, entry.norm,
                     entry.spec.note) for echo, out in zip(entry.echoes, got)]
 

@@ -4,7 +4,13 @@ A t-concentration point of X is an x with Pr(|X - x| <= t) > 2/3 (strictly).
 In dimension 1 the full set of such points is computed exactly as a finite
 union of closed intervals, on ints, straight from a lattice law that the
 sum walk (dists._Walk) keeps (law) or streams (sums): the checks read S_i
-there without decoding it into a DiscreteDist.  In higher dimensions only
+there without decoding it into a DiscreteDist.  _lattice_set gives the
+intervals as int endpoints over the unit scale*q of t = p / q, and lemma2
+and corollary3 decide on those ints, against their bounds 3t, 3(k+j)t and
+3(j+k-2*gcd(j,k))t, which are ints over the same unit.  Fractions are built
+only for what leaves as one: concentration_set's ConcentrationSet, and the
+InequalityReport of an outcome (_Outcome.report) for verify, the check_*
+functions and a stored corpus violation.  In higher dimensions only
 atom-centered candidates are tested and results are flagged approximate.
 """
 
@@ -13,6 +19,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from math import gcd
+from typing import NamedTuple
 
 from .dists import (
     DEFAULT_SUPPORT_CAP,
@@ -23,7 +30,6 @@ from .dists import (
     _Walk,
     _atoms,
     _encode,
-    _int,
     _threshold,
     rat,
     require_indices,
@@ -77,20 +83,26 @@ def window_mass(X: DiscreteDist, x, t) -> Fraction:
 def concentration_set(X: DiscreteDist, t) -> ConcentrationSet:
     """Exact set {x : Pr(|X - x| <= t) > 2/3} for a 1-dimensional law: the
     rule of _lattice_set on the one-term walk of X."""
+    tt = _threshold(t)
     walk = _Walk(*_encode([X]), {1}, DEFAULT_SUPPORT_CAP)
-    return _lattice_set(walk, walk.law(1), t)
+    unit = walk.scale * tt.denominator
+    return ConcentrationSet(tuple(
+        (Fraction(lo, unit), Fraction(hi, unit))
+        for lo, hi in _lattice_set(walk, walk.law(1), tt)))
 
 
-def _lattice_set(walk: _Walk, law, t) -> ConcentrationSet:
+def _lattice_set(walk: _Walk, law, t) -> "list[tuple[int, int]]":
     """The concentration set of a 1-D lattice law of `walk`, (atoms, den)
-    or a slot law, whose atoms dists._atoms decodes.
+    or a slot law, whose atoms dists._atoms decodes: its closed intervals
+    [lo, hi], sorted and disjoint, as int pairs over the unit scale*q of
+    t = p / q, on which t is p*scale.
 
     The window mass x -> Pr(X in [x-t, x+t]) is an upper semicontinuous
     step function whose only breakpoints are a - t and a + t over atoms a.
-    With a = v / scale and t = p / q these are v*q -+ p*scale over the unit
-    scale*q, and a window of mass m / den qualifies when 3*m > 2*den, so
-    one sweep of the breakpoints on ints gives the mass at each breakpoint
-    and on each open gap, and the closed intervals they make up.
+    With a = v / scale these are v*q -+ p*scale over the unit, and a
+    window of mass m / den qualifies when 3*m > 2*den, so one sweep of the
+    breakpoints on ints gives the mass at each breakpoint and on each open
+    gap, and the closed intervals they make up.
     """
     tt = _threshold(t)
     if walk.dim != 1:
@@ -102,7 +114,6 @@ def _lattice_set(walk: _Walk, law, t) -> ConcentrationSet:
     for v, m in atoms.items():
         starts[v * q - reach] = starts.get(v * q - reach, 0) + m
         ends[v * q + reach] = ends.get(v * q + reach, 0) + m
-    unit = walk.scale * q
     intervals, lo = [], None    # lo: start of the interval being swept
     started = ended = 0
     for p in sorted(starts.keys() | ends.keys()):
@@ -114,9 +125,9 @@ def _lattice_set(walk: _Walk, law, t) -> ConcentrationSet:
         # qualifying endpoints, so the interval closes at the first p
         # whose gap does not qualify
         if lo is not None and 3 * (started - ended) <= 2 * den:
-            intervals.append((Fraction(lo, unit), Fraction(p, unit)))
+            intervals.append((lo, p))
             lo = None
-    return ConcentrationSet(tuple(intervals))
+    return intervals
 
 
 def has_concentration_point(X: DiscreteDist, t, norm: Norm = Norm.ABS1D):
@@ -149,25 +160,33 @@ def check_lemma2(X: DiscreteDist, Y: DiscreteDist, t,
 
     The maximum of the linear form over a product of interval unions is
     attained at interval endpoints, so the check is a finite maximization.
+    verify's report (checks.claim_reports), with Y the walk's second term.
     """
-    walk = _Walk(*_encode([X, Y]), {1, 2}, cap)
-    return _lemma2(walk, walk.law(1), walk.terms[1], walk.law(2), t)
+    from .checks import CLAIMS, claim_reports
+    return claim_reports(CLAIMS["lemma2"], X, Norm.ABS1D, {"t": t, "y": Y},
+                         cap=cap)[0]
 
 
-def _lemma2(walk: _Walk, x, y, xy, t) -> InequalityReport:
+def _lemma2(walk: _Walk, x, y, xy, t) -> "_Outcome":
     """check_lemma2 on the lattice laws of X, Y and X + Y of one walk; Y
-    given as X's own law (Y = X) shares X's concentration set."""
+    given as X's own law (Y = X) shares X's concentration set.  The sets'
+    endpoints and the bound 3t are ints over _lattice_set's unit."""
     tt = rat(t)
     sets = {"X": _lattice_set(walk, x, tt)}
     sets["Y"] = sets["X"] if y is x else _lattice_set(walk, y, tt)
     sets["X+Y"] = _lattice_set(walk, xy, tt)
-    empty = ", ".join(name for name, c in sets.items() if c.is_empty)
+    params = {"t": tt}
+    empty = ", ".join(name for name, c in sets.items() if not c)
     if empty:
-        return _report("lemma2", {"t": tt}, empty)
-    cx, cy, cz = sets.values()
-    attained = max(cx.max + cy.max - cz.min, cz.max - cx.min - cy.min)
-    return _report("lemma2", {"t": tt}, "", (attained, 3 * tt, {
-        "attained": attained, "bound": 3 * tt}))
+        return _vacuous("lemma2", params, empty)
+    (x_lo, x_hi), (y_lo, y_hi), (z_lo, z_hi) = (
+        (c[0][0], c[-1][1]) for c in sets.values())
+    attained = max(x_hi + y_hi - z_lo, z_hi - x_lo - y_lo)
+    bound = 3 * tt.numerator * walk.scale
+    unit = walk.scale * tt.denominator
+    witness = None if attained <= bound else {
+        "attained": Fraction(attained, unit), "bound": Fraction(bound, unit)}
+    return _decided("lemma2", params, unit, attained, bound, witness)
 
 
 def check_corollary3(X: DiscreteDist, k: int, t,
@@ -180,54 +199,92 @@ def check_corollary3(X: DiscreteDist, k: int, t,
     a single shared selection per index, which for j < k still reduces to
     independent endpoint pairs (any pair extends to a full selection) and
     for j = k forces s_j = s_k, making the refined bound 0 <= 0.
+    verify's report (checks.claim_reports).
     """
-    walk = _Walk(*_encode([X]), {_int("k", k)}, cap)
-    return _corollary3(walk, walk.sums(), t)
+    from .checks import CLAIMS, claim_reports
+    return claim_reports(CLAIMS["corollary3"], X, Norm.ABS1D,
+                         {"k": k, "t": t}, cap=cap)[0]
 
 
-def _corollary3(walk: _Walk, laws, t) -> InequalityReport:
-    """check_corollary3 on the lattice laws of S_1..S_k of one walk."""
+def _corollary3(walk: _Walk, laws, t) -> "_Outcome":
+    """check_corollary3 on the lattice laws of S_1..S_k of one walk.  The
+    sets' endpoints and the bounds are ints over _lattice_set's unit, on
+    which 3t is 3*p*scale; the witness rows are built only when a bound is
+    violated."""
     tt = rat(t)
-    csets = {i: _lattice_set(walk, law, tt) for i, law in enumerate(laws, 1)}
-    k = len(csets)
+    sets = [_lattice_set(walk, law, tt) for law in laws]
+    k = len(sets)
     params = {"k": k, "t": tt}
-    empty = [i for i in csets if csets[i].is_empty]
+    empty = [i for i, c in enumerate(sets, 1) if not c]
     if empty:
-        return _report("corollary3", params, f"S_i, i in {empty}")
-    rows = []
-    worst = None  # (margin, row)
-    for j in range(1, k + 1):
-        cj, ck = csets[j], csets[k]
-        attained = max(k * cj.max - j * ck.min, j * ck.max - k * cj.min)
-        row = {"j": j, "attained": attained, "plain_bound": 3 * (k + j) * tt,
-               "refined_attained": attained if j < k else ZERO,
-               "refined_bound": 3 * (j + k - 2 * gcd(j, k)) * tt}
+        return _vacuous("corollary3", params, f"S_i, i in {empty}")
+    spans = [(c[0][0], c[-1][1]) for c in sets]
+    reach = 3 * tt.numerator * walk.scale
+    rows = []   # (j, attained, plain bound, refined attained, refined bound)
+    worst = None  # (margin, j, attained, bound)
+    k_lo, k_hi = spans[-1]
+    for j, (lo, hi) in enumerate(spans, 1):
+        attained = max(k * hi - j * k_lo, j * k_hi - k * lo)
+        row = (j, attained, (k + j) * reach, attained if j < k else 0,
+               (j + k - 2 * gcd(j, k)) * reach)
         rows.append(row)
-        for got, bound in ((attained, row["plain_bound"]),
-                           (row["refined_attained"], row["refined_bound"])):
+        for got, bound in (row[1:3], row[3:5]):
             if worst is None or bound - got < worst[0]:
-                worst = (bound - got,
-                         {"j": j, "attained": got, "bound": bound})
-    row = worst[1]
-    return _report("corollary3", params, "", (
-        row["attained"], row["bound"], {"rows": rows, "worst": row}),
-        "refined bound under shared selection; trivial at j = k")
+                worst = (bound - got, j, got, bound)
+    margin, j, got, bound = worst
+    unit = walk.scale * tt.denominator
+    witness = None if margin >= 0 else {"rows": [
+        {"j": i, "attained": Fraction(a, unit),
+         "plain_bound": Fraction(plain, unit),
+         "refined_attained": Fraction(ra, unit),
+         "refined_bound": Fraction(refined, unit)}
+        for i, a, plain, ra, refined in rows],
+        "worst": {"j": j, "attained": Fraction(got, unit),
+                  "bound": Fraction(bound, unit)}}
+    return _decided("corollary3", params, unit, got, bound, witness,
+                    "refined bound under shared selection; trivial at j = k")
 
 
-def _report(claim_id: str, params: dict, empty: str, worst=None,
-            note: "str | None" = None) -> InequalityReport:
-    """A concentration check's report at params["t"]: vacuous when the
-    sets named in `empty` are empty, else decided by worst = (attained,
-    bound, witness), the witness kept only when the bound is violated."""
+class _Outcome(NamedTuple):
+    """A concentration check's outcome: InequalityReport's fields, each
+    rational a (numerator, denominator > 0) pair of ints, not reduced.
+    The corpus reads it as it is; report() is the InequalityReport, for
+    verify, the check_* functions and a stored violation."""
+
+    claim_id: str
+    params: dict
+    worst_t: "tuple[int, int]"
+    lhs: "tuple[int, int] | None"
+    rhs: "tuple[int, int] | None"
+    margin: "tuple[int, int] | None"
+    status: str
+    witness: "dict | None"
+    note: "str | None"
+
+    def report(self) -> InequalityReport:
+        return InequalityReport(self.claim_id, self.params, *(
+            None if v is None else Fraction(*v) for v in self[2:6]),
+            self.status, self.witness, self.note)
+
+
+def _vacuous(claim_id: str, params: dict, empty: str) -> _Outcome:
+    """The outcome at params["t"] when the sets named in `empty` are
+    empty."""
     t = params["t"]
-    if empty:
-        return InequalityReport(claim_id, params, t, None, None, None, VACUOUS,
-                                note=f"empty concentration set for {empty}")
-    attained, bound, witness = worst
-    margin = bound - attained
-    return InequalityReport(claim_id, params, t, attained, bound, margin,
-                            HOLDS if margin >= 0 else VIOLATED,
-                            witness if margin < 0 else None, note)
+    return _Outcome(claim_id, params, (t.numerator, t.denominator), None,
+                    None, None, VACUOUS, None,
+                    f"empty concentration set for {empty}")
+
+
+def _decided(claim_id: str, params: dict, unit: int, attained: int,
+             bound: int, witness: "dict | None",
+             note: "str | None" = None) -> _Outcome:
+    """The outcome at params["t"] decided by attained <= bound, both over
+    unit; witness is given iff the bound is violated."""
+    t, margin = params["t"], bound - attained
+    return _Outcome(claim_id, params, (t.numerator, t.denominator),
+                    (attained, unit), (bound, unit), (margin, unit),
+                    HOLDS if margin >= 0 else VIOLATED, witness, note)
 
 
 @dataclass(frozen=True)
@@ -275,7 +332,7 @@ def classify_case(X: DiscreteDist, j: int, k: int, t,
         if X.dim > 1:
             found = has_concentration_point(walk.dist(law), tt / 10, norm)[0]
         else:
-            found = not _lattice_set(walk, law, tt / 10).is_empty
+            found = bool(_lattice_set(walk, law, tt / 10))
         if not found:
             lhs = sk.at_radius(tt / 10)
             return CaseVerdict("case2", {"index": i, "p_gap": p_gap},

@@ -12,26 +12,29 @@ which lays out verify's reports (checks.claim_reports) too: the judged
 indices (checks._indices), the sums its walk reads, a sweep claim's factor
 and scale and the params echo of each mode pair.  The corpus adds the params
 text of each of its rows, joined from the text of each params value, each
-value rendered once per run.  checks.walk_checks gives every entry's checks
-on an instance, as verify's, or none (an instance past the cap is only
-listed in skipped): an evaluated claim's report, or a sweep claim's int
-outcome per mode pair.  _absorb counts an entry's checks once, in its
-claim's per_claim entry by status, and adds their rows; the report's totals
-are summed from those when the run ends.  The (strict, strict) and (weak,
-weak) rows of a sweep share status, note, lhs, rhs and margin, so those are
-rendered once, each exact field by one int helper (_exact) and the float
-column as n / d; the smallest margin is kept by cross-multiplying, and an
-InequalityReport is built only for a stored violation.
+value rendered once per run, and each row's CSV head, its claim and params
+quoted once (_item).  checks.walk_checks gives every entry's checks on an
+instance, as verify's, or none (an instance past the cap is only listed in
+skipped): an evaluated claim's int outcome (concentration._Outcome), or a
+sweep claim's int outcome per mode pair.  _absorb counts an entry's checks
+once, in its claim's per_claim entry by status, and keeps their rows as one
+group; the report's totals are summed from those when the run ends.  The
+(strict, strict) and (weak, weak) rows of a sweep share status, note, lhs,
+rhs and margin, so those are rendered once, each exact field by one int
+helper (_exact) and the float column as n / d; the smallest margin is kept
+by cross-multiplying, and an InequalityReport is built only for a stored
+violation.  write_csv renders each group's tail once and each row as one
+f-string, the bytes csv.writer would write, in one write; CorpusReport.rows
+builds the row dicts from the groups when it is read.
 """
 
 from __future__ import annotations
 
-import csv
 import json
+import re
 from dataclasses import dataclass, field
 from fractions import Fraction
 from math import gcd
-from operator import itemgetter
 
 from .checks import (
     ALIASES,
@@ -202,12 +205,23 @@ class CorpusReport(Report):
     worst: "dict | None" = None          # smallest margin over decided checks
     violations: list = field(default_factory=list)
     skipped: list = field(default_factory=list)
-    # flat per-check rows for the CSV, not the JSON
-    rows: list = field(default_factory=list, metadata={"json": False})
+    # the CSV's rows, one group per plan entry and instance (_absorb):
+    # (instance, claim, params texts, CSV heads, worst_t texts, the shared
+    # lhs, rhs, margin, margin_float_approx, status and note); not the JSON
+    groups: list = field(default_factory=list, metadata={"json": False})
 
     @property
     def has_violations(self) -> bool:
         return self.violated > 0
+
+    @property
+    def rows(self) -> "list[dict]":
+        """One dict per CSV row, keyed by CSV_COLUMNS, built on each read
+        from the groups; rows with equal params share one params text."""
+        return [{"instance": index, "claim": claim, "params": text,
+                 "worst_t": t, **dict(zip(CSV_COLUMNS[4:], tail))}
+                for index, claim, texts, _, ts, tail in self.groups
+                for text, t in zip(texts, ts)]
 
 
 CSV_COLUMNS = (
@@ -233,7 +247,7 @@ def run_corpus(config: CorpusConfig, claims=None,
     plan = [(CLAIMS[name], *variant) for name in claims
             for variant in judged[name]]
     report = CorpusReport(config=config, claims=claims)
-    # (plan position, norm, grid entry) -> [plan entry, params texts]
+    # (plan position, norm, grid entry) -> [plan entry, params texts, heads]
     entries, parts = {}, {}
     instances = generate_corpus(config)
     for index, (dist, norm) in enumerate(instances):
@@ -252,48 +266,48 @@ def run_corpus(config: CorpusConfig, claims=None,
         if not planned:       # e.g. lemma2 and corollary3 above dimension 1
             continue
         try:
-            got = walk_checks([entry for entry, _ in planned], dist, cap)
+            got = walk_checks([item[0] for item in planned], dist, cap)
         except SupportCapExceeded as exc:
             report.skipped.append({"instance": index, "reason": str(exc)})
             continue
         for item, checks in zip(planned, got):
             _absorb(report, index, dist, item, checks, parts)
-    report.total_checks = len(report.rows)
+    stats = report.per_claim.values()
+    report.total_checks = sum(s["checks"] for s in stats)
     for status in (HOLDS, VIOLATED, VACUOUS):
-        setattr(report, status, sum(s[status]
-                                    for s in report.per_claim.values()))
+        setattr(report, status, sum(s[status] for s in stats))
     return report
 
 
 def _item(entry, parts: dict) -> list:
-    """A plan entry (checks.plan_entry) and the params text of each of its
-    rows: a sweep claim's from its echoes, an evaluated claim's from its
-    first report (_absorb); parts holds the text of each params value, for
-    one run_corpus call."""
-    return [entry, [_params_text(echo, parts) for echo in entry.echoes]]
+    """A plan entry (checks.plan_entry), the params text of each of its
+    rows and each row's quoted claim,params CSV head: a sweep claim's from
+    its echoes, an evaluated claim's from its first outcome (_absorb);
+    parts holds the text of each params value, for one run_corpus call."""
+    texts = [_params_text(echo, parts) for echo in entry.echoes]
+    return [entry, texts, [_head(entry.spec.claim_id, text) for text in texts]]
+
+
+def _head(claim: str, params: str) -> str:
+    return f"{_csv_field(claim)},{_csv_field(params)}"
 
 
 def _params_text(params: dict, parts: dict) -> str:
     """json.dumps(jsonify(params), sort_keys=True), joined in sorted-key
     order from the text of each name and value, each rendered once into
-    parts.  A value is told apart by its type too (the int 1 renders as 1,
-    the Fraction 1 as "1"), a list (weights, which checks._indices makes
-    Fractions) by its items."""
+    parts.  A value is known by its object: parts keeps it beside its
+    text, so its id names no other object while parts lives (one
+    run_corpus call); equal values of distinct objects render apart, and
+    the int 1 and the Fraction 1 (1 and "1") never share a text."""
     texts = []
     for name in sorted(params):
         value = params[name]
-        key = (name, value.__class__,
-               tuple(value) if isinstance(value, list) else value)
-        text = parts.get(key)
-        if text is None:
-            text = parts[key] = f"{json.dumps(name)}: " \
+        part = parts.get((name, id(value)))
+        if part is None:
+            part = parts[name, id(value)] = value, f"{json.dumps(name)}: " \
                 f"{json.dumps(jsonify(value), sort_keys=True)}"
-        texts.append(text)
+        texts.append(part[1])
     return "{" + ", ".join(texts) + "}"
-
-
-def _pair(value: "Fraction | None"):
-    return None if value is None else (value.numerator, value.denominator)
 
 
 def _exact(pair) -> "str | None":
@@ -308,20 +322,21 @@ def _exact(pair) -> "str | None":
 
 def _absorb(report: CorpusReport, index: int, dist: DiscreteDist, item: list,
             got, parts: dict) -> None:
-    """Count the checks of one plan entry (_item) on one instance and add
-    their rows.  got is what checks.shape_checks gives: an evaluated
-    claim's report, one row; or a sweep claim's outcomes at MODE_PAIRS, one
-    row each, which share status, note, lhs, rhs and margin (checks: weak
-    equals shifted strict), so those are rendered once and only worst_t
-    and the params text per row."""
-    entry, texts = item
+    """Count the checks of one plan entry (_item) on one instance and keep
+    their rows as one group.  got is what checks.shape_checks gives: an
+    evaluated claim's int outcome, one row; or a sweep claim's outcomes at
+    MODE_PAIRS, one row each, which share status, note, lhs, rhs and margin
+    (checks: weak equals shifted strict), so those are rendered once and
+    only worst_t per row."""
+    entry, texts, heads = item
     claim = entry.spec.claim_id
     if entry.shape.evaluate is not None:
         if not texts:
             texts.append(_params_text(got.params, parts))
+            heads.append(_head(claim, texts[0]))
         status, note = got.status, got.note
-        ts = [_pair(got.worst_t)]
-        lhs, rhs, margin = map(_pair, (got.lhs, got.rhs, got.margin))
+        ts = [got.worst_t]
+        lhs, rhs, margin = got.lhs, got.rhs, got.margin
     else:
         status, note = _verdict(got[0], entry.norm, entry.spec.note)
         ts = [out[0] for out in got]
@@ -343,17 +358,40 @@ def _absorb(report: CorpusReport, index: int, dist: DiscreteDist, item: list,
                             "margin": Fraction(*margin),
                             "worst_t": Fraction(*ts[0]),
                             "lhs": Fraction(*lhs), "rhs": Fraction(*rhs)}
-    shared = {"lhs": _exact(lhs), "rhs": _exact(rhs), "margin": _exact(margin),
-              "margin_float_approx": None if margin is None
-              else margin[0] / margin[1],
-              "status": status, "note": note}
-    for text, t in zip(texts, ts):
-        report.rows.append({"instance": index, "claim": claim,
-                            "params": text, "worst_t": _exact(t), **shared})
+    report.groups.append((index, claim, texts, heads, list(map(_exact, ts)), (
+        _exact(lhs), _exact(rhs), _exact(margin),
+        None if margin is None else margin[0] / margin[1], status, note)))
+
+
+_NEEDS_QUOTES = re.compile('[,"\r\n]').search
+
+
+def _csv_field(text: "str | None") -> str:
+    """A text as csv.writer writes it in a row of several fields (excel
+    dialect, QUOTE_MINIMAL): None as nothing, and a text that holds a
+    comma, a quote, CR or LF in quotes, each quote doubled."""
+    if text is None:
+        return ""
+    if _NEEDS_QUOTES(text) is None:
+        return text
+    return '"' + text.replace('"', '""') + '"'
 
 
 def write_csv(report: CorpusReport, path) -> None:
+    """The rows as csv.writer writes them, CSV_COLUMNS first: each row the
+    text of its instance, its group's head, its worst_t and its group's
+    tail, the tail rendered once per group; one write of the whole text.
+    Ratio text (worst_t, lhs, rhs, margin), a float's repr and a status
+    need no quotes, so only the heads and the note go through
+    _csv_field."""
+    lines = [",".join(CSV_COLUMNS)]
+    for index, _, _, heads, ts, tail in report.groups:
+        lhs, rhs, margin, approx, status, note = tail
+        tail = f"{lhs or ''},{rhs or ''},{margin or ''}," \
+            f"{'' if approx is None else repr(approx)},{status}," \
+            f"{_csv_field(note)}"
+        lines += [f"{index},{head},{t or ''},{tail}"
+                  for head, t in zip(heads, ts)]
+    lines.append("")
     with open(path, "w", newline="", encoding="utf-8") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(CSV_COLUMNS)
-        writer.writerows(map(itemgetter(*CSV_COLUMNS), report.rows))
+        fh.write("\r\n".join(lines))

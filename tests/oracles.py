@@ -31,7 +31,11 @@ curve bisected there through ``TailCurve.at_gauge``.  They read every
 candidate, where ``checks._Pair.reads`` reads only those where the margin
 can fall, so they check that no candidate it skips could decide.
 ``fraction_concentration_set`` is the Fraction sweep of window masses that
-the integer rule of ``iidtails.concentration`` replaced.
+the integer rule of ``iidtails.concentration`` replaced, and
+``fraction_lemma2`` and ``fraction_corollary3`` are the Fraction checks on
+its sets that lemma2 and corollary3 on int endpoints replaced: the sums
+folded by ``fraction_convolve``, every endpoint and bound a Fraction, and
+corollary3's witness rows built on every evaluation.
 ``fraction_snap_to_space`` is the Fraction decoding of a search parameter
 vector that the integer snap of ``iidtails.search`` replaced.
 """
@@ -39,7 +43,7 @@ vector that the integer snap of ``iidtails.search`` replaced.
 import math
 from fractions import Fraction
 from itertools import product
-from math import lcm
+from math import gcd, lcm
 from operator import add
 
 from iidtails import checks
@@ -56,7 +60,7 @@ from iidtails.dists import (
     affine,
     as_point,
 )
-from iidtails.reports import HOLDS, VIOLATED
+from iidtails.reports import HOLDS, InequalityReport, VACUOUS, VIOLATED
 
 ZERO = Fraction(0)
 TWO_THIRDS = Fraction(2, 3)
@@ -573,6 +577,69 @@ def fraction_concentration_set(x: DiscreteDist, t) -> ConcentrationSet:
         else:
             merged.append([lo, hi])
     return ConcentrationSet(tuple((lo, hi) for lo, hi in merged))
+
+
+def fraction_lemma2(x: DiscreteDist, y: DiscreteDist, t) -> InequalityReport:
+    """lemma2 with Fraction concentration sets of X, Y and X + Y: the
+    extremes of x + y - z over their endpoints against 3t."""
+    t = Fraction(t)
+    sets = {"X": fraction_concentration_set(x, t),
+            "Y": fraction_concentration_set(y, t),
+            "X+Y": fraction_concentration_set(fraction_convolve(x, y), t)}
+    empty = ", ".join(name for name, c in sets.items() if c.is_empty)
+    if empty:
+        return _fraction_report("lemma2", {"t": t}, empty)
+    cx, cy, cz = sets.values()
+    attained = max(cx.max + cy.max - cz.min, cz.max - cx.min - cy.min)
+    return _fraction_report("lemma2", {"t": t}, "", (attained, 3 * t, {
+        "attained": attained, "bound": 3 * t}))
+
+
+def fraction_corollary3(x: DiscreteDist, k: int, t) -> InequalityReport:
+    """corollary3 with Fraction concentration sets of S_1..S_k: per j the
+    plain bound 3(k+j)t and the refined 3(j+k-2*gcd(j,k))t, the worst row
+    the least margin, plain before refined, first j on ties."""
+    t = Fraction(t)
+    csets = {i: fraction_concentration_set(fraction_iid_sum(x, i), t)
+             for i in range(1, k + 1)}
+    params = {"k": k, "t": t}
+    empty = [i for i in csets if csets[i].is_empty]
+    if empty:
+        return _fraction_report("corollary3", params, f"S_i, i in {empty}")
+    rows = []
+    worst = None  # (margin, row)
+    for j in range(1, k + 1):
+        cj, ck = csets[j], csets[k]
+        attained = max(k * cj.max - j * ck.min, j * ck.max - k * cj.min)
+        row = {"j": j, "attained": attained, "plain_bound": 3 * (k + j) * t,
+               "refined_attained": attained if j < k else ZERO,
+               "refined_bound": 3 * (j + k - 2 * gcd(j, k)) * t}
+        rows.append(row)
+        for got, bound in ((attained, row["plain_bound"]),
+                           (row["refined_attained"], row["refined_bound"])):
+            if worst is None or bound - got < worst[0]:
+                worst = (bound - got,
+                         {"j": j, "attained": got, "bound": bound})
+    row = worst[1]
+    return _fraction_report("corollary3", params, "", (
+        row["attained"], row["bound"], {"rows": rows, "worst": row}),
+        "refined bound under shared selection; trivial at j = k")
+
+
+def _fraction_report(claim_id: str, params: dict, empty: str, worst=None,
+                     note=None) -> InequalityReport:
+    """Vacuous when the sets named in `empty` are empty, else decided by
+    worst = (attained, bound, witness), the witness kept only when the
+    bound is violated."""
+    t = params["t"]
+    if empty:
+        return InequalityReport(claim_id, params, t, None, None, None, VACUOUS,
+                                note=f"empty concentration set for {empty}")
+    attained, bound, witness = worst
+    margin = bound - attained
+    return InequalityReport(claim_id, params, t, attained, bound, margin,
+                            HOLDS if margin >= 0 else VIOLATED,
+                            witness if margin < 0 else None, note)
 
 
 def fraction_snap_to_space(theta, space) -> DiscreteDist:

@@ -1,11 +1,13 @@
 import random
 from fractions import Fraction as F
+from unittest import mock
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from iidtails import concentration, dists
+import oracles
+from iidtails import checks, concentration, dists
 from iidtails.checks import CLAIMS, check_theorem1, claim_reports
 from iidtails.concentration import (
     ConcentrationSet,
@@ -16,9 +18,11 @@ from iidtails.concentration import (
     has_concentration_point,
     window_mass,
 )
-from iidtails.dists import DiscreteDist, Norm, delta, iid_sum, tail
-from iidtails.reports import HOLDS, VACUOUS
-from oracles import coin, dist1d, fraction_concentration_set
+from iidtails.corpus import CorpusConfig, run_corpus
+from iidtails.dists import DiscreteDist, Norm, convolve, delta, iid_sum, tail
+from iidtails.reports import HOLDS, VACUOUS, VIOLATED
+from oracles import (coin, dist1d, fraction_concentration_set,
+                     fraction_corollary3, fraction_lemma2)
 
 
 def rand_dist(rng, max_atoms=4, span=8, den=4):
@@ -413,3 +417,115 @@ def test_integer_concentration_set_matches_fraction_sweep(case):
     x, t = case
     assert concentration_set(x, t).intervals == \
         fraction_concentration_set(x, t).intervals
+
+
+def test_public_checks_are_claim_reports(monkeypatch):
+    """check_lemma2 and check_corollary3 are verify's reports: each equals
+    claim_reports of its claim, with Y != X and in vacuous cases, and is
+    what one claim_reports call returns."""
+    x = dist1d([(0, F(9, 10)), (4, F(1, 10))])
+    y = dist1d([(1, F(3, 4)), (F(5, 2), F(1, 4))])
+    lemma2 = [(x, y, F(1, 2)), (x, y, 0), (x, x, 2), (coin(), y, F(1, 2)),
+              (x, coin(), 1)]
+    corollary3 = [(x, 3, 2), (x, 1, 0), (coin(), 2, F(1, 2)), (y, 4, 1)]
+    statuses = set()
+    for a, b, t in lemma2:
+        rep = check_lemma2(a, b, t)
+        statuses.add(rep.status)
+        assert [rep] == claim_reports(CLAIMS["lemma2"], a, Norm.ABS1D,
+                                      {"t": t, "y": b})
+    for a, k, t in corollary3:
+        rep = check_corollary3(a, k, t)
+        statuses.add(rep.status)
+        assert [rep] == claim_reports(CLAIMS["corollary3"], a, Norm.ABS1D,
+                                      {"k": k, "t": t})
+    assert statuses == {HOLDS, VACUOUS}
+    calls, reports = [], checks.claim_reports
+
+    def counted(spec, X, norm, given, *args, **kwargs):
+        calls.append((spec.claim_id, X, norm, given))
+        return reports(spec, X, norm, given, *args, **kwargs)
+
+    monkeypatch.setattr(checks, "claim_reports", counted)
+    check_lemma2(x, y, 1)
+    check_corollary3(x, 2, 1, cap=50)
+    assert calls == [("lemma2", x, Norm.ABS1D, {"t": 1, "y": y}),
+                     ("corollary3", x, Norm.ABS1D, {"k": 2, "t": 1})]
+    with pytest.raises(dists.SupportCapExceeded, match="exceeds cap 5"):
+        check_corollary3(dist1d([(v, F(1, 4)) for v in range(4)]), 3, 1,
+                         cap=5)
+
+
+@st.composite
+def oracle_cases(draw):
+    """Two 1-D laws with negative atoms of mixed denominators, k in 1..4,
+    and a t that is 0, a window breakpoint of X, Y or X + Y (half or all
+    of the distance between two atoms) or a random rational."""
+    def law():
+        n = draw(st.integers(1, 4))
+        vals = draw(st.lists(st.builds(F, st.integers(-12, 12),
+                                       st.integers(1, 6)),
+                             min_size=n, max_size=n, unique=True))
+        weights = draw(st.lists(st.integers(1, 9), min_size=n, max_size=n))
+        return DiscreteDist({(v,): F(w, sum(weights))
+                             for v, w in zip(vals, weights)})
+
+    x, y = law(), law()
+    gaps = {g for d in (x, y, convolve(x, y)) for (a,) in d.support
+            for (b,) in d.support for g in (abs(a - b) / 2, abs(a - b))}
+    t = draw(st.one_of(st.just(F(0)), st.sampled_from(sorted(gaps)),
+                       st.builds(F, st.integers(0, 40), st.integers(1, 12))))
+    return x, y, draw(st.integers(1, 4)), t
+
+
+@given(oracle_cases())
+@settings(max_examples=150, deadline=None)
+def test_int_endpoint_checks_match_the_fraction_oracle(case):
+    """lemma2 and corollary3 decided on int endpoints give the reports of
+    the Fraction checks on Fraction concentration sets, with Y != X and
+    with Y = X sharing X's set."""
+    x, y, k, t = case
+    assert check_lemma2(x, y, t) == fraction_lemma2(x, y, t)
+    assert claim_reports(CLAIMS["lemma2"], x, Norm.ABS1D, {"t": t}) == \
+        [fraction_lemma2(x, x, t)]
+    assert check_corollary3(x, k, t) == fraction_corollary3(x, k, t)
+
+
+def test_violated_corollary3_witness_matches_the_fraction_oracle():
+    """With gcd patched to j + k the refined bound 3(j+k-2*gcd)t is
+    -3(j+k)t, violated at every t > 0: the int path then builds the
+    witness rows, equal to the oracle's, at verify and as a stored corpus
+    violation."""
+    x = dist1d([(F(-3, 2), F(1, 10)), (0, F(8, 10)), (F(2, 3), F(1, 10))])
+    patched = lambda j, k: j + k  # noqa: E731
+    with mock.patch.object(concentration, "gcd", patched), \
+            mock.patch.object(oracles, "gcd", patched):
+        for law, k, t in ((x, 3, 2), (x, 1, F(1, 3)), (delta(F(5, 4)), 4, 1),
+                          (dist1d([(0, F(9, 10)), (4, F(1, 10))]), 2, 3)):
+            rep = check_corollary3(law, k, t)
+            assert rep.status == VIOLATED
+            assert len(rep.witness["rows"]) == k
+            assert rep == fraction_corollary3(law, k, t)
+        corpus = run_corpus(CorpusConfig(seed=3, count=4, max_k=3),
+                            ["corollary3"])
+        assert corpus.violations
+        for v in corpus.violations:
+            rep = v["report"]
+            assert rep.status == VIOLATED
+            assert rep == fraction_corollary3(v["dist"], rep.params["k"],
+                                              rep.params["t"])
+
+
+def test_violated_lemma2_witness_over_a_law_that_is_not_x_plus_y():
+    """_lemma2 handed X's own law where X + Y's belongs (X = 0 and Y = 10
+    a.s.): the sets are the intervals of radius t = 1/2 about 0, 10 and 0,
+    so x + y - z reaches 23/2, above 3t: violated, with lhs, rhs, margin
+    and the witness as Fractions."""
+    walk = dists._Walk(*dists._encode([delta(0), delta(10)]), {1, 2},
+                       dists.DEFAULT_SUPPORT_CAP)
+    rep = concentration._lemma2(walk, walk.law(1), walk.terms[1],
+                                walk.law(1), F(1, 2)).report()
+    assert (rep.status, rep.lhs, rep.rhs, rep.margin) == \
+        (VIOLATED, F(23, 2), F(3, 2), -10)
+    assert rep.witness == {"attained": F(23, 2), "bound": F(3, 2)}
+    assert check_lemma2(delta(0), delta(10), F(1, 2)).status == HOLDS

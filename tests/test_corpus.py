@@ -325,6 +325,63 @@ class TestCsv:
             {"holds", "violated", "vacuous"}
 
 
+# texts a field may hold: the characters csv.writer quotes, non-ASCII ones
+# and anything else
+FIELD_TEXT = st.text(st.one_of(st.sampled_from(list(',"\r\n é€😀{}: ')),
+                               st.characters()), max_size=10)
+RATIO_TEXT = st.builds(lambda n, d: str(F(n, d)), st.integers(),
+                       st.integers(1, 10 ** 30))
+FLOATS = st.one_of(st.none(), st.sampled_from(
+    [1e16, 5e-324, -0.0, 0.1 + 0.2, float("inf"), float("nan")]),
+    st.floats())
+
+
+@st.composite
+def csv_groups(draw):
+    """Row groups as _absorb keeps them, heads quoted as _item does."""
+    groups = []
+    for _ in range(draw(st.integers(0, 4))):
+        claim = draw(st.sampled_from(DEFAULT_CLAIMS) | FIELD_TEXT)
+        texts = draw(st.lists(FIELD_TEXT, min_size=1, max_size=2))
+        ts = draw(st.lists(st.none() | RATIO_TEXT, min_size=len(texts),
+                           max_size=len(texts)))
+        ratios = [draw(st.none() | RATIO_TEXT) for _ in range(3)]
+        tail = (*ratios, draw(FLOATS),
+                draw(st.sampled_from(["holds", "violated", "vacuous"])),
+                draw(st.none() | FIELD_TEXT))
+        groups.append((draw(st.integers(0, 10 ** 6)), claim, texts,
+                       [corpus._head(claim, text) for text in texts], ts,
+                       tail))
+    return groups
+
+
+def _uncommon_groups():
+    """One group whose params hold a lone quote and whose note a lone CR:
+    csv.writer doubles the one and quotes the other."""
+    return [(0, "lemma2", ['{"t": "1/2"}', ""], [
+        corpus._head("lemma2", '{"t": "1/2"}'), corpus._head("lemma2", "")],
+        ["1/2", None], ("3/2", None, "-1", -0.0, "violated", "a\rb"))]
+
+
+@given(csv_groups())
+@example(_uncommon_groups())
+@settings(max_examples=200, deadline=None)
+def test_csv_text_is_csv_writer_s(tmp_path_factory, groups):
+    """write_csv writes the bytes that csv.writer writes from the rows:
+    fields with commas, quotes, CR, LF and non-ASCII characters, None and
+    the empty string, and floats by their repr."""
+    report = corpus.CorpusReport(CorpusConfig(seed=0, count=1), [],
+                                 groups=groups)
+    path = tmp_path_factory.mktemp("csv") / "corpus.csv"
+    write_csv(report, path)
+    want = path.with_name("want.csv")
+    with open(want, "w", newline="", encoding="utf-8") as fh:
+        writer = csv.writer(fh)
+        writer.writerow(CSV_COLUMNS)
+        writer.writerows([row[c] for c in CSV_COLUMNS] for row in report.rows)
+    assert path.read_bytes() == want.read_bytes()
+
+
 def test_running_max_pass_takes_one_step_per_horizon(monkeypatch):
     """levy_ottaviani and corollary4 at k = 1..K read every S_i and every
     running max of an instance from one pass: K steps in all, not one
