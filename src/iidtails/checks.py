@@ -23,14 +23,14 @@ points, and the first read is the same in both modes.  So the (weak, weak)
 outcome has the (strict, strict) status, lhs, rhs, margin and max_lhs; its
 worst_q is the threshold after the strict worst, the next critical of
 either curve, or the first threshold when the strict worst is there.
-_sweeps answers MODE_PAIRS from one strict sweep.
+_sweep answers MODE_PAIRS from one strict sweep.
 
-Outcomes are ints.  _sweeps returns each worst case as (numerator,
-denominator) pairs, and its status is the sign of the margin; an evaluated
-claim's outcome (concentration._Outcome) holds such pairs too.  Fractions
-are built only for what leaves as one: sweep_curves' SweepOutcome and the
-InequalityReport (_report, _Outcome.report) of verify, the check_*
-functions and a stored corpus violation.
+Outcomes are ints.  _sweep returns its worst case as (numerator,
+denominator) pairs, and shape_checks gives it as the record an evaluated
+claim (concentration) gives too, reports.Outcome, whose status is the sign
+of the margin.  Fractions are built only for what leaves as one:
+sweep_curves' SweepOutcome and the InequalityReport (Outcome.reports) of
+verify, the check_* functions and a stored corpus violation.
 
 CLAIMS is the one table of claims.  The corpus, the CLI, mc_check and the
 extremal search read it, and judge a claim's parameters by its rules:
@@ -45,10 +45,9 @@ plan_entry is the one place a check is laid out, for verify's reports
 the check reads (_reads), a sweep claim's factor and scale and the params
 echo of each mode pair.  walk_checks walks a law (dists._Walk) as far as
 its entries read, for verify and a corpus instance alike, and gives every
-entry's checks or none: shape_checks reads an entry off the walk, a sweep
-claim's two curves (_sides) swept to int pairs, an evaluated claim's
-lattice laws to its int outcome, and _verdict states a sweep's status and
-note.
+entry's outcome or none: shape_checks reads an entry off the walk, a sweep
+claim's two curves (_sides) swept to int pairs with its status and note,
+or an evaluated claim's lattice laws, to one int outcome.
 """
 
 from __future__ import annotations
@@ -71,13 +70,14 @@ from .dists import (
     WEAK,
     _check_mode,
     _encode,
+    _threshold,
     _Walk,
     _weighted_walk,
     rat,
     require_indices,
     upper_envelope,
 )
-from .reports import HOLDS, InequalityReport, VIOLATED
+from .reports import HOLDS, InequalityReport, Outcome, VIOLATED
 
 
 def threshold_candidates(jumps, mixed_modes: bool = False) -> "list[Fraction]":
@@ -180,41 +180,39 @@ class SweepOutcome:
 MODE_PAIRS = ((STRICT, STRICT), (WEAK, WEAK))
 
 
-def _sweeps(lhs_curve: TailCurve, rhs_curve: TailCurve, factor, scale,
-            modes) -> "list[tuple]":
-    """One outcome of lhs(t) <= factor * rhs(t/scale) per (lhs mode, rhs
-    mode) pair in modes, for rational factor and scale: the worst threshold,
-    lhs, factor * rhs and margin there, and the largest lhs, each a
-    (numerator, denominator) pair, denominator > 0, from the reads
-    where its margin can fall (_Pair.reads: the first threshold and, below
-    the lhs's reach, one per rhs critical), which hold the least worst of
-    every candidate threshold.  MODE_PAIRS reads the strict pair once and
-    takes the weak outcome off it; any other tuple reads each pair."""
+def _sweep(lhs_curve: TailCurve, rhs_curve: TailCurve, factor, scale,
+           modes) -> tuple:
+    """The worst case of lhs(t) <= factor * rhs(t/scale) for rational
+    factor and scale, at the (lhs mode, rhs mode) pairs in modes, one pair
+    or MODE_PAIRS: the worst threshold of each pair, then the lhs, factor *
+    rhs and margin there and the largest lhs, which the pairs share, each a
+    (numerator, denominator) pair, denominator > 0, from the reads where
+    its margin can fall (_Pair.reads: the first threshold and, below the
+    lhs's reach, one per rhs critical), which hold the least worst of every
+    candidate threshold.  MODE_PAIRS reads the strict pair and takes the
+    weak threshold off it; any other tuple of pairs is refused."""
+    if len(modes) != 1 and modes != MODE_PAIRS:
+        raise ValueError(f"modes must be one pair or MODE_PAIRS, got {modes}")
     pair = _Pair(lhs_curve, rhs_curve, scale)
-    shared = tuple(modes) == MODE_PAIRS
     fn, fd = factor.numerator, factor.denominator
     dl, dr = lhs_curve.den, rhs_curve.den
     # margin = factor * rhs - lhs is kr * nr - kl * nl over fd * dl * dr
     kr, kl = fn * dl, fd * dr
-    outs = []
-    for lhs_mode, rhs_mode in modes[:1] if shared else modes:
-        xs, nls, nrs = pair.reads(lhs_mode, rhs_mode)
-        # every read past the first has lhs > 0; ties go to the least x.
-        # The first read holds the largest lhs, and is the outcome when lhs
-        # is identically 0 (then it is the only read)
-        margins = [kr * nr - kl * nl for nl, nr in zip(nls, nrs)]
-        p = margins.index(min(margins))
-        nl, nr = nls[p], nrs[p]
-        outs.append(((xs[p], pair.unit), (nl, dl), (fn * nr, kl),
-                     (margins[p], fd * dl * dr), (nls[0], dl)))
-    if shared:
+    xs, nls, nrs = pair.reads(*modes[0])
+    # every read past the first has lhs > 0; ties go to the least x.  The
+    # first read holds the largest lhs, and is the outcome when lhs is
+    # identically 0 (then it is the only read)
+    margins = [kr * nr - kl * nl for nl, nr in zip(nls, nrs)]
+    p = margins.index(min(margins))
+    ts = ((xs[p], pair.unit),)
+    if len(modes) == 2:
         # the weak read at a candidate is the strict read at the one
         # before it, and the first read is the same in both; a worst p > 0
         # is an rhs critical below the lhs's last, followed by the next
         # critical of either curve
-        outs.append(((xs[0] if p == 0 else pair.after(xs[p]), pair.unit),)
-                    + outs[0][1:])
-    return outs
+        ts += ((xs[0] if p == 0 else pair.after(xs[p]), pair.unit),)
+    return ts, (nls[p], dl), (fn * nrs[p], kl), (margins[p], fd * dl * dr), \
+        (nls[0], dl)
 
 
 def sweep_curves(lhs_curve: TailCurve, rhs_curve: TailCurve, factor: Fraction,
@@ -226,10 +224,10 @@ def sweep_curves(lhs_curve: TailCurve, rhs_curve: TailCurve, factor: Fraction,
     a radius, so in gauge space (euclidean) it acts squared.
     """
     rhs_mode = lhs_mode if rhs_mode is None else rhs_mode
-    out, = _sweeps(lhs_curve, rhs_curve, rat(factor), rat(scale),
-                   ((lhs_mode, rhs_mode),))
-    return SweepOutcome(VIOLATED if out[3][0] < 0 else HOLDS,
-                        *(Fraction(n, d) for n, d in out))
+    (t,), *rest = _sweep(lhs_curve, rhs_curve, rat(factor), rat(scale),
+                         ((lhs_mode, rhs_mode),))
+    return SweepOutcome(VIOLATED if rest[2][0] < 0 else HOLDS,
+                        *(Fraction(n, d) for n, d in (t, *rest)))
 
 
 def least_c1(lhs_curve: TailCurve, rhs_curve: TailCurve, factor: Fraction,
@@ -254,30 +252,6 @@ def least_c1(lhs_curve: TailCurve, rhs_curve: TailCurve, factor: Fraction,
             bl, br, bx = nl, nr, x
     return (Fraction(bl * rhs_curve.den, br * lhs_curve.den) / factor,
             None if bx is None else Fraction(bx, pair.unit))
-
-
-def _verdict(outcome: tuple, norm: Norm,
-             note: "str | None" = None) -> "tuple[str, str | None]":
-    """The status and the note of a sweep claim's report, for verify and
-    the corpus alike: violated iff the margin is negative; the claim's own
-    note, then "lhs identically zero" and, under the euclidean gauge,
-    that thresholds are squared radii."""
-    notes = [] if note is None else [note]
-    if not outcome[4][0]:
-        notes.append("lhs identically zero")
-    if norm.scale_exponent == 2:
-        notes.append("thresholds are squared radii (euclidean gauge)")
-    return (VIOLATED if outcome[3][0] < 0 else HOLDS,
-            "; ".join(notes) or None)
-
-
-def _report(claim_id: str, params: dict, outcome: tuple, norm: Norm,
-            note: "str | None" = None) -> InequalityReport:
-    status, note = _verdict(outcome, norm, note)
-    t, lhs, rhs, margin, _ = (Fraction(n, d) for n, d in outcome)
-    witness = {"t": t, "lhs": lhs, "rhs": rhs} if status == VIOLATED else None
-    return InequalityReport(claim_id, params, t, lhs, rhs, margin, status,
-                            witness, note)
 
 
 # --- the claim table -------------------------------------------------------
@@ -386,7 +360,8 @@ def _indices(shape: ClaimSpec, given: dict,
     """Judge a shape's parameters once: each missing or None takes the
     default of spec, the claim checked in shape's form (latala_alt checks
     corollary4's at its own k = 2), else of shape.  Returns what a check
-    reads and echoes, and t (and lemma2's y) for an evaluated shape."""
+    reads and echoes, and t, judged (dists._threshold), and lemma2's y
+    for an evaluated shape."""
     given = {**given, **{n: v for n, v in (spec or shape).defaults.items()
                          if given.get(n) is None}}
     if shape.lhs == WEIGHTED:
@@ -406,7 +381,9 @@ def _indices(shape: ClaimSpec, given: dict,
                                      else ("j", "k"))}
     if shape.evaluate is not None:   # lemma2 reads y when it is given
         _require(given.get("t") is not None, f"{shape.claim_id} needs t")
-        idx.update((n, given[n]) for n in ("t", "y") if n in given)
+        idx["t"] = _threshold(given["t"])
+        if "y" in given:
+            idx["y"] = given["y"]
     return idx
 
 
@@ -429,8 +406,7 @@ class _Entry(NamedTuple):
     constant pair, one judged index choice (_indices) and one norm, with
     all a check of it reads but the law: the sums its walk must read
     (_reads), a sweep claim's factor and scale, and the params echo of each
-    of its (lhs mode, rhs mode) pairs (none for an evaluated claim, whose
-    report echoes its own)."""
+    of its (lhs mode, rhs mode) pairs, or an evaluated claim's one echo."""
 
     spec: ClaimSpec
     shape: ClaimSpec
@@ -448,47 +424,51 @@ def plan_entry(spec: ClaimSpec, shape: ClaimSpec, c1, c2, idx: dict,
     """The plan entry of spec in shape's form at constants (c1, c2) and
     judged indices idx, under norm, at each mode pair in modes: the one
     place a check is laid out, for verify's reports (claim_reports) and the
-    corpus rows alike."""
-    reads = _reads(shape, idx)
-    if shape.evaluate is not None:
-        return _Entry(spec, shape, idx, reads, norm, modes, None, None, ())
-    j, k = idx.get("j"), idx["k"]
+    corpus rows alike.  An evaluated claim echoes its judged indices but
+    lemma2's Y, once; a sweep claim its constants and norm too, per mode
+    pair."""
+    j, k = idx.get("j"), idx.get("k")
     params = {} if shape is spec else {"shape": shape.claim_id}
-    params.update(idx, c1=c1, c2=c2, norm=norm)
-    return _Entry(spec, shape, idx, reads, norm, modes, shape.factor(c1, j, k),
-                  shape.scale(c2, j, k),
-                  tuple({**params, "modes": pair} for pair in modes))
+    params.update(idx)
+    if shape.evaluate is None:
+        params.update(c1=c1, c2=c2, norm=norm)
+        echoes = tuple({**params, "modes": pair} for pair in modes)
+    else:
+        params.pop("y", None)
+        echoes = (params,)
+    return _Entry(spec, shape, idx, _reads(shape, idx), norm, modes,
+                  shape.factor(c1, j, k), shape.scale(c2, j, k), echoes)
 
 
-def shape_checks(entry: _Entry, walk: _Walk):
-    """The checks of a plan entry on the walk of a law: an evaluated
-    claim's outcome (concentration._Outcome), or a sweep claim's outcomes
-    (_sweeps), one per mode pair of the entry: the worst threshold, lhs,
-    factor * rhs, margin and largest lhs as (numerator, denominator)
-    pairs."""
+def shape_checks(entry: _Entry, walk: _Walk) -> Outcome:
+    """The outcome of a plan entry on the walk of a law: an evaluated
+    claim's, or a sweep claim's (_sweep) at the entry's mode pairs, for
+    verify and the corpus alike: violated iff the margin is negative, and
+    noted with the claim's own note, then "lhs identically zero" and, under
+    the euclidean gauge, that thresholds are squared radii."""
     if entry.shape.evaluate is not None:
         return entry.shape.evaluate(walk, entry.idx)
-    lhs, rhs = _sides(walk, entry.shape, entry.idx)
-    return _sweeps(lhs, rhs, entry.factor, entry.scale, entry.modes)
+    ts, lhs, rhs, margin, max_lhs = _sweep(
+        *_sides(walk, entry.shape, entry.idx), entry.factor, entry.scale,
+        entry.modes)
+    notes = [] if entry.spec.note is None else [entry.spec.note]
+    if not max_lhs[0]:
+        notes.append("lhs identically zero")
+    if entry.norm.scale_exponent == 2:
+        notes.append("thresholds are squared radii (euclidean gauge)")
+    return Outcome(ts, lhs, rhs, margin, VIOLATED if margin[0] < 0 else HOLDS,
+                   None, "; ".join(notes) or None)
 
 
 def walk_checks(entries, X: DiscreteDist, cap: int) -> list:
-    """shape_checks of every plan entry (all under one norm) on one walk of
-    X, as far as their reads go, or SupportCapExceeded when the walk
-    passes cap.  lemma2's Y, when given, is the walk's second term."""
+    """The outcome (shape_checks) of every plan entry (all under one norm)
+    on one walk of X, as far as their reads go, or SupportCapExceeded when
+    the walk passes cap.  lemma2's Y, when given, is the walk's second
+    term."""
     laws = [X, *(entry.idx["y"] for entry in entries if "y" in entry.idx)]
     walk = _Walk(*_encode(laws), set().union(
         *(entry.reads for entry in entries)), cap, entries[0].norm)
     return [shape_checks(entry, walk) for entry in entries]
-
-
-def entry_reports(entry: _Entry, got) -> "list[InequalityReport]":
-    """The InequalityReport of each check of a plan entry, from what
-    shape_checks gave for it."""
-    if entry.shape.evaluate is not None:
-        return [got.report()]
-    return [_report(entry.spec.claim_id, echo, out, entry.norm,
-                    entry.spec.note) for echo, out in zip(entry.echoes, got)]
 
 
 def _reads(shape: ClaimSpec, idx: dict) -> set:
@@ -518,7 +498,7 @@ def claim_reports(spec: ClaimSpec, X: DiscreteDist, norm: Norm, given: dict,
     entries = [plan_entry(spec, shape, a, b, judged[shape.claim_id], norm,
                           modes) for shape, a, b in plan]
     return [rep for entry, got in zip(entries, walk_checks(entries, X, cap))
-            for rep in entry_reports(entry, got)]
+            for rep in got.reports(entry.spec.claim_id, entry.echoes)]
 
 
 def check_theorem1(X: DiscreteDist, j: int, k: int, c1=None, c2=None,

@@ -7,11 +7,14 @@ sum walk (dists._Walk) keeps (law) or streams (sums): the checks read S_i
 there without decoding it into a DiscreteDist.  _lattice_set gives the
 intervals as int endpoints over the unit scale*q of t = p / q, and lemma2
 and corollary3 decide on those ints, against their bounds 3t, 3(k+j)t and
-3(j+k-2*gcd(j,k))t, which are ints over the same unit.  Fractions are built
-only for what leaves as one: concentration_set's ConcentrationSet, and the
-InequalityReport of an outcome (_Outcome.report) for verify, the check_*
-functions and a stored corpus violation.  In higher dimensions only
-atom-centered candidates are tested and results are flagged approximate.
+3(j+k-2*gcd(j,k))t, which are ints over the same unit.  Their outcome is
+the record a sweep's is (reports.Outcome), and their params echo is the
+plan entry's (checks.plan_entry): t, judged once by checks._indices, and
+corollary3's k.  Fractions are built only for what leaves as one:
+concentration_set's ConcentrationSet, a violated check's witness and the
+InequalityReport (Outcome.reports) of verify, the check_* functions and a
+stored corpus violation.  In higher dimensions only atom-centered
+candidates are tested and results are flagged approximate.
 """
 
 from __future__ import annotations
@@ -19,7 +22,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from math import gcd
-from typing import NamedTuple
 
 from .dists import (
     DEFAULT_SUPPORT_CAP,
@@ -34,7 +36,7 @@ from .dists import (
     rat,
     require_indices,
 )
-from .reports import HOLDS, InequalityReport, VACUOUS, VIOLATED
+from .reports import HOLDS, InequalityReport, Outcome, VACUOUS, VIOLATED
 
 ZERO = Fraction(0)
 TWO_THIRDS = Fraction(2, 3)
@@ -76,7 +78,7 @@ class ConcentrationSet:
 
 def window_mass(X: DiscreteDist, x, t) -> Fraction:
     """Exact Pr(|X - x| <= t) for a 1-dimensional law."""
-    xx, tt = rat(x), rat(t)
+    xx, tt = rat(x), _threshold(t)
     return sum((p for a, p in X.scalar_items() if abs(a - xx) <= tt), ZERO)
 
 
@@ -91,11 +93,12 @@ def concentration_set(X: DiscreteDist, t) -> ConcentrationSet:
         for lo, hi in _lattice_set(walk, walk.law(1), tt)))
 
 
-def _lattice_set(walk: _Walk, law, t) -> "list[tuple[int, int]]":
+def _lattice_set(walk: _Walk, law, t: Fraction) -> "list[tuple[int, int]]":
     """The concentration set of a 1-D lattice law of `walk`, (atoms, den)
     or a slot law, whose atoms dists._atoms decodes: its closed intervals
     [lo, hi], sorted and disjoint, as int pairs over the unit scale*q of
-    t = p / q, on which t is p*scale.
+    the judged threshold (dists._threshold) t = p / q, on which t is
+    p*scale.
 
     The window mass x -> Pr(X in [x-t, x+t]) is an upper semicontinuous
     step function whose only breakpoints are a - t and a + t over atoms a.
@@ -104,11 +107,10 @@ def _lattice_set(walk: _Walk, law, t) -> "list[tuple[int, int]]":
     breakpoints on ints gives the mass at each breakpoint and on each open
     gap, and the closed intervals they make up.
     """
-    tt = _threshold(t)
     if walk.dim != 1:
         raise ValueError("concentration_set requires dimension 1")
     atoms, den = _atoms(law)
-    q, reach = tt.denominator, tt.numerator * walk.scale
+    q, reach = t.denominator, t.numerator * walk.scale
     starts: "dict[int, int]" = {}
     ends: "dict[int, int]" = {}
     for v, m in atoms.items():
@@ -167,26 +169,25 @@ def check_lemma2(X: DiscreteDist, Y: DiscreteDist, t,
                          cap=cap)[0]
 
 
-def _lemma2(walk: _Walk, x, y, xy, t) -> "_Outcome":
-    """check_lemma2 on the lattice laws of X, Y and X + Y of one walk; Y
-    given as X's own law (Y = X) shares X's concentration set.  The sets'
-    endpoints and the bound 3t are ints over _lattice_set's unit."""
-    tt = rat(t)
-    sets = {"X": _lattice_set(walk, x, tt)}
-    sets["Y"] = sets["X"] if y is x else _lattice_set(walk, y, tt)
-    sets["X+Y"] = _lattice_set(walk, xy, tt)
-    params = {"t": tt}
+def _lemma2(walk: _Walk, x, y, xy, t: Fraction) -> Outcome:
+    """check_lemma2 on the lattice laws of X, Y and X + Y of one walk at
+    the judged t; Y given as X's own law (Y = X) shares X's concentration
+    set.  The sets' endpoints and the bound 3t are ints over _lattice_set's
+    unit."""
+    sets = {"X": _lattice_set(walk, x, t)}
+    sets["Y"] = sets["X"] if y is x else _lattice_set(walk, y, t)
+    sets["X+Y"] = _lattice_set(walk, xy, t)
     empty = ", ".join(name for name, c in sets.items() if not c)
     if empty:
-        return _vacuous("lemma2", params, empty)
+        return _vacuous(t, empty)
     (x_lo, x_hi), (y_lo, y_hi), (z_lo, z_hi) = (
         (c[0][0], c[-1][1]) for c in sets.values())
     attained = max(x_hi + y_hi - z_lo, z_hi - x_lo - y_lo)
-    bound = 3 * tt.numerator * walk.scale
-    unit = walk.scale * tt.denominator
+    bound = 3 * t.numerator * walk.scale
+    unit = walk.scale * t.denominator
     witness = None if attained <= bound else {
         "attained": Fraction(attained, unit), "bound": Fraction(bound, unit)}
-    return _decided("lemma2", params, unit, attained, bound, witness)
+    return _decided(t, unit, attained, bound, witness)
 
 
 def check_corollary3(X: DiscreteDist, k: int, t,
@@ -206,20 +207,18 @@ def check_corollary3(X: DiscreteDist, k: int, t,
                          {"k": k, "t": t}, cap=cap)[0]
 
 
-def _corollary3(walk: _Walk, laws, t) -> "_Outcome":
-    """check_corollary3 on the lattice laws of S_1..S_k of one walk.  The
-    sets' endpoints and the bounds are ints over _lattice_set's unit, on
-    which 3t is 3*p*scale; the witness rows are built only when a bound is
-    violated."""
-    tt = rat(t)
-    sets = [_lattice_set(walk, law, tt) for law in laws]
+def _corollary3(walk: _Walk, laws, t: Fraction) -> Outcome:
+    """check_corollary3 on the lattice laws of S_1..S_k of one walk at the
+    judged t.  The sets' endpoints and the bounds are ints over
+    _lattice_set's unit, on which 3t is 3*p*scale; the witness rows are
+    built only when a bound is violated."""
+    sets = [_lattice_set(walk, law, t) for law in laws]
     k = len(sets)
-    params = {"k": k, "t": tt}
     empty = [i for i, c in enumerate(sets, 1) if not c]
     if empty:
-        return _vacuous("corollary3", params, f"S_i, i in {empty}")
+        return _vacuous(t, f"S_i, i in {empty}")
     spans = [(c[0][0], c[-1][1]) for c in sets]
-    reach = 3 * tt.numerator * walk.scale
+    reach = 3 * t.numerator * walk.scale
     rows = []   # (j, attained, plain bound, refined attained, refined bound)
     worst = None  # (margin, j, attained, bound)
     k_lo, k_hi = spans[-1]
@@ -232,7 +231,7 @@ def _corollary3(walk: _Walk, laws, t) -> "_Outcome":
             if worst is None or bound - got < worst[0]:
                 worst = (bound - got, j, got, bound)
     margin, j, got, bound = worst
-    unit = walk.scale * tt.denominator
+    unit = walk.scale * t.denominator
     witness = None if margin >= 0 else {"rows": [
         {"j": i, "attained": Fraction(a, unit),
          "plain_bound": Fraction(plain, unit),
@@ -241,50 +240,24 @@ def _corollary3(walk: _Walk, laws, t) -> "_Outcome":
         for i, a, plain, ra, refined in rows],
         "worst": {"j": j, "attained": Fraction(got, unit),
                   "bound": Fraction(bound, unit)}}
-    return _decided("corollary3", params, unit, got, bound, witness,
+    return _decided(t, unit, got, bound, witness,
                     "refined bound under shared selection; trivial at j = k")
 
 
-class _Outcome(NamedTuple):
-    """A concentration check's outcome: InequalityReport's fields, each
-    rational a (numerator, denominator > 0) pair of ints, not reduced.
-    The corpus reads it as it is; report() is the InequalityReport, for
-    verify, the check_* functions and a stored violation."""
-
-    claim_id: str
-    params: dict
-    worst_t: "tuple[int, int]"
-    lhs: "tuple[int, int] | None"
-    rhs: "tuple[int, int] | None"
-    margin: "tuple[int, int] | None"
-    status: str
-    witness: "dict | None"
-    note: "str | None"
-
-    def report(self) -> InequalityReport:
-        return InequalityReport(self.claim_id, self.params, *(
-            None if v is None else Fraction(*v) for v in self[2:6]),
-            self.status, self.witness, self.note)
+def _vacuous(t: Fraction, empty: str) -> Outcome:
+    """The outcome at t when the sets named in `empty` are empty."""
+    return Outcome(((t.numerator, t.denominator),), None, None, None,
+                   VACUOUS, None, f"empty concentration set for {empty}")
 
 
-def _vacuous(claim_id: str, params: dict, empty: str) -> _Outcome:
-    """The outcome at params["t"] when the sets named in `empty` are
-    empty."""
-    t = params["t"]
-    return _Outcome(claim_id, params, (t.numerator, t.denominator), None,
-                    None, None, VACUOUS, None,
-                    f"empty concentration set for {empty}")
-
-
-def _decided(claim_id: str, params: dict, unit: int, attained: int,
-             bound: int, witness: "dict | None",
-             note: "str | None" = None) -> _Outcome:
-    """The outcome at params["t"] decided by attained <= bound, both over
-    unit; witness is given iff the bound is violated."""
-    t, margin = params["t"], bound - attained
-    return _Outcome(claim_id, params, (t.numerator, t.denominator),
-                    (attained, unit), (bound, unit), (margin, unit),
-                    HOLDS if margin >= 0 else VIOLATED, witness, note)
+def _decided(t: Fraction, unit: int, attained: int, bound: int,
+             witness: "dict | None", note: "str | None" = None) -> Outcome:
+    """The outcome at t decided by attained <= bound, both over unit;
+    witness is given iff the bound is violated."""
+    margin = bound - attained
+    return Outcome(((t.numerator, t.denominator),), (attained, unit),
+                   (bound, unit), (margin, unit),
+                   HOLDS if margin >= 0 else VIOLATED, witness, note)
 
 
 @dataclass(frozen=True)

@@ -10,22 +10,22 @@ Each plan entry is laid out once per run_corpus call, keyed on its plan
 position, the instance's norm and the raw grid entry, by checks.plan_entry,
 which lays out verify's reports (checks.claim_reports) too: the judged
 indices (checks._indices), the sums its walk reads, a sweep claim's factor
-and scale and the params echo of each mode pair.  The corpus adds the params
-text of each of its rows, joined from the text of each params value, each
-value rendered once per run, and each row's CSV head, its claim and params
-quoted once (_item).  checks.walk_checks gives every entry's checks on an
-instance, as verify's, or none (an instance past the cap is only listed in
-skipped): an evaluated claim's int outcome (concentration._Outcome), or a
-sweep claim's int outcome per mode pair.  _absorb counts an entry's checks
-once, in its claim's per_claim entry by status, and keeps their rows as one
-group; the report's totals are summed from those when the run ends.  The
-(strict, strict) and (weak, weak) rows of a sweep share status, note, lhs,
-rhs and margin, so those are rendered once, each exact field by one int
-helper (_exact) and the float column as n / d; the smallest margin is kept
-by cross-multiplying, and an InequalityReport is built only for a stored
-violation.  write_csv renders each group's tail once and each row as one
-f-string, the bytes csv.writer would write, in one write; CorpusReport.rows
-builds the row dicts from the groups when it is read.
+and scale and the params echo of each row: one per mode pair of a sweep
+claim, one of an evaluated claim.  The corpus adds the params text of each
+echo, joined from the text of each params value, each value rendered once
+per run, and each row's CSV head, its claim and params quoted once
+(_item).  checks.walk_checks gives every entry's outcome on an instance, as
+verify's, or none (an instance past the cap is only listed in skipped):
+one int record (reports.Outcome) per entry, whose rows share status, note,
+lhs, rhs and margin and differ in worst_t alone.  _absorb counts an
+entry's checks once, in its claim's per_claim entry by status, and keeps
+their rows as one group; the report's totals are summed from those when
+the run ends.  The shared fields are rendered once, each exact field by
+one int helper (_exact) and the float column as n / d; the smallest margin
+is kept by cross-multiplying, and an InequalityReport is built only for a
+stored violation.  write_csv renders each group's tail once and each row
+as one f-string, the bytes csv.writer would write, in one write;
+CorpusReport.rows builds the row dicts from the groups when it is read.
 """
 
 from __future__ import annotations
@@ -45,8 +45,6 @@ from .checks import (
     MODE_PAIRS,
     WEIGHTED,
     _indices,
-    _verdict,
-    entry_reports,
     plan_entry,
     variants,
     walk_checks,
@@ -247,7 +245,7 @@ def run_corpus(config: CorpusConfig, claims=None,
     plan = [(CLAIMS[name], *variant) for name in claims
             for variant in judged[name]]
     report = CorpusReport(config=config, claims=claims)
-    # (plan position, norm, grid entry) -> [plan entry, params texts, heads]
+    # (plan position, norm, grid entry) -> (plan entry, params texts, heads)
     entries, parts = {}, {}
     instances = generate_corpus(config)
     for index, (dist, norm) in enumerate(instances):
@@ -271,7 +269,7 @@ def run_corpus(config: CorpusConfig, claims=None,
             report.skipped.append({"instance": index, "reason": str(exc)})
             continue
         for item, checks in zip(planned, got):
-            _absorb(report, index, dist, item, checks, parts)
+            _absorb(report, index, dist, item, checks)
     stats = report.per_claim.values()
     report.total_checks = sum(s["checks"] for s in stats)
     for status in (HOLDS, VIOLATED, VACUOUS):
@@ -279,13 +277,12 @@ def run_corpus(config: CorpusConfig, claims=None,
     return report
 
 
-def _item(entry, parts: dict) -> list:
+def _item(entry, parts: dict) -> tuple:
     """A plan entry (checks.plan_entry), the params text of each of its
-    rows and each row's quoted claim,params CSV head: a sweep claim's from
-    its echoes, an evaluated claim's from its first outcome (_absorb);
+    rows, from its echoes, and each row's quoted claim,params CSV head;
     parts holds the text of each params value, for one run_corpus call."""
     texts = [_params_text(echo, parts) for echo in entry.echoes]
-    return [entry, texts, [_head(entry.spec.claim_id, text) for text in texts]]
+    return entry, texts, [_head(entry.spec.claim_id, text) for text in texts]
 
 
 def _head(claim: str, params: str) -> str:
@@ -320,27 +317,17 @@ def _exact(pair) -> "str | None":
     return ratio_text(n // g, d // g)
 
 
-def _absorb(report: CorpusReport, index: int, dist: DiscreteDist, item: list,
-            got, parts: dict) -> None:
+def _absorb(report: CorpusReport, index: int, dist: DiscreteDist,
+            item: tuple, got) -> None:
     """Count the checks of one plan entry (_item) on one instance and keep
-    their rows as one group.  got is what checks.shape_checks gives: an
-    evaluated claim's int outcome, one row; or a sweep claim's outcomes at
-    MODE_PAIRS, one row each, which share status, note, lhs, rhs and margin
-    (checks: weak equals shifted strict), so those are rendered once and
-    only worst_t per row."""
+    their rows as one group.  got is the entry's outcome (checks.
+    shape_checks), one row per threshold: a sweep claim's rows at
+    MODE_PAIRS share status, note, lhs, rhs and margin (checks: weak equals
+    shifted strict), so those are rendered once and only worst_t per
+    row."""
     entry, texts, heads = item
     claim = entry.spec.claim_id
-    if entry.shape.evaluate is not None:
-        if not texts:
-            texts.append(_params_text(got.params, parts))
-            heads.append(_head(claim, texts[0]))
-        status, note = got.status, got.note
-        ts = [got.worst_t]
-        lhs, rhs, margin = got.lhs, got.rhs, got.margin
-    else:
-        status, note = _verdict(got[0], entry.norm, entry.spec.note)
-        ts = [out[0] for out in got]
-        lhs, rhs, margin = got[0][1:4]
+    ts, lhs, rhs, margin, status, _, note = got
     stats = report.per_claim.setdefault(
         claim, {"checks": 0, "holds": 0, "violated": 0, "vacuous": 0})
     stats["checks"] += len(ts)
@@ -348,7 +335,7 @@ def _absorb(report: CorpusReport, index: int, dist: DiscreteDist, item: list,
     if status == VIOLATED and len(report.violations) < 100:
         report.violations += [
             {"instance": index, "dist": dist, "report": full}
-            for full in entry_reports(entry, got)[
+            for full in got.reports(claim, entry.echoes)[
                 :100 - len(report.violations)]]
     if margin is not None:
         worst = report.worst and report.worst["margin"]

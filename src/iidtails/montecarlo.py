@@ -176,12 +176,13 @@ def clopper_pearson(count: int, n: int, delta: float) -> "tuple[float, float]":
     """Exact binomial confidence interval at level 1 - delta."""
     from scipy.stats import beta as _beta  # scipy loads only for an interval
 
+    if not 0 < delta < 1:
+        raise ValueError("delta must lie in (0, 1)")
+    count, n = _int("count", count), _int("n", n)
     if not 0 <= count <= n:
         raise ValueError("need 0 <= count <= n")
     if n == 0:
         return 0.0, 1.0
-    if not 0 < delta < 1:
-        raise ValueError("delta must lie in (0, 1)")
     lo = 0.0 if count == 0 else float(_beta.ppf(delta / 2, count,
                                                 n - count + 1))
     hi = 1.0 if count == n else float(_beta.ppf(1 - delta / 2, count + 1,

@@ -14,6 +14,7 @@ from decimal import MAX_EMAX, MAX_PREC, Context, Decimal, Inexact
 from enum import Enum
 from fractions import Fraction
 from functools import cache
+from typing import NamedTuple
 
 from .dists import DiscreteDist
 from .specfile import dist_to_jsonable
@@ -42,6 +43,39 @@ class InequalityReport(Report):
     status: str
     witness: "dict | None" = None
     note: "str | None" = None
+
+
+class Outcome(NamedTuple):
+    """A check's outcome in ints, a sweep claim's and an evaluated claim's
+    alike: the worst threshold of each mode pair (one for an evaluated
+    claim), and the lhs, rhs and margin they share, each a (numerator,
+    denominator > 0) pair, not reduced; the status, the witness of a
+    violated evaluated claim and the note.  The corpus reads it as it is;
+    reports() builds the InequalityReports."""
+
+    ts: "tuple[tuple[int, int], ...]"
+    lhs: "tuple[int, int] | None"
+    rhs: "tuple[int, int] | None"
+    margin: "tuple[int, int] | None"
+    status: str
+    witness: "dict | None"
+    note: "str | None"
+
+    def reports(self, claim_id: str, echoes) -> "list[InequalityReport]":
+        """The report at each threshold, with the params echo of its plan
+        entry (checks.plan_entry); a violated sweep's witness is its t, lhs
+        and rhs."""
+        lhs, rhs, margin = (None if v is None else Fraction(*v)
+                            for v in self[1:4])
+        out = []
+        for echo, t in zip(echoes, self.ts):
+            t = Fraction(*t)
+            witness = self.witness
+            if witness is None and self.status == VIOLATED:
+                witness = {"t": t, "lhs": lhs, "rhs": rhs}
+            out.append(InequalityReport(claim_id, echo, t, lhs, rhs, margin,
+                                        self.status, witness, self.note))
+        return out
 
 
 def jsonify(value):

@@ -14,9 +14,7 @@ from iidtails.checks import (
     MODE_PAIRS,
     SweepOutcome,
     _Pair,
-    _report,
-    _sweeps,
-    _verdict,
+    _sweep,
     check_corollary4,
     check_corollary5,
     check_corollary6,
@@ -574,10 +572,14 @@ class TestWalkCases:
 # --- one strict sweep for both unmixed mode pairs ----------------------------
 
 def sweeps(lhs, rhs, factor, scale, modes):
-    """_sweeps' int outcomes as the SweepOutcomes they stand for."""
-    return [SweepOutcome(VIOLATED if out[3][0] < 0 else HOLDS,
-                         *(F(n, d) for n, d in out))
-            for out in _sweeps(lhs, rhs, factor, scale, modes)]
+    """The SweepOutcome of each mode pair in modes, from _sweep's int worst
+    cases: MODE_PAIRS in one call, any other tuple one call per pair."""
+    outs = []
+    for call in [modes] if modes == MODE_PAIRS else [(m,) for m in modes]:
+        ts, *rest = _sweep(lhs, rhs, factor, scale, call)
+        outs += [SweepOutcome(VIOLATED if rest[2][0] < 0 else HOLDS,
+                              *(F(n, d) for n, d in (t, *rest))) for t in ts]
+    return outs
 
 
 def unmixed_oracle(lhs, rhs, factor, scale):
@@ -646,11 +648,16 @@ class TestSharedWalkCases:
         (("strict", "strict"),),
     ])
     def test_other_mode_tuples_walk_each_pair(self, modes):
+        """One call per pair reads that pair; a tuple of pairs other than
+        MODE_PAIRS is refused."""
         lhs = tail_curve(dist1d([(0, F(1, 4)), (1, F(3, 4))]), ABS)
         rhs = tail_curve(iid_sum(coin(0, 1), 2), ABS)
         assert sweeps(lhs, rhs, F(1), F(3, 2), modes) == \
             [fraction_sweep_curves(lhs, rhs, F(1), F(3, 2), *m)
              for m in modes]
+        if len(modes) > 1:
+            with pytest.raises(ValueError, match="one pair or MODE_PAIRS"):
+                _sweep(lhs, rhs, F(1), F(3, 2), modes)
 
 
 # --- corpus rows rendered from the int outcomes ------------------------------
@@ -696,10 +703,11 @@ def test_rows_render_the_fraction_sweep(curves, factor, scale, claim):
     # both claims' factor and scale are their constants, here factor, scale
     entry = plan_entry(spec, spec, factor, scale, {"j": 1, "k": 2}, norm,
                        MODE_PAIRS)
-    with mock.patch.object(checks, "_sides",
-                           lambda walk, shape, idx: (lhs, rhs)):
+    sides = mock.patch.object(checks, "_sides",
+                              lambda walk, shape, idx: (lhs, rhs))
+    with sides:
         _absorb(report, 0, delta(0), _item(entry, {}),
-                shape_checks(entry, None), {})
+                shape_checks(entry, None))
     for row, modes in zip(report.rows, MODE_PAIRS):
         want = fraction_sweep_curves(lhs, rhs, factor, scale, *modes)
         expected = want_report(claim, None, want, norm)
@@ -707,17 +715,20 @@ def test_rows_render_the_fraction_sweep(curves, factor, scale, claim):
         assert {k: row[k] for k in fields} == {k: expected[k] for k in fields}
         assert row["margin_float_approx"] == float(want.margin)
     assert len(report.rows) == 2
-    mixed = (("weak", "strict"), ("strict", "weak"))
-    for modes, out in zip(mixed, _sweeps(lhs, rhs, factor, scale, mixed)):
+    for modes in (("weak", "strict"), ("strict", "weak")):
+        entry = plan_entry(spec, spec, factor, scale, {"j": 1, "k": 2}, norm,
+                           (modes,))
+        with sides:
+            out = shape_checks(entry, None)
         want = fraction_sweep_curves(lhs, rhs, factor, scale, *modes)
-        assert [_exact(v) for v in out[:4]] == \
+        assert [_exact(v) for v in (*out.ts, *out[1:4])] == \
             [str(v) for v in (want.worst_q, want.lhs, want.rhs, want.margin)]
-        assert _verdict(out, norm, spec.note) == \
+        assert (out.status, out.note) == \
             (want.status, want_report(claim, {}, want, norm)["note"])
-        params = {"j": 1, "k": 2, "modes": modes}
-        assert _report(claim, params, out, norm, spec.note).to_jsonable() \
-            == want_report(claim, {"j": 1, "k": 2, "modes": list(modes)},
-                           want, norm)
+        (rep,) = out.reports(claim, entry.echoes)
+        params = {"j": 1, "k": 2, "c1": str(factor), "c2": str(scale),
+                  "norm": norm.value, "modes": list(modes)}
+        assert rep.to_jsonable() == want_report(claim, params, want, norm)
 
 
 def test_incremental_envelope_is_the_envelope():

@@ -20,7 +20,7 @@ from iidtails.concentration import (
 )
 from iidtails.corpus import CorpusConfig, run_corpus
 from iidtails.dists import DiscreteDist, Norm, convolve, delta, iid_sum, tail
-from iidtails.reports import HOLDS, VACUOUS, VIOLATED
+from iidtails.reports import HOLDS, VACUOUS, VIOLATED, jsonify
 from oracles import (coin, dist1d, fraction_concentration_set,
                      fraction_corollary3, fraction_lemma2)
 
@@ -523,9 +523,28 @@ def test_violated_lemma2_witness_over_a_law_that_is_not_x_plus_y():
     and the witness as Fractions."""
     walk = dists._Walk(*dists._encode([delta(0), delta(10)]), {1, 2},
                        dists.DEFAULT_SUPPORT_CAP)
-    rep = concentration._lemma2(walk, walk.law(1), walk.terms[1],
-                                walk.law(1), F(1, 2)).report()
-    assert (rep.status, rep.lhs, rep.rhs, rep.margin) == \
-        (VIOLATED, F(23, 2), F(3, 2), -10)
+    (rep,) = concentration._lemma2(walk, walk.law(1), walk.terms[1],
+                                   walk.law(1), F(1, 2)).reports(
+        "lemma2", [{"t": F(1, 2)}])
+    assert (rep.status, rep.worst_t, rep.lhs, rep.rhs, rep.margin) == \
+        (VIOLATED, F(1, 2), F(23, 2), F(3, 2), -10)
     assert rep.witness == {"attained": F(23, 2), "bound": F(3, 2)}
     assert check_lemma2(delta(0), delta(10), F(1, 2)).status == HOLDS
+
+
+def test_evaluated_claims_echo_t_through_plan_entry():
+    """plan_entry lays out an evaluated claim's one params echo: its judged
+    indices, t read through dists._threshold and lemma2's Y left out; its
+    report carries that echo, t as the text of its Fraction."""
+    x = coin()
+    for claim, given, want in (("lemma2", {"t": 1, "y": x}, {"t": "1"}),
+                               ("corollary3", {"k": 3, "t": "3/2"},
+                                {"k": 3, "t": "3/2"})):
+        spec = CLAIMS[claim]
+        entry = checks.plan_entry(spec, spec, None, None,
+                                  checks._indices(spec, given), Norm.ABS1D,
+                                  checks.MODE_PAIRS)
+        assert [jsonify(echo) for echo in entry.echoes] == [want]
+    assert jsonify(check_lemma2(x, x, 1).params) == {"t": "1"}
+    assert jsonify(check_corollary3(x, 3, "3/2").params) == \
+        {"k": 3, "t": "3/2"}

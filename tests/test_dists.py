@@ -282,14 +282,19 @@ class TestTail:
             tail(TRI, ABS, -1)
 
     def test_one_threshold_rule(self):
-        """Tails, concentration sets and the counterexample's tails refuse
-        a negative threshold with one message (dists._threshold)."""
-        from iidtails.concentration import concentration_set
+        """Tails, window masses, concentration sets and checks and the
+        counterexample's tails refuse a negative threshold with one message
+        (dists._threshold)."""
+        from iidtails.concentration import (
+            check_corollary3, check_lemma2, concentration_set, window_mass)
         from iidtails.counterexample import (
             centered_sum_tail, extended_sum_tail, normalized_sum_tail)
         for call in (lambda t: tail(TRI, ABS, t),
                      lambda t: path_max_tail(coin(), 2, ABS, t),
+                     lambda t: window_mass(TRI, 0, t),
                      lambda t: concentration_set(TRI, t),
+                     lambda t: check_lemma2(TRI, TRI, t),
+                     lambda t: check_corollary3(TRI, 3, t),
                      lambda t: centered_sum_tail(2, 8, t),
                      lambda t: normalized_sum_tail(2, 8, t),
                      lambda t: extended_sum_tail(2, 8, t)):

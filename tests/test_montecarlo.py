@@ -147,6 +147,18 @@ class TestClopperPearson:
         with pytest.raises(ValueError):
             clopper_pearson(-1, 4, 0.05)
 
+    @pytest.mark.parametrize("delta", [5, 0, -1])
+    def test_judges_delta_with_no_samples(self, delta):
+        """delta is judged before the n = 0 shortcut."""
+        with pytest.raises(ValueError, match="delta must lie in"):
+            clopper_pearson(0, 0, delta)
+
+    @pytest.mark.parametrize("count, n, name", [
+        (1.0, 4, "count"), (True, 4, "count"), (0, 4.0, "n"), (0, "4", "n")])
+    def test_judges_count_and_n_as_ints(self, count, n, name):
+        with pytest.raises(TypeError, match=f"^{name} must be an int"):
+            clopper_pearson(count, n, 0.05)
+
 
 class TestEstimateTail:
     def test_deterministic_given_seed(self):
