@@ -43,11 +43,12 @@ plan_entry is the one place a check is laid out, for verify's reports
 (claim_reports, which the check_* functions return) and the corpus rows
 (run_corpus, once per run) alike: it holds the judged indices, the sums
 the check reads (_reads), a sweep claim's factor and scale and the params
-echo of each mode pair.  walk_checks walks a law (dists._Walk) as far as
-its entries read, for verify and a corpus instance alike, and gives every
-entry's outcome or none: shape_checks reads an entry off the walk, a sweep
-claim's two curves (_sides) swept to int pairs with its status and note,
-or an evaluated claim's lattice laws, to one int outcome.
+echo of each mode pair, parameters only.  walk_checks walks a check's
+laws, [X] or lemma2's [X, Y] (dists._Walk), as far as its entries read,
+for verify and a corpus instance alike, and gives every entry's outcome
+or none: shape_checks reads an entry off the walk, a sweep claim's two
+curves (_sides) swept to int pairs with its status and note, or an
+evaluated claim's lattice laws, to one int outcome.
 """
 
 from __future__ import annotations
@@ -280,7 +281,8 @@ class ClaimSpec:
     check reads (j, k, alphas, t); defaults: values for those not given;
     order: the rule j and k obey.  fixed constants belong to the statement.
     shapes: other claims' shapes checked at this claim's own constant
-    pairs.  evaluate(walk, idx): a checker that replaces the sweep.
+    pairs.  evaluate(walk, idx): a checker that replaces the sweep.  laws:
+    the most laws it walks, X and (lemma2) Y; S_i sums i.i.d. copies of X.
     """
 
     claim_id: str
@@ -296,6 +298,7 @@ class ClaimSpec:
     note: "str | None" = None
     shapes: tuple = ()
     evaluate: "Callable | None" = None
+    laws: int = 1
 
 
 CLAIMS = {spec.claim_id: spec for spec in (
@@ -318,9 +321,9 @@ CLAIMS = {spec.claim_id: spec for spec in (
     ClaimSpec("corollary6", SUM, SUM, (Fraction(6), Fraction(20)),
               ("j", "k"), K_LE_J, {"j": 2, "k": 1},
               factor=_times_j_over_k, scale=_times_j_over_k),
-    ClaimSpec("lemma2", takes=("t",), evaluate=lambda w, idx: _lemma2(
-        w, w.law(1), w.terms[1] if "y" in idx else w.law(1), w.law(2),
-        idx["t"])),
+    ClaimSpec("lemma2", takes=("t",), laws=2, evaluate=lambda w, idx: _lemma2(
+        w, w.law(1), w.terms[1] if len(w.terms) > 1 else w.law(1),
+        w.law(2), idx["t"])),
     ClaimSpec("corollary3", takes=("k", "t"), order=K_ONLY,
               defaults={"k": 3}, evaluate=lambda w, idx: _corollary3(
                   w, map(w.law, range(1, idx["k"] + 1)), idx["t"])),
@@ -360,8 +363,8 @@ def _indices(shape: ClaimSpec, given: dict,
     """Judge a shape's parameters once: each missing or None takes the
     default of spec, the claim checked in shape's form (latala_alt checks
     corollary4's at its own k = 2), else of shape.  Returns what a check
-    reads and echoes, and t, judged (dists._threshold), and lemma2's y
-    for an evaluated shape."""
+    reads and echoes, t judged (dists._threshold) for an evaluated shape:
+    parameters only, never a law."""
     given = {**given, **{n: v for n, v in (spec or shape).defaults.items()
                          if given.get(n) is None}}
     if shape.lhs == WEIGHTED:
@@ -379,11 +382,9 @@ def _indices(shape: ClaimSpec, given: dict,
         require_indices(shape.order, given.get("j"), given["k"])
         idx = {n: given[n] for n in (("k",) if shape.order == K_ONLY
                                      else ("j", "k"))}
-    if shape.evaluate is not None:   # lemma2 reads y when it is given
+    if shape.evaluate is not None:
         _require(given.get("t") is not None, f"{shape.claim_id} needs t")
         idx["t"] = _threshold(given["t"])
-        if "y" in given:
-            idx["y"] = given["y"]
     return idx
 
 
@@ -424,18 +425,15 @@ def plan_entry(spec: ClaimSpec, shape: ClaimSpec, c1, c2, idx: dict,
     """The plan entry of spec in shape's form at constants (c1, c2) and
     judged indices idx, under norm, at each mode pair in modes: the one
     place a check is laid out, for verify's reports (claim_reports) and the
-    corpus rows alike.  An evaluated claim echoes its judged indices but
-    lemma2's Y, once; a sweep claim its constants and norm too, per mode
-    pair."""
+    corpus rows alike.  An evaluated claim echoes its judged indices,
+    once; a sweep claim its constants and norm too, per mode pair."""
     j, k = idx.get("j"), idx.get("k")
     params = {} if shape is spec else {"shape": shape.claim_id}
     params.update(idx)
+    echoes = (params,)
     if shape.evaluate is None:
         params.update(c1=c1, c2=c2, norm=norm)
         echoes = tuple({**params, "modes": pair} for pair in modes)
-    else:
-        params.pop("y", None)
-        echoes = (params,)
     return _Entry(spec, shape, idx, _reads(shape, idx), norm, modes,
                   shape.factor(c1, j, k), shape.scale(c2, j, k), echoes)
 
@@ -460,12 +458,15 @@ def shape_checks(entry: _Entry, walk: _Walk) -> Outcome:
                    None, "; ".join(notes) or None)
 
 
-def walk_checks(entries, X: DiscreteDist, cap: int) -> list:
+def walk_checks(entries, laws, cap: int) -> list:
     """The outcome (shape_checks) of every plan entry (all under one norm)
-    on one walk of X, as far as their reads go, or SupportCapExceeded when
-    the walk passes cap.  lemma2's Y, when given, is the walk's second
-    term."""
-    laws = [X, *(entry.idx["y"] for entry in entries if "y" in entry.idx)]
+    on one walk of laws, X and then lemma2's Y when given, as far as their
+    reads go, or SupportCapExceeded when the walk passes cap; more laws
+    than an entry's claim walks (ClaimSpec.laws) raise ValueError."""
+    for entry in entries:
+        if len(laws) > entry.shape.laws:
+            raise ValueError(f"{entry.spec.claim_id} takes at most "
+                             f"{entry.shape.laws} law(s), got {len(laws)}")
     walk = _Walk(*_encode(laws), set().union(
         *(entry.reads for entry in entries)), cap, entries[0].norm)
     return [shape_checks(entry, walk) for entry in entries]
@@ -485,19 +486,19 @@ def _reads(shape: ClaimSpec, idx: dict) -> set:
                                       (shape.rhs, idx["k"])) if side == SUM}
 
 
-def claim_reports(spec: ClaimSpec, X: DiscreteDist, norm: Norm, given: dict,
+def claim_reports(spec: ClaimSpec, laws, norm: Norm, given: dict,
                   c1=None, c2=None, lhs_mode: str = STRICT,
                   rhs_mode: "str | None" = None,
                   cap: int = DEFAULT_SUPPORT_CAP) -> "list[InequalityReport]":
-    """Every report of one claim on one law at the given parameters, one
-    per shape and constant pair, all or none (walk_checks)."""
+    """Every report of one claim on its laws (walk_checks) at the given
+    parameters, one per shape and constant pair, all or none."""
     plan = variants(spec, c1, c2)
     judged = {name: _indices(CLAIMS[name], given, spec)
               for name in dict.fromkeys(shape.claim_id for shape, *_ in plan)}
     modes = ((lhs_mode, lhs_mode if rhs_mode is None else rhs_mode),)
     entries = [plan_entry(spec, shape, a, b, judged[shape.claim_id], norm,
                           modes) for shape, a, b in plan]
-    return [rep for entry, got in zip(entries, walk_checks(entries, X, cap))
+    return [rep for entry, got in zip(entries, walk_checks(entries, laws, cap))
             for rep in got.reports(entry.spec.claim_id, entry.echoes)]
 
 
@@ -506,8 +507,8 @@ def check_theorem1(X: DiscreteDist, j: int, k: int, c1=None, c2=None,
                    rhs_mode: "str | None" = None,
                    cap: int = DEFAULT_SUPPORT_CAP) -> InequalityReport:
     """Pr(||S_j|| > t) <= c1 * Pr(||S_k|| > t/c2) for all t > 0."""
-    return claim_reports(CLAIMS["theorem1"], X, norm, {"j": j, "k": k}, c1,
-                         c2, lhs_mode, rhs_mode, cap)[0]
+    return claim_reports(CLAIMS["theorem1"], [X], norm, {"j": j, "k": k},
+                         c1, c2, lhs_mode, rhs_mode, cap)[0]
 
 
 def check_latala_sharp(X: DiscreteDist, norm: Norm = Norm.ABS1D,
@@ -517,8 +518,8 @@ def check_latala_sharp(X: DiscreteDist, norm: Norm = Norm.ABS1D,
 
     Treated as an external claim under test, not assumed.
     """
-    return claim_reports(CLAIMS["latala_sharp"], X, norm, {"j": 1, "k": 2},
-                         None, None, lhs_mode, rhs_mode, cap)[0]
+    return claim_reports(CLAIMS["latala_sharp"], [X], norm, {}, None, None,
+                         lhs_mode, rhs_mode, cap)[0]
 
 
 def check_levy_ottaviani(X: DiscreteDist, k: int, c1=None, c2=None,
@@ -526,8 +527,8 @@ def check_levy_ottaviani(X: DiscreteDist, k: int, c1=None, c2=None,
                          rhs_mode: "str | None" = None,
                          cap: int = DEFAULT_SUPPORT_CAP) -> InequalityReport:
     """Pr(max_j ||S_j|| > t) <= c1 * max_j Pr(||S_j|| > t/c2), all t > 0."""
-    return claim_reports(CLAIMS["levy_ottaviani"], X, norm, {"k": k}, c1, c2,
-                         lhs_mode, rhs_mode, cap)[0]
+    return claim_reports(CLAIMS["levy_ottaviani"], [X], norm, {"k": k}, c1,
+                         c2, lhs_mode, rhs_mode, cap)[0]
 
 
 def check_corollary4(X: DiscreteDist, k: int, c1=None, c2=None,
@@ -535,7 +536,7 @@ def check_corollary4(X: DiscreteDist, k: int, c1=None, c2=None,
                      rhs_mode: "str | None" = None,
                      cap: int = DEFAULT_SUPPORT_CAP) -> InequalityReport:
     """Pr(max_j ||S_j|| > t) <= c1 * Pr(||S_k|| > t/c2) for all t > 0."""
-    return claim_reports(CLAIMS["corollary4"], X, norm, {"k": k}, c1, c2,
+    return claim_reports(CLAIMS["corollary4"], [X], norm, {"k": k}, c1, c2,
                          lhs_mode, rhs_mode, cap)[0]
 
 
@@ -544,7 +545,7 @@ def check_corollary5(X: DiscreteDist, alphas, c1=None, c2=None,
                      rhs_mode: "str | None" = None,
                      cap: int = DEFAULT_SUPPORT_CAP) -> InequalityReport:
     """Pr(||sum_i alpha_i X_i|| > t) <= c1 * Pr(||S_k|| > t/c2), |alpha_i| <= 1."""
-    return claim_reports(CLAIMS["corollary5"], X, norm,
+    return claim_reports(CLAIMS["corollary5"], [X], norm,
                          {"alphas": list(alphas)}, c1, c2, lhs_mode,
                          rhs_mode, cap)[0]
 
@@ -554,8 +555,8 @@ def check_corollary6(X: DiscreteDist, j: int, k: int, c1=None, c2=None,
                      rhs_mode: "str | None" = None,
                      cap: int = DEFAULT_SUPPORT_CAP) -> InequalityReport:
     """Pr(||S_j|| > t) <= (c1*j/k) * Pr(||S_k|| > k*t/(c2*j)) for 1 <= k <= j."""
-    return claim_reports(CLAIMS["corollary6"], X, norm, {"j": j, "k": k}, c1,
-                         c2, lhs_mode, rhs_mode, cap)[0]
+    return claim_reports(CLAIMS["corollary6"], [X], norm, {"j": j, "k": k},
+                         c1, c2, lhs_mode, rhs_mode, cap)[0]
 
 
 def _require(cond: bool, message: str) -> None:

@@ -189,15 +189,13 @@ def cmd_verify(args) -> int:
     if spec.claim_id == "lemma2":
         if len(args.files) not in (1, 2):
             raise ValueError("lemma2 takes one file (Y = X) or two")
-        laws = [_load(f, digests) for f in args.files]
-        if len(laws) == 2:
-            given["y"] = laws[1]
-        jobs = [(" + ".join(str(f) for f in args.files), laws[0])]
+        jobs = [(" + ".join(str(f) for f in args.files),
+                 [_load(f, digests) for f in args.files])]
     else:
-        jobs = [(str(f), _load(f, digests)) for f in args.files]
-    reports = [{"file": label, "report": rep} for label, dist in jobs
+        jobs = [(str(f), [_load(f, digests)]) for f in args.files]
+    reports = [{"file": label, "report": rep} for label, laws in jobs
                for rep in checks.claim_reports(
-                   spec, dist, args.norm or default_norm(dist.dim), given,
+                   spec, laws, args.norm or default_norm(laws[0].dim), given,
                    args.c1, args.c2, args.lhs_mode, args.rhs_mode, args.cap)]
     ok = all(r["report"].status in (HOLDS, VACUOUS) for r in reports)
     outcome = "all hold" if ok else "violation found"
@@ -210,14 +208,14 @@ def cmd_corpus(args) -> int:
     claims = corpus_mod.normalize_claims(args.claims.split(",")) \
         if args.claims else None
     for dim in args.dims:
-        if not corpus_mod.norms_at(args.norms, dim):
+        if args.norms and not corpus_mod.norms_at(args.norms, dim):
             raise ValueError(
                 f"--norms {','.join(n.value for n in args.norms)} defines "
                 f"no norm in --dims {dim} (abs1d needs dimension 1)")
     config = corpus_mod.CorpusConfig(
         seed=args.seed, count=args.count, max_atoms=args.max_atoms,
         num_range=args.num_range, denominator=args.denominator,
-        max_k=args.max_k, dims=tuple(args.dims), norms=tuple(args.norms),
+        max_k=args.max_k, dims=tuple(args.dims), norms=args.norms,
         weight_vectors=args.weight_vectors)
     outdir = Path(args.out_dir)
     try:
@@ -351,7 +349,7 @@ def cmd_show(args) -> int:
 @functools.cache
 def build_parser() -> argparse.ArgumentParser:
     """The one parser of this process; parse_args leaves it unchanged and
-    no handler mutates a default it returns (the --dims/--norms lists)."""
+    no handler mutates a default it returns (the --dims list)."""
     parser = argparse.ArgumentParser(
         prog="iidtails",
         description="Exact verification of tail-comparison inequalities "
@@ -390,8 +388,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--max-k", type=_positive, default=6)
     p.add_argument("--dims", type=lambda s: list(map(_positive, s.split(","))),
                    default=[1])
-    p.add_argument("--norms", type=lambda s: [_norm(x) for x in s.split(",")],
-                   default=[Norm.ABS1D])
+    p.add_argument("--norms", type=lambda s: tuple(map(_norm, s.split(","))),
+                   help="default: abs1d when every dim is 1, else sup")
     p.add_argument("--weight-vectors", type=_nonnegative, default=2)
     p.add_argument("--cap", type=_positive, default=DEFAULT_SUPPORT_CAP)
     p.add_argument("--out-dir", default=".")

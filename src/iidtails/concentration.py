@@ -162,10 +162,10 @@ def check_lemma2(X: DiscreteDist, Y: DiscreteDist, t,
 
     The maximum of the linear form over a product of interval unions is
     attained at interval endpoints, so the check is a finite maximization.
-    verify's report (checks.claim_reports), with Y the walk's second term.
+    verify's report (checks.claim_reports) on the laws [X, Y].
     """
     from .checks import CLAIMS, claim_reports
-    return claim_reports(CLAIMS["lemma2"], X, Norm.ABS1D, {"t": t, "y": Y},
+    return claim_reports(CLAIMS["lemma2"], [X, Y], Norm.ABS1D, {"t": t},
                          cap=cap)[0]
 
 
@@ -203,7 +203,7 @@ def check_corollary3(X: DiscreteDist, k: int, t,
     verify's report (checks.claim_reports).
     """
     from .checks import CLAIMS, claim_reports
-    return claim_reports(CLAIMS["corollary3"], X, Norm.ABS1D,
+    return claim_reports(CLAIMS["corollary3"], [X], Norm.ABS1D,
                          {"k": k, "t": t}, cap=cap)[0]
 
 

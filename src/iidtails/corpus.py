@@ -264,7 +264,7 @@ def run_corpus(config: CorpusConfig, claims=None,
         if not planned:       # e.g. lemma2 and corollary3 above dimension 1
             continue
         try:
-            got = walk_checks([item[0] for item in planned], dist, cap)
+            got = walk_checks([item[0] for item in planned], [dist], cap)
         except SupportCapExceeded as exc:
             report.skipped.append({"instance": index, "reason": str(exc)})
             continue

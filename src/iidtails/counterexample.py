@@ -18,9 +18,9 @@ find_M needs big integers only where its gate opens.  The most mass that K
 consecutive values of the binomial hold never rises with M, so a bound on
 the K largest terms at a block's first M rejects every later M whose
 window has at most K terms, from Robbins' closed-form bound on the modal
-term.  find_M decides each M the gate (_gate) lets through by an exact
-_sums seed, and verify_counterexample by the report, whose admissible
-tail has the seed's window, so a scan and its report share one walk.
+term.  find_M decides each M the gate (_gate) lets through by its exact
+centered tail (_tails), as verify_counterexample decides its admissible
+tail, so a scan and its report share one walk and one rule.
 Thresholds, constants and sign-rule coefficients go through dists.rat, so
 a float is refused as everywhere else; N, M and the cap must be ints, and
 a bool or a float there raises TypeError naming the argument.
@@ -246,16 +246,16 @@ def find_M(N: int, M_cap: int):
     sum of the K largest pmf terms, as the pmf is unimodal.  So the top-K
     gate (_gate) rejects a block of M by one ceil walk (_block_end) at its
     first M, in 2^64 units of thr from Robbins' bound there (_modal).  Each
-    M it lets through gets one exact _sums seed over its window; the seed's
-    steps must divide exactly and raise ArithmeticError otherwise, so every
-    answer, None included, is exact, also under ``python -O``.
+    M it lets through gets its tail (_tails), one exact _sums seed over its
+    window; the seed's steps must divide exactly and raise ArithmeticError
+    otherwise, so every answer, None included, is exact, also under
+    ``python -O``.
     """
     if _int("N", N) < 2:
         raise ValueError("need N >= 2")
     for M in _gate(N, _int("M_cap", M_cap)):
-        _, [(_, lo, hi)] = _centered(N, M, Fraction(1, N))
-        sums = _sums(N, M, {lo, hi + 1})
-        if sums[hi + 1] - sums[lo] >= (N - 1) * N ** (M - 1):
+        (tail,) = _tails(N, M, _centered(N, M, Fraction(1, N)))
+        if tail <= Fraction(1, N):
             return M
     return None
 

@@ -303,7 +303,7 @@ class TestClaimConstants:
             variants(spec, c1, c2)
         given = {"j": 1, "k": 2, "t": F(1)}
         with pytest.raises(ValueError, match=message):
-            claim_reports(spec, coin(), Norm.ABS1D, given, c1, c2)
+            claim_reports(spec, [coin()], Norm.ABS1D, given, c1, c2)
 
     def test_defaults_and_positivity(self):
         spec = CLAIMS["theorem1"]

@@ -521,6 +521,22 @@ class TestCorpusNorms:
         doc = json.loads((tmp_path / "corpus.json").read_text())
         assert doc["corpus"]["config"]["norms"] == ["sup"]
 
+    @pytest.mark.parametrize("dims, norms", [("2", ["sup"]),
+                                             ("1,2", ["sup"]),
+                                             ("1", ["abs1d"])])
+    def test_unset_norms_take_the_config_rule(self, capsys, tmp_path, dims,
+                                              norms):
+        """Without --norms the corpus takes CorpusConfig's norms, abs1d
+        when every dimension is 1 and sup otherwise: corpus.json states
+        them, and the manifest echoes the unset flag as null."""
+        code, _, err = run(capsys, "corpus", "--count", "2", "--max-k", "2",
+                           "--dims", dims, "--out-dir", str(tmp_path),
+                           "--json")
+        assert code == 0, err
+        doc = json.loads((tmp_path / "corpus.json").read_text())
+        assert doc["corpus"]["config"]["norms"] == norms
+        assert doc["manifest"]["params"]["norms"] is None
+
     @pytest.mark.parametrize("claim", ["lemma2", "corollary3"])
     def test_claims_of_one_dimension_on_a_plane_corpus(self, capsys,
                                                       tmp_path, claim):
@@ -894,7 +910,7 @@ class TestTopLevel:
                    "--out-dir", str(tmp_path))[0] == 0
         assert build_parser() is parser
         args = parser.parse_args(["corpus"])
-        assert (args.dims, args.norms) == ([1], [Norm.ABS1D])
+        assert (args.dims, args.norms) == ([1], None)
 
 
 def test_import_loads_no_scipy():

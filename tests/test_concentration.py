@@ -181,13 +181,13 @@ class TestLemma2:
         monkeypatch.setattr(dists._Walk, "__init__", counted)
         monkeypatch.setattr(dists._Walk, "dist", None)   # no decode
         for t, rep in want.items():
-            assert claim_reports(CLAIMS["lemma2"], x, Norm.ABS1D,
-                                 {"t": t, "y": y}) == [rep]
+            assert claim_reports(CLAIMS["lemma2"], [x, y], Norm.ABS1D,
+                                 {"t": t}) == [rep]
         assert [(w.reads, len(w.encoded)) for w in walks] == \
             [({1, 2}, 2)] * 2
         with pytest.raises(ValueError, match="dimension mismatch: 1 vs 2"):
-            claim_reports(CLAIMS["lemma2"], x, Norm.ABS1D,
-                          {"t": 1, "y": DiscreteDist({(0, 1): F(1)})})
+            claim_reports(CLAIMS["lemma2"], [x, DiscreteDist({(0, 1): F(1)})],
+                          Norm.ABS1D, {"t": 1})
 
     def test_x_as_y_has_one_concentration_set(self, monkeypatch):
         """With Y = X (the corpus, and verify without a second law) X's
@@ -200,7 +200,7 @@ class TestLemma2:
 
         monkeypatch.setattr(concentration, "_lattice_set", counted)
         x = dist1d([(0, F(9, 10)), (4, F(1, 10))])
-        (rep,) = claim_reports(CLAIMS["lemma2"], x, Norm.ABS1D, {"t": 1})
+        (rep,) = claim_reports(CLAIMS["lemma2"], [x], Norm.ABS1D, {"t": 1})
         assert len(sets) == 2
         assert rep.status == HOLDS and rep == check_lemma2(x, x, 1)
 
@@ -432,28 +432,56 @@ def test_public_checks_are_claim_reports(monkeypatch):
     for a, b, t in lemma2:
         rep = check_lemma2(a, b, t)
         statuses.add(rep.status)
-        assert [rep] == claim_reports(CLAIMS["lemma2"], a, Norm.ABS1D,
-                                      {"t": t, "y": b})
+        assert [rep] == claim_reports(CLAIMS["lemma2"], [a, b], Norm.ABS1D,
+                                      {"t": t})
     for a, k, t in corollary3:
         rep = check_corollary3(a, k, t)
         statuses.add(rep.status)
-        assert [rep] == claim_reports(CLAIMS["corollary3"], a, Norm.ABS1D,
+        assert [rep] == claim_reports(CLAIMS["corollary3"], [a], Norm.ABS1D,
                                       {"k": k, "t": t})
     assert statuses == {HOLDS, VACUOUS}
     calls, reports = [], checks.claim_reports
 
-    def counted(spec, X, norm, given, *args, **kwargs):
-        calls.append((spec.claim_id, X, norm, given))
-        return reports(spec, X, norm, given, *args, **kwargs)
+    def counted(spec, laws, norm, given, *args, **kwargs):
+        calls.append((spec.claim_id, laws, norm, given))
+        return reports(spec, laws, norm, given, *args, **kwargs)
 
     monkeypatch.setattr(checks, "claim_reports", counted)
     check_lemma2(x, y, 1)
     check_corollary3(x, 2, 1, cap=50)
-    assert calls == [("lemma2", x, Norm.ABS1D, {"t": 1, "y": y}),
-                     ("corollary3", x, Norm.ABS1D, {"k": 2, "t": 1})]
+    assert calls == [("lemma2", [x, y], Norm.ABS1D, {"t": 1}),
+                     ("corollary3", [x], Norm.ABS1D, {"k": 2, "t": 1})]
     with pytest.raises(dists.SupportCapExceeded, match="exceeds cap 5"):
         check_corollary3(dist1d([(v, F(1, 4)) for v in range(4)]), 3, 1,
                          cap=5)
+
+
+def test_corollary3_refuses_a_second_law():
+    """corollary3 reads the i.i.d. partial sums of one law: handed [X, Y]
+    it raises naming corollary3 instead of walking X, Y, X (which reported
+    violated, attained 7 > bound 3 at j = 1, while X alone holds)."""
+    x = dist1d([(0, F(9, 10)), (1, F(1, 10))])
+    y = dist1d([(5, F(9, 10)), (100, F(1, 10))])
+    assert check_corollary3(x, 3, F(1, 2)).status == HOLDS
+    with pytest.raises(ValueError, match="^corollary3 takes at most 1 law"):
+        claim_reports(CLAIMS["corollary3"], [x, y], Norm.ABS1D,
+                      {"k": 3, "t": "1/2"})
+
+
+@pytest.mark.parametrize("claim", CLAIMS)
+def test_only_lemma2_walks_a_second_law(claim):
+    """Every claim but lemma2 refuses two laws, and lemma2 refuses three,
+    each with a ValueError naming the claim; lemma2 on two laws is
+    check_lemma2."""
+    given = {"alphas": [1, F(1, 2)], "t": 1}
+    laws = [coin(), dist1d([(1, F(3, 4)), (F(5, 2), F(1, 4))])]
+    if claim == "lemma2":
+        assert claim_reports(CLAIMS[claim], laws, Norm.ABS1D, given) == \
+            [check_lemma2(*laws, 1)]
+        laws.append(coin())
+    with pytest.raises(ValueError, match=rf"^{claim} takes at most "
+                       rf"{len(laws) - 1} law\(s\), got {len(laws)}$"):
+        claim_reports(CLAIMS[claim], laws, Norm.ABS1D, given)
 
 
 @st.composite
@@ -486,7 +514,7 @@ def test_int_endpoint_checks_match_the_fraction_oracle(case):
     with Y = X sharing X's set."""
     x, y, k, t = case
     assert check_lemma2(x, y, t) == fraction_lemma2(x, y, t)
-    assert claim_reports(CLAIMS["lemma2"], x, Norm.ABS1D, {"t": t}) == \
+    assert claim_reports(CLAIMS["lemma2"], [x], Norm.ABS1D, {"t": t}) == \
         [fraction_lemma2(x, x, t)]
     assert check_corollary3(x, k, t) == fraction_corollary3(x, k, t)
 

@@ -505,7 +505,7 @@ def test_claim_reports_judges_each_shape_once(monkeypatch):
     judgement per shape, at latala_alt's own defaults (corollary4's form
     at k = 2, not corollary4's k = 4)."""
     calls = count_judgements(monkeypatch)
-    reports = claim_reports(CLAIMS["latala_alt"], coin(), Norm.ABS1D, {})
+    reports = claim_reports(CLAIMS["latala_alt"], [coin()], Norm.ABS1D, {})
     assert calls == ["theorem1", "corollary4"]
     assert [(r.params["shape"], r.params.get("j"), r.params["k"])
             for r in reports] == [("theorem1", 1, 2)] * 2 + \
@@ -515,14 +515,14 @@ def test_claim_reports_judges_each_shape_once(monkeypatch):
 def test_claim_reports_fills_the_claim_defaults():
     """Parameters not given take the claim's defaults: theorem1 at
     (j, k) = (1, 2), corollary3 at k = 3; a threshold has none."""
-    (rep,) = claim_reports(CLAIMS["theorem1"], coin(), Norm.ABS1D, {})
+    (rep,) = claim_reports(CLAIMS["theorem1"], [coin()], Norm.ABS1D, {})
     assert (rep.params["j"], rep.params["k"]) == (1, 2)
-    (rep,) = claim_reports(CLAIMS["corollary3"], coin(), Norm.ABS1D,
+    (rep,) = claim_reports(CLAIMS["corollary3"], [coin()], Norm.ABS1D,
                            {"t": 1})
     assert rep.params["k"] == 3
     for claim in ("lemma2", "corollary3"):
         with pytest.raises(ValueError, match=f"^{claim} needs t$"):
-            claim_reports(CLAIMS[claim], coin(), Norm.ABS1D, {})
+            claim_reports(CLAIMS[claim], [coin()], Norm.ABS1D, {})
 
 
 FALSE_CONSTANTS = {"theorem1": {"c1": 1, "c2": 1},
@@ -543,7 +543,7 @@ def _verify_row(row, dist, norm, overrides, cap) -> dict:
     constants = overrides.get(spec.claim_id, {})
     modes = params.get("modes", ("strict", "strict"))
     reports = [rep.to_jsonable() for rep in claim_reports(
-        spec, dist, norm, given, constants.get("c1"), constants.get("c2"),
+        spec, [dist], norm, given, constants.get("c1"), constants.get("c2"),
         *modes, cap=cap)]
     (doc,) = [doc for doc in reports if doc["params"] == params]
     return {"params": params, "margin_float_approx": None
@@ -616,6 +616,7 @@ def test_a_skipped_instance_adds_nothing():
     instances = generate_corpus(config)
     for skip in capped.skipped:
         with pytest.raises(SupportCapExceeded) as exc:
-            claim_reports(CLAIMS["corollary4"], *instances[skip["instance"]],
-                          {"k": 3}, cap=40)
+            dist, norm = instances[skip["instance"]]
+            claim_reports(CLAIMS["corollary4"], [dist], norm, {"k": 3},
+                          cap=40)
         assert str(exc.value) == skip["reason"]

@@ -308,7 +308,7 @@ class TestMcCheck:
         weights = [1, F(1, 2)] if claim == "corollary5" else None
         v = mc_check(claim, coin_spec(), None, None, [1], weights=weights,
                      n_samples=0)
-        (rep,) = claim_reports(CLAIMS[claim], coin(), Norm.ABS1D,
+        (rep,) = claim_reports(CLAIMS[claim], [coin()], Norm.ABS1D,
                                {} if weights is None else {"alphas": weights})
         assert (v.params.get("j"), v.params["k"]) == \
             (rep.params.get("j"), rep.params["k"])
