@@ -22,7 +22,7 @@ import pytest
 
 from iidtails.cli import main
 from iidtails.corpus import CorpusConfig, run_corpus, write_csv
-from iidtails.dists import DiscreteDist
+from iidtails.dists import DiscreteDist, Norm
 from iidtails.specfile import save_dist
 from oracles import dist1d
 
@@ -41,6 +41,17 @@ CAPPED_ARGS = ("corpus", "--seed", "7", "--count", "20", "--max-k", "6",
 # all or nothing
 CAPPED_MIXED_ARGS = CAPPED_ARGS[:-4] + ("--claims", "theorem1,corollary4",
                                         "--cap", "150")
+
+# all nine claims over dims 1 and 2 and every norm, three drawn weight
+# vectors per instance: corollary5's draws sit between index claims in the
+# plan, so these digests pin that every Philox draw keeps its place
+MIXED_ARGS = ("corpus", "--seed", "11", "--count", "12", "--max-k", "4",
+              "--dims", "1,2", "--norms", "abs1d,sup,euclidean",
+              "--weight-vectors", "3")
+MIXED_CONFIG = CorpusConfig(seed=11, count=12, max_k=4, dims=(1, 2),
+                            norms=tuple(Norm), weight_vectors=3)
+MIXED_OVERRIDES = {"theorem1": {"c1": 1, "c2": 1},
+                   "corollary5": {"c1": 1, "c2": 1}}
 
 LAW_1D = dist1d([(-1, F(1, 4)), (F(1, 2), F(1, 4)), (2, F(1, 2))])
 LAW_2D = DiscreteDist({(F(0), F(1)): F(1, 3), (F(1), F(-1)): F(1, 6),
@@ -92,6 +103,14 @@ GOLDEN = {
         "1b69cd5ae4e84766c03f790529988013fe389700aa33954383334bbb230d6014",
     "overrides.csv":
         "34c208c249670fc2be3856e7219635b79c9519cbe83fda7418c4b0ff59ce9564",
+    "mixed.csv":
+        "1133413e5afd1a9a06377b69340546bf68ac6c644b7c37e888f912b34a0a38f8",
+    "mixed.json":
+        "e4b1842eb455e9ae85863b821c9479799695e078e886840458bbb50c0d1dc5ab",
+    "mixed_overrides":
+        "f746c5fb91d793a10b4e6a7bb259e75972e72050064ad408dd8b532ba2ec138e",
+    "mixed_overrides.csv":
+        "900217fe5865e86db94f2dd7855963b42f97f790f35127f9664ca7320fb46ad6",
     "verify:theorem1":
         "388a428a32efe968170de1011004825fd71fa944f35d74a0fa2778575361702b",
     "verify:theorem1_false":
@@ -194,6 +213,17 @@ def overrides_digests(workdir: Path) -> dict:
             "overrides.csv": _sha((workdir / "overrides.csv").read_bytes())}
 
 
+def mixed_overrides_digests(workdir: Path) -> dict:
+    """Digests of the report and of the CSV of the mixed corpus with
+    theorem1 and corollary5 at c1 = c2 = 1."""
+    rep = run_corpus(MIXED_CONFIG, overrides=MIXED_OVERRIDES)
+    assert rep.violated > 0
+    write_csv(rep, workdir / "mixed_overrides.csv")
+    return {"mixed_overrides": _sha(_canonical(rep.to_jsonable())),
+            "mixed_overrides.csv":
+                _sha((workdir / "mixed_overrides.csv").read_bytes())}
+
+
 def law_files(workdir: Path) -> dict:
     files = {"1": workdir / "law_1d.json", "2": workdir / "law_2d.json"}
     save_dist(LAW_1D, files["1"])
@@ -227,6 +257,8 @@ def all_digests(workdir: Path) -> dict:
     out.update(corpus_digests(workdir, CAPPED_ARGS, "capped"))
     out.update(corpus_digests(workdir, CAPPED_MIXED_ARGS, "capped_mixed"))
     out.update(overrides_digests(workdir))
+    out.update(corpus_digests(workdir, MIXED_ARGS, "mixed"))
+    out.update(mixed_overrides_digests(workdir))
     files = law_files(workdir)
     for name, flags, dims in VERIFY_CASES:
         out[f"verify:{name}"] = verify_digest(files, flags, dims)
@@ -277,6 +309,15 @@ def test_each_check_is_tallied_once_by_status(tmp_path):
             assert doc[s] == sum(c[s] for c in per_claim) \
                 == sum(row["status"] == s for row in rows)
     assert rep.violated and rep.vacuous and rep.holds
+
+
+def test_mixed_corpus_bytes(tmp_path):
+    """Every claim over dims 1 and 2, every norm and three weight vectors,
+    as the CLI writes it and, with false constants, as run_corpus and
+    write_csv give it."""
+    got = corpus_digests(tmp_path, MIXED_ARGS, "mixed")
+    got.update(mixed_overrides_digests(tmp_path))
+    assert got == {k: GOLDEN[k] for k in got}
 
 
 def test_corpus_override_violations(tmp_path):
