@@ -32,23 +32,19 @@ of the margin.  Fractions are built only for what leaves as one:
 sweep_curves' SweepOutcome and the InequalityReport (Outcome.reports) of
 verify, the check_* functions and a stored corpus violation.
 
-CLAIMS is the one table of claims.  The corpus, the CLI, mc_check and the
-extremal search read it, and judge a claim's parameters by its rules:
-variants (require_positive) is the one constants rule, and _indices
-(dists.require_indices) fills in the defaults and is the one index and
-weight rule.  It runs once per shape and index choice, where a check
-enters (claim_reports, run_corpus, SearchSpace, the search objectives,
-mc_check); _reads, plan_entry and _sides read its judged dict.
-plan_entry is the one place a check is laid out, for verify's reports
-(claim_reports, which the check_* functions return) and the corpus rows
-(run_corpus, once per run) alike: it holds the judged indices, the sums
-the check reads (_reads), a sweep claim's factor and scale and the params
-echo of each mode pair, parameters only.  walk_checks walks a check's
-laws, [X] or lemma2's [X, Y] (dists._Walk), as far as its entries read,
-for verify and a corpus instance alike, and gives every entry's outcome
-or none: shape_checks reads an entry off the walk, a sweep claim's two
-curves (_sides) swept to int pairs with its status and note, or an
-evaluated claim's lattice laws, to one int outcome.
+CLAIMS is the one table of claims; the corpus, the CLI, mc_check and the
+search judge a claim's parameters by its rules: variants is the one
+constants rule, untaken the one rule of which names a claim takes, and
+_indices, once per shape and index choice where a check enters, fills in
+the defaults and is the one index and weight rule.  plan_entry is the one
+place a check is laid out, for verify's reports (claim_reports) and the
+corpus rows alike: the judged indices, the sums the check reads (_reads),
+a sweep claim's factor and scale and the params its rows echo, parameters
+only.  walk_checks walks a check's laws, [X] or lemma2's [X, Y]
+(dists._Walk), as far as its entries read, and gives every entry's
+outcome or none: shape_checks reads an entry off the walk, a sweep
+claim's two curves (_sides) swept to int pairs, or an evaluated claim's
+lattice laws, to one int outcome.
 """
 
 from __future__ import annotations
@@ -270,7 +266,7 @@ def _unit(c, j, k):
 
 
 def _times_j_over_k(c, j, k):
-    return c * Fraction(j, k)
+    return Fraction(c.numerator * j, c.denominator * k)
 
 
 @dataclass(frozen=True)
@@ -358,14 +354,25 @@ def require_positive(message: str, *constants: Fraction) -> None:
     _require(all(c > 0 for c in constants), message)
 
 
+def untaken(spec: ClaimSpec, given: dict) -> list:
+    """The names given (not None) that spec does not take: a name it fixes
+    (latala_sharp's j = 1, k = 2) is taken at that value, and a weighted
+    claim takes k as the number of its weights."""
+    return [name for name, value in given.items() if value is not None
+            and name not in spec.takes and spec.defaults.get(name) != value
+            and (name, spec.lhs) != ("k", WEIGHTED)]
+
+
 def _indices(shape: ClaimSpec, given: dict,
              spec: "ClaimSpec | None" = None) -> dict:
-    """Judge a shape's parameters once: each missing or None takes the
-    default of spec, the claim checked in shape's form (latala_alt checks
-    corollary4's at its own k = 2), else of shape.  Returns what a check
-    reads and echoes, t judged (dists._threshold) for an evaluated shape:
-    parameters only, never a law."""
-    given = {**given, **{n: v for n, v in (spec or shape).defaults.items()
+    """Judge a shape's parameters once, as spec, the claim checked in
+    shape's form, takes them (untaken), each missing or None at spec's
+    default (latala_alt checks corollary4's at its own k = 2): what a check
+    reads and echoes, t judged (dists._threshold), never a law."""
+    spec = spec or shape
+    for name in untaken(spec, given):
+        raise ValueError(f"{spec.claim_id} does not take {name}")
+    given = {**given, **{n: v for n, v in spec.defaults.items()
                          if given.get(n) is None}}
     if shape.lhs == WEIGHTED:
         coeffs = [rat(a) for a in given.get("alphas") or ()]
@@ -373,9 +380,10 @@ def _indices(shape: ClaimSpec, given: dict,
         _require(given.get("k") in (None, len(coeffs)),
                  f"{shape.claim_id} takes k = {len(coeffs)}, the number "
                  f"of weights, got k={given.get('k')}")
-        for a in coeffs:
-            _require(abs(a) <= 1, f"weight {a} out of range, "
-                                  "need |alpha_i| <= 1")
+        for a in coeffs:      # no message rendered for a weight in range
+            if abs(a.numerator) > a.denominator:
+                raise ValueError(f"weight {a} out of range, need "
+                                 "|alpha_i| <= 1")
         return {"k": len(coeffs), "alphas": coeffs}
     idx = {}
     if shape.order is not None:
@@ -405,9 +413,8 @@ def _sides(walk: _Walk, shape: ClaimSpec, idx: dict):
 class _Entry(NamedTuple):
     """One entry of a check plan: spec checked in shape's form at one
     constant pair, one judged index choice (_indices) and one norm, with
-    all a check of it reads but the law: the sums its walk must read
-    (_reads), a sweep claim's factor and scale, and the params echo of each
-    of its (lhs mode, rhs mode) pairs, or an evaluated claim's one echo."""
+    all a check of it reads but the law: the sums its walk reads (_reads),
+    a sweep claim's factor and scale, and the params its rows echo."""
 
     spec: ClaimSpec
     shape: ClaimSpec
@@ -417,7 +424,14 @@ class _Entry(NamedTuple):
     modes: tuple
     factor: "Fraction | None"
     scale: "Fraction | None"
-    echoes: tuple
+    params: dict
+
+    @property
+    def echoes(self) -> tuple:
+        """An evaluated entry's one echo, a sweep's one per mode pair."""
+        if self.shape.evaluate is not None:
+            return (self.params,)
+        return tuple({**self.params, "modes": pair} for pair in self.modes)
 
 
 def plan_entry(spec: ClaimSpec, shape: ClaimSpec, c1, c2, idx: dict,
@@ -430,12 +444,10 @@ def plan_entry(spec: ClaimSpec, shape: ClaimSpec, c1, c2, idx: dict,
     j, k = idx.get("j"), idx.get("k")
     params = {} if shape is spec else {"shape": shape.claim_id}
     params.update(idx)
-    echoes = (params,)
     if shape.evaluate is None:
-        params.update(c1=c1, c2=c2, norm=norm)
-        echoes = tuple({**params, "modes": pair} for pair in modes)
+        params["c1"], params["c2"], params["norm"] = c1, c2, norm
     return _Entry(spec, shape, idx, _reads(shape, idx), norm, modes,
-                  shape.factor(c1, j, k), shape.scale(c2, j, k), echoes)
+                  shape.factor(c1, j, k), shape.scale(c2, j, k), params)
 
 
 def shape_checks(entry: _Entry, walk: _Walk) -> Outcome:

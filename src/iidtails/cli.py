@@ -148,19 +148,14 @@ _FLAGS = {"j": "--j", "k": "--k", "t": "--t", "alphas": "--weights"}
 
 
 def _claim_args(spec, args) -> dict:
-    """The claim's parameters from the verify flags (checks._indices fills
-    in the defaults).  A flag the claim does not take is an error, as is a
-    missing one with no default; corollary5 takes --k only as the number of
-    weights."""
-    given = {}
-    for name, flag in _FLAGS.items():
-        value = getattr(args, flag[2:])
-        if value is None:
-            continue
-        if name not in spec.takes and (name, spec.lhs) != ("k",
-                                                           checks.WEIGHTED):
-            raise ValueError(f"--claim {spec.claim_id} does not take {flag}")
-        given[name] = value
+    """The claim's parameters from the verify flags, each refusal naming
+    its flag: one the claim does not take (checks.untaken) or needs, a --k
+    not the --weights count, constants, a norm or modes it takes none of."""
+    given = {name: value for name, flag in _FLAGS.items()
+             if (value := getattr(args, flag[2:])) is not None}
+    for name in checks.untaken(spec, given):
+        raise ValueError(f"--claim {spec.claim_id} does not take "
+                         f"{_FLAGS[name]}")
     missing = [_FLAGS[name] for name in spec.takes
                if name not in given and name not in spec.defaults]
     if missing:
@@ -301,12 +296,14 @@ def cmd_mc(args) -> int:
     if args.seed >= limit:
         raise ValueError(f"--seed must be below {limit} for "
                          f"{len(t_grid)} thresholds, got {args.seed}")
-    # as in verify, --j only for a claim that takes it
-    if args.j is not None and not (args.claim and
-                                   "j" in checks.CLAIMS[args.claim].takes):
-        raise ValueError(f"--claim {args.claim} does not take --j"
-                         if args.claim else "mc without --claim does not "
-                         "take --j")
+    # as in verify, --j and --weights only for a claim that takes them
+    if args.claim:
+        for name in checks.untaken(checks.CLAIMS[args.claim],
+                                   {"j": args.j, "alphas": args.weights}):
+            raise ValueError(f"--claim {args.claim} does not take "
+                             f"{_FLAGS[name]}")
+    elif args.j is not None:
+        raise ValueError("mc without --claim does not take --j")
     if args.claim:
         verdict = mc_check(
             args.claim, spec, args.j, args.k, t_grid, c1=args.c1, c2=args.c2,

@@ -6,26 +6,15 @@ Generator(Philox(key)) draws), in Python ints, so no corpus loads numpy.
 Every check on every instance is exact; the aggregate separates holds,
 vacuous outcomes, and violations, and keeps full witnesses for the latter.
 
-Each plan entry is laid out once per run_corpus call, keyed on its plan
-position, the instance's norm and the raw grid entry, by checks.plan_entry,
-which lays out verify's reports (checks.claim_reports) too: the judged
-indices (checks._indices), the sums its walk reads, a sweep claim's factor
-and scale and the params echo of each row: one per mode pair of a sweep
-claim, one of an evaluated claim.  The corpus adds the params text of each
-echo, joined from the text of each params value, each value rendered once
-per run, and each row's CSV head, its claim and params quoted once
-(_item).  checks.walk_checks gives every entry's outcome on an instance, as
-verify's, or none (an instance past the cap is only listed in skipped):
-one int record (reports.Outcome) per entry, whose rows share status, note,
-lhs, rhs and margin and differ in worst_t alone.  _absorb counts an
-entry's checks once, in its claim's per_claim entry by status, and keeps
-their rows as one group; the report's totals are summed from those when
-the run ends.  The shared fields are rendered once, each exact field by
-one int helper (_exact) and the float column as n / d; the smallest margin
-is kept by cross-multiplying, and an InequalityReport is built only for a
-stored violation.  write_csv renders each group's tail once and each row
-as one f-string, the bytes csv.writer would write, in one write;
-CorpusReport.rows builds the row dicts from the groups when it is read.
+run_corpus lays its plan out once per run, and _item an entry in one
+step (checks.plan_entry, which lays out verify's reports too, then each
+row's params text and CSV head).  checks.walk_checks gives every entry's
+outcome on an instance, as verify's, or none (the instance is only listed
+in skipped): one int record (reports.Outcome), whose rows share all but
+worst_t.  _absorb counts an entry's checks by status and keeps its rows as
+one group, each shared field rendered once (_exact), the smallest margin
+kept by cross-multiplying; write_csv writes the bytes csv.writer would,
+in one write, and CorpusReport.rows builds the row dicts when read.
 """
 
 from __future__ import annotations
@@ -143,35 +132,38 @@ def generate_corpus(config: CorpusConfig) -> "list[tuple[DiscreteDist, Norm]]":
     return out
 
 
-def _grid(shape, dist: DiscreteDist, rng, config: "CorpusConfig") -> list:
-    """Where one claim shape is checked on one instance: every admissible
-    (j, k) up to max_k, larger index outermost; drawn weight vectors for
-    corollary5; a threshold grid for the 1-D concentration claims."""
-    K = config.max_k
-    if shape.evaluate is not None:
-        k = min(3, K) if "k" in shape.takes else 1
-        ts = _t_grid(dist, k) if dist.dim == 1 else []
-        return [{"k": k, "t": t} for t in ts]
-    if shape.lhs == WEIGHTED:
-        out = []
-        for _ in range(config.weight_vectors):
-            k = rng.integers(min(2, K), K + 1)
-            nums = rng.integers(-config.denominator,
-                                config.denominator + 1, size=k)
-            out.append({"alphas": [Fraction(v, config.denominator)
-                                   for v in nums]})
-        return out
+def _index_grid(shape, max_k: int) -> list:
+    """Where an index claim is checked on every instance: each admissible
+    (j, k) up to max_k, larger index outermost; latala_sharp at its own."""
     if shape.order == FIRST_TWO:
-        return [{"j": 1, "k": 2}]
+        return [{}]
     if shape.order == K_ONLY:
-        return [{"k": k} for k in range(1, K + 1)]
-    pairs = [(a, b) for b in range(1, K + 1) for a in range(1, b + 1)]
+        return [{"k": k} for k in range(1, max_k + 1)]
+    pairs = [(a, b) for b in range(1, max_k + 1) for a in range(1, b + 1)]
     return [{"j": a, "k": b} if shape.order == J_LE_K else {"j": b, "k": a}
             for a, b in pairs]
 
 
+def _grid(shape, dist: DiscreteDist, rng, config: "CorpusConfig") -> list:
+    """Where corollary5 and the 1-D concentration claims are checked on one
+    instance: drawn weight vectors or thresholds, each beside its ints."""
+    K = config.max_k
+    if shape.evaluate is not None:
+        given = {"k": min(3, K)} if "k" in shape.takes else {}
+        ts = _t_grid(dist, given.get("k", 1)) if dist.dim == 1 else []
+        return [((t.numerator, t.denominator), {**given, "t": t}) for t in ts]
+    out = []
+    for _ in range(config.weight_vectors):
+        k = rng.integers(min(2, K), K + 1)
+        nums = rng.integers(-config.denominator,
+                            config.denominator + 1, size=k)
+        out.append((tuple(nums), {"alphas": [
+            Fraction(v, config.denominator) for v in nums]}))
+    return out
+
+
 def _t_grid(dist: DiscreteDist, k: int = 1) -> "list[Fraction]":
-    vals = [x[0] for x in dist.support]
+    vals = [x for (x,) in dist.atoms]
     span = max(vals) - min(vals)
     if span == 0:
         return [Fraction(1)]
@@ -233,6 +225,11 @@ def run_corpus(config: CorpusConfig, claims=None,
                overrides: "dict | None" = None) -> CorpusReport:
     """Run the requested claims over a generated corpus.
 
+    The plan is laid out once per run: at the first instance of each norm,
+    the ready items of every claim whose grid its index rule sets
+    (_index_grid), which every instance's plan extends; per instance only
+    corollary5's drawn weights and the 1-D concentration claims'
+    thresholds (_grid), in plan order, each distinct draw once per run.
     overrides maps a claim name to replacement constants, e.g.
     {"theorem1": {"c1": 1, "c2": 1}} to probe deliberately false values;
     checks.variants judges each, whether or not its claim is run.
@@ -245,22 +242,25 @@ def run_corpus(config: CorpusConfig, claims=None,
     plan = [(CLAIMS[name], *variant) for name in claims
             for variant in judged[name]]
     report = CorpusReport(config=config, claims=claims)
-    # (plan position, norm, grid entry) -> (plan entry, params texts, heads)
-    entries, parts = {}, {}
-    instances = generate_corpus(config)
-    for index, (dist, norm) in enumerate(instances):
+    layouts, parts = {}, {}     # per norm (frames, drawn items) and plan
+    for index, (dist, norm) in enumerate(generate_corpus(config)):
+        if norm not in layouts:
+            laid = {}
+            layouts[norm] = laid, [
+                pos if shape.evaluate is not None or shape.lhs == WEIGHTED
+                else [_item(plan, pos, raw, norm, laid, parts)
+                      for raw in _index_grid(shape, config.max_k)]
+                for pos, (spec, shape, c1, c2) in enumerate(plan)]
+        laid, steps = layouts[norm]
         rng = Stream(_instance_key(config.seed, index))
         planned = []
-        for pos, (spec, shape, c1, c2) in enumerate(plan):
-            for raw in _grid(shape, dist, rng, config):
-                key = (pos, norm, *(tuple(v) if isinstance(v, list) else v
-                                    for v in raw.values()))
-                item = entries.get(key)
-                if item is None:
-                    item = entries[key] = _item(plan_entry(
-                        spec, shape, c1, c2, _indices(shape, raw, spec), norm,
-                        MODE_PAIRS), parts)
-                planned.append(item)
+        for step in steps:
+            if type(step) is list:
+                planned += step
+                continue
+            for draw, raw in _grid(plan[step][1], dist, rng, config):
+                planned.append(laid.get((step, draw)) or laid.setdefault(
+                    (step, draw), _item(plan, step, raw, norm, laid, parts)))
         if not planned:       # e.g. lemma2 and corollary3 above dimension 1
             continue
         try:
@@ -277,34 +277,46 @@ def run_corpus(config: CorpusConfig, claims=None,
     return report
 
 
-def _item(entry, parts: dict) -> tuple:
-    """A plan entry (checks.plan_entry), the params text of each of its
-    rows, from its echoes, and each row's quoted claim,params CSV head;
-    parts holds the text of each params value, for one run_corpus call."""
-    texts = [_params_text(echo, parts) for echo in entry.echoes]
-    return entry, texts, [_head(entry.spec.claim_id, text) for text in texts]
+def _item(plan, pos: int, raw: dict, norm: Norm, laid: dict,
+          parts: dict) -> tuple:
+    """One grid entry laid out, once per run for an index claim, per
+    instance for a drawn one: its plan entry (checks.plan_entry), and each
+    row's params text and CSV head, its position's _frame filled in."""
+    spec, shape, c1, c2 = plan[pos]
+    entry = plan_entry(spec, shape, c1, c2, _indices(shape, raw, spec), norm,
+                       MODE_PAIRS)
+    frames = laid.get(pos) or laid.setdefault(pos, _frame(entry, parts))
+    known = [parts.get(id(value)) or _value(value, parts)
+             for _, value in sorted(entry.idx.items())]
+    texts, quoted = tuple([v[1] for v in known]), tuple([v[2] for v in known])
+    return entry, [text % texts for text, _ in frames], \
+        [head % quoted for _, head in frames]
+
+
+def _frame(entry, parts: dict) -> list:
+    """Per echo, the params text (json.dumps(jsonify(echo), sort_keys=True),
+    its names plain identifiers) and CSV head of every entry of a position
+    under a norm, as %-templates, a slot for each judged index's text."""
+    texts = ["{" + ", ".join(f'"{name}": ' + (
+        "%s" if name in entry.idx else (parts.get(id(value)) or _value(
+            value, parts))[1].replace("%", "%%"))
+        for name, value in sorted(echo.items())) + "}"
+        for echo in entry.echoes]
+    return [(text, _head(entry.spec.claim_id, text)) for text in texts]
 
 
 def _head(claim: str, params: str) -> str:
     return f"{_csv_field(claim)},{_csv_field(params)}"
 
 
-def _params_text(params: dict, parts: dict) -> str:
-    """json.dumps(jsonify(params), sort_keys=True), joined in sorted-key
-    order from the text of each name and value, each rendered once into
-    parts.  A value is known by its object: parts keeps it beside its
-    text, so its id names no other object while parts lives (one
-    run_corpus call); equal values of distinct objects render apart, and
-    the int 1 and the Fraction 1 (1 and "1") never share a text."""
-    texts = []
-    for name in sorted(params):
-        value = params[name]
-        part = parts.get((name, id(value)))
-        if part is None:
-            part = parts[name, id(value)] = value, f"{json.dumps(name)}: " \
-                f"{json.dumps(jsonify(value), sort_keys=True)}"
-        texts.append(part[1])
-    return "{" + ", ".join(texts) + "}"
+def _value(value, parts: dict) -> tuple:
+    """The value (no dict), its text, json.dumps(jsonify(value)), and that
+    text quoted as in a CSV field, kept in parts by its id, which names no
+    other object while parts keeps it (one run_corpus call)."""
+    text = f'"{ratio_text(value.numerator, value.denominator)}"' if type(
+        value) is Fraction else json.dumps(jsonify(value))
+    parts[id(value)] = out = value, text, text.replace('"', '""')
+    return out
 
 
 def _exact(pair) -> "str | None":
@@ -320,15 +332,12 @@ def _exact(pair) -> "str | None":
 def _absorb(report: CorpusReport, index: int, dist: DiscreteDist,
             item: tuple, got) -> None:
     """Count the checks of one plan entry (_item) on one instance and keep
-    their rows as one group.  got is the entry's outcome (checks.
-    shape_checks), one row per threshold: a sweep claim's rows at
-    MODE_PAIRS share status, note, lhs, rhs and margin (checks: weak equals
-    shifted strict), so those are rendered once and only worst_t per
-    row."""
+    their rows, one per threshold of its outcome got, as one group: they
+    share status, note, lhs, rhs and margin, rendered once."""
     entry, texts, heads = item
     claim = entry.spec.claim_id
     ts, lhs, rhs, margin, status, _, note = got
-    stats = report.per_claim.setdefault(
+    stats = report.per_claim.get(claim) or report.per_claim.setdefault(
         claim, {"checks": 0, "holds": 0, "violated": 0, "vacuous": 0})
     stats["checks"] += len(ts)
     stats[status] += len(ts)
@@ -365,12 +374,9 @@ def _csv_field(text: "str | None") -> str:
 
 
 def write_csv(report: CorpusReport, path) -> None:
-    """The rows as csv.writer writes them, CSV_COLUMNS first: each row the
-    text of its instance, its group's head, its worst_t and its group's
-    tail, the tail rendered once per group; one write of the whole text.
-    Ratio text (worst_t, lhs, rhs, margin), a float's repr and a status
-    need no quotes, so only the heads and the note go through
-    _csv_field."""
+    """The rows as csv.writer writes them, CSV_COLUMNS first, in one write:
+    each row its instance, its group's head, its worst_t and its group's
+    tail, rendered once; of these only the note may need quotes."""
     lines = [",".join(CSV_COLUMNS)]
     for index, _, _, heads, ts, tail in report.groups:
         lhs, rhs, margin, approx, status, note = tail

@@ -70,6 +70,8 @@ class SupportCapExceeded(RuntimeError):
 
 def rat(value) -> Fraction:
     """Coerce to Fraction, rejecting floats and bools (not exact inputs)."""
+    if type(value) is Fraction:
+        return value
     if isinstance(value, (float, bool)):
         raise TypeError(f"refusing {type(value).__name__} {value!r}: pass "
                         "Fraction, int, or 'p/q' string")
@@ -79,7 +81,7 @@ def rat(value) -> Fraction:
 def _threshold(t) -> Fraction:
     """A threshold t (a radius) as a Fraction; a negative t is refused."""
     t = rat(t)
-    if t < 0:
+    if t.numerator < 0:
         raise ValueError(f"t must be >= 0, got {t}")
     return t
 

@@ -17,7 +17,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 from .checks import CLAIMS, SUM, WEIGHTED, _indices, variants
-from .dists import MAX, Norm, _int, default_norm
+from .dists import K_ONLY, MAX, Norm, _int, default_norm
 from .reports import HOLDS, VIOLATED, Report
 
 # a seed is one 64-bit word of a Philox key [seed, stream]
@@ -297,10 +297,10 @@ def mc_check(claim: str, spec: SamplerSpec, j: "int | None",
     (default_norm(spec.dim) if norm is None else norm).require_dim(spec.dim)
     ((_, c1, c2),) = variants(statement, *(None if c is None else Fraction(c)
                                            for c in (c1, c2)))
-    idx = _indices(statement, {"j": j, "k": k,
-                               "alphas": map(_rational, weights or ())})
-    if "j" not in idx and j is not None:
+    if j is not None and statement.order in (None, K_ONLY):
         raise ValueError(f"{claim} reads no j, got j={j}")
+    idx = _indices(statement, {"j": j, "k": k, "alphas": None if weights is
+                               None else list(map(_rational, weights))})
     j, k = idx.get("j"), idx["k"]
     factor = statement.factor(c1, j, k)
     scale = statement.scale(c2, j, k)

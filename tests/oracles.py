@@ -38,8 +38,17 @@ folded by ``fraction_convolve``, every endpoint and bound a Fraction, and
 corollary3's witness rows built on every evaluation.
 ``fraction_snap_to_space`` is the Fraction decoding of a search parameter
 vector that the integer snap of ``iidtails.search`` replaced.
+``per_instance_corpus`` is the plan layout that ``run_corpus`` replaced by
+one laid out once per run: every grid drawn and every entry judged and laid
+out on each instance (``per_instance_grid``, ``checks._indices``,
+``checks.plan_entry``), each params echo rendered by ``json.dumps`` and the
+rows written by ``csv.writer``, kept as the differential reference for the
+rows and the CSV bytes.
 """
 
+import csv
+import io
+import json
 import math
 from fractions import Fraction
 from itertools import product
@@ -682,3 +691,85 @@ def count_judgements(monkeypatch, *modules) -> list:
     for module in (checks, *modules):
         monkeypatch.setattr(module, "_indices", counted)
     return calls
+
+
+def per_instance_grid(shape, dist: DiscreteDist, rng, config) -> list:
+    """Where one claim shape is checked on one instance: every admissible
+    (j, k) up to max_k, larger index outermost; drawn weight vectors for
+    corollary5; a threshold grid for the 1-D concentration claims."""
+    K = config.max_k
+    if shape.evaluate is not None:
+        k = min(3, K) if "k" in shape.takes else 1
+        vals = [x[0] for x in dist.support]
+        span = max(vals) - min(vals)
+        ts = ([span / 8, span / 2, k * span] if span else [Fraction(1)]) \
+            if dist.dim == 1 else []
+        return [{"k": k, "t": t} if "k" in shape.takes else {"t": t}
+                for t in ts]
+    if shape.lhs == checks.WEIGHTED:
+        out = []
+        for _ in range(config.weight_vectors):
+            k = rng.integers(min(2, K), K + 1)
+            nums = rng.integers(-config.denominator,
+                                config.denominator + 1, size=k)
+            out.append({"alphas": [Fraction(v, config.denominator)
+                                   for v in nums]})
+        return out
+    if shape.order == checks.FIRST_TWO:
+        return [{"j": 1, "k": 2}]
+    if shape.order == checks.K_ONLY:
+        return [{"k": k} for k in range(1, K + 1)]
+    pairs = [(a, b) for b in range(1, K + 1) for a in range(1, b + 1)]
+    return [{"j": a, "k": b} if shape.order == checks.J_LE_K
+            else {"j": b, "k": a} for a, b in pairs]
+
+
+def per_instance_corpus(config, claims=None, cap: int = DEFAULT_SUPPORT_CAP,
+                        overrides=None) -> "tuple[list[dict], bytes]":
+    """The rows and the CSV bytes of run_corpus and write_csv on the same
+    arguments, the plan laid out afresh on every instance: each entry's
+    grid drawn (per_instance_grid) and judged, its echoes rendered by
+    json.dumps(jsonify(echo), sort_keys=True), every field of a row from
+    Fractions, and the rows written by csv.writer."""
+    from iidtails._philox import Stream
+    from iidtails.corpus import (CSV_COLUMNS, DEFAULT_CLAIMS, _instance_key,
+                                 generate_corpus, normalize_claims)
+    from iidtails.reports import jsonify
+    claims = normalize_claims(DEFAULT_CLAIMS if claims is None else claims)
+    judged = {name: checks.variants(checks.CLAIMS[name]) for name in claims}
+    for raw, ov in (overrides or {}).items():
+        (name,) = normalize_claims([raw])
+        judged[name] = checks.variants(checks.CLAIMS[name], ov.get("c1"),
+                                       ov.get("c2"))
+    plan = [(checks.CLAIMS[name], *variant) for name in claims
+            for variant in judged[name]]
+    rows = []
+    for index, (dist, norm) in enumerate(generate_corpus(config)):
+        rng = Stream(_instance_key(config.seed, index))
+        entries = [checks.plan_entry(spec, shape, c1, c2, checks._indices(
+            shape, raw, spec), norm, checks.MODE_PAIRS)
+            for spec, shape, c1, c2 in plan
+            for raw in per_instance_grid(shape, dist, rng, config)]
+        if not entries:
+            continue
+        try:
+            got = checks.walk_checks(entries, [dist], cap)
+        except SupportCapExceeded:
+            continue
+        for entry, (ts, *fields, status, _, note) in zip(entries, got):
+            lhs, rhs, margin = (None if v is None else Fraction(*v)
+                                for v in fields)
+            for echo, t in zip(entry.echoes, ts):
+                rows.append({
+                    "instance": index, "claim": entry.spec.claim_id,
+                    "params": json.dumps(jsonify(echo), sort_keys=True),
+                    "worst_t": None if t is None else str(Fraction(*t)),
+                    **{name: None if v is None else str(v) for name, v in
+                       (("lhs", lhs), ("rhs", rhs), ("margin", margin))},
+                    "margin_float_approx": None if margin is None
+                    else float(margin), "status": status, "note": note})
+    text = io.StringIO(newline="")
+    writer = csv.writer(text)
+    writer.writerow(CSV_COLUMNS)
+    writer.writerows([row[c] for c in CSV_COLUMNS] for row in rows)
+    return rows, text.getvalue().encode("utf-8")

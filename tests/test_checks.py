@@ -706,7 +706,8 @@ def test_rows_render_the_fraction_sweep(curves, factor, scale, claim):
     sides = mock.patch.object(checks, "_sides",
                               lambda walk, shape, idx: (lhs, rhs))
     with sides:
-        _absorb(report, 0, delta(0), _item(entry, {}),
+        _absorb(report, 0, delta(0), _item([(spec, spec, factor, scale)], 0,
+                                           {"j": 1, "k": 2}, norm, {}, {}),
                 shape_checks(entry, None))
     for row, modes in zip(report.rows, MODE_PAIRS):
         want = fraction_sweep_curves(lhs, rhs, factor, scale, *modes)

@@ -223,6 +223,26 @@ class TestVerify:
         assert code == 2 and not out
         assert named in err and claim in err
 
+    def test_a_claim_takes_the_indices_it_fixes(self, capsys, coin_file):
+        """latala_sharp takes --j 1 --k 2, the indices it fixes, by the
+        library's rule (checks.untaken): verify's report is the one without
+        them, and mc takes --j 1 but not --j 2."""
+        reports = []
+        for flags in ((), ("--j", "1", "--k", "2")):
+            code, out, _ = run(capsys, "verify", "--claim", "latala_sharp",
+                               *flags, coin_file)
+            assert code == 0
+            reports.append(last_json(out)["reports"])
+        assert reports[0] == reports[1]
+        mc = ("mc", "--claim", "latala_sharp", "--family", "gaussian",
+              "--t", "1", "--n", "10", "--j")
+        code, out, _ = run(capsys, *mc, "1")
+        assert code == 0 and last_json(out)["check"]["params"]["j"] == 1
+        code, out, err = run(capsys, *mc, "2")
+        assert code == 2 and not out and "does not take --j" in err
+        code, out, err = run(capsys, *mc[:-1], "--weights", "1,1")
+        assert code == 2 and not out and "does not take --weights" in err
+
     @pytest.mark.parametrize("claim, flags", [
         ("lemma2", ("--t", "1/2")), ("corollary3", ("--t", "1/2"))])
     @pytest.mark.parametrize("flag, value", [

@@ -472,8 +472,10 @@ def test_corollary3_refuses_a_second_law():
 def test_only_lemma2_walks_a_second_law(claim):
     """Every claim but lemma2 refuses two laws, and lemma2 refuses three,
     each with a ValueError naming the claim; lemma2 on two laws is
-    check_lemma2."""
-    given = {"alphas": [1, F(1, 2)], "t": 1}
+    check_lemma2.  Each claim is given those of alphas and t it takes."""
+    given = {name: value for name, value in
+             (("alphas", [1, F(1, 2)]), ("t", 1))
+             if name in CLAIMS[claim].takes}
     laws = [coin(), dist1d([(1, F(3, 4)), (F(5, 2), F(1, 4))])]
     if claim == "lemma2":
         assert claim_reports(CLAIMS[claim], laws, Norm.ABS1D, given) == \
@@ -562,10 +564,13 @@ def test_violated_lemma2_witness_over_a_law_that_is_not_x_plus_y():
 
 def test_evaluated_claims_echo_t_through_plan_entry():
     """plan_entry lays out an evaluated claim's one params echo: its judged
-    indices, t read through dists._threshold and lemma2's Y left out; its
-    report carries that echo, t as the text of its Fraction."""
+    indices and t read through dists._threshold; a law handed as lemma2's
+    y is refused; its report carries that echo, t as the text of its
+    Fraction."""
     x = coin()
-    for claim, given, want in (("lemma2", {"t": 1, "y": x}, {"t": "1"}),
+    with pytest.raises(ValueError, match="^lemma2 does not take y$"):
+        checks._indices(CLAIMS["lemma2"], {"t": 1, "y": x})
+    for claim, given, want in (("lemma2", {"t": 1}, {"t": "1"}),
                                ("corollary3", {"k": 3, "t": "3/2"},
                                 {"k": 3, "t": "3/2"})):
         spec = CLAIMS[claim]

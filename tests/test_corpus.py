@@ -21,7 +21,7 @@ from iidtails.corpus import (
 )
 from iidtails.dists import Norm, SupportCapExceeded
 from iidtails.reports import jsonify
-from oracles import coin, count_judgements
+from oracles import coin, count_judgements, per_instance_corpus
 
 
 class TestCorpusConfig:
@@ -443,16 +443,18 @@ def test_params_render_cache_is_per_call(monkeypatch):
     give equal rows, each renders every text afresh from an empty cache of
     its own, and rows with equal params share one rendered string."""
     from iidtails import corpus
-    rendered, caches, render = [], [], corpus._params_text
+    rendered, caches, lay_out = [], [], corpus._item
 
-    def counted(params, parts):
+    def counted(*args):
+        parts = args[-1]
         if not any(parts is c for c in caches):
             assert not parts
             caches.append(parts)
-        rendered.append(params)
-        return render(params, parts)
+        item = lay_out(*args)
+        rendered.extend(item[1])
+        return item
 
-    monkeypatch.setattr(corpus, "_params_text", counted)
+    monkeypatch.setattr(corpus, "_item", counted)
     config = CorpusConfig(seed=5, count=4, max_k=3)
     first = run_corpus(config)
     once = len(rendered)
@@ -464,6 +466,64 @@ def test_params_render_cache_is_per_call(monkeypatch):
         assert by_text.setdefault(row["params"], row["params"]) \
             is row["params"]
     assert len(by_text) == once < len(first.rows)
+
+
+# claims whose constants an override may replace
+FREE_CONSTANTS = [name for name, spec in CLAIMS.items()
+                  if spec.constants is not None and not spec.fixed]
+
+
+@st.composite
+def corpus_runs(draw):
+    """A run_corpus call: claims in any order, so corollary5's drawn
+    weights fall before, between or after the index claims; dims {1}, {2}
+    or {1, 2} under any norms defined there; 0 to 4 instances, max_k 1 to
+    6, 0 to 3 weight vectors; overrides; and at times a cap that skips
+    instances."""
+    claims = draw(st.lists(st.sampled_from(list(CLAIMS)), min_size=1,
+                           unique=True))
+    dims = draw(st.sampled_from([(1,), (2,), (1, 2)]))
+    norms = draw(st.lists(st.sampled_from(list(Norm)), min_size=1,
+                          unique=True))
+    if not any(n.defined_in(max(dims)) for n in norms):
+        norms.append(Norm.SUP)
+    config = CorpusConfig(
+        seed=draw(st.integers(0, 2 ** 64 - 1)), count=draw(st.integers(0, 4)),
+        max_k=draw(st.integers(1, 6)), dims=dims, norms=tuple(norms),
+        weight_vectors=draw(st.integers(0, 3)))
+    constants = st.builds(F, st.integers(1, 12), st.integers(1, 4))
+    overrides = draw(st.dictionaries(st.sampled_from(FREE_CONSTANTS),
+                                     st.fixed_dictionaries({
+                                         "c1": constants, "c2": constants}),
+                                     max_size=2))
+    return config, claims, draw(st.sampled_from([40, 2_000_000])), overrides
+
+
+# four instances under three norms, in dimensions 1 and 2
+MIXED = CorpusConfig(seed=2, count=4, max_k=4, dims=(1, 2),
+                     norms=tuple(Norm), weight_vectors=3)
+
+
+@given(corpus_runs())
+@example((MIXED, ["corollary5", "theorem1", "lemma2", "corollary6"],
+          2_000_000, {"corollary5": {"c1": 1, "c2": 1}}))
+@example((MIXED, ["levy_ottaviani", "corollary3", "latala_alt",
+                  "corollary5"], 2_000_000, {}))
+@example((CorpusConfig(seed=1, count=5, max_k=3, dims=(1, 2),
+                       norms=tuple(Norm)), list(CLAIMS), 40,
+          {"theorem1": {"c1": 1, "c2": 1}}))
+@settings(max_examples=100, deadline=None)
+def test_run_corpus_writes_the_per_instance_layout(tmp_path_factory, run):
+    """run_corpus, laying the plan out once per run, and write_csv give the
+    rows and bytes of the plan laid out afresh on every instance and
+    written by csv.writer (oracles.per_instance_corpus)."""
+    config, claims, cap, overrides = run
+    rep = run_corpus(config, claims, cap, overrides)
+    path = tmp_path_factory.mktemp("csv") / "corpus.csv"
+    write_csv(rep, path)
+    rows, text = per_instance_corpus(config, claims, cap, overrides)
+    assert rep.rows == rows
+    assert path.read_bytes() == text
 
 
 def test_max_k_one_draws_single_weights():
@@ -523,6 +583,36 @@ def test_claim_reports_fills_the_claim_defaults():
     for claim in ("lemma2", "corollary3"):
         with pytest.raises(ValueError, match=f"^{claim} needs t$"):
             claim_reports(CLAIMS[claim], [coin()], Norm.ABS1D, {})
+
+
+def test_claim_reports_refuses_a_name_the_claim_does_not_take():
+    """A given name (not None) that the claim does not take is refused, in
+    the words verify refuses its flag: theorem1's t or alphas, corollary4's
+    j, lemma2's k.  latala_alt's j reaches its theorem1 shape beside
+    corollary4's k, corollary5 takes k as the number of its weights, and
+    latala_sharp takes j and k at the (1, 2) it fixes."""
+    for claim, given, name in (("theorem1", {"t": 1}, "t"),
+                               ("theorem1", {"alphas": [1]}, "alphas"),
+                               ("corollary4", {"j": 1, "k": 2}, "j"),
+                               ("lemma2", {"k": 1, "t": 1}, "k"),
+                               ("latala_sharp", {"j": 1, "k": 3}, "k")):
+        with pytest.raises(ValueError,
+                           match=f"^{claim} does not take {name}$"):
+            claim_reports(CLAIMS[claim], [coin()], Norm.ABS1D, given)
+    theorem1 = claim_reports(CLAIMS["theorem1"], [coin()], Norm.ABS1D, {})
+    assert claim_reports(CLAIMS["theorem1"], [coin()], Norm.ABS1D,
+                         {"t": None, "alphas": None}) == theorem1
+    alt = claim_reports(CLAIMS["latala_alt"], [coin()], Norm.ABS1D,
+                        {"j": 2, "k": 3})
+    assert [(r.params["shape"], r.params.get("j"), r.params["k"])
+            for r in alt] == [("theorem1", 2, 3)] * 2 + \
+        [("corollary4", None, 3)] * 2
+    (rep,) = claim_reports(CLAIMS["corollary5"], [coin()], Norm.ABS1D,
+                           {"alphas": [1, F(1, 2)], "k": 2})
+    assert rep.params["k"] == 2
+    sharp = CLAIMS["latala_sharp"]
+    assert claim_reports(sharp, [coin()], Norm.ABS1D, {"j": 1, "k": 2}) == \
+        claim_reports(sharp, [coin()], Norm.ABS1D, {})
 
 
 FALSE_CONSTANTS = {"theorem1": {"c1": 1, "c2": 1},
