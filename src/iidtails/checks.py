@@ -32,19 +32,22 @@ of the margin.  Fractions are built only for what leaves as one:
 sweep_curves' SweepOutcome and the InequalityReport (Outcome.reports) of
 verify, the check_* functions and a stored corpus violation.
 
-CLAIMS is the one table of claims; the corpus, the CLI, mc_check and the
-search judge a claim's parameters by its rules: variants is the one
-constants rule, untaken the one rule of which names a claim takes, and
-_indices, once per shape and index choice where a check enters, fills in
-the defaults and is the one index and weight rule.  plan_entry is the one
-place a check is laid out, for verify's reports (claim_reports) and the
-corpus rows alike: the judged indices, the sums the check reads (_reads),
-a sweep claim's factor and scale and the params its rows echo, parameters
-only.  walk_checks walks a check's laws, [X] or lemma2's [X, Y]
-(dists._Walk), as far as its entries read, and gives every entry's
-outcome or none: shape_checks reads an entry off the walk, a sweep
-claim's two curves (_sides) swept to int pairs, or an evaluated claim's
-lattice laws, to one int outcome.
+CLAIMS is the one table of claims, and its rules are the one judge of a
+claim's parameters, for the corpus, verify, mc_check and the search
+alike: variants is the one constants rule; _indices, once per shape and
+index choice where a check enters, the one rule of which names a claim
+takes, which fills in the defaults and is the one index and weight rule;
+claim_reports the one norm and mode rule.  What they refuse raises
+Refused, which names the parameter, so a front end only puts its own flag
+in the name's place.  plan_entry is the one place a check is laid out,
+for verify's reports (claim_reports), mc_check and the corpus rows alike:
+the judged indices, the sums the check reads (_reads), a sweep claim's
+factor and scale and the params its rows echo, parameters only.
+walk_checks walks a check's laws, [X] or lemma2's [X, Y] (dists._Walk),
+as far as its entries read, and gives every entry's outcome or none:
+shape_checks reads an entry off the walk, a sweep claim's two curves
+(_sides) swept to int pairs, or an evaluated claim's lattice laws, to one
+int outcome.
 """
 
 from __future__ import annotations
@@ -70,6 +73,7 @@ from .dists import (
     _threshold,
     _Walk,
     _weighted_walk,
+    default_norm,
     rat,
     require_indices,
     upper_envelope,
@@ -328,15 +332,25 @@ CLAIMS = {spec.claim_id: spec for spec in (
 ALIASES = {"levy": "levy_ottaviani", "latala": "latala_sharp"}
 
 
+class Refused(ValueError):
+    """A claim's parameter refused: name is the parameter (j, k, t, alphas,
+    c1, c2, norm, lhs_mode or rhs_mode), and the message is template with
+    name in place of "{name}", where a front end puts its flag instead."""
+
+    def __init__(self, template: str, name: str):
+        super().__init__(template.replace("{name}", name))
+        self.template, self.name = template, name
+
+
 def variants(spec: ClaimSpec, c1=None, c2=None) -> list:
     """(shape, c1, c2) for each constant pair the claim checks, in report
     order; c1 and c2 replace the default constants when given.  The one
     constants rule: a claim whose constants are fixed or absent refuses
-    them, and constants must be positive."""
+    them (Refused), and constants must be positive."""
     if (spec.fixed or spec.constants is None) and (c1, c2) != (None, None):
         what = "has fixed constants" if spec.fixed else "takes no constants"
-        raise ValueError(f"{spec.claim_id} {what}, so no "
-                         f"{'c1' if c1 is not None else 'c2'}")
+        raise Refused(f"{spec.claim_id} {what}, so no {{name}}",
+                      "c1" if c1 is not None else "c2")
     if spec.shapes:
         return [(CLAIMS[shape], a, b)
                 for shape, pairs in spec.shapes for a, b in pairs]
@@ -351,35 +365,35 @@ def variants(spec: ClaimSpec, c1=None, c2=None) -> list:
 
 def require_positive(message: str, *constants: Fraction) -> None:
     """The one positivity rule for claim constants."""
-    _require(all(c > 0 for c in constants), message)
-
-
-def untaken(spec: ClaimSpec, given: dict) -> list:
-    """The names given (not None) that spec does not take: a name it fixes
-    (latala_sharp's j = 1, k = 2) is taken at that value, and a weighted
-    claim takes k as the number of its weights."""
-    return [name for name, value in given.items() if value is not None
-            and name not in spec.takes and spec.defaults.get(name) != value
-            and (name, spec.lhs) != ("k", WEIGHTED)]
+    if not all(c > 0 for c in constants):
+        raise ValueError(message)
 
 
 def _indices(shape: ClaimSpec, given: dict,
              spec: "ClaimSpec | None" = None) -> dict:
     """Judge a shape's parameters once, as spec, the claim checked in
-    shape's form, takes them (untaken), each missing or None at spec's
-    default (latala_alt checks corollary4's at its own k = 2): what a check
-    reads and echoes, t judged (dists._threshold), never a law."""
+    shape's form, takes them, each missing or None at spec's default
+    (latala_alt checks corollary4's at its own k = 2): what a check reads
+    and echoes, t judged (dists._threshold), never a law.  Refused names
+    a given name (not None) that spec does not take, a missing t or
+    alphas, and a weighted claim's k that is not its weight count: a name
+    spec fixes (latala_sharp's j = 1, k = 2) is taken at that value, and a
+    weighted claim takes k as the number of its weights."""
     spec = spec or shape
-    for name in untaken(spec, given):
-        raise ValueError(f"{spec.claim_id} does not take {name}")
+    for name, value in given.items():
+        if value is not None and name not in spec.takes and \
+                spec.defaults.get(name) != value and \
+                (name, spec.lhs) != ("k", WEIGHTED):
+            raise Refused(f"{spec.claim_id} does not take {{name}}", name)
     given = {**given, **{n: v for n, v in spec.defaults.items()
                          if given.get(n) is None}}
     if shape.lhs == WEIGHTED:
         coeffs = [rat(a) for a in given.get("alphas") or ()]
-        _require(bool(coeffs), "alphas must be nonempty")
-        _require(given.get("k") in (None, len(coeffs)),
-                 f"{shape.claim_id} takes k = {len(coeffs)}, the number "
-                 f"of weights, got k={given.get('k')}")
+        if not coeffs:
+            raise Refused(f"{shape.claim_id} needs {{name}}", "alphas")
+        if given.get("k") not in (None, len(coeffs)):
+            raise Refused(f"{shape.claim_id} takes {{name}} = {len(coeffs)},"
+                          f" the number of weights, got k={given['k']}", "k")
         for a in coeffs:      # no message rendered for a weight in range
             if abs(a.numerator) > a.denominator:
                 raise ValueError(f"weight {a} out of range, need "
@@ -391,7 +405,8 @@ def _indices(shape: ClaimSpec, given: dict,
         idx = {n: given[n] for n in (("k",) if shape.order == K_ONLY
                                      else ("j", "k"))}
     if shape.evaluate is not None:
-        _require(given.get("t") is not None, f"{shape.claim_id} needs t")
+        if given.get("t") is None:
+            raise Refused(f"{shape.claim_id} needs {{name}}", "t")
         idx["t"] = _threshold(given["t"])
     return idx
 
@@ -498,16 +513,28 @@ def _reads(shape: ClaimSpec, idx: dict) -> set:
                                       (shape.rhs, idx["k"])) if side == SUM}
 
 
-def claim_reports(spec: ClaimSpec, laws, norm: Norm, given: dict,
-                  c1=None, c2=None, lhs_mode: str = STRICT,
-                  rhs_mode: "str | None" = None,
+def claim_reports(spec: ClaimSpec, laws, norm: "Norm | None" = None,
+                  given: "dict | None" = None, c1=None, c2=None,
+                  lhs_mode: "str | None" = None, rhs_mode: "str | None" = None,
                   cap: int = DEFAULT_SUPPORT_CAP) -> "list[InequalityReport]":
     """Every report of one claim on its laws (walk_checks) at the given
-    parameters, one per shape and constant pair, all or none."""
+    parameters, one per shape and constant pair, all or none.  A norm or
+    mode None is the default: the first law's default_norm, a strict lhs
+    and an rhs in the lhs's mode.  An evaluated claim (lemma2, corollary3)
+    refuses any mode and any norm but abs1d (Refused)."""
     plan = variants(spec, c1, c2)
-    judged = {name: _indices(CLAIMS[name], given, spec)
+    if spec.evaluate is not None:
+        for name, value in (("norm", None if norm in (None, Norm.ABS1D)
+                             else norm.value),
+                            ("lhs_mode", lhs_mode), ("rhs_mode", rhs_mode)):
+            if value is not None:
+                raise Refused(f"{spec.claim_id} does not take {{name}} "
+                              f"{value}", name)
+    judged = {name: _indices(CLAIMS[name], given or {}, spec)
               for name in dict.fromkeys(shape.claim_id for shape, *_ in plan)}
-    modes = ((lhs_mode, lhs_mode if rhs_mode is None else rhs_mode),)
+    norm = default_norm(laws[0].dim) if norm is None else norm
+    lhs_mode = lhs_mode or STRICT
+    modes = ((lhs_mode, rhs_mode or lhs_mode),)
     entries = [plan_entry(spec, shape, a, b, judged[shape.claim_id], norm,
                           modes) for shape, a, b in plan]
     return [rep for entry, got in zip(entries, walk_checks(entries, laws, cap))
@@ -569,8 +596,3 @@ def check_corollary6(X: DiscreteDist, j: int, k: int, c1=None, c2=None,
     """Pr(||S_j|| > t) <= (c1*j/k) * Pr(||S_k|| > k*t/(c2*j)) for 1 <= k <= j."""
     return claim_reports(CLAIMS["corollary6"], [X], norm, {"j": j, "k": k},
                          c1, c2, lhs_mode, rhs_mode, cap)[0]
-
-
-def _require(cond: bool, message: str) -> None:
-    if not cond:
-        raise ValueError(message)

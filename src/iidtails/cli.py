@@ -21,7 +21,8 @@ from pathlib import Path
 from . import checks, corpus as corpus_mod, montecarlo
 from ._version import __version__
 from .counterexample import verify_counterexample
-from .dists import DEFAULT_SUPPORT_CAP, MODES, STRICT, Norm, default_norm
+from .dists import (DEFAULT_SUPPORT_CAP, MODES, STRICT, Norm, default_norm,
+                    tail_curve)
 from .montecarlo import MC_CLAIMS, SamplerSpec, estimate_tail, mc_check
 from .reports import HOLDS, VACUOUS, VIOLATED, jsonify
 from .search import (N_ATOMS, SEED_LIMIT, SearchSpace, SoundnessViolation,
@@ -143,55 +144,22 @@ def _join_weights(argv: "list[str]") -> "list[str]":
     return out
 
 
-# the verify flag of each parameter a claim can take
-_FLAGS = {"j": "--j", "k": "--k", "t": "--t", "alphas": "--weights"}
-
-
-def _claim_args(spec, args) -> dict:
-    """The claim's parameters from the verify flags, each refusal naming
-    its flag: one the claim does not take (checks.untaken) or needs, a --k
-    not the --weights count, constants, a norm or modes it takes none of."""
-    given = {name: value for name, flag in _FLAGS.items()
-             if (value := getattr(args, flag[2:])) is not None}
-    for name in checks.untaken(spec, given):
-        raise ValueError(f"--claim {spec.claim_id} does not take "
-                         f"{_FLAGS[name]}")
-    missing = [_FLAGS[name] for name in spec.takes
-               if name not in given and name not in spec.defaults]
-    if missing:
-        raise ValueError(f"{spec.claim_id} needs {missing[0]}")
-    if spec.lhs == checks.WEIGHTED and \
-            given.get("k", len(given["alphas"])) != len(given["alphas"]):
-        raise ValueError(f"--claim {spec.claim_id} takes --k {given['k']} "
-                         f"but {len(given['alphas'])} --weights")
-    for flag in ("--c1", "--c2"):
-        if getattr(args, flag[2:]) is not None and \
-                (spec.fixed or spec.constants is None):
-            what = "has fixed constants" if spec.fixed else "takes no constants"
-            raise ValueError(f"--claim {spec.claim_id} {what}, so no {flag}")
-    for flag in ("--norm", "--lhs-mode", "--rhs-mode"):
-        if spec.evaluate is not None and \
-                getattr(args, flag[2:].replace("-", "_")) is not None:
-            raise ValueError(f"--claim {spec.claim_id} does not take {flag}")
-    return given
-
-
 def cmd_verify(args) -> int:
     spec = checks.CLAIMS[checks.ALIASES.get(args.claim, args.claim)]
-    given = _claim_args(spec, args)
-    args.lhs_mode = args.lhs_mode or STRICT
+    given = {"j": args.j, "k": args.k, "t": args.t, "alphas": args.weights}
     digests = {}
-    if spec.claim_id == "lemma2":
-        if len(args.files) not in (1, 2):
-            raise ValueError("lemma2 takes one file (Y = X) or two")
+    if spec.laws > 1:
+        if len(args.files) > spec.laws:
+            raise ValueError(f"{spec.claim_id} takes one file (Y = X) or two")
         jobs = [(" + ".join(str(f) for f in args.files),
                  [_load(f, digests) for f in args.files])]
     else:
         jobs = [(str(f), [_load(f, digests)]) for f in args.files]
     reports = [{"file": label, "report": rep} for label, laws in jobs
                for rep in checks.claim_reports(
-                   spec, laws, args.norm or default_norm(laws[0].dim), given,
-                   args.c1, args.c2, args.lhs_mode, args.rhs_mode, args.cap)]
+                   spec, laws, args.norm, given, args.c1, args.c2,
+                   args.lhs_mode, args.rhs_mode, args.cap)]
+    args.lhs_mode = args.lhs_mode or STRICT   # the manifest echoes the default
     ok = all(r["report"].status in (HOLDS, VACUOUS) for r in reports)
     outcome = "all hold" if ok else "violation found"
     _emit({"manifest": _manifest(args, digests, outcome),
@@ -296,13 +264,7 @@ def cmd_mc(args) -> int:
     if args.seed >= limit:
         raise ValueError(f"--seed must be below {limit} for "
                          f"{len(t_grid)} thresholds, got {args.seed}")
-    # as in verify, --j and --weights only for a claim that takes them
-    if args.claim:
-        for name in checks.untaken(checks.CLAIMS[args.claim],
-                                   {"j": args.j, "alphas": args.weights}):
-            raise ValueError(f"--claim {args.claim} does not take "
-                             f"{_FLAGS[name]}")
-    elif args.j is not None:
+    if args.j is not None and not args.claim:
         raise ValueError("mc without --claim does not take --j")
     if args.claim:
         verdict = mc_check(
@@ -332,7 +294,6 @@ def cmd_show(args) -> int:
     for x, p in sorted(dist.atoms.items()):
         loc = x[0] if dist.dim == 1 else tuple(map(str, x))
         print(f"  P(X = {loc}) = {p}  (~{float(p):.6g})")
-    from .dists import tail_curve
     curve = tail_curve(dist, norm)
     label = ("||x||^2" if norm is Norm.EUCLIDEAN else "||x||")
     print(f"tail curve under {norm.value} (thresholds in {label}):")
@@ -470,6 +431,12 @@ def main(argv=None) -> int:
     except SoundnessViolation as exc:
         print(f"soundness guard tripped: {exc}", file=sys.stderr)
         return EXIT_GUARD
+    except checks.Refused as exc:   # the library's judgement, named by flag
+        flag = "--weights" if exc.name == "alphas" else \
+            "--" + exc.name.replace("_", "-")
+        print(f"error: {exc.template.replace('{name}', flag)}",
+              file=sys.stderr)
+        return EXIT_USAGE
     except (ValueError, OSError, RuntimeError, OverflowError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE

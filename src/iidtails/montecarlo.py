@@ -16,8 +16,8 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .checks import CLAIMS, SUM, WEIGHTED, _indices, variants
-from .dists import K_ONLY, MAX, Norm, _int, default_norm
+from .checks import CLAIMS, SUM, WEIGHTED, _indices, plan_entry, variants
+from .dists import MAX, Norm, _int, default_norm
 from .reports import HOLDS, VIOLATED, Report
 
 # a seed is one 64-bit word of a Philox key [seed, stream]
@@ -281,10 +281,12 @@ def mc_check(claim: str, spec: SamplerSpec, j: "int | None",
     level 1 - delta/2, so a reported violation is wrong with probability
     at most delta per row.
 
-    j and k index the sides S_j and S_k; None takes the claim's default,
-    as in verify (corollary5's k is the number of its weights).  A claim
-    whose left side is no S_j (corollary4's running max, corollary5's
-    weighted sum) refuses any j and echoes none.
+    j, k and the weights are judged by the claim's own rule
+    (checks._indices), and the factor and scale are its plan entry's
+    (checks.plan_entry), as in verify: None takes the claim's default
+    (corollary5's k is the number of its weights), and a name the claim
+    does not take, such as corollary4's or corollary5's j, is refused
+    (checks.Refused) and echoed by none.
     """
     if claim not in MC_CLAIMS:
         raise ValueError(f"unsupported claim {claim!r}; "
@@ -297,13 +299,11 @@ def mc_check(claim: str, spec: SamplerSpec, j: "int | None",
     (default_norm(spec.dim) if norm is None else norm).require_dim(spec.dim)
     ((_, c1, c2),) = variants(statement, *(None if c is None else Fraction(c)
                                            for c in (c1, c2)))
-    if j is not None and statement.order in (None, K_ONLY):
-        raise ValueError(f"{claim} reads no j, got j={j}")
-    idx = _indices(statement, {"j": j, "k": k, "alphas": None if weights is
-                               None else list(map(_rational, weights))})
-    j, k = idx.get("j"), idx["k"]
-    factor = statement.factor(c1, j, k)
-    scale = statement.scale(c2, j, k)
+    entry = plan_entry(statement, statement, c1, c2, _indices(
+        statement, {"j": j, "k": k, "alphas": None if weights is None
+                    else list(map(_rational, weights))}), norm, ())
+    j, k, factor, scale = (entry.idx.get("j"), entry.idx["k"], entry.factor,
+                           entry.scale)
     if not t_grid:
         raise ValueError("t grid must be nonempty")
     if not 0 <= _int("seed", seed) < mc_seed_limit(len(t_grid)):

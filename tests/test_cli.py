@@ -10,9 +10,13 @@ from pathlib import Path
 
 import pytest
 
+from iidtails import checks
 from iidtails.cli import build_parser, main
+from iidtails.concentration import check_corollary3, check_lemma2
 from iidtails.counterexample import verify_counterexample
 from iidtails.dists import DiscreteDist, Norm, iid_sum, tail
+from iidtails.montecarlo import MC_CLAIMS, SamplerSpec, mc_check
+from iidtails.reports import jsonify
 from iidtails.search import SoundnessViolation
 from iidtails.specfile import dump_dist, save_dist
 from oracles import coin, dist1d
@@ -42,6 +46,42 @@ def run(capsys, *argv):
 
 def last_json(out: str) -> dict:
     return json.loads(out)
+
+
+# the flag of each parameter the library may refuse, in verify and mc
+FLAG = {"j": "--j", "k": "--k", "t": "--t", "alphas": "--weights",
+        "c1": "--c1", "c2": "--c2", "norm": "--norm",
+        "lhs_mode": "--lhs-mode", "rhs_mode": "--rhs-mode"}
+# each verify input, alone: (flag, its text, the library's name, value)
+INPUTS = [("--j", "2", "j", 2), ("--k", "3", "k", 3),
+          ("--t", "1/2", "t", F(1, 2)),
+          ("--weights", "1,-1/2", "alphas", [F(1), F(-1, 2)]),
+          ("--c1", "5", "c1", F(5)), ("--c2", "7", "c2", F(7)),
+          ("--norm", "sup", "norm", Norm.SUP),
+          ("--norm", "abs1d", "norm", Norm.ABS1D),
+          ("--lhs-mode", "weak", "lhs_mode", "weak"),
+          ("--rhs-mode", "strict", "rhs_mode", "strict")]
+# the input each claim needs, where it has no default
+NEEDS = {"corollary5": INPUTS[3], "lemma2": INPUTS[2],
+         "corollary3": INPUTS[2]}
+
+
+def judged_alike(want, code: int, out: str, err: str) -> bool:
+    """Whether a run of verify or mc was judged as the library judged it,
+    want being its result or the ValueError it raised: Refused exits 2
+    with its template, the flag in the name's place, and any other
+    ValueError as is.  True when the library refused nothing, and the
+    run exited 0 or 1 with no error; the caller compares the output."""
+    if isinstance(want, checks.Refused):
+        assert want.name in FLAG and (code, out) == (2, "")
+        assert err == "error: " + want.template.replace(
+            "{name}", FLAG[want.name]) + "\n"
+        return False
+    if isinstance(want, ValueError):
+        assert (code, out, err) == (2, "", f"error: {want}\n")
+        return False
+    assert code in (0, 1) and not err, err
+    return True
 
 
 class TestVerify:
@@ -225,7 +265,7 @@ class TestVerify:
 
     def test_a_claim_takes_the_indices_it_fixes(self, capsys, coin_file):
         """latala_sharp takes --j 1 --k 2, the indices it fixes, by the
-        library's rule (checks.untaken): verify's report is the one without
+        library's rule (checks._indices): verify's report is the one without
         them, and mc takes --j 1 but not --j 2."""
         reports = []
         for flags in ((), ("--j", "1", "--k", "2")):
@@ -267,6 +307,55 @@ class TestVerify:
                              "--k", "3", "--weights", "-1,1/2,1/4", coin_file)
         assert code == 0, err
         assert last_json(out)["reports"][0]["report"]["params"]["k"] == 3
+
+    @pytest.mark.parametrize("claim", checks.CLAIMS)
+    def test_verify_and_the_library_judge_alike(self, capsys, coin_file,
+                                                claim):
+        """verify on one law is claim_reports on it at the same inputs:
+        each verify input given alone on top of what the claim needs, and
+        each needed input left out.  Where the library raises Refused,
+        verify exits 2 with its template, the flag in the name's place;
+        any other ValueError it prints as is; otherwise the reports are
+        the library's."""
+        needs = [] if claim not in NEEDS else [NEEDS[claim]]
+        cases = [needs + [one] for one in INPUTS] + ([[]] if needs else [])
+        for case in cases:
+            given = {"j": None, "k": None, "t": None, "alphas": None}
+            kw = {}
+            for _, _, name, value in case:
+                (given if name in given else kw)[name] = value
+            try:
+                want = checks.claim_reports(checks.CLAIMS[claim], [coin()],
+                                            given=given, **kw)
+            except ValueError as exc:
+                want = exc
+            argv = [arg for flag, text, _, _ in case for arg in (flag, text)]
+            code, out, err = run(capsys, "verify", "--claim", claim, *argv,
+                                 coin_file)
+            if judged_alike(want, code, out, err):
+                assert last_json(out)["reports"] == json.loads(json.dumps(
+                    jsonify([{"file": coin_file, "report": rep}
+                             for rep in want])))
+
+    def test_a_plane_law_reaches_the_dimension_rule(self, capsys, tmp_path,
+                                                    coin_file):
+        """Without --norm an evaluated claim judges no default norm: a 2-D
+        law under lemma2 or corollary3 exits 2 with the dimension rule of
+        the concentration sets, and check_lemma2 and check_corollary3 keep
+        the reports verify gives on a 1-D law."""
+        plane = tmp_path / "plane.json"
+        save_dist(DiscreteDist({(0, 0): F(1, 2), (1, 1): F(1, 2)}), plane)
+        for claim in ("lemma2", "corollary3"):
+            code, out, err = run(capsys, "verify", "--claim", claim, "--t",
+                                 "1", str(plane))
+            assert (code, out) == (2, "")
+            assert err == "error: concentration_set requires dimension 1\n"
+        for claim, rep in (("lemma2", check_lemma2(coin(), coin(), 1)),
+                           ("corollary3", check_corollary3(coin(), 3, 1))):
+            code, out, _ = run(capsys, "verify", "--claim", claim, "--t",
+                               "1", coin_file)
+            assert code == 0 and last_json(out)["reports"] == json.loads(
+                json.dumps(jsonify([{"file": coin_file, "report": rep}])))
 
 
 class TestManifestDigests:
@@ -659,6 +748,33 @@ class TestMcCmd:
             code, out, _ = run(capsys, "verify", "--claim", claim, coin_file)
             params = last_json(out)["reports"][0]["report"]["params"]
             assert (params.get("j"), params["k"]) == (j, k)
+
+    @pytest.mark.parametrize("claim", MC_CLAIMS)
+    def test_mc_and_mc_check_judge_alike(self, capsys, claim):
+        """mc --claim is mc_check at the same inputs: each of --j, --k,
+        --weights, --c1, --c2 and --norm alone on top of what the claim
+        needs, and the claim alone.  Where mc_check raises Refused, mc
+        exits 2 with its template, the flag in the name's place; any other
+        ValueError it prints as is; otherwise the check is mc_check's."""
+        needs = [] if claim not in NEEDS else [NEEDS[claim]]
+        ones = [one for one in INPUTS if one[2] not in ("t", "lhs_mode",
+                                                        "rhs_mode")]
+        for case in [needs + [one] for one in ones] + [needs]:
+            kw = {"j": None, "k": None}
+            for _, _, name, value in case:
+                kw["weights" if name == "alphas" else name] = value
+            try:
+                want = mc_check(claim, SamplerSpec("gaussian", {}),
+                                t_grid=[F(1)], n_samples=10, **kw)
+            except ValueError as exc:
+                want = exc
+            argv = [arg for flag, text, _, _ in case for arg in (flag, text)]
+            code, out, err = run(capsys, "mc", "--family", "gaussian",
+                                 "--t", "1", "--n", "10", "--claim", claim,
+                                 *argv)
+            if judged_alike(want, code, out, err):
+                assert last_json(out)["check"] == json.loads(
+                    json.dumps(jsonify(want)))
 
     def test_discrete_needs_dist_file(self, capsys):
         code, _, err = run(capsys, "mc", "--family", "discrete", "--t", "1")

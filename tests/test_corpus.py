@@ -9,7 +9,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from iidtails import corpus, reports
-from iidtails.checks import CLAIMS, MODE_PAIRS, claim_reports
+from iidtails.checks import CLAIMS, MODE_PAIRS, Refused, claim_reports
 from iidtails.corpus import (
     CSV_COLUMNS,
     CorpusConfig,
@@ -615,6 +615,24 @@ def test_claim_reports_refuses_a_name_the_claim_does_not_take():
         claim_reports(sharp, [coin()], Norm.ABS1D, {})
 
 
+def test_claim_reports_refuses_what_an_evaluated_claim_does_not_take():
+    """lemma2 and corollary3 take no tail mode and no norm but abs1d:
+    claim_reports refuses the rest with Refused, naming the parameter,
+    and takes abs1d as it takes no norm."""
+    for claim in ("lemma2", "corollary3"):
+        for kw, name, value in (({"norm": Norm.SUP}, "norm", "sup"),
+                                ({"lhs_mode": "weak"}, "lhs_mode", "weak"),
+                                ({"rhs_mode": "strict"}, "rhs_mode",
+                                 "strict")):
+            with pytest.raises(Refused, match=f"^{claim} does not take "
+                               f"{name} {value}$") as got:
+                claim_reports(CLAIMS[claim], [coin()], given={"t": 1}, **kw)
+            assert got.value.name == name
+        assert claim_reports(CLAIMS[claim], [coin()], Norm.ABS1D,
+                             {"t": 1}) == \
+            claim_reports(CLAIMS[claim], [coin()], given={"t": 1})
+
+
 FALSE_CONSTANTS = {"theorem1": {"c1": 1, "c2": 1},
                    "corollary4": {"c1": 1, "c2": 1}}
 
@@ -631,10 +649,11 @@ def _verify_row(row, dist, norm, overrides, cap) -> dict:
     if "alphas" in params:
         given["alphas"] = [F(a) for a in params["alphas"]]
     constants = overrides.get(spec.claim_id, {})
-    modes = params.get("modes", ("strict", "strict"))
+    # an evaluated row echoes no norm and no modes, and verify passes none
+    modes = params.get("modes", (None, None))
     reports = [rep.to_jsonable() for rep in claim_reports(
-        spec, [dist], norm, given, constants.get("c1"), constants.get("c2"),
-        *modes, cap=cap)]
+        spec, [dist], norm if "modes" in params else None, given,
+        constants.get("c1"), constants.get("c2"), *modes, cap=cap)]
     (doc,) = [doc for doc in reports if doc["params"] == params]
     return {"params": params, "margin_float_approx": None
             if doc["margin"] is None else float(F(doc["margin"])),

@@ -4,7 +4,7 @@ from fractions import Fraction as F
 import numpy as np
 import pytest
 
-from iidtails.checks import CLAIMS, check_corollary4, claim_reports
+from iidtails.checks import CLAIMS, Refused, check_corollary4, claim_reports
 from iidtails.dists import Norm, default_norm, iid_sum, tail
 from iidtails.montecarlo import (
     _BATCH,
@@ -352,11 +352,11 @@ class TestMcCheck:
                                                 ("corollary5", [1.0, 0.5])])
     def test_j_only_where_the_claim_reads_it(self, claim, weights):
         """corollary4's left side is a running max and corollary5's a
-        weighted sum: neither reads j, so any j is refused and none is
-        echoed."""
+        weighted sum: neither takes j, so any j is refused by the claim's
+        own rule (checks._indices), naming j, and none is echoed."""
         run = dict(k=2, weights=weights, t_grid=[1.0], n_samples=100)
         for j in (1, 7):
-            with pytest.raises(ValueError, match=f"{claim} reads no j"):
+            with pytest.raises(Refused, match=f"^{claim} does not take j$"):
                 mc_check(claim, coin_spec(), j=j, **run)
         assert "j" not in mc_check(claim, coin_spec(), j=None, **run).params
 
