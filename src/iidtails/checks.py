@@ -393,7 +393,8 @@ def _indices(shape: ClaimSpec, given: dict,
             raise Refused(f"{shape.claim_id} needs {{name}}", "alphas")
         if given.get("k") not in (None, len(coeffs)):
             raise Refused(f"{shape.claim_id} takes {{name}} = {len(coeffs)},"
-                          f" the number of weights, got k={given['k']}", "k")
+                          f" the number of weights, got {{name}}={given['k']}",
+                          "k")
         for a in coeffs:      # no message rendered for a weight in range
             if abs(a.numerator) > a.denominator:
                 raise ValueError(f"weight {a} out of range, need "
@@ -521,7 +522,10 @@ def claim_reports(spec: ClaimSpec, laws, norm: "Norm | None" = None,
     parameters, one per shape and constant pair, all or none.  A norm or
     mode None is the default: the first law's default_norm, a strict lhs
     and an rhs in the lhs's mode.  An evaluated claim (lemma2, corollary3)
-    refuses any mode and any norm but abs1d (Refused)."""
+    refuses any mode and any norm but abs1d (Refused), and no law at all
+    raises ValueError naming the claim."""
+    if not laws:
+        raise ValueError(f"{spec.claim_id} needs a law, got none")
     plan = variants(spec, c1, c2)
     if spec.evaluate is not None:
         for name, value in (("norm", None if norm in (None, Norm.ABS1D)

@@ -274,13 +274,6 @@ def tuple_running_max_laws(x: DiscreteDist, norm: Norm, cap: int):
         total *= den
 
 
-def brute_window_mass(x: DiscreteDist, center, t) -> Fraction:
-    c = Fraction(center)
-    t = Fraction(t)
-    return sum((p for v, p in x.scalar_items() if abs(v - c) <= t),
-               start=ZERO)
-
-
 def coin(a=-1, b=1):
     return DiscreteDist({(Fraction(a),): Fraction(1, 2),
                          (Fraction(b),): Fraction(1, 2)})

@@ -1,12 +1,9 @@
 import hashlib
 import json
 import os
-import subprocess
-import sys
 import threading
 from decimal import Decimal
 from fractions import Fraction as F
-from pathlib import Path
 
 import pytest
 
@@ -20,8 +17,6 @@ from iidtails.reports import jsonify
 from iidtails.search import SoundnessViolation
 from iidtails.specfile import dump_dist, save_dist
 from oracles import coin, dist1d
-
-SRC = Path(__file__).resolve().parent.parent / "src"
 
 
 @pytest.fixture
@@ -361,7 +356,8 @@ class TestVerify:
 class TestManifestDigests:
     @pytest.mark.parametrize("flags", [("--claim", "theorem1"),
                                        ("--claim", "lemma2", "--t", "1/2")])
-    def test_digest_is_of_the_bytes_read_from_a_fifo(self, tmp_path, flags):
+    def test_digest_is_of_the_bytes_read_from_a_fifo(self, fresh, tmp_path,
+                                                     flags):
         # a FIFO can be read once: re-reading it to hash it would block
         text = dump_dist(coin())
         fifo = tmp_path / "coin.fifo"
@@ -373,16 +369,11 @@ class TestManifestDigests:
 
         writer = threading.Thread(target=feed, daemon=True)
         writer.start()
-        env = dict(os.environ)
-        env["PYTHONPATH"] = os.pathsep.join(
-            filter(None, [str(SRC), env.get("PYTHONPATH")]))
-        proc = subprocess.run(
-            [sys.executable, "-m", "iidtails.cli", "verify", *flags,
-             str(fifo)], env=env, capture_output=True, text=True, timeout=60)
+        ran = fresh(("-m", "iidtails.cli", "verify", *flags, fifo))
         writer.join(timeout=10)
         assert not writer.is_alive()
-        assert proc.returncode == 0, proc.stderr
-        digests = json.loads(proc.stdout)["manifest"]["input_digests"]
+        assert ran.code == 0, ran.err
+        digests = json.loads(ran.out)["manifest"]["input_digests"]
         assert digests == {str(fifo): hashlib.sha256(text.encode()).hexdigest()}
 
 
@@ -726,7 +717,9 @@ class TestMcCmd:
         assert doc["manifest"]["params"]["k"] == 3
         code, out, err = run(capsys, *gauss, "--claim", "corollary5",
                              "--weights", "1,1/2,1/4", "--k", "2")
-        assert code == 2 and not out and "got k=2" in err
+        assert code == 2 and not out
+        assert err == ("error: corollary5 takes --k = 3, the number of "
+                       "weights, got --k=2\n")
         code, out, _ = run(capsys, *gauss, "--claim", "theorem1", "--t", "1")
         assert code in (0, 1)
         assert last_json(out)["manifest"]["params"]["k"] == 2
@@ -1049,43 +1042,24 @@ class TestTopLevel:
         assert (args.dims, args.norms) == ([1], None)
 
 
-def test_import_loads_no_scipy():
+def test_import_loads_no_scipy(fresh):
     """verify, corpus and search never touch scipy, so importing the
     package and its CLI must not load it; only the Monte Carlo intervals
     import it when they run."""
-    env = dict(os.environ)
-    env["PYTHONPATH"] = os.pathsep.join(
-        filter(None, [str(SRC), env.get("PYTHONPATH")]))
-    code = ("import sys, iidtails, iidtails.cli; "
-            "print(sorted(m for m in sys.modules if m.split('.')[0] == "
-            "'scipy'))")
-    proc = subprocess.run([sys.executable, "-c", code], env=env,
-                          capture_output=True, text=True, timeout=120)
-    assert proc.returncode == 0, proc.stderr
-    assert proc.stdout.strip() == "[]"
+    ran = fresh(("-m", "iidtails.cli", "--version"))
+    assert ran.code == 0, ran.err
+    assert "scipy" not in ran.loaded
 
 
-def _loads_in_fresh_process(*argvs) -> "tuple[list[int], list[str]]":
-    """(exit codes, which of numpy and scipy got imported) of main run on
-    each argv in turn in one fresh interpreter, output discarded."""
-    env = dict(os.environ)
-    env["PYTHONPATH"] = os.pathsep.join(
-        filter(None, [str(SRC), env.get("PYTHONPATH")]))
-    code = (
-        "import contextlib, io, json, sys\n"
-        "from iidtails.cli import main\n"
-        "with contextlib.redirect_stdout(io.StringIO()):\n"
-        "    codes = [main(argv) for argv in json.loads(sys.argv[1])]\n"
-        "print(json.dumps([codes, sorted({m.split('.')[0] for m in "
-        "sys.modules} & {'numpy', 'scipy'})]))\n")
-    proc = subprocess.run([sys.executable, "-c", code, json.dumps(argvs)],
-                          env=env, capture_output=True, text=True,
-                          timeout=120)
-    assert proc.returncode == 0, proc.stderr
-    return tuple(json.loads(proc.stdout))
+def _loads(fresh, *argvs) -> "tuple[list[int], list[str]]":
+    """(exit codes, which of numpy and scipy got imported by any) of the
+    CLI run on each argv in its own fresh process."""
+    runs = [fresh(("-m", "iidtails.cli", *argv)) for argv in argvs]
+    return ([ran.code for ran in runs],
+            sorted(frozenset().union(*(ran.loaded for ran in runs))))
 
 
-def test_exact_subcommands_load_no_numpy(coin_file, tmp_path):
+def test_exact_subcommands_load_no_numpy(fresh, coin_file, tmp_path):
     """verify and counterexample are exact, so a process that runs them
     (1-D, 2-D under the euclidean norm, and the N = 2 counterexample)
     never loads numpy or scipy; a corpus draws from the package's own
@@ -1093,19 +1067,18 @@ def test_exact_subcommands_load_no_numpy(coin_file, tmp_path):
     plane = tmp_path / "plane.json"
     save_dist(DiscreteDist({(0, 1): F(1, 3), (2, -1): F(2, 3)}, dim=2),
               plane)
-    codes, loaded = _loads_in_fresh_process(
+    codes, loaded = _loads(
+        fresh,
         ["verify", "--claim", "theorem1", "--j", "1", "--k", "3", coin_file],
         ["verify", "--claim", "theorem1", "--norm", "euclidean", str(plane)],
-        ["counterexample", "--N", "2"])
-    assert codes == [0, 0, 0] and loaded == []
-    codes, loaded = _loads_in_fresh_process(
+        ["counterexample", "--N", "2"],
         ["corpus", "--count", "1", "--out-dir", str(tmp_path)])
-    assert codes == [0] and loaded == []
+    assert codes == [0, 0, 0, 0] and loaded == []
 
 
-def test_search_loads_numpy_alone():
+def test_search_loads_numpy_alone(fresh):
     """A search draws its starts and kicks with numpy and runs its own
     Nelder-Mead, so it never loads scipy."""
-    codes, loaded = _loads_in_fresh_process(
-        ["search", "--j", "1", "--k", "2", "--c2", "1", "--budget", "20"])
+    codes, loaded = _loads(fresh, ["search", "--j", "1", "--k", "2",
+                                   "--c2", "1", "--budget", "20"])
     assert codes == [0] and loaded == ["numpy"]

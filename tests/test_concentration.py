@@ -486,6 +486,17 @@ def test_only_lemma2_walks_a_second_law(claim):
         claim_reports(CLAIMS[claim], laws, Norm.ABS1D, given)
 
 
+@pytest.mark.parametrize("claim", CLAIMS)
+def test_no_law_is_refused_naming_the_claim(claim):
+    """claim_reports on no law raises a ValueError naming the claim, under
+    a given norm and under the default one it would read off the first
+    law, where a bare IndexError once came out of laws[0]."""
+    for norm in (Norm.ABS1D, None):
+        with pytest.raises(ValueError, match=rf"^{claim} needs a law, got "
+                           "none$"):
+            claim_reports(CLAIMS[claim], [], norm)
+
+
 @st.composite
 def oracle_cases(draw):
     """Two 1-D laws with negative atoms of mixed denominators, k in 1..4,

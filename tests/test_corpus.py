@@ -1,4 +1,5 @@
 import csv
+import io
 import json
 import random
 from decimal import Decimal, localcontext
@@ -323,6 +324,24 @@ class TestCsv:
         status_col = rows[0].index("status")
         assert {r[status_col] for r in rows[1:]} <= \
             {"holds", "violated", "vacuous"}
+
+    def test_violated_rows_round_trip(self, tmp_path):
+        """A CSV with violated rows, and vacuous lemma2 rows whose notes
+        hold commas, reads back through csv.reader and csv.writer to its
+        own bytes."""
+        rep = run_corpus(CorpusConfig(seed=3, count=10, max_k=3),
+                         ["theorem1", "lemma2"],
+                         overrides={"theorem1": {"c1": 1, "c2": 1}})
+        path = tmp_path / "violated.csv"
+        write_csv(rep, path)
+        with open(path, newline="", encoding="utf-8") as fh:
+            rows = list(csv.reader(fh))
+        text = io.StringIO(newline="")
+        csv.writer(text).writerows(rows)
+        assert text.getvalue().encode("utf-8") == path.read_bytes()
+        col = rows[0].index("status")
+        assert any(row[col] == "violated" for row in rows[1:])
+        assert any("," in row[-1] for row in rows[1:])
 
 
 # texts a field may hold: the characters csv.writer quotes, non-ASCII ones

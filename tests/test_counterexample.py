@@ -1,12 +1,8 @@
-import os
 import random
-import subprocess
-import sys
 from dataclasses import replace
 from fractions import Fraction as F
 from itertools import accumulate
 from math import comb, isqrt
-from pathlib import Path
 
 import mpmath
 import pytest
@@ -43,8 +39,6 @@ from oracles import (
     walk_extended,
     walk_normalized,
 )
-
-SRC = Path(__file__).resolve().parents[1] / "src"
 
 
 class TestIcbrt:
@@ -583,19 +577,6 @@ class TestFindMBounds:
         # the first certified N = 4 horizon: the gate opens at 253742,
         # where the one exact seed is admissible
         assert find_M(4, 300_000) == 253742
-
-    def test_answers_under_python_O(self):
-        # no assert guards any step, so -O must give the same answers
-        env = dict(os.environ)
-        env["PYTHONPATH"] = os.pathsep.join(
-            filter(None, [str(SRC), env.get("PYTHONPATH")]))
-        code = ("from iidtails.counterexample import find_M; "
-                "print(__debug__, find_M(2, 100), find_M(3, 10_000), "
-                "find_M(3, 4436), find_M(10, 15_000))")
-        proc = subprocess.run([sys.executable, "-O", "-c", code], env=env,
-                              capture_output=True, text=True, timeout=120)
-        assert proc.returncode == 0, proc.stderr
-        assert proc.stdout.split() == ["False", "8", "4437", "None", "None"]
 
 
 class TestOneWalkPerReport:

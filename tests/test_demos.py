@@ -1,8 +1,5 @@
 """Smoke test: every demo script runs to completion and prints something."""
 
-import os
-import subprocess
-import sys
 from pathlib import Path
 
 import pytest
@@ -16,11 +13,7 @@ def test_demos_found():
 
 
 @pytest.mark.parametrize("demo", DEMOS, ids=lambda p: p.name)
-def test_demo_runs(demo):
-    env = dict(os.environ)
-    env["PYTHONPATH"] = os.pathsep.join(
-        filter(None, [str(ROOT / "src"), env.get("PYTHONPATH")]))
-    proc = subprocess.run([sys.executable, str(demo)], cwd=ROOT, env=env,
-                          capture_output=True, text=True, timeout=300)
-    assert proc.returncode == 0, proc.stderr
-    assert proc.stdout.strip()
+def test_demo_runs(fresh, demo):
+    ran = fresh((demo,), cwd=ROOT)
+    assert ran.code == 0, ran.err
+    assert ran.out.strip()

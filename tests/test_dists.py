@@ -14,6 +14,7 @@ from iidtails.dists import (
     SupportCapExceeded,
     TailCurve,
     _Walk,
+    _convolve_lattice,
     _dict_steps,
     _encode,
     _gauge_curve,
@@ -891,6 +892,20 @@ def test_slot_rule_decisions():
         _walk(one, 5),                                   # 35 atom pairs
         _walk(one, 40, 1920)]                            # 1921 slots
     assert not any(walk.on_slots for walk in on_dict)
+
+
+def test_verify_wide_law_folds_on_slots():
+    """The verify_wide 1-D law's S_40 on slots is the dict loop's fold of
+    40 terms, and its S_8 is on slots too, 6-byte slots rounded up to 8."""
+    one, _ = _verify_wide_laws()
+    walk = _walk(one, 40)
+    folded = walk.terms[0]
+    for _ in range(39):
+        folded = _convolve_lattice(folded, walk.terms[0], walk.cap)
+    assert list(iid_sum(one, 40).atoms.items()) == \
+        list(walk.dist(folded).atoms.items())
+    walk = _walk(one, 8)
+    assert walk.on_slots and walk._grid[1] == 8
 
 
 def test_slot_fold_decodes_only_the_sums_read(monkeypatch):

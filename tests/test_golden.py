@@ -280,6 +280,9 @@ def test_capped_corpus_bytes(tmp_path):
     assert got == {k: GOLDEN[k] for k in got}
     doc = json.loads((tmp_path / "corpus.json").read_text())["corpus"]
     assert (doc["total_checks"], len(doc["skipped"])) == (312, 7)
+    with open(tmp_path / "corpus.csv", newline="", encoding="utf-8") as fh:
+        kept = {int(row["instance"]) for row in csv.DictReader(fh)}
+    assert kept.isdisjoint(s["instance"] for s in doc["skipped"])
 
 
 def test_capped_mixed_corpus_bytes(tmp_path):
