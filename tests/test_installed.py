@@ -3,7 +3,8 @@ iidtails.cli ARGV` in a fresh process and a fresh directory.
 
 One row of CASES is one contract: the exit code, the exact stderr, the
 stdout (as text or as JSON fields), the sha256 of every file written and
-which of numpy and scipy the process loads.  A new CLI contract adds a row
+which of numpy and scipy the process loads.  Every JSON document printed
+or written is laid out as `json.dumps(doc, indent=2, sort_keys=True)`.  A new CLI contract adds a row
 here.  Rows under -O pin that no assert guards a step: the answers are the
 same with asserts stripped.
 """
@@ -128,6 +129,10 @@ CASES = {
         ("verify", "--claim", "corollary3", "--t", "3/2", "coin.json"),
         files={"coin.json": COIN},
         fields={"reports.0.report.params": {"k": 3, "t": "3/2"}}),
+    "verify_writes_out": Case(
+        ("verify", "--claim", "theorem1", "--out", "report.json",
+         "coin.json"), files={"coin.json": COIN},
+        fields={"reports.0.report.status": "holds"}),
     "lemma2_takes_a_second_law": Case(
         ("verify", "--claim", "lemma2", "--t", "1/2", "coin.json", "y.json"),
         files={"coin.json": COIN, "y.json": Y}, fields={
@@ -184,6 +189,12 @@ CASES = {
 }
 
 
+def _layout(text: str) -> str:
+    """The text of the JSON document in text, laid out as the CLI lays
+    every document out."""
+    return json.dumps(json.loads(text), indent=2, sort_keys=True) + "\n"
+
+
 def _at(doc, path: str):
     for key in path.split("."):
         doc = doc[int(key)] if isinstance(doc, list) else doc[key]
@@ -200,6 +211,12 @@ def test_contract(fresh, tmp_path, name):
     if case.out is not None:
         assert ran.out == case.out
     doc = json.loads(ran.out) if case.fields or case.digits else None
+    if doc is not None:
+        assert ran.out == _layout(ran.out)
+    for path in tmp_path.rglob("*.json"):
+        if path.name not in case.files:
+            text = path.read_text()
+            assert text == _layout(text), path
     for path, want in case.fields.items():
         assert _at(doc, path) == want, path
     for path, want in case.digits.items():

@@ -155,6 +155,9 @@ class TestFiles:
         path = tmp_path / "d.json"
         save_dist(d, path)
         assert load_dist(path) == d
+        text = path.read_text()
+        assert text == json.dumps(json.loads(text), indent=2,
+                                  sort_keys=True) + "\n"
 
     def test_load_prefixes_path_in_errors(self, tmp_path):
         path = tmp_path / "bad.json"
@@ -198,4 +201,7 @@ def random_dists(draw):
 @settings(max_examples=80, deadline=None)
 def test_round_trip_property(d):
     assert dist_from_jsonable(dist_to_jsonable(d)) == d
-    assert parse_dist(dump_dist(d)) == d
+    text = dump_dist(d)
+    assert parse_dist(text) == d
+    assert text == json.dumps(json.loads(text), indent=2,
+                              sort_keys=True) + "\n"
