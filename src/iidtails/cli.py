@@ -12,7 +12,6 @@ from __future__ import annotations
 import argparse
 import functools
 import hashlib
-import json
 import sys
 from datetime import datetime, timezone
 from fractions import Fraction
@@ -24,7 +23,7 @@ from .counterexample import verify_counterexample
 from .dists import (DEFAULT_SUPPORT_CAP, MODES, STRICT, Norm, default_norm,
                     tail_curve)
 from .montecarlo import MC_CLAIMS, SamplerSpec, estimate_tail, mc_check
-from .reports import HOLDS, VACUOUS, VIOLATED, jsonify
+from .reports import HOLDS, VACUOUS, VIOLATED, render
 from .search import (N_ATOMS, SEED_LIMIT, SearchSpace, SoundnessViolation,
                      search)
 from .specfile import dist_to_jsonable, read_dist
@@ -52,15 +51,10 @@ def _manifest(args, digests: dict, outcome: str) -> dict:
             "outcome": outcome}
 
 
-def _render(doc: dict) -> str:
-    """The JSON text of a CLI document, rendered in one jsonify pass."""
-    return json.dumps(jsonify(doc), indent=2, sort_keys=True)
-
-
 def _emit(doc: dict, out: "str | None") -> None:
     """Write the report to --out, if given, then print it; a file that
     cannot be written fails before anything is printed."""
-    text = _render(doc)
+    text = render(doc)
     if out:
         try:
             Path(out).write_text(text + "\n")
@@ -194,8 +188,8 @@ def cmd_corpus(args) -> int:
     written = []
     if want_json:
         path = outdir / "corpus.json"
-        path.write_text(_render({"manifest": _manifest(args, {}, outcome),
-                                 "corpus": report}) + "\n")
+        path.write_text(render({"manifest": _manifest(args, {}, outcome),
+                                "corpus": report}) + "\n")
         written.append(str(path))
     if want_csv:
         path = outdir / "corpus.csv"
@@ -304,10 +298,32 @@ def cmd_show(args) -> int:
     return EXIT_OK
 
 
-@functools.cache
 def build_parser() -> argparse.ArgumentParser:
     """The one parser of this process; parse_args leaves it unchanged and
     no handler mutates a default it returns (the --dims list)."""
+    return _parsers()[0]
+
+
+def _parse(argv: "list[str]") -> argparse.Namespace:
+    """argv parsed as build_parser().parse_args(argv) parses it, with the
+    same output and exit status on --help, --version and every usage error,
+    but one pass over a subcommand's arguments: its own parser reads them,
+    and the top-level parser reports the ones it does not take.  Anything
+    that does not start with a subcommand goes to the top-level parser."""
+    parser, subcommands = _parsers()
+    sub = subcommands.get(argv[0]) if argv else None
+    if sub is None:
+        return parser.parse_args(argv)
+    args, extra = sub.parse_known_args(argv[1:])
+    if extra:
+        parser.error(f"unrecognized arguments: {' '.join(extra)}")
+    args.subcommand = argv[0]
+    return args
+
+
+@functools.cache
+def _parsers() -> "tuple[argparse.ArgumentParser, dict]":
+    """The top-level parser and its subcommands' parsers, by name."""
     parser = argparse.ArgumentParser(
         prog="iidtails",
         description="Exact verification of tail-comparison inequalities "
@@ -416,14 +432,12 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--norm", type=_norm, default=None)
     p.set_defaults(func=cmd_show)
 
-    return parser
+    return parser, subs.choices
 
 
 def main(argv=None) -> int:
-    parser = build_parser()
     try:
-        args = parser.parse_args(
-            _join_weights(sys.argv[1:] if argv is None else argv))
+        args = _parse(_join_weights(sys.argv[1:] if argv is None else argv))
     except SystemExit as exc:
         return int(exc.code or 0)
     try:

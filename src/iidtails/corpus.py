@@ -144,13 +144,15 @@ def _index_grid(shape, max_k: int) -> list:
             for a, b in pairs]
 
 
-def _grid(shape, dist: DiscreteDist, rng, config: "CorpusConfig") -> list:
+def _grid(shape, span: "Fraction | None", rng,
+          config: "CorpusConfig") -> list:
     """Where corollary5 and the 1-D concentration claims are checked on one
-    instance: drawn weight vectors or thresholds, each beside its ints."""
+    instance, given the span of its atoms (None above dimension 1): drawn
+    weight vectors or thresholds, each beside its ints."""
     K = config.max_k
     if shape.evaluate is not None:
         given = {"k": min(3, K)} if "k" in shape.takes else {}
-        ts = _t_grid(dist, given.get("k", 1)) if dist.dim == 1 else []
+        ts = [] if span is None else _t_grid(span, given.get("k", 1))
         return [((t.numerator, t.denominator), {**given, "t": t}) for t in ts]
     out = []
     for _ in range(config.weight_vectors):
@@ -162,9 +164,13 @@ def _grid(shape, dist: DiscreteDist, rng, config: "CorpusConfig") -> list:
     return out
 
 
-def _t_grid(dist: DiscreteDist, k: int = 1) -> "list[Fraction]":
+def _span(dist: DiscreteDist) -> Fraction:
+    """The span of a 1-D law's atoms, max - min."""
     vals = [x for (x,) in dist.atoms]
-    span = max(vals) - min(vals)
+    return max(vals) - min(vals)
+
+
+def _t_grid(span: Fraction, k: int = 1) -> "list[Fraction]":
     if span == 0:
         return [Fraction(1)]
     # small t for empty-set variety, span-scale t, and one large enough
@@ -243,6 +249,7 @@ def run_corpus(config: CorpusConfig, claims=None,
             for variant in judged[name]]
     report = CorpusReport(config=config, claims=claims)
     layouts, parts = {}, {}     # per norm (frames, drawn items) and plan
+    spanned = any(shape.evaluate is not None for _, shape, _, _ in plan)
     for index, (dist, norm) in enumerate(generate_corpus(config)):
         if norm not in layouts:
             laid = {}
@@ -253,12 +260,13 @@ def run_corpus(config: CorpusConfig, claims=None,
                 for pos, (spec, shape, c1, c2) in enumerate(plan)]
         laid, steps = layouts[norm]
         rng = Stream(_instance_key(config.seed, index))
+        span = _span(dist) if spanned and dist.dim == 1 else None
         planned = []
         for step in steps:
             if type(step) is list:
                 planned += step
                 continue
-            for draw, raw in _grid(plan[step][1], dist, rng, config):
+            for draw, raw in _grid(plan[step][1], span, rng, config):
                 planned.append(laid.get((step, draw)) or laid.setdefault(
                     (step, draw), _item(plan, step, raw, norm, laid, parts)))
         if not planned:       # e.g. lemma2 and corollary3 above dimension 1

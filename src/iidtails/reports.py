@@ -1,15 +1,17 @@
 """Common report types shared by the inequality checkers and the CLI.
 
-Every JSON document the program writes is rendered by jsonify.  A report
-dataclass derives from Report and renders by its fields, in field order;
-a field marked field(..., metadata={"json": False}) is left out.  A law
-renders as its distribution-file document (specfile.dist_to_jsonable).
+Every JSON document the program writes is rendered by render, whose text
+is byte for byte what json.dumps gives on jsonify(doc) with an indent of 2
+and sorted keys.  A report dataclass derives from Report and renders by its
+fields; a field marked field(..., metadata={"json": False}) is left out.  A
+law renders as its distribution-file document (specfile.dist_to_jsonable).
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass, fields
+from json.encoder import encode_basestring_ascii
 from decimal import MAX_EMAX, MAX_PREC, Context, Decimal, Inexact
 from enum import Enum
 from fractions import Fraction
@@ -28,8 +30,14 @@ class Report:
     """Base of the report dataclasses: to_jsonable renders the fields."""
 
     def to_jsonable(self) -> dict:
-        return {f.name: jsonify(getattr(self, f.name)) for f in fields(self)
-                if f.metadata.get("json", True)}
+        return {name: jsonify(getattr(self, name))
+                for name in _json_fields(type(self))}
+
+
+@cache
+def _json_fields(cls) -> "tuple[str, ...]":
+    """The names of the fields a Report of class cls renders, in order."""
+    return tuple(f.name for f in fields(cls) if f.metadata.get("json", True))
 
 
 @dataclass(frozen=True)
@@ -104,6 +112,78 @@ def jsonify(value):
     if hasattr(value, "to_jsonable"):
         return value.to_jsonable()
     return value
+
+
+def render(doc) -> str:
+    """The JSON text of doc, byte for byte json.dumps of jsonify(doc) with
+    an indent of 2 and sorted keys, in one pass with no intermediate
+    document: strings go through the C encoder's ASCII escaping, the layout
+    is written here.  Plain data, rationals, floats and Reports that render by
+    their fields are written directly; anything else is rendered as what
+    jsonify makes of it (so a to_jsonable method, and an enum's value, must
+    be JSON data, as every one in this package is)."""
+    return _text(doc, "\n")
+
+
+def _text(value, nl: str) -> str:
+    """render's text of value, at the indent that newline nl opens."""
+    cls = type(value)
+    leaf = _LEAVES.get(cls)
+    if leaf is not None:
+        return leaf(value)
+    inner = nl + "  "
+    if cls is dict:
+        if not value:
+            return "{}"
+        if not all(type(k) is str for k in value):
+            value = {str(k): v for k, v in value.items()}
+        items = sorted(value.items())
+    elif cls is list or cls is tuple:
+        if not value:
+            return "[]"
+        return (f"[{inner}" + f",{inner}".join([
+            leaf(v) if (leaf := _LEAVES.get(type(v))) else _text(v, inner)
+            for v in value]) + f"{nl}]")
+    elif isinstance(value, Report) and \
+            cls.to_jsonable is Report.to_jsonable:
+        items = sorted([(name, getattr(value, name))
+                        for name in _json_fields(cls)])
+    else:
+        data = jsonify(value)
+        if data is not value:
+            return _text(data, nl)
+        # what jsonify leaves as it is: a str, int or float of a subclass
+        for base in (str, int, float):
+            if isinstance(value, base):
+                return _LEAVES[base](value)
+        raise TypeError(f"Object of type {cls.__name__} "
+                        f"is not JSON serializable")
+    return (f"{{{inner}" + f",{inner}".join([
+        f"{encode_basestring_ascii(k)}: "
+        f"{leaf(v) if (leaf := _LEAVES.get(type(v))) else _text(v, inner)}"
+        for k, v in items]) + f"{nl}}}")
+
+
+def _float_text(x: float) -> str:
+    """A float as jsonify and json.dumps render it together: an infinity
+    as the string "inf" or "-inf", NaN as NaN."""
+    if x != x:
+        return "NaN"
+    if math.isinf(x):
+        return '"inf"' if x > 0 else '"-inf"'
+    return float.__repr__(x)
+
+
+# the text of a value of each leaf type, by its exact type (so bool is
+# never taken for int)
+_LEAVES = {
+    str: encode_basestring_ascii,
+    int: int.__repr__,
+    bool: {True: "true", False: "false"}.__getitem__,
+    type(None): {None: "null"}.__getitem__,
+    float: _float_text,
+    Fraction: lambda q: f'"{ratio_text(q.numerator, q.denominator)}"',
+}
 
 
 def ratio_text(n: int, d: int) -> str:

@@ -15,6 +15,7 @@ from __future__ import annotations
 
 import json
 from fractions import Fraction
+from math import lcm
 
 from .dists import DiscreteDist
 
@@ -26,19 +27,43 @@ class SpecFileError(ValueError):
 def parse_rational(s, where: str = "value") -> Fraction:
     """A rational from a 'p/q' string or an int; JSON true and false are
     refused, although Python counts them as ints."""
-    if isinstance(s, int) and not isinstance(s, bool):
-        return Fraction(s)
+    return Fraction(*_ratio(s, where))
+
+
+def _ratio(s, where: str, *at) -> "tuple[int, int]":
+    """A (numerator, denominator > 0) pair, not reduced, of the rational
+    parse_rational(s).  Plain ASCII int and 'p/q' text is read with int; any
+    other text goes to Fraction, so the text accepted and every message are
+    Fraction's.  A SpecFileError names where, formatted with at only when
+    raised."""
     if isinstance(s, str):
+        num, slash, den = s.partition("/")
+        if s.isascii() and (num[1:] if num[:1] == "-" else num).isdecimal() \
+                and (den.isdecimal() or not slash):
+            try:   # int text past the int string limit raises in Fraction
+                n, d = int(num), int(den) if slash else 1
+            except ValueError:
+                d = 0
+            if d:
+                return n, d
         try:
-            return Fraction(s)
+            q = Fraction(s)
         except (ValueError, ZeroDivisionError) as exc:
-            raise SpecFileError(f"{where}: not a rational: {s!r} ({exc})") from None
+            raise SpecFileError(f"{where.format(*at) if at else where}: "
+                                f"not a rational: {s!r} ({exc})") from None
+        return q.numerator, q.denominator
+    if isinstance(s, int) and not isinstance(s, bool):
+        return s, 1
     raise SpecFileError(
-        f"{where}: expected a 'p/q' string or integer, got {type(s).__name__}"
-    )
+        f"{where.format(*at) if at else where}: expected a 'p/q' string or "
+        f"integer, got {type(s).__name__}")
 
 
 def dist_from_jsonable(doc) -> DiscreteDist:
+    """The law of a distribution-file document, its atoms in file order;
+    the only way a law file becomes a DiscreteDist.  Every rational is
+    parsed once (_ratio), and the masses are summed in ints over the least
+    common denominator."""
     if not isinstance(doc, dict):
         raise SpecFileError(f"top level: expected an object, got {type(doc).__name__}")
     try:
@@ -51,29 +76,31 @@ def dist_from_jsonable(doc) -> DiscreteDist:
     if not isinstance(atoms, list) or not atoms:
         raise SpecFileError("atoms: expected a nonempty list")
     law = {}
+    masses = []
     for i, entry in enumerate(atoms):
-        where = f"atoms[{i}]"
         if not isinstance(entry, dict) or "x" not in entry or "p" not in entry:
-            raise SpecFileError(f"{where}: expected an object with keys 'x' and 'p'")
+            raise SpecFileError(f"atoms[{i}]: expected an object with keys 'x' and 'p'")
         coords = entry["x"]
         if dim == 1 and not isinstance(coords, list):
-            pt = (parse_rational(coords, f"{where}.x"),)
+            pt = (Fraction(*_ratio(coords, "atoms[{}].x", i)),)
         elif not isinstance(coords, list) or len(coords) != dim:
-            raise SpecFileError(f"{where}.x: expected a list of {dim} coordinates")
+            raise SpecFileError(f"atoms[{i}].x: expected a list of {dim} coordinates")
         else:
-            pt = tuple(
-                parse_rational(c, f"{where}.x[{j}]")
-                for j, c in enumerate(coords)
-            )
-        prob = parse_rational(entry["p"], f"{where}.p")
-        if prob <= 0:
-            raise SpecFileError(f"{where}.p: probability {prob} is not positive")
-        if pt in law:
-            raise SpecFileError(f"{where}: duplicate point {tuple(map(str, pt))}")
-        law[pt] = prob
-    total = sum(law.values())
-    if total != 1:
-        raise SpecFileError(f"atoms: probabilities sum to {total}, expected 1")
+            pt = tuple([Fraction(*_ratio(c, "atoms[{}].x[{}]", i, j))
+                        for j, c in enumerate(coords)])
+        n, d = _ratio(entry["p"], "atoms[{}].p", i)
+        if n <= 0:
+            raise SpecFileError(
+                f"atoms[{i}].p: probability {Fraction(n, d)} is not positive")
+        law[pt] = Fraction(n, d)
+        if len(law) == i:   # pt was there already
+            raise SpecFileError(f"atoms[{i}]: duplicate point {tuple(map(str, pt))}")
+        masses.append((n, d))
+    den = lcm(*[d for _, d in masses])
+    total = sum([n * (den // d) for n, d in masses])
+    if total != den:
+        raise SpecFileError(
+            f"atoms: probabilities sum to {Fraction(total, den)}, expected 1")
     return DiscreteDist._trusted(dim, law)
 
 
@@ -114,7 +141,8 @@ def dist_to_jsonable(dist: DiscreteDist) -> dict:
 
 
 def dump_dist(dist: DiscreteDist) -> str:
-    return json.dumps(dist_to_jsonable(dist), indent=2, sort_keys=True) + "\n"
+    from .reports import render   # reports renders a law through this module
+    return render(dist) + "\n"
 
 
 def save_dist(dist: DiscreteDist, path) -> None:

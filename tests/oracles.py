@@ -43,7 +43,12 @@ one laid out once per run: every grid drawn and every entry judged and laid
 out on each instance (``per_instance_grid``, ``checks._indices``,
 ``checks.plan_entry``), each params echo rendered by ``json.dumps`` and the
 rows written by ``csv.writer``, kept as the differential reference for the
-rows and the CSV bytes.
+rows and the CSV bytes.  ``json_render`` is the layout ``reports.render``
+replaced, ``json.dumps`` of ``jsonify``'s data, and
+``fraction_dist_from_jsonable`` the law-file decoder that
+``specfile.dist_from_jsonable`` replaced, every rational parsed by
+``Fraction(str)`` and the masses summed as Fractions; each is the
+differential reference for the bytes, the law and every error text.
 """
 
 import csv
@@ -69,7 +74,9 @@ from iidtails.dists import (
     affine,
     as_point,
 )
-from iidtails.reports import HOLDS, InequalityReport, VACUOUS, VIOLATED
+from iidtails.reports import (HOLDS, InequalityReport, VACUOUS, VIOLATED,
+                              jsonify)
+from iidtails.specfile import SpecFileError
 
 ZERO = Fraction(0)
 TWO_THIRDS = Fraction(2, 3)
@@ -766,3 +773,64 @@ def per_instance_corpus(config, claims=None, cap: int = DEFAULT_SUPPORT_CAP,
     writer.writerow(CSV_COLUMNS)
     writer.writerows([row[c] for c in CSV_COLUMNS] for row in rows)
     return rows, text.getvalue().encode("utf-8")
+
+
+def json_render(doc) -> str:
+    """The JSON text of a document as the CLI rendered it before
+    reports.render: jsonify's data laid out by json.dumps."""
+    return json.dumps(jsonify(doc), indent=2, sort_keys=True)
+
+
+def _fraction_rational(s, where: str) -> Fraction:
+    if isinstance(s, int) and not isinstance(s, bool):
+        return Fraction(s)
+    if isinstance(s, str):
+        try:
+            return Fraction(s)
+        except (ValueError, ZeroDivisionError) as exc:
+            raise SpecFileError(f"{where}: not a rational: {s!r} ({exc})") from None
+    raise SpecFileError(
+        f"{where}: expected a 'p/q' string or integer, got {type(s).__name__}"
+    )
+
+
+def fraction_dist_from_jsonable(doc) -> DiscreteDist:
+    """The law of a distribution-file document, every rational parsed by
+    Fraction(str) with its location formatted up front, and the masses
+    summed as Fractions."""
+    if not isinstance(doc, dict):
+        raise SpecFileError(f"top level: expected an object, got {type(doc).__name__}")
+    try:
+        dim = doc["dim"]
+        atoms = doc["atoms"]
+    except KeyError as exc:
+        raise SpecFileError(f"top level: missing key {exc}") from None
+    if not isinstance(dim, int) or isinstance(dim, bool) or dim < 1:
+        raise SpecFileError(f"dim: expected a positive integer, got {dim!r}")
+    if not isinstance(atoms, list) or not atoms:
+        raise SpecFileError("atoms: expected a nonempty list")
+    law = {}
+    for i, entry in enumerate(atoms):
+        where = f"atoms[{i}]"
+        if not isinstance(entry, dict) or "x" not in entry or "p" not in entry:
+            raise SpecFileError(f"{where}: expected an object with keys 'x' and 'p'")
+        coords = entry["x"]
+        if dim == 1 and not isinstance(coords, list):
+            pt = (_fraction_rational(coords, f"{where}.x"),)
+        elif not isinstance(coords, list) or len(coords) != dim:
+            raise SpecFileError(f"{where}.x: expected a list of {dim} coordinates")
+        else:
+            pt = tuple(
+                _fraction_rational(c, f"{where}.x[{j}]")
+                for j, c in enumerate(coords)
+            )
+        prob = _fraction_rational(entry["p"], f"{where}.p")
+        if prob <= 0:
+            raise SpecFileError(f"{where}.p: probability {prob} is not positive")
+        if pt in law:
+            raise SpecFileError(f"{where}: duplicate point {tuple(map(str, pt))}")
+        law[pt] = prob
+    total = sum(law.values())
+    if total != 1:
+        raise SpecFileError(f"atoms: probabilities sum to {total}, expected 1")
+    return DiscreteDist._trusted(dim, law)

@@ -16,7 +16,7 @@ from iidtails.specfile import (
     parse_rational,
     save_dist,
 )
-from oracles import coin, dist1d
+from oracles import coin, dist1d, fraction_dist_from_jsonable
 
 COIN_DOC = {"dim": 1,
             "atoms": [{"x": ["-1"], "p": "1/2"}, {"x": ["1"], "p": "1/2"}]}
@@ -205,3 +205,77 @@ def test_round_trip_property(d):
     assert parse_dist(text) == d
     assert text == json.dumps(json.loads(text), indent=2,
                               sort_keys=True) + "\n"
+
+
+# text that Fraction(str) reads, or refuses, beyond plain ASCII 'p/q'
+TRICKY = [" 1/2", "1.5", "1e3", "+3", "1_000", "-0", "٣/٤", "1/0", "2/4",
+          "1/2", "²", "²/3", "1 / 2", "1/ 2", "-1/2", "1/-2", "--1", "-",
+          "", "/", "1/", "/2", "007", "0/5", "0", "3/0", "1/2/3", "0x1",
+          "inf", "nan", "1" * 4400, "1/" + "3" * 4400, "½", "1\n", "\t2"]
+RATIOS = st.builds(lambda n, d: f"{n}/{d}", st.integers(-6, 6),
+                   st.integers(1, 6)) | st.integers(-3, 3).map(str)
+ODD = (st.sampled_from(TRICKY) | st.integers(-3, 3)
+       | st.sampled_from([True, False, 0.5, 1.0, None, [], ["1"]])
+       | st.builds(lambda n: f"{n}/0", st.integers(-2, 2)))
+
+
+def _sometimes(draw, common, odd, one_in: int = 8):
+    return draw(odd if draw(st.integers(1, one_in)) == 1 else common)
+
+
+@st.composite
+def law_documents(draw):
+    """Law documents, about half of them valid: masses that sum to 1 over
+    unreduced denominators, or to something else, or with a zero or
+    negative one; odd text anywhere; bad dims, missing keys, coordinate
+    lists of the wrong length, and a point given twice."""
+    dim = _sometimes(draw, st.sampled_from([1, 2]),
+                     st.sampled_from([0, True, "1"]), 20)
+    n = draw(st.integers(1, 4))
+    weights = [_sometimes(draw, st.integers(1, 4), st.integers(-1, 0))
+               for _ in range(n)]
+    total = sum(weights) + _sometimes(draw, st.just(0), st.just(1))
+    scale = draw(st.integers(1, 3))
+    atoms = []
+    for w in weights:
+        width = dim if type(dim) is int else 1
+        width += _sometimes(draw, st.just(0), st.sampled_from([-1, 1]), 20)
+        x = [_sometimes(draw, RATIOS, ODD) for _ in range(max(width, 0))]
+        if width == 1 and draw(st.booleans()):
+            x = x[0]
+        entry = {"x": x, "p": _sometimes(
+            draw, st.just(f"{w * scale}/{total * scale}"), ODD)}
+        if draw(st.integers(1, 40)) == 1:
+            del entry[draw(st.sampled_from(["x", "p"]))]
+        atoms.append(entry)
+    if n > 1 and "x" in atoms[0] and draw(st.integers(1, 4)) == 1:
+        atoms[-1] = {**atoms[-1], "x": atoms[0]["x"]}   # a point twice
+    return {"dim": dim, "atoms": atoms}
+
+
+def _decoded(decode, doc):
+    try:
+        law = decode(doc)
+    except Exception as exc:   # the error, its type and text
+        return type(exc), str(exc)
+    return law.dim, list(law.atoms.items())
+
+
+@given(law_documents())
+@settings(max_examples=500, deadline=None)
+def test_decoder_is_the_fraction_decoder(doc):
+    """The decoder returns the law, atoms in the same order, or the error
+    text that Fraction(str) parsing and Fraction sums give."""
+    assert _decoded(dist_from_jsonable, doc) == \
+        _decoded(fraction_dist_from_jsonable, doc)
+
+
+@pytest.mark.parametrize("text", TRICKY, ids=lambda t: ascii(t)[:24])
+def test_each_tricky_text_decodes_as_fraction_reads_it(text):
+    for doc in ({"dim": 1, "atoms": [{"x": text, "p": "1"}]},
+                {"dim": 2, "atoms": [{"x": ["0", text], "p": "1"}]},
+                {"dim": 1, "atoms": [{"x": "0", "p": text}]},
+                {"dim": 1, "atoms": [{"x": "1/2", "p": "1/2"},
+                                     {"x": text, "p": "1/2"}]}):
+        assert _decoded(dist_from_jsonable, doc) == \
+            _decoded(fraction_dist_from_jsonable, doc)
