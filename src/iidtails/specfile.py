@@ -40,12 +40,13 @@ def _ratio(s, where: str, *at) -> "tuple[int, int]":
         num, slash, den = s.partition("/")
         if s.isascii() and (num[1:] if num[:1] == "-" else num).isdecimal() \
                 and (den.isdecimal() or not slash):
-            try:   # int text past the int string limit raises in Fraction
+            try:
                 n, d = int(num), int(den) if slash else 1
-            except ValueError:
+            except ValueError:   # past the int string limit
                 d = 0
             if d:
                 return n, d
+            # a zero denominator too: Fraction raises with its own message
         try:
             q = Fraction(s)
         except (ValueError, ZeroDivisionError) as exc:

@@ -4,9 +4,9 @@ iidtails.cli ARGV` in a fresh process and a fresh directory.
 One row of CASES is one contract: the exit code, the exact stderr, the
 stdout (as text or as JSON fields), the sha256 of every file written and
 which of numpy and scipy the process loads.  Every JSON document printed
-or written is laid out as `json.dumps(doc, indent=2, sort_keys=True)`.  A new CLI contract adds a row
-here.  Rows under -O pin that no assert guards a step: the answers are the
-same with asserts stripped.
+or written is laid out as `json.dumps(doc, indent=2, sort_keys=True)`.  A
+new CLI contract adds a row here.  Rows under -O pin that no assert guards
+a step: the answers are the same with asserts stripped.
 """
 
 import csv
