@@ -10,6 +10,9 @@ One binomial law serves every tail: _sums sums C(M,b)*(N-1)^(M-b) over b
 from math.comb at its lowest cut, by binary splitting of the exact ratio
 steps from each cut to the next (a remainder raises ArithmeticError, also
 under ``python -O``), and returns its prefix sums at the cuts asked for.
+A tail is a rational over N^M or N^(M+1), reduced by gcds with powers of
+N (_over_power), never by a gcd of two long ints.  An M whose N^M passes
+_SEED_BITS bits is refused with a ValueError before its seed starts.
 Every tail event is the complement of at most two windows of u = N*b - M,
 so a report cuts one sum at all its windows' edges and takes each window's
 mass as a difference of two prefix sums; each edge comes from one
@@ -40,12 +43,12 @@ step.
 from __future__ import annotations
 
 from bisect import bisect_left
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from fractions import Fraction
-from math import comb, isqrt, lcm
+from math import comb, gcd, isqrt, lcm
 
 from .dists import _int, _threshold, rat
-from .reports import Report, jsonify
+from .reports import Report
 
 
 def _ratio(num: int, den: int) -> int:
@@ -57,6 +60,15 @@ def _ratio(num: int, den: int) -> int:
 
 
 _ONE = 1 << 64      # thr in the units of find_M's gate
+# the most steps _split folds in one loop: at N = 3, M = 4437 its eleven
+# segments take 292 us with one-step leaves in that loop, 132 us at 8,
+# 112 us at 16 and 105 us at 32 (181 us by the one-step recursion)
+_LEAF = 16
+# the most bits N^M may hold where _tails sums exactly: a report
+# (verify_counterexample with M, then render) took 56 s at N = 2 just past
+# it (M = 2500000), and at 2000001 bits 37 s at N = 2, 12 s at N = 3 and
+# 4.3 s at N = 10, on a 2-core VM under CPython 3.11
+_SEED_BITS = 2_500_000
 
 
 def _law(N, M) -> None:
@@ -111,11 +123,16 @@ def cbrt_combo_sign(a, b, c, M: int) -> int:
 
 def _split(N: int, M: int, a: int, z: int) -> "tuple[int, int, int]":
     """(P, Q, S) over the ratio steps t(b+1)/t(b) = (M-b)/((b+1)*(N-1)) for
-    a <= b < z, by binary splitting: P/Q = t(z)/t(a) and
-    S/Q = sum_{a<=b<z} t(b)/t(a)."""
-    if z - a == 1:
-        q = (a + 1) * (N - 1)
-        return M - a, q, q
+    a <= b < z, by binary splitting down to leaves of at most _LEAF steps,
+    each folded in a loop: P/Q = t(z)/t(a) and S/Q = sum_{a<=b<z} t(b)/t(a).
+    Every bracketing of the steps gives the same ints, as the merge
+    (P0*P1, Q0*Q1, S0*Q1 + P0*S1) is exactly associative."""
+    if z - a <= _LEAF:
+        P, Q, S = 1, 1, 0
+        for b in range(a, z):
+            q = (b + 1) * (N - 1)
+            P, Q, S = P * (M - b), Q * q, (S + P) * q
+        return P, Q, S
     mid = (a + z) // 2
     (P0, Q0, S0), (P1, Q1, S1) = _split(N, M, a, mid), _split(N, M, mid, z)
     return P0 * P1, Q0 * Q1, S0 * Q1 + P0 * S1
@@ -136,25 +153,49 @@ def _sums(N: int, M: int, cuts: "set[int]") -> "dict[int, int]":
 
 
 def _tails(N: int, M: int, *events) -> "list[Fraction]":
-    """For each event (per, windows): the exact tail
+    """For each event (per, windows), per 1 or N: the exact tail
     (per*N^M - sum of w * window mass over its windows) / (per*N^M).
 
     The windows (w, lo, hi) are the b whose u = N*b - M keeps the event's
     sum inside, w outcomes out of per each.  Every window edge, clipped to
     0..M, is a cut of one _sums walk, so the events share one math.comb
     and one term per b from the lowest edge to the highest, and a window's
-    mass is the difference of the sums at its two cuts.
+    mass is the difference of the sums at its two cuts.  An M whose N^M
+    passes _SEED_BITS bits is refused with a ValueError before any sum.
     """
+    if M * (N.bit_length() - 1) > _SEED_BITS or \
+            (total := N ** M).bit_length() > _SEED_BITS:
+        raise ValueError(f"M = {M} is past the exact seed's reach: N^M "
+                         f"would hold more than {_SEED_BITS} bits")
     spans = [[(w, max(lo, 0), min(hi, M) + 1) for w, lo, hi in windows]
              for _, windows in events]
     cuts = {c for windows in spans for _, a, z in windows if a < z
             for c in (a, z)}
     sums = _sums(N, M, cuts) if cuts else {}
-    total = N ** M
-    return [Fraction(per * total - sum(w * (sums[z] - sums[a])
-                                       for w, a, z in windows if a < z),
-                     per * total)
+    return [_over_power(per * total - sum(w * (sums[z] - sums[a])
+                                          for w, a, z in windows if a < z),
+                        N, M if per == 1 else M + 1)
             for (per, _), windows in zip(events, spans)]
+
+
+def _over_power(num: int, N: int, e: int) -> Fraction:
+    """num / N^e, reduced with no gcd of two long ints: the common factor
+    is gcd(num, N^k) at the first k of 1, 2, 4, ... (never past e) where
+    it stops growing, as min(v_p(num), k*v_p(N)) stays put from k on for
+    every prime p of N once it does from k to 2k; N is never factored.
+    When num is prime to N, as it mostly is, one gcd with N decides.  The
+    Fraction takes no further gcd: its two slots are set as CPython 3.12's
+    Fraction._from_coprime_ints sets them."""
+    g, k = 1, 0
+    while k < e:
+        step = min(2 * k or 1, e)
+        grown = gcd(num, N ** step)
+        if grown == g:
+            break
+        g, k = grown, step
+    q = object.__new__(Fraction)
+    q._numerator, q._denominator = num // g, N ** e // g
+    return q
 
 
 def _centered(N: int, M: int, threshold):
@@ -249,7 +290,8 @@ def find_M(N: int, M_cap: int):
     M it lets through gets its tail (_tails), one exact _sums seed over its
     window; the seed's steps must divide exactly and raise ArithmeticError
     otherwise, so every answer, None included, is exact, also under
-    ``python -O``.
+    ``python -O``.  A gate-passed M past the seed's reach (_SEED_BITS)
+    raises ValueError: no answer is guessed.
     """
     if _int("N", N) < 2:
         raise ValueError("need N >= 2")
@@ -272,26 +314,21 @@ class CounterexampleReport(Report):
     p_extended: "Fraction | None" = None       # Pr(|S_M + X_{M+1}| > 3/N)
     extended_holds: "bool | None" = None
     refutation: "dict | None" = None
+    # from N alone: the law, and the two bounds the construction needs
+    law: dict = field(init=False)
+    bound_centered: Fraction = field(init=False)  # least p_centered, 1 - 1/N
+    bound_extended: Fraction = field(init=False)  # largest p_extended, 2/N
 
-    @property
-    def bound_centered(self) -> Fraction:
-        """1 - 1/N, the least p_centered the construction needs."""
-        return 1 - Fraction(1, self.N)
-
-    @property
-    def bound_extended(self) -> Fraction:
-        """2/N, the largest p_extended the construction allows."""
-        return Fraction(2, self.N)
-
-    def to_jsonable(self) -> dict:
-        """The fields, the law and the two bounds the construction needs."""
-        law = {"Y": {str(self.N - 1): Fraction(1, self.N),
-                     "-1": Fraction(self.N - 1, self.N)},
-               "X": "Y + M^(-1/3)",
-               "S_M": "M^(-2/3) * (X_1 + ... + X_M)"}
-        return {**super().to_jsonable(), **jsonify({
-            "law": law, "bound_centered": self.bound_centered,
-            "bound_extended": self.bound_extended})}
+    def __post_init__(self):
+        N = self.N
+        for name, value in (
+                ("law", {"Y": {str(N - 1): Fraction(1, N),
+                               "-1": Fraction(N - 1, N)},
+                         "X": "Y + M^(-1/3)",
+                         "S_M": "M^(-2/3) * (X_1 + ... + X_M)"}),
+                ("bound_centered", 1 - Fraction(1, N)),
+                ("bound_extended", Fraction(2, N))):
+            object.__setattr__(self, name, value)
 
 
 def _inside(sign, N: int, M: int, t, B: int, C: int):

@@ -121,14 +121,19 @@ def render(doc) -> str:
     is written here.  Plain data, rationals, floats and Reports that render by
     their fields are written directly; anything else is rendered as what
     jsonify makes of it (so a to_jsonable method, and an enum's value, must
-    be JSON data, as every one in this package is)."""
-    return _text(doc, "\n")
+    be JSON data, as every one in this package is).  Each distinct int of
+    the document's rationals is converted to text once, by a memo that
+    lives for this call alone."""
+    digits = _Digits()
+    return _text(doc, "\n", {**_LEAVES, Fraction: lambda q: (
+        f'"{ratio_text(q.numerator, q.denominator, digits)}"')})
 
 
-def _text(value, nl: str) -> str:
-    """render's text of value, at the indent that newline nl opens."""
+def _text(value, nl: str, leaves: dict) -> str:
+    """render's text of value, at the indent that newline nl opens, with
+    the text of a value of each leaf type, by its exact type, in leaves."""
     cls = type(value)
-    leaf = _LEAVES.get(cls)
+    leaf = leaves.get(cls)
     if leaf is not None:
         return leaf(value)
     inner = nl + "  "
@@ -142,8 +147,8 @@ def _text(value, nl: str) -> str:
         if not value:
             return "[]"
         return (f"[{inner}" + f",{inner}".join([
-            leaf(v) if (leaf := _LEAVES.get(type(v))) else _text(v, inner)
-            for v in value]) + f"{nl}]")
+            leaf(v) if (leaf := leaves.get(type(v)))
+            else _text(v, inner, leaves) for v in value]) + f"{nl}]")
     elif isinstance(value, Report) and \
             cls.to_jsonable is Report.to_jsonable:
         items = sorted([(name, getattr(value, name))
@@ -151,7 +156,7 @@ def _text(value, nl: str) -> str:
     else:
         data = jsonify(value)
         if data is not value:
-            return _text(data, nl)
+            return _text(data, nl, leaves)
         # what jsonify leaves as it is: a str, int or float of a subclass
         for base in (str, int, float):
             if isinstance(value, base):
@@ -159,9 +164,9 @@ def _text(value, nl: str) -> str:
         raise TypeError(f"Object of type {cls.__name__} "
                         f"is not JSON serializable")
     return (f"{{{inner}" + f",{inner}".join([
-        f"{encode_basestring_ascii(k)}: "
-        f"{leaf(v) if (leaf := _LEAVES.get(type(v))) else _text(v, inner)}"
-        for k, v in items]) + f"{nl}}}")
+        f"{encode_basestring_ascii(k)}: " + (
+            leaf(v) if (leaf := leaves.get(type(v)))
+            else _text(v, inner, leaves)) for k, v in items]) + f"{nl}}}")
 
 
 def _float_text(x: float) -> str:
@@ -174,27 +179,46 @@ def _float_text(x: float) -> str:
     return float.__repr__(x)
 
 
-# the text of a value of each leaf type, by its exact type (so bool is
-# never taken for int)
+# the text of a value of each leaf type but Fraction, whose text render
+# takes through its memo, by its exact type (so bool is never taken for
+# int)
 _LEAVES = {
     str: encode_basestring_ascii,
     int: int.__repr__,
     bool: {True: "true", False: "false"}.__getitem__,
     type(None): {None: "null"}.__getitem__,
     float: _float_text,
-    Fraction: lambda q: f'"{ratio_text(q.numerator, q.denominator)}"',
 }
 
 
-def ratio_text(n: int, d: int) -> str:
+def ratio_text(n: int, d: int, digits: "_Digits | None" = None) -> str:
     """The text of the reduced rational n / d (d > 0), str of its Fraction,
     also past the interpreter's limit on int to string conversion
     (sys.get_int_max_str_digits), where str raises: a decimal Decimal holds
-    an int exactly and renders all its digits (_decimal)."""
+    an int exactly and renders all its digits (_decimal).  Given digits,
+    each int's text is read from that memo (render keeps one a document)."""
+    if digits is None:
+        try:
+            return str(n) if d == 1 else f"{n}/{d}"
+        except ValueError:
+            digits = _Digits()
+    return digits[n] if d == 1 else f"{digits[n]}/{digits[d]}"
+
+
+class _Digits(dict):
+    """The decimal text of each int asked for, converted once (_digits)."""
+
+    def __missing__(self, n: int) -> str:
+        self[n] = text = _digits(n)
+        return text
+
+
+def _digits(n: int) -> str:
+    """str(n), or past the int string limit the digits of _decimal(n)."""
     try:
-        return str(n) if d == 1 else f"{n}/{d}"
+        return str(n)
     except ValueError:
-        return str(_decimal(n)) if d == 1 else f"{_decimal(n)}/{_decimal(d)}"
+        return str(_decimal(n))
 
 
 # a context in which a sum or product of Decimal ints is exact, or raises

@@ -11,7 +11,10 @@ rule on exact ints) that the gate's bounds are checked against.  ``pmf_walk_tail
 with the ``walk_centered``, ``walk_normalized`` and ``walk_extended``
 events is the per-b pmf walk that the counterexample tails' binomial
 windows replaced: every b from 0 to M, the event decided on each
-u = N*b - M.  ``fraction_convolve`` and
+u = N*b - M.  ``split_one_step`` is the binary splitting of those
+windows' ratio steps down to one-step leaves that ``counterexample._split``
+replaced with leaves folded in a loop; the triples must be the same ints.
+``fraction_convolve`` and
 its left folds are the pairwise Fraction convolution the integer-lattice
 kernel replaced, kept as its differential reference: same fold, same cap
 point, and its output atoms in the kernel's one order, ascending packed
@@ -392,6 +395,18 @@ def exact_find_M(N: int, M_cap: int):
             return M
     return None
 
+
+def split_one_step(N: int, M: int, a: int, z: int) -> "tuple[int, int, int]":
+    """(P, Q, S) over the ratio steps t(b+1)/t(b) = (M-b)/((b+1)*(N-1))
+    for a <= b < z, a < z, by binary splitting to one step: P/Q =
+    t(z)/t(a) and S/Q = sum_{a<=b<z} t(b)/t(a)."""
+    if z - a == 1:
+        q = (a + 1) * (N - 1)
+        return M - a, q, q
+    mid = (a + z) // 2
+    (P0, Q0, S0), (P1, Q1, S1) = (split_one_step(N, M, a, mid),
+                                  split_one_step(N, M, mid, z))
+    return P0 * P1, Q0 * Q1, S0 * Q1 + P0 * S1
 
 
 def exact_windows(N: int, M: int, M_last: int):

@@ -1,8 +1,9 @@
+import math
 import random
 from dataclasses import replace
 from fractions import Fraction as F
 from itertools import accumulate
-from math import comb, isqrt
+from math import comb, gcd, isqrt
 
 import mpmath
 import pytest
@@ -11,14 +12,18 @@ from hypothesis import strategies as st
 
 from iidtails import counterexample
 from iidtails.counterexample import (
+    _LEAF,
     _ONE,
+    _SEED_BITS,
     _block_end,
     _centered,
     _extended,
     _modal,
     _normalized,
     _outward,
+    _over_power,
     _sign_rule,
+    _split,
     _sums,
     _tails,
     cbrt_combo_sign,
@@ -35,6 +40,7 @@ from oracles import (
     exact_find_M,
     exact_windows,
     pmf_walk_tails,
+    split_one_step,
     walk_centered,
     walk_extended,
     walk_normalized,
@@ -560,8 +566,8 @@ class TestFindMBounds:
     def test_N10_gate_alone_reaches_past_1e10(self, monkeypatch):
         # the gate alone rejects every M from 1000 to 14436841070 at
         # N = 10, in 48 blocks, so no admissible N = 10 horizon lies below
-        # 14436841071; only the gate runs, since an exact seed at such an
-        # M would be an integer of about 5e10 bits
+        # 14436841071; find_M refuses that M with no sum, since its exact
+        # seed would be an integer of about 5e10 bits
         blocks = []
         block_end = counterexample._block_end
 
@@ -570,7 +576,9 @@ class TestFindMBounds:
             return block_end(N, M, t)
 
         monkeypatch.setattr(counterexample, "_block_end", spy)
-        assert next(counterexample._gate(10, 2 * 10 ** 10)) == 14436841071
+        monkeypatch.setattr(counterexample, "comb", None)
+        with pytest.raises(ValueError, match=r"^M = 14436841071 is past "):
+            find_M(10, 2 * 10 ** 10)
         assert len(blocks) == 48 and blocks[:2] == [1000, 61024]
 
     def test_first_N4_horizon(self):
@@ -892,3 +900,134 @@ class TestVerifyCounterexample:
         # the cap bounds the scan for M; with M given it would be ignored
         with pytest.raises(ValueError, match="cap"):
             verify_counterexample(2, M=5, cap=3)
+
+
+# N of every shape: primes, prime powers and products of several primes
+NS = st.integers(2, 60) | st.sampled_from(
+    [6, 12, 30, 60, 2, 4, 8, 16, 32, 3, 9, 27, 5, 25, 7, 49])
+
+
+@st.composite
+def over_powers(draw):
+    """(N, e, num) with num's valuation at N drawn below, at and above e,
+    and num = 0 and num = N^e."""
+    N, e = draw(NS), draw(st.integers(1, 400))
+    kind = draw(st.sampled_from(["valuation", "zero", "den"]))
+    if kind != "valuation":
+        return N, e, 0 if kind == "zero" else N ** e
+    v = draw(st.sampled_from([0, 1, e - 1, e, e + 1]) | st.integers(0, e + 3))
+    # part of one more power of N, and a cofactor of either sign
+    part, r = draw(st.integers(1, N)), draw(st.integers(-10 ** 30, 10 ** 30))
+    return N, e, r * N ** v * part
+
+
+class TestTailReduction:
+    """Each tail is reduced by gcds with powers of N (_over_power), never
+    by a gcd of two long ints, and is the Fraction Fraction(num, den)
+    would build."""
+
+    @given(over_powers())
+    @example((6, 1, 4))
+    @example((6, 3, 2 ** 5 * 7))
+    @example((12, 2, 2 ** 9 * 3))
+    @example((30, 5, 30 ** 5))
+    @example((2, 1, 0))
+    @settings(max_examples=400, deadline=None)
+    def test_equals_fraction(self, case):
+        N, e, num = case
+        got, want = _over_power(num, N, e), F(num, N ** e)
+        assert type(got) is F
+        assert (got.numerator, got.denominator) == (want.numerator,
+                                                    want.denominator)
+        assert got == want and hash(got) == hash(want)
+
+    def test_no_gcd_of_two_long_ints(self, monkeypatch):
+        # fractions reads math.gcd on each call; a tail built as
+        # Fraction(num, N^M) would take a gcd of two ~7030-bit ints
+        pairs = []
+
+        def spy(*args):
+            pairs.append(args)
+            return gcd(*args)
+
+        monkeypatch.setattr(math, "gcd", spy)
+        monkeypatch.setattr(counterexample, "gcd", spy)
+        rep = verify_counterexample(3)
+        assert rep.M == 4437 and rep.refutation["fails"]
+        assert max(p.bit_length() for args in pairs for p in args) > 7000
+        assert [args for args in pairs
+                if min(p.bit_length() for p in args) > 64] == []
+
+
+class TestSplit:
+    """_split folds leaves of up to _LEAF steps in a loop; the triples are
+    the one-step recursion's ints (oracles.split_one_step)."""
+
+    @given(st.integers(2, 12), st.integers(1, 5000), st.data())
+    @settings(max_examples=300, deadline=None)
+    def test_triples_equal_one_step_leaves(self, N, M, data):
+        a = data.draw(st.integers(0, M))
+        span = data.draw(st.sampled_from(
+            [1, 2, _LEAF - 1, _LEAF, _LEAF + 1, 2 * _LEAF, 2 * _LEAF + 1])
+            | st.integers(1, 4 * _LEAF) | st.integers(1, 600))
+        z = min(a + span, M + 1)
+        assert _split(N, M, a, z) == split_one_step(N, M, a, z)
+
+    def test_remainder_raises(self, monkeypatch):
+        assert counterexample._ratio(8, 2) == 4
+        with pytest.raises(ArithmeticError, match="left a remainder"):
+            counterexample._ratio(7, 2)
+        # a step that does not divide stops the sum: C(7, 0) * 1 / 2
+        monkeypatch.setattr(counterexample, "_split", lambda *a: (1, 2, 1))
+        with pytest.raises(ArithmeticError, match="left a remainder"):
+            _sums(2, 7, {0, 3})
+
+    def test_remainder_raises_under_O(self, fresh, tmp_path):
+        script = (
+            "from iidtails import counterexample\n"
+            "counterexample._split = lambda *a: (1, 2, 1)\n"
+            "for step in (lambda: counterexample._ratio(7, 2),\n"
+            "             lambda: counterexample._sums(2, 7, {0, 3})):\n"
+            "    try:\n"
+            "        step()\n"
+            "    except ArithmeticError as exc:\n"
+            "        print(exc)\n")
+        ran = fresh(("steps.py",), {"steps.py": script}, True, tmp_path)
+        assert (ran.code, ran.err) == (0, "")
+        assert ran.out == "binomial ratio step left a remainder\n" * 2
+
+
+class TestSeedLimit:
+    """An M whose N^M passes _SEED_BITS bits is refused before its seed."""
+
+    @staticmethod
+    def _refusal(M):
+        return (rf"^M = {M} is past the exact seed's reach: N\^M would "
+                rf"hold more than {_SEED_BITS} bits$")
+
+    def test_refused_before_any_sum(self, monkeypatch):
+        monkeypatch.setattr(counterexample, "comb", None)
+        monkeypatch.setattr(counterexample, "_sums", None)
+        M = _SEED_BITS       # 2^M has one bit more than the limit
+        for call in (lambda: centered_sum_tail(2, M, F(1, 2)),
+                     lambda: normalized_sum_tail(2, M, F(1, 2)),
+                     lambda: extended_sum_tail(2, M, F(1, 2)),
+                     lambda: refutes_constant(2, M, 1, F(1, 2)),
+                     lambda: verify_counterexample(2, M=M)):
+            with pytest.raises(ValueError, match=self._refusal(M)):
+                call()
+        with pytest.raises(ValueError, match=self._refusal(10 ** 12)):
+            verify_counterexample(10, M=10 ** 12)
+
+    def test_limit_is_the_bits_of_N_to_the_M(self, monkeypatch):
+        # exact at every N: refused exactly when N^M has more bits
+        monkeypatch.setattr(counterexample, "_SEED_BITS", 300)
+        for N in list(range(2, 40)) + [2 ** 64 - 1, 2 ** 64, 10 ** 30]:
+            last = max(M for M in range(1, 301)
+                       if (N ** M).bit_length() <= 300)
+            for M in {max(last - 1, 1), last}:
+                (tail,) = _tails(N, M, _centered(N, M, F(1, N)))
+                assert 0 <= tail <= 1
+            M = last + 1
+            with pytest.raises(ValueError, match=f"^M = {M} is past "):
+                _tails(N, M, _centered(N, M, F(1, N)))

@@ -108,7 +108,7 @@ CASES = {
         ("--N", "3", "--M", "4437"), 4437, **VERIFIED),
     "counterexample_N3_O": _counterexample(("--N", "3"), 4437, **VERIFIED),
     # ratios past int's 4300-digit str limit render whole; the N = 4
-    # horizon (about 2 s) renders past 100000 digits
+    # horizon (about 1 s) renders past 100000 digits
     "counterexample_renders_past_4300_digits": Case(
         ("counterexample", "--N", "3", "--M", "20000"),
         digits={"counterexample.p_centered": 9541}),
@@ -116,6 +116,16 @@ CASES = {
         ("counterexample", "--N", "4", "--cap", "300000"),
         fields={"counterexample.M": 253742},
         digits={"counterexample.p_centered": 152767}),
+    # an M whose N^M passes 2500000 bits is refused before its exact seed:
+    # at once for --M, after the gate's 48 blocks (about 3 s) for --cap
+    "counterexample_refuses_M_past_the_seed": Case(
+        ("counterexample", "--N", "10", "--M", "1000000000000"), 2,
+        err="error: M = 1000000000000 is past the exact seed's reach: N^M "
+            "would hold more than 2500000 bits\n"),
+    "counterexample_refuses_cap_past_the_seed": Case(
+        ("counterexample", "--N", "10", "--cap", "15000000000"), 2,
+        err="error: M = 14436841071 is past the exact seed's reach: N^M "
+            "would hold more than 2500000 bits\n"),
     # the outcome contract: 1 on a violation, with its witness
     "theorem1_false_constants_exit_1": Case(
         ("verify", "--claim", "theorem1", "--c1", "1", "--c2", "1",

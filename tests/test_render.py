@@ -22,7 +22,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from iidtails import cli
+from iidtails import cli, reports
 from iidtails.checks import CLAIMS, claim_reports
 from iidtails.corpus import CorpusConfig, run_corpus
 from iidtails.counterexample import verify_counterexample
@@ -55,6 +55,10 @@ class Custom(Report):
 
 # past the interpreter's 4300-digit limit on int to string conversion
 HUGE = F(10 ** 4400 + 1, 3 ** 2000)
+# long ints, past and under that limit, and rationals that share them as
+# numerators and denominators (each reduced as it is)
+LONG = (10 ** 4400 + 1, 2 ** 3000 + 1, 3 ** 2000)
+SHARED = [F(s * n, d) for n in LONG for d in LONG + (1, 7) for s in (1, -1)]
 
 ODD_TEXT = st.sampled_from(
     ['"', "\\", "\x00", "\x1f", "\n", "\t", "\x7f", "é", " ", "😀",
@@ -66,6 +70,7 @@ LEAVES = (st.none() | st.booleans() | st.integers(-10 ** 30, 10 ** 30)
                              F(-3, 4), F(7), Norm.ABS1D, Norm.EUCLIDEAN])
           | st.floats() | TEXT
           | st.integers(4400, 4402).map(lambda e: F(1 - 10 ** e, 3 ** 2000))
+          | st.integers(0, len(SHARED) - 1).map(lambda i: SHARED[i])
           | st.builds(F, st.integers(-10 ** 20, 10 ** 20),
                       st.integers(1, 10 ** 20))
           | st.sampled_from([coin(), DiscreteDist(
@@ -98,7 +103,7 @@ def test_render_is_json_dumps_of_jsonify(doc):
     {}, [], (), {"": {}}, [[], {}], {"a": [], "b": ()},
     {1: "one", "1": "string one"}, {True: 1, None: 2, 2.5: 3},
     [True, 1, False, 0, None], [-0.0, 1e300, math.nan], HUGE,
-    Pair(F(1, 2), Norm.SUP), coin(),
+    Pair(F(1, 2), Norm.SUP), coin(), SHARED, {"a": SHARED, "b": SHARED[::-1]},
 ])
 def test_render_edges(doc):
     assert render(doc) == json_render(doc)
@@ -140,6 +145,49 @@ def _documents():
 def test_render_of_cli_documents(name):
     doc = _documents()[name]
     assert render(doc) == json_render(doc)
+
+
+def _conversions(monkeypatch) -> list:
+    """The ints render converts to text from here on, in order."""
+    seen, digits = [], reports._digits
+
+    def spy(n):
+        seen.append(n)
+        return digits(n)
+
+    monkeypatch.setattr(reports, "_digits", spy)
+    return seen
+
+
+def test_render_converts_each_int_once(monkeypatch):
+    # the N = 3 report holds 12 rationals whose ints are long, of which
+    # 7 are distinct; each int is converted once a document, and a second
+    # render converts them all again: no memo outlives its call
+    for rep in (verify_counterexample(3), verify_counterexample(3, M=20000)):
+        doc = {"counterexample": rep, "again": [rep.p_centered, rep.law]}
+        rationals = [rep.admissible_tail, rep.p_centered, rep.p_extended,
+                     rep.bound_centered, rep.bound_extended,
+                     *rep.law["Y"].values(),
+                     *(v for v in rep.refutation.values() if type(v) is F)]
+        ints = {n for q in rationals for n in (
+            (q.numerator,) if q.denominator == 1 else
+            (q.numerator, q.denominator))}
+        seen = _conversions(monkeypatch)
+        text = render(doc)
+        assert sorted(seen) == sorted(ints)
+        assert len([n for n in ints if n.bit_length() > 7000]) == 7
+        render(doc)
+        assert seen[len(ints):] == seen[:len(ints)]
+        monkeypatch.undo()
+        assert text == json_render(doc)
+
+
+def test_ratio_text_alone_keeps_no_memo(monkeypatch):
+    seen = _conversions(monkeypatch)
+    for _ in range(2):
+        assert reports.ratio_text(HUGE.numerator, 3) == \
+            "1" + "0" * 4399 + "1/3"
+    assert seen == [HUGE.numerator, 3] * 2
 
 
 def test_dump_dist_is_the_file_layout():
