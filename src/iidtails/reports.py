@@ -196,7 +196,7 @@ def ratio_text(n: int, d: int, digits: "_Digits | None" = None) -> str:
     also past the interpreter's limit on int to string conversion
     (sys.get_int_max_str_digits), where str raises: a decimal Decimal holds
     an int exactly and renders all its digits (_decimal).  Given digits,
-    each int's text is read from that memo (render keeps one a document)."""
+    each int's text is read from that memo (render keeps one per call)."""
     if digits is None:
         try:
             return str(n) if d == 1 else f"{n}/{d}"
