@@ -131,7 +131,7 @@ class _Pair:
     def reads(self, lhs_mode: str, rhs_mode: str):
         """The candidate thresholds x where the margin can fall, ascending,
         and each side's tail numerator there: (xs, nls over lhs.den, nrs
-        over rhs.den).
+        over rhs.den), at judged modes (the caller's _check_mode).
 
         A tail only falls as x grows, so between two drops of the rhs read
         the margin factor * rhs - lhs (and the ratio lhs / rhs) can only get
@@ -142,13 +142,16 @@ class _Pair:
         reads stop at the lhs's reach: below its last critical for a strict
         lhs read, at or below it for a weak one.  The first threshold is
         read whatever lhs is there; every later read has lhs > 0."""
-        weak_l = _check_mode(lhs_mode) != STRICT
-        weak_r = _check_mode(rhs_mode) != STRICT
+        weak_l, weak_r = lhs_mode == WEAK, rhs_mode == WEAK
         lhs, rhs, ml, mr = self.lhs, self.rhs, self.ml, self.mr
         lc, rc = lhs.crits, rhs.crits
-        # half the least positive critical: a critical 0 is already passed
-        firsts = [g * m for cs, m in ((lc, ml), (rc, mr)) for g in cs[:2] if g]
-        xs = [min(firsts) // 2 if firsts else self.unit]
+        # half the least positive critical: a critical 0 is already passed,
+        # so a curve's least positive one is its first, or its second
+        # after a 0; 0 when the curve has none
+        fl = lc[not lc[0]] * ml if lc[-1] else 0
+        fr = rc[not rc[0]] * mr if rc[-1] else 0
+        first = min(fl, fr) if fl and fr else fl or fr
+        xs = [first // 2 if first else self.unit]
         nls = [lhs.nums[0] if lc[0] == 0 else lhs.den]
         nrs = [rhs.nums[0] if rc[0] == 0 else rhs.den]
         # rhs criticals c * mr < top are first counted inside the reach
@@ -199,7 +202,7 @@ def _sweep(lhs_curve: TailCurve, rhs_curve: TailCurve, factor, scale,
     dl, dr = lhs_curve.den, rhs_curve.den
     # margin = factor * rhs - lhs is kr * nr - kl * nl over fd * dl * dr
     kr, kl = fn * dl, fd * dr
-    xs, nls, nrs = pair.reads(*modes[0])
+    xs, nls, nrs = pair.reads(*map(_check_mode, modes[0]))
     # every read past the first has lhs > 0; ties go to the least x.  The
     # first read holds the largest lhs, and is the outcome when lhs is
     # identically 0 (then it is the only read)
@@ -235,12 +238,16 @@ def least_c1(lhs_curve: TailCurve, rhs_curve: TailCurve, factor: Fraction,
              scale: Fraction):
     """Least c1 with lhs(t) <= c1 * factor * rhs(t/scale) for all t > 0.
 
-    Strict tails on both sides, scale > 0.  Returns (c1, gauge-space
+    Strict tails on both sides; factor and scale are rationals (floats
+    raise TypeError), both > 0 (else ValueError).  Returns (c1, gauge-space
     threshold where it is attained): a Fraction, 0 with threshold None when
     lhs is identically zero, or math.inf at the first threshold where lhs >
     0 and rhs = 0.  It reads where a sweep reads (_Pair.reads), since the
     ratio lhs / rhs only falls between those reads.
     """
+    factor = rat(factor)
+    if factor.numerator <= 0:
+        raise ValueError("factors must be positive")
     pair = _Pair(lhs_curve, rhs_curve, rat(scale))
     xs, nls, nrs = pair.reads(STRICT, STRICT)
     bl, br, bx = 0, 1, None  # lhs, rhs numerators at the largest ratio
@@ -251,7 +258,9 @@ def least_c1(lhs_curve: TailCurve, rhs_curve: TailCurve, factor: Fraction,
             return math.inf, Fraction(x, pair.unit)
         if nl * br > bl * nr:
             bl, br, bx = nl, nr, x
-    return (Fraction(bl * rhs_curve.den, br * lhs_curve.den) / factor,
+    # c1 = (bl / lhs.den) / (br / rhs.den) / factor, as one Fraction
+    return (Fraction(bl * rhs_curve.den * factor.denominator,
+                     br * lhs_curve.den * factor.numerator),
             None if bx is None else Fraction(bx, pair.unit))
 
 

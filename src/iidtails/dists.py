@@ -22,6 +22,11 @@ stays a slot law until something reads it: its tail curve comes straight
 from the slot values, with no atom dict (1-D: folded at zero; n-D: gauges
 a row of the packed box at a time), and only readers that need atoms
 (dist, the concentration sets) decode them, through the same decoder.
+A dict law's curve sums its masses per int gauge in one loop.  A 1-D
+point is its own packed int, so a 1-D walk packs nothing and works out
+its packing base only when a reader unpacks a point.  Every curve a walk
+or sweep makes comes from one trusted builder (TailCurve._of), which
+reduces it to least units and stores its fields at once.
 The euclidean norm is handled through squared values (the "gauge") so that
 every order comparison against a rational threshold stays rational; abs1d and
 sup norms compare radii directly.
@@ -30,7 +35,7 @@ sup norms compare radii directly.
 from __future__ import annotations
 
 from bisect import bisect_left, bisect_right
-from dataclasses import dataclass, fields
+from dataclasses import dataclass
 from enum import Enum
 from fractions import Fraction
 from functools import cached_property
@@ -134,10 +139,10 @@ class Norm(Enum):
     SUP = "sup"
     EUCLIDEAN = "euclidean"
 
-    @property
-    def scale_exponent(self) -> int:
-        """e such that gauge(c*x) = c**e * gauge(x) for rational c > 0."""
-        return 2 if self is Norm.EUCLIDEAN else 1
+    def __init__(self, value: str):
+        # e such that gauge(c*x) = c**e * gauge(x) for rational c > 0, a
+        # member attribute: every walk and sweep reads it
+        self.scale_exponent = 2 if value == "euclidean" else 1
 
     def defined_in(self, dim: int) -> bool:
         """The one rule of where a norm is defined: abs1d in dimension 1
@@ -297,7 +302,9 @@ def _pack(coords: "list[int]", base: int) -> int:
 
 
 def _convolve_lattice(a, b, cap: int):
-    """The convolution loop: law of U + V on the shared lattice."""
+    """The convolution loop: law of U + V on the shared lattice.  The
+    support is held to cap after each atom of U, so it passes cap by fewer
+    than |V| atoms before SupportCapExceeded(cap + 1, cap)."""
     a_atoms, a_den = a
     b_atoms, b_den = b
     b_items = list(b_atoms.items())
@@ -306,13 +313,9 @@ def _convolve_lattice(a, b, cap: int):
     for x, p in a_atoms.items():
         for y, q in b_items:
             z = x + y
-            prev = get(z)
-            if prev is None:
-                if len(out) >= cap:
-                    raise SupportCapExceeded(len(out) + 1, cap)
-                out[z] = p * q
-            else:
-                out[z] = prev + p * q
+            out[z] = get(z, 0) + p * q
+        if len(out) > cap:
+            raise SupportCapExceeded(cap + 1, cap)
     return out, a_den * b_den
 
 
@@ -509,22 +512,28 @@ def _dict_steps(terms, n: int, cap: int, gauge, reads):
     to bucket max(m, gauge(z)); S_1 is S_0 = 0 stepped the same way, and
     cap bounds the states (z, m) of each step after the first.  The
     running max's law is (int gauge -> int mass, mass denominator).
-    Without a gauge there is one bucket, None, and a step is one
-    convolution (_convolve_lattice), whose cap bounds S_i.  A step that
-    passes cap raises SupportCapExceeded(cap + 1, cap), split or not."""
+    Without a gauge S_i is one law, a step is one convolution
+    (_convolve_lattice), whose cap bounds S_i, and the running max is None.
+    A step that passes cap raises SupportCapExceeded(cap + 1, cap), split
+    or not."""
+    if not gauge:
+        law = terms[0]
+        for i in range(1, n + 1):
+            if i > 1:
+                law = _convolve_lattice(law, terms[(i - 1) % len(terms)], cap)
+            yield law if reads is None or i in reads else None, None
+        return
     # S_1: S_0 = 0 stepped by the first term, in bucket -1 < every gauge
-    buckets = _split({-1: ({0: 1}, 1)}, terms[0], gauge, inf) if gauge \
-        else {None: terms[0]}
+    buckets = _split({-1: ({0: 1}, 1)}, terms[0], gauge, inf)
     den = terms[0][1]
     for i in range(1, n + 1):
         if i > 1:
             term = terms[(i - 1) % len(terms)]
             den *= term[1]
-            buckets = _split(buckets, term, gauge, cap) if gauge else \
-                {None: _convolve_lattice(buckets[None], term, cap)}
+            buckets = _split(buckets, term, gauge, cap)
         yield (_merged(buckets) if reads is None or i in reads else None,
-               gauge and ({m: sum(atoms.values())
-                           for m, (atoms, _) in buckets.items()}, den))
+               ({m: sum(atoms.values()) for m, (atoms, _) in buckets.items()},
+                den))
 
 
 def _slot_steps(terms, n: int, grid, reads):
@@ -571,26 +580,38 @@ class _Walk:
     def __init__(self, scale: int, dim: int, terms, reads, cap: int,
                  norm: "Norm | None" = None):
         self.reads = reads = frozenset(reads)
-        n = max(reads - {MAX}, default=MAX)   # k == MAX: _int refuses it
+        sums = reads - {MAX} if MAX in reads else reads
+        n = max(sums) if sums else MAX   # k == MAX: _int refuses it
         if _int("k", n) < 1:
             raise ValueError(f"k must be >= 1, got {n}")
         self.dim, self.n, self.scale, self.norm = dim, n, scale, norm
         self._unit = norm and scale ** norm.scale_exponent   # gauge unit
         self.cap = _int("cap", cap)
         self.encoded = terms
-        reach = max((abs(v) for atoms, _ in terms for coords, _ in atoms
-                     for v in coords), default=0)
-        # a base able to hold sums of n of the terms' points
-        self.base = base = 2 * n * reach + 3
-        self.terms = [({_pack(coords, base): p for coords, p in atoms}, den)
-                      for atoms, den in terms]
-        self.on_slots = (n - 1) * max(len(atoms) for atoms, _ in self.terms) \
-            >= SLOT_MIN_PAIRS and self._slots_pay()
+        if dim == 1:     # a packed 1-D point is its own coordinate
+            self.terms = [({v: p for (v,), p in atoms}, den)
+                          for atoms, den in terms]
+        else:
+            base = self.base
+            self.terms = [({_pack(coords, base): p for coords, p in atoms},
+                           den) for atoms, den in terms]
+        widest = max([len(atoms) for atoms, _ in self.terms])
+        self.on_slots = (n - 1) * widest >= SLOT_MIN_PAIRS and \
+            self._slots_pay()
         self._pass = _dict_steps(self.terms, n, self.cap, self._gauge(norm),
                                  reads) if MAX in reads else self._sums(reads)
         self._laws, self._maxima = [], []       # per step
         self._curves, self._envelopes = {}, []  # per S_i read, per k
         self._cap_error = None        # (size, cap) where the pass stopped
+
+    @cached_property
+    def base(self) -> int:
+        """A base able to hold sums of n of the terms' points (_pack):
+        2 * n * (the largest |coordinate|) + 3.  A 1-D walk packs no point,
+        so it computes this only when a reader unpacks one (dist)."""
+        reach = max((abs(v) for atoms, _ in self.encoded
+                     for coords, _ in atoms for v in coords), default=0)
+        return 2 * self.n * reach + 3
 
     @cached_property
     def _grid(self):
@@ -677,9 +698,10 @@ class _Walk:
 
     def curve(self, i: int) -> TailCurve:
         """S_i's tail curve under the walk's norm, built once."""
-        if i not in self._curves:
-            self._curves[i] = self._law_curve(self.law(i))
-        return self._curves[i]
+        curve = self._curves.get(i)
+        if curve is None:
+            curve = self._curves[i] = self._law_curve(self.law(i))
+        return curve
 
     def max_curve(self, k: int) -> TailCurve:
         """The tail curve of max_{i<=k} ||S_i||, made on its first read."""
@@ -728,21 +750,22 @@ class _Walk:
         gives the tail numerators; in n-D by the gauges of whole rows
         (_row_gauges), summed per gauge in one pass."""
         norm, unit, gauge = self.norm, self._unit, self._gauge(self.norm)
+        mass: "dict[int, int]" = {}
         if isinstance(law, _Slots):
             nums, den = _slot_nums(law.packed, law.width), law.den
             if self.dim == 1:
                 mags, masses = _folded(nums, law.low, law.step)
                 return _sorted_curve(norm, list(map(gauge, compress(
                     mags, masses))), list(compress(masses, masses)), unit, den)
-            pairs = zip(compress(_row_gauges(
-                nums, law.low, law.step, self.base, self.dim,
-                norm is Norm.EUCLIDEAN), nums), compress(nums, nums))
+            for g, num in zip(compress(_row_gauges(
+                    nums, law.low, law.step, self.base, self.dim,
+                    norm is Norm.EUCLIDEAN), nums), compress(nums, nums)):
+                mass[g] = mass.get(g, 0) + num
         else:
             atoms, den = law
-            pairs = zip(map(gauge, atoms), atoms.values())
-        mass: "dict[int, int]" = {}
-        for g, num in pairs:
-            mass[g] = mass.get(g, 0) + num
+            for z, num in atoms.items():
+                g = gauge(z)
+                mass[g] = mass.get(g, 0) + num
         return _gauge_curve(norm, mass, unit, den)
 
 
@@ -815,6 +838,13 @@ class TailCurve:
     nums[i] / den, each over its least common denominator, so two curves
     equal as functions have equal fields whatever lattice each came from.
     criticals and values are read-only Fraction views of those ints.
+
+    A curve is frozen and compares and hashes by its five fields.  The
+    constructor checks that they make a survival curve: criticals >= 0
+    and strictly increasing, values at most 1, nonincreasing and ending at
+    0.  The walks and sweeps build theirs with the trusted _of, unchecked,
+    which reduces both units and stores the fields as the instance's dict
+    in one step (_set).
     """
 
     norm: Norm
@@ -834,8 +864,12 @@ class TailCurve:
         nums = tuple(int(v * den) for v in vs)
         if any(b <= a for a, b in zip(crits, crits[1:])):
             raise ValueError("criticals must be strictly increasing")
+        if crits[0] < 0:
+            raise ValueError("criticals are gauge values, so must be >= 0")
         if any(b > a for a, b in zip(nums, nums[1:])):
             raise ValueError("values must be nonincreasing")
+        if nums[0] > den:
+            raise ValueError("values are probabilities, so must be <= 1")
         if nums[-1] != 0:
             raise ValueError("survival beyond the largest critical must be 0")
         self._set(norm, unit, crits, den, nums)
@@ -849,9 +883,12 @@ class TailCurve:
         return object.__new__(cls)._set(norm, unit // g, _over(crits, g),
                                         den // h, _over(nums, h))
 
-    def _set(self, *values) -> "TailCurve":
-        for name, value in zip(_CURVE_FIELDS, values):
-            object.__setattr__(self, name, value)
+    def _set(self, norm, unit, crits, den, nums) -> "TailCurve":
+        """Store the five fields at once, as the instance's dict: a frozen
+        dataclass refuses setattr."""
+        object.__setattr__(self, "__dict__", {
+            "norm": norm, "unit": unit, "crits": crits, "den": den,
+            "nums": nums})
         return self
 
     @property
@@ -876,12 +913,9 @@ class TailCurve:
         return self.at_gauge(self.norm.to_gauge(_threshold(t)), mode)
 
 
-_CURVE_FIELDS = tuple(f.name for f in fields(TailCurve))
-
-
 def _over(values, g: int) -> "tuple[int, ...]":
     """values, each divided by their common divisor g."""
-    return tuple(values) if g == 1 else tuple(v // g for v in values)
+    return tuple(values) if g == 1 else tuple([v // g for v in values])
 
 
 def _gauge_curve(norm: Norm, mass: "dict[int, int]", unit: int,

@@ -133,14 +133,15 @@ class SearchSpace:
         return _entry("theorem1", self.j, self.k, self.c2, self.norm)
 
     @cached_property
-    def _lattice(self) -> "tuple[int, int, int]":
-        """(unit, lo, hi): snapped locations are int numerators over unit,
-        the lcm of lattice_denominator and the box edges' denominators, and
-        lo, hi are the box edges over it."""
+    def _lattice(self) -> tuple:
+        """(unit, lo, hi, flo, fhi): snapped locations are int numerators
+        over unit, the lcm of lattice_denominator and the box edges'
+        denominators, lo, hi are the box edges over it, and flo, fhi the
+        edges as the floats _snap clips to."""
         lo, hi = Fraction(self.value_lo), Fraction(self.value_hi)
         unit = math.lcm(self.lattice_denominator, lo.denominator,
                         hi.denominator)
-        return unit, int(lo * unit), int(hi * unit)
+        return unit, int(lo * unit), int(hi * unit), float(lo), float(hi)
 
 
 @dataclass(frozen=True)
@@ -170,22 +171,26 @@ def _snap(theta, space: SearchSpace) -> "tuple[tuple[int, int], ...]":
     lattice unit, weight) pairs in ascending location, coinciding locations
     merged and the weights divided by their gcd, so equal tuples are equal
     laws."""
-    n = space.n_atoms
-    xs = [float(v) for v in theta]
+    n, ld = space.n_atoms, space.lattice_denominator
+    pd = space.prob_denominator
+    unit, lo, hi, flo, fhi = space._lattice
+    up = unit // ld
+    xs = list(map(float, theta))
     if len(xs) != 2 * n - 1:
         raise ValueError(f"theta needs 2 * n_atoms - 1 = {2 * n - 1} "
                          f"entries, got {len(xs)}")
-    unit, lo, hi = space._lattice
-    flo, fhi = float(space.value_lo), float(space.value_hi)
-    ld, pd = space.lattice_denominator, space.prob_denominator
-    up = unit // ld
     atoms: "dict[int, int]" = {}
     for x, f in zip(xs, xs[n:] + [1.0]):
-        v = round(min(max(x, flo), fhi) * ld) * up
+        # min(max(x, flo), fhi) and max(1, w) as conditionals, which pick
+        # the same of two equal floats and let a NaN through alike
+        x = flo if flo > x else x
+        v = round((fhi if fhi < x else x) * ld) * up
         v = lo if v < lo else hi if v > hi else v
-        atoms[v] = atoms.get(v, 0) + max(1, round(f * f * pd))
+        w = round(f * f * pd)
+        atoms[v] = atoms.get(v, 0) + (w if w > 1 else 1)
     g = math.gcd(*atoms.values())
-    return tuple((v, w // g) for v, w in sorted(atoms.items()))
+    items = sorted(atoms.items())
+    return tuple(items) if g == 1 else tuple([(v, w // g) for v, w in items])
 
 
 def _decode(law, space: SearchSpace) -> DiscreteDist:
@@ -201,7 +206,7 @@ def _score(law, space: SearchSpace, cap: int):
     lattice ints through the same walk and least_c1."""
     entry = space._theorem1
     walk = _Walk(space._lattice[0], 1, [([([v], w) for v, w in law],
-                                          sum(w for _, w in law))],
+                                          sum([w for _, w in law]))],
                  entry.reads, cap, space.norm)
     return least_c1(*_sides(walk, entry.shape, entry.idx), entry.factor,
                     entry.scale)
@@ -339,20 +344,28 @@ def search(space: SearchSpace, budget: int = 10_000, restarts: int = 8,
     rng = np.random.Generator(np.random.Philox(key=seed))
     evaluations = 0
     best = (Fraction(0), None, None)  # (exact ratio, witness q, snapped law)
+    best_f = -0.0                     # the objective's float of best
     trace = []
-    # snapped law -> (exact ratio, witness q), each law scored once
-    score = cache(lambda law: _score(law, space, cap))
+
+    @cache
+    def score(law):
+        """(exact ratio, witness q, the float the optimizer sees) of a
+        snapped law, each law scored once."""
+        value, q = _score(law, space, cap)
+        return value, q, -min(float(value), _BIG)
 
     def objective(theta) -> float:
-        nonlocal evaluations, best
+        nonlocal evaluations, best, best_f
         if evaluations >= budget:
             return _BIG  # exhausted: poison further moves
         evaluations += 1
         law = _snap(theta, space)
-        value, q = score(law)
-        if value > best[0]:  # inf orders above every Fraction
-            best = (value, q, law)
-        return -min(float(value), _BIG)
+        value, q, f = score(law)
+        # the float only rises with the ratio, so f > best_f means value
+        # <= best; inf orders above every Fraction
+        if f <= best_f and value > best[0]:
+            best, best_f = (value, q, law), f
+        return f
 
     def descend(x0, maxfev: int):
         return _nelder_mead(objective, x0, max(1, maxfev), 1e-3, 1e-9)
@@ -376,7 +389,7 @@ def search(space: SearchSpace, budget: int = 10_000, restarts: int = 8,
     ratio, best_q, law = best
     if law is None:
         law = _snap(_initial_points(space, 1, rng)[0], space)
-        ratio, best_q = score(law)
+        ratio, best_q, _ = score(law)
     _guard(ratio, rat(space.c2))
     return SearchResult(_decode(law, space), best_q, ratio, evaluations,
                         seed, tuple(trace))

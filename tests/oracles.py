@@ -40,7 +40,10 @@ its sets that lemma2 and corollary3 on int endpoints replaced: the sums
 folded by ``fraction_convolve``, every endpoint and bound a Fraction, and
 corollary3's witness rows built on every evaluation.
 ``fraction_snap_to_space`` is the Fraction decoding of a search parameter
-vector that the integer snap of ``iidtails.search`` replaced.
+vector that the integer snap of ``iidtails.search`` replaced, and
+``brute_tail_curve`` builds a survival curve from a law's atoms alone, so
+that ``fraction_least_c1`` on the curves of ``brute_iid_sum`` scores a
+law with no code of the walk, its curves or its reads.
 ``per_instance_corpus`` is the plan layout that ``run_corpus`` replaced by
 one laid out once per run: every grid drawn and every entry judged and laid
 out on each instance (``per_instance_grid``, ``checks._indices``,
@@ -98,6 +101,18 @@ def brute_iid_sum(x: DiscreteDist, k: int) -> DiscreteDist:
             prob *= p
         acc[total] = acc.get(total, ZERO) + prob
     return DiscreteDist(acc)
+
+
+def brute_tail_curve(dist: DiscreteDist, norm: Norm) -> TailCurve:
+    """The survival curve of ||U|| for U ~ dist through TailCurve's checked
+    constructor: each distinct gauge of an atom, and the mass above it."""
+    mass = {}
+    for pt, p in dist.atoms.items():
+        g = norm.gauge(pt)
+        mass[g] = mass.get(g, ZERO) + p
+    crits = sorted(mass)
+    return TailCurve(norm, crits, [sum((mass[h] for h in crits if h > g),
+                                       ZERO) for g in crits])
 
 
 def brute_weighted_sum(x: DiscreteDist, alphas) -> DiscreteDist:

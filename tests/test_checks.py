@@ -96,6 +96,34 @@ class TestSweepCurves:
             least_c1(lhs, rhs, 1, scale)
 
 
+class TestLeastC1Factor:
+    """least_c1 reads its factor as sweep_curves reads factor and scale,
+    through rat, and refuses one that is not positive, on the +-1 coin's
+    S_1 and S_2 curves, where the least c1 at factor 1 is 2."""
+
+    LHS, RHS = tail_curve(coin(), ABS), tail_curve(iid_sum(coin(), 2), ABS)
+
+    def test_exact_factor(self):
+        assert least_c1(self.LHS, self.RHS, 1, 1) == (2, F(1, 2))
+        assert least_c1(self.LHS, self.RHS, "1/2", 1) == (4, F(1, 2))
+
+    def test_refuses_a_float_factor(self):
+        # it returned the float c1 4.0
+        with pytest.raises(TypeError, match="^refusing float 0.5"):
+            least_c1(self.LHS, self.RHS, 0.5, 1)
+
+    def test_refuses_a_zero_factor(self):
+        # it raised a bare ZeroDivisionError: Fraction(1, 0)
+        with pytest.raises(ValueError, match="^factors must be positive$"):
+            least_c1(self.LHS, self.RHS, 0, 1)
+
+    @pytest.mark.parametrize("factor", [-1, F(-1, 2)])
+    def test_refuses_a_negative_factor(self, factor):
+        # -1 gave c1 = -2
+        with pytest.raises(ValueError, match="^factors must be positive$"):
+            least_c1(self.LHS, self.RHS, factor, 1)
+
+
 class TestTheorem1:
     def test_pinned_coin(self):
         r = check_theorem1(coin(), 1, 2)

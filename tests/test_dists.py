@@ -1,3 +1,4 @@
+import dataclasses
 import random
 from fractions import Fraction as F
 from math import comb
@@ -373,6 +374,28 @@ class TestTailCurve:
             TailCurve(ABS, (F(0), F(1)), (F(0),))
         with pytest.raises(ValueError, match="at least one critical"):
             TailCurve(ABS, (), ())
+        # no gauge is negative and no tail exceeds 1: a curve with either
+        # read 3/2 at radius 1/2
+        with pytest.raises(ValueError, match="criticals .* must be >= 0"):
+            TailCurve(ABS, (F(-1), F(0)), (F(1, 2), F(0)))
+        with pytest.raises(ValueError, match="values .* must be <= 1"):
+            TailCurve(ABS, (F(0), F(1)), (F(3, 2), F(0)))
+        assert TailCurve(ABS, (F(0), F(1)), (F(1), F(0))).at_radius(
+            F(1, 2)) == 1
+
+    def test_refuses_attribute_assignment(self):
+        """A curve is frozen: its fields, which its equality and hash read,
+        cannot be set or deleted, though the trusted builder stores them
+        all at once."""
+        c = tail_curve(TRI, ABS)
+        for name in ("norm", "unit", "crits", "den", "nums", "other"):
+            with pytest.raises(dataclasses.FrozenInstanceError):
+                setattr(c, name, 1)
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            del c.nums
+        assert (c.unit, c.crits, c.den, c.nums) == (1, (0, 2), 2, (1, 0))
+        assert c == tail_curve(TRI, ABS) and hash(c) == hash(
+            tail_curve(TRI, ABS))
 
     def test_equal_curves_compare_equal_across_lattices(self):
         """A curve is held in ints over its least units, so curves built on

@@ -5,7 +5,7 @@ import sys
 from fractions import Fraction as F
 
 import pytest
-from hypothesis import example, given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 from iidtails.dists import DEFAULT_SUPPORT_CAP, DiscreteDist, Norm, delta
@@ -25,7 +25,8 @@ from iidtails.search import (
     search,
     snap_to_space,
 )
-from oracles import coin, count_judgements, dist1d, fraction_snap_to_space
+from oracles import (brute_iid_sum, brute_tail_curve, coin, count_judgements,
+                     dist1d, fraction_least_c1, fraction_snap_to_space)
 
 
 class TestRatioObjective:
@@ -174,6 +175,46 @@ def test_lattice_score_matches_the_dist_path(case):
     assert _score(_snap(theta, space), space, DEFAULT_SUPPORT_CAP) == \
         ratio_objective_witness(dist, space.j, space.k, space.c2,
                                 space.norm)
+
+
+@st.composite
+def small_snapped_laws(draw):
+    """A snapped law (_snap's ints) of 2-4 atoms on the default box's
+    lattice, location numerators in [-64, 64] over 16: drawn points, often
+    mirrored into +- pairs and often joined by a zero atom, with weights
+    divided by their gcd."""
+    points = draw(st.lists(st.integers(-64, 64), min_size=1, max_size=4,
+                           unique=True))
+    if draw(st.booleans()):
+        for v in list(points):
+            if len(points) < 4 and -v not in points:
+                points.append(-v)
+    if draw(st.booleans()) and len(points) < 4 and 0 not in points:
+        points.append(0)
+    assume(len(points) >= 2)
+    weights = draw(st.lists(st.integers(1, 64), min_size=len(points),
+                            max_size=len(points)))
+    g = math.gcd(*weights)
+    return tuple(sorted((v, w // g) for v, w in zip(points, weights)))
+
+
+@given(small_snapped_laws(), st.integers(1, 4), st.integers(1, 4),
+       st.sampled_from([F(1, 2), F(1), F(3, 2), F(10)]),
+       st.sampled_from(list(Norm)))
+@settings(max_examples=200, deadline=None)
+def test_lattice_score_matches_brute_force(law, j, k, c2, norm):
+    """The search's score of a small law, value and witness, is the
+    Fraction least c1 (every candidate threshold read) on curves built
+    from the brute-force sums S_j and S_k: no walk, no lattice curve and
+    no _Pair read in between, so a score that drops a read or a critical
+    fails here."""
+    j, k = sorted((j, k))
+    space = SearchSpace(n_atoms=len(law), j=j, k=k, c2=c2, norm=norm)
+    total = sum(w for _, w in law)
+    x = DiscreteDist({F(v, 16): F(w, total) for v, w in law})
+    lhs, rhs = (brute_tail_curve(brute_iid_sum(x, i), norm) for i in (j, k))
+    assert _score(law, space, DEFAULT_SUPPORT_CAP) == \
+        fraction_least_c1(lhs, rhs, F(1), c2)
 
 
 class TestSearch:
